@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-compare cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
+.PHONY: all build test race bench bench-check bench-smoke bench-compare cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
 
 all: build
 
@@ -74,6 +74,15 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecord$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/sweep
 
+# bench-check vets and tests the repo benchmark's own module (bench/,
+# see BENCHMARK.json): a smoke over all five workload paths plus the
+# seed-1 sha256 result digests, ~3 s. bench/ compiles against the facade
+# only, so this guards the frozen facade surface and the result bytes on
+# every PR without running the benchmark itself.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # bench runs the full benchmark suite at measurement scale.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
@@ -90,4 +99,4 @@ bench-compare:
 	$(GO) run ./cmd/benchcompare
 
 # ci mirrors the blocking jobs of .github/workflows/ci.yml.
-ci: fmt-check vet staticcheck lint build test race examples-smoke sbgpd-smoke dist-smoke fuzz-smoke
+ci: fmt-check vet staticcheck lint build test race bench-check examples-smoke sbgpd-smoke dist-smoke fuzz-smoke

@@ -535,7 +535,10 @@ func BenchmarkRolloutSeries(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := grid.MustEvaluate(g)
+				res, err := grid.Evaluate(g)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if len(res.Cells) != len(deployments)*policy.NumModels {
 					b.Fatalf("grid has %d cells", len(res.Cells))
 				}
@@ -634,7 +637,10 @@ func BenchmarkIncomparableAxis(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := grid.MustEvaluate(g)
+				res, err := grid.Evaluate(g)
+				if err != nil {
+					b.Fatal(err)
+				}
 				if len(res.Cells) != len(deployments)*policy.NumModels {
 					b.Fatalf("grid has %d cells", len(res.Cells))
 				}

@@ -69,7 +69,7 @@
 // construction (NewBuilder, NewSet, SetOf, ClassifyTiers), engines
 // (NewEngine/Engine), partitions (Partitioner), deployment builders
 // (BuildDeployment, the rollout schedules), grid evaluation (Grid,
-// EvaluateGrid), paper experiments (Workload), Max-k-Security
+// Grid.Prepare, Plan), paper experiments (Workload), Max-k-Security
 // (BuildMaxKGadget), and the message-level simulator (NewMessageNet).
 // Consumers outside this module import only "sbgp" (Go's internal rule
 // forbids them anything under sbgp/internal/); the in-repo example
@@ -98,7 +98,7 @@
 // WithContext threads a context through everything a Simulation runs.
 // Sweeps check it cooperatively: cancelling aborts the grid promptly
 // (in-flight engine runs finish, undispatched cells never start),
-// EvaluateGrid/Sweep return ctx.Err(), and partial aggregates are
+// Sweep and Plan.Evaluate return ctx.Err(), and partial aggregates are
 // discarded — a cancelled sweep never returns a Result. A cancelled
 // *sharded* sweep keeps its completed shards in the checkpoint file;
 // resuming skips exactly those shards and reproduces the uninterrupted

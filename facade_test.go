@@ -327,9 +327,9 @@ func TestSweepShardedFacade(t *testing.T) {
 	}
 }
 
-// TestEvaluationFacade exercises the reusable-evaluation re-export:
-// repeated Runs of one prepared Evaluation must match the one-shot
-// Grid.Evaluate bytes exactly, run after run.
+// TestEvaluationFacade exercises the prepared-plan re-export: repeated
+// Evaluates of one Plan must match the one-shot Grid.Evaluate bytes
+// exactly, run after run.
 func TestEvaluationFacade(t *testing.T) {
 	g, _, err := sbgp.GenerateTopology(sbgp.TopologyParams{N: 200, Seed: 4})
 	if err != nil {
@@ -350,13 +350,12 @@ func TestEvaluationFacade(t *testing.T) {
 	if err := want.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := grid.NewEvaluation(g)
-	if err != nil {
+	var pl *sbgp.Plan
+	if pl, err = grid.Prepare(g); err != nil {
 		t.Fatal(err)
 	}
-	var _ *sbgp.Evaluation = ev
 	for i := 0; i < 3; i++ {
-		res, err := ev.Run(context.Background())
+		res, err := pl.Evaluate(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +364,7 @@ func TestEvaluationFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("Evaluation.Run %d diverges from Grid.Evaluate", i)
+			t.Errorf("Plan.Evaluate %d diverges from Grid.Evaluate", i)
 		}
 	}
 }

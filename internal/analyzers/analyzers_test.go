@@ -99,8 +99,8 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/core.Engine).Run",
 		"(*sbgp/internal/core.Engine).RunAttack",
 		"(*sbgp/internal/core.Engine).RunDelta",
-		"(*sbgp/internal/sweep.Grid).evaluateRange",
-		"(*sbgp/internal/sweep.Grid).evaluateShardPartial",
+		"(*sbgp/internal/sweep.Plan).evaluateRange",
+		"(*sbgp/internal/sweep.Plan).evaluateShardPartial",
 		"(*sbgp/internal/sweep.shardAcc).add",
 		"sbgp/internal/runner.ForEach",
 	} {

@@ -311,12 +311,8 @@ func DeploymentDeltaVolume(g *asgraph.Graph, prev, next *Deployment) int64 {
 // the summed degree of the dirty ASes against deltaFrac of the graph's
 // total adjacency volume — because stage work is proportional to the
 // edges incident to the dirty region, not to its vertex count: one
-// dirty Tier 1 costs thousands of stub-sized deltas. vertexFallback
-// restores the original n/4 vertex bound for A/B measurement.
+// dirty Tier 1 costs thousands of stub-sized deltas.
 func (e *Engine) overDeltaThreshold() bool {
-	if e.vertexFallback {
-		return 4*len(e.dirtyList) >= e.g.N()
-	}
 	return float64(e.dirtyVol) >= e.deltaFrac*float64(e.totalVol)
 }
 

@@ -84,14 +84,11 @@ type Engine struct {
 	// dirtyVol accumulates the adjacency degree of every dirty AS, and
 	// RunDelta falls back to the from-scratch run once it reaches
 	// deltaFrac of the graph's total adjacency volume (deg/totalVol are
-	// built lazily alongside inDirty). vertexFallback restores the old
-	// n/4 vertex-count bound — kept for the threshold-comparison
-	// benchmark, not as API.
-	deltaFrac      float64
-	vertexFallback bool
-	deg            []int32
-	totalVol       int64
-	dirtyVol       int64
+	// built lazily alongside inDirty).
+	deltaFrac float64
+	deg       []int32
+	totalVol  int64
+	dirtyVol  int64
 
 	// Removal-delta scratch: the memoized secure reverse-reachability
 	// classification and its walk stack (see seedSecureReverse).

@@ -23,7 +23,7 @@ func peerRing(n int) *asgraph.Graph {
 // ringOutcomes runs the one-AS rollout step on an n-ring under the given
 // threshold configuration and reports the delta result plus whether the
 // incremental path fell back to the from-scratch run.
-func ringOutcomes(t *testing.T, n int, frac float64, vertex bool) (*Outcome, bool) {
+func ringOutcomes(t *testing.T, n int, frac float64) (*Outcome, bool) {
 	t.Helper()
 	g := peerRing(n)
 	d, m := asgraph.AS(0), asgraph.AS(n/2)
@@ -31,7 +31,6 @@ func ringOutcomes(t *testing.T, n int, frac float64, vertex bool) (*Outcome, boo
 	joined := asgraph.AS(2)
 	next := &Deployment{Full: asgraph.SetOf(n, d, joined)}
 	e := NewEngine(g, policy.Sec2nd, WithDeltaThreshold(frac))
-	e.vertexFallback = vertex
 	prev := e.Run(d, m, base)
 	out := e.RunDelta(prev, []asgraph.AS{joined}, nil, next, nil)
 	return out.Clone(), e.deltaFallbacks > 0
@@ -74,35 +73,16 @@ func assertOutcomeEqual(t *testing.T, label string, got, want *Outcome) {
 func TestDeltaThresholdEdgeVolumeBoundary(t *testing.T) {
 	want := ringReference(6)
 
-	atBoundary, fellBack := ringOutcomes(t, 6, 0.5, false)
+	atBoundary, fellBack := ringOutcomes(t, 6, 0.5)
 	if !fellBack {
 		t.Errorf("dirty volume == frac*totalVol must fall back (bound is >=), but the incremental path ran")
 	}
 	assertOutcomeEqual(t, "fallback path", atBoundary, want)
 
 	above := math.Nextafter(0.5, 1)
-	justUnder, fellBack := ringOutcomes(t, 6, above, false)
+	justUnder, fellBack := ringOutcomes(t, 6, above)
 	if fellBack {
 		t.Errorf("dirty volume just under frac*totalVol must stay incremental, but fell back")
 	}
 	assertOutcomeEqual(t, "incremental path", justUnder, want)
-}
-
-// TestDeltaThresholdVertexBoundary pins the legacy vertex-count bound
-// (4·|dirty| >= n) at its boundary the same way: a 3-AS dirty region
-// falls back on a 12-ring (4·3 == 12) and stays incremental on a
-// 16-ring, with identical outcomes either way. The edge-volume fraction
-// is set to 1 so only the vertex bound can trigger.
-func TestDeltaThresholdVertexBoundary(t *testing.T) {
-	atBoundary, fellBack := ringOutcomes(t, 12, 1, true)
-	if !fellBack {
-		t.Errorf("4*dirty == n must fall back (bound is >=), but the incremental path ran")
-	}
-	assertOutcomeEqual(t, "vertex fallback path", atBoundary, ringReference(12))
-
-	under, fellBack := ringOutcomes(t, 16, 1, true)
-	if fellBack {
-		t.Errorf("4*dirty < n must stay incremental, but fell back")
-	}
-	assertOutcomeEqual(t, "vertex incremental path", under, ringReference(16))
 }

@@ -10,8 +10,10 @@
 //     whose locally planned layout disagrees refuses the job, and the
 //     coordinator refuses its submissions. Shard indices are only ever
 //     interpreted against one layout.
-//   - Idempotence. The coordinator ingests partials through a
-//     sbgp.CheckpointWriter: first accepted partial for a shard wins
+//   - Idempotence. The coordinator ingests partials into the same
+//     sbgp.CheckpointWriter store the single-box evaluator commits to —
+//     it only adds the lease protocol around it: first accepted partial
+//     for a shard wins
 //     (fsync'd), every re-send is a counted no-op. Duplicate leases,
 //     duplicate submissions, and at-least-once retries are all safe.
 //   - Loss. Leases expire on a missed heartbeat deadline and the
@@ -23,7 +25,7 @@
 //     shards the coordinator already has and offers the rest, shipping
 //     only what the coordinator still misses.
 //
-// Leases are cut on chain-aligned unit boundaries (sweep.PlanShards),
+// Leases are cut on chain-aligned unit boundaries (Plan.Units),
 // so RunDelta chains stay local to one worker and cross-shard delta
 // handoff inside a lease is deterministic, exactly as on one box.
 package dist
@@ -90,22 +92,20 @@ func (o Options) standby() time.Duration {
 	return o.Standby
 }
 
-// Job describes one distributed evaluation for Coordinator.Run. The
-// caller supplies the planned layout and units (sim.JobShardPlan) and
-// the merge closure; the coordinator owns everything in between.
+// Job describes one distributed evaluation for Coordinator.Run: the
+// prepared plan and the layout it is sharded under (sim.JobPlan and
+// sim.JobShardPlan); the coordinator owns everything in between.
 type Job struct {
 	// SpecJSON is the canonical job spec served to workers so they can
 	// rebuild the identical simulation. Empty is allowed (workers must
 	// then construct their evaluator out of band — the in-process
-	// GridEvaluator path for grids the wire format cannot carry).
+	// PlanEvaluator path for grids the wire format cannot carry).
 	SpecJSON json.RawMessage
-	// Layout is the job's shard layout; every protocol exchange is
-	// verified against its fingerprint.
+	// Plan cuts the lease units and reduces the completed store.
+	Plan *sbgp.Plan
+	// Layout is the job's shard layout, one of Plan's; every protocol
+	// exchange is verified against its fingerprint.
 	Layout *sbgp.ShardLayout
-	// Units are the chain-aligned dispatch units tiling the shard
-	// space, as returned by PlanShards. Leases are cut on their
-	// boundaries.
-	Units []sbgp.ShardRange
 	// Checkpoint, when non-empty, makes ingestion durable: every
 	// accepted partial is an fsync'd record in the single-box
 	// checkpoint format, and Resume loads an existing file's shards as
@@ -116,8 +116,6 @@ type Job struct {
 	// (resumed shards replayed first). Called serially; an error fails
 	// the job.
 	Sink func(*sbgp.ShardPartial) error
-	// Merge folds the complete partial set into the result.
-	Merge func([]*sbgp.ShardPartial) (*sbgp.Result, error)
 }
 
 // lease is one outstanding grant: a worker's exclusive claim on a
@@ -208,11 +206,8 @@ func NewCoordinator(opts Options) *Coordinator {
 // checkpoint keeps the accepted shards for a resumed retry). Only one
 // job may run at a time.
 func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
-	if job.Layout == nil || job.Merge == nil {
-		return nil, errors.New("dist: job needs a layout and a merge")
-	}
-	if len(job.Units) == 0 {
-		return nil, errors.New("dist: job has no dispatch units")
+	if job.Plan == nil || job.Layout == nil {
+		return nil, errors.New("dist: job needs a plan and a layout")
 	}
 	cw, err := sbgp.OpenCheckpointWriter(job.Checkpoint, job.Layout, job.Resume)
 	if err != nil {
@@ -221,7 +216,7 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 	// Resumed shards replay to the sink before any worker can add more,
 	// so the sink sees every shard exactly once.
 	if job.Sink != nil {
-		for _, p := range cw.Partials() {
+		for _, p := range cw.Resumed() {
 			if err := job.Sink(p); err != nil {
 				cw.Close()
 				return nil, err
@@ -234,7 +229,7 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 		leases: map[string]*lease{},
 		done:   make(chan struct{}),
 	}
-	for _, u := range job.Units {
+	for _, u := range job.Plan.Units(job.Layout) {
 		aj.unitStart = append(aj.unitStart, u.Start)
 	}
 	c.mu.Lock()
@@ -272,7 +267,7 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 	if failed != nil {
 		return nil, failed
 	}
-	return job.Merge(cw.Partials())
+	return job.Plan.Result(cw)
 }
 
 // uninstall detaches the job and wakes subscribers and standby pollers.
@@ -657,13 +652,17 @@ func (c *Coordinator) notifyLocked() {
 	}
 }
 
-// RunSim runs one simulation's job through the coordinator: plan the
-// shard layout, serve it to workers, merge their partials. This is the
-// service.Distributor shape — the resident daemon's evaluate path
-// calls it in place of sim.EvaluateJob, with the same checkpoint,
-// resume, and sink semantics and byte-identical results.
+// RunSim runs one simulation's job through the coordinator: take its
+// prepared plan and layout, serve it to workers, reduce the store they
+// fill. This is the service.Distributor shape — the resident daemon's
+// evaluate path calls it in place of sim.EvaluateJob, with the same
+// checkpoint, resume, and sink semantics and byte-identical results.
 func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sbgp.JobSpec, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (*sbgp.Result, error) {
-	layout, units, err := sim.JobShardPlan()
+	pl, err := sim.JobPlan()
+	if err != nil {
+		return nil, err
+	}
+	layout, _, err := sim.JobShardPlan()
 	if err != nil {
 		return nil, err
 	}
@@ -682,35 +681,10 @@ func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sb
 	}
 	return c.Run(ctx, Job{
 		SpecJSON:   specJSON,
+		Plan:       pl,
 		Layout:     layout,
-		Units:      units,
 		Checkpoint: checkpoint,
 		Resume:     resume,
 		Sink:       sink,
-		Merge: func(ps []*sbgp.ShardPartial) (*sbgp.Result, error) {
-			return sim.MergeJobPartials(layout, ps)
-		},
 	})
-}
-
-// EvaluateJobSpec implements sbgp.JobCoordinator: rebuild the
-// simulation from the spec, then RunSim. This is the facade's
-// EvaluateJobDistributed backend.
-func (c *Coordinator) EvaluateJobSpec(ctx context.Context, spec *sbgp.JobSpec, opts sbgp.JobEvalOptions) (*sbgp.Result, error) {
-	run := spec.Clone()
-	checkpoint := run.Checkpoint
-	if opts.Checkpoint != "" {
-		checkpoint = opts.Checkpoint
-	}
-	resume := opts.Resume || run.Resume
-	run.Checkpoint, run.Resume = "", false
-	sc, err := sbgp.FromJobSpec(run, sbgp.WithContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	sim, err := sc.Simulate()
-	if err != nil {
-		return nil, err
-	}
-	return c.RunSim(ctx, sim, run, checkpoint, resume, opts.Sink)
 }

@@ -115,21 +115,45 @@ func chainedGrid(g *sbgp.Graph) *sbgp.Grid {
 // gridJob assembles a coordinator Job for a caller-held grid.
 func gridJob(t *testing.T, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size int, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (Job, *sbgp.ShardLayout) {
 	t.Helper()
-	gr := mkGrid()
-	layout, units, err := gr.PlanShards(g, size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := planEvaluator(t, nil, mkGrid(), g, size)
 	return Job{
-		Layout:     layout,
-		Units:      units,
+		Plan:       ev.Plan,
+		Layout:     ev.Layout,
 		Checkpoint: checkpoint,
 		Resume:     resume,
 		Sink:       sink,
-		Merge: func(ps []*sbgp.ShardPartial) (*sbgp.Result, error) {
-			return mkGrid().MergePartials(g, layout, ps)
-		},
-	}, layout
+	}, ev.Layout
+}
+
+// newPlanEvaluator prepares gr on g and wraps the plan as an evaluator
+// sharding it at size — its own plan, no state shared with any other
+// party, as across machines.
+func newPlanEvaluator(ctx context.Context, gr *sbgp.Grid, g *sbgp.Graph, size int) (*PlanEvaluator, error) {
+	pl, err := gr.Prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: pl.Layout(size)}, nil
+}
+
+// planEvaluator is newPlanEvaluator on the test goroutine.
+func planEvaluator(t *testing.T, ctx context.Context, gr *sbgp.Grid, g *sbgp.Graph, size int) *PlanEvaluator {
+	t.Helper()
+	ev, err := newPlanEvaluator(ctx, gr, g, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// flatBytes is the flat one-shot evaluation of gr on g, serialized.
+func flatBytes(t *testing.T, gr *sbgp.Grid, g *sbgp.Graph) []byte {
+	t.Helper()
+	res, err := gr.Evaluate(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultBytes(t, res)
 }
 
 type runResult struct {
@@ -169,7 +193,7 @@ func gridWorker(id, base string, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size i
 		OneJob: true,
 		Poll:   10 * time.Millisecond,
 		Open: func(ctx context.Context, _ json.RawMessage) (Evaluator, error) {
-			return &GridEvaluator{Ctx: ctx, Grid: mkGrid(), Graph: g, ShardSize: size}, nil
+			return newPlanEvaluator(ctx, mkGrid(), g, size)
 		},
 	}
 }
@@ -227,7 +251,7 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 			if grant.LeaseID == "" || grant.Range.Len() == 0 {
 				t.Fatalf("doomed worker got no lease: %+v", grant)
 			}
-			ev := &GridEvaluator{Grid: tc.mkGrid(), Graph: g, ShardSize: size}
+			ev := planEvaluator(t, nil, tc.mkGrid(), g, size)
 			var parts []*sbgp.ShardPartial
 			err = ev.EvaluateShards(grant.Range, func(p *sbgp.ShardPartial) error {
 				parts = append(parts, p)
@@ -350,11 +374,7 @@ func TestReconciliationTransfersOnlyMissing(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	var flat bytes.Buffer
-	if err := mkGrid().MustEvaluate(g).WriteJSON(&flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, r.res), flat.Bytes()) {
+	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
 		t.Error("reconciled distributed result diverges from flat evaluation")
 	}
 
@@ -432,7 +452,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	if err != nil || grant.LeaseID == "" {
 		t.Fatalf("lease = %+v, %v", grant, err)
 	}
-	ev := &GridEvaluator{Grid: mkGrid(), Graph: g, ShardSize: size}
+	ev := planEvaluator(t, nil, mkGrid(), g, size)
 	var parts []*sbgp.ShardPartial
 	if err := ev.EvaluateShards(grant.Range, func(p *sbgp.ShardPartial) error { parts = append(parts, p); return nil }); err != nil {
 		t.Fatal(err)
@@ -470,11 +490,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	var flat bytes.Buffer
-	if err := mkGrid().MustEvaluate(g).WriteJSON(&flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, r.res), flat.Bytes()) {
+	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
 		t.Error("resumed distributed result diverges from flat evaluation")
 	}
 	mu.Lock()
@@ -521,11 +537,11 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 		OneJob: true,
 		Poll:   10 * time.Millisecond,
 		Open: func(_ context.Context, _ json.RawMessage) (Evaluator, error) {
-			inner := &GridEvaluator{Ctx: killCtx, Grid: mkGrid(), Graph: g, ShardSize: size}
+			inner, err := newPlanEvaluator(killCtx, mkGrid(), g, size)
 			return &stallEvaluator{inner: inner, stall: func() {
 				once.Do(func() { close(killReady) })
 				<-killCtx.Done()
-			}}, nil
+			}}, err
 		},
 	}
 	var wg sync.WaitGroup
@@ -559,11 +575,7 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	var flat bytes.Buffer
-	if err := mkGrid().MustEvaluate(g).WriteJSON(&flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, r.res), flat.Bytes()) {
+	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
 		t.Error("distributed result with a killed worker diverges from flat evaluation")
 	}
 	if st := coord.Stats(); st.LeasesExpired < 1 {
@@ -588,10 +600,11 @@ func (s *stallEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.Shard
 	})
 }
 
-// TestDistributedJobSpecFacade: the full facade path — a scenario with
-// WithCoordinator, workers that rebuild the simulation from the served
-// canonical spec (no shared state at all) — produces bytes identical to
-// the same scenario's local EvaluateJob.
+// TestDistributedJobSpecFacade: the full facade path the daemon takes
+// (service.Distributor) — RunSim on a simulation and its JobSpec, workers
+// that rebuild the simulation from the served canonical spec (no shared
+// state at all) — produces bytes identical to the same scenario's local
+// EvaluateJob.
 func TestDistributedJobSpecFacade(t *testing.T) {
 	opts := func() []sbgp.Option {
 		return []sbgp.Option{
@@ -613,6 +626,10 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 	coord := NewCoordinator(Options{LeaseShards: 6, Standby: 5 * time.Millisecond})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
+	// A worker that only asks for the job after the other one finished it
+	// would poll forever; cancelling once RunSim returns lets it go.
+	wctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 2)
 	for i := range workerErrs {
@@ -626,35 +643,31 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workerErrs[i] = w.Run(context.Background())
+			workerErrs[i] = w.Run(wctx)
 		}()
 	}
 
-	sim, err := sbgp.NewScenario(append(opts(), sbgp.WithCoordinator(coord))...).Simulate()
+	sim, err := sbgp.NewScenario(opts()...).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.EvaluateJobDistributed(sbgp.JobEvalOptions{})
+	spec, err := sim.JobSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
 	wg.Wait()
 	for i, werr := range workerErrs {
-		if werr != nil {
+		if werr != nil && !errors.Is(werr, context.Canceled) {
 			t.Errorf("worker %d: %v", i, werr)
 		}
 	}
 	if !bytes.Equal(resultBytes(t, got), resultBytes(t, want)) {
 		t.Error("facade distributed result diverges from local EvaluateJob")
-	}
-
-	// Without a coordinator the facade refuses loudly.
-	bare, err := sbgp.NewScenario(opts()...).Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bare.EvaluateJobDistributed(sbgp.JobEvalOptions{}); err == nil || !strings.Contains(err.Error(), "WithCoordinator") {
-		t.Errorf("EvaluateJobDistributed without coordinator = %v, want a WithCoordinator hint", err)
 	}
 }
 
@@ -685,14 +698,6 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 	}
 
 	job, layout := gridJob(t, mkGrid, g, size, path, false, nil)
-	// Gate the merge so the job stays installed (finished, not yet
-	// uninstalled) long enough to exercise the after-completion path.
-	mergeGate := make(chan struct{})
-	innerMerge := job.Merge
-	job.Merge = func(ps []*sbgp.ShardPartial) (*sbgp.Result, error) {
-		<-mergeGate
-		return innerMerge(ps)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := startRun(ctx, coord, job)
@@ -700,7 +705,7 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 
 	evaluate := func(r sbgp.ShardRange) []*sbgp.ShardPartial {
 		t.Helper()
-		ev := &GridEvaluator{Grid: mkGrid(), Graph: g, ShardSize: size}
+		ev := planEvaluator(t, nil, mkGrid(), g, size)
 		var parts []*sbgp.ShardPartial
 		if err := ev.EvaluateShards(r, func(p *sbgp.ShardPartial) error { parts = append(parts, p); return nil }); err != nil {
 			t.Fatal(err)
@@ -793,9 +798,9 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 		}
 	}
 
-	// Phase 3 — batch after completion: the job is finished (the merge
-	// is gated open below), so the whole batch is duplicates, and the
-	// stats counter must agree with the answer b gets.
+	// Phase 3 — batch after completion: the job is finished, so the
+	// whole batch is duplicates, and the stats counter must agree with
+	// the answer b gets.
 	before := coord.Stats().Duplicates
 	if acc, dup, err := coord.Submit("b", layout.Fingerprint, partsB); err != nil || acc != 0 || dup != len(partsB) {
 		t.Fatalf("post-completion submit = (%d, %d, %v), want (0, %d, nil)", acc, dup, err, len(partsB))
@@ -804,16 +809,11 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 		t.Errorf("post-completion Duplicates = %d, want %d", got, before+len(partsB))
 	}
 
-	close(mergeGate)
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	var flat bytes.Buffer
-	if err := mkGrid().MustEvaluate(g).WriteJSON(&flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, r.res), flat.Bytes()) {
+	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
 		t.Error("result after late submits diverges from flat evaluation")
 	}
 }

@@ -24,67 +24,32 @@ type Evaluator interface {
 	EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardPartial) error) error
 }
 
-// simEvaluator is the spec-driven evaluator behind the default Open:
-// the simulation rebuilt from the coordinator's canonical spec, with a
-// worker-local engine pool keeping engines warm across leases.
-type simEvaluator struct {
-	sim    *sbgp.Simulation
-	pool   *sbgp.EnginePool
-	layout *sbgp.ShardLayout
-}
-
-func (e *simEvaluator) ShardPlan() (*sbgp.ShardLayout, error) {
-	if e.layout == nil {
-		l, _, err := e.sim.JobShardPlan()
-		if err != nil {
-			return nil, err
-		}
-		e.layout = l
-	}
-	return e.layout, nil
-}
-
-func (e *simEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardPartial) error) error {
-	l, err := e.ShardPlan()
-	if err != nil {
-		return err
-	}
-	defer e.pool.Release()
-	return e.sim.EvaluateJobShards(l, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.pool})
-}
-
-// GridEvaluator evaluates leases of a caller-assembled grid — the
-// in-process worker path for grids the JobSpec wire format cannot
-// carry (in-memory graphs, prebuilt deployments, per-destination
-// series). Workers using it must be constructed with the same grid and
-// graph as the coordinator's job; the fingerprint check enforces that.
-type GridEvaluator struct {
-	Ctx       context.Context
-	Grid      *sbgp.Grid
-	Graph     *sbgp.Graph
-	ShardSize int
+// PlanEvaluator is the one evaluator: a prepared plan and the layout it
+// is sharded under. The default Open builds it from the simulation the
+// coordinator's canonical spec describes; in-process workers for grids
+// the JobSpec wire format cannot carry (in-memory graphs, prebuilt
+// deployments, per-destination series) build it from the same grid and
+// graph as the coordinator's job — the fingerprint check enforces that.
+type PlanEvaluator struct {
+	// Ctx bounds every evaluation (nil: never cancelled).
+	Ctx    context.Context
+	Plan   *sbgp.Plan
+	Layout *sbgp.ShardLayout
 	// Pool, when non-nil, keeps this worker's engines warm across
-	// leases (Release it when the worker is done).
+	// leases. It must be exclusive to the evaluator: every lease
+	// releases it.
 	Pool *sbgp.EnginePool
 }
 
-// ShardPlan returns the grid's layout under the evaluator's shard size.
-func (e *GridEvaluator) ShardPlan() (*sbgp.ShardLayout, error) {
-	l, _, err := e.Grid.PlanShards(e.Graph, e.ShardSize)
-	return l, err
-}
+// ShardPlan returns the layout the evaluator shards the plan under.
+func (e *PlanEvaluator) ShardPlan() (*sbgp.ShardLayout, error) { return e.Layout, nil }
 
-// EvaluateShards evaluates one shard range of the grid.
-func (e *GridEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardPartial) error) error {
-	l, err := e.ShardPlan()
-	if err != nil {
-		return err
+// EvaluateShards evaluates one shard range of the plan.
+func (e *PlanEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardPartial) error) error {
+	if e.Pool != nil {
+		defer e.Pool.Release()
 	}
-	ctx := e.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return e.Grid.EvaluateShardRange(ctx, e.Graph, l, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.Pool})
+	return e.Plan.EvaluateShardRange(e.Ctx, e.Layout, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.Pool})
 }
 
 // WorkerStats counts one worker's protocol activity. ShardsShipped +
@@ -223,7 +188,15 @@ func (w *Worker) openEvaluator(ctx context.Context, spec json.RawMessage) (Evalu
 	if err != nil {
 		return nil, err
 	}
-	return &simEvaluator{sim: sim, pool: sbgp.NewEnginePool()}, nil
+	pl, err := sim.JobPlan()
+	if err != nil {
+		return nil, err
+	}
+	layout, _, err := sim.JobShardPlan()
+	if err != nil {
+		return nil, err
+	}
+	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: sbgp.NewEnginePool()}, nil
 }
 
 // serve is the lease loop for one job: lease, evaluate, ship, repeat,

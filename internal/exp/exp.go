@@ -69,16 +69,16 @@ type Workload struct {
 
 	Workers int
 
-	// baselineEvals caches one prepared sweep evaluation per
-	// (model, LP) pair for Baseline, so repeated calls — E1 is the
-	// benchmark suite's steady-state probe — reuse warm engines and
-	// scratch instead of rebuilding them per call.
-	evalMu        sync.Mutex
-	baselineEvals map[baselineEvalKey]*sweep.Evaluation
+	// baselinePlans caches one prepared sweep plan per (model, LP) pair
+	// for Baseline, so repeated calls — E1 is the benchmark suite's
+	// steady-state probe — reuse warm engines and scratch instead of
+	// rebuilding them per call.
+	planMu        sync.Mutex
+	baselinePlans map[baselinePlanKey]*sweep.Plan
 }
 
-// baselineEvalKey identifies one cached Baseline evaluation.
-type baselineEvalKey struct {
+// baselinePlanKey identifies one cached Baseline plan.
+type baselinePlanKey struct {
 	model policy.Model
 	lp    policy.LocalPref
 }
@@ -175,14 +175,18 @@ func newWorkloadFromGraph(g *asgraph.Graph, meta *topogen.Meta, cfg Config) *Wor
 
 // Baseline computes E1: the lower bound on H_{V,V}(∅) — origin
 // authentication alone (Section 4.2; the paper reports ≥60%, 62% on the
-// IXP-augmented graph). The evaluation behind each (model, lp) pair is
+// IXP-augmented graph). The plan behind each (model, lp) pair is
 // prepared once and reused, so repeated calls run on warm engines and
 // allocate nothing in steady state.
 func (w *Workload) Baseline(model policy.Model, lp policy.LocalPref) runner.Metric {
-	w.evalMu.Lock()
-	key := baselineEvalKey{model: model, lp: lp}
-	ev := w.baselineEvals[key]
-	if ev == nil {
+	// Each cached Plan reuses its own accumulator and engines, so the
+	// lock is held across Evaluate, serializing concurrent Baseline calls
+	// on the same workload.
+	w.planMu.Lock()
+	defer w.planMu.Unlock()
+	key := baselinePlanKey{model: model, lp: lp}
+	pl := w.baselinePlans[key]
+	if pl == nil {
 		grid := &sweep.Grid{
 			Models:       []policy.Model{model},
 			LP:           lp,
@@ -193,24 +197,29 @@ func (w *Workload) Baseline(model policy.Model, lp policy.LocalPref) runner.Metr
 			Workers:      w.Workers,
 		}
 		var err error
-		if ev, err = grid.NewEvaluation(w.G); err != nil {
-			w.evalMu.Unlock()
+		if pl, err = grid.Prepare(w.G); err != nil {
 			panic(err)
 		}
-		if w.baselineEvals == nil {
-			w.baselineEvals = make(map[baselineEvalKey]*sweep.Evaluation)
+		if w.baselinePlans == nil {
+			w.baselinePlans = make(map[baselinePlanKey]*sweep.Plan)
 		}
-		w.baselineEvals[key] = ev
+		w.baselinePlans[key] = pl
 	}
-	// Each cached Evaluation reuses its own accumulator and engines, so
-	// the lock is held across Run, serializing concurrent Baseline calls
-	// on the same workload.
-	defer w.evalMu.Unlock()
-	res, err := ev.Run(context.Background())
+	res, err := pl.Evaluate(context.Background())
 	if err != nil {
 		panic(err)
 	}
 	return res.Cells[0].Metric
+}
+
+// mustEvaluate evaluates one of the workload's own grids; they are
+// well-formed by construction, so an error is a bug.
+func (w *Workload) mustEvaluate(grid *sweep.Grid) *sweep.Result {
+	res, err := grid.Evaluate(w.G)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // baselineGrid declares the headline (model × deployment) grid over the
@@ -238,7 +247,7 @@ func (w *Workload) baselineGrid(lp policy.LocalPref) *sweep.Grid {
 // BaselineGrid evaluates the headline grid in memory. cmd/experiments
 // serializes it as the JSON artifact.
 func (w *Workload) BaselineGrid(lp policy.LocalPref) *sweep.Result {
-	return w.baselineGrid(lp).MustEvaluate(w.G)
+	return w.mustEvaluate(w.baselineGrid(lp))
 }
 
 // BaselineGridSharded evaluates the headline grid through the sharded
@@ -369,7 +378,7 @@ func (w *Workload) Rollout(steps []deploy.Step, D []asgraph.AS, lp policy.LocalP
 		Incremental:  w.Incremental,
 		Workers:      w.Workers,
 	}
-	res := grid.MustEvaluate(w.G)
+	res := w.mustEvaluate(grid)
 	out := make([]RolloutPoint, 0, len(steps))
 	for i, step := range steps {
 		pt := RolloutPoint{
@@ -408,7 +417,7 @@ func (w *Workload) SecureDestDeltas(dep *core.Deployment, lp policy.LocalPref) [
 		Incremental:  w.Incremental,
 		Workers:      w.Workers,
 	}
-	res := grid.MustEvaluate(w.G)
+	res := w.mustEvaluate(grid)
 	var out [policy.NumModels][]float64
 	for _, model := range policy.Models {
 		with := res.Cell("with", model).PerDest

@@ -2,14 +2,18 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"sbgp/internal/topogen"
 )
 
 // TestOpenCheckpointTruncateReopen unit-tests the torn-tail recovery
-// path in isolation: openCheckpoint must truncate the torn bytes from
+// path in isolation: a resuming store must truncate the torn bytes from
 // the file itself (not just ignore them in memory) and sync the
 // truncation, so records appended afterwards form valid lines and every
 // later resume parses the whole file.
@@ -39,15 +43,18 @@ func TestOpenCheckpointTruncateReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp, size, err := openCheckpoint(path, fp, 40, 10, 0, true)
+	// No shard size requested (the layout carries the default), so the
+	// resume adopts the file's.
+	requested := &Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: DefaultShardSize, Shards: 1}
+	cp, err := openStore(path, requested, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size != 8 {
-		t.Errorf("resume adopted shard size %d, want the file's 8", size)
+	if l := cp.layout; l.ShardSize != 8 || l.Shards != 5 {
+		t.Errorf("resume adopted layout %+v, want the file's shard size 8 (5 shards)", l)
 	}
-	if len(cp.resumed) != 2 {
-		t.Errorf("resume loaded %d partials, want 2", len(cp.resumed))
+	if len(cp.Resumed()) != 2 || cp.HaveCount() != 2 {
+		t.Errorf("resume loaded %d partials (have %d), want 2", len(cp.Resumed()), cp.HaveCount())
 	}
 	// The torn tail must be gone from the file itself before anything
 	// is appended.
@@ -56,45 +63,36 @@ func TestOpenCheckpointTruncateReopen(t *testing.T) {
 	}
 
 	// A record appended post-truncation starts on a fresh line.
-	if err := cp.append(&ShardPartial{Shard: 4, Tasks: []int{9}, Lo: []int{1}, Hi: []int{1}, Pairs: []int{1}}); err != nil {
+	if added, err := cp.Add(&ShardPartial{Shard: 4, Tasks: []int{9}, Lo: []int{1}, Hi: []int{1}, Pairs: []int{1}}); err != nil || !added {
+		t.Fatalf("Add after truncation = (%v, %v)", added, err)
+	}
+	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partials, _, err := parseCheckpoint(data, fp, 40, 10, 0)
+
+	// A second resume of the same file — this time under the file's own
+	// layout, the OpenCheckpointWriter way — parses all three records and
+	// a clean tail.
+	file8 := cp.layout
+	cp2, err := OpenCheckpointWriter(path, &file8, true)
 	if err != nil {
 		t.Fatalf("file unparseable after truncate-reopen-append: %v", err)
 	}
-	if len(partials) != 3 {
-		t.Errorf("parsed %d partials after append, want 3", len(partials))
+	defer cp2.Close()
+	resumed := cp2.Resumed()
+	if len(resumed) != 3 {
+		t.Fatalf("second resume loaded %d partials, want 3", len(resumed))
 	}
-	for _, p := range partials {
-		if p.Shard == 4 && (len(p.Tasks) != 1 || p.Tasks[0] != 9) {
-			t.Errorf("appended record corrupted: %+v", p)
-		}
-	}
-
-	// A second resume of the same file sees all three records and a
-	// clean tail.
-	cp2, _, err := openCheckpoint(path, fp, 40, 10, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp2.close()
-	if len(cp2.resumed) != 3 {
-		t.Errorf("second resume loaded %d partials, want 3", len(cp2.resumed))
+	if p := resumed[2]; p.Shard != 4 || len(p.Tasks) != 1 || p.Tasks[0] != 9 {
+		t.Errorf("appended record corrupted: %+v", p)
 	}
 }
 
 // TestParseCheckpointOutOfOrderDuplicates pins the format-level
 // ingestion contract the distributed reconcile path leans on: shard
 // records may land in any order and may repeat (a worker re-sending
-// after a lost ack), and parsing keeps the first record per shard.
+// after a lost ack), and parsing keeps the first record per shard —
+// replayed in shard order, folded once.
 func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 	const fp = "0123456789abcdef"
 	hdr, _ := json.Marshal(checkpointHeader{
@@ -115,18 +113,18 @@ func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 		file.Write(line)
 		file.WriteByte('\n')
 	}
-	partials, size, err := parseCheckpoint(file.Bytes(), fp, 40, 10, 0)
-	if err != nil {
+	w := &CheckpointWriter{layout: Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: DefaultShardSize, Shards: 1}}
+	if err := w.parse(file.Bytes(), true); err != nil {
 		t.Fatal(err)
 	}
-	if size != 8 {
-		t.Errorf("adopted shard size %d, want 8", size)
+	if w.layout.ShardSize != 8 || w.layout.Shards != 5 {
+		t.Errorf("adopted layout %+v, want shard size 8 (5 shards)", w.layout)
 	}
-	if len(partials) != 4 {
-		t.Fatalf("parsed %d distinct partials, want 4", len(partials))
+	if len(w.resumed) != 4 {
+		t.Fatalf("parsed %d distinct partials, want 4", len(w.resumed))
 	}
 	seen := map[int]bool{}
-	for _, p := range partials {
+	for _, p := range w.resumed {
 		if seen[p.Shard] {
 			t.Errorf("shard %d surfaced twice", p.Shard)
 		}
@@ -136,6 +134,11 @@ func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 		if !seen[s] {
 			t.Errorf("shard %d missing from parse", s)
 		}
+	}
+	// An explicit conflicting size is refused rather than adopted.
+	w = &CheckpointWriter{layout: Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: 10, Shards: 4}}
+	if err := w.parse(file.Bytes(), false); err == nil || !strings.Contains(err.Error(), "shard size 8, not 10") {
+		t.Errorf("conflicting shard size: err = %v, want the adopt-the-file's hint", err)
 	}
 }
 
@@ -200,8 +203,8 @@ func TestCheckpointWriterIngestion(t *testing.T) {
 	if got := w.HaveRanges(); len(got) != len(wantRanges) || got[0] != wantRanges[0] || got[1] != wantRanges[1] {
 		t.Errorf("HaveRanges = %v, want %v", got, wantRanges)
 	}
-	if missing := w.Missing(); len(missing) != 2 || missing[0] != 1 || missing[1] != 2 {
-		t.Errorf("Missing = %v, want [1 2]", missing)
+	if missing := w.Missing(); len(missing) != 1 || missing[0] != (ShardRange{Start: 1, End: 3}) {
+		t.Errorf("Missing = %v, want [{1 3}]", missing)
 	}
 	if w.Complete() {
 		t.Error("writer claims completeness with 2 shards missing")
@@ -231,14 +234,10 @@ func TestCheckpointWriterIngestion(t *testing.T) {
 	if !w2.Complete() {
 		t.Error("writer not complete after all shards ingested")
 	}
-	if ps := w2.Partials(); len(ps) != 5 {
-		t.Errorf("Partials returned %d entries, want 5", len(ps))
-	} else {
-		for i, p := range ps {
-			if p.Shard != i {
-				t.Errorf("Partials()[%d].Shard = %d, want shard order", i, p.Shard)
-			}
-		}
+	// Resumed lists exactly what came from the file, in shard order —
+	// not what was added since.
+	if ps := w2.Resumed(); len(ps) != 3 || ps[0].Shard != 0 || ps[1].Shard != 3 || ps[2].Shard != 4 {
+		t.Errorf("Resumed = %v, want shards [0 3 4]", ps)
 	}
 
 	// A foreign layout must not resume this file.
@@ -246,5 +245,53 @@ func TestCheckpointWriterIngestion(t *testing.T) {
 	foreign.Fingerprint = "fedcba9876543210"
 	if _, err := OpenCheckpointWriter(path, &foreign, true); err == nil {
 		t.Error("foreign-fingerprint resume succeeded, want an error")
+	}
+}
+
+// TestStoreDoesNotAliasPartial pins the commit contract RunShards relies
+// on: the partial handed to commit is the worker's scratch, overwritten
+// by its next shard, so the store must have folded and marshalled it by
+// the time Add returns. The commit here scribbles over every array right
+// after Add — a store that kept the pointer (as CheckpointWriter did
+// while it retained partials for a later merge) would reduce garbage,
+// and so would the file if the record were written lazily.
+func TestStoreDoesNotAliasPartial(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
+	want := resultJSON(t, mustEvaluate(chainedGrid(g, IncrementalOff), g), nil)
+	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+	l := pl.Layout(5)
+	path := filepath.Join(t.TempDir(), "alias.ckpt")
+	store, err := OpenCheckpointWriter(path, l, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = pl.RunShards(context.Background(), l, store.Missing(), RunOptions{}, func(p *ShardPartial) error {
+		if added, err := store.Add(p); err != nil || !added {
+			t.Errorf("Add(shard %d) = (%v, %v)", p.Shard, added, err)
+		}
+		p.Shard = -1
+		for i := range p.Tasks {
+			p.Tasks[i], p.Lo[i], p.Hi[i], p.Pairs[i] = 0, 1<<40, 1<<41, 7
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Result(store)
+	if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
+		t.Error("Result reflects mutations made to partials after Add")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenCheckpointWriter(path, l, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	res, err = pl.Result(reopened)
+	if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
+		t.Error("reopened checkpoint reflects mutations made to partials after Add")
 	}
 }

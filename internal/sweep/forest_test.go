@@ -53,11 +53,7 @@ func forestGrid(g *asgraph.Graph, workers int, mode IncrementalMode) *Grid {
 // layout.
 func requireForestSchedule(t *testing.T, gr *Grid, g *asgraph.Graph) *schedule {
 	t.Helper()
-	ax, err := gr.expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := newSchedule(gr, ax, g)
+	sched := mustPrepare(gr, g).sched
 	if sched.identity() || !sched.plan.forest {
 		t.Fatalf("test grid did not plan a forest schedule (identity=%v)", sched.identity())
 	}
@@ -73,7 +69,7 @@ func TestForestEquivalence(t *testing.T) {
 	requireForestSchedule(t, forestGrid(g, 1, IncrementalAuto), g)
 
 	var want bytes.Buffer
-	if err := forestGrid(g, 1, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(forestGrid(g, 1, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,7 +83,7 @@ func TestForestEquivalence(t *testing.T) {
 		for _, w := range workerCounts {
 			gr := forestGrid(g, w, mode)
 			var flat bytes.Buffer
-			if err := gr.MustEvaluate(g).WriteJSON(&flat); err != nil {
+			if err := mustEvaluate(gr, g).WriteJSON(&flat); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(flat.Bytes(), want.Bytes()) {
@@ -117,15 +113,13 @@ func TestForestEquivalence(t *testing.T) {
 func TestForestDistributedEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
 	var want bytes.Buffer
-	if err := forestGrid(g, 1, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(forestGrid(g, 1, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 
-	gr := forestGrid(g, 2, IncrementalAuto)
-	l, units, err := gr.PlanShards(g, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPrepare(forestGrid(g, 2, IncrementalAuto), g)
+	l := pl.Layout(7)
+	units := pl.Units(l)
 	// Three "workers", each leasing a contiguous run of whole units.
 	var bounds []int
 	for i := 0; i < 3; i++ {
@@ -134,15 +128,15 @@ func TestForestDistributedEquivalence(t *testing.T) {
 	bounds = append(bounds, l.Shards)
 	var partials []*ShardPartial
 	for wi := 0; wi < 3; wi++ {
-		wgr := forestGrid(g, 2, IncrementalAuto) // fresh engines per worker
-		err := wgr.EvaluateShardRange(context.Background(), g, l, ShardRange{Start: bounds[wi], End: bounds[wi+1]}, RangeOptions{
+		wpl := mustPrepare(forestGrid(g, 2, IncrementalAuto), g) // a worker plans for itself
+		err := wpl.EvaluateShardRange(context.Background(), l, ShardRange{Start: bounds[wi], End: bounds[wi+1]}, RangeOptions{
 			Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	res, err := gr.MergePartials(g, l, partials)
+	res, err := pl.Merge(l, partials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +150,8 @@ func TestForestDistributedEquivalence(t *testing.T) {
 
 	// A worker that disabled the incremental scheduler holds the
 	// identity layout of the same grid: its fingerprint must not match.
-	offGr := forestGrid(g, 2, IncrementalOff)
-	err = offGr.EvaluateShardRange(context.Background(), g, l, ShardRange{Start: 0, End: 1}, RangeOptions{})
+	offPl := mustPrepare(forestGrid(g, 2, IncrementalOff), g)
+	err = offPl.EvaluateShardRange(context.Background(), l, ShardRange{Start: 0, End: 1}, RangeOptions{})
 	if err == nil {
 		t.Fatal("forest layout accepted by a worker running the identity schedule")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
@@ -181,7 +175,7 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 		})
 	}
 	var want bytes.Buffer
-	if err := forestGrid(g, 1, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(forestGrid(g, 1, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,24 +254,21 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 func TestForestHandoffAndStats(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
 	var want bytes.Buffer
-	if err := forestGrid(g, 1, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(forestGrid(g, 1, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	// The forest links all five deployments into one walk, so any shard
 	// size that is not a multiple of 5 cuts walks mid-flight.
 	for _, size := range []int{1, 2, 3} {
 		gr := forestGrid(g, 4, IncrementalAuto)
-		ax, err := gr.expand()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := requireForestSchedule(t, gr, g)
-		wantHits := expectedHandoffTakes(gr, ax, sched, size)
+		requireForestSchedule(t, gr, g)
+		pl := mustPrepare(gr, g)
+		wantHits := expectedHandoffTakes(pl, size)
 		if wantHits == 0 {
 			t.Fatalf("shard size %d: forest grid exercises no cross-shard handoffs", size)
 		}
 		var stats ShardStats
-		res, err := gr.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size, Stats: &stats})
+		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size}, RunOptions{Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,13 +310,7 @@ func TestForestScheduleDeterminism(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
 	var fp string
 	for i := 0; i < 5; i++ {
-		gr := forestGrid(g, 1+i%3, IncrementalAuto)
-		ax, err := gr.expand()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched := newSchedule(gr, ax, g)
-		got := gr.fingerprint(g, ax, sched)
+		got := mustPrepare(forestGrid(g, 1+i%3, IncrementalAuto), g).fp
 		if i == 0 {
 			fp = got
 		} else if got != fp {

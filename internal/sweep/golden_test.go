@@ -65,7 +65,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
 			var serial bytes.Buffer
-			if err := goldenGrid(g, 1, tc.attack).MustEvaluate(g).WriteJSON(&serial); err != nil {
+			if err := mustEvaluate(goldenGrid(g, 1, tc.attack), g).WriteJSON(&serial); err != nil {
 				t.Fatal(err)
 			}
 			if *update {
@@ -89,7 +89,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 				workers = 4
 			}
 			var parallel bytes.Buffer
-			if err := goldenGrid(g, workers, tc.attack).MustEvaluate(g).WriteJSON(&parallel); err != nil {
+			if err := mustEvaluate(goldenGrid(g, workers, tc.attack), g).WriteJSON(&parallel); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(parallel.Bytes(), want) {
@@ -125,7 +125,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 					igr := goldenGrid(g, w, tc.attack)
 					igr.Incremental = mode
 					var flat bytes.Buffer
-					if err := igr.MustEvaluate(g).WriteJSON(&flat); err != nil {
+					if err := mustEvaluate(igr, g).WriteJSON(&flat); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(flat.Bytes(), want) {
@@ -192,7 +192,7 @@ func TestGoldenNestedDeployments(t *testing.T) {
 	path := filepath.Join("testdata", "golden_nested.json")
 
 	var serial bytes.Buffer
-	if err := nestedGrid(g, 1, IncrementalOff).MustEvaluate(g).WriteJSON(&serial); err != nil {
+	if err := mustEvaluate(nestedGrid(g, 1, IncrementalOff), g).WriteJSON(&serial); err != nil {
 		t.Fatal(err)
 	}
 	if *update {
@@ -222,7 +222,7 @@ func TestGoldenNestedDeployments(t *testing.T) {
 		// cross-shard tail handoff maximally.
 		igr := nestedGrid(g, w, IncrementalAuto)
 		var flat bytes.Buffer
-		if err := igr.MustEvaluate(g).WriteJSON(&flat); err != nil {
+		if err := mustEvaluate(igr, g).WriteJSON(&flat); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(flat.Bytes(), want) {

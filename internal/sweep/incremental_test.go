@@ -428,12 +428,12 @@ func TestIncrementalEquivalenceMixedChains(t *testing.T) {
 		}
 	}
 	var want bytes.Buffer
-	if err := grid(IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(grid(IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []IncrementalMode{IncrementalAuto, IncrementalOn} {
 		var flat bytes.Buffer
-		if err := grid(mode).MustEvaluate(g).WriteJSON(&flat); err != nil {
+		if err := mustEvaluate(grid(mode), g).WriteJSON(&flat); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(flat.Bytes(), want.Bytes()) {
@@ -478,7 +478,7 @@ func TestShardedCancelSinkNeverObservesLatePartial(t *testing.T) {
 			}
 		}
 		var want bytes.Buffer
-		if err := grid().MustEvaluate(g).WriteJSON(&want); err != nil {
+		if err := mustEvaluate(grid(), g).WriteJSON(&want); err != nil {
 			t.Fatal(err)
 		}
 

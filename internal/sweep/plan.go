@@ -1,17 +1,12 @@
 package sweep
 
-// The exported shard-layout API: everything a distributed split needs
-// to hand shards of one grid to workers that share no memory with the
-// caller. A Layout is the portable identity of a sharded evaluation —
-// fingerprint plus geometry — and a ShardRange is a contiguous slice of
-// its shard space. PlanShards cuts the scheduled cell space into
-// chain-aligned units (a RunDelta chain never crosses a unit boundary,
-// so leasing whole units keeps delta reuse worker-local);
-// EvaluateShardRange evaluates any range against a layout it first
-// verifies; MergePartials folds a complete partial set back into the
-// same bytes EvaluateSharded would have produced. The single-box
-// evaluator (shard.go) dispatches through the same unit machinery, so
-// "distributed" and "local" are the same computation cut differently.
+// Plan → loop → store (DESIGN.md has the picture). Grid.Prepare plans a
+// grid on a graph once; Plan.Evaluate is the flat loop, Plan.RunShards
+// the sharded one, and CheckpointWriter the store its commits land in. A
+// single box fills the store from RunShards (EvaluateSharded); a
+// coordinator fills the same store from partials its workers computed
+// with EvaluateShardRange under an equal Layout — the same computation
+// cut differently, which is why the bytes agree.
 
 import (
 	"context"
@@ -21,6 +16,81 @@ import (
 	"sbgp/internal/asgraph"
 	"sbgp/internal/runner"
 )
+
+// Plan is a grid prepared on one graph: the validated axes, the
+// scheduled cell order, and the fingerprint binding both, computed once
+// by Grid.Prepare. The sharded entry points (RunShards, Merge, Result,
+// EvaluateSharded, EvaluateShardRange) only read the Plan and may run
+// concurrently; Evaluate reuses plan-owned scratch and may not.
+type Plan struct {
+	gr    Grid // private copy: the caller's Grid may change after Prepare
+	g     *asgraph.Graph
+	ax    *axes
+	sched *schedule
+	fp    string
+
+	// Flat-loop scratch, built by the first Evaluate and reused by every
+	// later one — accumulator, Result, a private pool keeping worker
+	// states and engines warm, dispatch closures — so a steady-state
+	// Evaluate allocates nothing. ctx is the Evaluate in flight's.
+	acc      []destAcc
+	res      Result
+	pool     *EnginePool
+	ctx      context.Context
+	newState func() *workerState
+	rangeFn  func(ws *workerState, ri int)
+}
+
+// Prepare validates the grid and plans it on g. The plan is a
+// deterministic function of (graph, grid), so parties preparing the same
+// grid independently agree on every layout.
+func (gr *Grid) Prepare(g *asgraph.Graph) (*Plan, error) {
+	ax, err := gr.expand()
+	if err != nil {
+		return nil, err
+	}
+	pl := &Plan{gr: *gr, g: g, ax: ax}
+	pl.sched = newSchedule(&pl.gr, ax, g)
+	pl.fp = pl.gr.fingerprint(g, ax, pl.sched)
+	return pl, nil
+}
+
+// Evaluate runs the flat loop: the scheduler's dispatch ranges — one per
+// task, or one per (chain, model, destination) walk so every RunDelta
+// chain stays within one worker — fan out over the worker pool and fold
+// into a positional task accumulator. Ranges touch disjoint task sets,
+// so the fold needs no locking. Cancelling ctx aborts promptly with
+// (nil, ctx.Err()); partial aggregates are discarded, never returned.
+// The Result is owned by the Plan and valid until the next Evaluate.
+func (pl *Plan) Evaluate(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if pl.acc == nil {
+		pl.acc = make([]destAcc, pl.ax.tasks)
+		pl.pool = NewEnginePool()
+		pl.newState = pl.pool.get
+		emit := func(ti, lo, hi int) {
+			a := &pl.acc[ti]
+			a.lo += lo
+			a.hi += hi
+			a.pairs++
+		}
+		pl.rangeFn = func(ws *workerState, ri int) {
+			start, end := pl.sched.rangeAt(ri)
+			pl.evaluateRange(pl.ctx, ws, nil, start, end, emit)
+		}
+	}
+	clear(pl.acc)
+	pl.ctx = ctx
+	err := runner.ForEach(ctx, pl.sched.numRanges(), pl.gr.Workers, pl.newState, pl.rangeFn)
+	pl.pool.Release()
+	if err != nil {
+		return nil, err
+	}
+	pl.reduceInto(pl.acc, &pl.res)
+	return &pl.res, nil
+}
 
 // Layout is the portable identity and geometry of one sharded grid
 // evaluation. Two parties holding equal Layouts are guaranteed to mean
@@ -44,6 +114,21 @@ type ShardRange struct {
 // Len returns the number of shards in the range.
 func (r ShardRange) Len() int { return r.End - r.Start }
 
+// Layout cuts the plan's cell space into shards of shardSize cells
+// (≤ 0 means DefaultShardSize).
+func (pl *Plan) Layout(shardSize int) *Layout {
+	if shardSize <= 0 {
+		shardSize = DefaultShardSize
+	}
+	return &Layout{
+		Fingerprint: pl.fp,
+		Cells:       pl.ax.cells,
+		Tasks:       pl.ax.tasks,
+		ShardSize:   shardSize,
+		Shards:      numShards(pl.ax.cells, shardSize),
+	}
+}
+
 // geometry rejects a Layout whose fields cannot all be true at once.
 func (l *Layout) geometry() error {
 	if len(l.Fingerprint) != 16 {
@@ -56,18 +141,17 @@ func (l *Layout) geometry() error {
 	return nil
 }
 
-// check verifies the layout against the identity of a concretely
-// expanded grid. Mixing partials across layouts is the one mistake a
-// distributed split must make impossible, so the mismatch error is
-// loud and names both fingerprints.
-func (l *Layout) check(fingerprint string, cells, tasks int) error {
+// check verifies a layout against the plan. Mixing partials across
+// layouts is the one mistake a distributed split must make impossible,
+// so the mismatch error is loud and names both fingerprints.
+func (pl *Plan) check(l *Layout) error {
 	if err := l.geometry(); err != nil {
 		return err
 	}
-	if l.Fingerprint != fingerprint || l.Cells != cells || l.Tasks != tasks {
+	if l.Fingerprint != pl.fp || l.Cells != pl.ax.cells || l.Tasks != pl.ax.tasks {
 		return fmt.Errorf("sweep: layout belongs to a different grid "+
 			"(layout fingerprint %s cells=%d tasks=%d; this grid is fingerprint %s cells=%d tasks=%d)",
-			l.Fingerprint, l.Cells, l.Tasks, fingerprint, cells, tasks)
+			l.Fingerprint, l.Cells, l.Tasks, pl.fp, pl.ax.cells, pl.ax.tasks)
 	}
 	return nil
 }
@@ -95,167 +179,80 @@ func (l *Layout) ValidatePartial(p *ShardPartial) error {
 	return nil
 }
 
-// pendingUnits cuts a sorted list of pending shard indices into
-// dispatch units: maximal runs of consecutive shards split wherever the
-// boundary position is handoff-free. A unit's shards are evaluated in
-// order by one worker, so every boundary *inside* a unit — exactly the
-// boundaries that cut a chain mid-group — has its tail fixed point
-// offered before the continuation runs. That turns cross-shard delta
-// handoff from opportunistic into deterministic: on a fresh run every
-// take hits. Identity schedules have only free boundaries, so units
-// degenerate to single shards and the historical per-shard dispatch.
-func pendingUnits(sched *schedule, pending []int, size int) []ShardRange {
+// units cuts ascending runs of shards into dispatch units: each run is
+// split wherever the boundary position is handoff-free. A unit's shards
+// are evaluated in order by one worker, so every boundary *inside* a unit
+// — exactly the boundaries that cut a chain mid-group — has its tail
+// fixed point offered before the continuation runs. That makes
+// cross-shard delta handoff deterministic: on a fresh run every take
+// hits. Identity schedules have only free boundaries, so units
+// degenerate to single shards.
+func (pl *Plan) units(runs []ShardRange, size int) []ShardRange {
 	var units []ShardRange
-	for i := 0; i < len(pending); {
-		j := i + 1
-		for j < len(pending) && pending[j] == pending[j-1]+1 && !sched.handoffFree(pending[j]*size) {
-			j++
+	for _, r := range runs {
+		start := r.Start
+		for s := r.Start + 1; s <= r.End; s++ {
+			if s == r.End || pl.sched.handoffFree(s*size) {
+				units = append(units, ShardRange{Start: start, End: s})
+				start = s
+			}
 		}
-		units = append(units, ShardRange{Start: pending[i], End: pending[j-1] + 1})
-		i = j
 	}
 	return units
 }
 
-// PlanShards validates the grid on g and returns its shard Layout plus
-// the chain-aligned dispatch units covering the whole shard space
-// (shardSize ≤ 0 means DefaultShardSize). A coordinator leases whole
-// units — or contiguous runs of them — so RunDelta chains stay local to
-// the worker holding the lease.
-func (gr *Grid) PlanShards(g *asgraph.Graph, shardSize int) (*Layout, []ShardRange, error) {
-	ax, err := gr.expand()
-	if err != nil {
-		return nil, nil, err
-	}
-	sched := newSchedule(gr, ax, g)
-	size := shardSize
-	if size <= 0 {
-		size = DefaultShardSize
-	}
-	l := &Layout{
-		Fingerprint: gr.fingerprint(g, ax, sched),
-		Cells:       ax.cells,
-		Tasks:       ax.tasks,
-		ShardSize:   size,
-		Shards:      numShards(ax.cells, size),
-	}
-	all := make([]int, l.Shards)
-	for s := range all {
-		all[s] = s
-	}
-	return l, pendingUnits(sched, all, size), nil
+// Units returns the chain-aligned dispatch units covering the whole
+// shard space of l, one of the plan's layouts. A coordinator leases
+// whole units — or contiguous runs of them — so RunDelta chains stay
+// local to the worker holding the lease.
+func (pl *Plan) Units(l *Layout) []ShardRange {
+	return pl.units([]ShardRange{{End: l.Shards}}, l.ShardSize)
 }
 
-// RangeOptions configures EvaluateShardRange.
-type RangeOptions struct {
-	// Sink observes every completed shard's partial, exactly once, after
-	// it is fully evaluated. Called serially; a non-nil error aborts the
-	// evaluation. Delivery order is scheduling-dependent.
-	Sink func(*ShardPartial) error
-
+// RunOptions are the per-run resources of the sharded loop.
+type RunOptions struct {
+	// Pool, when non-nil, draws per-worker engine state from an
+	// EnginePool instead of constructing it fresh — the warm-engine hook
+	// of a resident service or a worker evaluating many leases of one
+	// job. The pool must belong to the plan's (graph, LP) pair; see
+	// EnginePool. Results are identical with or without a pool.
+	Pool *EnginePool
 	// Stats, when non-nil, accumulates dispatch and handoff counters.
 	Stats *ShardStats
-
-	// Pool overrides the grid's EnginePool for this range — the
-	// warm-engine hook for a worker evaluating many leases of one job.
-	Pool *EnginePool
 }
 
-// EvaluateShardRange evaluates the shards [r.Start, r.End) of the
-// grid's layout on g, streaming each completed partial to opts.Sink.
-// The layout is verified against the grid first — a layout from a
-// different grid (or the same grid under a different schedule) is
-// rejected with a fingerprint mismatch rather than evaluated into
-// meaningless shard indices. This is the worker half of a distributed
-// evaluation: partials it emits merge byte-identically with partials
-// from any other worker holding the same layout.
-func (gr *Grid) EvaluateShardRange(ctx context.Context, g *asgraph.Graph, l *Layout, r ShardRange, opts RangeOptions) error {
+// RunShards is the sharded loop: the given shards of layout l (ascending
+// disjoint runs) are cut into chain-ordered units, the units fan out over
+// the worker pool, and each completed shard's partial is committed
+// serially under a mutex. A commit error aborts the remaining shards promptly,
+// and a shard finishing after cancellation (or after a failed commit) is
+// discarded — once ctx.Err() is set, commit is never called again, so a
+// commit that cancels the context can rely on seeing no further
+// partials.
+//
+// The partial handed to commit is the worker's own scratch, valid only
+// during the call: commit must copy what it keeps (CheckpointWriter.Add
+// folds and marshals before returning). That is what makes the
+// steady-state shard loop allocation-free.
+func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, opts RunOptions, commit func(p *ShardPartial) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ax, err := gr.expand()
-	if err != nil {
+	if err := pl.check(l); err != nil {
 		return err
 	}
-	sched := newSchedule(gr, ax, g)
-	if err := l.check(gr.fingerprint(g, ax, sched), ax.cells, ax.tasks); err != nil {
-		return err
+	next := 0
+	for _, r := range shards {
+		if r.Start < next || r.Start >= r.End || r.End > l.Shards {
+			return fmt.Errorf("sweep: shard range [%d,%d) invalid for layout with %d shards", r.Start, r.End, l.Shards)
+		}
+		next = r.End
 	}
-	if r.Start < 0 || r.End > l.Shards || r.Start >= r.End {
-		return fmt.Errorf("sweep: shard range [%d,%d) invalid for layout with %d shards", r.Start, r.End, l.Shards)
-	}
+	units := pl.units(shards, l.ShardSize)
+	newState := func() *workerState { return &workerState{} }
 	if opts.Pool != nil {
-		shadow := *gr
-		shadow.Pool = opts.Pool
-		gr = &shadow
+		newState = opts.Pool.get
 	}
-	pending := make([]int, 0, r.Len())
-	for s := r.Start; s < r.End; s++ {
-		pending = append(pending, s)
-	}
-	return gr.evaluatePending(ctx, g, ax, sched, l.ShardSize, pending, opts.Sink == nil, opts.Stats, func(p *ShardPartial) error {
-		if opts.Sink != nil {
-			return opts.Sink(p)
-		}
-		return nil
-	})
-}
-
-// MergePartials folds a complete set of shard partials — one per shard
-// of the layout, in any order — into the grid's Result. The layout is
-// verified against the grid, every partial is validated, and duplicate
-// or missing shards are errors: the caller (a coordinator reconciling
-// worker submissions) is expected to have already deduplicated by shard
-// index. The positional integer merge makes the Result byte-identical
-// to EvaluateSharded regardless of which worker produced which shard.
-func (gr *Grid) MergePartials(g *asgraph.Graph, l *Layout, partials []*ShardPartial) (*Result, error) {
-	ax, err := gr.expand()
-	if err != nil {
-		return nil, err
-	}
-	sched := newSchedule(gr, ax, g)
-	if err := l.check(gr.fingerprint(g, ax, sched), ax.cells, ax.tasks); err != nil {
-		return nil, err
-	}
-	seen := make([]bool, l.Shards)
-	acc := make([]destAcc, ax.tasks)
-	for _, p := range partials {
-		if err := l.ValidatePartial(p); err != nil {
-			return nil, err
-		}
-		if seen[p.Shard] {
-			return nil, fmt.Errorf("sweep: duplicate partial for shard %d", p.Shard)
-		}
-		seen[p.Shard] = true
-		for i, ti := range p.Tasks {
-			acc[ti].lo += p.Lo[i]
-			acc[ti].hi += p.Hi[i]
-			acc[ti].pairs += p.Pairs[i]
-		}
-	}
-	for s, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("sweep: missing partial for shard %d", s)
-		}
-	}
-	return gr.reduce(g, ax, acc), nil
-}
-
-// evaluatePending is the dispatch loop shared by EvaluateSharded and
-// EvaluateShardRange: the pending shards are cut into chain-ordered
-// units, the units fan out over the worker pool, and each completed
-// shard's partial is committed serially under a mutex. A commit error
-// aborts the remaining shards promptly, and a shard finishing after
-// cancellation (or after a failed commit) is discarded — once ctx.Err()
-// is set, commit is never called again, so a sink that cancels the
-// context can rely on seeing no further partials.
-//
-// With reuse set, the partial handed to commit is the worker's own
-// scratch, valid only during the call: pass it only when commit (and
-// everything it feeds) copies what it keeps before returning. That is
-// what makes the steady-state shard loop allocation-free.
-func (gr *Grid) evaluatePending(ctx context.Context, g *asgraph.Graph, ax *axes, sched *schedule, size int, pending []int, reuse bool, stats *ShardStats, commit func(p *ShardPartial) error) error {
-	units := pendingUnits(sched, pending, size)
 
 	// abort lets a commit failure stop the remaining shards without
 	// waiting for the whole grid.
@@ -264,26 +261,21 @@ func (gr *Grid) evaluatePending(ctx context.Context, g *asgraph.Graph, ax *axes,
 	var mu sync.Mutex
 	var commitErr error
 	var handoffHits, handoffMisses int
-	err := runner.ForEach(ctx, len(units), gr.Workers, gr.newWorkerState,
+	err := runner.ForEach(ctx, len(units), pl.gr.Workers, newState,
 		func(ws *workerState, ui int) {
-			u := units[ui]
 			// Chain tail carry across the unit's interior shard
-			// boundaries (chain-major schedules only; the identity
-			// schedule never splits a chain, and its units are single
-			// shards anyway). The carry is worker-owned and reset per
+			// boundaries (chain-major schedules only; identity units are
+			// single shards). The carry is worker-owned and reset per
 			// unit, so the tail fixed point never crosses a goroutine.
 			var c *carry
-			if !sched.identity() {
+			if !pl.sched.identity() {
 				c = &ws.chainCarry
 				c.reset()
 			}
-			for s := u.Start; s < u.End; s++ {
-				start := s * size
-				end := start + size
-				if end > ax.cells {
-					end = ax.cells
-				}
-				p, ok := gr.evaluateShardPartial(ctx, g, ws, sched, c, s, start, end, reuse)
+			for s := units[ui].Start; s < units[ui].End; s++ {
+				start := s * l.ShardSize
+				end := min(start+l.ShardSize, l.Cells)
+				p, ok := pl.evaluateShardPartial(ctx, ws, c, s, start, end)
 				if !ok {
 					break
 				}
@@ -307,19 +299,90 @@ func (gr *Grid) evaluatePending(ctx context.Context, g *asgraph.Graph, ax *axes,
 				mu.Unlock()
 			}
 		})
-	if stats != nil {
-		stats.Units += len(units)
-		stats.HandoffHits += handoffHits
-		stats.HandoffMisses += handoffMisses
+	if st := opts.Stats; st != nil {
+		st.Units += len(units)
+		st.HandoffHits += handoffHits
+		st.HandoffMisses += handoffMisses
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
-		stats.ChainHeads = sched.planHeads
-		stats.DeltaEdges = sched.planDeltaEdges
-		stats.PredictedVolume = sched.planPredictedVol
+		st.ChainHeads = pl.sched.planHeads
+		st.DeltaEdges = pl.sched.planDeltaEdges
+		st.PredictedVolume = pl.sched.planPredictedVol
 	}
 	if commitErr != nil {
 		return commitErr
 	}
 	return err
+}
+
+// RangeOptions configures EvaluateShardRange.
+type RangeOptions struct {
+	// Sink observes every completed shard's partial, exactly once, after
+	// it is fully evaluated; each partial is the sink's to keep. Called
+	// serially; a non-nil error aborts the evaluation. Delivery order is
+	// scheduling-dependent.
+	Sink func(*ShardPartial) error
+
+	// Stats, when non-nil, accumulates dispatch and handoff counters.
+	Stats *ShardStats
+
+	// Pool keeps the engines warm across ranges (see RunOptions.Pool).
+	Pool *EnginePool
+}
+
+// EvaluateShardRange evaluates the shards [r.Start, r.End) of layout l,
+// streaming each completed partial to opts.Sink. A layout from a
+// different grid (or the same grid under a different schedule) is
+// rejected with a fingerprint mismatch rather than evaluated into
+// meaningless shard indices. This is the worker half of a distributed
+// evaluation: partials it emits merge byte-identically with partials
+// from any other worker holding the same layout.
+func (pl *Plan) EvaluateShardRange(ctx context.Context, l *Layout, r ShardRange, opts RangeOptions) error {
+	return pl.RunShards(ctx, l, []ShardRange{r}, RunOptions{Pool: opts.Pool, Stats: opts.Stats},
+		func(p *ShardPartial) error { return deliver(opts.Sink, p) })
+}
+
+// Result reduces a complete store into the grid's Result. The store must
+// hold one of the plan's layouts; a missing shard is an error. The
+// positional integer fold makes the Result byte-identical to Evaluate
+// regardless of who produced which shard, in which order.
+func (pl *Plan) Result(store *CheckpointWriter) (*Result, error) {
+	if err := pl.check(&store.layout); err != nil {
+		return nil, err
+	}
+	store.mu.Lock()
+	defer store.mu.Unlock()
+	for s, ok := range store.have {
+		if !ok {
+			return nil, fmt.Errorf("sweep: missing partial for shard %d", s)
+		}
+	}
+	res := &Result{}
+	pl.reduceInto(store.acc, res)
+	return res, nil
+}
+
+// Merge folds a complete set of shard partials — one per shard of the
+// layout, in any order — into the grid's Result through a memory-only
+// store. Every partial is validated, and duplicate or missing shards are
+// errors: the caller is expected to have deduplicated by shard index.
+func (pl *Plan) Merge(l *Layout, partials []*ShardPartial) (*Result, error) {
+	if err := pl.check(l); err != nil {
+		return nil, err
+	}
+	store, err := OpenCheckpointWriter("", l, false)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range partials {
+		added, err := store.Add(p)
+		if err != nil {
+			return nil, err
+		}
+		if !added {
+			return nil, fmt.Errorf("sweep: duplicate partial for shard %d", p.Shard)
+		}
+	}
+	return pl.Result(store)
 }

@@ -10,26 +10,19 @@ import (
 	"sbgp/internal/topogen"
 )
 
-// TestPlanShardsUnits pins the planning contract: the layout geometry
+// TestPlanShardsUnits pins the Layout/Units planning contract: the layout geometry
 // is self-consistent, the units tile the shard space exactly, every
 // unit boundary is handoff-free (a lease cut there splits no chain),
 // and every boundary interior to a unit is not (cutting there would).
 func TestPlanShardsUnits(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
 	for _, size := range []int{1, 3, 7} {
-		gr := chainedGrid(g, IncrementalAuto)
-		l, units, err := gr.PlanShards(g, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ax, err := gr.expand()
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+		l := pl.Layout(size)
+		units, ax, sched := pl.Units(l), pl.ax, pl.sched
 		if l.Cells != ax.cells || l.Tasks != ax.tasks || l.ShardSize != size || l.Shards != numShards(ax.cells, size) {
 			t.Fatalf("size %d: layout %+v inconsistent with grid (cells=%d tasks=%d)", size, l, ax.cells, ax.tasks)
 		}
-		sched := newSchedule(gr, ax, g)
 		next := 0
 		for _, u := range units {
 			if u.Start != next || u.End <= u.Start {
@@ -59,15 +52,13 @@ func TestPlanShardsUnits(t *testing.T) {
 func TestShardRangeMergeEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer
-	if err := chainedGrid(g, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(chainedGrid(g, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range []int{2, 5} {
-		gr := chainedGrid(g, IncrementalAuto)
-		l, units, err := gr.PlanShards(g, size)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+		l := pl.Layout(size)
+		units := pl.Units(l)
 		if len(units) < 3 {
 			t.Fatalf("size %d: only %d units, test wants ≥3 worker ranges", size, len(units))
 		}
@@ -77,11 +68,11 @@ func TestShardRangeMergeEquivalence(t *testing.T) {
 		var partials []*ShardPartial
 		for w := 0; w < 3; w++ {
 			r := ShardRange{Start: units[cuts[w]].Start, End: units[cuts[w+1]-1].End}
-			// Each "worker" is a fresh grid value: no shared engine
-			// state, as across machines.
-			wgr := chainedGrid(g, IncrementalAuto)
+			// Each "worker" prepares its own plan: no shared state, as
+			// across machines.
+			wpl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
 			var stats ShardStats
-			err := wgr.EvaluateShardRange(context.Background(), g, l, r, RangeOptions{
+			err := wpl.EvaluateShardRange(context.Background(), l, r, RangeOptions{
 				Sink: func(p *ShardPartial) error {
 					partials = append(partials, p)
 					return nil
@@ -95,7 +86,7 @@ func TestShardRangeMergeEquivalence(t *testing.T) {
 				t.Errorf("size %d worker %d: %d handoff misses inside a leased range", size, w, stats.HandoffMisses)
 			}
 		}
-		res, err := gr.MergePartials(g, l, partials)
+		res, err := pl.Merge(l, partials)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,28 +109,22 @@ func TestShardRangeMergeEquivalence(t *testing.T) {
 func TestEvaluateShardRangeForeignLayout(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	other, _ := topogen.MustGenerate(topogen.Params{N: 210, Seed: 29})
-	gr := chainedGrid(g, IncrementalAuto)
-	foreign, _, err := chainedGrid(other, IncrementalAuto).PlanShards(other, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = gr.EvaluateShardRange(context.Background(), g, foreign, ShardRange{Start: 0, End: 1}, RangeOptions{})
+	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+	foreign := mustPrepare(chainedGrid(other, IncrementalAuto), other).Layout(5)
+	err := pl.EvaluateShardRange(context.Background(), foreign, ShardRange{Start: 0, End: 1}, RangeOptions{})
 	if err == nil {
 		t.Fatal("foreign layout evaluated without error")
 	}
 	if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("foreign layout failed with %v, want a fingerprint mismatch", err)
 	}
-	if _, err := gr.MergePartials(g, foreign, nil); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("MergePartials accepted a foreign layout (err %v)", err)
+	if _, err := pl.Merge(foreign, nil); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("Merge accepted a foreign layout (err %v)", err)
 	}
 
-	l, _, err := gr.PlanShards(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []ShardRange{{Start: -1, End: 1}, {Start: 0, End: l.Shards + 1}, {Start: 2, End: 2}} {
-		if err := gr.EvaluateShardRange(context.Background(), g, l, r, RangeOptions{}); err == nil {
+	l := pl.Layout(5)
+	for _, r := range []ShardRange{{Start: -1, End: 1}, {Start: 0, End: l.Shards + 1}, {Start: 2, End: 2}, {Start: 0, End: 1 << 40}} {
+		if err := pl.EvaluateShardRange(context.Background(), l, r, RangeOptions{}); err == nil {
 			t.Errorf("range %+v accepted, want an error", r)
 		}
 	}
@@ -150,22 +135,19 @@ func TestEvaluateShardRangeForeignLayout(t *testing.T) {
 // over an incomplete set would silently undercount.
 func TestMergePartialsErrors(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
-	gr := chainedGrid(g, IncrementalAuto)
-	l, _, err := gr.PlanShards(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+	l := pl.Layout(5)
 	var partials []*ShardPartial
-	err = gr.EvaluateShardRange(context.Background(), g, l, ShardRange{Start: 0, End: l.Shards}, RangeOptions{
+	err := pl.EvaluateShardRange(context.Background(), l, ShardRange{Start: 0, End: l.Shards}, RangeOptions{
 		Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gr.MergePartials(g, l, partials[:len(partials)-1]); err == nil || !strings.Contains(err.Error(), "missing") {
+	if _, err := pl.Merge(l, partials[:len(partials)-1]); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("merge of incomplete set: err = %v, want missing-shard error", err)
 	}
-	if _, err := gr.MergePartials(g, l, append(partials, partials[0])); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := pl.Merge(l, append(partials, partials[0])); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("merge with duplicate: err = %v, want duplicate error", err)
 	}
 }
@@ -178,15 +160,13 @@ func TestMergePartialsErrors(t *testing.T) {
 func TestCheckpointWriterResumeInterop(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer
-	if err := chainedGrid(g, IncrementalOff).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(chainedGrid(g, IncrementalOff), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	gr := chainedGrid(g, IncrementalAuto)
+	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
 	const size = 5
-	l, units, err := gr.PlanShards(g, size)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := pl.Layout(size)
+	units := pl.Units(l)
 	path := filepath.Join(t.TempDir(), "interop.ckpt")
 	w, err := OpenCheckpointWriter(path, l, false)
 	if err != nil {
@@ -195,7 +175,7 @@ func TestCheckpointWriterResumeInterop(t *testing.T) {
 	// "Remote" evaluation of the first half of the units, ingested
 	// through the writer.
 	half := ShardRange{Start: 0, End: units[len(units)/2].End}
-	err = gr.EvaluateShardRange(context.Background(), g, l, half, RangeOptions{
+	err = pl.EvaluateShardRange(context.Background(), l, half, RangeOptions{
 		Sink: func(p *ShardPartial) error {
 			if added, err := w.Add(p); err != nil || !added {
 				t.Errorf("ingest shard %d = (%v, %v)", p.Shard, added, err)
@@ -213,7 +193,7 @@ func TestCheckpointWriterResumeInterop(t *testing.T) {
 	// The single-box evaluator resumes the writer's file: only the
 	// missing shards run.
 	fresh := 0
-	res, err := gr.EvaluateSharded(context.Background(), g, ShardOptions{
+	res, err := pl.EvaluateSharded(context.Background(), ShardOptions{
 		ShardSize:  size,
 		Checkpoint: path,
 		Resume:     true,
@@ -223,7 +203,7 @@ func TestCheckpointWriterResumeInterop(t *testing.T) {
 			}
 			return nil
 		},
-	})
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,7 @@
 package sweep
 
-// The unified chain-major scheduler. Both evaluators — the flat
-// EvaluateContext and the sharded EvaluateSharded — used to carry their
-// own copy of the chain-walk logic, and the sharded copy cut shards on
-// the raw (deployment-outermost) cell order, so a nested-deployment
-// chain crossing a shard boundary re-ran its head from scratch in every
-// shard it touched. This file replaces both walks with one:
+// The chain-major scheduler: one ordering of the cell space and one walk
+// over it, shared by the flat and the sharded loop (plan.go).
 //
 //   - A schedule is a permutation of the flattened (deployment × model
 //     × destination × attacker) cell space. Incremental grids order it
@@ -13,24 +9,24 @@ package sweep
 //     forest trees (chain.go) — outermost, then (model, destination,
 //     attacker) groups, then chain position — so the cells a RunDelta
 //     walk visits are *contiguous*. Shards are cut on the scheduled
-//     order, which means a walk now straddles at most one boundary per
+//     order, which means a walk straddles at most one boundary per
 //     shard instead of scattering one cell into every shard.
 //   - Non-incremental grids (and incremental grids whose deployment
 //     axis the planner cannot link at all — a singleton axis, or one
 //     whose every pairwise delta costs at least a from-scratch run)
 //     keep the identity schedule: the exact cell order, shard layout,
-//     and checkpoint fingerprint of the previous releases.
+//     and checkpoint fingerprint of the pre-scheduler releases.
 //   - evaluateRange walks any scheduled range, emitting one exact
 //     integer (task, lo, hi) triple per valid cell. Partials stay
 //     positional, so results remain byte-identical to the unscheduled
 //     evaluation at every worker count and shard size.
 //   - Where a shard boundary does split a chain, the worker carries the
 //     chain's tail fixed point across the boundary and resumes with
-//     RunDelta instead of re-running the head. The unit dispatcher
-//     (plan.go) cuts dispatch units only at handoff-free boundaries, so
-//     every split boundary is interior to one unit — the producer and
-//     consumer of a carried fixed point are always the same goroutine,
-//     and the carry needs no lock, no map, and no defensive clone.
+//     RunDelta instead of re-running the head. RunShards cuts dispatch
+//     units only at handoff-free boundaries, so every split boundary is
+//     interior to one unit — the producer and consumer of a carried
+//     fixed point are always the same goroutine, and the carry needs no
+//     lock, no map, and no defensive clone.
 
 import (
 	"context"
@@ -69,7 +65,7 @@ type schedule struct {
 // distributed workers recomputing it independently agree on the layout.
 func newSchedule(gr *Grid, ax *axes, g *asgraph.Graph) *schedule {
 	s := &schedule{ax: ax, planHeads: len(ax.deps)}
-	if !gr.Incremental.enabled() {
+	if gr.Incremental == IncrementalOff {
 		s.planPredictedVol = int64(s.planHeads) * fromScratchCost(g)
 		return s
 	}
@@ -111,7 +107,7 @@ func (s *schedule) chainAt(p int) int {
 // boundary placed there. On the identity schedule there are no group
 // runs and every boundary is free; chain-major boundaries are free
 // exactly when p is a multiple of the chain length within its block.
-// The shard dispatcher cuts its chain-ordered units at free boundaries,
+// RunShards cuts its chain-ordered units at free boundaries,
 // which is what makes handoff reuse deterministic instead of
 // opportunistic.
 func (s *schedule) handoffFree(p int) bool {
@@ -150,7 +146,7 @@ func (s *schedule) rangeAt(ri int) (start, end int) {
 
 // carry hands a chain's tail fixed point from one shard to the next
 // within a dispatch unit. Units are cut at handoff-free boundaries
-// (plan.go), so the shard that is cut off mid-chain and the shard that
+// (Plan.Units), so the shard that is cut off mid-chain and the shard that
 // continues it are always evaluated back to back by the same worker:
 // the carried Outcome is the engine-owned fixed point itself — no
 // clone — and it stays valid because nothing runs on that engine
@@ -206,8 +202,8 @@ func (c *carry) offer(pos int, o *core.Outcome) {
 // be discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateRange(ctx context.Context, g *asgraph.Graph, ws *workerState, s *schedule, c *carry, start, end int, emit func(ti, lo, hi int)) bool {
-	ax := s.ax
+func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, c *carry, start, end int, emit func(ti, lo, hi int)) bool {
+	gr, g, s, ax := &pl.gr, pl.g, pl.sched, pl.ax
 	if s.plan == nil {
 		// Identity: one RunAttack per cell, grouped by task.
 		for cs := start; cs < end; {

@@ -17,7 +17,8 @@ import (
 // on full |V|² enumerations.
 const DefaultShardSize = 4096
 
-// ShardOptions configures EvaluateSharded.
+// ShardOptions says how EvaluateSharded cuts, stores and streams the
+// grid; RunOptions carries the per-run resources.
 type ShardOptions struct {
 	// ShardSize is the number of grid cells — (deployment, model,
 	// destination, attacker) quadruples — per shard; 0 means
@@ -44,14 +45,11 @@ type ShardOptions struct {
 	// (in shard order) before evaluation starts, and each freshly
 	// evaluated shard is delivered as it finishes, after its checkpoint
 	// record (if any) is durable — so one call sees every shard of the
-	// grid exactly once. Called serially; a non-nil error aborts the
-	// evaluation. Fresh-shard delivery order is scheduling-dependent —
-	// only the merged Result is deterministic.
+	// grid exactly once, and each partial is the sink's to keep. Called
+	// serially; a non-nil error aborts the evaluation. Fresh-shard
+	// delivery order is scheduling-dependent — only the merged Result is
+	// deterministic.
 	Sink func(*ShardPartial) error
-
-	// Stats, when non-nil, accumulates dispatch-unit and handoff
-	// counters for the evaluation.
-	Stats *ShardStats
 }
 
 // ShardStats reports how a sharded evaluation was planned and
@@ -64,7 +62,7 @@ type ShardOptions struct {
 // describe the schedule and are (re)set by each evaluation.
 type ShardStats struct {
 	// Units is the number of dispatch units the pending shards were cut
-	// into (see pendingUnits).
+	// into (see Plan.Units).
 	Units int `json:"units"`
 	// HandoffHits counts chain continuations that resumed from an
 	// offered tail fixed point via RunDelta.
@@ -107,20 +105,28 @@ type ShardPartial struct {
 	Pairs []int `json:"pairs,omitempty"`
 }
 
-// numShards returns the shard count for a cell space of the given size.
-func numShards(cells, shardSize int) int {
-	return (cells + shardSize - 1) / shardSize
+// deliver hands sink, if any, its own copy of p: RunShards gives commit
+// the worker's scratch partial, and sinks may keep what they see.
+func deliver(sink func(*ShardPartial) error, p *ShardPartial) error {
+	if sink == nil {
+		return nil
+	}
+	return sink(&ShardPartial{
+		Shard: p.Shard,
+		Tasks: slices.Clone(p.Tasks),
+		Lo:    slices.Clone(p.Lo),
+		Hi:    slices.Clone(p.Hi),
+		Pairs: slices.Clone(p.Pairs),
+	})
 }
 
-// NumShards is the exported shard-count rule: how many shards a cell
-// space of the given size is cut into (shardSize ≤ 0 means
-// DefaultShardSize). Progress reporting (the service's shards_done /
-// shards_total) divides by it.
-func NumShards(cells, shardSize int) int {
+// numShards is the shard-count rule: how many shards a cell space of
+// the given size is cut into (shardSize ≤ 0 means DefaultShardSize).
+func numShards(cells, shardSize int) int {
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
-	return numShards(cells, shardSize)
+	return (cells + shardSize - 1) / shardSize
 }
 
 // Fingerprint is a stable 64-bit digest of everything that shapes the
@@ -261,37 +267,24 @@ func (a *shardAcc) add(ti, lo, hi int) {
 }
 
 // evaluateShardPartial computes the exact partial aggregate of the
-// scheduled positions [start, end) through the unified scheduler walk
+// scheduled positions [start, end) through the scheduler walk
 // (scheduler.go), listing the touched tasks in ascending order so the
-// record bytes are independent of the walk order. With reuse set the
-// returned partial is the worker-owned scratch, valid only until the
-// worker's next shard — callers that retain partials past the commit
-// must pass reuse = false for a freshly allocated one. It reports
-// ok = false if ctx was cancelled, in which case the (incomplete)
-// partial must be discarded.
+// record bytes are independent of the walk order. The returned partial
+// is the worker-owned scratch, valid only until the worker's next shard.
+// It reports ok = false if ctx was cancelled, in which case the
+// (incomplete) partial must be discarded.
 //
 //sbgp:hotpath
-func (gr *Grid) evaluateShardPartial(ctx context.Context, g *asgraph.Graph, ws *workerState, sched *schedule, c *carry, shard, start, end int, reuse bool) (p *ShardPartial, ok bool) {
+func (pl *Plan) evaluateShardPartial(ctx context.Context, ws *workerState, c *carry, shard, start, end int) (p *ShardPartial, ok bool) {
 	a := &ws.acc
-	a.begin(sched.ax.tasks)
-	if !gr.evaluateRange(ctx, g, ws, sched, c, start, end, ws.accEmit()) {
+	a.begin(pl.ax.tasks)
+	if !pl.evaluateRange(ctx, ws, c, start, end, ws.accEmit()) {
 		return nil, false
 	}
 	slices.Sort(a.touched)
-	n := len(a.touched)
-	if reuse {
-		p = &ws.partial
-		p.Tasks, p.Lo, p.Hi, p.Pairs = p.Tasks[:0], p.Lo[:0], p.Hi[:0], p.Pairs[:0]
-	} else {
-		//sbgplint:allow hotalloc cold branch by contract: reuse=false is the retain-past-commit path and must allocate
-		p = &ShardPartial{
-			Tasks: make([]int, 0, n),
-			Lo:    make([]int, 0, n),
-			Hi:    make([]int, 0, n),
-			Pairs: make([]int, 0, n),
-		}
-	}
+	p = &ws.partial
 	p.Shard = shard
+	p.Tasks, p.Lo, p.Hi, p.Pairs = p.Tasks[:0], p.Lo[:0], p.Hi[:0], p.Pairs[:0]
 	for _, ti := range a.touched {
 		p.Tasks = append(p.Tasks, ti)
 		p.Lo = append(p.Lo, a.lo[ti])
@@ -301,121 +294,58 @@ func (gr *Grid) evaluateShardPartial(ctx context.Context, g *asgraph.Graph, ws *
 	return p, true
 }
 
-// EvaluateSharded evaluates the grid like EvaluateContext, but
-// partitioned into fixed-size shards of the *scheduled* (deployment ×
-// model × destination × attacker) cell space: incremental grids order
-// the cells chain-major before the shards are cut, so a RunDelta chain
-// occupies consecutive shards (with tail fixed points handed across the
-// boundaries) instead of scattering one cell into every shard. Shards
-// are dispatched to the worker pool with per-worker engine reuse; each
-// completed shard's exact integer partial is streamed to the checkpoint
-// file and sink, and all partials are merged positionally, so the
-// Result is byte-identical to EvaluateContext at every worker count and
-// shard size.
+// EvaluateSharded evaluates the plan like Evaluate, but partitioned into
+// fixed-size shards of the *scheduled* (deployment × model × destination
+// × attacker) cell space: incremental grids order the cells chain-major
+// before the shards are cut, so a RunDelta chain occupies consecutive
+// shards (with tail fixed points handed across the boundaries) instead
+// of scattering one cell into every shard. Each completed shard's exact
+// integer partial is committed to the store — checkpoint record first,
+// then the positional fold — and then streamed to the sink, so the
+// Result is byte-identical to Evaluate at every worker count and shard
+// size.
 //
 // With a Checkpoint configured, every completed shard is durably
 // recorded (fsync per record). Cancelling ctx aborts promptly with
 // (nil, ctx.Err()) — the checkpoint keeps the shards that finished —
 // and a later call with Resume set skips exactly those shards and
 // reproduces the uninterrupted result.
+func (pl *Plan) EvaluateSharded(ctx context.Context, opts ShardOptions, run RunOptions) (*Result, error) {
+	// A resumed checkpoint dictates the shard size (shard indices are
+	// meaningless under any other partition): with none requested the
+	// store adopts the file's, an explicit conflict is rejected, and a
+	// file written under a different schedule fails the fingerprint.
+	store, err := openStore(opts.Checkpoint, pl.Layout(opts.ShardSize), opts.ShardSize <= 0, opts.Resume)
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close() // every record is already fsync'd; nothing left to lose
+	if opts.Sink != nil {
+		// Replay checkpointed shards in shard order so the sink observes
+		// the whole grid, not just the fresh remainder.
+		for _, p := range store.Resumed() {
+			if err := opts.Sink(p); err != nil {
+				return nil, err
+			}
+		}
+	}
+	err = pl.RunShards(ctx, &store.layout, store.Missing(), run, func(p *ShardPartial) error {
+		if _, err := store.Add(p); err != nil {
+			return err
+		}
+		return deliver(opts.Sink, p)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pl.Result(store)
+}
+
+// EvaluateSharded prepares the grid on g and evaluates it sharded.
 func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts ShardOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ax, err := gr.expand()
+	pl, err := gr.Prepare(g)
 	if err != nil {
 		return nil, err
 	}
-	sched := newSchedule(gr, ax, g)
-	size := opts.ShardSize
-	if size <= 0 {
-		size = DefaultShardSize
-	}
-	var cp *checkpointFile
-	if opts.Checkpoint != "" {
-		// A resumed checkpoint dictates the shard size (shard indices
-		// are meaningless under any other partition); an explicit
-		// conflicting ShardSize is rejected inside openCheckpoint, and
-		// a file written under a different schedule (identity vs
-		// chain-major) is rejected by the fingerprint.
-		cp, size, err = openCheckpoint(opts.Checkpoint, gr.fingerprint(g, ax, sched),
-			ax.cells, ax.tasks, opts.ShardSize, opts.Resume)
-		if err != nil {
-			return nil, err
-		}
-		defer cp.close()
-	}
-	nshards := numShards(ax.cells, size)
-
-	// Fold each partial into the task accumulator the moment it
-	// commits, instead of retaining every partial until the end:
-	// positional integer addition is associative and commutative, so
-	// any completion order — including partials resumed from a
-	// checkpoint — reproduces the serial accumulator byte for byte,
-	// and nothing holds O(shards) memory. Not retaining partials is
-	// also what lets the workers hand out their reusable scratch
-	// partial when no Sink is watching.
-	acc := make([]destAcc, ax.tasks)
-	done := make([]bool, nshards)
-	fold := func(p *ShardPartial) {
-		for i, ti := range p.Tasks {
-			acc[ti].lo += p.Lo[i]
-			acc[ti].hi += p.Hi[i]
-			acc[ti].pairs += p.Pairs[i]
-		}
-		done[p.Shard] = true
-	}
-	if cp != nil {
-		// Replay checkpointed shards in shard order so the sink
-		// observes the whole grid, not just the fresh remainder.
-		slices.SortFunc(cp.resumed, func(a, b *ShardPartial) int { return a.Shard - b.Shard })
-		for _, p := range cp.resumed {
-			if opts.Sink != nil {
-				if err := opts.Sink(p); err != nil {
-					return nil, err
-				}
-			}
-			fold(p)
-		}
-	}
-
-	pending := make([]int, 0, nshards)
-	for s := 0; s < nshards; s++ {
-		if !done[s] {
-			pending = append(pending, s)
-		}
-	}
-
-	// The shared unit dispatcher (plan.go) cuts the pending shards into
-	// chain-ordered units and commits each completed partial —
-	// checkpoint record first, then sink, then the fold — exactly as
-	// the distributed range evaluator does. The checkpoint writer
-	// marshals immediately and the fold copies the counts out, so the
-	// partial may be worker-owned scratch unless a Sink (which may
-	// retain what it sees) is present.
-	err = gr.evaluatePending(ctx, g, ax, sched, size, pending, opts.Sink == nil, opts.Stats,
-		func(p *ShardPartial) error {
-			if cp != nil {
-				if err := cp.append(p); err != nil {
-					return err
-				}
-			}
-			if opts.Sink != nil {
-				if err := opts.Sink(p); err != nil {
-					return err
-				}
-			}
-			fold(p)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	for s, ok := range done {
-		if !ok {
-			return nil, fmt.Errorf("sweep: internal error: shard %d missing after evaluation", s)
-		}
-	}
-	return gr.reduce(g, ax, acc), nil
+	return pl.EvaluateSharded(ctx, opts, RunOptions{})
 }

@@ -72,7 +72,7 @@ func validCells(gr *Grid, nm int) int {
 func TestShardedEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 9})
 	var want bytes.Buffer
-	if err := fullEnumGrid(g, 1).MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(fullEnumGrid(g, 1), g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -131,7 +131,7 @@ func TestShardedFullEnumeration400(t *testing.T) {
 	if err := res.WriteJSON(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := grid.MustEvaluate(g).WriteJSON(&want); err != nil {
+	if err := mustEvaluate(grid, g).WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

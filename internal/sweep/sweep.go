@@ -2,12 +2,14 @@
 // attacker × destination) grids — the aggregate the paper computed on a
 // BlueGene supercomputer (Appendix H) — and serializes the results.
 //
-// A Grid names the four axes once; Evaluate expands the full cross
-// product, fans the independent (deployment, model, destination) tasks
-// out over the runner's chunked worker pool, and folds the integer
-// happiness counts back together in axis order. Because every cell is
-// accumulated positionally and reduced in a fixed order, the same grid
-// produces byte-identical results at any worker count.
+// A Grid names the four axes once; Prepare expands the full cross
+// product, orders it, and fingerprints it into a Plan, and every
+// evaluation — flat, sharded, checkpointed, distributed — hangs off that
+// Plan (plan.go): independent tasks fan out over the runner's chunked
+// worker pool and the integer happiness counts fold back together in
+// axis order. Because every cell is accumulated positionally and reduced
+// in a fixed order, the same grid produces byte-identical results at any
+// worker count.
 //
 // The grid layer is what cmd/experiments and cmd/bgpsim build on for
 // their batch modes, and internal/exp uses it to evaluate whole rollout
@@ -55,9 +57,6 @@ const (
 	// scratch in deployment-outermost order.
 	IncrementalOff
 )
-
-// enabled reports whether the mode permits incremental scheduling.
-func (m IncrementalMode) enabled() bool { return m != IncrementalOff }
 
 // String returns the flag spelling of the mode.
 func (m IncrementalMode) String() string {
@@ -128,13 +127,6 @@ type Grid struct {
 
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.
 	Workers int
-
-	// Pool, when non-nil, draws per-worker engine state from an
-	// EnginePool instead of constructing it fresh — the warm-engine hook
-	// of the resident service. The pool must belong to this grid's
-	// (graph, LP) pair; see EnginePool. Results are identical with or
-	// without a pool.
-	Pool *EnginePool
 }
 
 // Cell is the aggregate for one (deployment, model) pair over all
@@ -192,9 +184,8 @@ type destAcc struct {
 // and deployment lists plus the dimensions of the task and cell spaces.
 // Tasks are (deployment, model, destination) triples in declaration
 // order; cells append the attacker as the innermost axis, so cell
-// ci = task*na + attackerIndex. Both Evaluate and the sharded
-// evaluator index the same spaces, which is what makes their results
-// byte-identical.
+// ci = task*na + attackerIndex. The flat and the sharded loop index the
+// same spaces, which is what makes their results byte-identical.
 type axes struct {
 	models []policy.Model
 	deps   []Deployment
@@ -206,10 +197,8 @@ type axes struct {
 
 // decodeTask splits a flattened task index into its (deployment,
 // model, destination) coordinates — the single definition of the task
-// layout, shared by every evaluator (flat, chained, and both sharded
-// paths) so the accumulator indexing can never drift between them.
-// The chained evaluators reuse it with the chain index in the first
-// (outermost) position.
+// layout, so the accumulator indexing can never drift between the
+// identity and the chain-major walk.
 func (ax *axes) decodeTask(ti int) (si, mi, di int) {
 	di = ti % ax.nd
 	mi = (ti / ax.nd) % ax.nm
@@ -233,8 +222,7 @@ func (gr *Grid) expand() (*axes, error) {
 	}
 	// Linear dedup scans: the model axis is at most NumModels long and
 	// deployment axes are short enough that the quadratic scan is
-	// cheaper than building throwaway maps on every expand — and expand
-	// runs once per evaluation, fingerprint, and layout check.
+	// cheaper than building throwaway maps.
 	for i, dp := range deps {
 		if dp.Name == "" {
 			return nil, fmt.Errorf("sweep: deployment with empty name")
@@ -286,8 +274,7 @@ type workerState struct {
 	emit func(ti, lo, hi int)
 
 	// partial is the reusable ShardPartial the commit path hands out
-	// when the caller retains nothing past the commit (see
-	// evaluatePending's reuse contract).
+	// (see RunShards' commit contract).
 	partial ShardPartial
 
 	// chainCarry hands chain-tail fixed points across the shard
@@ -315,94 +302,37 @@ func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.Lo
 	return e
 }
 
-// newWorkerState is the worker-state factory shared by both evaluators:
-// fresh scratch, or a recycled one when the grid carries an EnginePool.
-func (gr *Grid) newWorkerState() *workerState {
-	if gr.Pool != nil {
-		return gr.Pool.get()
-	}
-	return &workerState{}
-}
-
-// CellCount validates the grid and returns the size of its flattened
-// (deployment × model × destination × attacker) cell space — with
-// NumShards, the denominator of sharded progress reporting.
-func (gr *Grid) CellCount() (int, error) {
-	ax, err := gr.expand()
-	if err != nil {
-		return 0, err
-	}
-	return ax.cells, nil
-}
-
-// Evaluate expands and evaluates the grid on g.
+// Evaluate prepares the grid on g and evaluates it once, flat. Callers
+// that evaluate repeatedly, shard, or checkpoint hold the Plan instead.
 func (gr *Grid) Evaluate(g *asgraph.Graph) (*Result, error) {
-	return gr.EvaluateContext(context.Background(), g)
-}
-
-// EvaluateContext is Evaluate under a context. Cancelling ctx aborts
-// the grid promptly — in-flight cells finish their current engine run,
-// undispatched cells never start — and EvaluateContext returns
-// (nil, ctx.Err()); partial aggregates are discarded, never returned.
-func (gr *Grid) EvaluateContext(ctx context.Context, g *asgraph.Graph) (*Result, error) {
-	ax, err := gr.expand()
+	pl, err := gr.Prepare(g)
 	if err != nil {
 		return nil, err
 	}
-	// The unified scheduler (scheduler.go) orders the cell space —
-	// chain-major for incremental grids, identity otherwise — and the
-	// flat evaluator dispatches one scheduled range per task: coarse
-	// enough to amortize dispatch, fine enough to balance load, and
-	// aligned so every RunDelta chain stays within one worker. Ranges
-	// touch disjoint task sets, so the positional accumulator needs no
-	// locking, and the integer counts land in the same positions as the
-	// legacy scheduling — byte-identical results.
-	sched := newSchedule(gr, ax, g)
-	acc := make([]destAcc, ax.tasks)
-	err = runner.ForEach(ctx, sched.numRanges(), gr.Workers, gr.newWorkerState,
-		func(ws *workerState, ri int) {
-			start, end := sched.rangeAt(ri)
-			gr.evaluateRange(ctx, g, ws, sched, nil, start, end, func(ti, lo, hi int) {
-				a := &acc[ti]
-				a.lo += lo
-				a.hi += hi
-				a.pairs++
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	return gr.reduce(g, ax, acc), nil
+	return pl.Evaluate(context.Background())
 }
 
-// reduce folds the exact per-task integer counts into a Result in axis
-// declaration order. Because the counts are integers and the fold order
-// is fixed, the result is independent of how the tasks were scheduled —
-// across worker counts, shard sizes, and checkpoint resumes alike.
-func (gr *Grid) reduce(g *asgraph.Graph, ax *axes, acc []destAcc) *Result {
-	res := &Result{}
-	gr.reduceInto(g, ax, acc, res)
-	return res
-}
-
-// reduceInto is reduce writing into a caller-owned Result, reusing its
-// cell slice's capacity — the allocation-free steady state of a
-// prepared Evaluation. PerDest series are still allocated fresh per
-// call (they alias into the returned cells, so reuse would hand out
-// slices a previous caller may still hold).
-func (gr *Grid) reduceInto(g *asgraph.Graph, ax *axes, acc []destAcc, res *Result) {
+// reduceInto folds the exact per-task integer counts into res in axis
+// declaration order, reusing its cell slice's capacity. Because the
+// counts are integers and the fold order is fixed, the result is
+// independent of how the tasks were scheduled — across worker counts,
+// shard sizes, and checkpoint resumes alike. PerDest series are
+// allocated fresh per call (they alias into the returned cells, so reuse
+// would hand out slices a previous caller may still hold).
+func (pl *Plan) reduceInto(acc []destAcc, res *Result) {
+	gr, g, ax := &pl.gr, pl.g, pl.ax
 	res.GraphN = g.N()
 	res.LP = gr.LP.String()
 	res.Attack = ""
+	if name := gr.attackName(); name != core.DefaultAttack.Name() {
+		res.Attack = name
+	}
 	res.Attackers = ax.na
 	res.Destinations = ax.nd
 	if res.Cells == nil {
 		res.Cells = make([]Cell, 0, len(ax.deps)*ax.nm)
 	} else {
 		res.Cells = res.Cells[:0]
-	}
-	if gr.Attack != nil && gr.Attack.Name() != core.DefaultAttack.Name() {
-		res.Attack = gr.Attack.Name()
 	}
 	sources := float64(g.N() - 2)
 	for si, dp := range ax.deps {
@@ -440,13 +370,4 @@ func (gr *Grid) reduceInto(g *asgraph.Graph, ax *axes, acc []destAcc, res *Resul
 			res.Cells = append(res.Cells, cell)
 		}
 	}
-}
-
-// MustEvaluate is Evaluate for statically well-formed grids.
-func (gr *Grid) MustEvaluate(g *asgraph.Graph) *Result {
-	res, err := gr.Evaluate(g)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

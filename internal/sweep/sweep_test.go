@@ -18,6 +18,24 @@ import (
 	"sbgp/internal/topogen"
 )
 
+// mustPrepare plans a statically well-formed grid.
+func mustPrepare(gr *Grid, g *asgraph.Graph) *Plan {
+	pl, err := gr.Prepare(g)
+	if err != nil {
+		panic(err)
+	}
+	return pl
+}
+
+// mustEvaluate is the flat evaluation of a statically well-formed grid.
+func mustEvaluate(gr *Grid, g *asgraph.Graph) *Result {
+	res, err := gr.Evaluate(g)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func testGrid(t *testing.T, g *asgraph.Graph, workers int) *Grid {
 	t.Helper()
 	all := make([]asgraph.AS, g.N())
@@ -44,14 +62,14 @@ func testGrid(t *testing.T, g *asgraph.Graph, workers int) *Grid {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 5})
 	var serial, parallel bytes.Buffer
-	if err := testGrid(t, g, 1).MustEvaluate(g).WriteJSON(&serial); err != nil {
+	if err := mustEvaluate(testGrid(t, g, 1), g).WriteJSON(&serial); err != nil {
 		t.Fatal(err)
 	}
 	workers := runtime.NumCPU()
 	if workers < 2 {
 		workers = 8
 	}
-	if err := testGrid(t, g, workers).MustEvaluate(g).WriteJSON(&parallel); err != nil {
+	if err := mustEvaluate(testGrid(t, g, workers), g).WriteJSON(&parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -66,7 +84,7 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestSweepMatchesRunner(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 5})
 	grid := testGrid(t, g, 0)
-	res := grid.MustEvaluate(g)
+	res := mustEvaluate(grid, g)
 	if len(res.Cells) != len(grid.Deployments)*policy.NumModels {
 		t.Fatalf("got %d cells, want %d", len(res.Cells), len(grid.Deployments)*policy.NumModels)
 	}
@@ -100,7 +118,7 @@ func TestSweepAttackAxis(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 300, Seed: 4})
 	grid := testGrid(t, g, 0)
 	grid.Attack = core.NoAttack{}
-	res := grid.MustEvaluate(g)
+	res := mustEvaluate(grid, g)
 	if res.Attack != "none" {
 		t.Errorf("result names attack %q, want %q", res.Attack, "none")
 	}
@@ -116,7 +134,7 @@ func TestSweepAttackAxis(t *testing.T) {
 	}
 
 	grid.Attack = core.OneHopHijack{}
-	if res := grid.MustEvaluate(g); res.Attack != "" {
+	if res := mustEvaluate(grid, g); res.Attack != "" {
 		t.Errorf("default attack serialized as %q, want omitted", res.Attack)
 	}
 }
@@ -136,9 +154,10 @@ func TestEvaluateContextCancellation(t *testing.T) {
 	}
 	grid.Attackers, grid.Destinations = asgraph.NonStubs(g), all
 
+	pl := mustPrepare(grid, g)
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()
-	if res, err := grid.EvaluateContext(pre, g); !errors.Is(err, context.Canceled) || res != nil {
+	if res, err := pl.Evaluate(pre); !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("pre-cancelled: got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 
@@ -148,7 +167,7 @@ func TestEvaluateContextCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := grid.EvaluateContext(ctx, g)
+	res, err := pl.Evaluate(ctx)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("mid-grid cancel: got (%v, %v), want (nil, context.Canceled)", res, err)
@@ -158,6 +177,48 @@ func TestEvaluateContextCancellation(t *testing.T) {
 	// the cancellation propagated rather than the grid completing.
 	if elapsed > 10*time.Second {
 		t.Errorf("cancelled evaluation took %v, want a prompt return", elapsed)
+	}
+}
+
+// TestNilContext: a nil context means "never cancelled" in both Plan
+// loops, as it does in runner.ForEach. The flat loop used to hand the nil
+// straight to evaluateRange's ctx.Err() and die with a nil-pointer
+// dereference while the sharded entry points each normalised it on their
+// own; now the two loops are the only places that do.
+func TestNilContext(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 100, Seed: 2})
+	pl := mustPrepare(&Grid{Attackers: []asgraph.AS{1, 2}, Destinations: []asgraph.AS{0, 3}}, g)
+	//lint:ignore SA1012 the nil context is the case under test
+	flat, err := pl.Evaluate(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := flat.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	l := pl.Layout(3)
+	store, err := OpenCheckpointWriter("", l, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	//lint:ignore SA1012 the nil context is the case under test
+	err = pl.RunShards(nil, l, store.Missing(), RunOptions{}, func(p *ShardPartial) error {
+		_, err := store.Add(p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Result(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Error("sharded loop under a nil context diverges from the flat loop")
 	}
 }
 

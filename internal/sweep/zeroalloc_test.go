@@ -49,8 +49,9 @@ func forestDeployments(g *asgraph.Graph, steps int) []Deployment {
 // partial at their high-water marks), the steady-state shard loop —
 // schedule walk, engine runs, accumulator fold, partial build, commit —
 // allocates nothing per shard. The assertion is indirect but tight:
-// one full EvaluateSharded pass over hundreds of shards must stay
-// within a fixed per-evaluation allocation budget, so even a single
+// one full EvaluateSharded pass over hundreds of shards — each
+// committed into a memory-only store — must stay within a fixed
+// per-evaluation allocation budget, so even a single
 // allocation per shard would blow through it several times over. Both
 // schedules are covered: the identity order and the chain-major order
 // with its cross-shard tail carry.
@@ -65,13 +66,9 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 9})
 	all := runner.AllASes(g.N())
 
-	// Per-evaluation overhead (axes, schedule, accumulator, dispatch,
-	// reduce) is allowed; it does not scale with the shard count. The
-	// forest case pays a higher planning constant — both planners are
-	// built and priced, and every signed walk edge materializes its
-	// (added, removed) member lists once — all O(axis), never O(shards);
-	// its grid is sized so even one alloc per shard still blows the
-	// budget several times over.
+	// Per-evaluation overhead (store, dispatch, reduce) is allowed; it
+	// does not scale with the shard count. Each grid is sized so even one
+	// alloc per shard blows its budget several times over.
 	for _, tc := range []struct {
 		name   string
 		grid   *Grid
@@ -102,24 +99,23 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 		}, 170},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gr := tc.grid
-			gr.Pool = NewEnginePool()
+			pl := mustPrepare(tc.grid, g)
+			pool := NewEnginePool()
 			// Shard size 3 cuts chains mid-walk, so the chain-major pass
 			// exercises the tail carry on nearly every boundary.
 			opts := ShardOptions{ShardSize: 3}
-			nshards, err := gr.CellCount()
-			if err != nil {
-				t.Fatal(err)
-			}
-			nshards = NumShards(nshards, opts.ShardSize)
+			nshards := numShards(pl.ax.cells, opts.ShardSize)
 			if nshards < 4*tc.budget {
 				t.Fatalf("grid too small to distinguish per-shard allocs (%d shards, budget %d)", nshards, tc.budget)
 			}
+			// No checkpoint path: every shard commits the worker's scratch
+			// partial into a memory-only store, which must fold it without
+			// retaining or copying it.
 			run := func() {
-				if _, err := gr.EvaluateSharded(context.Background(), g, opts); err != nil {
+				if _, err := pl.EvaluateSharded(context.Background(), opts, RunOptions{Pool: pool}); err != nil {
 					t.Fatal(err)
 				}
-				gr.Pool.Release()
+				pool.Release()
 			}
 			run() // warm the pooled worker state
 			allocs := testing.AllocsPerRun(3, run)

@@ -12,7 +12,6 @@ package sbgp
 // sbgp/internal/asgraph for the same primitives.
 
 import (
-	"context"
 	"io"
 
 	"sbgp/internal/asgraph"
@@ -365,15 +364,19 @@ type Result = sweep.Result
 // Cell is one (deployment, model) aggregate of a Result.
 type Cell = sweep.Cell
 
-// EvaluateGrid evaluates a grid under a context; cancelling ctx aborts
-// the evaluation promptly with ctx.Err().
-func EvaluateGrid(ctx context.Context, gr *Grid, g *Graph) (*Result, error) {
-	return gr.EvaluateContext(ctx, g)
-}
+// Plan is a Grid prepared on one graph (Grid.Prepare): axes, schedule,
+// and fingerprint computed once, with every evaluation — the flat
+// Evaluate, reusable across calls on warm engines; the sharded
+// EvaluateSharded and EvaluateShardRange; Merge and Result — hanging off
+// it. Evaluate's Result is owned by the Plan and valid until its next
+// Evaluate.
+type Plan = sweep.Plan
 
-// ShardOptions configures sharded grid evaluation: cells per shard, an
-// optional fsync'd JSON-lines checkpoint file, resume from it, and a
-// streaming sink for completed shards.
+// ShardOptions configures sharded grid evaluation (Grid.EvaluateSharded,
+// Simulation.SweepSharded): cells per shard, an optional fsync'd
+// JSON-lines checkpoint file, resume from it, and a streaming sink for
+// completed shards. The result is byte-identical to the flat evaluation
+// at every worker count and shard size.
 type ShardOptions = sweep.ShardOptions
 
 // ShardPartial is one completed shard's exact partial aggregate, as
@@ -383,15 +386,6 @@ type ShardPartial = sweep.ShardPartial
 // DefaultShardSize is the cells-per-shard default when
 // ShardOptions.ShardSize is zero.
 const DefaultShardSize = sweep.DefaultShardSize
-
-// EvaluateGridSharded evaluates a grid through the sharded path:
-// fixed-size shards of the (deployment × model × destination ×
-// attacker) cell space, evaluated concurrently, optionally checkpointed
-// per shard and resumable after cancellation. The result is
-// byte-identical to EvaluateGrid at every worker count and shard size.
-func EvaluateGridSharded(ctx context.Context, gr *Grid, g *Graph, opts ShardOptions) (*Result, error) {
-	return gr.EvaluateSharded(ctx, g, opts)
-}
 
 // ShardLayout is the portable identity and geometry of a sharded grid
 // evaluation: the grid fingerprint plus (cells, tasks, shard size,
@@ -409,9 +403,9 @@ type ShardRange = sweep.ShardRange
 // for a sharded or ranged evaluation.
 type ShardStats = sweep.ShardStats
 
-// ShardRangeOptions configures Grid range evaluation
-// (Simulation.EvaluateJobShards): a streaming partial sink, optional
-// stats, and an overriding EnginePool.
+// ShardRangeOptions configures range evaluation
+// (Simulation.EvaluateJobShards, Plan.EvaluateShardRange): a streaming
+// partial sink, optional stats, and an EnginePool.
 type ShardRangeOptions = sweep.RangeOptions
 
 // CheckpointWriter ingests shard partials idempotently (by shard
@@ -421,7 +415,7 @@ type CheckpointWriter = sweep.CheckpointWriter
 
 // OpenCheckpointWriter opens a CheckpointWriter for a layout. A
 // non-empty path makes it durable (and resumable when resume is set);
-// an empty path keeps the ingested partials in memory only.
+// an empty path keeps the have-set and folded counts in memory only.
 func OpenCheckpointWriter(path string, l *ShardLayout, resume bool) (*CheckpointWriter, error) {
 	return sweep.OpenCheckpointWriter(path, l, resume)
 }
@@ -434,20 +428,6 @@ type EnginePool = sweep.EnginePool
 
 // NewEnginePool returns an empty engine pool.
 func NewEnginePool() *EnginePool { return sweep.NewEnginePool() }
-
-// Evaluation is a prepared, reusable flat evaluation of one Grid on one
-// graph — the shape of a resident service answering the same query
-// repeatedly. Build one with Grid.NewEvaluation; each Run reuses the
-// engines, accumulator, and Result, allocating nothing in steady state.
-// Not safe for concurrent use, and the returned Result is owned by the
-// Evaluation, valid only until the next Run. One-shot callers should
-// keep using Grid.Evaluate.
-type Evaluation = sweep.Evaluation
-
-// NumShards is the shard-count rule of the sharded evaluator: how many
-// shards a cell space of the given size is cut into (shardSize ≤ 0
-// means DefaultShardSize).
-func NumShards(cells, shardSize int) int { return sweep.NumShards(cells, shardSize) }
 
 // AllASes returns the full population 0..n-1, the destination set of a
 // full |V|² enumeration.

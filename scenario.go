@@ -42,8 +42,6 @@ type Scenario struct {
 	checkpoint string
 	resume     bool
 
-	coordinator JobCoordinator
-
 	errs []error
 }
 
@@ -274,15 +272,6 @@ func WithResolvedTiebreak() Option {
 	return func(sc *Scenario) { sc.resolve = true }
 }
 
-// WithCoordinator attaches a distributed evaluation backend:
-// Simulation.EvaluateJobDistributed hands the scenario's JobSpec to c
-// instead of evaluating locally. The scenario must therefore stay
-// within what a JobSpec can express (no in-memory graph, no prebuilt
-// deployments). Results are byte-identical to local evaluation.
-func WithCoordinator(c JobCoordinator) Option {
-	return func(sc *Scenario) { sc.coordinator = c }
-}
-
 // Simulate materializes the scenario: it generates or loads the
 // topology, validates it, classifies tiers, and builds every configured
 // deployment. The scenario itself is not retained — Simulate may be
@@ -342,7 +331,6 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 		shardSize:   sc.shardSize,
 		checkpoint:  sc.checkpoint,
 		resume:      sc.resume,
-		coordinator: sc.coordinator,
 	}
 	sim.jobSpec, sim.jobSpecErr = jobSpecOf(sc)
 	seen := map[string]bool{"baseline": true}

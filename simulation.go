@@ -3,6 +3,8 @@ package sbgp
 import (
 	"context"
 	"fmt"
+
+	"sbgp/internal/sweep"
 )
 
 // Simulation is a materialized Scenario: a validated topology with its
@@ -36,9 +38,12 @@ type Simulation struct {
 	jobSpec    *JobSpec
 	jobSpecErr error
 
-	// coordinator, when non-nil (WithCoordinator), is the distributed
-	// evaluation backend EvaluateJobDistributed hands the job to.
-	coordinator JobCoordinator
+	// jobPlan is the job grid — the scenario's grid over its own pair
+	// policy — prepared on first use and shared by every Job* method, so
+	// a worker evaluating many leases, or a coordinator planning,
+	// ingesting and merging, expands and fingerprints the grid once.
+	jobPlan    *Plan
+	jobPlanErr error
 
 	// deployments is the sweep axis (primary first); the implicit
 	// baseline is prepended at sweep time.
@@ -156,7 +161,11 @@ func (s *Simulation) Partition(d, m AS) (*Partition, error) {
 // count; cancelling the scenario context aborts the sweep promptly
 // with ctx.Err().
 func (s *Simulation) Sweep(attackers, destinations []AS) (*Result, error) {
-	return s.SweepGrid(s.grid(attackers, destinations))
+	pl, err := s.grid(attackers, destinations).Prepare(s.g)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Evaluate(s.ctx)
 }
 
 // grid assembles the scenario's sweep grid over the given pair sets.
@@ -228,13 +237,6 @@ func (s *Simulation) SweepSharded(attackers, destinations []AS, opts ShardOption
 	return s.grid(attackers, destinations).EvaluateSharded(s.ctx, s.g, opts)
 }
 
-// SweepGrid evaluates a caller-assembled grid under the scenario
-// context. The grid's own axes are used as-is; only the context is
-// supplied by the scenario.
-func (s *Simulation) SweepGrid(gr *Grid) (*Result, error) {
-	return gr.EvaluateContext(s.ctx, s.g)
-}
-
 // JobSpec returns the canonical serializable job spec describing this
 // simulation's scenario — the exact spec FromJobSpec would rebuild it
 // from, reconstructed from the scenario configuration at Simulate time
@@ -271,17 +273,28 @@ func (s *Simulation) JobPairs() (attackers, destinations []AS) {
 	return SamplePairs(ms, ds, maxM, maxD)
 }
 
+// JobPlan returns the scenario's job grid — the configured grid over
+// JobPairs — prepared on the simulation's topology. The plan is built
+// once; JobGeometry, EvaluateJob, JobShardPlan, EvaluateJobShards and
+// MergeJobPartials are all served from it.
+func (s *Simulation) JobPlan() (*Plan, error) {
+	if s.jobPlan == nil && s.jobPlanErr == nil {
+		s.jobPlan, s.jobPlanErr = s.grid(s.JobPairs()).Prepare(s.g)
+	}
+	return s.jobPlan, s.jobPlanErr
+}
+
 // JobGeometry reports the size of the scenario's job: its grid cell
 // count and the number of shards the sharded evaluator will cut it
 // into under the scenario's shard size. The daemon's progress
 // accounting (shards_done / shards_total) divides by the shard count.
 func (s *Simulation) JobGeometry() (cells, shards int, err error) {
-	ms, ds := s.JobPairs()
-	cells, err = s.grid(ms, ds).CellCount()
+	pl, err := s.JobPlan()
 	if err != nil {
 		return 0, 0, err
 	}
-	return cells, NumShards(cells, s.shardSize), nil
+	l := pl.Layout(s.shardSize)
+	return l.Cells, l.Shards, nil
 }
 
 // JobEvalOptions tunes EvaluateJob without changing the job's result:
@@ -306,27 +319,26 @@ type JobEvalOptions struct {
 	Pool *EnginePool
 }
 
-// EvaluateJob runs the scenario as a complete job: the configured grid
-// over the scenario's own pair policy, through the sharded evaluator.
-// This is the one evaluation path shared by the daemon and both CLIs'
-// -job modes, so a spec yields byte-identical result bytes no matter
-// who runs it — and, via the checkpoint, no matter how often it is
-// interrupted and resumed.
+// EvaluateJob runs the scenario as a complete job: the job plan through
+// the sharded evaluator. This is the one evaluation path shared by the
+// daemon and both CLIs' -job modes, so a spec yields byte-identical
+// result bytes no matter who runs it — and, via the checkpoint, no
+// matter how often it is interrupted and resumed.
 func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
-	ms, ds := s.JobPairs()
-	gr := s.grid(ms, ds)
-	gr.Pool = opts.Pool
+	pl, err := s.JobPlan()
+	if err != nil {
+		return nil, err
+	}
 	cp := s.checkpoint
 	if opts.Checkpoint != "" {
 		cp = opts.Checkpoint
 	}
-	return gr.EvaluateSharded(s.ctx, s.g, ShardOptions{
+	return pl.EvaluateSharded(s.ctx, ShardOptions{
 		ShardSize:  s.shardSize,
 		Checkpoint: cp,
 		Resume:     opts.Resume || s.resume,
 		Sink:       opts.Sink,
-		Stats:      opts.Stats,
-	})
+	}, sweep.RunOptions{Pool: opts.Pool, Stats: opts.Stats})
 }
 
 // JobShardPlan returns the scenario job's shard layout — the portable
@@ -337,8 +349,12 @@ func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
 // coordinator's checkpoint and a single-box checkpoint are the same
 // file format with the same identity.
 func (s *Simulation) JobShardPlan() (*ShardLayout, []ShardRange, error) {
-	ms, ds := s.JobPairs()
-	return s.grid(ms, ds).PlanShards(s.g, s.shardSize)
+	pl, err := s.JobPlan()
+	if err != nil {
+		return nil, nil, err
+	}
+	l := pl.Layout(s.shardSize)
+	return l, pl.Units(l), nil
 }
 
 // EvaluateJobShards evaluates one shard range of the scenario job
@@ -346,8 +362,11 @@ func (s *Simulation) JobShardPlan() (*ShardLayout, []ShardRange, error) {
 // opts.Sink — the worker half of a distributed evaluation. A layout
 // minted by a different job is refused with a fingerprint mismatch.
 func (s *Simulation) EvaluateJobShards(l *ShardLayout, r ShardRange, opts ShardRangeOptions) error {
-	ms, ds := s.JobPairs()
-	return s.grid(ms, ds).EvaluateShardRange(s.ctx, s.g, l, r, opts)
+	pl, err := s.JobPlan()
+	if err != nil {
+		return err
+	}
+	return pl.EvaluateShardRange(s.ctx, l, r, opts)
 }
 
 // MergeJobPartials folds a complete, deduplicated set of shard partials
@@ -355,33 +374,9 @@ func (s *Simulation) EvaluateJobShards(l *ShardLayout, r ShardRange, opts ShardR
 // byte-identical to EvaluateJob no matter which workers produced which
 // shards.
 func (s *Simulation) MergeJobPartials(l *ShardLayout, partials []*ShardPartial) (*Result, error) {
-	ms, ds := s.JobPairs()
-	return s.grid(ms, ds).MergePartials(s.g, l, partials)
-}
-
-// JobCoordinator is a distributed evaluation backend: something that
-// can take a serializable job spec and produce its Result by farming
-// shard ranges out to workers (internal/dist's Coordinator is the
-// in-tree implementation, wired through cmd/sbgpd's -dist mode). The
-// options carry the same checkpoint/resume/sink hooks EvaluateJob
-// honors; Pool is ignored (workers own their engine state).
-type JobCoordinator interface {
-	EvaluateJobSpec(ctx context.Context, spec *JobSpec, opts JobEvalOptions) (*Result, error)
-}
-
-// EvaluateJobDistributed runs the scenario job through the attached
-// coordinator (WithCoordinator) instead of evaluating locally. The
-// scenario must be expressible as a JobSpec — workers rebuild the
-// simulation from the spec, so in-memory graphs and prebuilt
-// deployments cannot ride along. Results are byte-identical to
-// EvaluateJob.
-func (s *Simulation) EvaluateJobDistributed(opts JobEvalOptions) (*Result, error) {
-	if s.coordinator == nil {
-		return nil, fmt.Errorf("sbgp: no coordinator attached (use WithCoordinator)")
-	}
-	spec, err := s.JobSpec()
+	pl, err := s.JobPlan()
 	if err != nil {
 		return nil, err
 	}
-	return s.coordinator.EvaluateJobSpec(s.ctx, spec, opts)
+	return pl.Merge(l, partials)
 }
