@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-check bench-smoke bench-compare cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
+.PHONY: all build test race bench bench-check cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
 
 all: build
 
@@ -83,20 +83,11 @@ bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# bench runs the full benchmark suite at measurement scale.
+# bench runs the Go micro-benchmarks at measurement scale. The repo
+# benchmark itself — five end-to-end workloads, params-checked records,
+# a -compare mode — is `go run -C bench .` (bench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
-
-# bench-smoke is the CI smoke run: every benchmark once, results
-# captured as BENCH_<date>.{txt,json}.
-bench-smoke:
-	./scripts/bench.sh
-
-# bench-compare diffs the two newest committed BENCH_*.json baselines so
-# perf regressions (e.g. in the incremental delta path) are visible.
-# Non-zero exit = some benchmark slowed >25%; CI runs it non-blocking.
-bench-compare:
-	$(GO) run ./cmd/benchcompare
 
 # ci mirrors the blocking jobs of .github/workflows/ci.yml.
 ci: fmt-check vet staticcheck lint build test race bench-check examples-smoke sbgpd-smoke dist-smoke fuzz-smoke

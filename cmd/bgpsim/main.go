@@ -21,8 +21,8 @@
 // With -job spec.json it evaluates the sweep-grid job described by a
 // versioned sbgp.JobSpec JSON file — the same spec format the sbgpd
 // daemon accepts — and prints the grid as JSON. The scattered -sweep
-// grid flags are the deprecated spelling of the same job, mapped onto
-// a JobSpec by one shared conversion helper, so both spellings print
+// grid flags are the deprecated spelling of the same job: they fill in
+// a JobSpec and take the same path, so both spellings print
 // byte-identical grids. New automation should write a spec file.
 //
 // Examples:
@@ -44,44 +44,88 @@ import (
 	"sbgp"
 )
 
+// options is the parsed command line. The grid flags bind straight into
+// the JobSpec fields they spell, so there is no flag-to-spec conversion
+// to keep in step with the wire format.
+type options struct {
+	spec   sbgp.JobSpec
+	deploy string
+
+	dst, att, model, showPath int
+
+	sweep, verbose bool
+	jobPath        string
+}
+
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	t := &o.spec.Topology
+	fs.StringVar(&t.GraphFile, "graph", "", "topology file (empty: generate)")
+	fs.IntVar(&t.N, "n", 4000, "generated topology size")
+	fs.Int64Var(&t.Seed, "seed", 1, "generator seed")
+	fs.IntVar(&o.dst, "d", 0, "destination AS index")
+	fs.IntVar(&o.att, "m", -1, "attacker AS index (-1: normal conditions)")
+	fs.IntVar(&o.model, "model", 3, "security model: 1, 2, or 3")
+	fs.IntVar(&o.spec.LPK, "lpk", 0, "LPk local-preference variant (0 = standard)")
+	fs.StringVar(&o.deploy, "deploy", "none",
+		"deployment: "+strings.Join(sbgp.DeploymentNames(), "|"))
+	fs.StringVar(&o.spec.Attack, "attack", "one-hop",
+		"attack strategy: one-hop|none|origin-spoof|pad-K")
+	fs.IntVar(&o.showPath, "path", -1, "print the route of this AS")
+	fs.BoolVar(&o.sweep, "sweep", false, "evaluate the full model/deployment grid and print JSON")
+	fs.IntVar(&o.spec.Pairs.MaxM, "maxm", sbgp.DefaultMaxM, "attacker sample size (with -sweep)")
+	fs.IntVar(&o.spec.Pairs.MaxD, "maxd", sbgp.DefaultMaxD, "destination sample size (with -sweep)")
+	fs.IntVar(&o.spec.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS; with -sweep)")
+	fs.BoolVar(&o.spec.Pairs.Full, "full", false,
+		"with -sweep: enumerate every (non-stub attacker, destination) pair instead of sampling")
+	fs.IntVar(&o.spec.ShardSize, "shards", 0,
+		"with -sweep: cells per shard (0 = default; enables sharded evaluation)")
+	fs.StringVar(&o.spec.Checkpoint, "checkpoint", "",
+		"with -sweep: JSON-lines checkpoint file (one fsync'd record per completed shard)")
+	fs.BoolVar(&o.spec.Resume, "resume", false,
+		"with -sweep: skip shards already recorded in -checkpoint")
+	fs.StringVar(&o.spec.Incremental, "incremental", "auto",
+		"with -sweep: delta scheduling mode, auto|off (auto reuses fixed points across nested deployments; identical results)")
+	fs.StringVar(&o.jobPath, "job", "",
+		"evaluate the sweep-grid job described by this JobSpec JSON file and print the grid (replaces the deprecated -sweep grid flags)")
+	fs.BoolVar(&o.verbose, "v", false,
+		"with -sweep or -job: print scheduler planner and handoff stats to stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if _, err := sbgp.ParseIncrementalMode(o.spec.Incremental); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// sweepSpec is the job the -sweep grid flags spell: the flag-bound spec
+// with the -deploy scenario on its axis ("none" adds nothing) and the
+// flag defaults that do not apply dropped — (n, seed) under -graph, the
+// sampling caps under -full.
+func (o *options) sweepSpec() *sbgp.JobSpec {
+	spec := o.spec
+	if spec.Topology.GraphFile != "" {
+		spec.Topology.N, spec.Topology.Seed = 0, 0
+	}
+	if o.deploy != "none" {
+		spec.Deployments = []sbgp.JobDeployment{{Named: o.deploy}}
+	}
+	if spec.Pairs.Full {
+		spec.Pairs.MaxM, spec.Pairs.MaxD = 0, 0
+	}
+	return &spec
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("bgpsim: ")
-	graphPath := flag.String("graph", "", "topology file (empty: generate)")
-	n := flag.Int("n", 4000, "generated topology size")
-	seed := flag.Int64("seed", 1, "generator seed")
-	dst := flag.Int("d", 0, "destination AS index")
-	att := flag.Int("m", -1, "attacker AS index (-1: normal conditions)")
-	modelFlag := flag.Int("model", 3, "security model: 1, 2, or 3")
-	lpk := flag.Int("lpk", 0, "LPk local-preference variant (0 = standard)")
-	deployFlag := flag.String("deploy", "none",
-		"deployment: "+strings.Join(sbgp.DeploymentNames(), "|"))
-	attackFlag := flag.String("attack", "one-hop",
-		"attack strategy: one-hop|none|origin-spoof|pad-K")
-	showPath := flag.Int("path", -1, "print the route of this AS")
-	sweepFlag := flag.Bool("sweep", false, "evaluate the full model/deployment grid and print JSON")
-	maxM := flag.Int("maxm", 24, "attacker sample size (with -sweep)")
-	maxD := flag.Int("maxd", 32, "destination sample size (with -sweep)")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS; with -sweep)")
-	full := flag.Bool("full", false,
-		"with -sweep: enumerate every (non-stub attacker, destination) pair instead of sampling")
-	shards := flag.Int("shards", 0,
-		"with -sweep: cells per shard (0 = default; enables sharded evaluation)")
-	checkpoint := flag.String("checkpoint", "",
-		"with -sweep: JSON-lines checkpoint file (one fsync'd record per completed shard)")
-	resume := flag.Bool("resume", false,
-		"with -sweep: skip shards already recorded in -checkpoint")
-	var incremental sbgp.IncrementalFlag
-	flag.Var(&incremental,
-		"incremental",
-		"with -sweep: delta scheduling mode, -incremental=auto|on|off (default auto reuses fixed points across nested deployments; bare -incremental means on; identical results)")
-	jobPath := flag.String("job", "",
-		"evaluate the sweep-grid job described by this JobSpec JSON file and print the grid (replaces the deprecated -sweep grid flags)")
-	verbose := flag.Bool("v", false,
-		"with -sweep or -job: print scheduler planner and handoff stats to stderr")
-	flag.Parse()
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	if *jobPath != "" {
+	if o.jobPath != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "job", "workers", "v":
@@ -89,21 +133,43 @@ func main() {
 				log.Fatalf("-%s is part of the deprecated flag spelling and conflicts with -job (put it in the spec file)", f.Name)
 			}
 		})
-		spec, err := sbgp.LoadJobSpec(*jobPath)
+		spec, err := sbgp.LoadJobSpec(o.jobPath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *workers != 0 {
-			spec.Workers = *workers
+		if o.spec.Workers != 0 {
+			spec.Workers = o.spec.Workers
 		}
-		if err := printGrid(spec, *verbose); err != nil {
+		if err := printGrid(spec, o.verbose); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
+
+	if o.sweep {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "d", "m", "model", "path":
+				log.Fatalf("-%s selects a single scenario and conflicts with -sweep", f.Name)
+			case "maxm", "maxd":
+				if o.spec.Pairs.Full {
+					log.Fatalf("-%s samples pairs and conflicts with -full", f.Name)
+				}
+			}
+		})
+		if o.spec.Resume && o.spec.Checkpoint == "" {
+			log.Fatal("-resume needs -checkpoint")
+		}
+		// Evaluated exactly as -job (and the sbgpd daemon) would, so both
+		// spellings print byte-identical grids.
+		if err := printGrid(o.sweepSpec(), o.verbose); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	var model sbgp.Model
-	switch *modelFlag {
+	switch o.model {
 	case 1:
 		model = sbgp.Sec1st
 	case 2:
@@ -111,54 +177,24 @@ func main() {
 	case 3:
 		model = sbgp.Sec3rd
 	default:
-		log.Fatalf("unknown model %d", *modelFlag)
+		log.Fatalf("unknown model %d", o.model)
 	}
-	attack, err := sbgp.ParseAttack(*attackFlag)
+	attack, err := sbgp.ParseAttack(o.spec.Attack)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *sweepFlag {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "d", "m", "model", "path":
-				log.Fatalf("-%s selects a single scenario and conflicts with -sweep", f.Name)
-			case "maxm", "maxd":
-				if *full {
-					log.Fatalf("-%s samples pairs and conflicts with -full", f.Name)
-				}
-			}
-		})
-		if *resume && *checkpoint == "" {
-			log.Fatal("-resume needs -checkpoint")
-		}
-		// The deprecated grid flags are one spelling of a JobSpec: map
-		// them through the shared conversion helper and evaluate the
-		// spec exactly as -job (and the sbgpd daemon) would, so both
-		// spellings print byte-identical grids.
-		spec, err := legacySweepSpec(*graphPath, *n, *seed, *lpk, *deployFlag, *attackFlag,
-			incremental.Mode, *full, *maxM, *maxD, *shards, *checkpoint, *resume, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := printGrid(spec, *verbose); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
+	lp := sbgp.LocalPref{K: o.spec.LPK}
 	opts := []sbgp.Option{
 		sbgp.WithModel(model),
-		sbgp.WithLocalPref(sbgp.LocalPref{K: *lpk}),
-		sbgp.WithNamedDeployment(*deployFlag),
+		sbgp.WithLocalPref(lp),
+		sbgp.WithNamedDeployment(o.deploy),
 		sbgp.WithAttack(attack),
-		sbgp.WithWorkers(*workers),
-		sbgp.WithIncremental(incremental.Mode),
+		sbgp.WithWorkers(o.spec.Workers),
 	}
-	if *graphPath != "" {
-		opts = append(opts, sbgp.WithGraphFile(*graphPath))
+	if t := o.spec.Topology; t.GraphFile != "" {
+		opts = append(opts, sbgp.WithGraphFile(t.GraphFile))
 	} else {
-		opts = append(opts, sbgp.WithGeneratedTopology(*n, *seed))
+		opts = append(opts, sbgp.WithGeneratedTopology(t.N, t.Seed))
 	}
 	sim, err := sbgp.NewScenario(opts...).Simulate()
 	if err != nil {
@@ -166,10 +202,10 @@ func main() {
 	}
 	g := sim.Graph()
 
-	d := sbgp.AS(*dst)
-	m := sbgp.AS(*att)
+	d := sbgp.AS(o.dst)
+	m := sbgp.AS(o.att)
 	dep := sim.Deployment()
-	fmt.Printf("%s, %s, destination AS%d", model, sbgp.LocalPref{K: *lpk}, d)
+	fmt.Printf("%s, %s, destination AS%d", model, lp, d)
 	if m != sbgp.NoAS {
 		fmt.Printf(", attacker AS%d (%s)", m, attack.Name())
 	}
@@ -198,10 +234,10 @@ func main() {
 		}
 		im, dm, pr := part.Counts(model)
 		fmt.Printf("partition (one-hop attack): %d immune, %d doomed, %d protectable\n", im, dm, pr)
-		if *showPath >= 0 && *showPath < g.N() {
-			fmt.Printf("route of AS%d: %v (%v, %s)\n", *showPath,
-				attackOut.Path(sbgp.AS(*showPath)), attackOut.Label[*showPath],
-				attackOut.Class[*showPath])
+		if o.showPath >= 0 && o.showPath < g.N() {
+			fmt.Printf("route of AS%d: %v (%v, %s)\n", o.showPath,
+				attackOut.Path(sbgp.AS(o.showPath)), attackOut.Label[o.showPath],
+				attackOut.Class[o.showPath])
 		}
 		return
 	}
@@ -211,34 +247,10 @@ func main() {
 	}
 	fmt.Printf("secure routes under normal conditions: %d of %d sources\n",
 		sbgp.CountSecure(normal), normal.NumSources())
-	if *showPath >= 0 && *showPath < g.N() {
-		fmt.Printf("route of AS%d: %v (%s)\n", *showPath,
-			normal.Path(sbgp.AS(*showPath)), normal.Class[*showPath])
+	if o.showPath >= 0 && o.showPath < g.N() {
+		fmt.Printf("route of AS%d: %v (%s)\n", o.showPath,
+			normal.Path(sbgp.AS(o.showPath)), normal.Class[o.showPath])
 	}
-}
-
-// legacySweepSpec maps the deprecated -sweep grid-flag surface onto the
-// unified JobSpec through the one shared conversion helper.
-func legacySweepSpec(graph string, n int, seed int64, lpk int, deployName, attack string,
-	mode sbgp.IncrementalMode, full bool, maxM, maxD, shards int, checkpoint string,
-	resume bool, workers int) (*sbgp.JobSpec, error) {
-	lf := sbgp.LegacyFlags{
-		GraphFile:   graph,
-		LPK:         lpk,
-		Deployments: []string{deployName},
-		Attack:      attack,
-		Incremental: mode.String(),
-		Full:        full,
-		MaxM:        maxM, MaxD: maxD,
-		ShardSize:  shards,
-		Checkpoint: checkpoint,
-		Resume:     resume,
-		Workers:    workers,
-	}
-	if graph == "" {
-		lf.N, lf.Seed = n, seed
-	}
-	return lf.JobSpec()
 }
 
 // printGrid evaluates a job through the one shared path (the same

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,15 +10,28 @@ import (
 	"sbgp"
 )
 
-// TestLegacySweepSpecMatchesJobFile pins the two spellings at the spec
-// level: the deprecated -sweep grid flags, mapped through the shared
-// conversion helper, produce exactly the spec a -job file would carry.
-func TestLegacySweepSpecMatchesJobFile(t *testing.T) {
-	legacy, err := legacySweepSpec("", 300, 7, 2, "t1t2", "spoof",
-		sbgp.IncrementalAuto, false, 6, 8, 64, "sweep.ckpt", false, 2)
+// sweepSpecOf parses a -sweep command line the way main does and
+// returns the job it spells.
+func sweepSpecOf(t *testing.T, args ...string) *sbgp.JobSpec {
+	t.Helper()
+	o, err := parseFlags(flag.NewFlagSet("bgpsim", flag.ContinueOnError), args)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := o.sweepSpec()
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return spec.Canonical()
+}
+
+// TestLegacySweepSpecMatchesJobFile pins the two spellings at the spec
+// level: the deprecated -sweep grid flags fill in exactly the spec a
+// -job file would carry.
+func TestLegacySweepSpecMatchesJobFile(t *testing.T) {
+	legacy := sweepSpecOf(t, "-sweep", "-n", "300", "-seed", "7", "-lpk", "2", "-deploy", "t1t2",
+		"-attack", "spoof", "-maxm", "6", "-maxd", "8", "-shards", "64",
+		"-checkpoint", "sweep.ckpt", "-workers", "2")
 	fromFile, err := sbgp.ReadJobSpec(strings.NewReader(`{
 		"version": 1,
 		"topology": {"n": 300, "seed": 7},
@@ -40,26 +54,36 @@ func TestLegacySweepSpecMatchesJobFile(t *testing.T) {
 }
 
 // TestLegacySweepSpecVariants covers the remaining flag shapes: the
-// graph-file source, the "none" deployment, and full enumeration.
+// all-defaults command line, the graph-file source, the "none"
+// deployment, full enumeration, and the -incremental spellings.
 func TestLegacySweepSpecVariants(t *testing.T) {
-	graph, err := legacySweepSpec("g.txt", 4000, 1, 0, "none", "one-hop",
-		sbgp.IncrementalAuto, false, 24, 32, 0, "", false, 0)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := sweepSpecOf(t, "-sweep"), (&sbgp.JobSpec{Topology: sbgp.TopologySpec{Seed: 1}}).Canonical(); !reflect.DeepEqual(got, want) {
+		t.Errorf("bare -sweep is not the default job:\n got %+v\nwant %+v", got, want)
 	}
-	if graph.Topology.GraphFile != "g.txt" || graph.Topology.N != 0 {
+
+	graph := sweepSpecOf(t, "-sweep", "-graph", "g.txt", "-deploy", "none")
+	if graph.Topology.GraphFile != "g.txt" || graph.Topology.N != 0 || graph.Topology.Seed != 0 {
 		t.Errorf("graph-file source mishandled: %+v", graph.Topology)
 	}
 	if len(graph.Deployments) != 0 {
 		t.Errorf("deploy=none added a deployment: %+v", graph.Deployments)
 	}
 
-	full, err := legacySweepSpec("", 300, 7, 0, "t2", "one-hop",
-		sbgp.IncrementalAuto, true, 24, 32, 0, "", false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := sweepSpecOf(t, "-sweep", "-n", "300", "-seed", "7", "-deploy", "t2", "-full")
 	if !full.Pairs.Full || full.Pairs.MaxM != 0 || full.Pairs.MaxD != 0 {
 		t.Errorf("full spelling kept sampling caps: %+v", full.Pairs)
+	}
+
+	// "on" is accepted input from the mode's three-state days and means
+	// auto; a bare -incremental (no value) is no longer a spelling.
+	for in, want := range map[string]string{"auto": "auto", "on": "auto", "off": "off"} {
+		if got := sweepSpecOf(t, "-sweep", "-incremental="+in).Incremental; got != want {
+			t.Errorf("-incremental=%s canonicalises to %q, want %q", in, got, want)
+		}
+	}
+	fs := flag.NewFlagSet("bgpsim", flag.ContinueOnError)
+	fs.SetOutput(new(strings.Builder))
+	if _, err := parseFlags(fs, []string{"-sweep", "-incremental=maybe"}); err == nil {
+		t.Error("-incremental=maybe accepted")
 	}
 }

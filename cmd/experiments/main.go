@@ -8,7 +8,7 @@
 //	experiments [-n 4000] [-seed 1] [-maxm 24] [-maxd 32] [-perdest 200]
 //	            [-workers 0] [-quick] [-skip-ixp] [-json grid.json]
 //	            [-attack one-hop] [-full] [-shards N]
-//	            [-checkpoint sweep.ckpt] [-resume] [-incremental[=auto|on|off]]
+//	            [-checkpoint sweep.ckpt] [-resume] [-incremental auto|off]
 //	experiments -job spec.json -json grid.json
 //
 // -quick shrinks everything for a fast smoke run. -json additionally
@@ -23,9 +23,9 @@
 // writes the result grid to -json, skipping the paper report. The
 // scattered grid flags (-n/-seed/-maxm/-maxd/-attack/-full/-shards/
 // -checkpoint/-resume/-incremental/-workers) are the deprecated
-// spelling of the same job: they are mapped onto a JobSpec by one
-// shared conversion helper, so both spellings produce byte-identical
-// grid files. New automation should write a spec file.
+// spelling of the same job: they fill in a JobSpec and take the same
+// path, so both spellings produce byte-identical grid files. New
+// automation should write a spec file.
 //
 // -full replaces the MaxM/MaxD pair sampling with the paper's full
 // enumeration: every non-stub attacker × every destination (Appendix
@@ -41,8 +41,8 @@
 // point via Engine.RunDelta, and incomparable deployments (the
 // early-adopter scenarios) are linked by remove-then-add deltas through
 // a minimum-cost forest instead of each re-running from scratch. Only
-// axes with no linkable pair fall back to the legacy schedule. Output
-// is byte-identical in every mode; -incremental=off forces the
+// axes with no linkable pair fall back to the from-scratch schedule.
+// Output is byte-identical in both modes; -incremental=off forces the
 // from-scratch order. -v prints the planner and handoff stats of grid
 // evaluations to stderr.
 package main
@@ -56,41 +56,95 @@ import (
 	"sbgp/internal/asgraph"
 )
 
-func main() {
-	n := flag.Int("n", 4000, "topology size (ASes)")
-	seed := flag.Int64("seed", 1, "generator seed")
-	maxM := flag.Int("maxm", 24, "attacker sample size")
-	maxD := flag.Int("maxd", 32, "destination sample size")
-	perDest := flag.Int("perdest", 200, "per-destination series sample")
-	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	quick := flag.Bool("quick", false, "tiny smoke-run configuration")
-	skipIXP := flag.Bool("skip-ixp", false, "skip the Appendix J IXP-augmented rerun")
-	jsonPath := flag.String("json", "", "also write the headline sweep grid to this file")
-	attackFlag := flag.String("attack", "one-hop",
-		"threat model for the metric experiments: one-hop|none|origin-spoof|pad-K")
-	full := flag.Bool("full", false,
-		"enumerate every (non-stub attacker, destination) pair instead of sampling")
-	shards := flag.Int("shards", 0,
-		"cells per shard for the -json grid (0 = default; enables sharded evaluation)")
-	checkpoint := flag.String("checkpoint", "",
-		"JSON-lines checkpoint file for the -json grid (one fsync'd record per shard)")
-	resume := flag.Bool("resume", false,
-		"skip shards already recorded in -checkpoint")
-	var incremental sbgp.IncrementalFlag
-	flag.Var(&incremental,
-		"incremental",
-		"delta scheduling mode, -incremental=auto|on|off (default auto reuses each deployment's fixed point across nested deployments; bare -incremental means on; identical results)")
-	jobPath := flag.String("job", "",
-		"run the sweep-grid job described by this JobSpec JSON file and write the grid to -json (replaces the deprecated grid flags)")
-	verbose := flag.Bool("v", false,
-		"print scheduler planner and handoff stats of grid evaluations to stderr")
-	flag.Parse()
+// options is the parsed command line. The grid flags bind straight into
+// the JobSpec fields they spell, so there is no flag-to-spec conversion
+// to keep in step with the wire format.
+type options struct {
+	spec    sbgp.JobSpec
+	perDest int
 
+	quick, skipIXP, verbose bool
+	jsonPath, jobPath       string
+}
+
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.IntVar(&o.spec.Topology.N, "n", 4000, "topology size (ASes)")
+	fs.Int64Var(&o.spec.Topology.Seed, "seed", 1, "generator seed")
+	fs.IntVar(&o.spec.Pairs.MaxM, "maxm", sbgp.DefaultMaxM, "attacker sample size")
+	fs.IntVar(&o.spec.Pairs.MaxD, "maxd", sbgp.DefaultMaxD, "destination sample size")
+	fs.IntVar(&o.perDest, "perdest", 200, "per-destination series sample")
+	fs.IntVar(&o.spec.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.quick, "quick", false, "tiny smoke-run configuration")
+	fs.BoolVar(&o.skipIXP, "skip-ixp", false, "skip the Appendix J IXP-augmented rerun")
+	fs.StringVar(&o.jsonPath, "json", "", "also write the headline sweep grid to this file")
+	fs.StringVar(&o.spec.Attack, "attack", "one-hop",
+		"threat model for the metric experiments: one-hop|none|origin-spoof|pad-K")
+	fs.BoolVar(&o.spec.Pairs.Full, "full", false,
+		"enumerate every (non-stub attacker, destination) pair instead of sampling")
+	fs.IntVar(&o.spec.ShardSize, "shards", 0,
+		"cells per shard for the -json grid (0 = default; enables sharded evaluation)")
+	fs.StringVar(&o.spec.Checkpoint, "checkpoint", "",
+		"JSON-lines checkpoint file for the -json grid (one fsync'd record per shard)")
+	fs.BoolVar(&o.spec.Resume, "resume", false,
+		"skip shards already recorded in -checkpoint")
+	fs.StringVar(&o.spec.Incremental, "incremental", "auto",
+		"delta scheduling mode, auto|off (auto reuses each deployment's fixed point across nested deployments; identical results)")
+	fs.StringVar(&o.jobPath, "job", "",
+		"run the sweep-grid job described by this JobSpec JSON file and write the grid to -json (replaces the deprecated grid flags)")
+	fs.BoolVar(&o.verbose, "v", false,
+		"print scheduler planner and handoff stats of grid evaluations to stderr")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.quick {
+		o.spec.Topology.N, o.spec.Pairs.MaxM, o.spec.Pairs.MaxD, o.perDest = 800, 10, 12, 40
+	}
+	return o, nil
+}
+
+// config sizes the report's workload from the same flag-bound spec the
+// headline grid is evaluated from.
+func (o *options) config() (sbgp.ExperimentConfig, error) {
+	attack, err := sbgp.ParseAttack(o.spec.Attack)
+	if err != nil {
+		return sbgp.ExperimentConfig{}, err
+	}
+	mode, err := sbgp.ParseIncrementalMode(o.spec.Incremental)
+	if err != nil {
+		return sbgp.ExperimentConfig{}, err
+	}
+	return sbgp.ExperimentConfig{
+		N: o.spec.Topology.N, Seed: o.spec.Topology.Seed, SeedSet: true,
+		MaxM: o.spec.Pairs.MaxM, MaxD: o.spec.Pairs.MaxD, MaxPerDest: o.perDest,
+		Attack: attack, Incremental: mode, Workers: o.spec.Workers,
+		FullEnumeration: o.spec.Pairs.Full,
+	}, nil
+}
+
+// headlineSpec is the job the grid flags spell: the headline (model ×
+// deployment) grid — baseline plus the named rollout endpoints — over
+// the flag-bound spec, with the sampling caps (flag defaults that do
+// not apply) dropped under -full.
+func (o *options) headlineSpec() *sbgp.JobSpec {
+	spec := o.spec
+	spec.Deployments = []sbgp.JobDeployment{{Named: "t1t2"}, {Named: "t2"}, {Named: "nonstubs"}}
+	if spec.Pairs.Full {
+		spec.Pairs.MaxM, spec.Pairs.MaxD = 0, 0
+	}
+	return &spec
+}
+
+func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	if *jobPath != "" {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+	if o.jobPath != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "job", "json", "workers", "v":
@@ -98,83 +152,47 @@ func main() {
 				fail(fmt.Errorf("-%s is part of the deprecated flag spelling and conflicts with -job (put it in the spec file)", f.Name))
 			}
 		})
-		if *jsonPath == "" {
+		if o.jsonPath == "" {
 			fail(fmt.Errorf("-job writes the result grid and needs -json"))
 		}
-		spec, err := sbgp.LoadJobSpec(*jobPath)
+		spec, err := sbgp.LoadJobSpec(o.jobPath)
 		if err != nil {
 			fail(err)
 		}
-		if *workers != 0 {
-			spec.Workers = *workers
+		if o.spec.Workers != 0 {
+			spec.Workers = o.spec.Workers
 		}
-		if err := writeGrid(spec, *jsonPath, *verbose); err != nil {
+		if err := writeGrid(spec, o.jsonPath, o.verbose); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	attack, err := sbgp.ParseAttack(*attackFlag)
+	cfg, err := o.config()
 	if err != nil {
 		fail(err)
 	}
-	sharded := *shards > 0 || *checkpoint != "" || *resume
-	if sharded && *jsonPath == "" {
+	sharded := o.spec.ShardSize > 0 || o.spec.Checkpoint != "" || o.spec.Resume
+	if sharded && o.jsonPath == "" {
 		fail(fmt.Errorf("-shards/-checkpoint/-resume evaluate the headline grid and need -json"))
 	}
-	if *resume && *checkpoint == "" {
+	if o.spec.Resume && o.spec.Checkpoint == "" {
 		fail(fmt.Errorf("-resume needs -checkpoint"))
-	}
-
-	cfg := sbgp.ExperimentConfig{
-		N: *n, Seed: *seed, SeedSet: true, MaxM: *maxM, MaxD: *maxD, MaxPerDest: *perDest,
-		Attack: attack, Incremental: incremental.Mode, Workers: *workers, FullEnumeration: *full,
-	}
-	if *quick {
-		cfg = sbgp.ExperimentConfig{
-			N: 800, Seed: *seed, SeedSet: true, MaxM: 10, MaxD: 12, MaxPerDest: 40,
-			Attack: attack, Incremental: incremental.Mode, Workers: *workers, FullEnumeration: *full,
-		}
 	}
 
 	w := sbgp.NewWorkload(cfg)
 	fmt.Printf("workload: %d ASes, %d c2p links, %d p2p links, |M|=%d |D|=%d, attack=%s\n",
 		w.G.N(), w.G.NumCustomerProviderLinks(), w.G.NumPeerLinks(), len(w.M), len(w.D),
-		attack.Name())
+		cfg.Attack.Name())
 
-	lp := sbgp.StandardLP
-	if *jsonPath != "" {
-		// The deprecated grid flags are one spelling of a JobSpec: map
-		// them through the shared conversion helper and evaluate the
-		// spec exactly as -job (and the sbgpd daemon) would, so both
+	if o.jsonPath != "" {
+		// Evaluated exactly as -job (and the sbgpd daemon) would, so both
 		// spellings write byte-identical grid files.
-		spec, err := headlineSpec(cfg, *attackFlag, incremental.Mode, *shards, *checkpoint, *resume)
-		if err != nil {
-			fail(err)
-		}
-		if err := writeGrid(spec, *jsonPath, *verbose); err != nil {
+		if err := writeGrid(o.headlineSpec(), o.jsonPath, o.verbose); err != nil {
 			fail(err)
 		}
 	}
-	report(os.Stdout, w, lp, !*skipIXP, cfg)
-}
-
-// headlineSpec maps the deprecated grid-flag surface onto the unified
-// JobSpec: the headline (model × deployment) grid — baseline plus the
-// named rollout endpoints — over the workload's pair policy.
-func headlineSpec(cfg sbgp.ExperimentConfig, attack string, mode sbgp.IncrementalMode, shards int, checkpoint string, resume bool) (*sbgp.JobSpec, error) {
-	return sbgp.LegacyFlags{
-		N: cfg.N, Seed: cfg.Seed,
-		Deployments: []string{"t1t2", "t2", "nonstubs"},
-		Attack:      attack,
-		Incremental: mode.String(),
-		Full:        cfg.FullEnumeration,
-		MaxM:        cfg.MaxM, MaxD: cfg.MaxD,
-		ShardSize:  shards,
-		Checkpoint: checkpoint,
-		Resume:     resume,
-		Workers:    cfg.Workers,
-	}.JobSpec()
+	report(os.Stdout, w, sbgp.StandardLP, !o.skipIXP, cfg)
 }
 
 // writeGrid evaluates a job through the one shared path (the same

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,14 +13,29 @@ import (
 	"sbgp"
 )
 
-// TestHeadlineSpecMatchesJobFile pins the two spellings at the spec
-// level: the deprecated grid flags, mapped through the shared
-// conversion helper, produce exactly the spec a -job file would carry.
-func TestHeadlineSpecMatchesJobFile(t *testing.T) {
-	cfg := sbgp.ExperimentConfig{N: 300, Seed: 7, MaxM: 6, MaxD: 8, Workers: 2}
-	legacy, err := headlineSpec(cfg, "pad-2", sbgp.IncrementalOn, 64, "grid.ckpt", false)
+// parse parses a command line the way main does.
+func parse(t *testing.T, args ...string) *options {
+	t.Helper()
+	o, err := parseFlags(flag.NewFlagSet("experiments", flag.ContinueOnError), args)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return o
+}
+
+// TestHeadlineSpecMatchesJobFile pins the two spellings at the spec
+// level: the deprecated grid flags fill in exactly the spec a -job file
+// would carry. Both sides spell the mode "on" — accepted input from its
+// three-state days, canonically "auto".
+func TestHeadlineSpecMatchesJobFile(t *testing.T) {
+	legacy := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2",
+		"-attack", "pad-2", "-incremental", "on", "-shards", "64", "-checkpoint", "grid.ckpt").headlineSpec()
+	if err := legacy.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	legacy = legacy.Canonical()
+	if legacy.Incremental != "auto" {
+		t.Errorf(`-incremental on canonicalises to %q, want "auto"`, legacy.Incremental)
 	}
 	fromFile, err := sbgp.ReadJobSpec(strings.NewReader(`{
 		"version": 1,
@@ -43,9 +59,8 @@ func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 
 	// The full-enumeration spelling drops the (meaningless) sampling
 	// caps instead of carrying the flag defaults.
-	cfg.FullEnumeration, cfg.MaxM, cfg.MaxD = true, 24, 32
-	fullSpec, err := headlineSpec(cfg, "one-hop", sbgp.IncrementalAuto, 0, "", false)
-	if err != nil {
+	fullSpec := parse(t, "-n", "300", "-seed", "7", "-full").headlineSpec()
+	if err := fullSpec.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if !fullSpec.Pairs.Full || fullSpec.Pairs.MaxM != 0 || fullSpec.Pairs.MaxD != 0 {
@@ -59,8 +74,9 @@ func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 // consumers see no change — and the -job spelling matches the legacy
 // flags exactly.
 func TestWriteGridMatchesWorkloadGrid(t *testing.T) {
-	cfg := sbgp.ExperimentConfig{N: 300, Seed: 7, MaxM: 6, MaxD: 8, Workers: 2}
-	spec, err := headlineSpec(cfg, "one-hop", sbgp.IncrementalAuto, 0, "", false)
+	o := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2")
+	spec := o.headlineSpec()
+	cfg, err := o.config()
 	if err != nil {
 		t.Fatal(err)
 	}

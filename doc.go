@@ -41,15 +41,17 @@
 //
 // A whole sweep job — topology, models, local preference, deployments,
 // attack, pair selection, incremental mode, shard/checkpoint/worker
-// settings — serializes as one versioned value, JobSpec. FromJobSpec
-// turns a spec into a ready Scenario, Simulation.JobSpec returns the
-// canonical spec back (round-trip pinned by tests), and
+// settings — serializes as one versioned value, JobSpec, which is also
+// the Scenario's own configuration: the With* options write its fields,
+// FromJobSpec adopts a whole spec, JobSpec.Canonical is the one place
+// defaults are resolved, Simulation.JobSpec returns the canonical spec
+// back (pinned option by option by tests), and
 // Simulation.EvaluateJob runs the spec's grid through the sharded
 // evaluator with optional per-shard progress sinks and a warm
 // EnginePool. One spec file drives cmd/experiments -job, cmd/bgpsim
 // -job, and the resident daemon cmd/sbgpd identically — with
-// byte-identical output — and every legacy CLI flag spelling maps onto
-// a spec through LegacyFlags. The daemon (internal/service) adds a
+// byte-identical output — and the CLIs' grid flags bind straight into a
+// JobSpec's fields. The daemon (internal/service) adds a
 // priority job queue, SSE/long-poll progress, and per-job durable
 // checkpoints: killed mid-grid, it resumes on restart and reproduces
 // the uninterrupted bytes.
@@ -58,9 +60,9 @@
 // incrementally by default: the scheduler orders sweeps chain-major
 // and walks each chain with Engine.RunDelta reusing the previous
 // step's fixed point (byte-identical results, severalfold faster;
-// incomparable axes degrade to the legacy order on their own).
+// incomparable axes degrade to the from-scratch order on their own).
 // WithIncremental(IncrementalOff) restores the from-scratch schedule —
-// the CLIs expose the tri-state as -incremental=auto|on|off — and
+// the CLIs expose the two modes as -incremental=auto|off — and
 // Simulation.RunDeltaSeries runs one (destination, attacker) pair down
 // an explicit deployment series with signed deltas, so the series may
 // also shrink or jump between incomparable deployments.
@@ -132,6 +134,8 @@
 // The benchmarks in this directory regenerate every evaluation artifact;
 // see DESIGN.md for the experiment index E1–E27 and the design-choice
 // notes. Run `make ci` for the checks CI enforces (gofmt, vet,
-// staticcheck, build, test, race, example smoke runs) and
-// `scripts/bench.sh` to capture a BENCH_<date>.json benchmark snapshot.
+// staticcheck, build, test, race, example smoke runs, and `make
+// bench-check`, the benchmark harness's own tests); the repo benchmark
+// itself is bench/ (`go run -C bench . -smoke` for a seconds-long pass
+// over every workload path, `go run -C bench .` to measure).
 package sbgp

@@ -22,7 +22,7 @@ func main() {
 	n := flag.Int("n", 1500, "topology size")
 	flag.Parse()
 
-	w := sbgp.NewWorkload(sbgp.ExperimentConfig{N: *n, Seed: 7, MaxM: 12, MaxD: 16, Incremental: sbgp.IncrementalOn})
+	w := sbgp.NewWorkload(sbgp.ExperimentConfig{N: *n, Seed: 7, MaxM: 12, MaxD: 16})
 	fmt.Printf("synthetic Internet: %d ASes; attackers: %d non-stubs; destinations: %d sampled\n\n",
 		w.G.N(), len(w.M), len(w.D))
 

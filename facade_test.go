@@ -153,8 +153,8 @@ func TestScenarioCancellation(t *testing.T) {
 }
 
 // TestIncrementalFacade drives the incremental surface end to end:
-// incremental sweeps (the default, and the explicit on/off overrides)
-// match each other byte for byte, RunDeltaSeries equals per-step
+// incremental sweeps (the default) and the explicit off override match
+// each other byte for byte, RunDeltaSeries equals per-step
 // from-scratch runs (shrinking steps ride the signed removal delta),
 // and a series interrupted by context cancellation leaves the
 // simulation's engine clean for the next call.
@@ -172,7 +172,7 @@ func TestIncrementalFacade(t *testing.T) {
 		return sim
 	}
 	plain := newSim(sbgp.WithIncremental(sbgp.IncrementalOff))
-	inc := newSim(sbgp.WithIncremental(sbgp.IncrementalOn))
+	inc := newSim()
 	M, D := sbgp.SamplePairs(sbgp.NonStubs(plain.Graph()), sbgp.AllASes(plain.Graph().N()), 6, 8)
 
 	want, err := plain.Sweep(M, D)
@@ -191,7 +191,7 @@ func TestIncrementalFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-		t.Error("WithIncremental sweep diverges from the default evaluation")
+		t.Error("the default incremental sweep diverges from the IncrementalOff evaluation")
 	}
 
 	// RunDeltaSeries over a nested series with one deliberate shrinking
@@ -235,7 +235,7 @@ func TestIncrementalFacade(t *testing.T) {
 	// work (a cancelled Simulation is permanently unusable, so there is
 	// no same-simulation "after cancel" to test here).
 	ctx, cancel := context.WithCancel(context.Background())
-	cancelable := newSim(sbgp.WithIncremental(sbgp.IncrementalOn), sbgp.WithContext(ctx))
+	cancelable := newSim(sbgp.WithContext(ctx))
 	cancel()
 	if _, err := cancelable.RunDeltaSeries(d, m, series); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunDeltaSeries returned %v, want context.Canceled", err)

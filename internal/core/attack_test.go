@@ -66,10 +66,10 @@ func TestRunAttackDefaultMatchesRun(t *testing.T) {
 	}
 }
 
-// TestAttackStrategiesEpochResetEquivalence extends the epoch-reset/
-// full-clear equivalence to every built-in strategy (including a
-// randomized padding depth), so no strategy can leak state through the
-// O(touched) rollback.
+// TestAttackStrategiesEpochResetEquivalence extends the long-lived vs
+// fresh-engine equivalence (TestEpochResetMatchesFullClear) to every
+// built-in strategy (including a randomized padding depth), so no
+// strategy can leak state through the between-run rollback.
 func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 22})
 	n := g.N()
@@ -77,8 +77,7 @@ func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
 	deps := []*Deployment{nil, attackTestDep(g, 3)}
 	for _, model := range policy.Models {
 		rng := rand.New(rand.NewSource(int64(model)))
-		epoch := NewEngine(g, model)
-		clearE := NewEngine(g, model, WithFullClearReset())
+		longLived := NewEngine(g, model)
 		for run := 0; run < 40; run++ {
 			d := asgraph.AS(rng.Intn(n))
 			m := asgraph.AS(rng.Intn(n))
@@ -87,10 +86,10 @@ func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
 			}
 			atk := attacks[rng.Intn(len(attacks))]
 			dep := deps[rng.Intn(len(deps))]
-			got := epoch.RunAttack(d, m, dep, atk)
-			want := clearE.RunAttack(d, m, dep, atk)
+			got := longLived.RunAttack(d, m, dep, atk)
+			want := NewEngine(g, model).RunAttack(d, m, dep, atk)
 			if !outcomesEqual(got, want) {
-				t.Fatalf("%v run %d attack %s (d=%d m=%d): epoch-reset diverges from full-clear",
+				t.Fatalf("%v run %d attack %s (d=%d m=%d): long-lived engine diverges from a fresh engine",
 					model, run, atk.Name(), d, m)
 			}
 		}

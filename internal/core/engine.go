@@ -13,10 +13,12 @@ import (
 //
 // Two properties make the per-run hot path cheap:
 //
-//   - Epoch reset: between runs the engine rolls back only the entries
-//     the previous run fixed (its fixedList) instead of wiping all n
-//     entries, so the reset is O(touched), and per-stage scratch is
-//     invalidated by bumping a generation stamp instead of clearing.
+//   - Epoch-stamped stage scratch: per-stage scratch is invalidated by
+//     bumping a generation stamp instead of clearing, so starting a
+//     stage costs O(1). (The between-run reset of the outcome itself is
+//     adaptive — see rollback — but on a connected topology every run
+//     fixes all n ASes, so it is one sequential O(n) wipe there; the
+//     O(touched) branch only pays off on disconnected graphs.)
 //
 //   - One-pass candidate accumulation: when an AS is fixed, it offers
 //     its route to its still-unfixed neighbors, and each offer is merged
@@ -31,11 +33,6 @@ type Engine struct {
 	// resolve selects fully deterministic tiebreaking (lowest next-hop
 	// AS index) instead of the three-valued bound labels.
 	resolve bool
-	// fullClear restores the original O(n) wipe-everything reset; kept
-	// as the reference semantics for equivalence tests and benchmark
-	// baselines.
-	fullClear bool
-
 	// out's five per-AS arrays live in one structure-of-arrays slab
 	// allocated at construction (slab.go) and reused by every run.
 	out Outcome
@@ -136,15 +133,6 @@ type Option func(*Engine)
 // message-level simulator and for concrete example walk-throughs.
 func WithResolvedTiebreak() Option {
 	return func(e *Engine) { e.resolve = true }
-}
-
-// WithFullClearReset makes the engine wipe all n outcome entries before
-// every run instead of rolling back only the entries the previous run
-// fixed. The two resets are semantically identical; this option is the
-// reference implementation used by the equivalence tests and the
-// benchmark baseline.
-func WithFullClearReset() Option {
-	return func(e *Engine) { e.fullClear = true }
 }
 
 // DefaultDeltaThreshold is the fraction of the graph's total adjacency
@@ -257,11 +245,7 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	o := &e.out
 	o.Dst, o.Attacker = d, m
 	e.happyValid = false
-	if e.fullClear {
-		e.resetAll()
-	} else {
-		e.rollback()
-	}
+	e.rollback()
 	e.fixedList = e.fixedList[:0]
 
 	e.seeder = Seeder{e: e, Dst: d, Attacker: m, Dep: dep}
@@ -283,10 +267,10 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	return o
 }
 
-// resetAll installs the cleared no-route state in every entry. It runs
-// once at construction; after that, rollback keeps the invariant that
-// entries outside fixedList are already clear. One sequential pass per
-// slab section, not one scattered pass over all five.
+// resetAll installs the cleared no-route state in every entry: at
+// construction, and whenever rollback judges the sequential wipe cheaper
+// than restoring fixedList entry by entry. One sequential pass per slab
+// section, not one scattered pass over all five.
 func (e *Engine) resetAll() {
 	o := &e.out
 	for i := range o.Class {
@@ -303,10 +287,13 @@ func (e *Engine) resetAll() {
 // rollback undoes the previous run's writes. Only fixRoot,
 // fixFromOffer, and fixPeerFromOffer write outcome entries, and all
 // three record the AS in fixedList, so restoring those entries
-// recreates the cleared state exactly, in O(touched) time. When the previous run touched most of
-// the graph, the scattered per-entry writes cost more than a sequential
-// wipe, so the reset adaptively falls back to resetAll there — the cost
-// is O(min(touched, n)) with the better constant on both ends.
+// recreates the cleared state exactly, in O(touched) time. When the
+// previous run touched a quarter of the graph or more, the scattered
+// per-entry writes cost more than a sequential wipe, so the reset
+// adaptively takes resetAll there — which is every run on a connected
+// topology (all n ASes get fixed; DESIGN.md records the branch counts);
+// the per-entry branch serves disconnected graphs, where a run stays
+// inside one component.
 func (e *Engine) rollback() {
 	if 4*len(e.fixedList) >= len(e.out.Class) {
 		e.resetAll()

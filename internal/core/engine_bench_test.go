@@ -18,25 +18,14 @@ func BenchmarkEngineRun(b *testing.B) {
 		full.Add(asgraph.AS(v))
 	}
 	dep := &Deployment{Full: full}
-	for _, bc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"epoch-reset", nil},
-		{"full-clear", []Option{WithFullClearReset()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(g, policy.Sec2nd, bc.opts...)
-			// One warm-up run, so even -benchtime 1x (the committed
-			// baseline configuration) measures the steady state the
-			// arena contract is about, not first-run scratch growth.
-			_ = e.Run(10, 200, dep)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = e.Run(asgraph.AS(i%64+10), asgraph.AS(i%97+200), dep)
-			}
-		})
+	e := NewEngine(g, policy.Sec2nd)
+	// One warm-up run, so even -benchtime 1x measures the steady state
+	// the arena contract is about, not first-run scratch growth.
+	_ = e.Run(10, 200, dep)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = e.Run(asgraph.AS(i%64+10), asgraph.AS(i%97+200), dep)
 	}
 }
 
@@ -152,40 +141,22 @@ func BenchmarkDeltaThreshold(b *testing.B) {
 
 // BenchmarkEngineRunSparse measures runs that touch only a small part of
 // the graph: 100 disconnected 40-AS provider trees, attacks staying
-// within one tree. The epoch reset pays O(touched) per run where the
-// full-clear baseline still pays O(n), so this is the regime the
-// rollback exists for.
+// within one tree. The between-run reset pays O(touched) here, not
+// O(n): this is the regime rollback's per-entry branch exists for.
 func BenchmarkEngineRunSparse(b *testing.B) {
 	const clusters, size = 100, 40
-	gb := asgraph.NewBuilder(clusters * size)
-	for c := 0; c < clusters; c++ {
-		base := asgraph.AS(c * size)
-		for i := 1; i < size; i++ {
-			gb.AddProviderCustomer(base+asgraph.AS((i-1)/2), base+asgraph.AS(i))
-		}
-	}
-	g := gb.MustBuild()
+	g := forestGraph(clusters, size)
 	full := asgraph.NewSet(g.N())
 	for v := 0; v < g.N(); v += 3 {
 		full.Add(asgraph.AS(v))
 	}
 	dep := &Deployment{Full: full}
-	for _, bc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"epoch-reset", nil},
-		{"full-clear", []Option{WithFullClearReset()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := NewEngine(g, policy.Sec2nd, bc.opts...)
-			_ = e.Run(0, 1, dep) // steady state even at -benchtime 1x
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				base := asgraph.AS(i % clusters * size)
-				_ = e.Run(base, base+asgraph.AS(i%(size-1)+1), dep)
-			}
-		})
+	e := NewEngine(g, policy.Sec2nd)
+	_ = e.Run(0, 1, dep) // steady state even at -benchtime 1x
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := asgraph.AS(i % clusters * size)
+		_ = e.Run(base, base+asgraph.AS(i%(size-1)+1), dep)
 	}
 }

@@ -24,16 +24,36 @@ func outcomesEqual(a, b *Outcome) bool {
 	return true
 }
 
-// TestEpochResetMatchesFullClear drives one epoch-reset engine and one
-// full-clear engine through the same long sequence of runs — varying
-// destination, attacker, and deployment so consecutive runs touch
-// different subsets — and requires byte-identical outcomes after every
-// run. Any state leaking across runs through the rollback would surface
-// as a divergence.
+// forestGraph builds clusters disconnected provider trees of size ASes
+// each. A run stays inside one tree, so consecutive runs fix far fewer
+// than n/4 ASes — the regime where rollback restores entry by entry
+// instead of wiping.
+func forestGraph(clusters, size int) *asgraph.Graph {
+	b := asgraph.NewBuilder(clusters * size)
+	for c := 0; c < clusters; c++ {
+		base := asgraph.AS(c * size)
+		for i := 1; i < size; i++ {
+			b.AddProviderCustomer(base+asgraph.AS((i-1)/2), base+asgraph.AS(i))
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestEpochResetMatchesFullClear drives one long-lived engine through a
+// long sequence of runs — varying destination, attacker, and deployment
+// so consecutive runs touch different subsets — and requires, after
+// every run, the exact outcome of a fresh engine built for that run
+// alone (construction wipes all n entries, so the fresh engine is the
+// full-clear reference and needs no knob). Any state leaking across
+// runs through either rollback branch would surface as a divergence;
+// the connected topologies take the sequential wipe, the disconnected
+// forest the per-entry restore, and the test insists both were taken.
 func TestEpochResetMatchesFullClear(t *testing.T) {
 	graphs := map[string]*asgraph.Graph{}
 	g, _ := topogen.MustGenerate(topogen.Params{N: 600, Seed: 3})
 	graphs["topogen-600"] = g
+	graphs["forest"] = forestGraph(20, 15)
+	wipes, restores := 0, 0
 	for seed := int64(1); seed <= 4; seed++ {
 		graphs["random"] = randomGraph(seed, 50)
 		rng := rand.New(rand.NewSource(seed))
@@ -57,8 +77,7 @@ func TestEpochResetMatchesFullClear(t *testing.T) {
 			}
 			for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
 				for _, model := range policy.Models {
-					epoch := NewEngineLP(g, model, lp)
-					clearE := NewEngineLP(g, model, lp, WithFullClearReset())
+					longLived := NewEngineLP(g, model, lp)
 					for run := 0; run < 12; run++ {
 						d := asgraph.AS(rng.Intn(n))
 						m := asgraph.AS(rng.Intn(n))
@@ -66,10 +85,17 @@ func TestEpochResetMatchesFullClear(t *testing.T) {
 							m = asgraph.None // normal conditions
 						}
 						dep := deps[rng.Intn(len(deps))]
-						got := epoch.Run(d, m, dep)
-						want := clearE.Run(d, m, dep)
+						if run > 0 {
+							if 4*len(longLived.fixedList) >= n {
+								wipes++
+							} else {
+								restores++
+							}
+						}
+						got := longLived.Run(d, m, dep)
+						want := NewEngineLP(g, model, lp).Run(d, m, dep)
 						if !outcomesEqual(got, want) {
-							t.Fatalf("%s seed %d %v %v run %d (d=%d m=%d): epoch-reset outcome diverges from full-clear",
+							t.Fatalf("%s seed %d %v %v run %d (d=%d m=%d): long-lived engine diverges from a fresh engine",
 								name, seed, model, lp, run, d, m)
 						}
 					}
@@ -77,11 +103,14 @@ func TestEpochResetMatchesFullClear(t *testing.T) {
 			}
 		}
 	}
+	if wipes == 0 || restores == 0 {
+		t.Errorf("rollback took the sequential wipe %d times and the per-entry restore %d times; the sequences must exercise both", wipes, restores)
+	}
 }
 
-// TestEpochResetResolvedMode repeats the equivalence check in resolved-
-// tiebreak mode, which exercises the label-of-lowest-next bookkeeping in
-// the offer accumulators.
+// TestEpochResetResolvedMode repeats the fresh-engine equivalence check
+// in resolved-tiebreak mode, which exercises the label-of-lowest-next
+// bookkeeping in the offer accumulators.
 func TestEpochResetResolvedMode(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 9})
 	n := g.N()
@@ -92,16 +121,15 @@ func TestEpochResetResolvedMode(t *testing.T) {
 	}
 	dep := &Deployment{Full: full}
 	for _, model := range policy.Models {
-		epoch := NewEngine(g, model, WithResolvedTiebreak())
-		clearE := NewEngine(g, model, WithResolvedTiebreak(), WithFullClearReset())
+		longLived := NewEngine(g, model, WithResolvedTiebreak())
 		for run := 0; run < 20; run++ {
 			d := asgraph.AS(rng.Intn(n))
 			m := asgraph.AS(rng.Intn(n))
 			if m == d {
 				m = asgraph.None
 			}
-			got := epoch.Run(d, m, dep)
-			want := clearE.Run(d, m, dep)
+			got := longLived.Run(d, m, dep)
+			want := NewEngine(g, model, WithResolvedTiebreak()).Run(d, m, dep)
 			if !outcomesEqual(got, want) {
 				t.Fatalf("%v run %d (d=%d m=%d): resolved-mode divergence", model, run, d, m)
 			}

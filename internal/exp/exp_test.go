@@ -251,7 +251,7 @@ func TestIncrementalWorkloadEquality(t *testing.T) {
 	cfg := Config{N: 600, Seed: 1, MaxM: 8, MaxD: 10, MaxPerDest: 20}
 	cfg.Incremental = sweep.IncrementalOff
 	plain := NewWorkload(cfg)
-	cfg.Incremental = sweep.IncrementalOn
+	cfg.Incremental = sweep.IncrementalAuto
 	inc := NewWorkload(cfg)
 
 	var wantGrid, gotGrid bytes.Buffer

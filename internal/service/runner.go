@@ -181,25 +181,11 @@ func (s *Server) acquireTopology(spec *sbgp.JobSpec) (*topoEntry, topoKey, error
 		return entry, key, nil
 	}
 	s.mu.Unlock()
-	entry := &topoEntry{}
-	if t.GraphFile != "" {
-		f, err := os.Open(t.GraphFile)
-		if err != nil {
-			return nil, key, err
-		}
-		g, err := sbgp.ReadGraph(f)
-		f.Close()
-		if err != nil {
-			return nil, key, err
-		}
-		entry.g, entry.meta = g, &sbgp.TopologyMeta{}
-	} else {
-		g, meta, err := sbgp.GenerateTopology(sbgp.TopologyParams{N: t.N, Seed: t.Seed, SeedSet: true})
-		if err != nil {
-			return nil, key, err
-		}
-		entry.g, entry.meta = g, meta
+	g, meta, err := t.Load()
+	if err != nil {
+		return nil, key, err
 	}
+	entry := &topoEntry{g: g, meta: meta}
 	s.mu.Lock()
 	if prior := s.topos[key]; prior != nil {
 		entry = prior // lost a benign race; keep the first

@@ -79,28 +79,26 @@ func TestForestEquivalence(t *testing.T) {
 	if raceEnabled {
 		workerCounts, sizes = []int{4}, []int{7}
 	}
-	for _, mode := range []IncrementalMode{IncrementalAuto, IncrementalOn} {
-		for _, w := range workerCounts {
-			gr := forestGrid(g, w, mode)
-			var flat bytes.Buffer
-			if err := mustEvaluate(gr, g).WriteJSON(&flat); err != nil {
+	for _, w := range workerCounts {
+		gr := forestGrid(g, w, IncrementalAuto)
+		var flat bytes.Buffer
+		if err := mustEvaluate(gr, g).WriteJSON(&flat); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flat.Bytes(), want.Bytes()) {
+			t.Errorf("forest grid (workers=%d) diverges from the from-scratch evaluation", w)
+		}
+		for _, size := range sizes {
+			res, err := forestGrid(g, w, IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(flat.Bytes(), want.Bytes()) {
-				t.Errorf("incremental=%v forest grid (workers=%d) diverges from the legacy evaluation", mode, w)
+			var sharded bytes.Buffer
+			if err := res.WriteJSON(&sharded); err != nil {
+				t.Fatal(err)
 			}
-			for _, size := range sizes {
-				res, err := forestGrid(g, w, mode).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sharded bytes.Buffer
-				if err := res.WriteJSON(&sharded); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sharded.Bytes(), want.Bytes()) {
-					t.Errorf("incremental=%v sharded forest grid (workers=%d, shard=%d) diverges", mode, w, size)
-				}
+			if !bytes.Equal(sharded.Bytes(), want.Bytes()) {
+				t.Errorf("sharded forest grid (workers=%d, shard=%d) diverges", w, size)
 			}
 		}
 	}

@@ -109,18 +109,16 @@ func TestGoldenSweepJSON(t *testing.T) {
 				t.Errorf("sharded sweep JSON diverges from golden %s", path)
 			}
 
-			// Every scheduling mode must land on the same bytes — the
-			// defaults above already run chain-major (incremental is the
-			// default and this axis nests baseline under the others), so
-			// this pins the explicit override spellings and the legacy
-			// order, flat and sharded, across worker counts and shard
-			// sizes.
+			// Both scheduling modes must land on the same bytes — chain-
+			// major (the default; this axis nests baseline under the
+			// others) and the from-scratch order, flat and sharded, across
+			// worker counts and shard sizes.
 			workerCounts := []int{1, 4, workers}
 			sizes := []int{1, 7, 64}
 			if raceEnabled {
 				workerCounts, sizes = []int{4}, []int{7}
 			}
-			for _, mode := range []IncrementalMode{IncrementalOn, IncrementalOff} {
+			for _, mode := range []IncrementalMode{IncrementalAuto, IncrementalOff} {
 				for _, w := range workerCounts {
 					igr := goldenGrid(g, w, tc.attack)
 					igr.Incremental = mode

@@ -55,7 +55,7 @@ type schedule struct {
 }
 
 // newSchedule plans the grid's cell order on g: chain-major when the
-// grid is incremental (IncrementalAuto or IncrementalOn) and the
+// grid is incremental (IncrementalAuto, the default) and the
 // planner links any two deployments by a delta — nested chains and
 // signed-delta forests alike (chain.go) — the identity order otherwise.
 // The degradation to identity is what keeps singleton axes — and every

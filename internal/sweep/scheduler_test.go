@@ -162,19 +162,17 @@ func TestScheduleLayoutCheckpointCompat(t *testing.T) {
 
 	// The identity fingerprint is the pre-scheduler fingerprint: a grid
 	// whose axis cannot chain (singleton deployment) fingerprints the
-	// same under every mode, so old checkpoints of such grids resume
-	// under the new default.
+	// same under both modes, so old checkpoints of such grids resume
+	// under the default.
 	flatGrid := func(mode IncrementalMode) *Grid {
 		gr := chainedGrid(g, mode)
 		gr.Deployments = gr.Deployments[1:2]
 		return gr
 	}
-	for _, mode := range []IncrementalMode{IncrementalAuto, IncrementalOn} {
-		fpOff := mustPrepare(flatGrid(IncrementalOff), g).fp
-		fpOn := mustPrepare(flatGrid(mode), g).fp
-		if fpOff != fpOn {
-			t.Errorf("chain-free axis fingerprints differ across modes (%s vs %s)", fpOff, fpOn)
-		}
+	fpOff := mustPrepare(flatGrid(IncrementalOff), g).fp
+	fpAuto := mustPrepare(flatGrid(IncrementalAuto), g).fp
+	if fpOff != fpAuto {
+		t.Errorf("chain-free axis fingerprints differ across modes (%s vs %s)", fpOff, fpAuto)
 	}
 }
 

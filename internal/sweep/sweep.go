@@ -30,16 +30,14 @@ import (
 	"sbgp/internal/runner"
 )
 
-// IncrementalMode is the tri-state scheduling override for a grid's
-// evaluation order. The default, IncrementalAuto, uses chain-major
-// incremental scheduling whenever the planner links any two deployments
-// by a signed delta — nested chains and signed-delta forests over
-// arbitrary, even pairwise-incomparable, axes alike (results are
-// byte-identical either way, so there is no correctness reason to opt
-// out); IncrementalOff restores the legacy deployment-outermost order,
-// and IncrementalOn pins the incremental scheduler explicitly — today
-// it behaves exactly like Auto and exists so callers and scripts can
-// state their intent against future changes of the default.
+// IncrementalMode selects a grid's evaluation order. The default,
+// IncrementalAuto, uses chain-major incremental scheduling whenever the
+// planner links any two deployments by a signed delta — nested chains
+// and signed-delta forests over arbitrary, even pairwise-incomparable,
+// axes alike; IncrementalOff forces the from-scratch
+// deployment-outermost order (the identity schedule — the independent
+// reference the equivalence tests and the benchmark compare against).
+// Results are byte-identical either way.
 type IncrementalMode int
 
 const (
@@ -48,43 +46,35 @@ const (
 	// than re-running them from scratch — nested axes walk grow-only
 	// chains, incomparable ones a signed-delta forest; only axes with no
 	// linkable pair (a singleton, or every pairwise delta at least a
-	// from-scratch run) degrade to the legacy order.
+	// from-scratch run) degrade to the identity order.
 	IncrementalAuto IncrementalMode = iota
-	// IncrementalOn pins incremental scheduling (currently identical to
-	// IncrementalAuto).
-	IncrementalOn
-	// IncrementalOff restores the legacy schedule: every cell runs from
+	// IncrementalOff is the identity schedule: every cell runs from
 	// scratch in deployment-outermost order.
 	IncrementalOff
 )
 
-// String returns the flag spelling of the mode.
+// String returns the canonical spelling of the mode.
 func (m IncrementalMode) String() string {
-	switch m {
-	case IncrementalOn:
-		return "on"
-	case IncrementalOff:
+	if m == IncrementalOff {
 		return "off"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
-// ParseIncrementalMode resolves an -incremental flag value: "auto" (or
-// empty), "on" (aliases "true", "1", "yes"), or "off" (aliases "false",
-// "0", "no"). The boolean aliases keep pre-tri-state command lines
-// working. An unrecognized value yields an error naming the offending
-// token and every valid spelling.
+// ParseIncrementalMode resolves an incremental-mode token: "auto" (or
+// empty) or "off". Spec files and persisted job records written while
+// the mode had a third "on" state (it behaved exactly like auto) are
+// still accepted: "on" and the boolean spellings "true"/"1"/"yes" mean
+// auto, "false"/"0"/"no" mean off. An unrecognized value yields an
+// error naming the offending token and every valid spelling.
 func ParseIncrementalMode(s string) (IncrementalMode, error) {
 	switch strings.ToLower(s) {
-	case "", "auto":
+	case "", "auto", "on", "true", "1", "yes":
 		return IncrementalAuto, nil
-	case "on", "true", "1", "yes":
-		return IncrementalOn, nil
 	case "off", "false", "0", "no":
 		return IncrementalOff, nil
 	}
-	return 0, fmt.Errorf(`sweep: unknown incremental mode %q (valid modes are "auto" (alias ""), "on" (aliases "true", "1", "yes"), or "off" (aliases "false", "0", "no"))`, s)
+	return 0, fmt.Errorf(`sweep: unknown incremental mode %q (valid modes are "auto" (aliases "", "on", "true", "1", "yes") or "off" (aliases "false", "0", "no"))`, s)
 }
 
 // Deployment is one named point on the deployment axis. A nil Dep is
@@ -121,8 +111,8 @@ type Grid struct {
 	// each step's signed delta onto the previous fixed point —
 	// byte-identical results, substantially faster for rollout-shaped
 	// and incomparable axes alike, and an automatic degradation to the
-	// legacy order when no two deployments link. IncrementalOff forces
-	// the legacy order.
+	// identity order when no two deployments link. IncrementalOff forces
+	// the identity order.
 	Incremental IncrementalMode
 
 	// Workers is the worker-pool size; 0 means GOMAXPROCS.

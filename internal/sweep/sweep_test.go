@@ -254,16 +254,18 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 	}
 }
 
-// TestParseIncrementalMode covers the tri-state flag syntax both ways,
-// and pins the error contract: a rejected value yields an error naming
-// the offending token and every valid spelling (aliases included).
+// TestParseIncrementalMode covers the two modes and every accepted
+// input spelling — "on" and the boolean aliases, which spec files and
+// persisted job records may still hold, canonicalise to auto/off — and
+// pins the error contract: a rejected value yields an error naming the
+// offending token and every valid spelling (aliases included).
 func TestParseIncrementalMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want IncrementalMode
 	}{
 		{"", IncrementalAuto}, {"auto", IncrementalAuto}, {"AUTO", IncrementalAuto},
-		{"on", IncrementalOn}, {"true", IncrementalOn}, {"1", IncrementalOn}, {"yes", IncrementalOn},
+		{"on", IncrementalAuto}, {"true", IncrementalAuto}, {"1", IncrementalAuto}, {"yes", IncrementalAuto},
 		{"off", IncrementalOff}, {"false", IncrementalOff}, {"0", IncrementalOff}, {"No", IncrementalOff},
 	} {
 		m, err := ParseIncrementalMode(tc.in)
@@ -273,6 +275,9 @@ func TestParseIncrementalMode(t *testing.T) {
 		}
 		if m != tc.want {
 			t.Errorf("ParseIncrementalMode(%q) = %v, want %v", tc.in, m, tc.want)
+		}
+		if s := m.String(); s != "auto" && s != "off" {
+			t.Errorf("ParseIncrementalMode(%q) canonicalises to %q, want auto or off", tc.in, s)
 		}
 	}
 	for _, bad := range []string{"maybe", "2", "enabled", "on "} {

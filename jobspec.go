@@ -8,9 +8,10 @@ package sbgp
 // deployment axis, the threat model, the attacker/destination pair
 // policy, and the shard/incremental/checkpoint execution options. The
 // same spec therefore produces byte-identical result JSON whether it is
-// submitted to the daemon, run one-shot by a CLI, or rebuilt from the
-// CLIs' legacy flags (LegacyFlags is the one conversion helper both
-// CLIs share).
+// submitted to the daemon, run one-shot by a CLI, or filled in from the
+// CLIs' grid flags. It is also the Scenario's own configuration: every
+// wire-carried With* option writes its JobSpec field, so there is no
+// second copy to convert to or from.
 //
 // The wire format is strict JSON (unknown fields rejected) with an
 // explicit version so a daemon and its clients can evolve
@@ -25,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"sbgp/internal/asgraph"
 )
 
 // JobSpecVersion is the job wire-format version this build writes.
@@ -92,8 +95,8 @@ type JobSpec struct {
 // GraphFile wins when set, and setting both N and GraphFile is a
 // validation error.
 type TopologySpec struct {
-	// N is the generated topology size; 0 means 4000. Unused with
-	// GraphFile.
+	// N is the generated topology size; 0 means 4000 (resolved by
+	// Canonical). Unused with GraphFile.
 	N int `json:"n,omitempty"`
 	// Seed selects the generator stream. It is always serialized (no
 	// omitempty), so seed 0 is an honest, explicit stream.
@@ -141,9 +144,9 @@ func modelFromNumber(n int) (Model, error) {
 	return 0, fmt.Errorf("sbgp: security model %d out of range (want 1, 2, or 3)", n)
 }
 
-// validNamedDeployments are the Named values a spec may carry: the
-// WithNamedDeployment scenarios minus "none" (which adds nothing and is
-// dropped by the flag conversion instead).
+// validNamedDeployment reports whether name is a Named value a spec may
+// carry: the WithNamedDeployment scenarios minus "none" (which adds
+// nothing; the CLIs drop it when filling a spec from -deploy).
 func validNamedDeployment(name string) bool {
 	for _, n := range DeploymentNames() {
 		if n != "none" && n == name {
@@ -336,221 +339,74 @@ func LoadJobSpec(path string) (*JobSpec, error) {
 	return s, nil
 }
 
-// FromJobSpec builds the Scenario a spec describes. The returned
-// scenario Simulates like any other — and the resulting Simulation's
-// JobSpec() returns the spec's canonical form, so the wire format and
-// the facade options can never drift (pinned by the round-trip tests).
-// Extra options are applied after the spec-derived ones (WithContext is
-// the common one — a job's cancellation plumbing).
+// Load materializes the topology the section names, before any IXP
+// augmentation: the graph file parsed (with empty metadata), or the
+// (N, Seed) synthetic Internet generated with the seed taken as
+// explicit. It is the one loader behind Scenario.Simulate and the
+// daemon's warm-topology cache, so a cached (graph, meta) is by
+// construction what Simulate would have built. Load reads the section as
+// written; hold a canonical spec so N is resolved.
+func (t TopologySpec) Load() (*Graph, *TopologyMeta, error) {
+	return t.load(TopologyParams{})
+}
+
+// load is Load with the generator parameters beyond (n, seed) supplied —
+// the part of WithTopologyParams the wire cannot carry.
+func (t TopologySpec) load(p TopologyParams) (*Graph, *TopologyMeta, error) {
+	if t.GraphFile != "" {
+		f, err := os.Open(t.GraphFile)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		g, err := asgraph.ReadFrom(f)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, &TopologyMeta{}, nil
+	}
+	p.N, p.Seed, p.SeedSet = t.N, t.Seed, true
+	return GenerateTopology(p)
+}
+
+// FromJobSpec builds the Scenario a spec describes: the spec is
+// validated and its canonical copy becomes the scenario's configuration
+// — the same struct the With* options write — so the resulting
+// Simulation's JobSpec() returns exactly that canonical form. Extra
+// options are applied on top (WithContext is the common one — a job's
+// cancellation plumbing).
 func FromJobSpec(spec *JobSpec, extra ...Option) (*Scenario, error) {
-	return fromJobSpec(spec, nil, nil, extra)
+	return scenarioFromSpec(spec, nil, nil, extra)
 }
 
 // FromJobSpecOnGraph is FromJobSpec with the topology supplied by the
 // caller instead of loaded or generated per the spec — the resident
 // daemon's warm-topology path: the service materializes each distinct
-// topology section once and rebuilds scenarios for every job against
-// the cached graph. The caller asserts (g, meta) are exactly what the
-// spec's topology section would produce before any IXP augmentation
-// (which still happens per the spec); everything else applies
-// unchanged, so results are byte-identical to FromJobSpec.
+// topology section once (TopologySpec.Load) and rebuilds scenarios for
+// every job against the cached graph. The caller asserts (g, meta) are
+// exactly what the spec's topology section would produce before any IXP
+// augmentation (which still happens per the spec); everything else
+// applies unchanged, so results are byte-identical to FromJobSpec.
 func FromJobSpecOnGraph(spec *JobSpec, g *Graph, meta *TopologyMeta, extra ...Option) (*Scenario, error) {
 	if g == nil {
 		return nil, fmt.Errorf("sbgp: FromJobSpecOnGraph needs a graph")
 	}
-	return fromJobSpec(spec, g, meta, extra)
+	return scenarioFromSpec(spec, g, meta, extra)
 }
 
-func fromJobSpec(spec *JobSpec, g *Graph, meta *TopologyMeta, extra []Option) (*Scenario, error) {
+func scenarioFromSpec(spec *JobSpec, g *Graph, meta *TopologyMeta, extra []Option) (*Scenario, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c := spec.Canonical()
-	var opts []Option
-	switch {
-	case g != nil:
-		opts = append(opts, WithGraph(g, meta))
-	case c.Topology.GraphFile != "":
-		opts = append(opts, WithGraphFile(c.Topology.GraphFile))
-	default:
-		opts = append(opts, WithGeneratedTopology(c.Topology.N, c.Topology.Seed))
+	sc := newScenario(*spec.Canonical())
+	sc.graph, sc.meta, sc.topologySet = g, meta, true
+	if len(sc.spec.Models) == 1 {
+		// A single-model job's model is also the primary one for single
+		// runs.
+		sc.model = Model(sc.spec.Models[0] - 1)
 	}
-	if c.Topology.IXP {
-		opts = append(opts, WithIXPAugmentation())
+	for _, o := range extra {
+		o(sc)
 	}
-	models := make([]Model, len(c.Models))
-	for i, n := range c.Models {
-		m, err := modelFromNumber(n)
-		if err != nil {
-			return nil, err
-		}
-		models[i] = m
-	}
-	opts = append(opts, WithModels(models...))
-	if len(models) == 1 {
-		opts = append(opts, WithModel(models[0]))
-	}
-	opts = append(opts, WithLocalPref(LocalPref{K: c.LPK}))
-	for _, d := range c.Deployments {
-		if d.Named != "" {
-			opts = append(opts, WithNamedDeploymentAs(d.Name, d.Named))
-		} else {
-			opts = append(opts, WithDeployment(d.Name, *d.Spec))
-		}
-	}
-	attack, err := ParseAttack(c.Attack)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, WithAttack(attack))
-	mode, err := ParseIncrementalMode(c.Incremental)
-	if err != nil {
-		return nil, err
-	}
-	opts = append(opts, WithIncremental(mode))
-	if c.Pairs.Full {
-		opts = append(opts, WithFullEnumeration())
-	} else {
-		opts = append(opts, WithPairSampling(c.Pairs.MaxM, c.Pairs.MaxD))
-	}
-	opts = append(opts,
-		WithWorkers(c.Workers),
-		WithShardSize(c.ShardSize),
-		WithCheckpoint(c.Checkpoint),
-	)
-	if c.Resume {
-		opts = append(opts, WithResume())
-	}
-	opts = append(opts, extra...)
-	sc := NewScenario(opts...)
-	sc.name = c.Name
 	return sc, nil
-}
-
-// jobSpecOf reconstructs the wire spec from a scenario's configuration,
-// canonical form. It fails (with a descriptive error surfaced by
-// Simulation.JobSpec) when the scenario uses a capability the wire
-// format cannot carry: an in-memory graph, prebuilt deployments,
-// generator parameters beyond (n, seed), a custom Attack whose name the
-// parser does not know, or resolved tiebreaks.
-func jobSpecOf(sc *Scenario) (*JobSpec, error) {
-	spec := &JobSpec{Version: JobSpecVersion, Name: sc.name}
-	switch {
-	case sc.graph != nil:
-		return nil, fmt.Errorf("sbgp: a scenario over an in-memory graph has no serializable job spec")
-	case sc.graphPath != "":
-		spec.Topology = TopologySpec{GraphFile: sc.graphPath, IXP: sc.ixp}
-	default:
-		p := sc.genParams
-		if p == nil {
-			p = &TopologyParams{N: 4000, Seed: 1}
-		}
-		rest := *p
-		rest.N, rest.Seed, rest.SeedSet = 0, 0, false
-		if rest != (TopologyParams{}) {
-			return nil, fmt.Errorf("sbgp: generator parameters beyond (n, seed) are not representable in a job spec")
-		}
-		seed := p.Seed
-		if seed == 0 && !p.SeedSet {
-			seed = 1
-		}
-		spec.Topology = TopologySpec{N: p.N, Seed: seed, IXP: sc.ixp}
-	}
-	if sc.resolve {
-		return nil, fmt.Errorf("sbgp: resolved tiebreaks are not representable in a job spec")
-	}
-	for _, m := range sc.models {
-		spec.Models = append(spec.Models, int(m)+1)
-	}
-	spec.LPK = sc.lp.K
-	for _, sd := range sc.deployments {
-		switch {
-		case sd.prebuilt != nil:
-			return nil, fmt.Errorf("sbgp: prebuilt deployment %q is not representable in a job spec", sd.name)
-		case sd.named != "":
-			spec.Deployments = append(spec.Deployments, JobDeployment{Name: sd.name, Named: sd.named})
-		default:
-			spec.Deployments = append(spec.Deployments, JobDeployment{Name: sd.name, Spec: sd.spec})
-		}
-	}
-	if sc.attack != nil {
-		name := sc.attack.Name()
-		if _, err := ParseAttack(name); err != nil {
-			return nil, fmt.Errorf("sbgp: attack %q is not representable in a job spec", name)
-		}
-		spec.Attack = name
-	}
-	spec.Incremental = sc.incremental.String()
-	spec.Pairs = sc.pairs
-	spec.ShardSize = sc.shardSize
-	spec.Checkpoint = sc.checkpoint
-	spec.Resume = sc.resume
-	spec.Workers = sc.workers
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec.Canonical(), nil
-}
-
-// LegacyFlags captures the scattered flag surface the CLIs exposed
-// before the JobSpec redesign (-n/-seed/-graph/-deploy/-attack/-full/
-// -maxm/-maxd/-shards/-checkpoint/-resume/-incremental/-workers).
-// JobSpec() is the single conversion helper both cmd/experiments and
-// cmd/bgpsim share, so the legacy spelling and -job spec.json can never
-// produce different jobs — equality of the two spellings is pinned by
-// tests in both commands.
-type LegacyFlags struct {
-	GraphFile string
-	N         int
-	Seed      int64
-	// Models is the model axis as 1-based placements; empty = all three.
-	Models []int
-	LPK    int
-	// Deployments are named scenarios (WithNamedDeployment spellings);
-	// "none" entries are dropped.
-	Deployments []string
-	Attack      string
-	Incremental string
-	Full        bool
-	MaxM, MaxD  int
-	ShardSize   int
-	Checkpoint  string
-	Resume      bool
-	Workers     int
-}
-
-// JobSpec maps the legacy flags onto the unified spec (canonical form).
-func (lf LegacyFlags) JobSpec() (*JobSpec, error) {
-	spec := &JobSpec{Version: JobSpecVersion}
-	if lf.GraphFile != "" {
-		spec.Topology = TopologySpec{GraphFile: lf.GraphFile}
-	} else {
-		spec.Topology = TopologySpec{N: lf.N, Seed: lf.Seed}
-	}
-	spec.Models = append([]int(nil), lf.Models...)
-	spec.LPK = lf.LPK
-	for _, name := range lf.Deployments {
-		if name == "" || name == "none" {
-			continue
-		}
-		spec.Deployments = append(spec.Deployments, JobDeployment{Named: name})
-	}
-	spec.Attack = lf.Attack
-	spec.Incremental = lf.Incremental
-	if lf.Full {
-		// The sampling caps are flag defaults, meaningless under full
-		// enumeration; the CLIs reject an explicit -maxm/-maxd with
-		// -full before converting.
-		spec.Pairs = PairSpec{Full: true}
-	} else {
-		spec.Pairs = PairSpec{MaxM: lf.MaxM, MaxD: lf.MaxD}
-	}
-	spec.ShardSize = lf.ShardSize
-	spec.Checkpoint = lf.Checkpoint
-	spec.Resume = lf.Resume
-	spec.Workers = lf.Workers
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return spec.Canonical(), nil
 }

@@ -2,7 +2,9 @@ package sbgp_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -113,8 +115,10 @@ func TestJobSpecCanonicalDefaults(t *testing.T) {
 	if !reflect.DeepEqual(c.Models, []int{1, 2, 3}) {
 		t.Errorf("canonical models = %v, want [1 2 3]", c.Models)
 	}
-	if c.Attack != "one-hop" || c.Incremental != "on" {
-		t.Errorf("canonical aliases = (%q, %q), want (one-hop, on)", c.Attack, c.Incremental)
+	// "true" (like "on") is accepted input from the time the mode had a
+	// third state; its canonical form is "auto".
+	if c.Attack != "one-hop" || c.Incremental != "auto" {
+		t.Errorf("canonical aliases = (%q, %q), want (one-hop, auto)", c.Attack, c.Incremental)
 	}
 	if c.Pairs.MaxM != sbgp.DefaultMaxM || c.Pairs.MaxD != sbgp.DefaultMaxD {
 		t.Errorf("canonical pair caps = (%d, %d), want (%d, %d)",
@@ -162,6 +166,8 @@ func TestJobSpecNotRepresentable(t *testing.T) {
 		{"in-memory graph", sbgp.WithGraph(lineGraph(t, 4), nil), "in-memory"},
 		{"exotic params", sbgp.WithTopologyParams(sbgp.TopologyParams{N: 200, Seed: 1, SeedSet: true, NumIXPs: 2}), "generator parameters"},
 		{"resolved tiebreak", sbgp.WithResolvedTiebreak(), "tiebreak"},
+		{"prebuilt deployment", sbgp.WithPrebuiltDeployment("mine", &sbgp.Deployment{Full: sbgp.SetOf(200, 0, 1)}), `prebuilt deployment "mine"`},
+		{"custom attack", sbgp.WithAttack(renamedAttack{}), `attack "teleport"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,6 +186,12 @@ func TestJobSpecNotRepresentable(t *testing.T) {
 	}
 }
 
+// renamedAttack is a custom strategy under a name ParseAttack does not
+// know — runnable, but not something a spec file can carry.
+type renamedAttack struct{ sbgp.OneHopHijack }
+
+func (renamedAttack) Name() string { return "teleport" }
+
 // lineGraph builds a provider chain 0 → 1 → ... → n-1 (0 on top).
 func lineGraph(t *testing.T, n int) *sbgp.Graph {
 	t.Helper()
@@ -194,45 +206,117 @@ func lineGraph(t *testing.T, n int) *sbgp.Graph {
 	return g
 }
 
-// TestLegacyFlagsJobSpec pins the one conversion helper both CLIs
-// share: the legacy flag surface and the equivalent hand-written spec
-// produce identical canonical jobs, for both sampled and full
-// spellings.
-func TestLegacyFlagsJobSpec(t *testing.T) {
-	lf := sbgp.LegacyFlags{
-		N: 300, Seed: 7,
-		Deployments: []string{"t1t2", "none", "t2"},
-		Attack:      "spoof",
-		Incremental: "auto",
-		MaxM:        6, MaxD: 8,
-		ShardSize: 64,
-		Workers:   2,
-	}
-	got, err := lf.JobSpec()
+// TestOptionsWriteTheSpec pins "the spec is the scenario's
+// configuration": every wire-carried With* option, applied alone, yields
+// a simulation whose JobSpec() is the canonical form of the literal spec
+// with just that field set — and FromJobSpec of that literal round-trips
+// to the same value — so a second storage location for any option cannot
+// reappear unnoticed. The zero-seed rules ride along as cases: an option
+// chain that never names a seed means stream 1, while the wire's seed 0
+// is an honest stream.
+func TestOptionsWriteTheSpec(t *testing.T) {
+	const n = 120
+	small := sbgp.WithGeneratedTopology(n, 1)
+	topo := sbgp.TopologySpec{N: n, Seed: 1}
+	graphFile := filepath.Join(t.TempDir(), "g.txt")
+	f, err := os.Create(graphFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := (&sbgp.JobSpec{
-		Topology: sbgp.TopologySpec{N: 300, Seed: 7},
-		Deployments: []sbgp.JobDeployment{
-			{Named: "t1t2"}, {Named: "t2"},
-		},
-		Attack:    "origin-spoof",
-		Pairs:     sbgp.PairSpec{MaxM: 6, MaxD: 8},
-		ShardSize: 64,
-		Workers:   2,
-	}).Canonical()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("legacy conversion:\n got %+v\nwant %+v", got, want)
+	if err := sbgp.WriteGraph(f, lineGraph(t, 6)); err != nil {
+		t.Fatal(err)
 	}
-
-	full := sbgp.LegacyFlags{N: 300, Seed: 7, Full: true, MaxM: 24, MaxD: 32}
-	gotFull, err := full.JobSpec()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pad2, err := sbgp.ParseAttack("pad-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotFull.Pairs.Full || gotFull.Pairs.MaxM != 0 || gotFull.Pairs.MaxD != 0 {
-		t.Errorf("full conversion kept sampling caps: %+v", gotFull.Pairs)
+	handpicked := sbgp.DeploymentSpec{NumTier2: 5, IncludeStubs: true}
+	cases := []struct {
+		name string
+		opts []sbgp.Option
+		want sbgp.JobSpec
+	}{
+		// The zero scenario never names a seed, so its stream is 1 (at
+		// the default 4000 ASes) — not the wire's honest "seed": 0, which
+		// the explicit-seed-0 cases below keep at 0 both ways.
+		{"NewScenario", nil, sbgp.JobSpec{Topology: sbgp.TopologySpec{Seed: 1}}},
+		{"WithGeneratedTopology", []sbgp.Option{sbgp.WithGeneratedTopology(n, 7)},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{N: n, Seed: 7}}},
+		{"WithGeneratedTopology seed 0", []sbgp.Option{sbgp.WithGeneratedTopology(n, 0)},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{N: n, Seed: 0}}},
+		{"WithTopologyParams unset seed", []sbgp.Option{sbgp.WithTopologyParams(sbgp.TopologyParams{N: n})},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{N: n, Seed: 1}}},
+		{"WithTopologyParams explicit seed 0", []sbgp.Option{sbgp.WithTopologyParams(sbgp.TopologyParams{N: n, SeedSet: true})},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{N: n, Seed: 0}}},
+		{"WithGraphFile", []sbgp.Option{sbgp.WithGraphFile(graphFile)},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{GraphFile: graphFile}}},
+		{"WithIXPAugmentation", []sbgp.Option{small, sbgp.WithIXPAugmentation()},
+			sbgp.JobSpec{Topology: sbgp.TopologySpec{N: n, Seed: 1, IXP: true}}},
+		{"WithModels", []sbgp.Option{small, sbgp.WithModels(sbgp.Sec2nd, sbgp.Sec1st)},
+			sbgp.JobSpec{Topology: topo, Models: []int{2, 1}}},
+		{"WithLocalPref", []sbgp.Option{small, sbgp.WithLocalPref(sbgp.LP2)},
+			sbgp.JobSpec{Topology: topo, LPK: 2}},
+		{"WithDeployment", []sbgp.Option{small, sbgp.WithDeployment("handpicked", handpicked)},
+			sbgp.JobSpec{Topology: topo, Deployments: []sbgp.JobDeployment{{Name: "handpicked", Spec: &handpicked}}}},
+		{"WithNamedDeployment", []sbgp.Option{small, sbgp.WithNamedDeployment("t2")},
+			sbgp.JobSpec{Topology: topo, Deployments: []sbgp.JobDeployment{{Named: "t2"}}}},
+		{"WithNamedDeployment none", []sbgp.Option{small, sbgp.WithNamedDeployment("none")},
+			sbgp.JobSpec{Topology: topo}},
+		{"WithNamedDeploymentAs", []sbgp.Option{small, sbgp.WithNamedDeploymentAs("everyone", "nonstubs")},
+			sbgp.JobSpec{Topology: topo, Deployments: []sbgp.JobDeployment{{Name: "everyone", Named: "nonstubs"}}}},
+		{"WithFullEnumeration", []sbgp.Option{small, sbgp.WithFullEnumeration()},
+			sbgp.JobSpec{Topology: topo, Pairs: sbgp.PairSpec{Full: true}}},
+		{"WithPairSampling", []sbgp.Option{small, sbgp.WithPairSampling(6, 8)},
+			sbgp.JobSpec{Topology: topo, Pairs: sbgp.PairSpec{MaxM: 6, MaxD: 8}}},
+		{"WithAttack", []sbgp.Option{small, sbgp.WithAttack(pad2)},
+			sbgp.JobSpec{Topology: topo, Attack: "pad-2"}},
+		{"WithIncremental", []sbgp.Option{small, sbgp.WithIncremental(sbgp.IncrementalOff)},
+			sbgp.JobSpec{Topology: topo, Incremental: "off"}},
+		{"WithWorkers", []sbgp.Option{small, sbgp.WithWorkers(3)},
+			sbgp.JobSpec{Topology: topo, Workers: 3}},
+		{"WithShardSize", []sbgp.Option{small, sbgp.WithShardSize(64)},
+			sbgp.JobSpec{Topology: topo, ShardSize: 64}},
+		{"WithCheckpoint", []sbgp.Option{small, sbgp.WithCheckpoint("sweep.ckpt")},
+			sbgp.JobSpec{Topology: topo, Checkpoint: "sweep.ckpt"}},
+		{"WithResume", []sbgp.Option{small, sbgp.WithCheckpoint("sweep.ckpt"), sbgp.WithResume()},
+			sbgp.JobSpec{Topology: topo, Checkpoint: "sweep.ckpt", Resume: true}},
+		// Options outside the wire format leave the spec alone.
+		{"WithModel", []sbgp.Option{small, sbgp.WithModel(sbgp.Sec1st)}, sbgp.JobSpec{Topology: topo}},
+		{"WithContext", []sbgp.Option{small, sbgp.WithContext(context.Background())}, sbgp.JobSpec{Topology: topo}},
+	}
+	jobSpecOf := func(t *testing.T, sc *sbgp.Scenario) *sbgp.JobSpec {
+		t.Helper()
+		sim, err := sc.Simulate()
+		if err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+		got, err := sim.JobSpec()
+		if err != nil {
+			t.Fatalf("JobSpec: %v", err)
+		}
+		return got
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.want.Canonical()
+			if got := jobSpecOf(t, sbgp.NewScenario(tc.opts...)); !reflect.DeepEqual(got, want) {
+				g, _ := json.Marshal(got)
+				w, _ := json.Marshal(want)
+				t.Errorf("options → spec:\n got %s\nwant %s", g, w)
+			}
+			sc, err := sbgp.FromJobSpec(&tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := jobSpecOf(t, sc); !reflect.DeepEqual(got, want) {
+				g, _ := json.Marshal(got)
+				w, _ := json.Marshal(want)
+				t.Errorf("spec → scenario → spec:\n got %s\nwant %s", g, w)
+			}
+		})
 	}
 }
 

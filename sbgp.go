@@ -249,14 +249,6 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []AS) {
 	return core.DeploymentDelta(prev, next)
 }
 
-// EngineDeltaThreshold sets an engine's delta-fallback bound: RunDelta
-// re-runs from scratch once the dirty region's adjacency volume reaches
-// frac of the graph's total (default core.DefaultDeltaThreshold).
-func EngineDeltaThreshold(frac float64) EngineOption { return core.WithDeltaThreshold(frac) }
-
-// DefaultDeltaThreshold is the default delta-fallback fraction.
-const DefaultDeltaThreshold = core.DefaultDeltaThreshold
-
 // Attacks lists the built-in strategies for help text and tables.
 func Attacks() []Attack { return core.Attacks() }
 
@@ -309,51 +301,24 @@ func SamplePairs(M, D []AS, maxM, maxD int) (ms, ds []AS) {
 // byte-identical at any worker count.
 type Grid = sweep.Grid
 
-// IncrementalMode is the tri-state scheduling override for grid
-// evaluation: auto (the default — chain-major incremental scheduling
-// whenever the deployment axis chains), on (pin it explicitly), or off
-// (the legacy from-scratch order). Results are byte-identical in every
-// mode.
+// IncrementalMode selects a grid's evaluation order: auto (the default
+// — chain-major incremental scheduling whenever the deployment axis
+// chains) or off (the from-scratch order). Results are byte-identical
+// in both modes.
 type IncrementalMode = sweep.IncrementalMode
 
 // The incremental scheduling modes.
 const (
 	IncrementalAuto = sweep.IncrementalAuto
-	IncrementalOn   = sweep.IncrementalOn
 	IncrementalOff  = sweep.IncrementalOff
 )
 
-// ParseIncrementalMode resolves an -incremental flag value ("auto",
-// "on", "off", or a boolean alias) to a mode.
+// ParseIncrementalMode resolves an -incremental flag or job-spec value
+// ("auto" or "off"; "on" and the boolean spellings older spec files may
+// hold are accepted and mean auto/off) to a mode.
 func ParseIncrementalMode(s string) (IncrementalMode, error) {
 	return sweep.ParseIncrementalMode(s)
 }
-
-// IncrementalFlag is a flag.Value for -incremental command-line flags.
-// It parses the tri-state spellings (-incremental=auto|on|off plus the
-// boolean aliases), and reports itself as a boolean flag so the bare
-// "-incremental" spelling every pre-tri-state command line used keeps
-// working (it means on). As with every Go boolean flag, an explicit
-// value needs the "=" form.
-type IncrementalFlag struct {
-	Mode IncrementalMode
-}
-
-// String implements flag.Value.
-func (f *IncrementalFlag) String() string { return f.Mode.String() }
-
-// Set implements flag.Value.
-func (f *IncrementalFlag) Set(s string) error {
-	m, err := sweep.ParseIncrementalMode(s)
-	if err != nil {
-		return err
-	}
-	f.Mode = m
-	return nil
-}
-
-// IsBoolFlag marks the flag boolean so bare "-incremental" parses.
-func (f *IncrementalFlag) IsBoolFlag() bool { return true }
 
 // GridDeployment is one named point on a grid's deployment axis.
 type GridDeployment = sweep.Deployment

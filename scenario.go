@@ -3,7 +3,6 @@ package sbgp
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"sbgp/internal/asgraph"
 )
@@ -15,43 +14,36 @@ import (
 // Simulate. The zero configuration is runnable: a generated 4000-AS
 // topology, security 3rd, the S = ∅ baseline, and the paper's one-hop
 // hijack.
+//
+// A scenario's configuration is one JobSpec — the wire format itself,
+// written field by field by the With* options or adopted whole by
+// FromJobSpec — plus the remainder below: what a spec file cannot carry.
+// Setting any of graph, gen, prebuilt, resolve, or an attack the parser
+// does not know makes Simulation.JobSpec report the scenario as not
+// serializable; model and ctx never affect a job's result.
 type Scenario struct {
-	name string
+	spec JobSpec
 
-	genParams *TopologyParams
-	graphPath string
-	graph     *Graph
-	meta      *TopologyMeta
-	ixp       bool
+	// graph and meta are an in-memory topology (WithGraph, or the
+	// daemon's warm cache via FromJobSpecOnGraph).
+	graph *Graph
+	meta  *TopologyMeta
+	// gen holds the generator parameters beyond (n, seed), which live in
+	// spec.Topology.
+	gen TopologyParams
+	// prebuilt holds already-materialized deployments by their position
+	// on spec.Deployments (whose entry carries only the name).
+	prebuilt map[int]*Deployment
+	// attack is the strategy object handed to WithAttack; nil means
+	// "resolve spec.Attack".
+	attack  Attack
+	resolve bool
+	// model is the primary security model of single runs.
+	model Model
+	ctx   context.Context
 
-	model  Model
-	models []Model
-	lp     LocalPref
-
-	deployments []scenarioDeployment
-
-	attack      Attack
-	workers     int
-	ctx         context.Context
-	resolve     bool
-	incremental IncrementalMode
-
-	pairs PairSpec
-
-	shardSize  int
-	checkpoint string
-	resume     bool
-
-	errs []error
-}
-
-// scenarioDeployment is a deployment axis entry before materialization:
-// exactly one of spec/prebuilt/named is set.
-type scenarioDeployment struct {
-	name     string
-	spec     *DeploymentSpec
-	prebuilt *Deployment
-	named    string
+	topologySet bool
+	errs        []error
 }
 
 // Option configures a Scenario.
@@ -60,41 +52,58 @@ type Option func(*Scenario)
 // NewScenario builds a scenario from options. Configuration errors are
 // deferred and reported by Simulate, so option chains stay fluent.
 func NewScenario(opts ...Option) *Scenario {
-	sc := &Scenario{model: Sec3rd, ctx: context.Background()}
+	sc := newScenario(JobSpec{})
+	sc.setGenerated(TopologyParams{})
 	for _, o := range opts {
 		o(sc)
 	}
 	return sc
 }
 
+func newScenario(spec JobSpec) *Scenario {
+	return &Scenario{spec: spec, model: Sec3rd, ctx: context.Background()}
+}
+
 func (sc *Scenario) errorf(format string, args ...any) {
 	sc.errs = append(sc.errs, fmt.Errorf(format, args...))
 }
 
-func (sc *Scenario) topologyConfigured() bool {
-	return sc.genParams != nil || sc.graphPath != "" || sc.graph != nil
+// setTopology records that an option chose the topology source; a
+// second choice is a configuration error.
+func (sc *Scenario) setTopology() {
+	if sc.topologySet {
+		sc.errorf("sbgp: multiple topology sources configured")
+	}
+	sc.topologySet = true
+}
+
+// setGenerated makes the topology a generated one: (n, seed) go to the
+// spec, everything else to the remainder. This is the one place the
+// default seed is resolved: a zero Seed without SeedSet means stream 1
+// (an option chain that never mentions a seed), while a spec file's
+// explicit "seed": 0 is an honest stream Canonical must leave alone.
+func (sc *Scenario) setGenerated(p TopologyParams) {
+	if p.Seed == 0 && !p.SeedSet {
+		p.Seed = 1
+	}
+	sc.spec.Topology.N, sc.spec.Topology.Seed = p.N, p.Seed
+	p.N, p.Seed, p.SeedSet = 0, 0, false
+	sc.gen = p
 }
 
 // WithGeneratedTopology generates an n-AS synthetic Internet with the
 // given seed (the default topology source, with n = 4000, seed = 1).
 // The seed is explicit, so 0 selects the genuine zero stream.
 func WithGeneratedTopology(n int, seed int64) Option {
-	return func(sc *Scenario) {
-		if sc.topologyConfigured() {
-			sc.errorf("sbgp: multiple topology sources configured")
-		}
-		sc.genParams = &TopologyParams{N: n, Seed: seed, SeedSet: true}
-	}
+	return WithTopologyParams(TopologyParams{N: n, Seed: seed, SeedSet: true})
 }
 
 // WithTopologyParams generates the topology with full generator
 // control.
 func WithTopologyParams(p TopologyParams) Option {
 	return func(sc *Scenario) {
-		if sc.topologyConfigured() {
-			sc.errorf("sbgp: multiple topology sources configured")
-		}
-		sc.genParams = &p
+		sc.setTopology()
+		sc.setGenerated(p)
 	}
 }
 
@@ -102,10 +111,9 @@ func WithTopologyParams(p TopologyParams) Option {
 // format.
 func WithGraphFile(path string) Option {
 	return func(sc *Scenario) {
-		if sc.topologyConfigured() {
-			sc.errorf("sbgp: multiple topology sources configured")
-		}
-		sc.graphPath = path
+		sc.setTopology()
+		sc.spec.Topology.N, sc.spec.Topology.Seed = 0, 0
+		sc.spec.Topology.GraphFile = path
 	}
 }
 
@@ -113,9 +121,7 @@ func WithGraphFile(path string) Option {
 // content providers or IXPs).
 func WithGraph(g *Graph, meta *TopologyMeta) Option {
 	return func(sc *Scenario) {
-		if sc.topologyConfigured() {
-			sc.errorf("sbgp: multiple topology sources configured")
-		}
+		sc.setTopology()
 		sc.graph, sc.meta = g, meta
 	}
 }
@@ -123,7 +129,7 @@ func WithGraph(g *Graph, meta *TopologyMeta) Option {
 // WithIXPAugmentation adds the IXP peering links of Appendix J to the
 // topology (generated topologies and graphs passed with IXP metadata).
 func WithIXPAugmentation() Option {
-	return func(sc *Scenario) { sc.ixp = true }
+	return func(sc *Scenario) { sc.spec.Topology.IXP = true }
 }
 
 // WithModel selects the security model for single runs and the default
@@ -136,13 +142,18 @@ func WithModel(m Model) Option {
 // WithModels sets the sweep grid's model axis explicitly (default: all
 // three placements).
 func WithModels(ms ...Model) Option {
-	return func(sc *Scenario) { sc.models = ms }
+	return func(sc *Scenario) {
+		sc.spec.Models = nil
+		for _, m := range ms {
+			sc.spec.Models = append(sc.spec.Models, int(m)+1)
+		}
+	}
 }
 
 // WithLocalPref selects the local-preference variant (default: the
 // standard LP model).
 func WithLocalPref(lp LocalPref) Option {
-	return func(sc *Scenario) { sc.lp = lp }
+	return func(sc *Scenario) { sc.spec.LPK = lp.K }
 }
 
 // WithDeployment adds a named deployment built from a declarative spec.
@@ -150,7 +161,7 @@ func WithLocalPref(lp LocalPref) Option {
 // every deployment joins the sweep axis after the implicit baseline.
 func WithDeployment(name string, spec DeploymentSpec) Option {
 	return func(sc *Scenario) {
-		sc.deployments = append(sc.deployments, scenarioDeployment{name: name, spec: &spec})
+		sc.spec.Deployments = append(sc.spec.Deployments, JobDeployment{Name: name, Spec: &spec})
 	}
 }
 
@@ -158,7 +169,11 @@ func WithDeployment(name string, spec DeploymentSpec) Option {
 // materialized.
 func WithPrebuiltDeployment(name string, dep *Deployment) Option {
 	return func(sc *Scenario) {
-		sc.deployments = append(sc.deployments, scenarioDeployment{name: name, prebuilt: dep})
+		if sc.prebuilt == nil {
+			sc.prebuilt = map[int]*Deployment{}
+		}
+		sc.prebuilt[len(sc.spec.Deployments)] = dep
+		sc.spec.Deployments = append(sc.spec.Deployments, JobDeployment{Name: name})
 	}
 }
 
@@ -168,12 +183,10 @@ func WithPrebuiltDeployment(name string, dep *Deployment) Option {
 // Tier 2s + stubs), or "nonstubs" (every non-stub AS). Resolved at
 // Simulate time against the topology's tier classification.
 func WithNamedDeployment(name string) Option {
-	return func(sc *Scenario) {
-		if name == "none" {
-			return
-		}
-		sc.deployments = append(sc.deployments, scenarioDeployment{name: name, named: name})
+	if name == "none" {
+		return func(*Scenario) {}
 	}
+	return WithNamedDeploymentAs(name, name)
 }
 
 // WithNamedDeploymentAs is WithNamedDeployment under an explicit
@@ -182,10 +195,7 @@ func WithNamedDeployment(name string) Option {
 // renamed standard deployments.
 func WithNamedDeploymentAs(name, named string) Option {
 	return func(sc *Scenario) {
-		if name == "" {
-			name = named
-		}
-		sc.deployments = append(sc.deployments, scenarioDeployment{name: name, named: named})
+		sc.spec.Deployments = append(sc.spec.Deployments, JobDeployment{Name: name, Named: named})
 	}
 }
 
@@ -194,7 +204,7 @@ func WithNamedDeploymentAs(name, named string) Option {
 // used by EvaluateJob and JobPairs. Explicit pair sets passed to Sweep
 // are unaffected.
 func WithFullEnumeration() Option {
-	return func(sc *Scenario) { sc.pairs = PairSpec{Full: true} }
+	return func(sc *Scenario) { sc.spec.Pairs = PairSpec{Full: true} }
 }
 
 // WithPairSampling sets the scenario's pair policy to a deterministic
@@ -202,25 +212,32 @@ func WithFullEnumeration() Option {
 // DefaultMaxM / DefaultMaxD) — the default policy, at the CLIs'
 // experiment scale.
 func WithPairSampling(maxM, maxD int) Option {
-	return func(sc *Scenario) { sc.pairs = PairSpec{MaxM: maxM, MaxD: maxD} }
+	return func(sc *Scenario) { sc.spec.Pairs = PairSpec{MaxM: maxM, MaxD: maxD} }
 }
 
 // WithAttack selects the threat-model strategy (default: the paper's
-// one-hop "m, d" hijack).
+// one-hop "m, d" hijack). The strategy runs as given; its Name is what
+// a job spec carries, so a custom Attack the parser does not know makes
+// the scenario unserializable.
 func WithAttack(a Attack) Option {
-	return func(sc *Scenario) { sc.attack = a }
+	return func(sc *Scenario) {
+		sc.attack, sc.spec.Attack = a, ""
+		if a != nil {
+			sc.spec.Attack = a.Name()
+		}
+	}
 }
 
 // WithWorkers sets the sweep worker-pool size (default 0 =
 // GOMAXPROCS). Results do not depend on it.
 func WithWorkers(n int) Option {
-	return func(sc *Scenario) { sc.workers = n }
+	return func(sc *Scenario) { sc.spec.Workers = n }
 }
 
 // WithShardSize sets the default cells-per-shard of SweepSharded
 // (0 = DefaultShardSize). Results do not depend on it.
 func WithShardSize(n int) Option {
-	return func(sc *Scenario) { sc.shardSize = n }
+	return func(sc *Scenario) { sc.spec.ShardSize = n }
 }
 
 // WithCheckpoint sets the default checkpoint file of SweepSharded:
@@ -228,7 +245,7 @@ func WithShardSize(n int) Option {
 // can be resumed. The file is truncated on each sweep unless resuming
 // (WithResume or ShardOptions.Resume).
 func WithCheckpoint(path string) Option {
-	return func(sc *Scenario) { sc.checkpoint = path }
+	return func(sc *Scenario) { sc.spec.Checkpoint = path }
 }
 
 // WithResume makes SweepSharded resume from the configured checkpoint
@@ -236,7 +253,7 @@ func WithCheckpoint(path string) Option {
 // merged from the file instead of re-evaluated, reproducing the
 // uninterrupted result exactly.
 func WithResume() Option {
-	return func(sc *Scenario) { sc.resume = true }
+	return func(sc *Scenario) { sc.spec.Resume = true }
 }
 
 // WithIncremental overrides the incremental (delta) scheduling mode of
@@ -244,13 +261,12 @@ func WithResume() Option {
 // axis is partitioned into nested chains and each (model, destination,
 // attacker) triple reuses the previous deployment's fixed point via
 // Engine.RunDelta whenever the axis actually chains — results are
-// byte-identical to the legacy evaluation, rollout-shaped grids run
-// substantially faster, and incomparable axes degrade to the legacy
-// order on their own. Pass IncrementalOff to force the from-scratch
-// schedule (IncrementalOn pins the incremental scheduler explicitly).
-// RunDeltaSeries is incremental regardless.
+// byte-identical to the from-scratch evaluation, rollout-shaped grids
+// run substantially faster, and incomparable axes degrade to the
+// from-scratch order on their own. Pass IncrementalOff to force the
+// from-scratch schedule. RunDeltaSeries is incremental regardless.
 func WithIncremental(mode IncrementalMode) Option {
-	return func(sc *Scenario) { sc.incremental = mode }
+	return func(sc *Scenario) { sc.spec.Incremental = mode.String() }
 }
 
 // WithContext attaches a context to everything the simulation runs:
@@ -272,10 +288,34 @@ func WithResolvedTiebreak() Option {
 	return func(sc *Scenario) { sc.resolve = true }
 }
 
+// unserializable names the first remainder field (or spec defect) that
+// keeps the scenario from being written as a job spec; nil when
+// sc.spec describes the scenario completely.
+func (sc *Scenario) unserializable() error {
+	switch {
+	case sc.graph != nil:
+		return fmt.Errorf("sbgp: a scenario over an in-memory graph has no serializable job spec")
+	case sc.gen != (TopologyParams{}):
+		return fmt.Errorf("sbgp: generator parameters beyond (n, seed) are not representable in a job spec")
+	case sc.resolve:
+		return fmt.Errorf("sbgp: resolved tiebreaks are not representable in a job spec")
+	}
+	for i, d := range sc.spec.Deployments {
+		if sc.prebuilt[i] != nil {
+			return fmt.Errorf("sbgp: prebuilt deployment %q is not representable in a job spec", d.Name)
+		}
+	}
+	// What is left is the spec's own rules — among them that the attack's
+	// name is one ParseAttack knows, which a custom Attack's need not be.
+	return sc.spec.Validate()
+}
+
 // Simulate materializes the scenario: it generates or loads the
 // topology, validates it, classifies tiers, and builds every configured
-// deployment. The scenario itself is not retained — Simulate may be
-// called repeatedly (e.g. with different graphs via option rebuilds).
+// deployment. The simulation keeps its own copy of the configuration,
+// with the spec in canonical form — the one place defaults (topology
+// size, model axis, pair caps) are resolved — so Simulate may be called
+// repeatedly.
 func (sc *Scenario) Simulate() (*Simulation, error) {
 	if len(sc.errs) > 0 {
 		return nil, sc.errs[0]
@@ -283,34 +323,26 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 	if err := sc.ctx.Err(); err != nil {
 		return nil, err
 	}
+	sim := &Simulation{sc: *sc}
+	sim.sc.spec = *sc.spec.Canonical()
+	spec := &sim.sc.spec
+	var err error
+	if sim.sc.attack == nil {
+		if sim.sc.attack, err = ParseAttack(spec.Attack); err != nil {
+			return nil, err
+		}
+	}
 
 	g, meta := sc.graph, sc.meta
-	switch {
-	case sc.graphPath != "":
-		f, err := os.Open(sc.graphPath)
-		if err != nil {
-			return nil, err
-		}
-		g, err = asgraph.ReadFrom(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-	case g == nil:
-		p := sc.genParams
-		if p == nil {
-			p = &TopologyParams{N: 4000, Seed: 1}
-		}
-		var err error
-		g, meta, err = GenerateTopology(*p)
-		if err != nil {
+	if g == nil {
+		if g, meta, err = spec.Topology.load(sc.gen); err != nil {
 			return nil, err
 		}
 	}
 	if meta == nil {
 		meta = &TopologyMeta{}
 	}
-	if sc.ixp {
+	if spec.Topology.IXP {
 		if len(meta.IXPs) == 0 {
 			return nil, fmt.Errorf("sbgp: IXP augmentation requested but the topology has no IXP memberships")
 		}
@@ -319,49 +351,36 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 	if err := asgraph.Validate(g); err != nil {
 		return nil, err
 	}
-	tiers := asgraph.Classify(g, meta.CPs, nil)
+	sim.g, sim.meta, sim.tiers = g, meta, asgraph.Classify(g, meta.CPs, nil)
 
-	sim := &Simulation{
-		g: g, meta: meta, tiers: tiers,
-		model: sc.model, models: sc.models, lp: sc.lp,
-		attack: sc.attack, workers: sc.workers, ctx: sc.ctx,
-		resolve:     sc.resolve,
-		incremental: sc.incremental,
-		pairs:       sc.pairs,
-		shardSize:   sc.shardSize,
-		checkpoint:  sc.checkpoint,
-		resume:      sc.resume,
-	}
-	sim.jobSpec, sim.jobSpecErr = jobSpecOf(sc)
 	seen := map[string]bool{"baseline": true}
-	for _, sd := range sc.deployments {
-		if sd.name == "" || seen[sd.name] {
-			return nil, fmt.Errorf("sbgp: empty or duplicate deployment name %q", sd.name)
+	for i, d := range spec.Deployments {
+		if d.Name == "" || seen[d.Name] {
+			return nil, fmt.Errorf("sbgp: empty or duplicate deployment name %q", d.Name)
 		}
-		seen[sd.name] = true
-		var dep *Deployment
+		seen[d.Name] = true
+		dep := sc.prebuilt[i]
 		switch {
-		case sd.prebuilt != nil:
-			dep = sd.prebuilt
-		case sd.spec != nil:
+		case dep != nil:
+		case d.Spec != nil:
 			// Declarative specs can arrive from untrusted job JSON
 			// (the daemon); range-check CP indices here rather than
 			// panicking inside the deployment builder.
-			for _, cp := range sd.spec.CPs {
+			for _, cp := range d.Spec.CPs {
 				if int(cp) < 0 || int(cp) >= g.N() {
 					return nil, fmt.Errorf("sbgp: deployment %q: content provider AS%d out of range [0,%d)",
-						sd.name, cp, g.N())
+						d.Name, cp, g.N())
 				}
 			}
-			dep = BuildDeployment(g, tiers, *sd.spec)
+			dep = BuildDeployment(g, sim.tiers, *d.Spec)
 		default:
-			spec, err := namedDeploymentSpec(sd.named, meta)
+			named, err := namedDeploymentSpec(d.Named, meta)
 			if err != nil {
 				return nil, err
 			}
-			dep = BuildDeployment(g, tiers, spec)
+			dep = BuildDeployment(g, sim.tiers, named)
 		}
-		sim.deployments = append(sim.deployments, GridDeployment{Name: sd.name, Dep: dep})
+		sim.deployments = append(sim.deployments, GridDeployment{Name: d.Name, Dep: dep})
 	}
 	return sim, nil
 }

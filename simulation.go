@@ -1,7 +1,6 @@
 package sbgp
 
 import (
-	"context"
 	"fmt"
 
 	"sbgp/internal/sweep"
@@ -13,30 +12,13 @@ import (
 // engines it wraps, must not be shared between goroutines; Sweep
 // parallelism is managed internally and safe.
 type Simulation struct {
+	// sc is the scenario as simulated: its spec in canonical form
+	// (defaults resolved) and its attack resolved to a strategy object.
+	sc Scenario
+
 	g     *Graph
 	meta  *TopologyMeta
 	tiers *Tiers
-
-	model       Model
-	models      []Model
-	lp          LocalPref
-	attack      Attack
-	workers     int
-	ctx         context.Context
-	resolve     bool
-	incremental IncrementalMode
-
-	pairs PairSpec
-
-	shardSize  int
-	checkpoint string
-	resume     bool
-
-	// jobSpec is the scenario's serializable wire form, reconstructed
-	// from its configuration at Simulate time (jobSpecErr when the
-	// scenario uses a capability the wire format cannot carry).
-	jobSpec    *JobSpec
-	jobSpecErr error
 
 	// jobPlan is the job grid — the scenario's grid over its own pair
 	// policy — prepared on first use and shared by every Job* method, so
@@ -65,11 +47,14 @@ func (s *Simulation) Meta() *TopologyMeta { return s.meta }
 func (s *Simulation) Tiers() *Tiers { return s.tiers }
 
 // Model returns the primary security model.
-func (s *Simulation) Model() Model { return s.model }
+func (s *Simulation) Model() Model { return s.sc.model }
 
-// Attack returns the threat-model strategy (nil: the default one-hop
-// hijack).
-func (s *Simulation) Attack() Attack { return s.attack }
+// Attack returns the threat-model strategy (the one-hop hijack unless
+// configured otherwise).
+func (s *Simulation) Attack() Attack { return s.sc.attack }
+
+// lp returns the scenario's local-preference variant.
+func (s *Simulation) lp() LocalPref { return LocalPref{K: s.sc.spec.LPK} }
 
 // Deployment returns the primary deployment, or nil for the S = ∅
 // baseline.
@@ -90,10 +75,10 @@ func (s *Simulation) Engine(m Model) *Engine {
 	}
 	if s.engines[m] == nil {
 		var opts []EngineOption
-		if s.resolve {
+		if s.sc.resolve {
 			opts = append(opts, EngineResolvedTiebreak())
 		}
-		s.engines[m] = NewEngineLP(s.g, m, s.lp, opts...)
+		s.engines[m] = NewEngineLP(s.g, m, s.lp(), opts...)
 	}
 	return s.engines[m]
 }
@@ -101,7 +86,7 @@ func (s *Simulation) Engine(m Model) *Engine {
 // checkRun validates a (destination, attacker) pair against the graph
 // and the scenario context.
 func (s *Simulation) checkRun(d, m AS) error {
-	if err := s.ctx.Err(); err != nil {
+	if err := s.sc.ctx.Err(); err != nil {
 		return err
 	}
 	if int(d) < 0 || int(d) >= s.g.N() {
@@ -121,7 +106,7 @@ func (s *Simulation) checkRun(d, m AS) error {
 // attack. Pass m = NoAS for normal conditions. The outcome is owned by
 // the underlying engine and valid until its next run; Clone to retain.
 func (s *Simulation) Run(d, m AS) (*Outcome, error) {
-	return s.RunWith(s.model, d, m, s.Deployment())
+	return s.RunWith(s.sc.model, d, m, s.Deployment())
 }
 
 // RunNormal is Run under normal conditions (no attacker).
@@ -135,7 +120,7 @@ func (s *Simulation) RunWith(model Model, d, m AS, dep *Deployment) (*Outcome, e
 	if err := s.checkRun(d, m); err != nil {
 		return nil, err
 	}
-	return s.Engine(model).RunAttack(d, m, dep, s.attack), nil
+	return s.Engine(model).RunAttack(d, m, dep, s.sc.attack), nil
 }
 
 // Partition computes the doomed/immune/protectable partition for a
@@ -149,7 +134,7 @@ func (s *Simulation) Partition(d, m AS) (*Partition, error) {
 		return nil, fmt.Errorf("sbgp: partitions need an attacker")
 	}
 	if s.partitioner == nil {
-		s.partitioner = NewPartitioner(s.g, s.lp)
+		s.partitioner = NewPartitioner(s.g, s.lp())
 	}
 	return s.partitioner.Run(d, m), nil
 }
@@ -165,20 +150,28 @@ func (s *Simulation) Sweep(attackers, destinations []AS) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.Evaluate(s.ctx)
+	return pl.Evaluate(s.sc.ctx)
 }
 
 // grid assembles the scenario's sweep grid over the given pair sets.
 func (s *Simulation) grid(attackers, destinations []AS) *Grid {
+	spec := &s.sc.spec
+	models := make([]Model, len(spec.Models))
+	for i, n := range spec.Models {
+		models[i] = Model(n - 1)
+	}
+	// The mode string was written by WithIncremental or validated by
+	// FromJobSpec, so it parses.
+	mode, _ := ParseIncrementalMode(spec.Incremental)
 	return &Grid{
-		Models:       s.models,
-		LP:           s.lp,
+		Models:       models,
+		LP:           s.lp(),
 		Deployments:  append([]GridDeployment{{Name: "baseline"}}, s.deployments...),
 		Attackers:    attackers,
 		Destinations: destinations,
-		Attack:       s.attack,
-		Incremental:  s.incremental,
-		Workers:      s.workers,
+		Attack:       s.sc.attack,
+		Incremental:  mode,
+		Workers:      spec.Workers,
 	}
 }
 
@@ -199,19 +192,19 @@ func (s *Simulation) RunDeltaSeries(d, m AS, deps []*Deployment) ([]*Outcome, er
 	if err := s.checkRun(d, m); err != nil {
 		return nil, err
 	}
-	e := s.Engine(s.model)
+	e := s.Engine(s.sc.model)
 	out := make([]*Outcome, len(deps))
 	var prev *Outcome
 	for i, dep := range deps {
-		if err := s.ctx.Err(); err != nil {
+		if err := s.sc.ctx.Err(); err != nil {
 			return nil, err
 		}
 		var o *Outcome
 		if prev != nil {
 			added, removed := DeploymentDelta(deps[i-1], dep)
-			o = e.RunDelta(prev, added, removed, dep, s.attack)
+			o = e.RunDelta(prev, added, removed, dep, s.sc.attack)
 		} else {
-			o = e.RunAttack(d, m, dep, s.attack)
+			o = e.RunAttack(d, m, dep, s.sc.attack)
 		}
 		out[i] = o.Clone()
 		prev = o
@@ -228,28 +221,27 @@ func (s *Simulation) RunDeltaSeries(d, m AS, deps []*Deployment) ([]*Outcome, er
 // checkpointed.
 func (s *Simulation) SweepSharded(attackers, destinations []AS, opts ShardOptions) (*Result, error) {
 	if opts.ShardSize == 0 {
-		opts.ShardSize = s.shardSize
+		opts.ShardSize = s.sc.spec.ShardSize
 	}
 	if opts.Checkpoint == "" {
-		opts.Checkpoint = s.checkpoint
+		opts.Checkpoint = s.sc.spec.Checkpoint
 	}
-	opts.Resume = opts.Resume || s.resume
-	return s.grid(attackers, destinations).EvaluateSharded(s.ctx, s.g, opts)
+	opts.Resume = opts.Resume || s.sc.spec.Resume
+	return s.grid(attackers, destinations).EvaluateSharded(s.sc.ctx, s.g, opts)
 }
 
 // JobSpec returns the canonical serializable job spec describing this
-// simulation's scenario — the exact spec FromJobSpec would rebuild it
-// from, reconstructed from the scenario configuration at Simulate time
-// so the wire format and the facade options cannot drift (pinned by
-// round-trip tests). It errors for scenarios using capabilities the
-// wire format cannot carry: an in-memory graph, prebuilt deployments,
-// generator parameters beyond (n, seed), resolved tiebreaks, or a
-// custom Attack unknown to ParseAttack.
+// simulation's scenario — a copy of the spec the simulation itself is
+// configured by, and therefore exactly what FromJobSpec would rebuild it
+// from. It errors, naming the offending capability, for scenarios using
+// what the wire format cannot carry: an in-memory graph, prebuilt
+// deployments, generator parameters beyond (n, seed), resolved
+// tiebreaks, or a custom Attack unknown to ParseAttack.
 func (s *Simulation) JobSpec() (*JobSpec, error) {
-	if s.jobSpecErr != nil {
-		return nil, s.jobSpecErr
+	if err := s.sc.unserializable(); err != nil {
+		return nil, err
 	}
-	return s.jobSpec.Clone(), nil
+	return s.sc.spec.Clone(), nil
 }
 
 // JobPairs materializes the scenario's pair policy (WithFullEnumeration
@@ -260,17 +252,11 @@ func (s *Simulation) JobSpec() (*JobSpec, error) {
 func (s *Simulation) JobPairs() (attackers, destinations []AS) {
 	ms := NonStubs(s.g)
 	ds := AllASes(s.g.N())
-	if s.pairs.Full {
+	pairs := s.sc.spec.Pairs
+	if pairs.Full {
 		return ms, ds
 	}
-	maxM, maxD := s.pairs.MaxM, s.pairs.MaxD
-	if maxM == 0 {
-		maxM = DefaultMaxM
-	}
-	if maxD == 0 {
-		maxD = DefaultMaxD
-	}
-	return SamplePairs(ms, ds, maxM, maxD)
+	return SamplePairs(ms, ds, pairs.MaxM, pairs.MaxD)
 }
 
 // JobPlan returns the scenario's job grid — the configured grid over
@@ -293,7 +279,7 @@ func (s *Simulation) JobGeometry() (cells, shards int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	l := pl.Layout(s.shardSize)
+	l := pl.Layout(s.sc.spec.ShardSize)
 	return l.Cells, l.Shards, nil
 }
 
@@ -329,14 +315,14 @@ func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cp := s.checkpoint
+	cp := s.sc.spec.Checkpoint
 	if opts.Checkpoint != "" {
 		cp = opts.Checkpoint
 	}
-	return pl.EvaluateSharded(s.ctx, ShardOptions{
-		ShardSize:  s.shardSize,
+	return pl.EvaluateSharded(s.sc.ctx, ShardOptions{
+		ShardSize:  s.sc.spec.ShardSize,
 		Checkpoint: cp,
-		Resume:     opts.Resume || s.resume,
+		Resume:     opts.Resume || s.sc.spec.Resume,
 		Sink:       opts.Sink,
 	}, sweep.RunOptions{Pool: opts.Pool, Stats: opts.Stats})
 }
@@ -353,7 +339,7 @@ func (s *Simulation) JobShardPlan() (*ShardLayout, []ShardRange, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	l := pl.Layout(s.shardSize)
+	l := pl.Layout(s.sc.spec.ShardSize)
 	return l, pl.Units(l), nil
 }
 
@@ -366,7 +352,7 @@ func (s *Simulation) EvaluateJobShards(l *ShardLayout, r ShardRange, opts ShardR
 	if err != nil {
 		return err
 	}
-	return pl.EvaluateShardRange(s.ctx, l, r, opts)
+	return pl.EvaluateShardRange(s.sc.ctx, l, r, opts)
 }
 
 // MergeJobPartials folds a complete, deduplicated set of shard partials
