@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"sbgp"
 	"sbgp/internal/asgraph"
 	"sbgp/internal/bgpsim"
 	"sbgp/internal/core"
@@ -30,18 +31,46 @@ import (
 	"sbgp/internal/topogen"
 )
 
+// The benchmark scenario is the headline job at benchmark scale —
+// baseline plus the named rollout endpoints over 8×10 sampled pairs on
+// 800 ASes — simulated once; the experiment benchmarks run on its
+// workload, the grid benchmarks on the simulation itself.
 var (
 	workloadOnce sync.Once
+	bsim         *sbgp.Simulation
 	bw           *exp.Workload
 	bwIXP        *exp.Workload
 )
 
+func benchOptions(extra ...sbgp.Option) []sbgp.Option {
+	return append([]sbgp.Option{
+		sbgp.WithPairSampling(8, 10),
+		sbgp.WithNamedDeployment("t1t2"),
+		sbgp.WithNamedDeployment("t2"),
+		sbgp.WithNamedDeployment("nonstubs"),
+	}, extra...)
+}
+
+func benchSimulate(opts ...sbgp.Option) *sbgp.Simulation {
+	sim, err := sbgp.NewScenario(opts...).Simulate()
+	if err != nil {
+		panic(err)
+	}
+	return sim
+}
+
 func benchWorkload(b *testing.B) *exp.Workload {
 	b.Helper()
 	workloadOnce.Do(func() {
-		cfg := exp.Config{N: 800, Seed: 1, MaxM: 8, MaxD: 10, MaxPerDest: 30}
-		bw = exp.NewWorkload(cfg)
-		bwIXP = exp.NewIXPWorkload(cfg)
+		var err error
+		bsim = benchSimulate(benchOptions(sbgp.WithGeneratedTopology(800, 1))...)
+		if bw, err = exp.NewWorkload(bsim, 30); err != nil {
+			panic(err)
+		}
+		ixp := benchSimulate(benchOptions(sbgp.WithGeneratedTopology(800, 1), sbgp.WithIXPAugmentation())...)
+		if bwIXP, err = exp.NewWorkload(ixp, 30); err != nil {
+			panic(err)
+		}
 	})
 	return bw
 }
@@ -459,26 +488,30 @@ func BenchmarkAblationEngineVsMessageSim(b *testing.B) {
 
 // BenchmarkSweepGrid measures the headline (model × deployment) sweep
 // grid — baseline plus the named rollout endpoints for all three
-// models — evaluated in one parallel pass on the benchmark workload.
+// models — evaluated in one parallel pass on the benchmark scenario.
 func BenchmarkSweepGrid(b *testing.B) {
-	w := benchWorkload(b)
+	benchWorkload(b)
+	M, D := bsim.JobPairs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := w.BaselineGrid(policy.Standard)
+		res, err := bsim.Sweep(M, D)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(res.Cells) != 4*policy.NumModels {
 			b.Fatalf("grid has %d cells", len(res.Cells))
 		}
 	}
 }
 
-// BenchmarkSweepSharded measures the sharded full-enumeration path on
-// the headline grid: in memory, and with the per-shard fsync'd
-// checkpoint (the durability cost of interruptible sweeps).
+// BenchmarkSweepSharded measures the sharded path on the headline grid:
+// in memory, and with the per-shard fsync'd checkpoint (the durability
+// cost of interruptible sweeps).
 func BenchmarkSweepSharded(b *testing.B) {
-	w := benchWorkload(b)
+	benchWorkload(b)
 	b.Run("memory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := w.BaselineGridSharded(context.Background(), policy.Standard, sweep.ShardOptions{})
+			res, err := bsim.EvaluateJob(sbgp.JobEvalOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -488,10 +521,11 @@ func BenchmarkSweepSharded(b *testing.B) {
 		}
 	})
 	b.Run("checkpoint", func(b *testing.B) {
+		small := benchSimulate(benchOptions(sbgp.WithGraph(bsim.Graph(), bsim.Meta()), sbgp.WithShardSize(64))...)
 		dir := b.TempDir()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, err := w.BaselineGridSharded(context.Background(), policy.Standard, sweep.ShardOptions{
-				ShardSize:  64,
+			_, err := small.EvaluateJob(sbgp.JobEvalOptions{
 				Checkpoint: filepath.Join(dir, fmt.Sprintf("bench_%d.ckpt", i)),
 			})
 			if err != nil {

@@ -2,8 +2,9 @@
 // or loaded from the asgraph text format) and reports the security
 // metric, partition fractions, and downgrade counts for one
 // attacker-destination pair — a microscope for a single cell of the
-// paper's aggregate figures. It is built entirely on the public sbgp
-// facade.
+// paper's aggregate figures. Both modes run an sbgp.Scenario: the
+// single pair through Simulation.Run and Partition, the grid through
+// EvaluateJob.
 //
 // The threat model is pluggable: -attack selects the paper's one-hop
 // hijack (default), no attack, an RPKI-stopped origin spoof, or a
@@ -42,6 +43,7 @@ import (
 	"strings"
 
 	"sbgp"
+	"sbgp/internal/core"
 )
 
 // options is the parsed command line. The grid flags bind straight into
@@ -226,8 +228,8 @@ func main() {
 		fmt.Printf("happy sources: %.1f%% .. %.1f%% of %d\n",
 			100*float64(lo)/float64(src), 100*float64(hi)/float64(src), src)
 		fmt.Printf("secure routes: %d normal, %d under attack, %d downgraded\n",
-			sbgp.CountSecure(normal), sbgp.CountSecure(attackOut),
-			sbgp.CountDowngraded(normal, attackOut))
+			core.CountSecure(normal), core.CountSecure(attackOut),
+			core.CountDowngraded(normal, attackOut))
 		part, err := sim.Partition(d, m)
 		if err != nil {
 			log.Fatal(err)
@@ -246,7 +248,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("secure routes under normal conditions: %d of %d sources\n",
-		sbgp.CountSecure(normal), normal.NumSources())
+		core.CountSecure(normal), normal.NumSources())
 	if o.showPath >= 0 && o.showPath < g.N() {
 		fmt.Printf("route of AS%d: %v (%s)\n", o.showPath,
 			normal.Path(sbgp.AS(o.showPath)), normal.Class[o.showPath])

@@ -1,7 +1,9 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (the experiment index E1–E27 of DESIGN.md) on a synthetic
 // workload and prints the measured values next to the numbers the paper
-// reports for the UCLA graph. It consumes the public sbgp facade.
+// reports for the UCLA graph. It simulates one sbgp.Scenario — the
+// headline job the grid flags spell — and hands that Simulation to both
+// the grid writer and the experiment suite (internal/exp).
 //
 // Usage:
 //
@@ -54,6 +56,11 @@ import (
 
 	"sbgp"
 	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
+	"sbgp/internal/deploy"
+	"sbgp/internal/exp"
+	"sbgp/internal/maxk"
+	"sbgp/internal/runner"
 )
 
 // options is the parsed command line. The grid flags bind straight into
@@ -103,25 +110,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	return o, nil
 }
 
-// config sizes the report's workload from the same flag-bound spec the
-// headline grid is evaluated from.
-func (o *options) config() (sbgp.ExperimentConfig, error) {
-	attack, err := sbgp.ParseAttack(o.spec.Attack)
-	if err != nil {
-		return sbgp.ExperimentConfig{}, err
-	}
-	mode, err := sbgp.ParseIncrementalMode(o.spec.Incremental)
-	if err != nil {
-		return sbgp.ExperimentConfig{}, err
-	}
-	return sbgp.ExperimentConfig{
-		N: o.spec.Topology.N, Seed: o.spec.Topology.Seed, SeedSet: true,
-		MaxM: o.spec.Pairs.MaxM, MaxD: o.spec.Pairs.MaxD, MaxPerDest: o.perDest,
-		Attack: attack, Incremental: mode, Workers: o.spec.Workers,
-		FullEnumeration: o.spec.Pairs.Full,
-	}, nil
-}
-
 // headlineSpec is the job the grid flags spell: the headline (model ×
 // deployment) grid — baseline plus the named rollout endpoints — over
 // the flag-bound spec, with the sampling caps (flag defaults that do
@@ -162,16 +150,16 @@ func main() {
 		if o.spec.Workers != 0 {
 			spec.Workers = o.spec.Workers
 		}
-		if err := writeGrid(spec, o.jsonPath, o.verbose); err != nil {
+		sim, err := simulate(spec)
+		if err != nil {
+			fail(err)
+		}
+		if err := writeGrid(sim, o.jsonPath, o.verbose); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	cfg, err := o.config()
-	if err != nil {
-		fail(err)
-	}
 	sharded := o.spec.ShardSize > 0 || o.spec.Checkpoint != "" || o.spec.Resume
 	if sharded && o.jsonPath == "" {
 		fail(fmt.Errorf("-shards/-checkpoint/-resume evaluate the headline grid and need -json"))
@@ -180,35 +168,59 @@ func main() {
 		fail(fmt.Errorf("-resume needs -checkpoint"))
 	}
 
-	w := sbgp.NewWorkload(cfg)
+	// One simulation of the headline spec serves the workload line, the
+	// -json grid and the report.
+	spec := o.headlineSpec()
+	sim, err := simulate(spec)
+	if err != nil {
+		fail(err)
+	}
+	w, err := exp.NewWorkload(sim, o.perDest)
+	if err != nil {
+		fail(err)
+	}
 	fmt.Printf("workload: %d ASes, %d c2p links, %d p2p links, |M|=%d |D|=%d, attack=%s\n",
 		w.G.N(), w.G.NumCustomerProviderLinks(), w.G.NumPeerLinks(), len(w.M), len(w.D),
-		cfg.Attack.Name())
+		w.Attack.Name())
 
 	if o.jsonPath != "" {
 		// Evaluated exactly as -job (and the sbgpd daemon) would, so both
 		// spellings write byte-identical grid files.
-		if err := writeGrid(o.headlineSpec(), o.jsonPath, o.verbose); err != nil {
+		if err := writeGrid(sim, o.jsonPath, o.verbose); err != nil {
 			fail(err)
 		}
 	}
-	report(os.Stdout, w, sbgp.StandardLP, !o.skipIXP, cfg)
+	report(os.Stdout, w, sbgp.StandardLP)
+	if !o.skipIXP {
+		// The Appendix J rerun is the same spec on the IXP-augmented
+		// topology.
+		spec.Topology.IXP = true
+		simIXP, err := simulate(spec)
+		if err != nil {
+			fail(err)
+		}
+		wi, err := exp.NewWorkload(simIXP, o.perDest)
+		if err != nil {
+			fail(err)
+		}
+		reportIXP(os.Stdout, w, wi, sbgp.StandardLP)
+	}
 }
 
-// writeGrid evaluates a job through the one shared path (the same
-// FromJobSpec → Simulate → EvaluateJob pipeline the daemon uses) and
-// writes the result grid to path. With verbose set, the scheduler's
-// planner and handoff stats go to stderr — the grid file stays
-// byte-identical either way.
-func writeGrid(spec *sbgp.JobSpec, path string, verbose bool) error {
+// simulate materializes the scenario a job spec describes.
+func simulate(spec *sbgp.JobSpec) (*sbgp.Simulation, error) {
 	sc, err := sbgp.FromJobSpec(spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sim, err := sc.Simulate()
-	if err != nil {
-		return err
-	}
+	return sc.Simulate()
+}
+
+// writeGrid evaluates a simulated job through the one shared path (the
+// same EvaluateJob the daemon uses) and writes the result grid to path.
+// With verbose set, the scheduler's planner and handoff stats go to
+// stderr — the grid file stays byte-identical either way.
+func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 	var stats sbgp.ShardStats
 	res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
 	if err != nil {
@@ -235,7 +247,7 @@ func writeGrid(spec *sbgp.JobSpec, path string, verbose bool) error {
 	return nil
 }
 
-func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg sbgp.ExperimentConfig) {
+func report(out *os.File, w *exp.Workload, lp sbgp.LocalPref) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
 
 	p("\n== E27 / Table 1: tier taxonomy ==\n")
@@ -254,8 +266,8 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 	pf := w.Partitions(lp)
 	for _, m := range sbgp.Models {
 		p("  %-13s immune=%5.1f%%  protectable=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
-			m, 100*pf.LowerBound(m), 100*pf.Frac[m][sbgp.CatProtectable],
-			100*pf.Frac[m][sbgp.CatDoomed], 100*pf.UpperBound(m))
+			m, 100*pf.LowerBound(m), 100*pf.Frac[m][core.CatProtectable],
+			100*pf.Frac[m][core.CatDoomed], 100*pf.UpperBound(m))
 	}
 
 	p("\n== E3/E4 / Figures 4–5: partitions by destination tier ==\n")
@@ -272,7 +284,7 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 		}
 		f := byAtt[t].Frac[sbgp.Sec3rd]
 		p("  attacker %-7s immune=%5.1f%%  doomed=%5.1f%%  (pairs %d)\n",
-			asgraph.Tier(t), 100*f[sbgp.CatImmune], 100*f[sbgp.CatDoomed], byAtt[t].Pairs)
+			asgraph.Tier(t), 100*f[core.CatImmune], 100*f[core.CatDoomed], byAtt[t].Pairs)
 	}
 
 	p("\n== E6 / Section 4.7: partitions by source tier (sec 3rd) ==\n")
@@ -284,13 +296,13 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 			continue
 		}
 		p("  source %-7s immune=%5.1f%%  doomed=%5.1f%%  protectable=%5.1f%%\n",
-			asgraph.Tier(t), 100*f[sbgp.CatImmune], 100*f[sbgp.CatDoomed],
-			100*f[sbgp.CatProtectable])
+			asgraph.Tier(t), 100*f[core.CatImmune], 100*f[core.CatDoomed],
+			100*f[core.CatProtectable])
 	}
 
 	p("\n== E7 / Figure 7(a): Tier 1+2 rollout, ΔH_M',V(S) with simplex error bars ==\n")
 	p("  paper: last step ≈ +24%% (1st), small (2nd≈3rd); simplex stubs barely move the needle\n")
-	steps := sbgp.Tier12Rollout(w.G, w.Tiers, false)
+	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
 	printRollout(p, w.Rollout(steps, w.D, lp))
 
 	p("\n== E8 / Figure 7(b): same rollout, secure destinations only ==\n")
@@ -298,12 +310,12 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 	last := steps[len(steps)-1]
 	deltas := w.SecureDestDeltas(last.Deployment, lp)
 	for _, m := range sbgp.Models {
-		p("  %-13s mean ΔH over d∈S = %+.1f%%\n", m, 100*sbgp.MeanDelta(deltas[m]))
+		p("  %-13s mean ΔH over d∈S = %+.1f%%\n", m, 100*exp.MeanDelta(deltas[m]))
 	}
 
 	p("\n== E9 / Figure 8: Tier 1+2+CP rollout, CP destinations ==\n")
 	p("  paper: ≥26%% (1st), 9.4%% (2nd), 4%% (3rd) at the last step\n")
-	cpSteps := sbgp.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, false)
+	cpSteps := deploy.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, false)
 	printRollout(p, w.Rollout(cpSteps, w.Meta.CPs, lp))
 
 	p("\n== E10 / Figure 9: per-destination ΔH sequence, T1+T2+stubs ==\n")
@@ -311,14 +323,14 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 
 	p("\n== E11/E12 / Figures 10–11: Tier 2-only rollout ==\n")
 	p("  paper: slower growth; the sec 1st vs 2nd gap narrows without Tier 1s\n")
-	t2Steps := sbgp.Tier2Rollout(w.G, w.Tiers, false)
+	t2Steps := deploy.Tier2Rollout(w.G, w.Tiers, false)
 	printRollout(p, w.Rollout(t2Steps, w.D, lp))
 	t2Last := t2Steps[len(t2Steps)-1]
 	printDeltaSeq(p, w.SecureDestDeltas(t2Last.Deployment, lp))
 
 	p("\n== E13 / Figure 12: all non-stubs secure, per-destination ΔH ==\n")
 	p("  paper: worst-case ΔH 6.2%% / 4.7%% / 2.2%%; sec 2nd nearly reaches sec 1st\n")
-	nsDep := sbgp.BuildDeployment(w.G, w.Tiers, sbgp.DeploymentSpec{AllNonStubs: true})
+	nsDep := deploy.Build(w.G, w.Tiers, deploy.Spec{AllNonStubs: true})
 	printDeltaSeq(p, w.SecureDestDeltas(nsDep, lp))
 
 	p("\n== E14 / Section 5.3.1: choice of early adopters ==\n")
@@ -356,9 +368,9 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 	p("\n")
 
 	p("\n== E24 / Theorem 5.1: Max-k-Security on the Appendix I gadget ==\n")
-	gd := sbgp.BuildMaxKGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 2)
+	gd := maxk.BuildGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 2)
 	p("  set cover {0,1},{1,2},{0,2} with γ=2: satisfiable=%v (want true)\n", gd.Satisfiable(sbgp.Sec3rd))
-	gd1 := sbgp.BuildMaxKGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 1)
+	gd1 := maxk.BuildGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 1)
 	p("  same family with γ=1:               satisfiable=%v (want false)\n", gd1.Satisfiable(sbgp.Sec3rd))
 
 	p("\n== E26 / Figures 24–25 (Appendix K): LP2 policy variant ==\n")
@@ -368,27 +380,30 @@ func report(out *os.File, w *sbgp.Workload, lp sbgp.LocalPref, withIXP bool, cfg
 	p("  LP2 baseline lower=%.1f%%\n", 100*base2.Lo)
 	for _, m := range sbgp.Models {
 		p("  LP2 %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
-			m, 100*lpf.LowerBound(m), 100*lpf.Frac[m][sbgp.CatDoomed], 100*lpf.UpperBound(m))
+			m, 100*lpf.LowerBound(m), 100*lpf.Frac[m][core.CatDoomed], 100*lpf.UpperBound(m))
 	}
 	p("  Figure 25 (LP2 partitions by destination tier):\n")
 	p("  paper: high-degree tiers gain immunity; Tier 1 destinations mostly immune under LP2\n")
 	printTierTable(p, w.PartitionsByDestTier(sbgp.LP2), "dest")
+}
 
-	if withIXP {
-		p("\n== E25 / Appendix J: IXP-augmented graph ==\n")
-		wi := sbgp.NewIXPWorkload(cfg)
-		p("  augmented: %d p2p links (was %d)\n", wi.G.NumPeerLinks(), w.G.NumPeerLinks())
-		basei := wi.Baseline(sbgp.Sec3rd, lp)
-		p("  baseline lower=%.1f%% (paper: 62%%)\n", 100*basei.Lo)
-		pfi := wi.Partitions(lp)
-		for _, m := range sbgp.Models {
-			p("  %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
-				m, 100*pfi.LowerBound(m), 100*pfi.Frac[m][sbgp.CatDoomed], 100*pfi.UpperBound(m))
-		}
+// reportIXP prints E25: the baseline and partitions of w's scenario on
+// the IXP-augmented graph, wi.
+func reportIXP(out *os.File, w, wi *exp.Workload, lp sbgp.LocalPref) {
+	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
+
+	p("\n== E25 / Appendix J: IXP-augmented graph ==\n")
+	p("  augmented: %d p2p links (was %d)\n", wi.G.NumPeerLinks(), w.G.NumPeerLinks())
+	basei := wi.Baseline(sbgp.Sec3rd, lp)
+	p("  baseline lower=%.1f%% (paper: 62%%)\n", 100*basei.Lo)
+	pfi := wi.Partitions(lp)
+	for _, m := range sbgp.Models {
+		p("  %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
+			m, 100*pfi.LowerBound(m), 100*pfi.Frac[m][core.CatDoomed], 100*pfi.UpperBound(m))
 	}
 }
 
-func printTierTable(p func(string, ...interface{}), buckets []sbgp.PartitionFractions, kind string) {
+func printTierTable(p func(string, ...interface{}), buckets []runner.PartitionFractions, kind string) {
 	for _, model := range []sbgp.Model{sbgp.Sec3rd, sbgp.Sec2nd} {
 		p("  [%v]\n", model)
 		for t := 0; t < asgraph.NumTiers; t++ {
@@ -397,13 +412,13 @@ func printTierTable(p func(string, ...interface{}), buckets []sbgp.PartitionFrac
 			}
 			f := buckets[t].Frac[model]
 			p("    %s %-7s immune=%5.1f%%  protectable=%5.1f%%  doomed=%5.1f%%\n",
-				kind, asgraph.Tier(t), 100*f[sbgp.CatImmune], 100*f[sbgp.CatProtectable],
-				100*f[sbgp.CatDoomed])
+				kind, asgraph.Tier(t), 100*f[core.CatImmune], 100*f[core.CatProtectable],
+				100*f[core.CatDoomed])
 		}
 	}
 }
 
-func printRollout(p func(string, ...interface{}), pts []sbgp.RolloutPoint) {
+func printRollout(p func(string, ...interface{}), pts []exp.RolloutPoint) {
 	for _, pt := range pts {
 		p("  %-22s (%3d non-stubs, %5d ASes):", pt.Name, pt.NonStubs, pt.SecuredASes)
 		for _, m := range sbgp.Models {
@@ -422,6 +437,6 @@ func printDeltaSeq(p func(string, ...interface{}), deltas [sbgp.NumModels][]floa
 		}
 		q := func(f float64) float64 { return 100 * seq[int(f*float64(len(seq)-1))] }
 		p("  %-13s min=%+5.1f%% p25=%+5.1f%% median=%+5.1f%% p75=%+5.1f%% max=%+5.1f%% mean=%+5.1f%%\n",
-			m, q(0), q(0.25), q(0.5), q(0.75), q(1), 100*sbgp.MeanDelta(seq))
+			m, q(0), q(0.25), q(0.5), q(0.75), q(1), 100*exp.MeanDelta(seq))
 	}
 }

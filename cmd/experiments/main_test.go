@@ -68,37 +68,29 @@ func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 	}
 }
 
-// TestWriteGridMatchesWorkloadGrid pins the output contract across the
-// redesign: the unified job path writes the headline grid byte-for-byte
-// as the pre-JobSpec Workload evaluation did, so existing -json
-// consumers see no change — and the -job spelling matches the legacy
-// flags exactly.
-func TestWriteGridMatchesWorkloadGrid(t *testing.T) {
-	o := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2")
-	spec := o.headlineSpec()
-	cfg, err := o.config()
-	if err != nil {
-		t.Fatal(err)
+// TestWriteGridJobFileMatchesFlags pins the two spellings at the byte
+// level: the headline spec the flags spell, written to a spec file and
+// loaded back the way -job does, writes the same grid file.
+func TestWriteGridJobFileMatchesFlags(t *testing.T) {
+	spec := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2").headlineSpec()
+	grid := func(spec *sbgp.JobSpec, name string) []byte {
+		t.Helper()
+		sim, err := simulate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := writeGrid(sim, path, false); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	path := filepath.Join(t.TempDir(), "grid.json")
-	if err := writeGrid(spec, path, false); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromFlags := grid(spec, "grid.json")
 
-	var want bytes.Buffer
-	if err := sbgp.NewWorkload(cfg).BaselineGrid(sbgp.StandardLP).WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("job-path grid differs from workload grid:\n got %s\nwant %s", got, want.Bytes())
-	}
-
-	// The -job spelling goes through the same writeGrid, so a spec file
-	// round-trip cannot change the bytes either.
 	specPath := filepath.Join(t.TempDir(), "spec.json")
 	f, err := os.Create(specPath)
 	if err != nil {
@@ -112,15 +104,7 @@ func TestWriteGridMatchesWorkloadGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path2 := filepath.Join(t.TempDir(), "grid2.json")
-	if err := writeGrid(loaded, path2, false); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got2, got) {
-		t.Error("-job spelling wrote different grid bytes than the legacy flags")
+	if fromFile := grid(loaded, "grid2.json"); !bytes.Equal(fromFile, fromFlags) {
+		t.Error("-job spelling wrote different grid bytes than the flags")
 	}
 }

@@ -103,31 +103,57 @@ func main() {
 	}
 	fmt.Printf("sbgpd listening on %s (data %s, %s)\n", ln.Addr(), *dataDir, mode)
 
-	handler := srv.Handler()
-	if coord != nil {
-		mux := http.NewServeMux()
-		mux.Handle("/dist/v1/", coord.Handler())
-		mux.Handle("/", handler)
-		handler = mux
-	}
-	httpSrv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		log.Printf("received %v, shutting down", sig)
-	case err := <-errc:
+	if err := serve(ln, newHandler(srv, coord), sigc); err != nil {
 		log.Fatal(err)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	httpSrv.Shutdown(ctx)
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("stopped; queued and interrupted jobs will resume on restart")
+}
+
+// newHandler mounts the job API, and with a coordinator the lease
+// protocol under /dist/v1/ beside it.
+func newHandler(srv *service.Server, coord *dist.Coordinator) http.Handler {
+	if coord == nil {
+		return srv.Handler()
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/dist/v1/", coord.Handler())
+	mux.Handle("/", srv.Handler())
+	return mux
+}
+
+// serve answers requests on ln until stop delivers a signal, then shuts
+// the HTTP server down and returns nil; a Serve failure is returned.
+// Every request context derives from one base context that is cancelled
+// on the signal, before Shutdown: the long-lived handlers (job events and
+// wait, the coordinator's event stream) watch their request context, so
+// they return at once instead of holding Shutdown — and the running job
+// behind it — for the full grace period.
+func serve(ln net.Listener, handler http.Handler, stop <-chan os.Signal) error {
+	reqCtx, cancelRequests := context.WithCancel(context.Background())
+	defer cancelRequests()
+	httpSrv := &http.Server{
+		Handler:     handler,
+		BaseContext: func(net.Listener) context.Context { return reqCtx },
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.Serve(ln) }()
+
+	select {
+	case sig := <-stop:
+		log.Printf("received %v, shutting down", sig)
+	case err := <-errc:
+		return err
+	}
+	cancelRequests()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Printf("http shutdown: %v", err)
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 // Package sbgp is a from-scratch Go reproduction of "BGP Security in
 // Partial Deployment: Is the Juice Worth the Squeeze?" (Lychev, Goldberg,
-// Schapira; SIGCOMM 2013) — and the public facade over its machinery.
+// Schapira; SIGCOMM 2013) — and the scenario layer over its machinery:
+// one description of a simulation (Scenario, JobSpec), materialized once
+// (Simulation), evaluated every way the paper needs.
 //
 // The library models interdomain routing with partially-deployed S*BGP
 // (S-BGP / soBGP / BGPSEC) coexisting with legacy BGP, under the three
@@ -26,16 +28,19 @@
 //	res, err := sim.Sweep(attackers, dests)      // a whole grid, in parallel
 //	res.WriteJSON(os.Stdout)
 //
-// For the paper's full |V|² methodology, evaluate the grid sharded and
-// durable — every completed shard is checkpointed (fsync'd) and a
-// cancelled sweep resumes without re-evaluating it, with byte-identical
-// output either way:
+// For the paper's full |V|² methodology, run the scenario as a job: the
+// grid over the scenario's own pair policy, sharded and durable — every
+// completed shard is checkpointed (fsync'd) and a cancelled job resumes
+// without re-evaluating it, with byte-identical output either way:
 //
-//	res, err := sim.SweepSharded(sbgp.NonStubs(g), sbgp.AllASes(g.N()),
-//		sbgp.ShardOptions{Checkpoint: "sweep.ckpt", Resume: true})
+//	sim, err := sbgp.NewScenario(
+//		sbgp.WithFullEnumeration(),
+//		sbgp.WithCheckpoint("sweep.ckpt"), sbgp.WithResume(),
+//	).Simulate()
+//	res, err := sim.EvaluateJob(sbgp.JobEvalOptions{})
 //
-// (scenario defaults: WithShardSize, WithCheckpoint, WithResume; the
-// CLIs expose the same via -full/-shards/-checkpoint/-resume.)
+// (also WithShardSize; the CLIs expose the same via
+// -full/-shards/-checkpoint/-resume.)
 //
 // # Job specs
 //
@@ -67,16 +72,22 @@
 // an explicit deployment series with signed deltas, so the series may
 // also shrink or jump between incomparable deployments.
 //
-// Every capability is reachable from this package: raw topology
-// construction (NewBuilder, NewSet, SetOf, ClassifyTiers), engines
-// (NewEngine/Engine), partitions (Partitioner), deployment builders
-// (BuildDeployment, the rollout schedules), grid evaluation (Grid,
-// Grid.Prepare, Plan), paper experiments (Workload), Max-k-Security
-// (BuildMaxKGadget), and the message-level simulator (NewMessageNet).
-// Consumers outside this module import only "sbgp" (Go's internal rule
-// forbids them anything under sbgp/internal/); the in-repo example
-// programs may additionally use sbgp/internal/asgraph and are held to
-// exactly that boundary by a test.
+// # What this package exports
+//
+// The package exports what it defines — Scenario and its With* options,
+// Simulation, the JobSpec family — plus an alias for each internal type
+// its own signatures mention (Graph, Model, Deployment, Outcome, Attack,
+// Result, the Shard* types, ...) and the constants and constructors
+// needed to produce their values (sbgp.go; a test holds the file to that
+// rule). It is not a mirror of the internal packages: raw topology
+// construction (asgraph.NewBuilder, asgraph.SetOf), engines and
+// partitioners (core), deployment builders and rollout schedules
+// (deploy), hand-declared grids (sweep.Grid), the paper's experiments
+// (exp), Max-k-Security (maxk) and the message-level simulator (bgpsim)
+// are called in the package that defines them. The layer has three
+// consumers, each built on a Simulation: the experiment suite
+// (internal/exp, cmd/experiments), the daemon (internal/service,
+// cmd/sbgpd) and the distributed tier (internal/dist, cmd/sbgpworker).
 //
 // # Attack strategies
 //
@@ -92,7 +103,7 @@
 //
 // ParseAttack resolves those names (the -attack flag of cmd/bgpsim and
 // cmd/experiments); custom strategies implement Attack and seed
-// announcements through a Seeder. The default strategy reproduces the
+// announcements through a core.Seeder. The default strategy reproduces the
 // pre-interface engine bit for bit — pinned by a golden sweep test.
 //
 // # Cancellation
@@ -126,10 +137,17 @@
 //	                   aggregation, incremental nested-chain scheduling,
 //	                   sharded full enumeration with checkpoint/resume,
 //	                   and JSON output
-//	internal/exp       one experiment per paper table/figure
+//	internal/exp       one experiment per paper table/figure, on a
+//	                   Simulation's workload
 //	internal/service   the resident sweep daemon behind cmd/sbgpd: job
 //	                   store, priority queue, warm topology/engine
 //	                   caches, HTTP/JSON + SSE API
+//	internal/dist      the distributed sweep tier behind sbgpd -dist and
+//	                   cmd/sbgpworker: coordinator, shard leases with
+//	                   heartbeat expiry, idempotent ingest, worker loop
+//	internal/analyzers sbgplint's go/analysis suite: the determinism,
+//	                   zero-alloc and safety invariants, checked
+//	                   mechanically
 //
 // The benchmarks in this directory regenerate every evaluation artifact;
 // see DESIGN.md for the experiment index E1–E27 and the design-choice

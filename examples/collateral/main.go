@@ -1,8 +1,8 @@
 // Collateral demonstrates the non-monotonicity phenomena of Section 6:
 // deploying S*BGP at some ASes can make *other* (insecure) ASes better
 // off — collateral benefit — or worse off — collateral damage. The
-// topologies mirror Figures 14 and 17 of the paper; the engines come
-// from the public sbgp facade.
+// topologies mirror Figures 14 and 17 of the paper, built edge by edge
+// and run on the routing engine (internal/core) directly.
 //
 //	go run ./examples/collateral
 package main
@@ -10,8 +10,9 @@ package main
 import (
 	"fmt"
 
-	"sbgp"
 	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
+	"sbgp/internal/policy"
 )
 
 func main() {
@@ -41,9 +42,9 @@ func damageSec2() {
 	b.AddProviderCustomer(w2, m)
 	g := b.MustBuild()
 
-	e := sbgp.NewEngine(g, sbgp.Sec2nd)
+	e := core.NewEngine(g, policy.Sec2nd)
 	before := e.Run(d, m, nil).Clone()
-	after := e.Run(d, m, &sbgp.Deployment{Full: asgraph.SetOf(10, d, c1, c2, q2, p)})
+	after := e.Run(d, m, &core.Deployment{Full: asgraph.SetOf(10, d, c1, c2, q2, p)})
 	fmt.Println("collateral DAMAGE (security 2nd, Figure 14):")
 	fmt.Printf("  insecure customer before deployment: %v (route length %d)\n", before.Label[s], before.Len[s])
 	fmt.Printf("  its provider goes secure and picks a %d-hop secure route (was %d)\n", after.Len[p], before.Len[p])
@@ -65,9 +66,9 @@ func benefitSec2() {
 	b.AddProviderCustomer(p, s)
 	g := b.MustBuild()
 
-	e := sbgp.NewEngine(g, sbgp.Sec2nd)
+	e := core.NewEngine(g, policy.Sec2nd)
 	before := e.Run(d, m, nil).Clone()
-	after := e.Run(d, m, &sbgp.Deployment{Full: asgraph.SetOf(8, d, cb3, cb2, cb, p)})
+	after := e.Run(d, m, &core.Deployment{Full: asgraph.SetOf(8, d, cb3, cb2, cb, p)})
 	fmt.Println("collateral BENEFIT (security 2nd, Figure 14):")
 	fmt.Printf("  single-homed insecure customer before: %v\n", before.Label[s])
 	fmt.Printf("  single-homed insecure customer after:  %v\n", after.Label[s])
@@ -89,9 +90,9 @@ func damageSec1() {
 	b.AddProviderCustomer(as2647, m)
 	g := b.MustBuild()
 
-	e := sbgp.NewEngine(g, sbgp.Sec1st)
+	e := core.NewEngine(g, policy.Sec1st)
 	before := e.Run(d, m, nil).Clone()
-	after := e.Run(d, m, &sbgp.Deployment{Full: asgraph.SetOf(7, d, as7473, optus)})
+	after := e.Run(d, m, &core.Deployment{Full: asgraph.SetOf(7, d, as7473, optus)})
 	fmt.Println("collateral DAMAGE (security 1st, Figure 17):")
 	fmt.Printf("  Orange before: %v via a %s route exported by its peer\n",
 		before.Label[orange], before.Class[orange])

@@ -4,8 +4,8 @@
 // Level 3 (AS 3356); when the attacker announces the bogus path "m, d"
 // via legacy BGP, the webhost prefers the resulting four-hop *peer*
 // route (local preference outranks security in the security 2nd and 3rd
-// models) and silently abandons its secure route. Built on the public
-// sbgp facade.
+// models) and silently abandons its secure route. Runs the routing
+// engine (internal/core) directly on a hand-built topology.
 //
 //	go run ./examples/downgrade
 package main
@@ -13,8 +13,9 @@ package main
 import (
 	"fmt"
 
-	"sbgp"
 	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
+	"sbgp/internal/policy"
 )
 
 const (
@@ -42,10 +43,10 @@ func main() {
 	g := b.MustBuild()
 
 	// Per Section 5.3.1: the Tier 1 and its stubs have deployed S*BGP.
-	dep := &sbgp.Deployment{Full: asgraph.SetOf(6, level3, webhost, dodStub)}
+	dep := &core.Deployment{Full: asgraph.SetOf(6, level3, webhost, dodStub)}
 
-	for _, model := range sbgp.Models {
-		e := sbgp.NewEngine(g, model, sbgp.EngineResolvedTiebreak())
+	for _, model := range policy.Models {
+		e := core.NewEngine(g, model, core.WithResolvedTiebreak())
 		fmt.Printf("— %s —\n", model)
 
 		normal := e.RunNormal(level3, dep).Clone()
@@ -55,7 +56,7 @@ func main() {
 		fmt.Printf("  attack:  %s\n", describe(attack, webhost))
 
 		switch {
-		case sbgp.Downgraded(normal, attack, webhost):
+		case core.Downgraded(normal, attack, webhost):
 			fmt.Println("  ⇒ protocol downgrade: the secure route was abandoned for a bogus one")
 		case attack.Secure[webhost]:
 			fmt.Println("  ⇒ the webhost kept its secure route (Theorem 3.1)")
@@ -64,7 +65,7 @@ func main() {
 	}
 }
 
-func describe(o *sbgp.Outcome, v asgraph.AS) string {
+func describe(o *core.Outcome, v asgraph.AS) string {
 	path := o.Path(v)
 	s := ""
 	for i, hop := range path {

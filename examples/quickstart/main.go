@@ -1,5 +1,5 @@
-// Quickstart: generate an Internet-like topology through the public
-// sbgp facade, launch the paper's "m, d" attack against a destination,
+// Quickstart: declare an sbgp.Scenario over a generated Internet-like
+// topology, launch the paper's "m, d" attack against a destination,
 // and measure how many ASes a partial S*BGP deployment protects under
 // each security model — then swap in a smarter padded-path attacker
 // with one option.

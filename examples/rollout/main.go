@@ -2,7 +2,8 @@
 // it walks the Tier 1 + Tier 2 deployment rollout of Section 5.2 and
 // prints, for each security model, how much the security metric improves
 // over origin authentication alone — the "juice" each extra slice of
-// S*BGP deployment buys. Everything runs through the public sbgp facade.
+// S*BGP deployment buys. One sbgp.Scenario is simulated and handed to the
+// experiment suite (internal/exp), the way cmd/experiments does it.
 //
 // The rollout is evaluated incrementally: consecutive deployments are
 // nested (S₁ ⊂ S₂ ⊂ …), so each step reuses the previous fixed point
@@ -14,15 +15,28 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"sbgp"
+	"sbgp/internal/deploy"
+	"sbgp/internal/exp"
 )
 
 func main() {
 	n := flag.Int("n", 1500, "topology size")
 	flag.Parse()
 
-	w := sbgp.NewWorkload(sbgp.ExperimentConfig{N: *n, Seed: 7, MaxM: 12, MaxD: 16})
+	sim, err := sbgp.NewScenario(
+		sbgp.WithGeneratedTopology(*n, 7),
+		sbgp.WithPairSampling(12, 16),
+	).Simulate()
+	if err != nil {
+		log.Fatal(err)
+	}
+	w, err := exp.NewWorkload(sim, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("synthetic Internet: %d ASes; attackers: %d non-stubs; destinations: %d sampled\n\n",
 		w.G.N(), len(w.M), len(w.D))
 
@@ -30,7 +44,7 @@ func main() {
 	fmt.Printf("origin authentication alone already protects %.1f%%..%.1f%% of sources\n\n",
 		100*base.Lo, 100*base.Hi)
 
-	steps := sbgp.Tier12Rollout(w.G, w.Tiers, false)
+	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
 	points := w.Rollout(steps, w.D, sbgp.StandardLP)
 	fmt.Println("improvement over that baseline (lower bounds):")
 	for _, pt := range points {

@@ -1,8 +1,8 @@
 // Wedgie reproduces Figure 1 of the paper: when ASes place route
 // security inconsistently in their BGP decision processes, a link flap
 // wedges the network into an unintended stable state that persists after
-// the link recovers. The message-level simulator comes from the public
-// sbgp facade.
+// the link recovers. Runs the message-level simulator (internal/bgpsim)
+// directly — the one place per-AS placements may disagree.
 //
 //	go run ./examples/wedgie
 package main
@@ -10,8 +10,8 @@ package main
 import (
 	"fmt"
 
-	"sbgp"
 	"sbgp/internal/asgraph"
+	"sbgp/internal/bgpsim"
 )
 
 // The Figure 1 cast, densely indexed.
@@ -42,11 +42,11 @@ func main() {
 	// Everyone but AS 8928 is secure; the Norwegians rank security 1st,
 	// the Swedes below local preference. That inconsistency is the
 	// whole story.
-	placements := []sbgp.Placement{
-		sbgp.PlacementFirst, sbgp.PlacementNotDeployed, sbgp.PlacementThird,
-		sbgp.PlacementFirst, sbgp.PlacementThird, sbgp.PlacementFirst,
+	placements := []bgpsim.Placement{
+		bgpsim.First, bgpsim.NotDeployed, bgpsim.Third,
+		bgpsim.First, bgpsim.Third, bgpsim.First,
 	}
-	sim := sbgp.NewMessageNet(g, placements)
+	sim := bgpsim.New(g, placements)
 
 	fmt.Println("establishing the intended state (secure path first)...")
 	sim.FailLink(as34226, as8928)
@@ -71,7 +71,7 @@ func main() {
 	fmt.Println("stuck behind it on the path through never-secured AS8928.")
 }
 
-func show(sim *sbgp.MessageNet, label string) {
+func show(sim *bgpsim.Net, label string) {
 	fmt.Printf("%s:\n", label)
 	for _, v := range []asgraph.AS{as31283, as29518} {
 		r := sim.RouteOf(v)

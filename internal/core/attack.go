@@ -70,7 +70,7 @@ func clampHops(hops int) int {
 
 // clampLen normalizes an origination length into [0, MaxPadHops]. The
 // clamp lives here, in core, so every seeding path — the built-in
-// strategies, ParseAttack, the facade, and custom Attacks calling
+// strategies, ParseAttack, scenarios, and custom Attacks calling
 // Originate directly — shares one bound and the engine's int32 length
 // arithmetic (origination length plus at most one hop per AS) can never
 // overflow.

@@ -26,6 +26,8 @@ import (
 
 	"sbgp"
 	"sbgp/internal/asgraph"
+	"sbgp/internal/runner"
+	"sbgp/internal/sweep"
 	"sbgp/internal/topogen"
 )
 
@@ -44,16 +46,16 @@ var smallGraph = sync.OnceValue(func() *sbgp.Graph {
 
 // goldenGrid mirrors the sweep package's golden grid exactly — same
 // axes, same pairs — so results compare against the same golden files.
-func goldenGrid(g *sbgp.Graph, attack sbgp.Attack) *sbgp.Grid {
-	M, D := sbgp.SamplePairs(sbgp.NonStubs(g), sbgp.AllASes(g.N()), 6, 8)
-	evens := sbgp.NewSet(g.N())
+func goldenGrid(g *sbgp.Graph, attack sbgp.Attack) *sweep.Grid {
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 6, 8)
+	evens := asgraph.NewSet(g.N())
 	for v := 0; v < g.N(); v += 2 {
 		evens.Add(sbgp.AS(v))
 	}
-	return &sbgp.Grid{
-		Deployments: []sbgp.GridDeployment{
+	return &sweep.Grid{
+		Deployments: []sweep.Deployment{
 			{Name: "baseline"},
-			{Name: "nonstubs", Dep: &sbgp.Deployment{Full: sbgp.SetOf(g.N(), sbgp.NonStubs(g)...)}},
+			{Name: "nonstubs", Dep: &sbgp.Deployment{Full: asgraph.SetOf(g.N(), asgraph.NonStubs(g)...)}},
 			{Name: "evens", Dep: &sbgp.Deployment{Full: evens}},
 		},
 		Attackers:    M,
@@ -65,26 +67,26 @@ func goldenGrid(g *sbgp.Graph, attack sbgp.Attack) *sbgp.Grid {
 }
 
 // nestedGrid mirrors the sweep package's rollout-shaped golden grid.
-func nestedGrid(g *sbgp.Graph) *sbgp.Grid {
-	M, D := sbgp.SamplePairs(sbgp.NonStubs(g), sbgp.AllASes(g.N()), 6, 8)
-	nonStubs := sbgp.NonStubs(g)
-	deployments := []sbgp.GridDeployment{{Name: "baseline"}}
+func nestedGrid(g *sbgp.Graph) *sweep.Grid {
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 6, 8)
+	nonStubs := asgraph.NonStubs(g)
+	deployments := []sweep.Deployment{{Name: "baseline"}}
 	for _, k := range []int{3, 9, 18, 30} {
-		anchors := sbgp.SetOf(g.N(), nonStubs[:k]...)
+		anchors := asgraph.SetOf(g.N(), nonStubs[:k]...)
 		stubs := asgraph.StubCustomersOf(g, anchors)
 		full := anchors.Clone()
 		for _, v := range stubs {
 			full.Add(v)
 		}
 		deployments = append(deployments,
-			sbgp.GridDeployment{Name: fmt.Sprintf("step%d", k), Dep: &sbgp.Deployment{Full: full}},
-			sbgp.GridDeployment{Name: fmt.Sprintf("step%d+simplex", k), Dep: &sbgp.Deployment{
+			sweep.Deployment{Name: fmt.Sprintf("step%d", k), Dep: &sbgp.Deployment{Full: full}},
+			sweep.Deployment{Name: fmt.Sprintf("step%d+simplex", k), Dep: &sbgp.Deployment{
 				Full:    anchors.Clone(),
-				Simplex: sbgp.SetOf(g.N(), stubs...),
+				Simplex: asgraph.SetOf(g.N(), stubs...),
 			}},
 		)
 	}
-	return &sbgp.Grid{
+	return &sweep.Grid{
 		Deployments:  deployments,
 		Attackers:    M,
 		Destinations: D,
@@ -94,17 +96,17 @@ func nestedGrid(g *sbgp.Graph) *sbgp.Grid {
 }
 
 // chainedGrid mirrors the sweep scheduler tests' small rollout grid.
-func chainedGrid(g *sbgp.Graph) *sbgp.Grid {
-	M, D := sbgp.SamplePairs(sbgp.NonStubs(g), sbgp.AllASes(g.N()), 5, 6)
-	nonStubs := sbgp.NonStubs(g)
-	deployments := []sbgp.GridDeployment{{Name: "baseline"}}
+func chainedGrid(g *sbgp.Graph) *sweep.Grid {
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
+	nonStubs := asgraph.NonStubs(g)
+	deployments := []sweep.Deployment{{Name: "baseline"}}
 	for _, k := range []int{4, 10, 20} {
-		deployments = append(deployments, sbgp.GridDeployment{
+		deployments = append(deployments, sweep.Deployment{
 			Name: fmt.Sprintf("step%d", k),
-			Dep:  &sbgp.Deployment{Full: sbgp.SetOf(g.N(), nonStubs[:k]...)},
+			Dep:  &sbgp.Deployment{Full: asgraph.SetOf(g.N(), nonStubs[:k]...)},
 		})
 	}
-	return &sbgp.Grid{
+	return &sweep.Grid{
 		Deployments:  deployments,
 		Attackers:    M,
 		Destinations: D,
@@ -113,7 +115,7 @@ func chainedGrid(g *sbgp.Graph) *sbgp.Grid {
 }
 
 // gridJob assembles a coordinator Job for a caller-held grid.
-func gridJob(t *testing.T, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size int, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (Job, *sbgp.ShardLayout) {
+func gridJob(t *testing.T, mkGrid func() *sweep.Grid, g *sbgp.Graph, size int, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (Job, *sbgp.ShardLayout) {
 	t.Helper()
 	ev := planEvaluator(t, nil, mkGrid(), g, size)
 	return Job{
@@ -128,7 +130,7 @@ func gridJob(t *testing.T, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size int, ch
 // newPlanEvaluator prepares gr on g and wraps the plan as an evaluator
 // sharding it at size — its own plan, no state shared with any other
 // party, as across machines.
-func newPlanEvaluator(ctx context.Context, gr *sbgp.Grid, g *sbgp.Graph, size int) (*PlanEvaluator, error) {
+func newPlanEvaluator(ctx context.Context, gr *sweep.Grid, g *sbgp.Graph, size int) (*PlanEvaluator, error) {
 	pl, err := gr.Prepare(g)
 	if err != nil {
 		return nil, err
@@ -137,7 +139,7 @@ func newPlanEvaluator(ctx context.Context, gr *sbgp.Grid, g *sbgp.Graph, size in
 }
 
 // planEvaluator is newPlanEvaluator on the test goroutine.
-func planEvaluator(t *testing.T, ctx context.Context, gr *sbgp.Grid, g *sbgp.Graph, size int) *PlanEvaluator {
+func planEvaluator(t *testing.T, ctx context.Context, gr *sweep.Grid, g *sbgp.Graph, size int) *PlanEvaluator {
 	t.Helper()
 	ev, err := newPlanEvaluator(ctx, gr, g, size)
 	if err != nil {
@@ -147,7 +149,7 @@ func planEvaluator(t *testing.T, ctx context.Context, gr *sbgp.Grid, g *sbgp.Gra
 }
 
 // flatBytes is the flat one-shot evaluation of gr on g, serialized.
-func flatBytes(t *testing.T, gr *sbgp.Grid, g *sbgp.Graph) []byte {
+func flatBytes(t *testing.T, gr *sweep.Grid, g *sbgp.Graph) []byte {
 	t.Helper()
 	res, err := gr.Evaluate(g)
 	if err != nil {
@@ -186,7 +188,7 @@ func waitActive(t *testing.T, c *Coordinator) {
 // gridWorker returns an HTTP worker evaluating with its own fresh grid
 // value — no shared engine state with any other worker, as across
 // machines.
-func gridWorker(id, base string, mkGrid func() *sbgp.Grid, g *sbgp.Graph, size int) *Worker {
+func gridWorker(id, base string, mkGrid func() *sweep.Grid, g *sbgp.Graph, size int) *Worker {
 	return &Worker{
 		Base:   base,
 		ID:     id,
@@ -218,13 +220,13 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 	cases := []struct {
 		name   string
 		file   string
-		mkGrid func() *sbgp.Grid
+		mkGrid func() *sweep.Grid
 	}{
-		{"one-hop", "golden_onehop.json", func() *sbgp.Grid { return goldenGrid(g, nil) }},
-		{"none", "golden_none.json", func() *sbgp.Grid { return goldenGrid(g, sbgp.NoAttack{}) }},
-		{"pad-3", "golden_pad3.json", func() *sbgp.Grid { return goldenGrid(g, sbgp.PathPadding{Hops: 3}) }},
-		{"origin-spoof", "golden_originspoof.json", func() *sbgp.Grid { return goldenGrid(g, sbgp.OriginSpoof{}) }},
-		{"nested", "golden_nested.json", func() *sbgp.Grid { return nestedGrid(g) }},
+		{"one-hop", "golden_onehop.json", func() *sweep.Grid { return goldenGrid(g, nil) }},
+		{"none", "golden_none.json", func() *sweep.Grid { return goldenGrid(g, sbgp.NoAttack{}) }},
+		{"pad-3", "golden_pad3.json", func() *sweep.Grid { return goldenGrid(g, sbgp.PathPadding{Hops: 3}) }},
+		{"origin-spoof", "golden_originspoof.json", func() *sweep.Grid { return goldenGrid(g, sbgp.OriginSpoof{}) }},
+		{"nested", "golden_nested.json", func() *sweep.Grid { return nestedGrid(g) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -353,7 +355,7 @@ func (s *sabotageTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // coordinator already had, zero duplicate submissions overall.
 func TestReconciliationTransfersOnlyMissing(t *testing.T) {
 	g := smallGraph()
-	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
 	const size = 5
 	coord := NewCoordinator(Options{LeaseShards: 1 << 20, LeaseTTL: 10 * time.Second, Standby: 5 * time.Millisecond})
 	job, layout := gridJob(t, mkGrid, g, size, "", false, nil)
@@ -408,7 +410,7 @@ func TestWorkerForeignFingerprint(t *testing.T) {
 	other, _ := topogen.MustGenerate(topogen.Params{N: 210, Seed: 29})
 	const size = 5
 	coord := NewCoordinator(Options{Standby: 5 * time.Millisecond})
-	job, layout := gridJob(t, func() *sbgp.Grid { return chainedGrid(g) }, g, size, "", false, nil)
+	job, layout := gridJob(t, func() *sweep.Grid { return chainedGrid(g) }, g, size, "", false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := startRun(ctx, coord, job)
@@ -416,7 +418,7 @@ func TestWorkerForeignFingerprint(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 
-	w := gridWorker("foreign", srv.URL, func() *sbgp.Grid { return chainedGrid(other) }, other, size)
+	w := gridWorker("foreign", srv.URL, func() *sweep.Grid { return chainedGrid(other) }, other, size)
 	err := w.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("foreign worker Run = %v, want a fingerprint refusal", err)
@@ -439,7 +441,7 @@ func TestWorkerForeignFingerprint(t *testing.T) {
 // bytes.
 func TestCoordinatorCheckpointResume(t *testing.T) {
 	g := smallGraph()
-	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
 	const size = 5
 	path := filepath.Join(t.TempDir(), "dist.ckpt")
 
@@ -516,7 +518,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 // result is byte-identical to the flat evaluation.
 func TestConcurrentWorkersWithKill(t *testing.T) {
 	g := smallGraph()
-	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
 	const size = 4
 	coord := NewCoordinator(Options{LeaseShards: 6, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
 	job, _ := gridJob(t, mkGrid, g, size, "", false, nil)
@@ -679,7 +681,7 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 // with the answers the workers received and with the checkpoint bytes.
 func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 	g := smallGraph()
-	mkGrid := func() *sbgp.Grid { return chainedGrid(g) }
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
 	const size = 5
 	path := filepath.Join(t.TempDir(), "late.ckpt")
 

@@ -4,15 +4,17 @@
 // repository-level benchmarks wrap these functions so `go test -bench`
 // regenerates every artifact.
 //
-// The workload substitutes a synthetic topology for the UCLA graph and,
-// by default, a deterministic sample of attacker-destination pairs for
-// the paper's full |V|² enumeration (see DESIGN.md); the *shape* of
-// every result — who wins, by roughly what factor, where the crossovers
-// fall — is the reproduction target, not the absolute numbers.
-// Config.FullEnumeration restores the paper's actual methodology —
-// every non-stub attacker against every destination — which is meant to
-// run through the sweep layer's sharded, checkpointable evaluator
-// (Workload.BaselineGridSharded).
+// The package is a consumer of the scenario layer, like the daemon and
+// the distributed tier: a Workload is built from a *sbgp.Simulation —
+// its topology, threat model, pair policy and execution controls — and
+// adds only what the experiments need beyond a job. The scenario
+// substitutes a synthetic topology for the UCLA graph and, by default, a
+// deterministic sample of attacker-destination pairs for the paper's
+// full |V|² enumeration (see DESIGN.md); the *shape* of every result —
+// who wins, by roughly what factor, where the crossovers fall — is the
+// reproduction target, not the absolute numbers. A scenario declared
+// WithFullEnumeration restores the paper's actual methodology — every
+// non-stub attacker against every destination.
 package exp
 
 import (
@@ -21,6 +23,7 @@ import (
 	"sort"
 	"sync"
 
+	"sbgp"
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
 	"sbgp/internal/deploy"
@@ -28,43 +31,42 @@ import (
 	"sbgp/internal/rootcause"
 	"sbgp/internal/runner"
 	"sbgp/internal/sweep"
-	"sbgp/internal/topogen"
 )
 
-// Workload bundles a generated topology with deterministic pair samples.
+// Workload is a simulated scenario seen by the experiments: its
+// topology and pair sets, plus the tier-stratified sample only the
+// by-tier figures need.
 type Workload struct {
 	G     *asgraph.Graph
 	Tiers *asgraph.Tiers
-	Meta  *topogen.Meta
+	Meta  *sbgp.TopologyMeta
 
-	// All lists every AS; NonStubs is the attacker population M' of
-	// Section 5.2 ("non-stub attackers").
-	All      []asgraph.AS
+	// NonStubs is the attacker population M' of Section 5.2 ("non-stub
+	// attackers").
 	NonStubs []asgraph.AS
 
-	// M and D are the sampled attacker and destination sets.
+	// M and D are the scenario's attacker and destination sets
+	// (Simulation.JobPairs).
 	M, D []asgraph.AS
 
-	// DTiered and MTiered are stratified samples with a fixed quota per
-	// tier, used by the by-tier partition experiments (Figures 4–6) so
-	// every tier bucket is populated.
-	DTiered, MTiered []asgraph.AS
+	// Tiered is a stratified sample with a fixed quota per tier, used as
+	// the destination set of Figures 4–5 and the attacker set of Figure 6
+	// so every tier bucket is populated.
+	Tiered []asgraph.AS
 
 	// MaxPerDest caps per-destination series (Figures 9, 10, 12).
 	MaxPerDest int
 
-	// Attack is the threat model the metric experiments run under; nil
-	// is the paper's one-hop hijack. The partition, root-cause, and
-	// phenomena experiments are defined for the one-hop attack and
-	// ignore it.
+	// Attack is the scenario's threat model, under which the metric
+	// experiments run. The partition, root-cause, and phenomena
+	// experiments are defined for the one-hop attack and ignore it.
 	Attack core.Attack
 
-	// Incremental is the metric grids' scheduling mode. The zero value
-	// (sweep.IncrementalAuto) uses chain-major scheduling with
-	// Engine.RunDelta reuse across nested deployments whenever the
-	// grid's deployment axis chains — identical results, faster
-	// rollout-shaped experiments; sweep.IncrementalOff restores the
-	// legacy from-scratch order.
+	// Incremental is the scenario's scheduling mode for the metric grids:
+	// sweep.IncrementalAuto uses chain-major scheduling with
+	// Engine.RunDelta reuse across nested deployments whenever a grid's
+	// deployment axis chains — identical results, faster rollout-shaped
+	// experiments; sweep.IncrementalOff is the from-scratch order.
 	Incremental sweep.IncrementalMode
 
 	Workers int
@@ -83,94 +85,47 @@ type baselinePlanKey struct {
 	lp    policy.LocalPref
 }
 
-// Config sizes a workload. The zero value gives the default experiment
-// scale (4000 ASes, 24×32 sampled pairs).
-type Config struct {
-	N int // topology size (default 4000)
-	// Seed selects the generator stream. For backward compatibility a
-	// zero Seed defaults to 1 unless SeedSet is true, which makes seed
-	// 0 an honest, distinct stream (the CLIs always set it, so
-	// `-seed 0` means seed zero).
-	Seed int64
-	// SeedSet marks Seed as explicit: Seed == 0 is then used as-is.
-	SeedSet    bool
-	MaxM       int         // attacker sample size (default 24)
-	MaxD       int         // destination sample size (default 32)
-	MaxPerDest int         // per-destination series sample (default 200)
-	Attack     core.Attack // threat model (nil = one-hop hijack)
-	// Incremental is the metric grids' scheduling mode (see
-	// Workload.Incremental); the zero value is incremental-by-default.
-	Incremental sweep.IncrementalMode
-	Workers     int // 0 = GOMAXPROCS
-
-	// FullEnumeration replaces the MaxM/MaxD sampling with the paper's
-	// actual methodology (Appendix H): every non-stub attacker × every
-	// destination, and tier strata kept whole. MaxM and MaxD are
-	// ignored; combine with the sweep layer's sharded evaluation
-	// (Workload.BaselineGridSharded, cmd flags -shards/-checkpoint) to
-	// run the resulting |M′|×|V| grid with durable progress.
-	FullEnumeration bool
-}
-
-func (c *Config) applyDefaults() {
-	if c.N == 0 {
-		c.N = 4000
+// NewWorkload builds the experiment workload of a simulated scenario.
+// The topology, tiers, metadata and threat model are the simulation's; M
+// and D are its job pairs; the scheduling mode, the worker count and the
+// pair policy that sizes the tier strata are read from its job spec, so
+// the scenario must be one a spec can describe (Simulation.JobSpec).
+// maxPerDest caps the per-destination series (0 means 200).
+func NewWorkload(sim *sbgp.Simulation, maxPerDest int) (*Workload, error) {
+	spec, err := sim.JobSpec()
+	if err != nil {
+		return nil, err
 	}
-	if c.Seed == 0 && !c.SeedSet {
-		c.Seed = 1
+	// Canonical specs carry a mode string that parses.
+	mode, _ := sweep.ParseIncrementalMode(spec.Incremental)
+	if maxPerDest == 0 {
+		maxPerDest = 200
 	}
-	if c.MaxM == 0 {
-		c.MaxM = 24
+	g, tiers := sim.Graph(), sim.Tiers()
+	M, D := sim.JobPairs()
+	// Under full enumeration the tier strata are kept whole, like M and D.
+	quota := 0
+	if !spec.Pairs.Full {
+		quota = spec.Pairs.MaxD/2 + 1
 	}
-	if c.MaxD == 0 {
-		c.MaxD = 32
-	}
-	if c.MaxPerDest == 0 {
-		c.MaxPerDest = 200
-	}
-}
-
-// NewWorkload generates the topology and samples pairs.
-func NewWorkload(cfg Config) *Workload {
-	cfg.applyDefaults()
-	g, meta := topogen.MustGenerate(topogen.Params{N: cfg.N, Seed: cfg.Seed, SeedSet: true})
-	return newWorkloadFromGraph(g, meta, cfg)
-}
-
-// NewIXPWorkload is NewWorkload on the IXP-augmented graph (Appendix J).
-func NewIXPWorkload(cfg Config) *Workload {
-	cfg.applyDefaults()
-	g, meta := topogen.MustGenerate(topogen.Params{N: cfg.N, Seed: cfg.Seed, SeedSet: true})
-	aug, _ := asgraph.AugmentIXP(g, meta.IXPs)
-	return newWorkloadFromGraph(aug, meta, cfg)
-}
-
-func newWorkloadFromGraph(g *asgraph.Graph, meta *topogen.Meta, cfg Config) *Workload {
-	tiers := asgraph.Classify(g, meta.CPs, nil)
-	all := runner.AllASes(g.N())
-	nonStubs := asgraph.NonStubs(g)
-	M, D := runner.SamplePairs(nonStubs, all, cfg.MaxM, cfg.MaxD)
-	quota := cfg.MaxD/2 + 1
-	if cfg.FullEnumeration {
-		M, D = nonStubs, all
-		quota = 0 // whole tiers
-	}
-	var dTiered, mTiered []asgraph.AS
+	var tiered []asgraph.AS
 	for t := 0; t < asgraph.NumTiers; t++ {
 		members, _ := runner.SamplePairs(tiers.Members[asgraph.Tier(t)], nil, quota, 0)
-		dTiered = append(dTiered, members...)
-		mTiered = append(mTiered, members...)
+		tiered = append(tiered, members...)
 	}
 	return &Workload{
-		G: g, Tiers: tiers, Meta: meta,
-		All: all, NonStubs: nonStubs,
-		M: M, D: D,
-		DTiered: dTiered, MTiered: mTiered,
-		MaxPerDest:  cfg.MaxPerDest,
-		Attack:      cfg.Attack,
-		Incremental: cfg.Incremental,
-		Workers:     cfg.Workers,
-	}
+		G:           g,
+		Tiers:       tiers,
+		Meta:        sim.Meta(),
+		NonStubs:    asgraph.NonStubs(g),
+		M:           M,
+		D:           D,
+		Tiered:      tiered,
+		MaxPerDest:  maxPerDest,
+		Attack:      sim.Attack(),
+		Incremental: mode,
+		Workers:     spec.Workers,
+	}, nil
 }
 
 // Baseline computes E1: the lower bound on H_{V,V}(∅) — origin
@@ -222,42 +177,6 @@ func (w *Workload) mustEvaluate(grid *sweep.Grid) *sweep.Result {
 	return res
 }
 
-// baselineGrid declares the headline (model × deployment) grid over the
-// workload's pair sets: the baseline plus the named rollout endpoints,
-// for every security model.
-func (w *Workload) baselineGrid(lp policy.LocalPref) *sweep.Grid {
-	t12 := deploy.Tier12Rollout(w.G, w.Tiers, false)
-	t2 := deploy.Tier2Rollout(w.G, w.Tiers, false)
-	return &sweep.Grid{
-		LP: lp,
-		Deployments: []sweep.Deployment{
-			{Name: "baseline"},
-			{Name: "t1t2", Dep: t12[len(t12)-1].Deployment},
-			{Name: "t2", Dep: t2[len(t2)-1].Deployment},
-			{Name: "nonstubs", Dep: deploy.Build(w.G, w.Tiers, deploy.Spec{AllNonStubs: true})},
-		},
-		Attackers:    w.M,
-		Destinations: w.D,
-		Attack:       w.Attack,
-		Incremental:  w.Incremental,
-		Workers:      w.Workers,
-	}
-}
-
-// BaselineGrid evaluates the headline grid in memory. cmd/experiments
-// serializes it as the JSON artifact.
-func (w *Workload) BaselineGrid(lp policy.LocalPref) *sweep.Result {
-	return w.mustEvaluate(w.baselineGrid(lp))
-}
-
-// BaselineGridSharded evaluates the headline grid through the sharded
-// path — the way to run it under FullEnumeration, where the cell space
-// is |M′| × |V| per (deployment, model) — with optional durable
-// checkpoint/resume. The result is byte-identical to BaselineGrid.
-func (w *Workload) BaselineGridSharded(ctx context.Context, lp policy.LocalPref, opts sweep.ShardOptions) (*sweep.Result, error) {
-	return w.baselineGrid(lp).EvaluateSharded(ctx, w.G, opts)
-}
-
 // Partitions computes E2 (Figure 3): doomed/protectable/immune fractions
 // over all sampled pairs, per security model.
 func (w *Workload) Partitions(lp policy.LocalPref) runner.PartitionFractions {
@@ -268,7 +187,7 @@ func (w *Workload) Partitions(lp policy.LocalPref) runner.PartitionFractions {
 // bucketed by destination tier, over a tier-stratified destination
 // sample.
 func (w *Workload) PartitionsByDestTier(lp policy.LocalPref) []runner.PartitionFractions {
-	return runner.EvalPartitionsBucketed(w.G, lp, w.M, w.DTiered, w.Workers, asgraph.NumTiers,
+	return runner.EvalPartitionsBucketed(w.G, lp, w.M, w.Tiered, w.Workers, asgraph.NumTiers,
 		func(m, d asgraph.AS) int { return int(w.Tiers.TierOf(d)) })
 }
 
@@ -276,7 +195,7 @@ func (w *Workload) PartitionsByDestTier(lp policy.LocalPref) []runner.PartitionF
 // by attacker tier, over a tier-stratified attacker sample (the paper
 // buckets all |V|² pairs; stubs attack too in this figure).
 func (w *Workload) PartitionsByAttackerTier(lp policy.LocalPref) []runner.PartitionFractions {
-	return runner.EvalPartitionsBucketed(w.G, lp, w.MTiered, w.D, w.Workers, asgraph.NumTiers,
+	return runner.EvalPartitionsBucketed(w.G, lp, w.Tiered, w.D, w.Workers, asgraph.NumTiers,
 		func(m, d asgraph.AS) int { return int(w.Tiers.TierOf(m)) })
 }
 

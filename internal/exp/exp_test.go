@@ -1,19 +1,29 @@
 package exp
 
 import (
-	"bytes"
-	"context"
-	"path/filepath"
 	"testing"
 
+	"sbgp"
 	"sbgp/internal/asgraph"
 	"sbgp/internal/deploy"
 	"sbgp/internal/policy"
-	"sbgp/internal/sweep"
 )
 
-// testWorkload is shared across tests; building it dominates test time.
-var testW = NewWorkload(Config{N: 800, Seed: 1, MaxM: 10, MaxD: 12, MaxPerDest: 30})
+// scenarioWorkload simulates a scenario and builds its workload.
+func scenarioWorkload(maxPerDest int, opts ...sbgp.Option) *Workload {
+	sim, err := sbgp.NewScenario(opts...).Simulate()
+	if err != nil {
+		panic(err)
+	}
+	w, err := NewWorkload(sim, maxPerDest)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// testW is shared across tests; building it dominates test time.
+var testW = scenarioWorkload(30, sbgp.WithGeneratedTopology(800, 1), sbgp.WithPairSampling(10, 12))
 
 func TestBaselineMatchesPaperShape(t *testing.T) {
 	b := testW.Baseline(policy.Sec3rd, policy.Standard)
@@ -200,8 +210,7 @@ func TestPhenomenaTheoremSides(t *testing.T) {
 }
 
 func TestFullEnumerationWorkload(t *testing.T) {
-	cfg := Config{N: 200, Seed: 9, FullEnumeration: true}
-	w := NewWorkload(cfg)
+	w := scenarioWorkload(0, sbgp.WithGeneratedTopology(200, 9), sbgp.WithFullEnumeration())
 	if len(w.M) != len(w.NonStubs) {
 		t.Errorf("full enumeration sampled attackers: |M|=%d, want |M′|=%d", len(w.M), len(w.NonStubs))
 	}
@@ -212,57 +221,21 @@ func TestFullEnumerationWorkload(t *testing.T) {
 	for tier := 0; tier < asgraph.NumTiers; tier++ {
 		total += len(w.Tiers.Members[tier])
 	}
-	if len(w.DTiered) != total {
-		t.Errorf("full enumeration truncated tier strata: %d of %d members", len(w.DTiered), total)
-	}
-
-	// The sharded headline grid must be byte-identical to the in-memory
-	// evaluation, resumable from its own checkpoint included.
-	ckpt := filepath.Join(t.TempDir(), "grid.ckpt")
-	var want bytes.Buffer
-	if err := w.BaselineGrid(policy.Standard).WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []sweep.ShardOptions{
-		{ShardSize: 64, Checkpoint: ckpt},
-		{ShardSize: 64, Checkpoint: ckpt, Resume: true},
-	} {
-		res, err := w.BaselineGridSharded(context.Background(), policy.Standard, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := res.WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("sharded baseline grid (resume=%v) diverges from BaselineGrid", opts.Resume)
-		}
+	if len(w.Tiered) != total {
+		t.Errorf("full enumeration truncated tier strata: %d of %d members", len(w.Tiered), total)
 	}
 }
 
-// TestIncrementalWorkloadEquality: every metric experiment that runs
-// through the sweep grids — the headline grid, the rollouts, and the
-// per-destination delta series — produces identical numbers with
-// Config.Incremental set, while actually exercising the delta path.
+// TestIncrementalWorkloadEquality: the metric experiments that declare
+// their own sweep grids — the rollouts and the per-destination delta
+// series — produce identical numbers in both of the scenario's
+// scheduling modes, while actually exercising the delta path.
 func TestIncrementalWorkloadEquality(t *testing.T) {
-	// The default mode is incremental, so the legacy order is now the
-	// explicit opt-out side of the comparison.
-	cfg := Config{N: 600, Seed: 1, MaxM: 8, MaxD: 10, MaxPerDest: 20}
-	cfg.Incremental = sweep.IncrementalOff
-	plain := NewWorkload(cfg)
-	cfg.Incremental = sweep.IncrementalAuto
-	inc := NewWorkload(cfg)
-
-	var wantGrid, gotGrid bytes.Buffer
-	if err := plain.BaselineGrid(policy.Standard).WriteJSON(&wantGrid); err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.BaselineGrid(policy.Standard).WriteJSON(&gotGrid); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantGrid.Bytes(), gotGrid.Bytes()) {
-		t.Error("incremental BaselineGrid diverges")
+	opts := []sbgp.Option{sbgp.WithGeneratedTopology(600, 1), sbgp.WithPairSampling(8, 10)}
+	plain := scenarioWorkload(20, append(opts, sbgp.WithIncremental(sbgp.IncrementalOff))...)
+	inc := scenarioWorkload(20, opts...)
+	if plain.Incremental == inc.Incremental {
+		t.Fatal("the scenario's scheduling mode did not reach the workload")
 	}
 
 	steps := deploy.Tier12Rollout(plain.G, plain.Tiers, false)
@@ -311,7 +284,7 @@ func TestTierSizesMatchTable1(t *testing.T) {
 }
 
 func TestIXPWorkloadTrendsHold(t *testing.T) {
-	wi := NewIXPWorkload(Config{N: 800, Seed: 1, MaxM: 10, MaxD: 12, MaxPerDest: 30})
+	wi := scenarioWorkload(30, sbgp.WithGeneratedTopology(800, 1), sbgp.WithPairSampling(10, 12), sbgp.WithIXPAugmentation())
 	if wi.G.NumPeerLinks() <= testW.G.NumPeerLinks() {
 		t.Fatal("IXP augmentation did not add peer links")
 	}

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"sbgp"
 	"sbgp/internal/policy"
 )
 
@@ -15,7 +16,7 @@ func TestBaselineZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI job")
 	}
-	w := NewWorkload(Config{N: 200, Seed: 3, MaxM: 6, MaxD: 6, MaxPerDest: 20})
+	w := scenarioWorkload(20, sbgp.WithGeneratedTopology(200, 3), sbgp.WithPairSampling(6, 6))
 	warm := w.Baseline(policy.Sec3rd, policy.Standard)
 	allocs := testing.AllocsPerRun(10, func() {
 		m := w.Baseline(policy.Sec3rd, policy.Standard)

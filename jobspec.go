@@ -28,6 +28,7 @@ import (
 	"os"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/topogen"
 )
 
 // JobSpecVersion is the job wire-format version this build writes.
@@ -172,6 +173,11 @@ func (s *JobSpec) Validate() error {
 	}
 	if t.N < 0 {
 		return fmt.Errorf("sbgp: job topology size n=%d is negative", t.N)
+	}
+	// The same bound ReadFrom puts on graph files: past it the generator's
+	// first allocation is an out-of-memory no caller can recover from.
+	if t.N > asgraph.MaxReadASes {
+		return fmt.Errorf("sbgp: job topology size n=%d exceeds the %d-AS limit", t.N, asgraph.MaxReadASes)
 	}
 	if t.GraphFile != "" && t.IXP {
 		return fmt.Errorf("sbgp: ixp augmentation needs a generated topology (graph files carry no IXP memberships)")
@@ -366,7 +372,7 @@ func (t TopologySpec) load(p TopologyParams) (*Graph, *TopologyMeta, error) {
 		return g, &TopologyMeta{}, nil
 	}
 	p.N, p.Seed, p.SeedSet = t.N, t.Seed, true
-	return GenerateTopology(p)
+	return topogen.Generate(p)
 }
 
 // FromJobSpec builds the Scenario a spec describes: the spec is

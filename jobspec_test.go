@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sbgp"
+	"sbgp/internal/asgraph"
 )
 
 // sampleSpec is a spec exercising most wire fields at a size the tests
@@ -71,6 +72,7 @@ func TestJobSpecStrictDecode(t *testing.T) {
 		{"unknown field", `{"version":1,"topology":{"n":100,"seed":1},"pairs":{},"shards":9}`, "unknown field"},
 		{"trailing data", `{"version":1,"topology":{"n":100,"seed":1},"pairs":{}} {}`, "trailing data"},
 		{"future version", `{"version":99,"topology":{"n":100,"seed":1},"pairs":{}}`, "version 99"},
+		{"oversized topology", `{"version":1,"topology":{"n":2000000000,"seed":1},"pairs":{}}`, "4194304-AS limit"},
 		{"both sources", `{"version":1,"topology":{"n":100,"seed":1,"graph_file":"g"},"pairs":{}}`, "both"},
 		{"full with caps", `{"version":1,"topology":{"seed":1},"pairs":{"full":true,"max_m":3}}`, "max_m"},
 		{"bad model", `{"version":1,"topology":{"seed":1},"models":[4],"pairs":{}}`, "model 4"},
@@ -128,7 +130,7 @@ func TestJobSpecCanonicalDefaults(t *testing.T) {
 
 // TestFromJobSpecRoundTrip pins the spec ↔ scenario correspondence:
 // FromJobSpec(spec).Simulate().JobSpec() returns the canonical form of
-// spec, so the wire format and the facade options cannot drift.
+// spec, so the wire format and the scenario options cannot drift.
 func TestFromJobSpecRoundTrip(t *testing.T) {
 	spec := sampleSpec()
 	sc, err := sbgp.FromJobSpec(spec)
@@ -166,7 +168,7 @@ func TestJobSpecNotRepresentable(t *testing.T) {
 		{"in-memory graph", sbgp.WithGraph(lineGraph(t, 4), nil), "in-memory"},
 		{"exotic params", sbgp.WithTopologyParams(sbgp.TopologyParams{N: 200, Seed: 1, SeedSet: true, NumIXPs: 2}), "generator parameters"},
 		{"resolved tiebreak", sbgp.WithResolvedTiebreak(), "tiebreak"},
-		{"prebuilt deployment", sbgp.WithPrebuiltDeployment("mine", &sbgp.Deployment{Full: sbgp.SetOf(200, 0, 1)}), `prebuilt deployment "mine"`},
+		{"prebuilt deployment", sbgp.WithPrebuiltDeployment("mine", &sbgp.Deployment{Full: asgraph.SetOf(200, 0, 1)}), `prebuilt deployment "mine"`},
 		{"custom attack", sbgp.WithAttack(renamedAttack{}), `attack "teleport"`},
 	}
 	for _, tc := range cases {
@@ -195,7 +197,7 @@ func (renamedAttack) Name() string { return "teleport" }
 // lineGraph builds a provider chain 0 → 1 → ... → n-1 (0 on top).
 func lineGraph(t *testing.T, n int) *sbgp.Graph {
 	t.Helper()
-	b := sbgp.NewBuilder(n)
+	b := asgraph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
 		b.AddProviderCustomer(sbgp.AS(i), sbgp.AS(i+1))
 	}
@@ -223,7 +225,7 @@ func TestOptionsWriteTheSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sbgp.WriteGraph(f, lineGraph(t, 6)); err != nil {
+	if err := asgraph.WriteTo(f, lineGraph(t, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

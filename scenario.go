@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/deploy"
+	"sbgp/internal/sweep"
 )
 
 // Scenario is a declarative simulation setup: a topology source, the
@@ -234,24 +236,25 @@ func WithWorkers(n int) Option {
 	return func(sc *Scenario) { sc.spec.Workers = n }
 }
 
-// WithShardSize sets the default cells-per-shard of SweepSharded
-// (0 = DefaultShardSize). Results do not depend on it.
+// WithShardSize sets the cells-per-shard EvaluateJob and the Job* shard
+// methods cut the job grid into (0 = the sweep layer's default). Results
+// do not depend on it.
 func WithShardSize(n int) Option {
 	return func(sc *Scenario) { sc.spec.ShardSize = n }
 }
 
-// WithCheckpoint sets the default checkpoint file of SweepSharded:
-// every completed shard is durably recorded there, so a cancelled sweep
-// can be resumed. The file is truncated on each sweep unless resuming
-// (WithResume or ShardOptions.Resume).
+// WithCheckpoint sets EvaluateJob's checkpoint file: every completed
+// shard is durably recorded there, so a cancelled job can be resumed. The
+// file is truncated on each evaluation unless resuming (WithResume or
+// JobEvalOptions.Resume).
 func WithCheckpoint(path string) Option {
 	return func(sc *Scenario) { sc.spec.Checkpoint = path }
 }
 
-// WithResume makes SweepSharded resume from the configured checkpoint
-// file when it exists and matches the sweep: completed shards are
-// merged from the file instead of re-evaluated, reproducing the
-// uninterrupted result exactly.
+// WithResume makes EvaluateJob resume from the configured checkpoint
+// file when it exists and matches the job: completed shards are merged
+// from the file instead of re-evaluated, reproducing the uninterrupted
+// result exactly.
 func WithResume() Option {
 	return func(sc *Scenario) { sc.spec.Resume = true }
 }
@@ -372,15 +375,15 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 						d.Name, cp, g.N())
 				}
 			}
-			dep = BuildDeployment(g, sim.tiers, *d.Spec)
+			dep = deploy.Build(g, sim.tiers, *d.Spec)
 		default:
 			named, err := namedDeploymentSpec(d.Named, meta)
 			if err != nil {
 				return nil, err
 			}
-			dep = BuildDeployment(g, sim.tiers, named)
+			dep = deploy.Build(g, sim.tiers, named)
 		}
-		sim.deployments = append(sim.deployments, GridDeployment{Name: d.Name, Dep: dep})
+		sim.deployments = append(sim.deployments, sweep.Deployment{Name: d.Name, Dep: dep})
 	}
 	return sim, nil
 }

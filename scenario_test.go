@@ -4,21 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"go/parser"
-	"go/token"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"sbgp"
+	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
+	"sbgp/internal/deploy"
+	"sbgp/internal/runner"
 )
 
-// TestScenarioEndToEnd drives the facade the way an external consumer
-// would: declare a scenario, materialize it, run one pair, evaluate a
-// sweep — without touching any internal package beyond asgraph.
+// TestScenarioEndToEnd drives the scenario layer the way its consumers
+// do: declare a scenario, materialize it, run one pair, evaluate a sweep.
 func TestScenarioEndToEnd(t *testing.T) {
 	attack, err := sbgp.ParseAttack("pad-2")
 	if err != nil {
@@ -49,7 +48,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Fatalf("outcome for (d=%d, m=%d), want (0, 7)", out.Dst, out.Attacker)
 	}
 	// The padded attacker claims a 2-hop path.
-	if out.Len[7] != 2 || out.Label[7] != sbgp.LabelAttacker {
+	if out.Len[7] != 2 || out.Label[7] != core.LabelAttacker {
 		t.Errorf("attacker root = (len %d, %v), want the pad-2 seed", out.Len[7], out.Label[7])
 	}
 
@@ -61,7 +60,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Errorf("RunNormal outcome has attacker %d", normal.Attacker)
 	}
 
-	M, _ := sbgp.SamplePairs(sbgp.NonStubs(sim.Graph()), nil, 4, 0)
+	M, _ := runner.SamplePairs(asgraph.NonStubs(sim.Graph()), nil, 4, 0)
 	dests := []sbgp.AS{0, 1, 2}
 	res, err := sim.Sweep(M, dests)
 	if err != nil {
@@ -143,7 +142,7 @@ func TestScenarioCancellation(t *testing.T) {
 		time.Sleep(3 * time.Millisecond)
 		cancelMid()
 	}()
-	res, err := sim.Sweep(sbgp.NonStubs(sim.Graph()), all)
+	res, err := sim.Sweep(asgraph.NonStubs(sim.Graph()), all)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Errorf("cancelled sweep returned (%v, %v), want (nil, context.Canceled)", res, err)
 	}
@@ -173,7 +172,7 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 	plain := newSim(sbgp.WithIncremental(sbgp.IncrementalOff))
 	inc := newSim()
-	M, D := sbgp.SamplePairs(sbgp.NonStubs(plain.Graph()), sbgp.AllASes(plain.Graph().N()), 6, 8)
+	M, D := runner.SamplePairs(asgraph.NonStubs(plain.Graph()), runner.AllASes(plain.Graph().N()), 6, 8)
 
 	want, err := plain.Sweep(M, D)
 	if err != nil {
@@ -201,10 +200,10 @@ func TestIncrementalFacade(t *testing.T) {
 	g := inc.Graph()
 	series := []*sbgp.Deployment{
 		nil,
-		sbgp.BuildDeployment(g, tiers, sbgp.DeploymentSpec{NumTier2: 13, IncludeStubs: true}),
-		sbgp.BuildDeployment(g, tiers, sbgp.DeploymentSpec{NumTier2: 50, IncludeStubs: true}),
-		sbgp.BuildDeployment(g, tiers, sbgp.DeploymentSpec{AllNonStubs: true}),
-		sbgp.BuildDeployment(g, tiers, sbgp.DeploymentSpec{NumTier2: 26, IncludeStubs: true}),
+		deploy.Build(g, tiers, deploy.Spec{NumTier2: 13, IncludeStubs: true}),
+		deploy.Build(g, tiers, deploy.Spec{NumTier2: 50, IncludeStubs: true}),
+		deploy.Build(g, tiers, deploy.Spec{AllNonStubs: true}),
+		deploy.Build(g, tiers, deploy.Spec{NumTier2: 26, IncludeStubs: true}),
 	}
 	d, m := D[0], M[0]
 	if d == m {
@@ -265,84 +264,91 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 }
 
-// TestSweepShardedFacade drives the sharded sweep through the scenario
-// surface: WithCheckpoint/WithShardSize configure the defaults,
-// SweepSharded matches Sweep byte for byte, and a second simulation
-// with WithResume reuses the checkpoint instead of re-evaluating.
-func TestSweepShardedFacade(t *testing.T) {
+// TestEvaluateJobShardOptions drives the sharded evaluation through the
+// scenario surface: WithShardSize and WithCheckpoint configure the run,
+// EvaluateJob matches Sweep byte for byte, and a second simulation
+// WithResume reproduces the result from the checkpoint instead of
+// re-evaluating.
+func TestEvaluateJobShardOptions(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	opts := func(extra ...sbgp.Option) []sbgp.Option {
 		return append([]sbgp.Option{
 			sbgp.WithGeneratedTopology(300, 5),
 			sbgp.WithNamedDeployment("t2"),
+			sbgp.WithPairSampling(6, 10),
 			sbgp.WithShardSize(11),
 			sbgp.WithCheckpoint(ckpt),
 		}, extra...)
+	}
+	jsonOf := func(res *sbgp.Result) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := res.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
 	sim, err := sbgp.NewScenario(opts()...).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	M, _ := sbgp.SamplePairs(sbgp.NonStubs(sim.Graph()), nil, 6, 0)
-	D := sbgp.AllASes(sim.Graph().N())[:10]
+	plain, err := sim.Sweep(sim.JobPairs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := jsonOf(plain)
 
-	plain, err := sim.Sweep(M, D)
+	shards := 0
+	sharded, err := sim.EvaluateJob(sbgp.JobEvalOptions{
+		Sink: func(*sbgp.ShardPartial) error { shards++; return nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := sim.SweepSharded(M, D, sbgp.ShardOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(jsonOf(sharded), want) {
+		t.Error("EvaluateJob diverges from Sweep")
 	}
-	var a, b bytes.Buffer
-	if err := plain.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("SweepSharded diverges from Sweep")
+	// 6 attackers × 10 destinations × 2 deployments × 3 models, 11 a shard.
+	if wantShards := (6*10*2*3 + 10) / 11; shards != wantShards {
+		t.Errorf("WithShardSize(11) cut the job into %d shards, want %d", shards, wantShards)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("WithCheckpoint wrote no checkpoint: %v", err)
 	}
 
 	// A fresh simulation resuming the same scenario reproduces the
-	// result from the checkpoint alone.
+	// result from the checkpoint alone: no shard is left to dispatch.
 	sim2, err := sbgp.NewScenario(opts(sbgp.WithResume())...).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := sim2.SweepSharded(M, D, sbgp.ShardOptions{})
+	var stats sbgp.ShardStats
+	resumed, err := sim2.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c bytes.Buffer
-	if err := resumed.WriteJSON(&c); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(jsonOf(resumed), want) {
+		t.Error("resumed EvaluateJob diverges from the original Sweep")
 	}
-	if !bytes.Equal(a.Bytes(), c.Bytes()) {
-		t.Error("resumed SweepSharded diverges from the original Sweep")
+	if stats.Units != 0 {
+		t.Errorf("resumed EvaluateJob dispatched %d units, want 0 (every shard is in the checkpoint)", stats.Units)
 	}
 }
 
-// TestEvaluationFacade exercises the prepared-plan re-export: repeated
-// Evaluates of one Plan must match the one-shot Grid.Evaluate bytes
+// TestEvaluationFacade exercises the Plan the layer hands out: repeated
+// Evaluates of a simulation's job plan match Sweep over the job pairs
 // exactly, run after run.
 func TestEvaluationFacade(t *testing.T) {
-	g, _, err := sbgp.GenerateTopology(sbgp.TopologyParams{N: 200, Seed: 4})
+	sim, err := sbgp.NewScenario(
+		sbgp.WithGeneratedTopology(200, 4),
+		sbgp.WithModels(sbgp.Sec2nd),
+		sbgp.WithPairSampling(8, 8),
+		sbgp.WithWorkers(2),
+	).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := sbgp.AllASes(g.N())
-	grid := &sbgp.Grid{
-		Models:       []sbgp.Model{sbgp.Sec2nd},
-		Attackers:    all[:8],
-		Destinations: all[:8],
-		Workers:      2,
-	}
-	want, err := grid.Evaluate(g)
+	want, err := sim.Sweep(sim.JobPairs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +356,8 @@ func TestEvaluationFacade(t *testing.T) {
 	if err := want.WriteJSON(&a); err != nil {
 		t.Fatal(err)
 	}
-	var pl *sbgp.Plan
-	if pl, err = grid.Prepare(g); err != nil {
+	pl, err := sim.JobPlan()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -364,69 +370,40 @@ func TestEvaluationFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("Plan.Evaluate %d diverges from Grid.Evaluate", i)
+			t.Errorf("Plan.Evaluate %d diverges from Sweep", i)
 		}
 	}
 }
 
-// TestFacadeRawConstruction builds a topology, deployment, and engine
-// purely through the root package — the only path available to
-// consumers outside this module, which cannot import
-// sbgp/internal/asgraph.
-func TestFacadeRawConstruction(t *testing.T) {
-	b := sbgp.NewBuilder(4)
-	b.AddProviderCustomer(0, 1) // 0 provides for 1
-	b.AddProviderCustomer(1, 2)
-	b.AddProviderCustomer(1, 3)
-	g := b.MustBuild()
-
-	dep := &sbgp.Deployment{Full: sbgp.SetOf(4, 0, 1, 2)}
-	e := sbgp.NewEngine(g, sbgp.Sec1st)
-	out := e.Run(2, 3, dep) // attacker 3 hijacks destination 2
-	if out.Label[0] != sbgp.LabelDest || !out.Secure[0] {
-		t.Errorf("AS0 = (%v, secure=%v), want a secure happy route", out.Label[0], out.Secure[0])
-	}
-	tiers := sbgp.ClassifyTiers(g, nil)
-	if got := tiers.TierOf(2); got != sbgp.TierStub {
-		t.Errorf("AS2 classified %v, want %v", got, sbgp.TierStub)
-	}
-	sim, err := sbgp.NewScenario(sbgp.WithGraph(g, nil)).Simulate()
+// TestNamedDeploymentsAreRolloutEndpoints pins what the headline grid's
+// named deployments mean: "t1t2" and "t2" are the last steps of the
+// Tier 1+2 and Tier 2 rollouts of Section 5.2, and "nonstubs" is every
+// non-stub AS — member for member, validating and signing alike.
+func TestNamedDeploymentsAreRolloutEndpoints(t *testing.T) {
+	base, err := sbgp.NewScenario(sbgp.WithGeneratedTopology(300, 7)).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Graph().N() != 4 {
-		t.Errorf("scenario graph has %d ASes, want 4", sim.Graph().N())
-	}
-}
-
-// TestExamplesImportOnlyFacade enforces the facade boundary the ISSUE
-// demands: no example program may import an internal package other than
-// asgraph (kept public-ish for raw topology construction).
-func TestExamplesImportOnlyFacade(t *testing.T) {
-	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mains) == 0 {
-		t.Fatal("no example programs found")
-	}
-	for _, path := range mains {
-		src, err := os.ReadFile(path)
+	g, tiers := base.Graph(), base.Tiers()
+	last := func(steps []deploy.Step) *sbgp.Deployment { return steps[len(steps)-1].Deployment }
+	for name, want := range map[string]*sbgp.Deployment{
+		"t1t2":     last(deploy.Tier12Rollout(g, tiers, false)),
+		"t2":       last(deploy.Tier2Rollout(g, tiers, false)),
+		"nonstubs": deploy.Build(g, tiers, deploy.Spec{AllNonStubs: true}),
+	} {
+		sim, err := sbgp.NewScenario(sbgp.WithGraph(g, base.Meta()), sbgp.WithNamedDeployment(name)).Simulate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
+		got := sim.Deployment()
+		for v := sbgp.AS(0); int(v) < g.N(); v++ {
+			if got.FullSecure(v) != want.FullSecure(v) || got.OriginSecure(v) != want.OriginSecure(v) {
+				t.Fatalf("%s: AS%d is (full %v, signing %v), the rollout endpoint has (%v, %v)",
+					name, v, got.FullSecure(v), got.OriginSecure(v), want.FullSecure(v), want.OriginSecure(v))
+			}
 		}
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.HasPrefix(p, "sbgp/internal/") && p != "sbgp/internal/asgraph" {
-				t.Errorf("%s imports %s; examples must use the sbgp facade (asgraph excepted)", path, p)
-			}
+		if got.SecureCount() == 0 {
+			t.Errorf("%s: empty deployment", name)
 		}
 	}
 }

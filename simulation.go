@@ -3,6 +3,9 @@ package sbgp
 import (
 	"fmt"
 
+	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
+	"sbgp/internal/runner"
 	"sbgp/internal/sweep"
 )
 
@@ -29,10 +32,10 @@ type Simulation struct {
 
 	// deployments is the sweep axis (primary first); the implicit
 	// baseline is prepended at sweep time.
-	deployments []GridDeployment
+	deployments []sweep.Deployment
 
 	engines     [NumModels]*Engine
-	partitioner *Partitioner
+	partitioner *core.Partitioner
 }
 
 // Graph returns the simulation's topology.
@@ -74,11 +77,11 @@ func (s *Simulation) Engine(m Model) *Engine {
 		panic(fmt.Sprintf("sbgp: unknown model %v", m))
 	}
 	if s.engines[m] == nil {
-		var opts []EngineOption
+		var opts []core.Option
 		if s.sc.resolve {
-			opts = append(opts, EngineResolvedTiebreak())
+			opts = append(opts, core.WithResolvedTiebreak())
 		}
-		s.engines[m] = NewEngineLP(s.g, m, s.lp(), opts...)
+		s.engines[m] = core.NewEngineLP(s.g, m, s.lp(), opts...)
 	}
 	return s.engines[m]
 }
@@ -134,7 +137,7 @@ func (s *Simulation) Partition(d, m AS) (*Partition, error) {
 		return nil, fmt.Errorf("sbgp: partitions need an attacker")
 	}
 	if s.partitioner == nil {
-		s.partitioner = NewPartitioner(s.g, s.lp())
+		s.partitioner = core.NewPartitioner(s.g, s.lp())
 	}
 	return s.partitioner.Run(d, m), nil
 }
@@ -154,7 +157,7 @@ func (s *Simulation) Sweep(attackers, destinations []AS) (*Result, error) {
 }
 
 // grid assembles the scenario's sweep grid over the given pair sets.
-func (s *Simulation) grid(attackers, destinations []AS) *Grid {
+func (s *Simulation) grid(attackers, destinations []AS) *sweep.Grid {
 	spec := &s.sc.spec
 	models := make([]Model, len(spec.Models))
 	for i, n := range spec.Models {
@@ -163,10 +166,10 @@ func (s *Simulation) grid(attackers, destinations []AS) *Grid {
 	// The mode string was written by WithIncremental or validated by
 	// FromJobSpec, so it parses.
 	mode, _ := ParseIncrementalMode(spec.Incremental)
-	return &Grid{
+	return &sweep.Grid{
 		Models:       models,
 		LP:           s.lp(),
-		Deployments:  append([]GridDeployment{{Name: "baseline"}}, s.deployments...),
+		Deployments:  append([]sweep.Deployment{{Name: "baseline"}}, s.deployments...),
 		Attackers:    attackers,
 		Destinations: destinations,
 		Attack:       s.sc.attack,
@@ -201,7 +204,7 @@ func (s *Simulation) RunDeltaSeries(d, m AS, deps []*Deployment) ([]*Outcome, er
 		}
 		var o *Outcome
 		if prev != nil {
-			added, removed := DeploymentDelta(deps[i-1], dep)
+			added, removed := core.DeploymentDelta(deps[i-1], dep)
 			o = e.RunDelta(prev, added, removed, dep, s.sc.attack)
 		} else {
 			o = e.RunAttack(d, m, dep, s.sc.attack)
@@ -210,24 +213,6 @@ func (s *Simulation) RunDeltaSeries(d, m AS, deps []*Deployment) ([]*Outcome, er
 		prev = o
 	}
 	return out, nil
-}
-
-// SweepSharded is Sweep through the sharded evaluator: the same grid,
-// partitioned into fixed-size shards with per-shard durable checkpoint
-// records and resume. Zero-valued ShardOptions fields inherit the
-// scenario's WithShardSize / WithCheckpoint / WithResume settings. The
-// result is byte-identical to Sweep; a sweep cancelled via the scenario
-// context can be rerun with resume enabled to skip the shards already
-// checkpointed.
-func (s *Simulation) SweepSharded(attackers, destinations []AS, opts ShardOptions) (*Result, error) {
-	if opts.ShardSize == 0 {
-		opts.ShardSize = s.sc.spec.ShardSize
-	}
-	if opts.Checkpoint == "" {
-		opts.Checkpoint = s.sc.spec.Checkpoint
-	}
-	opts.Resume = opts.Resume || s.sc.spec.Resume
-	return s.grid(attackers, destinations).EvaluateSharded(s.sc.ctx, s.g, opts)
 }
 
 // JobSpec returns the canonical serializable job spec describing this
@@ -250,13 +235,13 @@ func (s *Simulation) JobSpec() (*JobSpec, error) {
 // down to the policy's caps unless enumerating fully. Deterministic for
 // a given topology.
 func (s *Simulation) JobPairs() (attackers, destinations []AS) {
-	ms := NonStubs(s.g)
-	ds := AllASes(s.g.N())
+	ms := asgraph.NonStubs(s.g)
+	ds := runner.AllASes(s.g.N())
 	pairs := s.sc.spec.Pairs
 	if pairs.Full {
 		return ms, ds
 	}
-	return SamplePairs(ms, ds, pairs.MaxM, pairs.MaxD)
+	return runner.SamplePairs(ms, ds, pairs.MaxM, pairs.MaxD)
 }
 
 // JobPlan returns the scenario's job grid — the configured grid over
@@ -293,7 +278,9 @@ type JobEvalOptions struct {
 	Checkpoint string
 	// Resume enables resume in addition to the scenario's setting.
 	Resume bool
-	// Sink observes every completed shard (see ShardOptions.Sink).
+	// Sink observes every shard of the job exactly once — resumed shards
+	// replayed first, fresh ones as they finish, each after its checkpoint
+	// record is durable; a non-nil error aborts the evaluation.
 	Sink func(*ShardPartial) error
 	// Stats, when non-nil, receives the evaluation's planner and
 	// dispatch counters (see ShardStats): how the deployment axis was
@@ -319,7 +306,7 @@ func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
 	if opts.Checkpoint != "" {
 		cp = opts.Checkpoint
 	}
-	return pl.EvaluateSharded(s.sc.ctx, ShardOptions{
+	return pl.EvaluateSharded(s.sc.ctx, sweep.ShardOptions{
 		ShardSize:  s.sc.spec.ShardSize,
 		Checkpoint: cp,
 		Resume:     opts.Resume || s.sc.spec.Resume,
