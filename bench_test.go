@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sbgp"
 	"sbgp/internal/asgraph"
@@ -533,6 +535,49 @@ func BenchmarkSweepSharded(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEvaluateJobWorkers is the scaling check of the default job
+// path: the headline grid (baseline plus four named deployments, three
+// models, 6×6 sampled pairs on 4000 ASes — 540 cells, one default-size
+// shard) through EvaluateJob at one worker and at GOMAXPROCS. The shard
+// is the unit of commit, not of dispatch, so the ratio of the two should
+// approach the core count. Each arm first evaluates for a second
+// untimed: a core that has idled delivers nothing for most of a second
+// on small VMs, which would read as a dispatch problem.
+func BenchmarkEvaluateJobWorkers(b *testing.B) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			sim := benchSimulate(
+				sbgp.WithGraph(g, meta),
+				sbgp.WithPairSampling(6, 6),
+				sbgp.WithNamedDeployment("t1t2"),
+				sbgp.WithNamedDeployment("t1t2cp"),
+				sbgp.WithNamedDeployment("t2"),
+				sbgp.WithNamedDeployment("nonstubs"),
+				sbgp.WithWorkers(workers),
+			)
+			pool := sbgp.NewEnginePool()
+			evaluate := func() {
+				res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool})
+				pool.Release()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Cells) != 5*policy.NumModels {
+					b.Fatalf("grid has %d cells", len(res.Cells))
+				}
+			}
+			for start := time.Now(); time.Since(start) < time.Second; {
+				evaluate()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evaluate()
+			}
+		})
+	}
 }
 
 // BenchmarkRolloutSeries is the incremental-evaluation headline: a

@@ -100,7 +100,8 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/core.Engine).RunAttack",
 		"(*sbgp/internal/core.Engine).RunDelta",
 		"(*sbgp/internal/sweep.Plan).evaluateRange",
-		"(*sbgp/internal/sweep.Plan).evaluateShardPartial",
+		"(*sbgp/internal/sweep.Plan).runStrip",
+		"(*sbgp/internal/sweep.shardAcc).partial",
 		"(*sbgp/internal/sweep.shardAcc).add",
 		"sbgp/internal/runner.ForEach",
 	} {

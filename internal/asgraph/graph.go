@@ -16,6 +16,7 @@ package asgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -242,7 +243,11 @@ func (b *Builder) fail(format string, args ...interface{}) {
 }
 
 // Build validates the recorded edges (no duplicates, no conflicting
-// relationship annotations) and returns the immutable Graph.
+// relationship annotations) and returns the immutable Graph. Degrees are
+// counted first so all 3n adjacency lists are carved from one backing
+// array: each list is a cap-limited subslice (an append by a later
+// holder reallocates instead of overwriting a neighbour's list) and an
+// AS without neighbours of a kind keeps a nil list.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -255,6 +260,8 @@ func (b *Builder) Build() (*Graph, error) {
 		providers: make([][]AS, b.n),
 		asns:      b.asns,
 	}
+	type degrees struct{ customers, peers, providers int32 }
+	deg := make([]degrees, b.n)
 	for _, e := range b.edges {
 		x, y := e.a, e.b
 		if x > y {
@@ -266,13 +273,36 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 		seen[k] = true
 		if e.peer {
+			deg[e.a].peers++
+			deg[e.b].peers++
+			g.numP2P++
+		} else {
+			deg[e.a].customers++
+			deg[e.b].providers++
+			g.numC2P++
+		}
+	}
+	backing := make([]AS, 2*len(b.edges))
+	carve := func(d int32) []AS {
+		if d == 0 {
+			return nil
+		}
+		s := backing[:0:d]
+		backing = backing[d:]
+		return s
+	}
+	for v, d := range deg {
+		g.customers[v] = carve(d.customers)
+		g.peers[v] = carve(d.peers)
+		g.providers[v] = carve(d.providers)
+	}
+	for _, e := range b.edges {
+		if e.peer {
 			g.peers[e.a] = append(g.peers[e.a], e.b)
 			g.peers[e.b] = append(g.peers[e.b], e.a)
-			g.numP2P++
 		} else {
 			g.customers[e.a] = append(g.customers[e.a], e.b)
 			g.providers[e.b] = append(g.providers[e.b], e.a)
-			g.numC2P++
 		}
 	}
 	for v := 0; v < b.n; v++ {
@@ -293,6 +323,4 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-func sortASes(s []AS) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
+func sortASes(s []AS) { slices.Sort(s) }

@@ -2,6 +2,8 @@ package asgraph
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,6 +38,79 @@ func TestBuilderBasic(t *testing.T) {
 	}
 	if !g.IsStubX(3) || g.IsStub(3) {
 		t.Errorf("AS 3 has a peer and no customers: stub-x, not plain stub")
+	}
+}
+
+// randomEdges records a random valid edge set (providers below their
+// customers, so the hierarchy is acyclic) on a fresh builder and returns
+// it with the reference adjacency, built the obvious way.
+func randomEdges(n int, seed int64) (b *Builder, customers, peers, providers [][]AS) {
+	rng := rand.New(rand.NewSource(seed))
+	b = NewBuilder(n)
+	customers, peers, providers = make([][]AS, n), make([][]AS, n), make([][]AS, n)
+	type pair struct{ x, y AS }
+	used := map[pair]bool{}
+	for e := 0; e < 3*n; e++ {
+		x, y := AS(rng.Intn(n)), AS(rng.Intn(n))
+		if x > y {
+			x, y = y, x
+		}
+		if x == y || used[pair{x, y}] {
+			continue
+		}
+		used[pair{x, y}] = true
+		if rng.Intn(3) == 0 {
+			b.AddPeer(y, x)
+			peers[x], peers[y] = append(peers[x], y), append(peers[y], x)
+		} else {
+			b.AddProviderCustomer(x, y)
+			customers[x], providers[y] = append(customers[x], y), append(providers[y], x)
+		}
+	}
+	for _, lists := range [][][]AS{customers, peers, providers} {
+		for _, l := range lists {
+			slices.Sort(l)
+		}
+	}
+	return b, customers, peers, providers
+}
+
+// TestBuildCarvesOneBackingArray pins what Build's single-array layout
+// must not change — every list holds exactly the reference neighbours in
+// ascending order, and an AS without neighbours of a kind has a nil list
+// — and what it must guarantee: each list is cap-limited, so appending
+// to one can never write into the next AS's neighbours; and the whole
+// build costs a fixed handful of allocations, not three per AS.
+func TestBuildCarvesOneBackingArray(t *testing.T) {
+	const n = 300
+	b, customers, peers, providers := randomEdges(n, 1)
+	g := b.MustBuild()
+	for v := AS(0); v < n; v++ {
+		for _, l := range []struct {
+			kind      string
+			got, want []AS
+		}{
+			{"customers", g.Customers(v), customers[v]},
+			{"peers", g.Peers(v), peers[v]},
+			{"providers", g.Providers(v), providers[v]},
+		} {
+			if !slices.Equal(l.got, l.want) {
+				t.Fatalf("AS %d %s = %v, want %v", v, l.kind, l.got, l.want)
+			}
+			if (l.got == nil) != (len(l.want) == 0) {
+				t.Fatalf("AS %d %s: empty list must be nil and only an empty one", v, l.kind)
+			}
+			if cap(l.got) != len(l.got) {
+				t.Fatalf("AS %d %s has spare capacity %d: an append would overwrite a neighbouring list", v, l.kind, cap(l.got)-len(l.got))
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		b, _, _, _ := randomEdges(n, 1)
+		b.MustBuild()
+	}) - testing.AllocsPerRun(5, func() { randomEdges(n, 1) })
+	if allocs > 40 {
+		t.Errorf("Build allocates %.0f times for a %d-AS graph: adjacency lists are not carved from one array", allocs, n)
 	}
 }
 

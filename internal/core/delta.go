@@ -407,20 +407,25 @@ func (e *Engine) resetDirty() {
 		// outcome. Both live for the engine's lifetime.
 		e.attachDeltaScratch(n)
 		e.prevOut.attachSlab(n)
-		// Per-AS adjacency degrees and their total, the units of the
-		// edge-volume fallback bound (overDeltaThreshold).
-		for v := 0; v < n; v++ {
-			u := asgraph.AS(v)
-			d := len(e.g.Providers(u)) + len(e.g.Customers(u)) + len(e.g.Peers(u))
-			e.deg[v] = int32(d)
-			e.totalVol += int64(d)
-		}
+		e.buildDegrees()
 	}
 	for _, v := range e.dirtyList {
 		e.inDirty[v] = false
 	}
 	e.dirtyList = e.dirtyList[:0]
 	e.dirtyVol = 0
+}
+
+// buildDegrees fills the per-AS adjacency degrees and their total, the
+// units of the edge-volume fallback bound (overDeltaThreshold) — the
+// engine's one graph-derived cache, rebuilt by Rebind.
+func (e *Engine) buildDegrees() {
+	e.totalVol = 0
+	for v := range e.deg {
+		d := e.g.Degree(asgraph.AS(v))
+		e.deg[v] = int32(d)
+		e.totalVol += int64(d)
+	}
 }
 
 // markDirty adds v to the dirty set, reporting whether it was new. It

@@ -29,6 +29,9 @@ import (
 type Engine struct {
 	g    *asgraph.Graph
 	plan policy.Plan
+	// plans caches the stage plans SetModel has switched to, so moving
+	// back to a model the engine has served allocates nothing.
+	plans [policy.NumModels]policy.Plan
 
 	// resolve selects fully deterministic tiebreaking (lowest next-hop
 	// AS index) instead of the three-valued bound labels.
@@ -190,6 +193,25 @@ func NewEngineLP(g *asgraph.Graph, m policy.Model, lp policy.LocalPref, opts ...
 // Graph returns the engine's topology.
 func (e *Engine) Graph() *asgraph.Graph { return e.g }
 
+// Rebind points the engine at another graph over the same number of
+// ASes, keeping every slab and queue: all per-AS scratch is sized by n
+// alone, and the degree table of the delta-fallback bound — the one
+// graph-derived cache — is rebuilt if it exists. A warm engine pool can
+// therefore follow its evaluations across topologies of one size instead
+// of holding an engine set per topology. The engine's current outcome
+// describes the old graph: the next call must be a from-scratch run, and
+// no outcome computed before the rebind may be passed to RunDelta.
+// Rebinding to a graph of a different size panics.
+func (e *Engine) Rebind(g *asgraph.Graph) {
+	if g.N() != e.g.N() {
+		panic("core: Rebind to a graph of a different size")
+	}
+	e.g = g
+	if e.deg != nil {
+		e.buildDegrees()
+	}
+}
+
 // HappyBounds returns the happy-source bounds of the engine's current
 // outcome — the same numbers as Outcome.HappyBounds on it, but
 // maintained incrementally: a successful RunDelta adjusts the counts
@@ -207,6 +229,22 @@ func (e *Engine) HappyBounds() (lo, hi int) {
 
 // Model returns the engine's security model.
 func (e *Engine) Model() policy.Model { return e.plan.Model }
+
+// SetModel switches the engine to another security model under its
+// local-preference variant. Nothing per-AS depends on the model — only
+// the stage plan does — so one engine can serve every model of a grid
+// in turn instead of a worker holding a set of slabs per model. Like
+// Rebind it invalidates the current outcome as a RunDelta predecessor.
+func (e *Engine) SetModel(m policy.Model) {
+	if m == e.plan.Model {
+		return
+	}
+	e.plans[e.plan.Model] = e.plan
+	if e.plans[m].Stages == nil {
+		e.plans[m] = policy.PlanFor(m, e.plan.LP)
+	}
+	e.plan = e.plans[m]
+}
 
 // RunNormal computes the routing outcome toward d under normal conditions
 // (no attacker), used for protocol-downgrade accounting and the

@@ -12,7 +12,7 @@ import (
 // them with one allocation instead of five keeps the arrays adjacent in
 // memory (the stage loops stream over two or three of them together),
 // halves the allocator traffic of every Clone, and gives the engine a
-// single block to size once per (topology, LP) and reuse forever. The
+// single block to size once per (topology size, LP) and reuse forever. The
 // engine's per-run scratch (offer accumulators, membership bitmaps,
 // degree table) is carved the same way; see Engine.attachScratch and
 // Engine.attachDeltaScratch.

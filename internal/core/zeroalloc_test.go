@@ -50,6 +50,33 @@ func TestEngineRunZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestEngineSwitchZeroAllocs: one engine serving every model and two
+// graphs in turn — what a pooled sweep worker does — allocates nothing
+// once each stage plan has been compiled and the queues are warm.
+func TestEngineSwitchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; covered by the non-race CI job")
+	}
+	g, _ := zeroAllocFixture(t)
+	g2, _ := topogen.MustGenerate(topogen.Params{N: g.N(), Seed: 2})
+	graphs := []*asgraph.Graph{g, g2}
+	added := []asgraph.AS{5, 40, 200}
+	dep := &Deployment{Full: asgraph.SetOf(g.N(), added...)}
+	e := NewEngine(g, policy.Sec1st)
+	i := 0
+	hop := func() {
+		e.Rebind(graphs[i%2])
+		e.SetModel(policy.Models[i%len(policy.Models)])
+		o := e.Run(asgraph.AS(i%8+10), asgraph.AS(i%12+100), nil)
+		e.RunDelta(o, added, nil, dep, nil)
+		i++
+	}
+	for i < 48 {
+		hop()
+	}
+	assertZeroAllocs(t, "Rebind+SetModel+Run+RunDelta", hop)
+}
+
 func TestEngineRunDeltaZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI job")

@@ -185,6 +185,15 @@ func EvalPartitionsBucketed(g *asgraph.Graph, lp policy.LocalPref, M, D []asgrap
 // that contention on the shared cursor is negligible.
 const chunkTarget = 8
 
+// ChunkSize is the dispatch granularity for n items over w workers: the
+// run of consecutive items a worker claims at a time, sized so each
+// worker sees chunkTarget chunks on average and never below one item.
+// The sharded sweep sizes its dispatch strips (in cells) by the same
+// rule, so both fan-outs balance alike.
+func ChunkSize(n, w int) int {
+	return max(1, n/(w*chunkTarget))
+}
+
 // ForEach fans indices 0..n-1 out to a worker pool. newState builds one
 // reusable typed per-worker state (an engine or partitioner, which are
 // not goroutine-safe); fn must be safe to call concurrently for
@@ -232,10 +241,7 @@ func ForEach[T any](ctx context.Context, n, workers int, newState func() T, fn f
 
 // forEachParallel is ForEach's worker-pool body for w > 1.
 func forEachParallel[T any](ctx context.Context, n, w int, newState func() T, fn func(state T, di int)) error {
-	chunk := n / (w * chunkTarget)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := ChunkSize(n, w)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {

@@ -130,7 +130,7 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 		// local pool stays untouched.
 		res, err = d.RunSim(ctx, sim, spec, s.CheckpointPath(id), true, sink)
 	} else {
-		pk := poolKey{topo: key, lpk: spec.LPK}
+		pk := poolKey{n: sim.Graph().N(), lpk: spec.LPK}
 		pool := s.acquirePool(pk)
 		var stats sbgp.ShardStats
 		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
@@ -210,7 +210,7 @@ func (s *Server) releaseTopology(key topoKey) {
 	s.evictLocked()
 }
 
-// acquirePool returns the engine pool for one (topology, local-
+// acquirePool returns the engine pool for one (graph size, local-
 // preference) pair, creating it on first use, pinned until
 // releasePool.
 func (s *Server) acquirePool(key poolKey) *sbgp.EnginePool {

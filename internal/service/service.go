@@ -99,9 +99,7 @@ type job struct {
 }
 
 // topoKey identifies one materialized topology: the canonical
-// TopologySpec, flattened. Engine pools are keyed by topoKey plus the
-// local-preference variant, matching EnginePool's (graph, LP) validity
-// contract.
+// TopologySpec, flattened.
 type topoKey struct {
 	n         int
 	seed      int64
@@ -109,9 +107,14 @@ type topoKey struct {
 	ixp       bool
 }
 
+// poolKey identifies one engine pool: the evaluated graph's AS count
+// plus the local-preference variant, EnginePool's (n, LP) validity
+// contract. Pooled engines follow each job's graph and model (they
+// rebind rather than rebuild), so the daemon holds one engine per worker
+// per graph size, not a set per topology.
 type poolKey struct {
-	topo topoKey
-	lpk  int
+	n   int
+	lpk int
 }
 
 // topoEntry is one warm topology: the graph and metadata exactly as

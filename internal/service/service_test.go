@@ -162,6 +162,55 @@ func TestJobLifecycleByteIdentity(t *testing.T) {
 	}
 }
 
+// TestWarmEnginesFollowTheTopology alternates jobs over two topologies
+// of one size: the engine pool is keyed by (n, LP), so both feed one
+// pool whose engines rebind to each job's graph instead of a second set
+// being built — the warm-engine count stays at one engine per worker
+// however many topologies pass through — and every result still equals
+// the one-shot evaluation of its spec. The jobs are one default-size
+// shard each, so both workers run inside it (sliced strips), and their
+// baseline ⊂ t1t2 chain walks RunDelta on the rebound engines.
+func TestWarmEnginesFollowTheTopology(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	specFor := func(seed int64) *sbgp.JobSpec {
+		sp := smallSpec()
+		sp.Topology.Seed = seed
+		sp.ShardSize = 0
+		return sp
+	}
+	want := map[int64][]byte{7: oneShotBytes(t, specFor(7)), 8: oneShotBytes(t, specFor(8))}
+	for round := 0; round < 3; round++ {
+		for _, seed := range []int64{7, 8} {
+			j, err := s.Submit(specFor(seed), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, s, j.ID, func(j *Job) bool { return j.State == StateDone })
+			got, err := os.ReadFile(s.ResultPath(j.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[seed]) {
+				t.Fatalf("round %d seed %d: result on rebound engines differs from the one-shot evaluation", round, seed)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Topologies != 2 || st.EnginePools != 1 {
+		t.Fatalf("%d topologies share %d engine pools, want 2 sharing 1", st.Topologies, st.EnginePools)
+	}
+	// One engine per worker, whatever the topology and however many
+	// models the jobs sweep.
+	if workers := smallSpec().Workers; st.WarmEngines == 0 || st.WarmEngines > workers {
+		t.Fatalf("%d warm engines after jobs on two topologies, want 1..%d (engines follow the graph)", st.WarmEngines, workers)
+	}
+}
+
 // countCheckpointShards returns the number of completed-shard records
 // in a checkpoint file (lines after the header).
 func countCheckpointShards(t *testing.T, path string) int {
@@ -621,15 +670,15 @@ func TestCacheEviction(t *testing.T) {
 	}
 
 	// Engine pools follow the same discipline.
-	pk := func(seed int64, lpk int) poolKey { return poolKey{topo: keyFor(seed), lpk: lpk} }
-	pinnedPool := s.acquirePool(pk(1, 0))
+	pk := func(lpk int) poolKey { return poolKey{n: smallSpec().Topology.N, lpk: lpk} }
+	pinnedPool := s.acquirePool(pk(0))
 	for i := 2; i <= 4; i++ {
-		s.acquirePool(pk(1, i))
-		s.releasePool(pk(1, i))
+		s.acquirePool(pk(i))
+		s.releasePool(pk(i))
 	}
 	s.mu.Lock()
 	nPools := len(s.pools)
-	pe := s.pools[pk(1, 0)]
+	pe := s.pools[pk(0)]
 	s.mu.Unlock()
 	if nPools != 2 {
 		t.Fatalf("pool cache holds %d entries, cap 2", nPools)
@@ -637,7 +686,7 @@ func TestCacheEviction(t *testing.T) {
 	if pe == nil || pe.pool != pinnedPool {
 		t.Fatal("in-use engine pool was evicted under pressure")
 	}
-	s.releasePool(pk(1, 0))
+	s.releasePool(pk(0))
 	s.mu.Lock()
 	nPools = len(s.pools)
 	s.mu.Unlock()

@@ -2,7 +2,9 @@ package sweep
 
 // Plan → loop → store (DESIGN.md has the picture). Grid.Prepare plans a
 // grid on a graph once; Plan.Evaluate is the flat loop, Plan.RunShards
-// the sharded one, and CheckpointWriter the store its commits land in. A
+// the sharded one — strips are what it dispatches, shards what it
+// commits, units what a coordinator leases — and CheckpointWriter the
+// store its commits land in. A
 // single box fills the store from RunShards (EvaluateSharded); a
 // coordinator fills the same store from partials its workers computed
 // with EvaluateShardRange under an equal Layout — the same computation
@@ -11,6 +13,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sbgp/internal/asgraph"
@@ -179,34 +182,121 @@ func (l *Layout) ValidatePartial(p *ShardPartial) error {
 	return nil
 }
 
-// units cuts ascending runs of shards into dispatch units: each run is
-// split wherever the boundary position is handoff-free. A unit's shards
-// are evaluated in order by one worker, so every boundary *inside* a unit
-// — exactly the boundaries that cut a chain mid-group — has its tail
-// fixed point offered before the continuation runs. That makes
-// cross-shard delta handoff deterministic: on a fresh run every take
-// hits. Identity schedules have only free boundaries, so units
-// degenerate to single shards.
-func (pl *Plan) units(runs []ShardRange, size int) []ShardRange {
-	var units []ShardRange
+// units cuts ascending runs of shards into chain-aligned units, appended
+// to dst: each run is split wherever the boundary position is
+// handoff-free. A unit's shards are evaluated in order by one worker, so
+// every boundary *inside* a unit — exactly the boundaries that cut a
+// chain mid-group — has its tail fixed point offered before the
+// continuation runs. That makes cross-shard delta handoff deterministic:
+// on a fresh run every take hits. Identity schedules have only free
+// boundaries, so units degenerate to single shards.
+func (pl *Plan) units(dst, runs []ShardRange, size int) []ShardRange {
 	for _, r := range runs {
 		start := r.Start
 		for s := r.Start + 1; s <= r.End; s++ {
 			if s == r.End || pl.sched.handoffFree(s*size) {
-				units = append(units, ShardRange{Start: start, End: s})
+				dst = append(dst, ShardRange{Start: start, End: s})
 				start = s
 			}
 		}
 	}
-	return units
+	return dst
 }
 
-// Units returns the chain-aligned dispatch units covering the whole
-// shard space of l, one of the plan's layouts. A coordinator leases
-// whole units — or contiguous runs of them — so RunDelta chains stay
-// local to the worker holding the lease.
+// Units returns the chain-aligned units covering the whole shard space
+// of l, one of the plan's layouts: the lease granularity. A coordinator
+// leases whole units — or contiguous runs of them — so RunDelta chains
+// stay local to the worker holding the lease. (What a worker's own cores
+// share is finer: RunShards slices units into strips.)
 func (pl *Plan) Units(l *Layout) []ShardRange {
-	return pl.units([]ShardRange{{End: l.Shards}}, l.ShardSize)
+	return pl.units(nil, []ShardRange{{End: l.Shards}}, l.ShardSize)
+}
+
+// strip is the sharded loop's dispatch item: the scheduled positions
+// [start, end) of one unit, or a slice of one. A strip starts where its
+// unit starts or at a handoff-free position and ends likewise, so no
+// RunDelta chain is ever split across goroutines.
+type strip struct{ start, end int }
+
+// strips cuts the units' cells into dispatch strips, appended to dst.
+// With one worker a strip is a unit. With more, any unit longer than the
+// runner's chunk of the pending cells — the share that gives every
+// worker chunkTarget strips — is sliced at the handoff-free positions
+// nearest that spacing, so a grid of one default-size shard still feeds
+// every core; where units already outnumber that, nothing is cut.
+// Strips depend on the worker count; shards, units and the bytes
+// committed do not.
+func (pl *Plan) strips(dst []strip, units []ShardRange, l *Layout, workers int) []strip {
+	cells := func(u ShardRange) (start, end int) {
+		return u.Start * l.ShardSize, min(u.End*l.ShardSize, l.Cells)
+	}
+	target := 0
+	if workers > 1 {
+		pending := 0
+		for _, u := range units {
+			start, end := cells(u)
+			pending += end - start
+		}
+		target = runner.ChunkSize(pending, workers)
+		dst = slices.Grow(dst, len(units)+pending/target)
+	}
+	for _, u := range units {
+		start, end := cells(u)
+		for target > 0 && end-start > target {
+			cut := pl.sched.nextFree(start + target)
+			if cut >= end {
+				break
+			}
+			dst = append(dst, strip{start, cut})
+			start = cut
+		}
+		dst = append(dst, strip{start, end})
+	}
+	return dst
+}
+
+// shardRun is the scratch of one RunShards call — the dispatch lists and
+// the state its workers share under the commit mutex — recycled through
+// the EnginePool so a resident service's jobs do not rebuild it.
+type shardRun struct {
+	units  []ShardRange
+	strips []strip
+
+	mu           sync.Mutex // the commit mutex; guards everything below
+	commitErr    error
+	hits, misses int
+	// pending holds the shards some but not all of whose slices have
+	// been folded — at most two per strip in flight, so a linear scan
+	// finds one; spare keeps retired accumulators for the next.
+	pending, spare []*pendingShard
+}
+
+// foldSlice adds a worker's slice (cells positions of shard s, which has
+// size in all) to the shard's pending accumulator and returns that
+// accumulator once every position is in — the shard is then complete
+// and retired — or nil while slices are outstanding. Caller holds mu.
+func (r *shardRun) foldSlice(s, cells, size, tasks int, slice *shardAcc) *shardAcc {
+	i := 0
+	for i < len(r.pending) && r.pending[i].shard != s {
+		i++
+	}
+	if i == len(r.pending) {
+		pd := &pendingShard{}
+		if n := len(r.spare); n > 0 {
+			pd, r.spare = r.spare[n-1], r.spare[:n-1]
+		}
+		pd.shard, pd.cells = s, 0
+		pd.acc.begin(tasks)
+		r.pending = append(r.pending, pd)
+	}
+	pd := r.pending[i]
+	pd.acc.fold(slice)
+	if pd.cells += cells; pd.cells < size {
+		return nil
+	}
+	r.pending = slices.Delete(r.pending, i, i+1)
+	r.spare = append(r.spare, pd)
+	return &pd.acc
 }
 
 // RunOptions are the per-run resources of the sharded loop.
@@ -214,7 +304,7 @@ type RunOptions struct {
 	// Pool, when non-nil, draws per-worker engine state from an
 	// EnginePool instead of constructing it fresh — the warm-engine hook
 	// of a resident service or a worker evaluating many leases of one
-	// job. The pool must belong to the plan's (graph, LP) pair; see
+	// job. The pool must belong to the plan's (n, LP) pair; see
 	// EnginePool. Results are identical with or without a pool.
 	Pool *EnginePool
 	// Stats, when non-nil, accumulates dispatch and handoff counters.
@@ -222,13 +312,19 @@ type RunOptions struct {
 }
 
 // RunShards is the sharded loop: the given shards of layout l (ascending
-// disjoint runs) are cut into chain-ordered units, the units fan out over
-// the worker pool, and each completed shard's partial is committed
-// serially under a mutex. A commit error aborts the remaining shards promptly,
-// and a shard finishing after cancellation (or after a failed commit) is
-// discarded — once ctx.Err() is set, commit is never called again, so a
-// commit that cancels the context can rely on seeing no further
-// partials.
+// disjoint runs) are cut into chain-ordered units and those into strips
+// (see strips), the strips fan out over the worker pool, and each
+// completed shard's partial is committed serially under a mutex. The
+// strip is the unit of dispatch, the shard the unit of commit: a worker
+// that evaluated a whole shard commits its own scratch partial; one that
+// evaluated a slice folds it into the shard's pending accumulator, and
+// the slice that completes the shard commits the sum — the same bytes a
+// single worker would have written, because the fold is a positional
+// integer add. A commit error aborts the remaining strips promptly, and
+// a shard finishing — or a slice arriving — after cancellation (or after
+// a failed commit) is discarded: once ctx.Err() is set, commit is never
+// called again, so a commit that cancels the context can rely on seeing
+// no further partials, and a shard only partly evaluated commits nothing.
 //
 // The partial handed to commit is the worker's own scratch, valid only
 // during the call: commit must copy what it keeps (CheckpointWriter.Add
@@ -248,61 +344,29 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 		}
 		next = r.End
 	}
-	units := pl.units(shards, l.ShardSize)
-	newState := func() *workerState { return &workerState{} }
-	if opts.Pool != nil {
-		newState = opts.Pool.get
+	pool := opts.Pool
+	if pool == nil {
+		pool = NewEnginePool() // nothing to keep warm: this run's state only
 	}
+	run := pool.getRun()
+	defer pool.putRun(run)
+	run.units = pl.units(run.units[:0], shards, l.ShardSize)
+	run.strips = pl.strips(run.strips[:0], run.units, l, runner.Workers(pl.gr.Workers))
 
-	// abort lets a commit failure stop the remaining shards without
+	// abort lets a commit failure stop the remaining strips without
 	// waiting for the whole grid.
 	ctx, abort := context.WithCancel(ctx)
 	defer abort()
-	var mu sync.Mutex
-	var commitErr error
-	var handoffHits, handoffMisses int
-	err := runner.ForEach(ctx, len(units), pl.gr.Workers, newState,
-		func(ws *workerState, ui int) {
-			// Chain tail carry across the unit's interior shard
-			// boundaries (chain-major schedules only; identity units are
-			// single shards). The carry is worker-owned and reset per
-			// unit, so the tail fixed point never crosses a goroutine.
-			var c *carry
-			if !pl.sched.identity() {
-				c = &ws.chainCarry
-				c.reset()
-			}
-			for s := units[ui].Start; s < units[ui].End; s++ {
-				start := s * l.ShardSize
-				end := min(start+l.ShardSize, l.Cells)
-				p, ok := pl.evaluateShardPartial(ctx, ws, c, s, start, end)
-				if !ok {
-					break
-				}
-				mu.Lock()
-				if commitErr != nil || ctx.Err() != nil {
-					mu.Unlock()
-					break
-				}
-				if cerr := commit(p); cerr != nil {
-					commitErr = cerr
-					mu.Unlock()
-					abort()
-					break
-				}
-				mu.Unlock()
-			}
-			if c != nil && (c.hits != 0 || c.misses != 0) {
-				mu.Lock()
-				handoffHits += c.hits
-				handoffMisses += c.misses
-				mu.Unlock()
+	err := runner.ForEach(ctx, len(run.strips), pl.gr.Workers, pool.get,
+		func(ws *workerState, i int) {
+			if cerr := pl.runStrip(ctx, ws, l, run, run.strips[i], commit); cerr != nil {
+				abort()
 			}
 		})
 	if st := opts.Stats; st != nil {
-		st.Units += len(units)
-		st.HandoffHits += handoffHits
-		st.HandoffMisses += handoffMisses
+		st.Units += len(run.units)
+		st.HandoffHits += run.hits
+		st.HandoffMisses += run.misses
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
@@ -310,10 +374,64 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 		st.DeltaEdges = pl.sched.planDeltaEdges
 		st.PredictedVolume = pl.sched.planPredictedVol
 	}
-	if commitErr != nil {
-		return commitErr
+	if run.commitErr != nil {
+		return run.commitErr
 	}
 	return err
+}
+
+// runStrip evaluates one strip shard by shard — whole shards, or the
+// slices the strip's ends cut off — committing each shard it completes.
+// It returns the commit error that must abort the run, if it hit one.
+//
+//sbgp:hotpath
+func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *shardRun, st strip, commit func(p *ShardPartial) error) error {
+	// Chain tail carry across the strip's interior shard boundaries
+	// (chain-major schedules only; identity strips never split a chain).
+	// The carry is worker-owned and reset per strip, so the tail fixed
+	// point never crosses a goroutine.
+	var c *carry
+	if !pl.sched.identity() {
+		c = &ws.chainCarry
+		c.reset()
+	}
+	var commitErr error
+	for s := st.start / l.ShardSize; s*l.ShardSize < st.end && commitErr == nil; s++ {
+		shardStart := s * l.ShardSize
+		shardEnd := min(shardStart+l.ShardSize, l.Cells)
+		start, end := max(st.start, shardStart), min(st.end, shardEnd)
+		acc := &ws.acc
+		acc.begin(pl.ax.tasks)
+		if !pl.evaluateRange(ctx, ws, c, start, end, ws.accEmit()) {
+			break
+		}
+		whole := end-start == shardEnd-shardStart
+		if whole {
+			acc.partial(&ws.partial, s) // sorted and built outside the lock
+		}
+		run.mu.Lock()
+		if run.commitErr != nil || ctx.Err() != nil {
+			run.mu.Unlock()
+			break
+		}
+		if !whole {
+			if acc = run.foldSlice(s, end-start, shardEnd-shardStart, pl.ax.tasks, acc); acc != nil {
+				acc.partial(&ws.partial, s)
+			}
+		}
+		if acc != nil {
+			commitErr = commit(&ws.partial)
+			run.commitErr = commitErr
+		}
+		run.mu.Unlock()
+	}
+	if c != nil && (c.hits != 0 || c.misses != 0) {
+		run.mu.Lock()
+		run.hits += c.hits
+		run.misses += c.misses
+		run.mu.Unlock()
+	}
+	return commitErr
 }
 
 // RangeOptions configures EvaluateShardRange.

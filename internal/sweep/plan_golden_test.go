@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,8 +160,15 @@ func TestOnePlanServesEveryDriver(t *testing.T) {
 // golden grid, chain-major, workers=1, shard size 64): it must resume
 // here — whole, or cut to its first half, adopting the file's shard size
 // — to the golden bytes, and the same run under this code must write the
-// same bytes, header and records alike.
+// same bytes, header and records alike. With two workers, whose strips
+// slice the 64-cell shards, the resumes land on the same bytes and the
+// fresh file holds the same lines (record order is scheduling's).
 func TestParentCheckpointCompat(t *testing.T) {
+	t.Run("workers=1", func(t *testing.T) { testParentCheckpointCompat(t, 1) })
+	t.Run("workers=2", func(t *testing.T) { testParentCheckpointCompat(t, 2) })
+}
+
+func testParentCheckpointCompat(t *testing.T, workers int) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
 	ctx := context.Background()
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_nested.json"))
@@ -171,8 +179,12 @@ func TestParentCheckpointCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := mustPrepare(nestedGrid(g, 1, IncrementalAuto), g)
-	shards := pl.Layout(64).Shards
+	pl := mustPrepare(nestedGrid(g, workers, IncrementalAuto), g)
+	l := pl.Layout(64)
+	shards := l.Shards
+	if units := pl.Units(l); workers > 1 && len(pl.strips(nil, units, l, workers)) == len(units) {
+		t.Fatal("two workers slice no unit of this layout: the case would test nothing new")
+	}
 
 	for _, keep := range []int{shards, shards / 2} {
 		ckpt := filepath.Join(t.TempDir(), "parent.ckpt")
@@ -196,7 +208,18 @@ func TestParentCheckpointCompat(t *testing.T) {
 	if _, err := pl.EvaluateSharded(ctx, ShardOptions{ShardSize: 64, Checkpoint: ckpt}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, fixture) {
-		t.Errorf("checkpoint written by this code differs from the parent's for the same grid (err %v)", err)
+	if workers == 1 {
+		if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, fixture) {
+			t.Errorf("checkpoint written by this code differs from the parent's for the same grid (err %v)", err)
+		}
+		return
+	}
+	parent := filepath.Join(t.TempDir(), "parent.ckpt")
+	if err := os.WriteFile(parent, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantHeader, wantRecords := checkpointLines(t, parent)
+	if header, records := checkpointLines(t, ckpt); header != wantHeader || !slices.Equal(records, wantRecords) {
+		t.Error("checkpoint written with two workers does not hold the parent file's lines")
 	}
 }

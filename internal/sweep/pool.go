@@ -3,29 +3,34 @@ package sweep
 import "sync"
 
 // EnginePool recycles the per-worker engine state of grid evaluation
-// across evaluations, so a resident service re-running grids on the
-// same topology (cmd/sbgpd) skips engine construction — stage-plan
-// compilation plus the per-AS state slabs — on every job instead of
-// paying it per evaluation.
+// across evaluations, so a resident service re-running grids on
+// topologies of one size (cmd/sbgpd) skips engine construction —
+// stage-plan compilation plus the per-AS state slabs — on every job
+// instead of paying it per evaluation. It recycles the sharded loop's
+// dispatch scratch (shardRun) the same way.
 //
-// A pool is only valid for grids sharing one (graph, local-preference)
-// pair: engines are built for a specific topology and LP variant, and
-// the cached state does not re-check either, so callers must key pools
-// by (topology, LP) — the service keys its cache exactly that way.
-// Results are unaffected by pooling: engines fully reset per run, so a
-// pooled evaluation is byte-identical to a fresh one.
+// A pool is valid for one (n, local-preference) pair: each worker state
+// holds one engine, built for an LP variant and sized to the graph's AS
+// count, and it follows the evaluation — a pooled engine last used on
+// another graph of the same size, or under another security model, is
+// rebound (core.Engine.Rebind, SetModel) instead of rebuilt. So callers
+// key pools by (n, LP) — the service does exactly that — and an
+// engine handed a graph of a different size panics. Results are
+// unaffected by pooling: engines fully reset per run, so a pooled
+// evaluation is byte-identical to a fresh one.
 //
 // get hands states out under a mutex and records the loan; Release
 // returns every outstanding loan to the free list, and must only be
 // called after the evaluation using the pool has returned (worker
 // goroutines hold their state until then). A pool may be shared by
-// concurrent evaluations of the same (graph, LP) — each worker gets a
-// distinct state — but Release then returns the union of their loans,
-// so serialize Release with evaluation completion.
+// concurrent evaluations of one (n, LP) — each worker gets a distinct
+// state — but Release then returns the union of their loans, so
+// serialize Release with evaluation completion.
 type EnginePool struct {
 	mu     sync.Mutex
 	free   []*workerState
 	loaned []*workerState
+	runs   []*shardRun // idle RunShards scratch
 }
 
 // NewEnginePool returns an empty pool.
@@ -64,4 +69,27 @@ func (p *EnginePool) Size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.free) + len(p.loaned)
+}
+
+// getRun hands out recycled (or fresh) scratch for one RunShards call.
+func (p *EnginePool) getRun() *shardRun {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.runs); n > 0 {
+		r := p.runs[n-1]
+		p.runs = p.runs[:n-1]
+		return r
+	}
+	return &shardRun{}
+}
+
+// putRun takes a finished RunShards call's scratch back, retiring the
+// shards an aborted run left half-folded.
+func (p *EnginePool) putRun(r *shardRun) {
+	r.spare = append(r.spare, r.pending...)
+	r.pending = r.pending[:0]
+	r.commitErr, r.hits, r.misses = nil, 0, 0
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.runs = append(p.runs, r)
 }

@@ -22,11 +22,12 @@ package sweep
 //     evaluation at every worker count and shard size.
 //   - Where a shard boundary does split a chain, the worker carries the
 //     chain's tail fixed point across the boundary and resumes with
-//     RunDelta instead of re-running the head. RunShards cuts dispatch
-//     units only at handoff-free boundaries, so every split boundary is
-//     interior to one unit — the producer and consumer of a carried
-//     fixed point are always the same goroutine, and the carry needs no
-//     lock, no map, and no defensive clone.
+//     RunDelta instead of re-running the head. RunShards cuts what it
+//     dispatches — units, and the strips it slices them into — only at
+//     handoff-free positions, so every split boundary is interior to one
+//     strip — the producer and consumer of a carried fixed point are
+//     always the same goroutine, and the carry needs no lock, no map,
+//     and no defensive clone.
 
 import (
 	"context"
@@ -107,15 +108,30 @@ func (s *schedule) chainAt(p int) int {
 // boundary placed there. On the identity schedule there are no group
 // runs and every boundary is free; chain-major boundaries are free
 // exactly when p is a multiple of the chain length within its block.
-// RunShards cuts its chain-ordered units at free boundaries,
-// which is what makes handoff reuse deterministic instead of
-// opportunistic.
+// RunShards cuts its chain-ordered units, and the strips inside them,
+// at free positions only, which is what makes handoff reuse
+// deterministic instead of opportunistic.
 func (s *schedule) handoffFree(p int) bool {
 	if s.plan == nil {
 		return true
 	}
 	ci := s.chainAt(p)
 	return (p-s.blockStart[ci])%len(s.plan.chains[ci]) == 0
+}
+
+// nextFree returns the first handoff-free position at or after p (the
+// end of the cell space counts as one): where RunShards may cut a
+// dispatch strip that wants to end near p.
+func (s *schedule) nextFree(p int) int {
+	if s.plan == nil || p >= s.ax.cells {
+		return min(p, s.ax.cells)
+	}
+	ci := s.chainAt(p)
+	clen := len(s.plan.chains[ci])
+	if r := (p - s.blockStart[ci]) % clen; r != 0 {
+		p += clen - r // a block is a whole number of group runs, so p stays inside it
+	}
+	return p
 }
 
 // numRanges returns how many dispatch units the flat evaluator splits
@@ -145,8 +161,8 @@ func (s *schedule) rangeAt(ri int) (start, end int) {
 }
 
 // carry hands a chain's tail fixed point from one shard to the next
-// within a dispatch unit. Units are cut at handoff-free boundaries
-// (Plan.Units), so the shard that is cut off mid-chain and the shard that
+// within a dispatch strip. Strips are cut at handoff-free positions
+// (Plan.strips), so the shard that is cut off mid-chain and the shard that
 // continues it are always evaluated back to back by the same worker:
 // the carried Outcome is the engine-owned fixed point itself — no
 // clone — and it stays valid because nothing runs on that engine
@@ -160,14 +176,14 @@ type carry struct {
 	out *core.Outcome // engine-owned tail fixed point, nil when empty
 	// hits counts takes that found a carried fixed point; misses counts
 	// takes that had to re-run the chain head from scratch. With
-	// chain-ordered unit dispatch every boundary cut mid-chain is
+	// chain-ordered strip dispatch every boundary cut mid-chain is
 	// evaluated offer-before-take, so misses stays zero on fresh runs —
 	// the counters make that claim testable. (Resumed runs can miss at
 	// unit starts whose predecessor shard completed in an earlier run.)
 	hits, misses int
 }
 
-// reset clears the carry for a new dispatch unit.
+// reset clears the carry for a new dispatch strip.
 func (c *carry) reset() { *c = carry{} }
 
 // take returns the fixed point carried to scheduled position pos, or

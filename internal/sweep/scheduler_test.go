@@ -227,7 +227,7 @@ func TestChainMajorInterruptResume(t *testing.T) {
 
 // expectedHandoffTakes counts the shard boundaries of a fresh sharded
 // run that cut a chain group mid-walk for a valid (m ≠ d) pair — each
-// one is exactly one handoff take, and with chain-ordered unit dispatch
+// one is exactly one handoff take, and with chain-ordered strip dispatch
 // each must be a hit.
 func expectedHandoffTakes(pl *Plan, size int) int {
 	gr, ax, sched := &pl.gr, pl.ax, pl.sched
@@ -256,7 +256,7 @@ func expectedHandoffTakes(pl *Plan, size int) int {
 // reproduce the flat evaluation byte for byte, with and without a
 // checkpoint in the loop. The stats assertions pin the deterministic
 // dispatch contract: on a fresh run every boundary that cuts a chain is
-// interior to one dispatch unit, so every take hits and none misses.
+// interior to one dispatch strip, so every take hits and none misses.
 func TestCrossShardHandoffEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer

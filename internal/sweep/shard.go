@@ -13,8 +13,11 @@ import (
 // DefaultShardSize is the cell count per shard when ShardOptions leaves
 // ShardSize zero: large enough that the per-shard bookkeeping (one
 // checkpoint record, one merge pass) is negligible next to the engine
-// runs, small enough that cancellation and progress remain responsive
-// on full |V|² enumerations.
+// runs, small enough that progress and checkpoint loss on interruption
+// stay fine-grained on full |V|² enumerations. It is a storage
+// parameter only: a shard is the unit of commit, not of dispatch
+// (RunShards slices shards into strips when workers would idle), so it
+// bounds neither parallelism nor cancellation latency.
 const DefaultShardSize = 4096
 
 // ShardOptions says how EvaluateSharded cuts, stores and streams the
@@ -54,15 +57,17 @@ type ShardOptions struct {
 
 // ShardStats reports how a sharded evaluation was planned and
 // dispatched, and how often cross-shard chain handoff reused a fixed
-// point instead of re-running a chain head. With chain-ordered unit
+// point instead of re-running a chain head. With chain-ordered
 // dispatch, a fresh run (no resumed shards) has HandoffMisses == 0 by
 // construction; a resume can miss at unit starts whose predecessor
-// shard completed in an earlier run. The dispatch and handoff counters
+// shard completed in an earlier run. Every field is the same at every
+// worker count. The dispatch and handoff counters
 // accumulate across evaluations sharing the struct; the planner fields
 // describe the schedule and are (re)set by each evaluation.
 type ShardStats struct {
-	// Units is the number of dispatch units the pending shards were cut
-	// into (see Plan.Units).
+	// Units is the number of chain-aligned units the pending shards were
+	// cut into (see Plan.Units) — not the number of strips the workers
+	// shared them in, which depends on the worker count.
 	Units int `json:"units"`
 	// HandoffHits counts chain continuations that resumed from an
 	// offered tail fixed point via RunDelta.
@@ -252,37 +257,43 @@ func (a *shardAcc) begin(tasks int) {
 	a.touched = a.touched[:0]
 }
 
-// add folds one cell's exact bounds into its task slot.
-//
-//sbgp:hotpath
-func (a *shardAcc) add(ti, lo, hi int) {
+// touch zeroes task ti's slot on the current shard's first visit.
+func (a *shardAcc) touch(ti int) {
 	if a.stamp[ti] != a.cur {
 		a.stamp[ti] = a.cur
 		a.lo[ti], a.hi[ti], a.pairs[ti] = 0, 0, 0
 		a.touched = append(a.touched, ti)
 	}
+}
+
+// add folds one cell's exact bounds into its task slot.
+//
+//sbgp:hotpath
+func (a *shardAcc) add(ti, lo, hi int) {
+	a.touch(ti)
 	a.lo[ti] += lo
 	a.hi[ti] += hi
 	a.pairs[ti]++
 }
 
-// evaluateShardPartial computes the exact partial aggregate of the
-// scheduled positions [start, end) through the scheduler walk
-// (scheduler.go), listing the touched tasks in ascending order so the
-// record bytes are independent of the walk order. The returned partial
-// is the worker-owned scratch, valid only until the worker's next shard.
-// It reports ok = false if ctx was cancelled, in which case the
-// (incomplete) partial must be discarded.
+// fold adds every task slice touched into a: the positional integer add
+// that makes a shard evaluated in slices equal the shard evaluated whole.
+func (a *shardAcc) fold(slice *shardAcc) {
+	for _, ti := range slice.touched {
+		a.touch(ti)
+		a.lo[ti] += slice.lo[ti]
+		a.hi[ti] += slice.hi[ti]
+		a.pairs[ti] += slice.pairs[ti]
+	}
+}
+
+// partial writes the accumulated shard into p, listing the touched tasks
+// in ascending order so the record bytes are independent of the walk
+// order — and of how many slices the shard was evaluated in.
 //
 //sbgp:hotpath
-func (pl *Plan) evaluateShardPartial(ctx context.Context, ws *workerState, c *carry, shard, start, end int) (p *ShardPartial, ok bool) {
-	a := &ws.acc
-	a.begin(pl.ax.tasks)
-	if !pl.evaluateRange(ctx, ws, c, start, end, ws.accEmit()) {
-		return nil, false
-	}
+func (a *shardAcc) partial(p *ShardPartial, shard int) {
 	slices.Sort(a.touched)
-	p = &ws.partial
 	p.Shard = shard
 	p.Tasks, p.Lo, p.Hi, p.Pairs = p.Tasks[:0], p.Lo[:0], p.Hi[:0], p.Pairs[:0]
 	for _, ti := range a.touched {
@@ -291,7 +302,14 @@ func (pl *Plan) evaluateShardPartial(ctx context.Context, ws *workerState, c *ca
 		p.Hi = append(p.Hi, a.hi[ti])
 		p.Pairs = append(p.Pairs, a.pairs[ti])
 	}
-	return p, true
+}
+
+// pendingShard gathers the slices of one shard whose cells RunShards
+// dispatched in more than one strip: cells counts the positions folded so
+// far, and the slice that brings it to the shard's size commits acc.
+type pendingShard struct {
+	shard, cells int
+	acc          shardAcc
 }
 
 // EvaluateSharded evaluates the plan like Evaluate, but partitioned into

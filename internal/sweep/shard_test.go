@@ -164,8 +164,16 @@ func readCheckpoint(t *testing.T, path string) (hdr *checkpointHeader, partials 
 // resumes it, and asserts (a) the merged result is byte-identical to an
 // uninterrupted run and (b) the resumed run re-evaluates exactly the
 // cells the checkpoint does not cover — completed shards are never
-// re-run, counted in actual engine runs.
+// re-run, counted in actual engine runs. It runs twice: with shards
+// small enough that every strip is a whole shard, and with three big
+// shards that two workers evaluate in slices — where the interruption
+// also strands partly folded shards, which must leave no trace.
 func TestShardedInterruptResume(t *testing.T) {
+	t.Run("whole shards", func(t *testing.T) { testShardedInterruptResume(t, 4, 16, 5) })
+	t.Run("sliced shards", func(t *testing.T) { testShardedInterruptResume(t, 2, 400, 1) })
+}
+
+func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter int) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 250, Seed: 13})
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 10, 20)
@@ -186,14 +194,20 @@ func TestShardedInterruptResume(t *testing.T) {
 			// interrupt/resume is covered by the cancel and
 			// schedule-compat tests.
 			Incremental: IncrementalOff,
-			Workers:     4,
+			Workers:     workers,
 		}
 	}
 	total := validCells(newGrid(nil), policy.NumModels)
+	if pl := mustPrepare(newGrid(nil), g); shardSize > 16 {
+		l := pl.Layout(shardSize)
+		if n := len(pl.strips(nil, pl.Units(l), l, workers)); n <= l.Shards {
+			t.Fatalf("%d strips over %d shards: this configuration is meant to slice", n, l.Shards)
+		}
+	}
 
 	var want bytes.Buffer
 	var uninterrupted atomic.Int64
-	res, err := newGrid(&uninterrupted).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 16})
+	res, err := newGrid(&uninterrupted).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +224,10 @@ func TestShardedInterruptResume(t *testing.T) {
 	var run1 atomic.Int64
 	completed := 0
 	res1, err := newGrid(&run1).EvaluateSharded(ctx, g, ShardOptions{
-		ShardSize:  16,
+		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Sink: func(*ShardPartial) error {
-			if completed++; completed == 5 {
+			if completed++; completed == cancelAfter {
 				cancel()
 			}
 			return nil
@@ -229,8 +243,8 @@ func TestShardedInterruptResume(t *testing.T) {
 	if hdr == nil {
 		t.Fatal("checkpoint has no header")
 	}
-	if len(partials) < 5 {
-		t.Fatalf("checkpoint has %d shard records, want ≥ 5", len(partials))
+	if len(partials) < cancelAfter {
+		t.Fatalf("checkpoint has %d shard records, want ≥ %d", len(partials), cancelAfter)
 	}
 	done := 0
 	for _, p := range partials {
@@ -248,7 +262,7 @@ func TestShardedInterruptResume(t *testing.T) {
 	var run2 atomic.Int64
 	sinkShards := map[int]int{}
 	res2, err := newGrid(&run2).EvaluateSharded(context.Background(), g, ShardOptions{
-		ShardSize:  16,
+		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
 		Sink: func(p *ShardPartial) error {
@@ -260,7 +274,7 @@ func TestShardedInterruptResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := len(newGrid(nil).Attackers) * len(D) * policy.NumModels * 2
-	if wantShards := numShards(cells, 16); len(sinkShards) != wantShards {
+	if wantShards := numShards(cells, shardSize); len(sinkShards) != wantShards {
 		t.Errorf("resume sink saw %d distinct shards, want the whole grid's %d", len(sinkShards), wantShards)
 	}
 	for s, n := range sinkShards {
@@ -283,7 +297,7 @@ func TestShardedInterruptResume(t *testing.T) {
 	// Resuming the now-complete checkpoint evaluates nothing at all.
 	var run3 atomic.Int64
 	res3, err := newGrid(&run3).EvaluateSharded(context.Background(), g, ShardOptions{
-		ShardSize:  16,
+		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
 	})

@@ -249,13 +249,15 @@ func (gr *Grid) attackName() string {
 }
 
 // workerState is the per-worker scratch of grid evaluation: one lazily
-// built engine per security model, plus the sharded path's reusable
-// accumulator, partial, and chain carry. The engine's epoch reset makes
-// reuse across deployments and destinations cheap, and the shard
-// scratch makes the steady-state shard loop allocation-free — an
-// EnginePool recycles the whole state, engines and scratch alike.
+// built engine serving every security model in turn (nothing per-AS
+// depends on the model, so a set of slabs per model would only multiply
+// the worker's memory), plus the sharded path's reusable accumulator,
+// partial, and chain carry. The engine's epoch reset makes reuse across
+// deployments and destinations cheap, and the shard scratch makes the
+// steady-state shard loop allocation-free — an EnginePool recycles the
+// whole state, engine and scratch alike.
 type workerState struct {
-	engines [policy.NumModels]*core.Engine
+	eng *core.Engine
 
 	// acc is the per-shard task accumulator (epoch-stamped, so a new
 	// shard needs no O(tasks) clear); emit is the closure that feeds it,
@@ -268,7 +270,7 @@ type workerState struct {
 	partial ShardPartial
 
 	// chainCarry hands chain-tail fixed points across the shard
-	// boundaries interior to one dispatch unit.
+	// boundaries interior to one dispatch strip.
 	chainCarry carry
 }
 
@@ -284,11 +286,19 @@ func (ws *workerState) accEmit() func(ti, lo, hi int) {
 }
 
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {
-	e := ws.engines[model]
+	e := ws.eng
 	if e == nil {
 		e = core.NewEngineLP(g, model, lp)
-		ws.engines[model] = e
+		ws.eng = e
+		return e
 	}
+	if e.Graph() != g {
+		// A pooled engine follows the evaluation's graph (EnginePool).
+		e.Rebind(g)
+	}
+	// Model switches fall between group runs, which start from scratch:
+	// no RunDelta chain, and no carried fixed point, spans two models.
+	e.SetModel(model)
 	return e
 }
 

@@ -56,6 +56,14 @@ func forestDeployments(g *asgraph.Graph, steps int) []Deployment {
 // schedules are covered: the identity order and the chain-major order
 // with its cross-shard tail carry.
 //
+// The two-worker cases pin the same for strip dispatch, whose scratch
+// (unit and strip lists, pending-shard accumulators) is recycled through
+// the pool: at shard size 3 hundreds of whole-shard strips, and with one
+// shard larger than the grid the sixteen-odd slices folded into a single
+// pending shard, cost the one-worker budget plus the worker pool's own
+// goroutines and closure — a constant. One allocation per strip or per
+// fold would add the strip count to it.
+//
 // The race detector's instrumentation allocates, so the assertion only
 // runs with it off; CI's dedicated zero-alloc job covers that
 // configuration.
@@ -65,30 +73,40 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 	}
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 9})
 	all := runner.AllASes(g.N())
-
-	// Per-evaluation overhead (store, dispatch, reduce) is allowed; it
-	// does not scale with the shard count. Each grid is sized so even one
-	// alloc per shard blows its budget several times over.
-	for _, tc := range []struct {
-		name   string
-		grid   *Grid
-		budget int
-	}{
-		{"identity", &Grid{
+	identity := func(workers int) *Grid {
+		return &Grid{
 			Models:       []policy.Model{policy.Sec2nd},
 			Attackers:    all[:40],
 			Destinations: all[:40],
 			Incremental:  IncrementalOff,
-			Workers:      1,
-		}, 100},
-		{"chain-major", &Grid{
+			Workers:      workers,
+		}
+	}
+	chainMajor := func(workers int) *Grid {
+		return &Grid{
 			Models:       []policy.Model{policy.Sec2nd},
 			Deployments:  rolloutDeployments(g, 6),
 			Attackers:    all[:16],
 			Destinations: all[:16],
 			Incremental:  IncrementalAuto,
-			Workers:      1,
-		}, 100},
+			Workers:      workers,
+		}
+	}
+
+	// Per-evaluation overhead (store, dispatch, reduce) is allowed; it
+	// does not scale with the shard count. Each grid is sized so even one
+	// alloc per shard blows its budget several times over. Shard size 3
+	// cuts chains mid-walk, so the chain-major pass exercises the tail
+	// carry on nearly every boundary; size 0 is one shard holding the
+	// whole grid.
+	for _, tc := range []struct {
+		name      string
+		grid      *Grid
+		shardSize int
+		budget    int
+	}{
+		{"identity", identity(1), 3, 100},
+		{"chain-major", chainMajor(1), 3, 100},
 		{"forest", &Grid{
 			Models:       []policy.Model{policy.Sec2nd},
 			Deployments:  forestDeployments(g, 6),
@@ -96,17 +114,27 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 			Destinations: all[:20],
 			Incremental:  IncrementalAuto,
 			Workers:      1,
-		}, 170},
+		}, 3, 170},
+		{"identity/workers=2", identity(2), 3, 100},
+		{"chain-major/workers=2", chainMajor(2), 3, 100},
+		{"identity/workers=2/one-shard", identity(2), 0, 30},
+		{"chain-major/workers=2/one-shard", chainMajor(2), 0, 30},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := mustPrepare(tc.grid, g)
 			pool := NewEnginePool()
-			// Shard size 3 cuts chains mid-walk, so the chain-major pass
-			// exercises the tail carry on nearly every boundary.
-			opts := ShardOptions{ShardSize: 3}
-			nshards := numShards(pl.ax.cells, opts.ShardSize)
-			if nshards < 4*tc.budget {
-				t.Fatalf("grid too small to distinguish per-shard allocs (%d shards, budget %d)", nshards, tc.budget)
+			opts := ShardOptions{ShardSize: tc.shardSize}
+			l := pl.Layout(tc.shardSize)
+			// What must not cost an allocation each: shards, and the
+			// strips that slice them.
+			items := l.Shards
+			if l.Shards == 1 {
+				items = len(pl.strips(nil, pl.Units(l), l, tc.grid.Workers))
+				if items < 16 {
+					t.Fatalf("one shard dispatched in %d strips, want the grid sliced for two workers", items)
+				}
+			} else if items < 4*tc.budget {
+				t.Fatalf("grid too small to distinguish per-shard allocs (%d shards, budget %d)", items, tc.budget)
 			}
 			// No checkpoint path: every shard commits the worker's scratch
 			// partial into a memory-only store, which must fold it without
@@ -117,12 +145,18 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 				}
 				pool.Release()
 			}
-			run() // warm the pooled worker state
+			// Warm the pooled worker states. With two workers, which state
+			// evaluates what varies run to run, so high-water marks (engine
+			// queues, the partial of the state that completes a sliced
+			// shard) take a few runs to settle.
+			for i := 0; i < 4*tc.grid.Workers; i++ {
+				run()
+			}
 			allocs := testing.AllocsPerRun(3, run)
-			t.Logf("%.0f allocs per %d-shard evaluation", allocs, nshards)
+			t.Logf("%.0f allocs per evaluation of %d shards or strips", allocs, items)
 			if allocs > float64(tc.budget) {
-				t.Errorf("%.0f allocs per %d-shard evaluation (budget %d): the shard loop is allocating per shard",
-					allocs, nshards, tc.budget)
+				t.Errorf("%.0f allocs per evaluation (budget %d, %d shards or strips): the shard loop is allocating per shard or strip",
+					allocs, tc.budget, items)
 			}
 		})
 	}

@@ -169,9 +169,9 @@ type ShardStats = sweep.ShardStats
 type ShardRangeOptions = sweep.RangeOptions
 
 // EnginePool recycles per-worker engine state across grid evaluations
-// sharing one (topology, local-preference) pair — the warm-engine cache
-// behind the resident daemon. Results are byte-identical with or
-// without pooling.
+// sharing one (topology size, local-preference) pair — engines follow
+// the evaluation's graph — the warm-engine cache behind the resident
+// daemon. Results are byte-identical with or without pooling.
 type EnginePool = sweep.EnginePool
 
 // NewEnginePool returns an empty engine pool.

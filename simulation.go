@@ -288,7 +288,7 @@ type JobEvalOptions struct {
 	// the shards and cross-shard handoffs played out.
 	Stats *ShardStats
 	// Pool recycles per-worker engine state across evaluations sharing
-	// this simulation's (topology, local-preference) pair.
+	// this simulation's (topology size, local-preference) pair.
 	Pool *EnginePool
 }
 
@@ -316,7 +316,7 @@ func (s *Simulation) EvaluateJob(opts JobEvalOptions) (*Result, error) {
 
 // JobShardPlan returns the scenario job's shard layout — the portable
 // identity a coordinator publishes and every worker verifies — plus the
-// chain-aligned dispatch units covering its shard space (leases cut on
+// chain-aligned lease units covering its shard space (leases cut on
 // unit boundaries keep RunDelta chains worker-local). The layout's
 // fingerprint is the same one EvaluateJob's checkpoint carries, so a
 // coordinator's checkpoint and a single-box checkpoint are the same
