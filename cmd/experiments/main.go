@@ -52,6 +52,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sbgp"
@@ -190,21 +191,31 @@ func main() {
 			fail(err)
 		}
 	}
-	report(os.Stdout, w, sbgp.StandardLP)
-	if !o.skipIXP {
-		// The Appendix J rerun is the same spec on the IXP-augmented
-		// topology.
-		spec.Topology.IXP = true
-		simIXP, err := simulate(spec)
-		if err != nil {
-			fail(err)
-		}
-		wi, err := exp.NewWorkload(simIXP, o.perDest)
-		if err != nil {
-			fail(err)
-		}
-		reportIXP(os.Stdout, w, wi, sbgp.StandardLP)
+	if err := writeReport(os.Stdout, o, spec, w); err != nil {
+		fail(err)
 	}
+}
+
+// writeReport prints the paper report of w, the workload simulated from
+// spec, and — unless -skip-ixp — the Appendix J rerun: the same spec on
+// the IXP-augmented topology.
+func writeReport(out io.Writer, o *options, spec *sbgp.JobSpec, w *exp.Workload) error {
+	report(out, w, sbgp.StandardLP)
+	if o.skipIXP {
+		return nil
+	}
+	ixp := *spec
+	ixp.Topology.IXP = true
+	simIXP, err := simulate(&ixp)
+	if err != nil {
+		return err
+	}
+	wi, err := exp.NewWorkload(simIXP, o.perDest)
+	if err != nil {
+		return err
+	}
+	reportIXP(out, w, wi, sbgp.StandardLP)
+	return nil
 }
 
 // simulate materializes the scenario a job spec describes.
@@ -247,7 +258,7 @@ func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 	return nil
 }
 
-func report(out *os.File, w *exp.Workload, lp sbgp.LocalPref) {
+func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
 
 	p("\n== E27 / Table 1: tier taxonomy ==\n")
@@ -389,7 +400,7 @@ func report(out *os.File, w *exp.Workload, lp sbgp.LocalPref) {
 
 // reportIXP prints E25: the baseline and partitions of w's scenario on
 // the IXP-augmented graph, wi.
-func reportIXP(out *os.File, w, wi *exp.Workload, lp sbgp.LocalPref) {
+func reportIXP(out io.Writer, w, wi *exp.Workload, lp sbgp.LocalPref) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
 
 	p("\n== E25 / Appendix J: IXP-augmented graph ==\n")

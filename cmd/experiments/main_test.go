@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sbgp"
+	"sbgp/internal/exp"
 )
 
 // parse parses a command line the way main does.
@@ -107,4 +108,63 @@ func TestWriteGridJobFileMatchesFlags(t *testing.T) {
 	if fromFile := grid(loaded, "grid2.json"); !bytes.Equal(fromFile, fromFlags) {
 		t.Error("-job spelling wrote different grid bytes than the flags")
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/report_quick.golden")
+
+// TestQuickReportGolden pins every number the paper report prints: the
+// -quick report (report and reportIXP) is byte-compared with
+// testdata/report_quick.golden, serially and at GOMAXPROCS. The
+// partition and root-cause figures are pinned nowhere else — the exp
+// tests check orderings only. Regenerate with -update.
+func TestQuickReportGolden(t *testing.T) {
+	const golden = "testdata/report_quick.golden"
+	for _, workers := range []string{"1", "0"} {
+		o := parse(t, "-quick", "-workers", workers)
+		spec := o.headlineSpec()
+		sim, err := simulate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := exp.NewWorkload(sim, o.perDest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := writeReport(&buf, o, spec, w); err != nil {
+			t.Fatal(err)
+		}
+		if *update {
+			if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("-workers %s: -quick report differs from %s:\n%s", workers, golden, lineDiff(want, buf.Bytes()))
+		}
+	}
+}
+
+// lineDiff lists the lines two renderings disagree on.
+func lineDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			b.WriteString("  want: " + wl + "\n   got: " + gl + "\n")
+		}
+	}
+	return b.String()
 }
