@@ -99,7 +99,7 @@ func BenchmarkFig3Partitions(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.Partitions(policy.Standard)
+		_, _ = w.Partitions(policy.Standard)
 	}
 }
 
@@ -138,12 +138,13 @@ func BenchmarkFig6PartitionsByAttackerTier(b *testing.B) {
 	}
 }
 
-// BenchmarkSourceTierPartitions — E6 / Section 4.7 ("figure omitted").
+// BenchmarkSourceTierPartitions — E6 / Section 4.7 ("figure omitted"):
+// the by-source-tier fold of E2's walk.
 func BenchmarkSourceTierPartitions(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.PartitionsBySourceTier(policy.Standard)
+		_, _ = w.Partitions(policy.Standard)
 	}
 }
 
@@ -244,8 +245,7 @@ func BenchmarkFig16RootCause(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.RootCause(policy.Sec3rd, policy.Standard)
-		_ = w.RootCause(policy.Sec1st, policy.Standard)
+		_ = w.RootCause(policy.Standard)
 	}
 }
 
@@ -254,7 +254,8 @@ func BenchmarkTable3Phenomena(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.Phenomena(policy.Standard)
+		rc := w.RootCause(policy.Standard)
+		_ = rc[policy.Sec3rd].Downgraded > 0
 	}
 }
 
@@ -326,9 +327,9 @@ func BenchmarkCollateralExamples(b *testing.B) {
 	dep := &core.Deployment{Full: asgraph.SetOf(10, 0, 4, 5, 6, 2)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := rootcause.Evaluate(g, policy.Sec2nd, policy.Standard, dep,
+		accs, err := rootcause.Evaluate(context.Background(), g, policy.Standard, dep,
 			[]asgraph.AS{9}, []asgraph.AS{0}, 1)
-		if a.CollateralDamage <= 0 {
+		if err != nil || accs[policy.Sec2nd].CollateralDamage <= 0 {
 			b.Fatal("collateral damage disappeared")
 		}
 	}
@@ -416,7 +417,7 @@ func BenchmarkIXPAugmented(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = bwIXP.Baseline(policy.Sec3rd, policy.Standard)
-		_ = bwIXP.Partitions(policy.Standard)
+		_, _ = bwIXP.Partitions(policy.Standard)
 	}
 }
 
@@ -425,7 +426,7 @@ func BenchmarkLP2Partitions(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.Partitions(policy.LP2)
+		_, _ = w.Partitions(policy.LP2)
 	}
 }
 
@@ -614,7 +615,11 @@ func BenchmarkRolloutSeries(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := grid.Evaluate(g)
+				pl, err := grid.Prepare(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := pl.Evaluate(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -716,7 +721,11 @@ func BenchmarkIncomparableAxis(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := grid.Evaluate(g)
+				pl, err := grid.Prepare(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := pl.Evaluate(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -750,7 +759,7 @@ func BenchmarkAblationParallelism(b *testing.B) {
 func BenchmarkAblationSamplingError(b *testing.B) {
 	w := benchWorkload(b)
 	for _, mm := range []int{4, 8, 16} {
-		M, _ := runner.SamplePairs(w.NonStubs, nil, mm, 0)
+		M, _ := runner.SamplePairs(asgraph.NonStubs(w.G), nil, mm, 0)
 		b.Run(string(rune('0'+mm/4))+"x4-attackers", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = runner.EvalMetric(w.G, policy.Sec3rd, policy.Standard, nil, M, w.D, 0)

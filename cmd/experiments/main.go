@@ -50,10 +50,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"sbgp"
 	"sbgp/internal/asgraph"
@@ -133,6 +136,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// An interrupt cancels whatever is evaluating — the grid or an
+	// experiment — and the command exits non-zero with the context error.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if o.jobPath != "" {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
@@ -151,7 +158,7 @@ func main() {
 		if o.spec.Workers != 0 {
 			spec.Workers = o.spec.Workers
 		}
-		sim, err := simulate(spec)
+		sim, err := simulate(ctx, spec)
 		if err != nil {
 			fail(err)
 		}
@@ -172,7 +179,7 @@ func main() {
 	// One simulation of the headline spec serves the workload line, the
 	// -json grid and the report.
 	spec := o.headlineSpec()
-	sim, err := simulate(spec)
+	sim, err := simulate(ctx, spec)
 	if err != nil {
 		fail(err)
 	}
@@ -191,22 +198,21 @@ func main() {
 			fail(err)
 		}
 	}
-	if err := writeReport(os.Stdout, o, spec, w); err != nil {
+	if err := writeReport(ctx, os.Stdout, o, spec, w); err != nil {
 		fail(err)
 	}
 }
 
-// writeReport prints the paper report of w, the workload simulated from
-// spec, and — unless -skip-ixp — the Appendix J rerun: the same spec on
-// the IXP-augmented topology.
-func writeReport(out io.Writer, o *options, spec *sbgp.JobSpec, w *exp.Workload) error {
+// writeReport prints the paper report of w, simulated from spec, and —
+// unless -skip-ixp — Appendix J's rerun of spec on the IXP-augmented graph.
+func writeReport(ctx context.Context, out io.Writer, o *options, spec *sbgp.JobSpec, w *exp.Workload) error {
 	report(out, w, sbgp.StandardLP)
-	if o.skipIXP {
-		return nil
+	if o.skipIXP || w.Err() != nil {
+		return w.Err()
 	}
 	ixp := *spec
 	ixp.Topology.IXP = true
-	simIXP, err := simulate(&ixp)
+	simIXP, err := simulate(ctx, &ixp)
 	if err != nil {
 		return err
 	}
@@ -215,12 +221,13 @@ func writeReport(out io.Writer, o *options, spec *sbgp.JobSpec, w *exp.Workload)
 		return err
 	}
 	reportIXP(out, w, wi, sbgp.StandardLP)
-	return nil
+	return wi.Err()
 }
 
-// simulate materializes the scenario a job spec describes.
-func simulate(spec *sbgp.JobSpec) (*sbgp.Simulation, error) {
-	sc, err := sbgp.FromJobSpec(spec)
+// simulate materializes the scenario a job spec describes; everything
+// run on the simulation stops when ctx is cancelled.
+func simulate(ctx context.Context, spec *sbgp.JobSpec) (*sbgp.Simulation, error) {
+	sc, err := sbgp.FromJobSpec(spec, sbgp.WithContext(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +281,7 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 
 	p("\n== E2 / Figure 3: doomed / protectable / immune, all pairs ==\n")
 	p("  paper upper bounds on H(S) ∀S: ~100%% (1st), 89%% (2nd), 75%% (3rd)\n")
-	pf := w.Partitions(lp)
+	pf, bySrc := w.Partitions(lp)
 	for _, m := range sbgp.Models {
 		p("  %-13s immune=%5.1f%%  protectable=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
 			m, 100*pf.LowerBound(m), 100*pf.Frac[m][core.CatProtectable],
@@ -300,7 +307,6 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 
 	p("\n== E6 / Section 4.7: partitions by source tier (sec 3rd) ==\n")
 	p("  paper: every source tier looks alike (~60%% immune, 25%% doomed, 15%% protectable)\n")
-	bySrc := w.PartitionsBySourceTier(lp)
 	for t := 0; t < asgraph.NumTiers; t++ {
 		f := bySrc[t].Frac[sbgp.Sec3rd]
 		if f[0]+f[1]+f[2] == 0 {
@@ -313,12 +319,11 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 
 	p("\n== E7 / Figure 7(a): Tier 1+2 rollout, ΔH_M',V(S) with simplex error bars ==\n")
 	p("  paper: last step ≈ +24%% (1st), small (2nd≈3rd); simplex stubs barely move the needle\n")
-	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
-	printRollout(p, w.Rollout(steps, w.D, lp))
+	printRollout(p, w.Rollout(w.Tier12, w.D, lp))
 
 	p("\n== E8 / Figure 7(b): same rollout, secure destinations only ==\n")
 	p("  paper: sec 2nd reaches +13–20%% for secure destinations by the last step\n")
-	last := steps[len(steps)-1]
+	last := w.Tier12[len(w.Tier12)-1]
 	deltas := w.SecureDestDeltas(last.Deployment, lp)
 	for _, m := range sbgp.Models {
 		p("  %-13s mean ΔH over d∈S = %+.1f%%\n", m, 100*exp.MeanDelta(deltas[m]))
@@ -354,15 +359,15 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 	p("\n== E15 / Figure 13: fate of secure routes to CP destinations (sec 3rd) ==\n")
 	p("  paper: most secure routes are lost to downgrades; the rest sit on immune sources\n")
 	cps, accs := w.CPFate(sbgp.Sec3rd, lp)
-	for i, cp := range cps {
-		a := accs[i]
+	for i, a := range accs {
 		p("  CP AS%-5d secure-normal=%5.1f%%  downgraded=%5.1f%%  retained=%5.1f%%\n",
-			cp, 100*a.SecureNormal, 100*a.Downgraded, 100*(a.WastedOnHappy+a.Protected))
+			cps[i], 100*a.SecureNormal, 100*a.Downgraded, 100*(a.WastedOnHappy+a.Protected))
 	}
 
 	p("\n== E16 / Figure 16: root-cause decomposition, last T1+T2 step ==\n")
+	rc := w.RootCause(lp)
 	for _, m := range []sbgp.Model{sbgp.Sec3rd, sbgp.Sec1st} {
-		a := w.RootCause(m, lp)
+		a := rc[m]
 		p("  %-13s secure-normal=%.1f%%: downgraded=%.1f%% wasted-on-happy=%.1f%% protected=%.1f%%\n",
 			m, 100*a.SecureNormal, 100*a.Downgraded, 100*a.WastedOnHappy, 100*a.Protected)
 		p("  %13s collateral: benefit=%+.2f%% damage=%-+.2f%%  ⇒ metric change %+.1f%%\n",
@@ -371,10 +376,9 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 
 	p("\n== E17 / Table 3: phenomena matrix ==\n")
 	p("  paper: downgrades 2nd,3rd; collateral benefits all; collateral damages 1st,2nd\n")
-	ph := w.Phenomena(lp)
 	p("  %-22s", "observed:")
 	for _, m := range sbgp.Models {
-		p("  [%v: dg=%v cb=%v cd=%v]", m, ph.Downgrades[m], ph.CollateralBenefit[m], ph.CollateralDamage[m])
+		p("  [%v: dg=%v cb=%v cd=%v]", m, rc[m].Downgraded > 0, rc[m].CollateralBenefit > 0, rc[m].CollateralDamage > 0)
 	}
 	p("\n")
 
@@ -386,7 +390,7 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 
 	p("\n== E26 / Figures 24–25 (Appendix K): LP2 policy variant ==\n")
 	p("  paper: sec3rd headroom shrinks to ~11–13%%; high tiers mostly immune\n")
-	lpf := w.Partitions(sbgp.LP2)
+	lpf, _ := w.Partitions(sbgp.LP2)
 	base2 := w.Baseline(sbgp.Sec3rd, sbgp.LP2)
 	p("  LP2 baseline lower=%.1f%%\n", 100*base2.Lo)
 	for _, m := range sbgp.Models {
@@ -407,7 +411,7 @@ func reportIXP(out io.Writer, w, wi *exp.Workload, lp sbgp.LocalPref) {
 	p("  augmented: %d p2p links (was %d)\n", wi.G.NumPeerLinks(), w.G.NumPeerLinks())
 	basei := wi.Baseline(sbgp.Sec3rd, lp)
 	p("  baseline lower=%.1f%% (paper: 62%%)\n", 100*basei.Lo)
-	pfi := wi.Partitions(lp)
+	pfi, _ := wi.Partitions(lp)
 	for _, m := range sbgp.Models {
 		p("  %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
 			m, 100*pfi.LowerBound(m), 100*pfi.Frac[m][core.CatDoomed], 100*pfi.UpperBound(m))

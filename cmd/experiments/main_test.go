@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -76,7 +77,7 @@ func TestWriteGridJobFileMatchesFlags(t *testing.T) {
 	spec := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2").headlineSpec()
 	grid := func(spec *sbgp.JobSpec, name string) []byte {
 		t.Helper()
-		sim, err := simulate(spec)
+		sim, err := simulate(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestQuickReportGolden(t *testing.T) {
 	for _, workers := range []string{"1", "0"} {
 		o := parse(t, "-quick", "-workers", workers)
 		spec := o.headlineSpec()
-		sim, err := simulate(spec)
+		sim, err := simulate(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func TestQuickReportGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := writeReport(&buf, o, spec, w); err != nil {
+		if err := writeReport(context.Background(), &buf, o, spec, w); err != nil {
 			t.Fatal(err)
 		}
 		if *update {

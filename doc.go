@@ -108,9 +108,11 @@
 //
 // # Cancellation
 //
-// WithContext threads a context through everything a Simulation runs.
-// Sweeps check it cooperatively: cancelling aborts the grid promptly
-// (in-flight engine runs finish, undispatched cells never start),
+// WithContext threads a context through everything a Simulation runs —
+// the experiment suite (internal/exp) included, which reads it back with
+// Simulation.Context. Sweeps check it cooperatively: cancelling aborts
+// the grid promptly (in-flight engine runs finish, undispatched cells
+// never start),
 // Sweep and Plan.Evaluate return ctx.Err(), and partial aggregates are
 // discarded — a cancelled sweep never returns a Result. A cancelled
 // *sharded* sweep keeps its completed shards in the checkpoint file;
@@ -119,35 +121,7 @@
 //
 // # Internal layout
 //
-//	internal/asgraph   AS-level topology substrate (relationships, tiers,
-//	                   serialization, IXP augmentation)
-//	internal/topogen   synthetic Internet generator (UCLA-graph stand-in)
-//	internal/policy    routing policy models and stage plans
-//	internal/core      routing-outcome engine (Appendix B), attack
-//	                   strategies, partitions, downgrades, metric bounds
-//	internal/bgpsim    message-level BGP/S*BGP simulator (wedgies,
-//	                   convergence, cross-validation)
-//	internal/deploy    partial-deployment scenario builders
-//	internal/maxk      Max-k-Security (NP-hardness gadget, exact, greedy)
-//	internal/rootcause collateral benefit/damage and downgrade accounting
-//	internal/runner    parallel experiment harness (chunked worker pool,
-//	                   context-aware)
-//	internal/sweep     declarative (model × deployment × attacker ×
-//	                   destination) grid evaluation with deterministic
-//	                   aggregation, incremental nested-chain scheduling,
-//	                   sharded full enumeration with checkpoint/resume,
-//	                   and JSON output
-//	internal/exp       one experiment per paper table/figure, on a
-//	                   Simulation's workload
-//	internal/service   the resident sweep daemon behind cmd/sbgpd: job
-//	                   store, priority queue, warm topology/engine
-//	                   caches, HTTP/JSON + SSE API
-//	internal/dist      the distributed sweep tier behind sbgpd -dist and
-//	                   cmd/sbgpworker: coordinator, shard leases with
-//	                   heartbeat expiry, idempotent ingest, worker loop
-//	internal/analyzers sbgplint's go/analysis suite: the determinism,
-//	                   zero-alloc and safety invariants, checked
-//	                   mechanically
+// README.md ("Layout") lists the internal packages, one line each.
 //
 // The benchmarks in this directory regenerate every evaluation artifact;
 // see DESIGN.md for the experiment index E1–E27 and the design-choice

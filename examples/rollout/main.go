@@ -18,7 +18,6 @@ import (
 	"log"
 
 	"sbgp"
-	"sbgp/internal/deploy"
 	"sbgp/internal/exp"
 )
 
@@ -44,8 +43,7 @@ func main() {
 	fmt.Printf("origin authentication alone already protects %.1f%%..%.1f%% of sources\n\n",
 		100*base.Lo, 100*base.Hi)
 
-	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
-	points := w.Rollout(steps, w.D, sbgp.StandardLP)
+	points := w.Rollout(w.Tier12, w.D, sbgp.StandardLP)
 	fmt.Println("improvement over that baseline (lower bounds):")
 	for _, pt := range points {
 		fmt.Printf("  %-20s (%4d ASes secure):", pt.Name, pt.SecuredASes)

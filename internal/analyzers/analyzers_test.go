@@ -104,6 +104,7 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/sweep.shardAcc).partial",
 		"(*sbgp/internal/sweep.shardAcc).add",
 		"sbgp/internal/runner.ForEach",
+		"sbgp/internal/runner.walkRow",
 	} {
 		if !slices.Contains(names, fn) {
 			t.Errorf("hotpath annotation missing from index: %s", fn)

@@ -151,7 +151,11 @@ func planEvaluator(t *testing.T, ctx context.Context, gr *sweep.Grid, g *sbgp.Gr
 // flatBytes is the flat one-shot evaluation of gr on g, serialized.
 func flatBytes(t *testing.T, gr *sweep.Grid, g *sbgp.Graph) []byte {
 	t.Helper()
-	res, err := gr.Evaluate(g)
+	pl, err := gr.Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Evaluate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sbgp"
 	"sbgp/internal/asgraph"
@@ -41,10 +42,6 @@ type Workload struct {
 	Tiers *asgraph.Tiers
 	Meta  *sbgp.TopologyMeta
 
-	// NonStubs is the attacker population M' of Section 5.2 ("non-stub
-	// attackers").
-	NonStubs []asgraph.AS
-
 	// M and D are the scenario's attacker and destination sets
 	// (Simulation.JobPairs).
 	M, D []asgraph.AS
@@ -62,14 +59,20 @@ type Workload struct {
 	// experiments are defined for the one-hop attack and ignore it.
 	Attack core.Attack
 
-	// Incremental is the scenario's scheduling mode for the metric grids:
-	// sweep.IncrementalAuto uses chain-major scheduling with
-	// Engine.RunDelta reuse across nested deployments whenever a grid's
-	// deployment axis chains — identical results, faster rollout-shaped
-	// experiments; sweep.IncrementalOff is the from-scratch order.
+	// Incremental is the scenario's scheduling mode for the metric grids
+	// (identical results in both; see sweep.IncrementalMode).
 	Incremental sweep.IncrementalMode
 
 	Workers int
+
+	// Tier12 is the Tier 1+2 rollout (Figure 7), built once: E7 walks
+	// it, and E8, E16 and E17 evaluate its last step.
+	Tier12 []deploy.Step
+
+	// ctx is the simulation's context; every evaluation runs under it,
+	// and the first one to fail leaves its error in err (see Err).
+	ctx context.Context
+	err atomic.Pointer[error]
 
 	// baselinePlans caches one prepared sweep plan per (model, LP) pair
 	// for Baseline, so repeated calls — E1 is the benchmark suite's
@@ -79,7 +82,6 @@ type Workload struct {
 	baselinePlans map[baselinePlanKey]*sweep.Plan
 }
 
-// baselinePlanKey identifies one cached Baseline plan.
 type baselinePlanKey struct {
 	model policy.Model
 	lp    policy.LocalPref
@@ -114,18 +116,31 @@ func NewWorkload(sim *sbgp.Simulation, maxPerDest int) (*Workload, error) {
 		tiered = append(tiered, members...)
 	}
 	return &Workload{
-		G:           g,
-		Tiers:       tiers,
-		Meta:        sim.Meta(),
-		NonStubs:    asgraph.NonStubs(g),
-		M:           M,
-		D:           D,
-		Tiered:      tiered,
-		MaxPerDest:  maxPerDest,
-		Attack:      sim.Attack(),
-		Incremental: mode,
-		Workers:     spec.Workers,
+		G:             g,
+		Tiers:         tiers,
+		Meta:          sim.Meta(),
+		M:             M,
+		D:             D,
+		Tiered:        tiered,
+		MaxPerDest:    maxPerDest,
+		Attack:        sim.Attack(),
+		Incremental:   mode,
+		Workers:       spec.Workers,
+		Tier12:        deploy.Tier12Rollout(g, tiers, false),
+		ctx:           sim.Context(),
+		baselinePlans: make(map[baselinePlanKey]*sweep.Plan),
 	}, nil
+}
+
+// Err returns the first error an evaluation of the workload hit, if any
+// — a cancelled context, typically. Like bufio.Scanner, the experiment
+// methods keep their plain signatures: after a failure they return zero
+// results without evaluating, and the caller checks Err once at the end.
+func (w *Workload) Err() error {
+	if err := w.err.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // Baseline computes E1: the lower bound on H_{V,V}(∅) — origin
@@ -134,126 +149,119 @@ func NewWorkload(sim *sbgp.Simulation, maxPerDest int) (*Workload, error) {
 // prepared once and reused, so repeated calls run on warm engines and
 // allocate nothing in steady state.
 func (w *Workload) Baseline(model policy.Model, lp policy.LocalPref) runner.Metric {
-	// Each cached Plan reuses its own accumulator and engines, so the
-	// lock is held across Evaluate, serializing concurrent Baseline calls
-	// on the same workload.
-	w.planMu.Lock()
-	defer w.planMu.Unlock()
-	key := baselinePlanKey{model: model, lp: lp}
-	pl := w.baselinePlans[key]
-	if pl == nil {
-		grid := &sweep.Grid{
-			Models:       []policy.Model{model},
-			LP:           lp,
-			Attackers:    w.M,
-			Destinations: w.D,
-			Attack:       w.Attack,
-			Incremental:  w.Incremental,
-			Workers:      w.Workers,
+	return run(w, func(ctx context.Context) (runner.Metric, error) {
+		// Each cached Plan reuses its own accumulator and engines, so the
+		// lock is held across Evaluate, serializing concurrent Baseline
+		// calls on the same workload.
+		w.planMu.Lock()
+		defer w.planMu.Unlock()
+		key := baselinePlanKey{model: model, lp: lp}
+		pl := w.baselinePlans[key]
+		if pl == nil {
+			grid := w.grid(lp, nil, w.D)
+			grid.Models = []policy.Model{model}
+			var err error
+			if pl, err = grid.Prepare(w.G); err != nil {
+				return runner.Metric{}, err
+			}
+			w.baselinePlans[key] = pl
 		}
-		var err error
-		if pl, err = grid.Prepare(w.G); err != nil {
-			panic(err)
+		res, err := pl.Evaluate(ctx)
+		if err != nil {
+			return runner.Metric{}, err
 		}
-		if w.baselinePlans == nil {
-			w.baselinePlans = make(map[baselinePlanKey]*sweep.Plan)
-		}
-		w.baselinePlans[key] = pl
-	}
-	res, err := pl.Evaluate(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	return res.Cells[0].Metric
+		return res.Cells[0].Metric, nil
+	})
 }
 
-// mustEvaluate evaluates one of the workload's own grids; they are
-// well-formed by construction, so an error is a bug.
-func (w *Workload) mustEvaluate(grid *sweep.Grid) *sweep.Result {
-	res, err := grid.Evaluate(w.G)
+// run performs one evaluation under the workload's context — or, once
+// any evaluation has failed (see Err), returns the zero value instead.
+func run[T any](w *Workload, eval func(context.Context) (T, error)) T {
+	var zero T
+	if w.Err() != nil {
+		return zero
+	}
+	res, err := eval(w.ctx)
 	if err != nil {
-		panic(err)
+		first := err // a copy, so only the failure path escapes to the heap
+		w.err.CompareAndSwap(nil, &first)
+		return zero
 	}
 	return res
 }
 
-// Partitions computes E2 (Figure 3): doomed/protectable/immune fractions
-// over all sampled pairs, per security model.
-func (w *Workload) Partitions(lp policy.LocalPref) runner.PartitionFractions {
-	return runner.EvalPartitions(w.G, lp, w.M, w.D, w.Workers)
+// grid declares a metric grid of the workload's scenario: every model ×
+// the deployments (nil: the baseline alone) × its attackers × D.
+func (w *Workload) grid(lp policy.LocalPref, deployments []sweep.Deployment, D []asgraph.AS) *sweep.Grid {
+	return &sweep.Grid{
+		LP:           lp,
+		Deployments:  deployments,
+		Attackers:    w.M,
+		Destinations: D,
+		Attack:       w.Attack,
+		Incremental:  w.Incremental,
+		Workers:      w.Workers,
+	}
+}
+
+// evaluate evaluates a grid of the workload; nil after a failure.
+func (w *Workload) evaluate(grid *sweep.Grid) *sweep.Result {
+	return run(w, func(ctx context.Context) (*sweep.Result, error) {
+		pl, err := grid.Prepare(w.G)
+		if err != nil {
+			return nil, err
+		}
+		return pl.Evaluate(ctx)
+	})
+}
+
+// walk runs one pair walk, pairs seen as (outer, inner); nil after a failure.
+func (w *Workload) walk(outer, inner []asgraph.AS, width int, newKernel func() runner.PairKernel) []int64 {
+	return run(w, func(ctx context.Context) ([]int64, error) {
+		return runner.WalkPairs(ctx, outer, inner, w.Workers, width, newKernel)
+	})
+}
+
+// Partitions computes E2 (Figure 3) and E6 (the "figure omitted"
+// analysis of Section 4.7) from one walk over all sampled pairs:
+// doomed/protectable/immune fractions over all sources and per source tier.
+func (w *Workload) Partitions(lp policy.LocalPref) (all runner.PartitionFractions, bySourceTier []runner.PartitionFractions) {
+	rows := w.walk(w.D, w.M, runner.PartitionWidth, runner.PartitionKernel(w.G, w.Tiers, lp))
+	return runner.FoldPartitions(runner.SumRows(rows, runner.PartitionWidth))
 }
 
 // PartitionsByDestTier computes E3/E4 (Figures 4 and 5): partitions
-// bucketed by destination tier, over a tier-stratified destination
+// grouped by destination tier, over a tier-stratified destination
 // sample.
 func (w *Workload) PartitionsByDestTier(lp policy.LocalPref) []runner.PartitionFractions {
-	return runner.EvalPartitionsBucketed(w.G, lp, w.M, w.Tiered, w.Workers, asgraph.NumTiers,
-		func(m, d asgraph.AS) int { return int(w.Tiers.TierOf(d)) })
+	rows := w.walk(w.Tiered, w.M, runner.PartitionWidth, runner.PartitionKernel(w.G, w.Tiers, lp))
+	return w.partitionsByTier(w.Tiered, rows)
 }
 
-// PartitionsByAttackerTier computes E5 (Figure 6): partitions bucketed
+// PartitionsByAttackerTier computes E5 (Figure 6): partitions grouped
 // by attacker tier, over a tier-stratified attacker sample (the paper
-// buckets all |V|² pairs; stubs attack too in this figure).
+// buckets all |V|² pairs; stubs attack too in this figure): the same
+// walk attacker-major, so a row is an attacker's.
 func (w *Workload) PartitionsByAttackerTier(lp policy.LocalPref) []runner.PartitionFractions {
-	return runner.EvalPartitionsBucketed(w.G, lp, w.Tiered, w.D, w.Workers, asgraph.NumTiers,
-		func(m, d asgraph.AS) int { return int(w.Tiers.TierOf(m)) })
+	newKernel := runner.PartitionKernel(w.G, w.Tiers, lp)
+	rows := w.walk(w.Tiered, w.D, runner.PartitionWidth, func() runner.PairKernel {
+		kernel := newKernel()
+		return func(row []int64, m, d asgraph.AS) { kernel(row, d, m) }
+	})
+	return w.partitionsByTier(w.Tiered, rows)
 }
 
-// PartitionsBySourceTier computes E6 (the "figure omitted" analysis of
-// Section 4.7): for each source tier, the average fraction of
-// doomed/immune/protectable sources of that tier.
-func (w *Workload) PartitionsBySourceTier(lp policy.LocalPref) []runner.PartitionFractions {
-	nTiers := asgraph.NumTiers
-	type counts struct {
-		c    [policy.NumModels][core.NumCategories]int64
-		srcs [policy.NumModels]int64
+// partitionsByTier groups a partition walk's rows by the tier of their
+// outer element and folds each group over all sources.
+func (w *Workload) partitionsByTier(outer []asgraph.AS, rows []int64) []runner.PartitionFractions {
+	const width = runner.PartitionWidth
+	groups := make([]int64, asgraph.NumTiers*width)
+	for i, c := range rows {
+		groups[int(w.Tiers.TierOf(outer[i/width]))*width+i%width] += c
 	}
-	perDest := make([][]counts, len(w.D))
-	runner.ForEach(nil, len(w.D), w.Workers, func() *core.Partitioner {
-		return core.NewPartitioner(w.G, lp)
-	}, func(p *core.Partitioner, di int) {
-		d := w.D[di]
-		bs := make([]counts, nTiers)
-		for _, m := range w.M {
-			if m == d {
-				continue
-			}
-			part := p.Run(d, m)
-			for v := asgraph.AS(0); int(v) < w.G.N(); v++ {
-				if v == d || v == m {
-					continue
-				}
-				b := int(w.Tiers.TierOf(v))
-				for _, model := range policy.Models {
-					bs[b].c[model][part.Cat[model][v]]++
-					bs[b].srcs[model]++
-				}
-			}
-		}
-		perDest[di] = bs
-	})
-	out := make([]runner.PartitionFractions, nTiers)
-	for b := 0; b < nTiers; b++ {
-		var tot counts
-		for _, bs := range perDest {
-			if bs == nil {
-				continue
-			}
-			for _, model := range policy.Models {
-				for cat := 0; cat < core.NumCategories; cat++ {
-					tot.c[model][cat] += bs[b].c[model][cat]
-				}
-				tot.srcs[model] += bs[b].srcs[model]
-			}
-		}
-		for _, model := range policy.Models {
-			if tot.srcs[model] == 0 {
-				continue
-			}
-			for cat := 0; cat < core.NumCategories; cat++ {
-				out[b].Frac[model][cat] = float64(tot.c[model][cat]) / float64(tot.srcs[model])
-			}
-		}
+	out := make([]runner.PartitionFractions, asgraph.NumTiers)
+	for t := range out {
+		out[t], _ = runner.FoldPartitions(groups[t*width : (t+1)*width])
 	}
 	return out
 }
@@ -288,16 +296,10 @@ func (w *Workload) Rollout(steps []deploy.Step, D []asgraph.AS, lp policy.LocalP
 			sweep.Deployment{Name: fmt.Sprintf("step%d+simplex", i), Dep: deploy.Build(w.G, w.Tiers, simplexSpec)},
 		)
 	}
-	grid := &sweep.Grid{
-		LP:           lp,
-		Deployments:  deployments,
-		Attackers:    w.M,
-		Destinations: D,
-		Attack:       w.Attack,
-		Incremental:  w.Incremental,
-		Workers:      w.Workers,
+	res := w.evaluate(w.grid(lp, deployments, D))
+	if res == nil {
+		return nil
 	}
-	res := w.mustEvaluate(grid)
 	out := make([]RolloutPoint, 0, len(steps))
 	for i, step := range steps {
 		pt := RolloutPoint{
@@ -323,21 +325,13 @@ func (w *Workload) Rollout(steps []deploy.Step, D []asgraph.AS, lp policy.LocalP
 func (w *Workload) SecureDestDeltas(dep *core.Deployment, lp policy.LocalPref) [policy.NumModels][]float64 {
 	secure := dep.Full.Members()
 	ds, _ := runner.SamplePairs(secure, nil, w.MaxPerDest, 0)
-	grid := &sweep.Grid{
-		LP: lp,
-		Deployments: []sweep.Deployment{
-			{Name: "with", Dep: dep},
-			{Name: "without"},
-		},
-		Attackers:    w.M,
-		Destinations: ds,
-		PerDest:      true,
-		Attack:       w.Attack,
-		Incremental:  w.Incremental,
-		Workers:      w.Workers,
-	}
-	res := w.mustEvaluate(grid)
+	grid := w.grid(lp, []sweep.Deployment{{Name: "with", Dep: dep}, {Name: "without"}}, ds)
+	grid.PerDest = true
 	var out [policy.NumModels][]float64
+	res := w.evaluate(grid)
+	if res == nil {
+		return out
+	}
 	for _, model := range policy.Models {
 		with := res.Cell("with", model).PerDest
 		without := res.Cell("without", model).PerDest
@@ -345,7 +339,7 @@ func (w *Workload) SecureDestDeltas(dep *core.Deployment, lp policy.LocalPref) [
 		for i := range ds {
 			deltas[i] = with[i].Lo - without[i].Lo
 		}
-		sortFloats(deltas)
+		sort.Float64s(deltas)
 		out[model] = deltas
 	}
 	return out
@@ -372,23 +366,23 @@ func (w *Workload) CPFate(model policy.Model, lp policy.LocalPref) ([]asgraph.AS
 	dep := deploy.Build(w.G, w.Tiers, deploy.Spec{
 		NumTier1: 13, CPs: w.Meta.CPs, IncludeStubs: true,
 	})
-	acc := rootcause.EvaluatePerDest(w.G, model, lp, dep, w.M, w.Meta.CPs, w.Workers)
-	return w.Meta.CPs, acc
+	cps, width := w.Meta.CPs, rootcause.Width(1)
+	rows := w.walk(cps, w.M, width, rootcause.Kernel(w.G, []policy.Model{model}, lp, dep))
+	accs := make([]rootcause.Accounting, len(cps))
+	for i := range len(rows) / width { // no rows after a failure
+		accs[i] = rootcause.Accounts(w.G.N(), rows[i*width:(i+1)*width])[0]
+	}
+	return cps, accs
 }
 
-// RootCause computes E16 (Figure 16): the metric-change decomposition at
-// the last step of the Tier 1+2 rollout.
-func (w *Workload) RootCause(model policy.Model, lp policy.LocalPref) rootcause.Accounting {
-	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
-	last := steps[len(steps)-1]
-	return rootcause.Evaluate(w.G, model, lp, last.Deployment, w.M, w.D, w.Workers)
-}
-
-// Phenomena computes E17 (Table 3) on the last Tier 1+2 rollout step.
-func (w *Workload) Phenomena(lp policy.LocalPref) rootcause.Phenomena {
-	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
-	last := steps[len(steps)-1]
-	return rootcause.DetectPhenomena(w.G, lp, last.Deployment, w.M, w.D, w.Workers)
+// RootCause computes E16 (Figure 16) and E17 (Table 3, the phenomena
+// observed: fields > 0): the metric-change decomposition of every model
+// at the last step of the Tier 1+2 rollout.
+func (w *Workload) RootCause(lp policy.LocalPref) [policy.NumModels]rootcause.Accounting {
+	last := w.Tier12[len(w.Tier12)-1]
+	return run(w, func(ctx context.Context) ([policy.NumModels]rootcause.Accounting, error) {
+		return rootcause.Evaluate(ctx, w.G, lp, last.Deployment, w.M, w.D, w.Workers)
+	})
 }
 
 // EarlyAdopters computes E14 (Section 5.3.1): the average per-secure-
@@ -438,5 +432,3 @@ func (w *Workload) TierSizes() [asgraph.NumTiers]int {
 	}
 	return out
 }
-
-func sortFloats(xs []float64) { sort.Float64s(xs) }

@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"sbgp"
 	"sbgp/internal/asgraph"
 	"sbgp/internal/deploy"
 	"sbgp/internal/policy"
+	"sbgp/internal/rootcause"
+	"sbgp/internal/runner"
 )
 
 // scenarioWorkload simulates a scenario and builds its workload.
@@ -38,7 +42,7 @@ func TestBaselineMatchesPaperShape(t *testing.T) {
 }
 
 func TestFig3Orderings(t *testing.T) {
-	pf := testW.Partitions(policy.Standard)
+	pf, _ := testW.Partitions(policy.Standard)
 	// Doomed fractions grow as security moves down the decision
 	// process; upper bounds shrink accordingly.
 	d1 := pf.Frac[policy.Sec1st][1]
@@ -92,7 +96,7 @@ func TestFig6Tier1AttackersWeakest(t *testing.T) {
 }
 
 func TestRolloutModelOrdering(t *testing.T) {
-	steps := deploy.Tier12Rollout(testW.G, testW.Tiers, false)
+	steps := testW.Tier12
 	pts := testW.Rollout(steps[len(steps)-1:], testW.D, policy.Standard)
 	last := pts[0]
 	// Security 1st buys the most, 3rd the least (Figure 7(a)).
@@ -115,7 +119,7 @@ func TestRolloutModelOrdering(t *testing.T) {
 }
 
 func TestSecureDestDeltasSorted(t *testing.T) {
-	steps := deploy.Tier12Rollout(testW.G, testW.Tiers, false)
+	steps := testW.Tier12
 	deltas := testW.SecureDestDeltas(steps[0].Deployment, policy.Standard)
 	for _, m := range policy.Models {
 		seq := deltas[m]
@@ -200,19 +204,19 @@ func TestCPFateShape(t *testing.T) {
 }
 
 func TestPhenomenaTheoremSides(t *testing.T) {
-	ph := testW.Phenomena(policy.Standard)
-	if ph.CollateralDamage[policy.Sec3rd] {
+	rc := testW.RootCause(policy.Standard)
+	if rc[policy.Sec3rd].CollateralDamage > 0 {
 		t.Error("collateral damage under security 3rd contradicts Theorem 6.1")
 	}
-	if !ph.Downgrades[policy.Sec3rd] || !ph.Downgrades[policy.Sec2nd] {
+	if rc[policy.Sec3rd].Downgraded <= 0 || rc[policy.Sec2nd].Downgraded <= 0 {
 		t.Error("downgrades should be observed under security 2nd and 3rd on this workload")
 	}
 }
 
 func TestFullEnumerationWorkload(t *testing.T) {
 	w := scenarioWorkload(0, sbgp.WithGeneratedTopology(200, 9), sbgp.WithFullEnumeration())
-	if len(w.M) != len(w.NonStubs) {
-		t.Errorf("full enumeration sampled attackers: |M|=%d, want |M′|=%d", len(w.M), len(w.NonStubs))
+	if nonStubs := asgraph.NonStubs(w.G); len(w.M) != len(nonStubs) {
+		t.Errorf("full enumeration sampled attackers: |M|=%d, want |M′|=%d", len(w.M), len(nonStubs))
 	}
 	if len(w.D) != w.G.N() {
 		t.Errorf("full enumeration sampled destinations: |D|=%d, want |V|=%d", len(w.D), w.G.N())
@@ -238,7 +242,7 @@ func TestIncrementalWorkloadEquality(t *testing.T) {
 		t.Fatal("the scenario's scheduling mode did not reach the workload")
 	}
 
-	steps := deploy.Tier12Rollout(plain.G, plain.Tiers, false)
+	steps := plain.Tier12
 	want := plain.Rollout(steps, plain.D, policy.Standard)
 	got := inc.Rollout(steps, inc.D, policy.Standard)
 	if len(want) != len(got) {
@@ -288,7 +292,7 @@ func TestIXPWorkloadTrendsHold(t *testing.T) {
 	if wi.G.NumPeerLinks() <= testW.G.NumPeerLinks() {
 		t.Fatal("IXP augmentation did not add peer links")
 	}
-	pf := wi.Partitions(policy.Standard)
+	pf, _ := wi.Partitions(policy.Standard)
 	d1 := pf.Frac[policy.Sec1st][1]
 	d3 := pf.Frac[policy.Sec3rd][1]
 	if d1 > d3+1e-9 {
@@ -297,5 +301,70 @@ func TestIXPWorkloadTrendsHold(t *testing.T) {
 	base := wi.Baseline(policy.Sec3rd, policy.Standard)
 	if base.Lo < 0.45 {
 		t.Errorf("IXP baseline %.2f too low", base.Lo)
+	}
+}
+
+// TestSourceTierPartitionsSumToOverall: E2 and E6 are one walk — within
+// every source tier with members the three categories partition the
+// tier's sources, and the overall fractions are their source-weighted
+// mean, so they lie between the tiers' extremes.
+func TestSourceTierPartitionsSumToOverall(t *testing.T) {
+	all, bySrc := testW.Partitions(policy.Standard)
+	if len(bySrc) != asgraph.NumTiers {
+		t.Fatalf("%d source tiers, want %d", len(bySrc), asgraph.NumTiers)
+	}
+	for _, m := range policy.Models {
+		lo, hi := 1.0, 0.0
+		for tier, pf := range bySrc {
+			f := pf.Frac[m]
+			if len(testW.Tiers.Members[tier]) == 0 {
+				continue
+			}
+			if sum := f[0] + f[1] + f[2]; sum < 1-1e-9 || sum > 1+1e-9 {
+				t.Errorf("%v source %v: fractions sum to %v", m, asgraph.Tier(tier), sum)
+			}
+			lo, hi = min(lo, f[1]), max(hi, f[1])
+		}
+		if d := all.Frac[m][1]; d < lo-1e-9 || d > hi+1e-9 {
+			t.Errorf("%v: overall doomed %.4f outside the source tiers' range [%.4f, %.4f]", m, d, lo, hi)
+		}
+	}
+}
+
+// TestWorkloadRunsUnderTheScenarioContext: sbgp.WithContext reaches every
+// evaluation the experiments run — grids and pair walks alike. After a
+// cancellation the methods return zero results, keep doing so, and Err
+// reports the context's error.
+func TestWorkloadRunsUnderTheScenarioContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	w := scenarioWorkload(10, sbgp.WithGeneratedTopology(300, 1), sbgp.WithPairSampling(4, 5), sbgp.WithContext(ctx))
+	if b := w.Baseline(policy.Sec3rd, policy.Standard); b.Lo <= 0 || w.Err() != nil {
+		t.Fatalf("live context: baseline %+v, err %v", b, w.Err())
+	}
+	cancel()
+
+	if b := w.Baseline(policy.Sec3rd, policy.Standard); b != (runner.Metric{}) {
+		t.Errorf("Baseline after cancellation = %+v, want zero", b)
+	}
+	if !errors.Is(w.Err(), context.Canceled) {
+		t.Fatalf("Err() = %v, want context.Canceled", w.Err())
+	}
+	if all, bySrc := w.Partitions(policy.Standard); all.Pairs != 0 || len(bySrc) != asgraph.NumTiers {
+		t.Errorf("Partitions after cancellation: %d pairs, %d source tiers", all.Pairs, len(bySrc))
+	}
+	if byDest := w.PartitionsByDestTier(policy.Standard); len(byDest) != asgraph.NumTiers || byDest[asgraph.TierStub].Pairs != 0 {
+		t.Errorf("PartitionsByDestTier after cancellation: %+v", byDest)
+	}
+	if pts := w.Rollout(w.Tier12, w.D, policy.Standard); pts != nil {
+		t.Errorf("Rollout after cancellation returned %d points", len(pts))
+	}
+	if cps, accs := w.CPFate(policy.Sec3rd, policy.Standard); len(accs) != len(cps) || accs[0].Pairs != 0 {
+		t.Errorf("CPFate after cancellation: %d accountings for %d CPs", len(accs), len(cps))
+	}
+	if rc := w.RootCause(policy.Standard); rc != [policy.NumModels]rootcause.Accounting{} {
+		t.Errorf("RootCause after cancellation = %+v, want zero", rc)
+	}
+	if !errors.Is(w.Err(), context.Canceled) {
+		t.Errorf("Err() = %v after further calls, want context.Canceled", w.Err())
 	}
 }

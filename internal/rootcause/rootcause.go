@@ -11,6 +11,8 @@
 package rootcause
 
 import (
+	"context"
+
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
 	"sbgp/internal/policy"
@@ -46,141 +48,122 @@ type Accounting struct {
 	Pairs int
 }
 
-// Evaluate computes the accounting for one deployment and model over
-// attackers M and destinations D.
-func Evaluate(g *asgraph.Graph, model policy.Model, lp policy.LocalPref, dep *core.Deployment, M, D []asgraph.AS, workers int) Accounting {
-	per := EvaluatePerDest(g, model, lp, dep, M, D, workers)
-	var out Accounting
-	for _, a := range per {
-		out.SecureNormal += a.SecureNormal * float64(a.Pairs)
-		out.Downgraded += a.Downgraded * float64(a.Pairs)
-		out.WastedOnHappy += a.WastedOnHappy * float64(a.Pairs)
-		out.Protected += a.Protected * float64(a.Pairs)
-		out.CollateralBenefit += a.CollateralBenefit * float64(a.Pairs)
-		out.CollateralDamage += a.CollateralDamage * float64(a.Pairs)
-		out.MetricChange += a.MetricChange * float64(a.Pairs)
-		out.Pairs += a.Pairs
+// The per-model columns of a root-cause row: source ASes, summed over pairs.
+const (
+	cSecureNormal = iota
+	cDowngraded
+	cWasted
+	cProtected
+	cBenefit
+	cDamage
+	cHappyS
+	cHappyBase
+	numCounts
+)
+
+// Width is the row width of a root-cause walk over nmodels models: the
+// counts above per model, then the pair count.
+func Width(nmodels int) int { return nmodels*numCounts + 1 }
+
+// Kernel returns the runner.WalkPairs kernel constructor of the
+// accounting under dep; walked destination-major (outer D, inner M) it
+// fills one Width(len(models)) row per destination. A pair joins three
+// per-AS states — the normal-conditions run under dep (kept per
+// destination), the attack at S = ∅ (one run per pair: without secure
+// ASes every model yields the same outcome) and the attack under dep (one
+// run per model) — on one engine, switched with SetModel.
+func Kernel(g *asgraph.Graph, models []policy.Model, lp policy.LocalPref, dep *core.Deployment) func() runner.PairKernel {
+	n := g.N()
+	return func() runner.PairKernel {
+		eng := core.NewEngineLP(g, policy.Sec1st, lp)
+		secN := make([]bool, len(models)*n) // secure under normal conditions, per model
+		baseOK := make([]bool, n)           // happy (lower bound) in the baseline attack
+		lastD := asgraph.None
+		return func(row []int64, d, m asgraph.AS) {
+			if d != lastD {
+				for k, model := range models {
+					eng.SetModel(model)
+					copy(secN[k*n:(k+1)*n], eng.RunNormal(d, dep).Secure)
+				}
+				lastD = d
+			}
+			base := eng.Run(d, m, nil)
+			for v := range baseOK {
+				baseOK[v] = base.Label[v] == core.LabelDest
+			}
+			for k, model := range models {
+				eng.SetModel(model)
+				attack := eng.Run(d, m, dep)
+				c, sec := row[k*numCounts:], secN[k*n:(k+1)*n]
+				for v := asgraph.AS(0); int(v) < n; v++ {
+					if v == d || v == m {
+						continue
+					}
+					happy := attack.Label[v] == core.LabelDest
+					if happy {
+						c[cHappyS]++
+					}
+					if baseOK[v] {
+						c[cHappyBase]++
+					}
+					if sec[v] {
+						c[cSecureNormal]++
+						switch {
+						case !attack.Secure[v]:
+							c[cDowngraded]++
+						case baseOK[v]:
+							c[cWasted]++
+						default:
+							c[cProtected]++
+						}
+					}
+					if !dep.FullSecure(v) && !dep.OriginSecure(v) {
+						if happy && !baseOK[v] {
+							c[cBenefit]++
+						}
+						if !happy && baseOK[v] {
+							c[cDamage]++
+						}
+					}
+				}
+			}
+			row[len(row)-1]++
+		}
 	}
-	if out.Pairs > 0 {
-		f := float64(out.Pairs)
-		out.SecureNormal /= f
-		out.Downgraded /= f
-		out.WastedOnHappy /= f
-		out.Protected /= f
-		out.CollateralBenefit /= f
-		out.CollateralDamage /= f
-		out.MetricChange /= f
+}
+
+// Accounts folds a root-cause row — one destination's, or any sum of
+// rows — over an n-AS graph into one Accounting per model of its walk.
+func Accounts(n int, row []int64) []Accounting {
+	out := make([]Accounting, (len(row)-1)/numCounts)
+	pairs := row[len(row)-1]
+	den := float64(pairs) * float64(n-2)
+	for k := range out {
+		out[k].Pairs = int(pairs)
+		if den == 0 {
+			continue
+		}
+		c, a := row[k*numCounts:], &out[k]
+		a.SecureNormal = float64(c[cSecureNormal]) / den
+		a.Downgraded = float64(c[cDowngraded]) / den
+		a.WastedOnHappy = float64(c[cWasted]) / den
+		a.Protected = float64(c[cProtected]) / den
+		a.CollateralBenefit = float64(c[cBenefit]) / den
+		a.CollateralDamage = float64(c[cDamage]) / den
+		a.MetricChange = float64(c[cHappyS]-c[cHappyBase]) / den
 	}
 	return out
 }
 
-// EvaluatePerDest is Evaluate broken down per destination (indexed like
-// D); Figure 13 plots this across the content providers.
-func EvaluatePerDest(g *asgraph.Graph, model policy.Model, lp policy.LocalPref, dep *core.Deployment, M, D []asgraph.AS, workers int) []Accounting {
-	out := make([]Accounting, len(D))
-	type state struct {
-		eng    *core.Engine
-		secN   []bool // secure under normal conditions
-		baseOK []bool // happy (lower bound) in the baseline attack
+// Evaluate computes the accounting of every model, indexed by model, for
+// one deployment over attackers M and destinations D. Table 3's presence
+// matrix is its fields read as "> 0".
+func Evaluate(ctx context.Context, g *asgraph.Graph, lp policy.LocalPref, dep *core.Deployment, M, D []asgraph.AS, workers int) (out [policy.NumModels]Accounting, err error) {
+	width := Width(policy.NumModels)
+	rows, err := runner.WalkPairs(ctx, D, M, workers, width, Kernel(g, policy.Models[:], lp, dep))
+	if err != nil {
+		return out, err
 	}
-	runner.ForEach(nil, len(D), workers, func() *state {
-		return &state{
-			eng:    core.NewEngineLP(g, model, lp),
-			secN:   make([]bool, g.N()),
-			baseOK: make([]bool, g.N()),
-		}
-	}, func(st *state, di int) {
-		d := D[di]
-		normal := st.eng.RunNormal(d, dep)
-		copy(st.secN, normal.Secure)
-
-		var acc Accounting
-		sources := float64(g.N() - 2)
-		for _, m := range M {
-			if m == d {
-				continue
-			}
-			base := st.eng.Run(d, m, nil)
-			for v := range st.baseOK {
-				st.baseOK[v] = base.Label[v] == core.LabelDest
-			}
-			attack := st.eng.Run(d, m, dep)
-
-			var sn, dg, wa, pr, cb, cd, happyS, happyBase int
-			for v := asgraph.AS(0); int(v) < g.N(); v++ {
-				if v == d || v == m {
-					continue
-				}
-				happy := attack.Label[v] == core.LabelDest
-				if happy {
-					happyS++
-				}
-				if st.baseOK[v] {
-					happyBase++
-				}
-				if st.secN[v] {
-					sn++
-					switch {
-					case !attack.Secure[v]:
-						dg++
-					case st.baseOK[v]:
-						wa++
-					default:
-						pr++
-					}
-				}
-				if !dep.FullSecure(v) && !dep.OriginSecure(v) {
-					if happy && !st.baseOK[v] {
-						cb++
-					}
-					if !happy && st.baseOK[v] {
-						cd++
-					}
-				}
-			}
-			acc.SecureNormal += float64(sn) / sources
-			acc.Downgraded += float64(dg) / sources
-			acc.WastedOnHappy += float64(wa) / sources
-			acc.Protected += float64(pr) / sources
-			acc.CollateralBenefit += float64(cb) / sources
-			acc.CollateralDamage += float64(cd) / sources
-			acc.MetricChange += float64(happyS-happyBase) / sources
-			acc.Pairs++
-		}
-		if acc.Pairs > 0 {
-			f := float64(acc.Pairs)
-			acc.SecureNormal /= f
-			acc.Downgraded /= f
-			acc.WastedOnHappy /= f
-			acc.Protected /= f
-			acc.CollateralBenefit /= f
-			acc.CollateralDamage /= f
-			acc.MetricChange /= f
-		}
-		out[di] = acc
-	})
-	return out
-}
-
-// Phenomena is the Table 3 presence matrix: which phenomena were
-// actually observed for each security model on a given workload.
-type Phenomena struct {
-	Downgrades        [policy.NumModels]bool
-	CollateralBenefit [policy.NumModels]bool
-	CollateralDamage  [policy.NumModels]bool
-}
-
-// DetectPhenomena evaluates all three models and reports which Table 3
-// phenomena occurred. The paper's matrix predicts: downgrades in 2nd and
-// 3rd only; collateral benefits in all three; collateral damages in 1st
-// and 2nd only.
-func DetectPhenomena(g *asgraph.Graph, lp policy.LocalPref, dep *core.Deployment, M, D []asgraph.AS, workers int) Phenomena {
-	var ph Phenomena
-	for _, model := range policy.Models {
-		a := Evaluate(g, model, lp, dep, M, D, workers)
-		ph.Downgrades[model] = a.Downgraded > 0
-		ph.CollateralBenefit[model] = a.CollateralBenefit > 0
-		ph.CollateralDamage[model] = a.CollateralDamage > 0
-	}
-	return ph
+	copy(out[:], Accounts(g.N(), runner.SumRows(rows, width)))
+	return out, nil
 }

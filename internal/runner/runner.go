@@ -2,8 +2,9 @@
 // Appendix B/H parallelization, with goroutines in place of MPI). It
 // executes routing-outcome and partition computations over sets of
 // attacker-destination pairs, destination-major exactly as the paper
-// describes, and aggregates the security metric H_{M,D}(S), its bounds,
-// partition fractions, and per-destination series.
+// describes: ForEach is the fan-out, EvalMetric the from-scratch oracle
+// of the security metric H_{M,D}(S), and WalkPairs the pair walk whose
+// kernels count partitions (here) and root causes (internal/rootcause).
 package runner
 
 import (
@@ -112,72 +113,60 @@ func (p *PartitionFractions) LowerBound(m policy.Model) float64 {
 	return p.Frac[m][core.CatImmune]
 }
 
-// EvalPartitions computes partition fractions averaged over M × D.
-func EvalPartitions(g *asgraph.Graph, lp policy.LocalPref, M, D []asgraph.AS, workers int) PartitionFractions {
-	buckets := EvalPartitionsBucketed(g, lp, M, D, workers, 1, func(m, d asgraph.AS) int { return 0 })
-	return buckets[0]
-}
+// A partition row holds one block of (model, category) source counts per
+// source tier, then the pair count.
+const (
+	partitionBlock = policy.NumModels * core.NumCategories
+	PartitionWidth = asgraph.NumTiers*partitionBlock + 1
+)
 
-// EvalPartitionsBucketed computes partition fractions per bucket (e.g.
-// destination tier for Figures 4–5, attacker tier for Figure 6). bucketOf
-// maps a pair to a bucket in [0, nbuckets), or a negative value to skip.
-func EvalPartitionsBucketed(g *asgraph.Graph, lp policy.LocalPref, M, D []asgraph.AS, workers, nbuckets int, bucketOf func(m, d asgraph.AS) int) []PartitionFractions {
-	type counts struct {
-		c     [policy.NumModels][core.NumCategories]int64
-		pairs int
-	}
-	perDest := make([][]counts, len(D))
-	ForEach(nil, len(D), workers, func() *core.Partitioner {
-		return core.NewPartitioner(g, lp)
-	}, func(p *core.Partitioner, di int) {
-		d := D[di]
-		bs := make([]counts, nbuckets)
-		for _, m := range M {
-			if m == d {
-				continue
-			}
-			b := bucketOf(m, d)
-			if b < 0 {
-				continue
-			}
+// PartitionKernel returns the WalkPairs kernel constructor of the
+// partition analysis. A kernel owns one core.Partitioner, whose single
+// S = ∅ run per pair yields all three models, and counts every source's
+// category against the source's tier (Section 4.7's breakdown).
+func PartitionKernel(g *asgraph.Graph, tiers *asgraph.Tiers, lp policy.LocalPref) func() PairKernel {
+	return func() PairKernel {
+		p := core.NewPartitioner(g, lp)
+		return func(row []int64, d, m asgraph.AS) {
 			part := p.Run(d, m)
-			for _, model := range policy.Models {
-				im, dm, pr := part.Counts(model)
-				bs[b].c[model][core.CatImmune] += int64(im)
-				bs[b].c[model][core.CatDoomed] += int64(dm)
-				bs[b].c[model][core.CatProtectable] += int64(pr)
-			}
-			bs[b].pairs++
-		}
-		perDest[di] = bs
-	})
-
-	out := make([]PartitionFractions, nbuckets)
-	sources := float64(g.N() - 2)
-	for b := 0; b < nbuckets; b++ {
-		var tot counts
-		for di := range perDest {
-			if perDest[di] == nil {
-				continue
-			}
-			for _, model := range policy.Models {
-				for cat := 0; cat < core.NumCategories; cat++ {
-					tot.c[model][cat] += perDest[di][b].c[model][cat]
+			for v, t := range tiers.Of {
+				if asgraph.AS(v) == d || asgraph.AS(v) == m {
+					continue
+				}
+				block := row[int(t)*partitionBlock:]
+				for model := range part.Cat {
+					block[model*core.NumCategories+int(part.Cat[model][v])]++
 				}
 			}
-			tot.pairs += perDest[di][b].pairs
+			row[PartitionWidth-1]++
 		}
-		out[b].Pairs = tot.pairs
-		if tot.pairs == 0 {
-			continue
-		}
-		for _, model := range policy.Models {
-			for cat := 0; cat < core.NumCategories; cat++ {
-				out[b].Frac[model][cat] = float64(tot.c[model][cat]) / (float64(tot.pairs) * sources)
+	}
+}
+
+// FoldPartitions turns a partition row — one outer element's, or any
+// sum of rows — into fractions of source ASes: over all sources, and
+// over the sources of each tier (indexed by tier).
+func FoldPartitions(row []int64) (all PartitionFractions, bySourceTier []PartitionFractions) {
+	blocks, pairs := row[:PartitionWidth-1], int(row[PartitionWidth-1])
+	for t := 0; t < asgraph.NumTiers; t++ {
+		bySourceTier = append(bySourceTier, blockFractions(blocks[t*partitionBlock:], pairs))
+	}
+	return blockFractions(SumRows(blocks, partitionBlock), pairs), bySourceTier
+}
+
+// blockFractions normalises each model's category counts by the sources
+// counted (every source falls in exactly one category).
+func blockFractions(block []int64, pairs int) PartitionFractions {
+	pf := PartitionFractions{Pairs: pairs}
+	for model := range pf.Frac {
+		c := block[model*core.NumCategories:][:core.NumCategories]
+		if sources := c[0] + c[1] + c[2]; sources > 0 {
+			for cat, x := range c {
+				pf.Frac[model][cat] = float64(x) / float64(sources)
 			}
 		}
 	}
-	return out
+	return pf
 }
 
 // chunkTarget is the number of chunks each worker should see on

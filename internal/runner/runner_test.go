@@ -157,10 +157,21 @@ func TestEvalMetricPerDestAggregation(t *testing.T) {
 	}
 }
 
+// partitionRows runs the partition walk destination-major.
+func partitionRows(t *testing.T, g *asgraph.Graph, tiers *asgraph.Tiers, M, D []asgraph.AS, workers int) []int64 {
+	t.Helper()
+	rows, err := WalkPairs(context.Background(), D, M, workers, PartitionWidth, PartitionKernel(g, tiers, policy.Standard))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestEvalPartitionsFractionsSumToOne(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 300, Seed: 8})
+	g, meta := topogen.MustGenerate(topogen.Params{N: 300, Seed: 8})
+	tiers := asgraph.Classify(g, meta.CPs, nil)
 	M, D := SamplePairs(asgraph.NonStubs(g), allASes(g), 6, 8)
-	pf := EvalPartitions(g, policy.Standard, M, D, 4)
+	pf, _ := FoldPartitions(SumRows(partitionRows(t, g, tiers, M, D, 4), PartitionWidth))
 	for _, model := range policy.Models {
 		sum := 0.0
 		for cat := 0; cat < core.NumCategories; cat++ {
@@ -180,17 +191,22 @@ func TestEvalPartitionsFractionsSumToOne(t *testing.T) {
 	}
 }
 
+// TestEvalPartitionsBucketed: grouping the walk's rows by destination
+// tier loses no pair — Σ dest-tier pairs == |{(m,d): m≠d}| exactly.
 func TestEvalPartitionsBucketed(t *testing.T) {
 	g, meta := topogen.MustGenerate(topogen.Params{N: 300, Seed: 8})
 	tiers := asgraph.Classify(g, meta.CPs, nil)
 	M, D := SamplePairs(asgraph.NonStubs(g), allASes(g), 6, 10)
-	buckets := EvalPartitionsBucketed(g, policy.Standard, M, D, 4, asgraph.NumTiers,
-		func(m, d asgraph.AS) int { return int(tiers.TierOf(d)) })
-	totalPairs := 0
-	for _, b := range buckets {
-		totalPairs += b.Pairs
+	rows := partitionRows(t, g, tiers, M, D, 4)
+	var byTier [asgraph.NumTiers]int64
+	for di, d := range D {
+		byTier[tiers.TierOf(d)] += rows[(di+1)*PartitionWidth-1]
 	}
-	want := 0
+	var totalPairs int64
+	for _, pairs := range byTier {
+		totalPairs += pairs
+	}
+	var want int64
 	for _, d := range D {
 		for _, m := range M {
 			if m != d {

@@ -18,7 +18,6 @@
 package sweep
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -300,16 +299,6 @@ func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.Lo
 	// no RunDelta chain, and no carried fixed point, spans two models.
 	e.SetModel(model)
 	return e
-}
-
-// Evaluate prepares the grid on g and evaluates it once, flat. Callers
-// that evaluate repeatedly, shard, or checkpoint hold the Plan instead.
-func (gr *Grid) Evaluate(g *asgraph.Graph) (*Result, error) {
-	pl, err := gr.Prepare(g)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Evaluate(context.Background())
 }
 
 // reduceInto folds the exact per-task integer counts into res in axis

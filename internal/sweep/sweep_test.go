@@ -29,7 +29,7 @@ func mustPrepare(gr *Grid, g *asgraph.Graph) *Plan {
 
 // mustEvaluate is the flat evaluation of a statically well-formed grid.
 func mustEvaluate(gr *Grid, g *asgraph.Graph) *Result {
-	res, err := gr.Evaluate(g)
+	res, err := mustPrepare(gr, g).Evaluate(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -230,10 +230,7 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 		Attackers:    []asgraph.AS{1, 2},
 		Destinations: []asgraph.AS{0, 3},
 	}
-	res, err := grid.Evaluate(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustEvaluate(grid, g)
 	if len(res.Cells) != policy.NumModels {
 		t.Errorf("defaulted grid has %d cells, want %d", len(res.Cells), policy.NumModels)
 	}
@@ -241,7 +238,7 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 		t.Errorf("default deployment named %q", res.Cells[0].Deployment)
 	}
 
-	if _, err := (&Grid{}).Evaluate(g); err == nil {
+	if _, err := (&Grid{}).Prepare(g); err == nil {
 		t.Error("empty grid must fail")
 	}
 	bad := &Grid{
@@ -249,7 +246,7 @@ func TestSweepDefaultsAndErrors(t *testing.T) {
 		Attackers:    []asgraph.AS{1},
 		Destinations: []asgraph.AS{0},
 	}
-	if _, err := bad.Evaluate(g); err == nil {
+	if _, err := bad.Prepare(g); err == nil {
 		t.Error("duplicate deployment name must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package sbgp
 
 import (
+	"context"
 	"fmt"
 
 	"sbgp/internal/asgraph"
@@ -55,6 +56,10 @@ func (s *Simulation) Model() Model { return s.sc.model }
 // Attack returns the threat-model strategy (the one-hop hijack unless
 // configured otherwise).
 func (s *Simulation) Attack() Attack { return s.sc.attack }
+
+// Context returns the scenario's context (WithContext), for consumers
+// that run evaluations of their own on the topology: the experiment suite.
+func (s *Simulation) Context() context.Context { return s.sc.ctx }
 
 // lp returns the scenario's local-preference variant.
 func (s *Simulation) lp() LocalPref { return LocalPref{K: s.sc.spec.LPK} }
