@@ -81,10 +81,9 @@ func benchWorkload(b *testing.B) *exp.Workload {
 // authentication only.
 func BenchmarkBaselineHappiness(b *testing.B) {
 	w := benchWorkload(b)
-	// One warm-up call builds the cached evaluation and its engines, so
-	// the timed loop measures the zero-alloc steady state even at
-	// -benchtime 1x (the committed-baseline configuration).
-	w.Baseline(policy.Sec3rd, policy.Standard)
+	// Every call plans the one-cell grid and builds its engines, like
+	// every other experiment: the number includes Prepare and cold
+	// engines, not only the walk.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := w.Baseline(policy.Sec3rd, policy.Standard)
@@ -631,6 +630,44 @@ func BenchmarkRolloutSeries(b *testing.B) {
 	}
 }
 
+// BenchmarkIdentityOrderWalk measures the scheduled walk where its own
+// bookkeeping shows first: an IncrementalOff grid of 2 304 cells on a
+// 400-AS graph, so each cell is a ~20 µs from-scratch run and the
+// per-cell block lookup and position decode of the singleton-chain plan
+// are as large a share of the work as they can get. One worker.
+func BenchmarkIdentityOrderWalk(b *testing.B) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 1})
+	tiers := asgraph.Classify(g, meta.CPs, nil)
+	deployments := []sweep.Deployment{{Name: "baseline"}}
+	for k := 1; k <= 3; k++ {
+		deployments = append(deployments, sweep.Deployment{
+			Name: fmt.Sprintf("t2x%d", 4*k),
+			Dep:  deploy.Build(g, tiers, deploy.Spec{NumTier2: 4 * k, IncludeStubs: true}),
+		})
+	}
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 16, 12)
+	pl, err := (&sweep.Grid{
+		Deployments:  deployments,
+		Attackers:    M,
+		Destinations: D,
+		Incremental:  sweep.IncrementalOff,
+		Workers:      1,
+	}).Prepare(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pl.Evaluate(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Cells) != len(deployments)*policy.NumModels {
+			b.Fatalf("grid has %d cells", len(res.Cells))
+		}
+	}
+}
+
 // BenchmarkCrossShardChain measures the sharded evaluator on the same
 // fine-grained rollout grid as BenchmarkRolloutSeries, with shards
 // small enough (64 cells against 25-step chains × 4 attackers) that
@@ -667,7 +704,11 @@ func BenchmarkCrossShardChain(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := grid.EvaluateSharded(context.Background(), g, sweep.ShardOptions{ShardSize: 64})
+				pl, err := grid.Prepare(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := pl.EvaluateSharded(context.Background(), sweep.ShardOptions{ShardSize: 64}, sweep.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

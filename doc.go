@@ -115,7 +115,7 @@
 // never start),
 // Sweep and Plan.Evaluate return ctx.Err(), and partial aggregates are
 // discarded — a cancelled sweep never returns a Result. A cancelled
-// *sharded* sweep keeps its completed shards in the checkpoint file;
+// *checkpointed* sweep keeps its completed shards in the checkpoint file;
 // resuming skips exactly those shards and reproduces the uninterrupted
 // result byte for byte.
 //

@@ -2,9 +2,12 @@ package analyzers
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -78,13 +81,19 @@ func TestLockBlockFixture(t *testing.T)    { runFixture(t, LockBlock, "lockblock
 func TestStrictDecodeFixture(t *testing.T) { runFixture(t, StrictDecode, "strictdecode/api") }
 func TestNoClockFixture(t *testing.T)      { runFixture(t, NoClock, "noclock/core") }
 
+// realTree loads the repository's own packages (non-test files; bench/
+// is a module of its own and not among them) once for the tests below.
+var realTree = sync.OnceValues(func() ([]*Package, error) {
+	return NewLoader().Load("../..", "./...")
+})
+
 // TestRealTreeClean pins the acceptance criterion: the full suite over
 // the repository reports nothing, and the annotation index actually
 // carries the hotpath and blocking facts — proving hotalloc accepts
 // the real Engine.Run / RunDelta / shard-commit bodies because it
 // checked them, not because it never saw them.
 func TestRealTreeClean(t *testing.T) {
-	pkgs, err := NewLoader().Load("../..", "./...")
+	pkgs, err := realTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,5 +127,48 @@ func TestRealTreeClean(t *testing.T) {
 	}
 	if !foundAdd {
 		t.Error("blocking annotation missing from index: (*sbgp/internal/sweep.CheckpointWriter).Add")
+	}
+}
+
+// TestForEachCallersAreNamed keeps the evaluation loops countable:
+// runner.ForEach is the tree's only worker fan-out, and outside tests
+// and bench/ exactly three functions use it — the sweep's one sharded
+// loop and the two analyses beside the grid. A fourth loop has to add
+// its name here, where a reviewer sees it.
+func TestForEachCallersAreNamed(t *testing.T) {
+	pkgs, err := realTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				user := pkg.Path + " (package level)"
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					user = pkg.Info.Defs[fd.Name].(*types.Func).FullName()
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.FullName() == "sbgp/internal/runner.ForEach" && !slices.Contains(users, user) {
+						users = append(users, user)
+					}
+					return true
+				})
+			}
+		}
+	}
+	slices.Sort(users)
+	want := []string{
+		"(*sbgp/internal/sweep.Plan).RunShards",
+		"sbgp/internal/runner.EvalMetricPerDest",
+		"sbgp/internal/runner.WalkPairs",
+	}
+	if !slices.Equal(users, want) {
+		t.Errorf("runner.ForEach is used by\n  %s\nwant exactly\n  %s",
+			strings.Join(users, "\n  "), strings.Join(want, "\n  "))
 	}
 }

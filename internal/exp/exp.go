@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"sbgp"
@@ -73,18 +72,6 @@ type Workload struct {
 	// and the first one to fail leaves its error in err (see Err).
 	ctx context.Context
 	err atomic.Pointer[error]
-
-	// baselinePlans caches one prepared sweep plan per (model, LP) pair
-	// for Baseline, so repeated calls — E1 is the benchmark suite's
-	// steady-state probe — reuse warm engines and scratch instead of
-	// rebuilding them per call.
-	planMu        sync.Mutex
-	baselinePlans map[baselinePlanKey]*sweep.Plan
-}
-
-type baselinePlanKey struct {
-	model policy.Model
-	lp    policy.LocalPref
 }
 
 // NewWorkload builds the experiment workload of a simulated scenario.
@@ -116,19 +103,18 @@ func NewWorkload(sim *sbgp.Simulation, maxPerDest int) (*Workload, error) {
 		tiered = append(tiered, members...)
 	}
 	return &Workload{
-		G:             g,
-		Tiers:         tiers,
-		Meta:          sim.Meta(),
-		M:             M,
-		D:             D,
-		Tiered:        tiered,
-		MaxPerDest:    maxPerDest,
-		Attack:        sim.Attack(),
-		Incremental:   mode,
-		Workers:       spec.Workers,
-		Tier12:        deploy.Tier12Rollout(g, tiers, false),
-		ctx:           sim.Context(),
-		baselinePlans: make(map[baselinePlanKey]*sweep.Plan),
+		G:           g,
+		Tiers:       tiers,
+		Meta:        sim.Meta(),
+		M:           M,
+		D:           D,
+		Tiered:      tiered,
+		MaxPerDest:  maxPerDest,
+		Attack:      sim.Attack(),
+		Incremental: mode,
+		Workers:     spec.Workers,
+		Tier12:      deploy.Tier12Rollout(g, tiers, false),
+		ctx:         sim.Context(),
 	}, nil
 }
 
@@ -145,33 +131,15 @@ func (w *Workload) Err() error {
 
 // Baseline computes E1: the lower bound on H_{V,V}(∅) — origin
 // authentication alone (Section 4.2; the paper reports ≥60%, 62% on the
-// IXP-augmented graph). The plan behind each (model, lp) pair is
-// prepared once and reused, so repeated calls run on warm engines and
-// allocate nothing in steady state.
+// IXP-augmented graph).
 func (w *Workload) Baseline(model policy.Model, lp policy.LocalPref) runner.Metric {
-	return run(w, func(ctx context.Context) (runner.Metric, error) {
-		// Each cached Plan reuses its own accumulator and engines, so the
-		// lock is held across Evaluate, serializing concurrent Baseline
-		// calls on the same workload.
-		w.planMu.Lock()
-		defer w.planMu.Unlock()
-		key := baselinePlanKey{model: model, lp: lp}
-		pl := w.baselinePlans[key]
-		if pl == nil {
-			grid := w.grid(lp, nil, w.D)
-			grid.Models = []policy.Model{model}
-			var err error
-			if pl, err = grid.Prepare(w.G); err != nil {
-				return runner.Metric{}, err
-			}
-			w.baselinePlans[key] = pl
-		}
-		res, err := pl.Evaluate(ctx)
-		if err != nil {
-			return runner.Metric{}, err
-		}
-		return res.Cells[0].Metric, nil
-	})
+	grid := w.grid(lp, nil, w.D)
+	grid.Models = []policy.Model{model}
+	res := w.evaluate(grid)
+	if res == nil {
+		return runner.Metric{}
+	}
+	return res.Cells[0].Metric
 }
 
 // run performs one evaluation under the workload's context — or, once

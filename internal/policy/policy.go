@@ -113,6 +113,13 @@ type LocalPref struct {
 	K int
 }
 
+// MaxLPK bounds the LPk interleaving depth accepted from job specs and
+// scenario options. The stage plan is O(K) stages, built per engine and
+// walked per run, so an unbounded K is a denial of service, not a model:
+// the paper evaluates K = 2, and no route in an Internet-like hierarchy
+// approaches 64 hops — beyond that every LPk is the same policy.
+const MaxLPK = 64
+
 // Standard is the paper's default local-preference model.
 var Standard = LocalPref{}
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -887,5 +888,54 @@ func TestSubmitBodyCap413(t *testing.T) {
 	}
 	if got := s.List(); len(got) != 0 {
 		t.Fatalf("oversized submit created %d jobs", len(got))
+	}
+}
+
+// TestSubmitLPKBound400: "lpk" is bounded on the wire like topology.n.
+// The LPk stage plan is O(k) stages built per engine and walked per run,
+// so an unbounded k would pin the daemon's single run loop (or exhaust
+// its memory building the plan); the submit answers 400 naming the limit
+// and persists nothing.
+func TestSubmitLPKBound400(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	start := time.Now()
+	body := `{"spec": {"version": 1, "topology": {"n": 300, "seed": 7}, "lpk": 50000000, "pairs": {"max_m": 2, "max_d": 2}}}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "lpk=50000000 is outside [0, 64]") {
+		t.Fatalf("lpk=50000000 submit = %d %s, want 400 naming the limit", resp.StatusCode, data)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("rejection took %v, want well under a second", elapsed)
+	}
+
+	// The Go-level entry point applies the same rule.
+	spec := smallSpec()
+	spec.LPK = 200000
+	if _, err := s.Submit(spec, 0); err == nil || !strings.Contains(err.Error(), "outside [0, 64]") {
+		t.Fatalf("Submit(lpk=200000) = %v, want the lpk bound error", err)
+	}
+
+	if got := s.List(); len(got) != 0 {
+		t.Fatalf("rejected submits created %d jobs", len(got))
+	}
+	records, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 0 {
+		t.Fatalf("rejected submits left %d job records", len(records))
 	}
 }

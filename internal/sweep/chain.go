@@ -7,14 +7,16 @@ import (
 	"sbgp/internal/core"
 )
 
-// Deployment-ordered scheduling for incremental grids. A chainPlan maps
-// the grid's deployment axis onto walks the scheduler replays with
-// Engine.RunDelta: within a walk, consecutive deployments differ by a
-// recorded signed (added, removed) delta, so per (model, destination,
-// attacker) the walk reuses each step's fixed point instead of running
-// every cell from scratch.
+// Deployment-ordered scheduling. A chainPlan maps the grid's deployment
+// axis onto walks the scheduler replays with Engine.RunDelta: within a
+// walk, consecutive deployments differ by a recorded signed (added,
+// removed) delta, so per (model, destination, attacker) the walk reuses
+// each step's fixed point instead of running every cell from scratch.
 //
-// Two planners produce such walks:
+// Every grid is scheduled by such a plan. Grids with nothing to reuse —
+// IncrementalOff, or an axis no delta links — get singletonChainPlan's
+// one-step walks in axis order, which is the raw cell order. For the
+// rest, two planners produce walks:
 //
 //   - The legacy nested-chain cover (buildNestedChainPlan): chains whose
 //     every step is a capability superset of the one before, so the walk
@@ -57,9 +59,7 @@ type chainStep struct {
 // scheduler's block structure predates the forest and treats each
 // linearized tree exactly like a nested chain).
 type chainPlan struct {
-	chains  [][]chainStep
-	chainOf []int // deployment index → chain index
-	posOf   []int // deployment index → position within its chain
+	chains [][]chainStep
 
 	// forest marks a layout produced by the signed-delta forest builder.
 	// It selects the "schedule:forest" fingerprint tag (which also hashes
@@ -68,9 +68,10 @@ type chainPlan struct {
 	forest bool
 
 	// parentOf[si] is the deployment index of si's tree parent (the
-	// nested predecessor for chain plans), or -1 for walk heads. Tests
-	// and the fuzzer check the tree edges against the cost model here;
-	// the scheduler itself only walks chains.
+	// nested predecessor for chain plans), or -1 for walk heads; the
+	// singleton plan, all heads, leaves it nil. Tests and the fuzzer
+	// check the tree edges against the cost model here; the scheduler
+	// itself only walks chains.
 	parentOf []int
 
 	// Cost-model totals for one (model, destination, attacker) group
@@ -151,6 +152,26 @@ func (p *chainPlan) price(g *asgraph.Graph, scratch int64) {
 	}
 }
 
+// singletonChainPlan is the plan with nothing to reuse: one single-step
+// chain per deployment, in axis order, every step a from-scratch head.
+// Its scheduled order is the raw cell order (position p is cell p), so
+// the layouts it yields are the pre-scheduler ones. The chains are sliced
+// from one backing array: a job's plan costs the same few allocations
+// whatever the axis length.
+func singletonChainPlan(k int, scratch int64) *chainPlan {
+	steps := make([]chainStep, k)
+	p := &chainPlan{
+		chains:       make([][]chainStep, k),
+		heads:        k,
+		predictedVol: int64(k) * scratch,
+	}
+	for si := range steps {
+		steps[si].si = si
+		p.chains[si] = steps[si : si+1 : si+1]
+	}
+	return p
+}
+
 // buildChainPlan plans the deployment axis on g: it builds the legacy
 // nested-chain cover and the signed-delta forest, prices both walks
 // under the same cost model, and returns the nested plan unless the
@@ -184,11 +205,7 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 	sort.SliceStable(order, func(a, b int) bool {
 		return depSize(deps[order[a]].Dep) < depSize(deps[order[b]].Dep)
 	})
-	p := &chainPlan{
-		chainOf:  make([]int, len(deps)),
-		posOf:    make([]int, len(deps)),
-		parentOf: make([]int, len(deps)),
-	}
+	p := &chainPlan{parentOf: make([]int, len(deps))}
 	for _, si := range order {
 		best, bestSize := -1, -1
 		var bestAdded []asgraph.AS
@@ -205,11 +222,10 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 			}
 		}
 		if best >= 0 {
-			tail := p.chains[best][len(p.chains[best])-1].si
-			p.chainOf[si], p.posOf[si], p.parentOf[si] = best, len(p.chains[best]), tail
+			p.parentOf[si] = p.chains[best][len(p.chains[best])-1].si
 			p.chains[best] = append(p.chains[best], chainStep{si: si, added: bestAdded})
 		} else {
-			p.chainOf[si], p.posOf[si], p.parentOf[si] = len(p.chains), 0, -1
+			p.parentOf[si] = -1
 			p.chains = append(p.chains, []chainStep{{si: si}})
 		}
 	}
@@ -243,12 +259,7 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 // adjacent; correctness of every step is DeploymentDelta's contract.
 func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainPlan {
 	k := len(deps)
-	p := &chainPlan{
-		forest:   true,
-		chainOf:  make([]int, k),
-		posOf:    make([]int, k),
-		parentOf: make([]int, k),
-	}
+	p := &chainPlan{forest: true, parentOf: make([]int, k)}
 	if k == 0 {
 		return p
 	}
@@ -295,7 +306,6 @@ func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainP
 
 	stack := make([]int, 0, k)
 	for _, root := range roots {
-		ci := len(p.chains)
 		ch := make([]chainStep, 0, k)
 		prev := -1
 		stack = append(stack[:0], root)
@@ -306,7 +316,6 @@ func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainP
 			if prev >= 0 {
 				step.added, step.removed = core.DeploymentDelta(deps[prev].Dep, deps[v].Dep)
 			}
-			p.chainOf[v], p.posOf[v] = ci, len(ch)
 			ch = append(ch, step)
 			cs := children[v]
 			for i := len(cs) - 1; i >= 0; i-- { // reversed push: pop in attachment order

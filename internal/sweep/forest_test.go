@@ -89,7 +89,7 @@ func TestForestEquivalence(t *testing.T) {
 			t.Errorf("forest grid (workers=%d) diverges from the from-scratch evaluation", w)
 		}
 		for _, size := range sizes {
-			res, err := forestGrid(g, w, IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
+			res, err := evaluateSharded(context.Background(), forestGrid(g, w, IncrementalAuto), g, ShardOptions{ShardSize: size})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
 	dir := t.TempDir()
 	run := func(mode IncrementalMode, ckpt string, resume bool) (*Result, error) {
-		return forestGrid(g, 4, mode).EvaluateSharded(context.Background(), g, ShardOptions{
+		return evaluateSharded(context.Background(), forestGrid(g, 4, mode), g, ShardOptions{
 			ShardSize:  7,
 			Checkpoint: ckpt,
 			Resume:     resume,
@@ -213,7 +213,7 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	completed := 0
-	ires, err := forestGrid(g, 4, IncrementalAuto).EvaluateSharded(ctx, g, ShardOptions{
+	ires, err := evaluateSharded(ctx, forestGrid(g, 4, IncrementalAuto), g, ShardOptions{
 		ShardSize:  1,
 		Checkpoint: ckpt,
 		Sink: func(*ShardPartial) error {
@@ -226,7 +226,7 @@ func TestForestLayoutCheckpointCompat(t *testing.T) {
 	if err == nil || ires != nil {
 		t.Fatalf("interrupted forest run returned (%v, %v), want cancellation", ires, err)
 	}
-	res2, err := forestGrid(g, 4, IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{
+	res2, err := evaluateSharded(context.Background(), forestGrid(g, 4, IncrementalAuto), g, ShardOptions{
 		ShardSize:  1,
 		Checkpoint: ckpt,
 		Resume:     true,

@@ -7,6 +7,7 @@ import (
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
+	"sbgp/internal/policy"
 )
 
 // FuzzCheckpointRecord throws arbitrary bytes at the checkpoint-line
@@ -85,6 +86,9 @@ func FuzzCheckpointRecord(f *testing.F) {
 // forest tree edges priced strictly below a from-scratch run), the
 // nested planner alone must still emit only grow-only chains, and the
 // selection must never price above the nested cover it competes with.
+// And every one of those plans — plus the singleton plan of the same
+// axis — must lay out as a schedule the loop can cut anywhere
+// (checkScheduleLayout).
 func FuzzChainPlan(f *testing.F) {
 	// Each 7-byte chunk is one deployment: 6 bytes of Full membership
 	// bitmask over the 48-AS planner test graph, 1 byte of Simplex mask
@@ -133,5 +137,69 @@ func FuzzChainPlan(f *testing.F) {
 			t.Fatalf("selected plan prices at %d, above the nested cover's %d",
 				picked.predictedVol, nested.predictedVol)
 		}
+		if ndeps == 0 {
+			return // a grid's axis is never empty: expand defaults it to the baseline
+		}
+		ax, err := (&Grid{
+			Models:       []policy.Model{policy.Sec1st, policy.Sec3rd},
+			Deployments:  deps,
+			Attackers:    []asgraph.AS{1, 2},
+			Destinations: []asgraph.AS{2, 3, 4},
+		}).expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkScheduleLayout(t, scheduleOf(ax, picked))
+		checkScheduleLayout(t, scheduleOf(ax, nested))
+		singleton := scheduleOf(ax, singletonChainPlan(ndeps, scratch))
+		checkScheduleLayout(t, singleton)
+		if !singleton.identity() {
+			t.Fatal("the singleton plan does not schedule the identity order")
+		}
+		for p := 0; p < ax.cells; p++ {
+			if cell := scheduledCell(singleton, p); cell != p {
+				t.Fatalf("singleton plan maps position %d to cell %d", p, cell)
+			}
+		}
 	})
+}
+
+// checkScheduleLayout asserts what the loop relies on when it cuts a
+// schedule: the chain blocks tile the cell space in order, every
+// position decodes to a distinct cell, and from any position the next
+// handoff-free one is handoff-free, at or after it, and less than a
+// chain away (or the end of the space).
+func checkScheduleLayout(t *testing.T, s *schedule) {
+	t.Helper()
+	cells := s.ax.cells
+	if len(s.blockStart) != len(s.plan.chains)+1 || s.blockStart[0] != 0 || s.blockStart[len(s.plan.chains)] != cells {
+		t.Fatalf("blocks %v do not tile [0, %d) over %d chains", s.blockStart, cells, len(s.plan.chains))
+	}
+	group := s.ax.nm * s.ax.nd * s.ax.na
+	for ci, ch := range s.plan.chains {
+		if s.blockStart[ci+1]-s.blockStart[ci] != len(ch)*group {
+			t.Fatalf("block %d spans [%d, %d), want %d steps x %d groups", ci, s.blockStart[ci], s.blockStart[ci+1], len(ch), group)
+		}
+	}
+	seen := make([]bool, cells)
+	for p := 0; p < cells; p++ {
+		cell := scheduledCell(s, p)
+		if cell < 0 || cell >= cells || seen[cell] {
+			t.Fatalf("position %d maps to cell %d (dup or out of range)", p, cell)
+		}
+		seen[cell] = true
+		next := s.nextFree(p)
+		if next < p || next > cells || (next < cells && !s.handoffFree(next)) {
+			t.Fatalf("nextFree(%d) = %d is not a handoff-free position at or after it", p, next)
+		}
+		if clen := len(s.plan.chains[s.chainAt(p)]); next-p >= clen {
+			t.Fatalf("nextFree(%d) = %d skips a whole %d-step group run", p, next, clen)
+		}
+		if s.handoffFree(p) && next != p {
+			t.Fatalf("position %d is handoff-free but nextFree moved it to %d", p, next)
+		}
+	}
+	if got := s.nextFree(cells); got != cells {
+		t.Fatalf("nextFree(end) = %d, want %d", got, cells)
+	}
 }

@@ -97,7 +97,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 			}
 
 			// The sharded evaluator must land on the same bytes.
-			res, err := goldenGrid(g, workers, tc.attack).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 37})
+			res, err := evaluateSharded(context.Background(), goldenGrid(g, workers, tc.attack), g, ShardOptions{ShardSize: 37})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestGoldenSweepJSON(t *testing.T) {
 						t.Errorf("incremental=%v sweep JSON (workers=%d) diverges from golden %s", mode, w, path)
 					}
 					for _, size := range sizes {
-						ires, err := igr.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
+						ires, err := evaluateSharded(context.Background(), igr, g, ShardOptions{ShardSize: size})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -227,7 +227,7 @@ func TestGoldenNestedDeployments(t *testing.T) {
 			t.Errorf("incremental nested grid (workers=%d) diverges from golden", w)
 		}
 		for _, size := range sizes {
-			res, err := nestedGrid(g, w, IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
+			res, err := evaluateSharded(context.Background(), nestedGrid(g, w, IncrementalAuto), g, ShardOptions{ShardSize: size})
 			if err != nil {
 				t.Fatal(err)
 			}

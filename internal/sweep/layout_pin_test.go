@@ -93,8 +93,8 @@ func TestLayoutPins(t *testing.T) {
 
 	// The unlinkable fixture must be the trap it claims to be: the
 	// nested planner, left to order it, would permute the axis.
-	nested := buildNestedChainPlan(unlinkableGrid(g, IncrementalAuto).Deployments)
-	if got := fmt.Sprint(chainNames(unlinkableGrid(g, IncrementalAuto).Deployments, nested)); got != "[[top-odds] [rest-odds] [evens]]" {
+	unlinkable := unlinkableGrid(g, IncrementalAuto).Deployments
+	if got := fmt.Sprint(chainNames(unlinkable, buildNestedChainPlan(unlinkable))); got != "[[top-odds] [rest-odds] [evens]]" {
 		t.Fatalf("unlinkable fixture: nested planner orders it %s, want a permutation of the axis order", got)
 	}
 

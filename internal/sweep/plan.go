@@ -1,14 +1,14 @@
 package sweep
 
 // Plan → loop → store (DESIGN.md has the picture). Grid.Prepare plans a
-// grid on a graph once; Plan.Evaluate is the flat loop, Plan.RunShards
-// the sharded one — strips are what it dispatches, shards what it
-// commits, units what a coordinator leases — and CheckpointWriter the
-// store its commits land in. A
-// single box fills the store from RunShards (EvaluateSharded); a
-// coordinator fills the same store from partials its workers computed
-// with EvaluateShardRange under an equal Layout — the same computation
-// cut differently, which is why the bytes agree.
+// grid on a graph once; Plan.RunShards is the one loop every evaluation
+// runs — strips are what it dispatches, shards what it commits, units
+// what a coordinator leases — and CheckpointWriter the store its commits
+// land in. A single box fills the store from RunShards (EvaluateSharded;
+// Evaluate is the same with a memory-only store and the default shard
+// size); a coordinator fills the same store from partials its workers
+// computed with EvaluateShardRange under an equal Layout — the same
+// computation cut differently, which is why the bytes agree.
 
 import (
 	"context"
@@ -22,26 +22,15 @@ import (
 
 // Plan is a grid prepared on one graph: the validated axes, the
 // scheduled cell order, and the fingerprint binding both, computed once
-// by Grid.Prepare. The sharded entry points (RunShards, Merge, Result,
-// EvaluateSharded, EvaluateShardRange) only read the Plan and may run
-// concurrently; Evaluate reuses plan-owned scratch and may not.
+// by Grid.Prepare and immutable from then on. Every entry point only
+// reads the Plan — per-run scratch lives in the EnginePool — so all of
+// them may run concurrently, and each Result is the caller's.
 type Plan struct {
 	gr    Grid // private copy: the caller's Grid may change after Prepare
 	g     *asgraph.Graph
 	ax    *axes
 	sched *schedule
 	fp    string
-
-	// Flat-loop scratch, built by the first Evaluate and reused by every
-	// later one — accumulator, Result, a private pool keeping worker
-	// states and engines warm, dispatch closures — so a steady-state
-	// Evaluate allocates nothing. ctx is the Evaluate in flight's.
-	acc      []destAcc
-	res      Result
-	pool     *EnginePool
-	ctx      context.Context
-	newState func() *workerState
-	rangeFn  func(ws *workerState, ri int)
 }
 
 // Prepare validates the grid and plans it on g. The plan is a
@@ -58,41 +47,11 @@ func (gr *Grid) Prepare(g *asgraph.Graph) (*Plan, error) {
 	return pl, nil
 }
 
-// Evaluate runs the flat loop: the scheduler's dispatch ranges — one per
-// task, or one per (chain, model, destination) walk so every RunDelta
-// chain stays within one worker — fan out over the worker pool and fold
-// into a positional task accumulator. Ranges touch disjoint task sets,
-// so the fold needs no locking. Cancelling ctx aborts promptly with
-// (nil, ctx.Err()); partial aggregates are discarded, never returned.
-// The Result is owned by the Plan and valid until the next Evaluate.
+// Evaluate evaluates the plan into a memory-only store at the default
+// shard size. Cancelling ctx aborts promptly with (nil, ctx.Err());
+// partial aggregates are discarded, never returned.
 func (pl *Plan) Evaluate(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if pl.acc == nil {
-		pl.acc = make([]destAcc, pl.ax.tasks)
-		pl.pool = NewEnginePool()
-		pl.newState = pl.pool.get
-		emit := func(ti, lo, hi int) {
-			a := &pl.acc[ti]
-			a.lo += lo
-			a.hi += hi
-			a.pairs++
-		}
-		pl.rangeFn = func(ws *workerState, ri int) {
-			start, end := pl.sched.rangeAt(ri)
-			pl.evaluateRange(pl.ctx, ws, nil, start, end, emit)
-		}
-	}
-	clear(pl.acc)
-	pl.ctx = ctx
-	err := runner.ForEach(ctx, pl.sched.numRanges(), pl.gr.Workers, pl.newState, pl.rangeFn)
-	pl.pool.Release()
-	if err != nil {
-		return nil, err
-	}
-	pl.reduceInto(pl.acc, &pl.res)
-	return &pl.res, nil
+	return pl.EvaluateSharded(ctx, ShardOptions{}, RunOptions{})
 }
 
 // Layout is the portable identity and geometry of one sharded grid
@@ -188,8 +147,8 @@ func (l *Layout) ValidatePartial(p *ShardPartial) error {
 // every boundary *inside* a unit — exactly the boundaries that cut a
 // chain mid-group — has its tail fixed point offered before the
 // continuation runs. That makes cross-shard delta handoff deterministic:
-// on a fresh run every take hits. Identity schedules have only free
-// boundaries, so units degenerate to single shards.
+// on a fresh run every take hits. Single-step chains have only free
+// boundaries, so on the identity order units degenerate to single shards.
 func (pl *Plan) units(dst, runs []ShardRange, size int) []ShardRange {
 	for _, r := range runs {
 		start := r.Start
@@ -370,9 +329,9 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
-		st.ChainHeads = pl.sched.planHeads
-		st.DeltaEdges = pl.sched.planDeltaEdges
-		st.PredictedVolume = pl.sched.planPredictedVol
+		st.ChainHeads = pl.sched.plan.heads
+		st.DeltaEdges = pl.sched.plan.deltaEdges
+		st.PredictedVolume = pl.sched.plan.predictedVol
 	}
 	if run.commitErr != nil {
 		return run.commitErr
@@ -386,15 +345,11 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 //
 //sbgp:hotpath
 func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *shardRun, st strip, commit func(p *ShardPartial) error) error {
-	// Chain tail carry across the strip's interior shard boundaries
-	// (chain-major schedules only; identity strips never split a chain).
-	// The carry is worker-owned and reset per strip, so the tail fixed
-	// point never crosses a goroutine.
-	var c *carry
-	if !pl.sched.identity() {
-		c = &ws.chainCarry
-		c.reset()
-	}
+	// Chain tail carry across the strip's interior shard boundaries. The
+	// carry is worker-owned and reset per strip, so the tail fixed point
+	// never crosses a goroutine.
+	c := &ws.chainCarry
+	c.reset()
 	var commitErr error
 	for s := st.start / l.ShardSize; s*l.ShardSize < st.end && commitErr == nil; s++ {
 		shardStart := s * l.ShardSize
@@ -402,7 +357,7 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		start, end := max(st.start, shardStart), min(st.end, shardEnd)
 		acc := &ws.acc
 		acc.begin(pl.ax.tasks)
-		if !pl.evaluateRange(ctx, ws, c, start, end, ws.accEmit()) {
+		if !pl.evaluateRange(ctx, ws, start, end) {
 			break
 		}
 		whole := end-start == shardEnd-shardStart
@@ -425,7 +380,7 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		}
 		run.mu.Unlock()
 	}
-	if c != nil && (c.hits != 0 || c.misses != 0) {
+	if c.hits != 0 || c.misses != 0 {
 		run.mu.Lock()
 		run.hits += c.hits
 		run.misses += c.misses
@@ -463,8 +418,8 @@ func (pl *Plan) EvaluateShardRange(ctx context.Context, l *Layout, r ShardRange,
 
 // Result reduces a complete store into the grid's Result. The store must
 // hold one of the plan's layouts; a missing shard is an error. The
-// positional integer fold makes the Result byte-identical to Evaluate
-// regardless of who produced which shard, in which order.
+// positional integer fold makes the Result byte-identical regardless of
+// who produced which shard, in which order.
 func (pl *Plan) Result(store *CheckpointWriter) (*Result, error) {
 	if err := pl.check(&store.layout); err != nil {
 		return nil, err
@@ -476,9 +431,7 @@ func (pl *Plan) Result(store *CheckpointWriter) (*Result, error) {
 			return nil, fmt.Errorf("sweep: missing partial for shard %d", s)
 		}
 	}
-	res := &Result{}
-	pl.reduceInto(store.acc, res)
-	return res, nil
+	return pl.reduce(store.acc), nil
 }
 
 // Merge folds a complete set of shard partials — one per shard of the

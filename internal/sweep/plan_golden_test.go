@@ -44,9 +44,9 @@ func cutCheckpoint(t *testing.T, path string, keep int) {
 }
 
 // TestOnePlanServesEveryDriver is the collapse's contract in one table:
-// for each golden grid a single prepared Plan serves, in turn, the flat
-// loop (twice — the second run reuses the plan's scratch and engines),
-// the full sharded loop into a memory-only store, two disjoint worker
+// for each golden grid a single prepared Plan serves, in turn, Evaluate
+// (twice — the plan keeps nothing between runs), RunShards by hand into
+// a memory-only store at a small shard size, two disjoint worker
 // ranges merged, and a durable store cut back to its first half and
 // resumed — every one byte-identical to the golden file — and refuses a
 // layout minted for a different grid.
@@ -73,7 +73,7 @@ func TestOnePlanServesEveryDriver(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				res, err := pl.Evaluate(ctx)
 				if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-					t.Errorf("flat Evaluate run %d diverges from %s", run, tc.file)
+					t.Errorf("Evaluate run %d diverges from %s", run, tc.file)
 				}
 			}
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"sbgp/internal/topogen"
@@ -47,8 +48,8 @@ func TestPlanShardsUnits(t *testing.T) {
 // TestShardRangeMergeEquivalence is the distributed split in
 // miniature: three disjoint worker ranges evaluated independently
 // (each with its own engine state) and merged must reproduce the
-// single-box sharded evaluation — itself pinned to the flat evaluator
-// — byte for byte, with zero handoff misses inside each range.
+// single-box evaluation byte for byte, with zero handoff misses inside
+// each range.
 func TestShardRangeMergeEquivalence(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	var want bytes.Buffer
@@ -216,5 +217,58 @@ func TestCheckpointWriterResumeInterop(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("writer-fed resume diverges from flat evaluation")
+	}
+}
+
+// TestPlanConcurrentEvaluation: a Plan is immutable after Prepare, so one
+// Plan serves every entry point from several goroutines at once — two
+// plain Evaluates, a finely sharded evaluation on a caller pool, and a
+// range evaluation merged by hand — and all four land on the same bytes.
+// Run under -race this is the proof that no entry point writes the Plan.
+func TestPlanConcurrentEvaluation(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
+	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
+	ctx := context.Background()
+	l := pl.Layout(5)
+	evals := []func() (*Result, error){
+		func() (*Result, error) { return pl.Evaluate(ctx) },
+		func() (*Result, error) { return pl.Evaluate(ctx) },
+		func() (*Result, error) {
+			return pl.EvaluateSharded(ctx, ShardOptions{ShardSize: 7}, RunOptions{Pool: NewEnginePool()})
+		},
+		func() (*Result, error) {
+			var partials []*ShardPartial
+			err := pl.EvaluateShardRange(ctx, l, ShardRange{End: l.Shards}, RangeOptions{
+				Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
+			})
+			if err != nil {
+				return nil, err
+			}
+			return pl.Merge(l, partials)
+		},
+	}
+	got := make([][]byte, len(evals))
+	var wg sync.WaitGroup
+	for i, eval := range evals {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := eval()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var buf bytes.Buffer
+			if err := res.WriteJSON(&buf); err != nil {
+				t.Error(err)
+			}
+			got[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) == 0 || !bytes.Equal(got[i], got[0]) {
+			t.Errorf("concurrent evaluation %d diverges from evaluation 0", i)
+		}
 	}
 }

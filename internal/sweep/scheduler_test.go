@@ -35,56 +35,46 @@ func chainedGrid(g *asgraph.Graph, mode IncrementalMode) *Grid {
 	}
 }
 
-// TestScheduleShapes pins the scheduler's structural contract: the
-// identity schedule covers the cell space in raw order at the
-// historical dispatch granularity, and a chain-major schedule is a
-// permutation — every cell decoded exactly once — whose flat ranges
-// tile the space.
+// scheduledCell decodes scheduled position p to its raw cell index the
+// way the walk does: block, group, chain position.
+func scheduledCell(s *schedule, p int) int {
+	ax := s.ax
+	ci := s.chainAt(p)
+	ch := s.plan.chains[ci]
+	r := p - s.blockStart[ci]
+	gi, pos := r/len(ch), r%len(ch)
+	mi := gi / (ax.nd * ax.na)
+	rem := gi % (ax.nd * ax.na)
+	di, ai := rem/ax.na, rem%ax.na
+	return ((ch[pos].si*ax.nm+mi)*ax.nd+di)*ax.na + ai
+}
+
+// TestScheduleShapes pins the scheduler's structural contract on real
+// grids: every schedule lays out as a permutation of the cell space the
+// loop can cut anywhere (checkScheduleLayout), and on both identity
+// cases (IncrementalOff, and an IncrementalAuto axis the planner cannot
+// link, declared out of size order) it is the trivial one: position p is
+// cell p.
 func TestScheduleShapes(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
-	for _, mode := range []IncrementalMode{IncrementalOff, IncrementalAuto} {
-		pl := mustPrepare(chainedGrid(g, mode), g)
-		ax, s := pl.ax, pl.sched
-		if wantIdentity := mode == IncrementalOff; s.identity() != wantIdentity {
-			t.Fatalf("mode %v: identity = %v, want %v", mode, s.identity(), wantIdentity)
+	for _, tc := range []struct {
+		name     string
+		grid     *Grid
+		identity bool
+	}{
+		{"off", chainedGrid(g, IncrementalOff), true},
+		{"auto-unlinkable", unlinkableGrid(g, IncrementalAuto), true},
+		{"auto-chained", chainedGrid(g, IncrementalAuto), false},
+	} {
+		s := mustPrepare(tc.grid, g).sched
+		if s.identity() != tc.identity {
+			t.Fatalf("%s: identity = %v, want %v", tc.name, s.identity(), tc.identity)
 		}
-		covered := 0
-		last := -1
-		for ri := 0; ri < s.numRanges(); ri++ {
-			start, end := s.rangeAt(ri)
-			if start != last+1 && ri > 0 {
-				t.Fatalf("mode %v: range %d starts at %d, previous ended at %d", mode, ri, start, last+1)
+		checkScheduleLayout(t, s)
+		for p := 0; tc.identity && p < s.ax.cells; p++ {
+			if cell := scheduledCell(s, p); cell != p {
+				t.Fatalf("%s: identity order maps position %d to cell %d", tc.name, p, cell)
 			}
-			if ri == 0 && start != 0 {
-				t.Fatalf("mode %v: first range starts at %d", mode, start)
-			}
-			covered += end - start
-			last = end - 1
-		}
-		if covered != ax.cells || last != ax.cells-1 {
-			t.Fatalf("mode %v: ranges cover %d cells ending at %d, want %d", mode, covered, last, ax.cells-1)
-		}
-		if s.identity() {
-			continue
-		}
-		// Every (chain, position, model, dest, attacker) combination is
-		// scheduled exactly once, and the scheduled group decode matches
-		// the plan.
-		seen := make([]bool, ax.cells)
-		for p := 0; p < ax.cells; p++ {
-			ci := s.chainAt(p)
-			bs := s.blockStart[ci]
-			ch := s.plan.chains[ci]
-			r := p - bs
-			gi, pos := r/len(ch), r%len(ch)
-			mi := gi / (ax.nd * ax.na)
-			rem := gi % (ax.nd * ax.na)
-			di, ai := rem/ax.na, rem%ax.na
-			cell := ((ch[pos].si*ax.nm+mi)*ax.nd+di)*ax.na + ai
-			if cell < 0 || cell >= ax.cells || seen[cell] {
-				t.Fatalf("scheduled position %d maps to cell %d (dup or out of range)", p, cell)
-			}
-			seen[cell] = true
 		}
 	}
 }
@@ -102,7 +92,7 @@ func TestScheduleLayoutCheckpointCompat(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
 	dir := t.TempDir()
 	run := func(mode IncrementalMode, ckpt string, resume bool) (*Result, error) {
-		return chainedGrid(g, mode).EvaluateSharded(context.Background(), g, ShardOptions{
+		return evaluateSharded(context.Background(), chainedGrid(g, mode), g, ShardOptions{
 			ShardSize:  7,
 			Checkpoint: ckpt,
 			Resume:     resume,
@@ -193,7 +183,7 @@ func TestChainMajorInterruptResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	completed := 0
-	res, err := chainedGrid(g, IncrementalAuto).EvaluateSharded(ctx, g, ShardOptions{
+	res, err := evaluateSharded(ctx, chainedGrid(g, IncrementalAuto), g, ShardOptions{
 		ShardSize:  1,
 		Checkpoint: ckpt,
 		Sink: func(*ShardPartial) error {
@@ -208,7 +198,7 @@ func TestChainMajorInterruptResume(t *testing.T) {
 	if err == nil || res != nil {
 		t.Fatalf("interrupted run returned (%v, %v), want cancellation", res, err)
 	}
-	res2, err := chainedGrid(g, IncrementalAuto).EvaluateSharded(context.Background(), g, ShardOptions{
+	res2, err := evaluateSharded(context.Background(), chainedGrid(g, IncrementalAuto), g, ShardOptions{
 		ShardSize:  1,
 		Checkpoint: ckpt,
 		Resume:     true,

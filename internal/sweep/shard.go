@@ -197,7 +197,7 @@ func (gr *Grid) fingerprint(g *asgraph.Graph, ax *axes, sched *schedule) string 
 	for _, d := range gr.Destinations {
 		wint(int(d))
 	}
-	if sched != nil && !sched.identity() {
+	if !sched.identity() {
 		if sched.plan.forest {
 			// Forest layouts hash their walk structure, not just a tag:
 			// the forest shape depends on the graph's adjacency degrees
@@ -312,16 +312,15 @@ type pendingShard struct {
 	acc          shardAcc
 }
 
-// EvaluateSharded evaluates the plan like Evaluate, but partitioned into
-// fixed-size shards of the *scheduled* (deployment × model × destination
-// × attacker) cell space: incremental grids order the cells chain-major
-// before the shards are cut, so a RunDelta chain occupies consecutive
-// shards (with tail fixed points handed across the boundaries) instead
-// of scattering one cell into every shard. Each completed shard's exact
-// integer partial is committed to the store — checkpoint record first,
-// then the positional fold — and then streamed to the sink, so the
-// Result is byte-identical to Evaluate at every worker count and shard
-// size.
+// EvaluateSharded evaluates the plan partitioned into fixed-size shards
+// of the *scheduled* (deployment × model × destination × attacker) cell
+// space: incremental grids order the cells chain-major before the shards
+// are cut, so a RunDelta chain occupies consecutive shards (with tail
+// fixed points handed across the boundaries) instead of scattering one
+// cell into every shard. Each completed shard's exact integer partial is
+// committed to the store — checkpoint record first, then the positional
+// fold — and then streamed to the sink, so the Result is byte-identical
+// at every worker count and shard size.
 //
 // With a Checkpoint configured, every completed shard is durably
 // recorded (fsync per record). Cancelling ctx aborts promptly with
@@ -357,13 +356,4 @@ func (pl *Plan) EvaluateSharded(ctx context.Context, opts ShardOptions, run RunO
 		return nil, err
 	}
 	return pl.Result(store)
-}
-
-// EvaluateSharded prepares the grid on g and evaluates it sharded.
-func (gr *Grid) EvaluateSharded(ctx context.Context, g *asgraph.Graph, opts ShardOptions) (*Result, error) {
-	pl, err := gr.Prepare(g)
-	if err != nil {
-		return nil, err
-	}
-	return pl.EvaluateSharded(ctx, opts, RunOptions{})
 }

@@ -84,7 +84,7 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 	for _, workers := range workerCounts {
 		for _, size := range sizes {
-			res, err := fullEnumGrid(g, workers).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: size})
+			res, err := evaluateSharded(context.Background(), fullEnumGrid(g, workers), g, ShardOptions{ShardSize: size})
 			if err != nil {
 				t.Fatalf("workers=%d shard=%d: %v", workers, size, err)
 			}
@@ -120,7 +120,7 @@ func TestShardedFullEnumeration400(t *testing.T) {
 		Attackers:    all,
 		Destinations: all,
 	}
-	res, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{})
+	res, err := evaluateSharded(context.Background(), grid, g, ShardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 
 	var want bytes.Buffer
 	var uninterrupted atomic.Int64
-	res, err := newGrid(&uninterrupted).EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: shardSize})
+	res, err := evaluateSharded(context.Background(), newGrid(&uninterrupted), g, ShardOptions{ShardSize: shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	defer cancel()
 	var run1 atomic.Int64
 	completed := 0
-	res1, err := newGrid(&run1).EvaluateSharded(ctx, g, ShardOptions{
+	res1, err := evaluateSharded(ctx, newGrid(&run1), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Sink: func(*ShardPartial) error {
@@ -261,7 +261,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	// merged result matches the uninterrupted bytes exactly.
 	var run2 atomic.Int64
 	sinkShards := map[int]int{}
-	res2, err := newGrid(&run2).EvaluateSharded(context.Background(), g, ShardOptions{
+	res2, err := evaluateSharded(context.Background(), newGrid(&run2), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
@@ -296,7 +296,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 
 	// Resuming the now-complete checkpoint evaluates nothing at all.
 	var run3 atomic.Int64
-	res3, err := newGrid(&run3).EvaluateSharded(context.Background(), g, ShardOptions{
+	res3, err := evaluateSharded(context.Background(), newGrid(&run3), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
@@ -323,25 +323,25 @@ func TestShardedResumeRejectsMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	grid := &Grid{Attackers: M, Destinations: D}
-	if _, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt}); err != nil {
+	if _, err := evaluateSharded(context.Background(), grid, g, ShardOptions{ShardSize: 8, Checkpoint: ckpt}); err != nil {
 		t.Fatal(err)
 	}
 
 	other := &Grid{Attackers: M, Destinations: D[:len(D)-1]}
-	_, err := other.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
+	_, err := evaluateSharded(context.Background(), other, g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("mismatched resume: err = %v, want a different-sweep error", err)
 	}
 
 	// An explicitly different shard size is a different cell partition
 	// and must be rejected, not merged ...
-	_, err = grid.EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 9, Checkpoint: ckpt, Resume: true})
+	_, err = evaluateSharded(context.Background(), grid, g, ShardOptions{ShardSize: 9, Checkpoint: ckpt, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "shard size") {
 		t.Fatalf("shard-size mismatch: err = %v, want a shard-size error", err)
 	}
 	// ... while an unspecified shard size adopts the checkpoint's, so a
 	// plain "resume" never has to repeat the original -shards value.
-	if _, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{Checkpoint: ckpt, Resume: true}); err != nil {
+	if _, err := evaluateSharded(context.Background(), grid, g, ShardOptions{Checkpoint: ckpt, Resume: true}); err != nil {
 		t.Fatalf("resume without a shard size did not adopt the file's: %v", err)
 	}
 }
@@ -354,7 +354,7 @@ func TestShardedCheckpointDurability(t *testing.T) {
 	ckpt := filepath.Join(dir, "sweep.ckpt")
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	grid := func() *Grid { return &Grid{Attackers: M, Destinations: D, Workers: 2} }
-	res, err := grid().EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt})
+	res, err := evaluateSharded(context.Background(), grid(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestShardedCheckpointDurability(t *testing.T) {
 	if err := os.WriteFile(ckpt, append(append([]byte{}, pristine...), `{"kind":"shard","sh`...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := grid().EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
+	res2, err := evaluateSharded(context.Background(), grid(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
 	if err != nil {
 		t.Fatalf("resume with torn final line: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestShardedCheckpointDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 1; round <= 2; round++ {
-		res, err := grid().EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
+		res, err := evaluateSharded(context.Background(), grid(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true})
 		if err != nil {
 			t.Fatalf("resume round %d after torn tail with pending shards: %v", round, err)
 		}
@@ -411,7 +411,7 @@ func TestShardedCheckpointDurability(t *testing.T) {
 	if err := os.WriteFile(ckpt, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := grid().EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true}); err == nil {
+	if _, err := evaluateSharded(context.Background(), grid(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true}); err == nil {
 		t.Error("resume accepted a checkpoint with a corrupt interior line")
 	}
 
@@ -419,7 +419,7 @@ func TestShardedCheckpointDurability(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte(`{"kind":"hea`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := grid().EvaluateSharded(context.Background(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true}); err != nil {
+	if _, err := evaluateSharded(context.Background(), grid(), g, ShardOptions{ShardSize: 8, Checkpoint: ckpt, Resume: true}); err != nil {
 		t.Errorf("resume with a torn header did not restart fresh: %v", err)
 	}
 }
@@ -431,7 +431,7 @@ func TestShardedSinkError(t *testing.T) {
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	grid := &Grid{Attackers: M, Destinations: D, Workers: 2}
 	boom := errors.New("sink full")
-	res, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{
+	res, err := evaluateSharded(context.Background(), grid, g, ShardOptions{
 		ShardSize: 8,
 		Sink:      func(*ShardPartial) error { return boom },
 	})
@@ -448,7 +448,7 @@ func TestShardedSinkStreams(t *testing.T) {
 	grid := &Grid{Attackers: M, Destinations: D, Workers: 4}
 	seen := map[int]bool{}
 	pairs := 0
-	res, err := grid.EvaluateSharded(context.Background(), g, ShardOptions{
+	res, err := evaluateSharded(context.Background(), grid, g, ShardOptions{
 		ShardSize: 7,
 		Sink: func(p *ShardPartial) error {
 			if seen[p.Shard] {

@@ -4,12 +4,12 @@
 //
 // A Grid names the four axes once; Prepare expands the full cross
 // product, orders it, and fingerprints it into a Plan, and every
-// evaluation — flat, sharded, checkpointed, distributed — hangs off that
-// Plan (plan.go): independent tasks fan out over the runner's chunked
-// worker pool and the integer happiness counts fold back together in
-// axis order. Because every cell is accumulated positionally and reduced
-// in a fixed order, the same grid produces byte-identical results at any
-// worker count.
+// evaluation — in memory, checkpointed, distributed — is that Plan's one
+// sharded loop (plan.go): strips of the scheduled cell order fan out over
+// the runner's chunked worker pool and the integer happiness counts fold
+// back together in axis order. Because every cell is accumulated
+// positionally and reduced in a fixed order, the same grid produces
+// byte-identical results at any worker count.
 //
 // The grid layer is what cmd/experiments and cmd/bgpsim build on for
 // their batch modes, and internal/exp uses it to evaluate whole rollout
@@ -34,8 +34,8 @@ import (
 // planner links any two deployments by a signed delta — nested chains
 // and signed-delta forests over arbitrary, even pairwise-incomparable,
 // axes alike; IncrementalOff forces the from-scratch
-// deployment-outermost order (the identity schedule — the independent
-// reference the equivalence tests and the benchmark compare against).
+// deployment-outermost order (the identity order: the same walk over
+// single-step chains — the reference the benchmark compares against).
 // Results are byte-identical either way.
 type IncrementalMode int
 
@@ -47,7 +47,7 @@ const (
 	// linkable pair (a singleton, or every pairwise delta at least a
 	// from-scratch run) degrade to the identity order.
 	IncrementalAuto IncrementalMode = iota
-	// IncrementalOff is the identity schedule: every cell runs from
+	// IncrementalOff is the identity order: every cell runs from
 	// scratch in deployment-outermost order.
 	IncrementalOff
 )
@@ -173,8 +173,7 @@ type destAcc struct {
 // and deployment lists plus the dimensions of the task and cell spaces.
 // Tasks are (deployment, model, destination) triples in declaration
 // order; cells append the attacker as the innermost axis, so cell
-// ci = task*na + attackerIndex. The flat and the sharded loop index the
-// same spaces, which is what makes their results byte-identical.
+// ci = task*na + attackerIndex.
 type axes struct {
 	models []policy.Model
 	deps   []Deployment
@@ -182,17 +181,6 @@ type axes struct {
 	na     int
 	tasks  int // len(deps) * nm * nd
 	cells  int // tasks * na
-}
-
-// decodeTask splits a flattened task index into its (deployment,
-// model, destination) coordinates — the single definition of the task
-// layout, so the accumulator indexing can never drift between the
-// identity and the chain-major walk.
-func (ax *axes) decodeTask(ti int) (si, mi, di int) {
-	di = ti % ax.nd
-	mi = (ti / ax.nd) % ax.nm
-	si = ti / (ax.nd * ax.nm)
-	return si, mi, di
 }
 
 // expand validates the grid and materializes its axes.
@@ -250,19 +238,17 @@ func (gr *Grid) attackName() string {
 // workerState is the per-worker scratch of grid evaluation: one lazily
 // built engine serving every security model in turn (nothing per-AS
 // depends on the model, so a set of slabs per model would only multiply
-// the worker's memory), plus the sharded path's reusable accumulator,
-// partial, and chain carry. The engine's epoch reset makes reuse across
-// deployments and destinations cheap, and the shard scratch makes the
-// steady-state shard loop allocation-free — an EnginePool recycles the
-// whole state, engine and scratch alike.
+// the worker's memory), plus the reusable accumulator, partial, and
+// chain carry. The engine's epoch reset makes reuse across deployments
+// and destinations cheap, and the shard scratch makes the steady-state
+// shard loop allocation-free — an EnginePool recycles the whole state,
+// engine and scratch alike.
 type workerState struct {
 	eng *core.Engine
 
-	// acc is the per-shard task accumulator (epoch-stamped, so a new
-	// shard needs no O(tasks) clear); emit is the closure that feeds it,
-	// built once so the per-shard evaluateRange call allocates nothing.
-	acc  shardAcc
-	emit func(ti, lo, hi int)
+	// acc is the per-shard task accumulator evaluateRange adds into
+	// (epoch-stamped, so a new shard needs no O(tasks) clear).
+	acc shardAcc
 
 	// partial is the reusable ShardPartial the commit path hands out
 	// (see RunShards' commit contract).
@@ -271,17 +257,6 @@ type workerState struct {
 	// chainCarry hands chain-tail fixed points across the shard
 	// boundaries interior to one dispatch strip.
 	chainCarry carry
-}
-
-// accEmit returns the worker's accumulator-feeding emit closure,
-// building it on first use. Keeping the closure on the state means the
-// per-shard hot path passes a pre-existing func value instead of
-// allocating a fresh closure per shard.
-func (ws *workerState) accEmit() func(ti, lo, hi int) {
-	if ws.emit == nil {
-		ws.emit = func(ti, lo, hi int) { ws.acc.add(ti, lo, hi) }
-	}
-	return ws.emit
 }
 
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {
@@ -301,27 +276,21 @@ func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.Lo
 	return e
 }
 
-// reduceInto folds the exact per-task integer counts into res in axis
-// declaration order, reusing its cell slice's capacity. Because the
-// counts are integers and the fold order is fixed, the result is
-// independent of how the tasks were scheduled — across worker counts,
-// shard sizes, and checkpoint resumes alike. PerDest series are
-// allocated fresh per call (they alias into the returned cells, so reuse
-// would hand out slices a previous caller may still hold).
-func (pl *Plan) reduceInto(acc []destAcc, res *Result) {
+// reduce folds the exact per-task integer counts into a Result in axis
+// declaration order. Because the counts are integers and the fold order
+// is fixed, the result is independent of how the tasks were scheduled —
+// across worker counts, shard sizes, and checkpoint resumes alike.
+func (pl *Plan) reduce(acc []destAcc) *Result {
 	gr, g, ax := &pl.gr, pl.g, pl.ax
-	res.GraphN = g.N()
-	res.LP = gr.LP.String()
-	res.Attack = ""
+	res := &Result{
+		GraphN:       g.N(),
+		LP:           gr.LP.String(),
+		Attackers:    ax.na,
+		Destinations: ax.nd,
+		Cells:        make([]Cell, 0, len(ax.deps)*ax.nm),
+	}
 	if name := gr.attackName(); name != core.DefaultAttack.Name() {
 		res.Attack = name
-	}
-	res.Attackers = ax.na
-	res.Destinations = ax.nd
-	if res.Cells == nil {
-		res.Cells = make([]Cell, 0, len(ax.deps)*ax.nm)
-	} else {
-		res.Cells = res.Cells[:0]
 	}
 	sources := float64(g.N() - 2)
 	for si, dp := range ax.deps {
@@ -359,4 +328,5 @@ func (pl *Plan) reduceInto(acc []destAcc, res *Result) {
 			res.Cells = append(res.Cells, cell)
 		}
 	}
+	return res
 }

@@ -27,13 +27,23 @@ func mustPrepare(gr *Grid, g *asgraph.Graph) *Plan {
 	return pl
 }
 
-// mustEvaluate is the flat evaluation of a statically well-formed grid.
+// mustEvaluate is the in-memory evaluation of a statically well-formed
+// grid.
 func mustEvaluate(gr *Grid, g *asgraph.Graph) *Result {
 	res, err := mustPrepare(gr, g).Evaluate(context.Background())
 	if err != nil {
 		panic(err)
 	}
 	return res
+}
+
+// evaluateSharded plans gr on g and evaluates it under opts.
+func evaluateSharded(ctx context.Context, gr *Grid, g *asgraph.Graph, opts ShardOptions) (*Result, error) {
+	pl, err := gr.Prepare(g)
+	if err != nil {
+		return nil, err
+	}
+	return pl.EvaluateSharded(ctx, opts, RunOptions{})
 }
 
 func testGrid(t *testing.T, g *asgraph.Graph, workers int) *Grid {
@@ -180,21 +190,19 @@ func TestEvaluateContextCancellation(t *testing.T) {
 	}
 }
 
-// TestNilContext: a nil context means "never cancelled" in both Plan
-// loops, as it does in runner.ForEach. The flat loop used to hand the nil
-// straight to evaluateRange's ctx.Err() and die with a nil-pointer
-// dereference while the sharded entry points each normalised it on their
-// own; now the two loops are the only places that do.
+// TestNilContext: a nil context means "never cancelled" in the Plan's
+// loop, as it does in runner.ForEach — RunShards is the one place that
+// normalises it, for Evaluate and for every sharded entry point alike.
 func TestNilContext(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 100, Seed: 2})
 	pl := mustPrepare(&Grid{Attackers: []asgraph.AS{1, 2}, Destinations: []asgraph.AS{0, 3}}, g)
 	//lint:ignore SA1012 the nil context is the case under test
-	flat, err := pl.Evaluate(nil)
+	plain, err := pl.Evaluate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := flat.WriteJSON(&want); err != nil {
+	if err := plain.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
 	l := pl.Layout(3)
@@ -218,7 +226,7 @@ func TestNilContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Error("sharded loop under a nil context diverges from the flat loop")
+		t.Error("RunShards under a nil context diverges from Evaluate under one")
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"os"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/policy"
 	"sbgp/internal/topogen"
 )
 
@@ -192,8 +193,8 @@ func (s *JobSpec) Validate() error {
 		}
 		seenModel[m] = true
 	}
-	if s.LPK < 0 {
-		return fmt.Errorf("sbgp: lpk=%d is negative", s.LPK)
+	if err := checkLPK(s.LPK); err != nil {
+		return err
 	}
 	seen := map[string]bool{"baseline": true}
 	for i, d := range s.Deployments {
@@ -239,6 +240,15 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("sbgp: workers=%d is negative", s.Workers)
+	}
+	return nil
+}
+
+// checkLPK bounds the LPk depth: Validate's rule for specs, Simulate's
+// for scenarios built from options.
+func checkLPK(k int) error {
+	if k < 0 || k > policy.MaxLPK {
+		return fmt.Errorf("sbgp: lpk=%d is outside [0, %d]", k, policy.MaxLPK)
 	}
 	return nil
 }

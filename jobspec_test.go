@@ -73,6 +73,9 @@ func TestJobSpecStrictDecode(t *testing.T) {
 		{"trailing data", `{"version":1,"topology":{"n":100,"seed":1},"pairs":{}} {}`, "trailing data"},
 		{"future version", `{"version":99,"topology":{"n":100,"seed":1},"pairs":{}}`, "version 99"},
 		{"oversized topology", `{"version":1,"topology":{"n":2000000000,"seed":1},"pairs":{}}`, "4194304-AS limit"},
+		{"oversized lpk", `{"version":1,"topology":{"n":100,"seed":1},"lpk":50000000,"pairs":{}}`, "lpk=50000000 is outside [0, 64]"},
+		{"lpk past the bound", `{"version":1,"topology":{"n":100,"seed":1},"lpk":65,"pairs":{}}`, "outside [0, 64]"},
+		{"negative lpk", `{"version":1,"topology":{"n":100,"seed":1},"lpk":-1,"pairs":{}}`, "outside [0, 64]"},
 		{"both sources", `{"version":1,"topology":{"n":100,"seed":1,"graph_file":"g"},"pairs":{}}`, "both"},
 		{"full with caps", `{"version":1,"topology":{"seed":1},"pairs":{"full":true,"max_m":3}}`, "max_m"},
 		{"bad model", `{"version":1,"topology":{"seed":1},"models":[4],"pairs":{}}`, "model 4"},
@@ -96,6 +99,10 @@ func TestJobSpecStrictDecode(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+	// The bound itself is a valid depth.
+	if _, err := sbgp.ReadJobSpec(strings.NewReader(`{"version":1,"topology":{"n":100,"seed":1},"lpk":64,"pairs":{}}`)); err != nil {
+		t.Errorf("lpk at the bound rejected: %v", err)
 	}
 }
 

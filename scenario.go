@@ -326,6 +326,9 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 	if err := sc.ctx.Err(); err != nil {
 		return nil, err
 	}
+	if err := checkLPK(sc.spec.LPK); err != nil {
+		return nil, err
+	}
 	sim := &Simulation{sc: *sc}
 	sim.sc.spec = *sc.spec.Canonical()
 	spec := &sim.sc.spec

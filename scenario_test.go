@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +111,14 @@ func TestScenarioConfigErrors(t *testing.T) {
 	}
 	if _, err := sbgp.NewScenario(sbgp.WithGraphFile("/does/not/exist")).Simulate(); err == nil {
 		t.Error("missing graph file accepted")
+	}
+	// The option-built spelling of an unbounded "lpk": refused before any
+	// engine compiles an O(K) stage plan.
+	if _, err := sbgp.NewScenario(
+		sbgp.WithGeneratedTopology(100, 1),
+		sbgp.WithLocalPref(sbgp.LocalPref{K: 200000}),
+	).Simulate(); err == nil || !strings.Contains(err.Error(), "outside [0, 64]") {
+		t.Errorf("LP200000 scenario: %v, want an error naming the lpk bound", err)
 	}
 }
 

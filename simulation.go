@@ -150,9 +150,10 @@ func (s *Simulation) Partition(d, m AS) (*Partition, error) {
 // Sweep evaluates the full scenario grid — every configured model (all
 // three by default) × the implicit baseline plus every configured
 // deployment × the given attacker and destination sets — under the
-// scenario's attack strategy. Results are byte-identical at any worker
-// count; cancelling the scenario context aborts the sweep promptly
-// with ctx.Err().
+// scenario's attack strategy, through the same sharded loop as
+// EvaluateJob into a memory-only store. Results are byte-identical at
+// any worker count, and the Result is the caller's; cancelling the
+// scenario context aborts the sweep promptly with ctx.Err().
 func (s *Simulation) Sweep(attackers, destinations []AS) (*Result, error) {
 	pl, err := s.grid(attackers, destinations).Prepare(s.g)
 	if err != nil {
