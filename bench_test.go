@@ -580,6 +580,73 @@ func BenchmarkEvaluateJobWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkSecurityFreeCollapse zooms into the headline job's walk
+// (ladder rung sweep.walk_us_per_cell) on either side of the
+// security-free collapse, at the default shard size and every core.
+// "strided" is the headline grid itself — baseline plus the four named
+// deployments × three models × the job's own 6×6 strided pairs, whose
+// destinations are mostly stubs outside the early rollouts — where a
+// large share of the cells are security-free and one engine run per
+// (attacker, destination) pair serves them all. "bypass" is the case the
+// collapse must leave alone: the four named deployments without the
+// baseline row (a baseline cell is always security-free) and six
+// destinations drawn inside Tier 2, which every one of the four —
+// nonstubs included — secures, so no cell is free, no memo slot is ever
+// written, and the run time should equal the parent commit's.
+func BenchmarkSecurityFreeCollapse(b *testing.B) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
+	names := []string{"t1t2", "t1t2cp", "t2", "nonstubs"}
+	deployments := []sweep.Deployment{{Name: "baseline"}}
+	for _, name := range names {
+		sim := benchSimulate(sbgp.WithGraph(g, meta), sbgp.WithNamedDeployment(name))
+		deployments = append(deployments, sweep.Deployment{Name: name, Dep: sim.Deployment()})
+	}
+	sim := benchSimulate(sbgp.WithGraph(g, meta), sbgp.WithPairSampling(6, 6))
+	M, D := sim.JobPairs()
+	_, tier2 := runner.SamplePairs(M, sim.Tiers().Members[asgraph.TierT2], 0, 6)
+	for _, arm := range []struct {
+		name string
+		grid sweep.Grid
+		free bool
+	}{
+		{"strided", sweep.Grid{Deployments: deployments, Attackers: M, Destinations: D}, true},
+		{"bypass", sweep.Grid{Deployments: deployments[1:], Attackers: M, Destinations: tier2}, false},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			free := 0
+			e := core.NewEngine(g, policy.Sec1st)
+			for _, dp := range arm.grid.Deployments {
+				for _, d := range arm.grid.Destinations {
+					if e.SecurityFree(d, asgraph.None, dp.Dep, nil) {
+						free++
+					}
+				}
+			}
+			if (free > 0) != arm.free {
+				b.Fatalf("%d (deployment, destination) combinations are security-free, want some = %v", free, arm.free)
+			}
+			pl, err := arm.grid.Prepare(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			evaluate := func() {
+				if _, err := pl.Evaluate(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// An idle core delivers nothing for most of its first second
+			// on small VMs (see BenchmarkEvaluateJobWorkers).
+			for start := time.Now(); time.Since(start) < time.Second; {
+				evaluate()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evaluate()
+			}
+		})
+	}
+}
+
 // BenchmarkRolloutSeries is the incremental-evaluation headline: a
 // fine-grained nested rollout (one Tier 2 plus its stubs per step, 24
 // steps) at the paper's default 4000-AS scale, evaluated as one sweep

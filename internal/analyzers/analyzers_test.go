@@ -108,6 +108,9 @@ func TestRealTreeClean(t *testing.T) {
 		"(*sbgp/internal/core.Engine).Run",
 		"(*sbgp/internal/core.Engine).RunAttack",
 		"(*sbgp/internal/core.Engine).RunDelta",
+		"(*sbgp/internal/core.Engine).SecurityFree",
+		"(sbgp/internal/sweep.baselineMemo).load",
+		"(sbgp/internal/sweep.baselineMemo).store",
 		"(*sbgp/internal/sweep.Plan).evaluateRange",
 		"(*sbgp/internal/sweep.Plan).runStrip",
 		"(*sbgp/internal/sweep.shardAcc).partial",

@@ -31,11 +31,10 @@ type Attack interface {
 // destination, the attacker, the deployment) and labeling control
 // without exposing the engine's scratch state.
 type Seeder struct {
-	e *Engine
-
-	// capture, when non-nil, collects originations instead of fixing
-	// them: RunDelta records what the attack would plant under a new
-	// deployment without touching the engine (see delta.go).
+	// capture collects the originations: every run first records what
+	// the attack plants without touching the engine
+	// (Engine.SecurityFree), so the same list serves the security-free
+	// predicate, RunAttack's root fixing and RunDelta's dirty-set seeding.
 	capture *[]seedRec
 
 	// Dst and Attacker are the run's destination d and attacker m
@@ -103,20 +102,12 @@ func (s *Seeder) AnnounceBogus(hops int) {
 // overflow the engine's int32 length arithmetic. Fixing the same AS
 // twice in one run panics — an origin's route is final by definition.
 func (s *Seeder) Originate(v asgraph.AS, length int32, secure bool, label Label) {
-	length = clampLen(length)
-	if s.capture != nil {
-		for _, r := range *s.capture {
-			if r.v == v {
-				panic(fmt.Sprintf("core: attack seeds AS%d twice", v))
-			}
+	for _, r := range *s.capture {
+		if r.v == v {
+			panic(fmt.Sprintf("core: attack seeds AS%d twice", v))
 		}
-		*s.capture = append(*s.capture, seedRec{v: v, len: length, secure: secure, label: label})
-		return
 	}
-	if s.e.fixed(v) {
-		panic(fmt.Sprintf("core: attack seeds AS%d twice", v))
-	}
-	s.e.fixRoot(v, length, secure, label)
+	*s.capture = append(*s.capture, seedRec{v: v, len: clampLen(length), secure: secure, label: label})
 }
 
 // OneHopHijack is the paper's Section 3.1 threat model and the engine's

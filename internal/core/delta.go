@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sbgp/internal/asgraph"
 	"sbgp/internal/policy"
 )
@@ -39,6 +41,44 @@ type seedRec struct {
 	len    int32
 	secure bool
 	label  Label
+}
+
+// SecurityFree reports whether RunAttack(d, m, dep, atk) is a
+// security-free run — no root atk plants is secure, and the roots are
+// exactly those of the pair's baseline run (dep == nil) — without running
+// it or touching the engine's outcome. With no secure root no route is
+// ever secure, so candidateSecure is never true, no secure-only stage
+// fixes anyone, and neither the deployment's flags nor the model's SecP
+// placement is ever consulted: the outcome equals RunAttack(d, m, nil,
+// atk) under every deployment and every security model (DESIGN.md
+// "Security-free cells"). Judging the captured roots instead of asking
+// whether d ∈ S keeps the answer sound for any Attack: one that seeds
+// conditionally on Dep fails the comparison, one that plants a secure
+// origin anywhere fails the scan.
+//
+// The roots captured under dep stay in e.deltaSeeds; RunAttack and
+// RunDelta, the predicate's other callers, plant and compare them.
+//
+//sbgp:hotpath
+func (e *Engine) SecurityFree(d, m asgraph.AS, dep *Deployment, atk Attack) bool {
+	if atk == nil {
+		atk = DefaultAttack
+	}
+	e.deltaSeeds = e.deltaSeeds[:0]
+	e.seeder = Seeder{capture: &e.deltaSeeds, Dst: d, Attacker: m, Dep: dep}
+	atk.Seed(&e.seeder)
+	for _, r := range e.deltaSeeds {
+		if r.secure {
+			return false
+		}
+	}
+	if dep == nil {
+		return true
+	}
+	e.baseSeeds = e.baseSeeds[:0]
+	e.seeder = Seeder{capture: &e.baseSeeds, Dst: d, Attacker: m}
+	atk.Seed(&e.seeder)
+	return slices.Equal(e.deltaSeeds, e.baseSeeds)
 }
 
 // DeploymentDelta returns the signed capability delta from prev to
@@ -111,12 +151,20 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	}
 	d, m := prev.Dst, prev.Attacker
 
+	// The lazily built delta scratch comes first, so an engine prices its
+	// graph the same whether or not its first steps short-circuit below.
+	e.resetDirty()
 	// Capture the run's root originations under the new deployment
 	// without touching engine state: roots are compared against prev to
 	// seed the dirty set and re-planted verbatim on every pass.
-	e.deltaSeeds = e.deltaSeeds[:0]
-	e.seeder = Seeder{capture: &e.deltaSeeds, Dst: d, Attacker: m, Dep: dep}
-	atk.Seed(&e.seeder)
+	free := e.SecurityFree(d, m, dep, atk)
+	if free && e.secFree && prev == &e.out {
+		// Both ends of the step are security-free, so both equal the
+		// pair's baseline outcome: the fixed point the engine holds is
+		// already the answer, cached happy bounds included. No stage
+		// work of either kind runs, so this is not a fallback.
+		return prev
+	}
 	seededDst := false
 	for _, r := range e.deltaSeeds {
 		if r.v == d {
@@ -133,7 +181,6 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	// the destination turning origin-secure) and its adjacencies.
 	// markDirty snapshots prev's entry for each AS as it is marked, so
 	// prev must be installed as the comparison source first.
-	e.resetDirty()
 	e.deltaPrev = prev
 	defer func() { e.deltaPrev = nil }()
 	for _, a := range added {
@@ -250,6 +297,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 				e.happyLo += nlo - plo
 				e.happyHi += nhi - phi
 			}
+			e.secFree = free
 			return &e.out
 		}
 	}

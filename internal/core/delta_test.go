@@ -75,10 +75,13 @@ func TestRunDeltaMatchesFromScratch(t *testing.T) {
 						// Vary the delta size: single ASes, small bursts,
 						// the occasional empty step, and one step that
 						// secures the destination itself (flipping its
-						// origin security).
+						// origin security). It comes early: until then the
+						// chain is usually security-free and RunDelta hands
+						// prev straight back, and the dirty-region path this
+						// test is about only runs from there on.
 						k := []int{0, 1, 1, 2, 5, 9, 1, 3}[step]
 						next, added := growDeployment(g, dep, k, rng)
-						if step == 5 && !next.Full.Has(d) && !next.Simplex.Has(d) {
+						if step == 2 && !next.Full.Has(d) && !next.Simplex.Has(d) {
 							next.Full.Add(d)
 							added = append(added, d)
 						}
@@ -185,6 +188,12 @@ func TestRunDeltaNoStateLeak(t *testing.T) {
 		atk := attacks[rng.Intn(len(attacks))]
 		prev := e.RunAttack(d, m, dep, atk)
 		next, added := growDeployment(g, dep, 1+rng.Intn(3), rng)
+		if round%2 == 0 && !next.OriginSecure(d) {
+			// Every other round the destination joins too, so the step is
+			// a real dirty-region pass and not a security-free no-op.
+			next.Full.Add(d)
+			added = append(added, d)
+		}
 		got := e.RunDelta(prev, added, nil, next, atk)
 		want := NewEngine(g, policy.Sec2nd).RunAttack(d, m, next, atk)
 		if !outcomesEqual(got, want) {
@@ -542,6 +551,7 @@ func TestRunDeltaHappyBoundsChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	e := NewEngine(g, policy.Sec3rd)
 	dep, _ := growDeployment(g, nil, n/20, rng)
+	dep.Full.Add(3) // a secure destination: every step does incremental work
 	prev := e.RunAttack(3, 9, dep, nil)
 	for step := 0; step < 6; step++ {
 		lo, hi := e.HappyBounds()
@@ -556,8 +566,12 @@ func TestRunDeltaHappyBoundsChained(t *testing.T) {
 }
 
 // TestWithDeltaThreshold: a zero threshold disables the incremental
-// path (every call falls back, still exact); a threshold of 1 keeps
-// even a huge delta incremental; results match from-scratch either way.
+// path (every call that has stage work to do falls back, still exact); a
+// threshold of 1 keeps even a huge delta incremental; results match
+// from-scratch either way. A security-free step — the destination stays
+// outside S at both ends — is decided before the threshold is consulted
+// and is not a fallback: it runs no stage, incremental or from scratch,
+// and hands back the very outcome it was given.
 func TestWithDeltaThreshold(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 300, Seed: 39})
 	n := g.N()
@@ -569,12 +583,19 @@ func TestWithDeltaThreshold(t *testing.T) {
 		added = append(added, asgraph.AS(v))
 	}
 	next := &Deployment{Full: big}
-	want := scratch.Run(4, 9, next)
+	want := scratch.Run(4, 9, next).Clone()
 
 	off := NewEngine(g, policy.Sec2nd, WithDeltaThreshold(0))
 	prev := off.Run(4, 9, nil)
-	if got := off.RunDelta(prev, []asgraph.AS{2}, nil, &Deployment{Full: asgraph.SetOf(n, 2)}, nil); got == nil {
-		t.Fatal("nil outcome")
+	if got := off.RunDelta(prev, []asgraph.AS{2}, nil, &Deployment{Full: asgraph.SetOf(n, 2)}, nil); got != prev {
+		t.Fatal("threshold 0: a security-free step did not return prev itself")
+	}
+	if off.deltaFallbacks != 0 {
+		t.Fatalf("threshold 0: %d fallbacks on a security-free step, want 0 (no stage work at all)", off.deltaFallbacks)
+	}
+	joined := &Deployment{Full: asgraph.SetOf(n, 2, 4)}
+	if got := off.RunDelta(prev, []asgraph.AS{4}, nil, joined, nil); !outcomesEqual(got, scratch.Run(4, 9, joined)) {
+		t.Fatal("threshold 0: the destination joining S diverges from the from-scratch run")
 	}
 	if off.deltaFallbacks != 1 {
 		t.Fatalf("threshold 0: %d fallbacks, want 1 (incremental path disabled)", off.deltaFallbacks)

@@ -40,9 +40,10 @@ type Engine struct {
 	// allocated at construction (slab.go) and reused by every run.
 	out Outcome
 
-	// seeder is the reusable Attack seeding surface: RunAttack and
-	// RunDelta repopulate it instead of allocating one per run (the
-	// interface call would otherwise force a heap Seeder every run).
+	// seeder is the reusable Attack seeding surface: SecurityFree — the
+	// one place an attack is seeded — repopulates it instead of
+	// allocating one per call (the interface call would otherwise force
+	// a heap Seeder every run).
 	seeder Seeder
 
 	fixedList []asgraph.AS // ASes fixed so far, in fixing order
@@ -73,6 +74,11 @@ type Engine struct {
 	inDirty    []bool
 	dirtyList  []asgraph.AS
 	deltaSeeds []seedRec
+	// baseSeeds is the baseline (dep == nil) capture SecurityFree
+	// compares deltaSeeds against; secFree records whether the current
+	// outcome came from a security-free run (see SecurityFree).
+	baseSeeds  []seedRec
+	secFree    bool
 	deltaPrev  *Outcome
 	deltaDirty []asgraph.AS
 	// deltaFallbacks counts RunDelta calls that crossed the adaptive
@@ -286,8 +292,10 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	e.rollback()
 	e.fixedList = e.fixedList[:0]
 
-	e.seeder = Seeder{e: e, Dst: d, Attacker: m, Dep: dep}
-	atk.Seed(&e.seeder)
+	e.secFree = e.SecurityFree(d, m, dep, atk)
+	for _, r := range e.deltaSeeds {
+		e.fixRoot(r.v, r.len, r.secure, r.label)
+	}
 	if !e.fixed(d) {
 		panic("core: attack did not seed the destination")
 	}

@@ -59,7 +59,9 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 		added[i] = []asgraph.AS{a}
 		deps[i] = &Deployment{Full: full.Clone()}
 	}
-	d, m := asgraph.AS(17), nonStubs[0]
+	// AS18 deploys (18 ≡ 0 mod 3): a destination outside S would make
+	// every step a security-free no-op and measure nothing.
+	d, m := asgraph.AS(18), nonStubs[0]
 	b.Run("from-scratch", func(b *testing.B) {
 		e := NewEngine(g, policy.Sec2nd)
 		_ = e.Run(d, m, deps[0]) // steady state even at -benchtime 1x
@@ -112,13 +114,15 @@ func BenchmarkDeltaThreshold(b *testing.B) {
 	}
 	deps := make([]*Deployment, chainLen)
 	added := make([][]asgraph.AS, chainLen)
-	full := asgraph.NewSet(n)
+	d, m := asgraph.AS(17), asgraph.NonStubs(g)[0]
+	// The destination deploys throughout: outside S every step would be
+	// a security-free no-op, not a delta.
+	full := asgraph.SetOf(n, d)
 	for i := 0; i < chainLen; i++ {
 		full.Add(stubs[i])
 		added[i] = []asgraph.AS{stubs[i]}
 		deps[i] = &Deployment{Full: full.Clone()}
 	}
-	d, m := asgraph.AS(17), asgraph.NonStubs(g)[0]
 	b.Run("edge-volume", func(b *testing.B) {
 		e := NewEngine(g, policy.Sec2nd)
 		prev := e.Run(d, m, deps[0])

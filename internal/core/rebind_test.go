@@ -18,7 +18,11 @@ import (
 // and its degree table exist and must be rebuilt rather than created),
 // and for the incrementally maintained HappyBounds. Stale degrees would
 // move the delta-fallback decision, so the test also requires the two
-// engines to price the graph alike and fall back equally often.
+// engines to price the graph alike and fall back equally often — on
+// every hop, including those whose destination never joins the
+// deployment: there every step the fresh engine takes is a security-free
+// no-op, and it must have built its delta scratch and priced the graph
+// all the same (RunDelta readies the scratch before it short-circuits).
 func TestRebindMatchesFreshEngine(t *testing.T) {
 	type pair struct {
 		name string

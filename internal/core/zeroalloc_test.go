@@ -60,7 +60,10 @@ func TestEngineSwitchZeroAllocs(t *testing.T) {
 	g, _ := zeroAllocFixture(t)
 	g2, _ := topogen.MustGenerate(topogen.Params{N: g.N(), Seed: 2})
 	graphs := []*asgraph.Graph{g, g2}
-	added := []asgraph.AS{5, 40, 200}
+	// The destinations the hops visit (10..17) deploy too: a step whose
+	// destination stays outside S is a security-free no-op, and this test
+	// is about the delta pass.
+	added := []asgraph.AS{5, 40, 200, 10, 11, 12, 13, 14, 15, 16, 17}
 	dep := &Deployment{Full: asgraph.SetOf(g.N(), added...)}
 	e := NewEngine(g, policy.Sec1st)
 	i := 0
@@ -92,7 +95,7 @@ func TestEngineRunDeltaZeroAllocs(t *testing.T) {
 	grown := &Deployment{Full: dep.Full.Clone()}
 	grown.Full.Add(x)
 	delta := []asgraph.AS{x}
-	d, m := asgraph.AS(10), asgraph.AS(100)
+	d, m := asgraph.AS(12), asgraph.AS(100) // d ∈ dep: both steps do stage work
 
 	e := NewEngine(g, policy.Sec2nd)
 	prev := e.Run(d, m, dep)
@@ -106,6 +109,39 @@ func TestEngineRunDeltaZeroAllocs(t *testing.T) {
 			prev = e.RunDelta(prev, delta, nil, grown, nil)
 		}
 		atGrown = !atGrown
+	})
+}
+
+// TestSecurityFreeZeroAllocs: the sweep asks the predicate once per chain
+// head and rides RunDelta's short-circuit across every free step of a
+// chain, so neither may allocate — including the baseline capture the
+// predicate makes under a non-nil deployment.
+func TestSecurityFreeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; covered by the non-race CI job")
+	}
+	g, dep := zeroAllocFixture(t)
+	grown := &Deployment{Full: dep.Full.Clone()}
+	grown.Full.Add(asgraph.NonStubs(g)[0])
+	d, m := asgraph.AS(10), asgraph.AS(100) // d ∉ dep
+	e := NewEngine(g, policy.Sec2nd)
+	atk := PathPadding{Hops: 2}
+	prev := e.RunAttack(d, m, dep, atk)
+	steps := []*Deployment{dep, grown, nil}
+	var added, removed [3][]asgraph.AS
+	for i := range steps {
+		added[i], removed[i] = DeploymentDelta(steps[i], steps[(i+1)%3])
+	}
+	i := 0
+	assertZeroAllocs(t, "SecurityFree + free RunDelta", func() {
+		next := steps[(i+1)%3]
+		if !e.SecurityFree(d, m, next, atk) || e.SecurityFree(12, m, dep, atk) {
+			t.Fatal("predicate is wrong on the fixture")
+		}
+		if got := e.RunDelta(prev, added[i%3], removed[i%3], next, atk); got != prev {
+			t.Fatal("a security-free step did not return prev")
+		}
+		i++
 	})
 }
 

@@ -60,13 +60,42 @@ func happyCounts(m runner.Metric, sources int) (lo, hi int) {
 	return int(math.Round(m.Lo * scale)), int(math.Round(m.Hi * scale))
 }
 
+// wantHandoffHits counts, from the schedule alone, the chain
+// continuations a fresh evaluation of layout l performs: one per shard
+// boundary that cuts a group run of a valid (m ≠ d) pair mid-chain. That
+// is the number the walk reported before it knew about security-free
+// cells, and a head deferred by the baseline memo must not change it.
+func wantHandoffHits(pl *Plan, l *Layout) int {
+	s, ax := pl.sched, pl.ax
+	hits := 0
+	for p := l.ShardSize; p < l.Cells; p += l.ShardSize {
+		if s.handoffFree(p) {
+			continue
+		}
+		ci := s.chainAt(p)
+		pair := (p - s.blockStart[ci]) / len(s.plan.chains[ci]) % (ax.nd * ax.na)
+		if pl.gr.Destinations[pair/ax.na] != pl.gr.Attackers[pair%ax.na] {
+			hits++
+		}
+	}
+	return hits
+}
+
 // TestSweepMatchesOracleOnGeneratedInputs is the differential test on
 // generated inputs: topogen graphs at several seeds plus random small
 // hierarchies × the four schedule shapes (IncrementalOff, a nested
 // rollout, an incomparable forest axis, an IncrementalAuto axis nothing
 // links) × worker counts × shard sizes (every cell its own shard, shards
 // cutting chains mid-walk, one shard holding the grid) × PerDest, every
-// evaluation's integer counts compared exactly with the runner's.
+// evaluation's integer counts compared exactly with the runner's. The
+// destination set straddles S on every axis — one destination joins
+// Full partway along (and leaves again on the forest axis), one joins
+// Simplex, the rest stay outside — so security-free and secure cells
+// alternate inside one chain: the baseline memo must fire (fewer engine
+// runs than cells), the oracle — which knows nothing of the collapse —
+// must still agree, and the handoff counters must be the schedule's own
+// numbers even where a shard boundary falls right behind memo-served
+// steps.
 func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 	type input struct {
 		name string
@@ -99,9 +128,14 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 		// Overlapping attacker and destination sets, so m == d cells occur.
 		M, D := all[:4], all[2:7]
 		members := all[7:]
-		set := func(vs []asgraph.AS) *core.Deployment {
-			return &core.Deployment{Full: asgraph.SetOf(g.N(), vs...)}
+		set := func(vs []asgraph.AS, more ...asgraph.AS) *core.Deployment {
+			full := asgraph.SetOf(g.N(), vs...)
+			for _, v := range more {
+				full.Add(v)
+			}
+			return &core.Deployment{Full: full}
 		}
+		secureD, simplexD := D[0], D[1] // D[2:] never deploy
 		unlinkable := unlinkableGrid(g, IncrementalAuto).Deployments
 		axes := []struct {
 			name string
@@ -109,14 +143,15 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 			deps []Deployment
 		}{
 			{"off", IncrementalOff, []Deployment{
-				{Name: "b", Dep: set(members[:9])}, {Name: "baseline"}, {Name: "a", Dep: set(members[:3])},
+				{Name: "b", Dep: set(members[:9], secureD)}, {Name: "baseline"}, {Name: "a", Dep: set(members[:3])},
 			}},
 			{"nested", IncrementalAuto, []Deployment{
-				{Name: "baseline"}, {Name: "s3", Dep: set(members[:3])}, {Name: "s6", Dep: set(members[:6])},
-				{Name: "s12", Dep: &core.Deployment{Full: asgraph.SetOf(g.N(), members[:10]...), Simplex: asgraph.SetOf(g.N(), members[10:12]...)}},
+				{Name: "baseline"}, {Name: "s3", Dep: set(members[:3])}, {Name: "s6", Dep: set(members[:6], secureD)},
+				{Name: "s12", Dep: &core.Deployment{Full: set(members[:10], secureD).Full, Simplex: asgraph.SetOf(g.N(), members[10], members[11], simplexD)}},
 			}},
 			{"forest", IncrementalAuto, []Deployment{
-				{Name: "w0", Dep: set(members[0:6])}, {Name: "w3", Dep: set(members[3:9])},
+				{Name: "w0", Dep: set(members[0:6], secureD)},
+				{Name: "w3", Dep: &core.Deployment{Full: set(members[3:9], secureD).Full, Simplex: asgraph.SetOf(g.N(), simplexD)}},
 				{Name: "baseline"}, {Name: "w6", Dep: set(members[6:12])},
 			}},
 			{"unlinkable", IncrementalAuto, unlinkable},
@@ -145,11 +180,21 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 						shapes["nested"]++
 					}
 					for _, size := range sizes {
-						res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size}, RunOptions{})
+						pool, stats := NewEnginePool(), ShardStats{}
+						res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size}, RunOptions{Pool: pool, Stats: &stats})
 						if err != nil {
 							t.Fatal(err)
 						}
 						where := fmt.Sprintf("%s/%s workers=%d shard=%d perdest=%v", in.name, axis.name, workers, size, perDest)
+						walk := walkOf(pool)
+						if valid := validCells(&pl.gr, policy.NumModels); walk.cells != valid || walk.runs >= walk.cells {
+							t.Errorf("%s: walked %d cells in %d engine runs, want all %d valid cells in fewer runs (every axis has security-free cells)",
+								where, walk.cells, walk.runs, valid)
+						}
+						if hits := wantHandoffHits(pl, pl.Layout(size)); stats.HandoffHits != hits || stats.HandoffMisses != 0 {
+							t.Errorf("%s: %d handoff hits and %d misses, the schedule implies %d and 0",
+								where, stats.HandoffHits, stats.HandoffMisses, hits)
+						}
 						for si, dp := range axis.deps {
 							for _, model := range policy.Models {
 								cell := res.Cell(dp.Name, model)

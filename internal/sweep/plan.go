@@ -220,6 +220,7 @@ func (pl *Plan) strips(dst []strip, units []ShardRange, l *Layout, workers int) 
 type shardRun struct {
 	units  []ShardRange
 	strips []strip
+	memo   baselineMemo // shared lock-free by the run's workers
 
 	mu           sync.Mutex // the commit mutex; guards everything below
 	commitErr    error
@@ -311,6 +312,7 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 	defer pool.putRun(run)
 	run.units = pl.units(run.units[:0], shards, l.ShardSize)
 	run.strips = pl.strips(run.strips[:0], run.units, l, runner.Workers(pl.gr.Workers))
+	run.memo = run.memo.sized(pl.ax.nd * pl.ax.na)
 
 	// abort lets a commit failure stop the remaining strips without
 	// waiting for the whole grid.
@@ -357,7 +359,7 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		start, end := max(st.start, shardStart), min(st.end, shardEnd)
 		acc := &ws.acc
 		acc.begin(pl.ax.tasks)
-		if !pl.evaluateRange(ctx, ws, start, end) {
+		if !pl.evaluateRange(ctx, ws, run.memo, start, end) {
 			break
 		}
 		whole := end-start == shardEnd-shardStart

@@ -24,6 +24,11 @@ package sweep
 //     (task, lo, hi) triple per valid cell to the worker's accumulator.
 //     Partials stay positional, so results are byte-identical at every
 //     worker count, shard size and schedule.
+//   - A security-free cell — origin-insecure destination, nothing secure
+//     anywhere — has its pair's baseline outcome under every deployment
+//     and model (core.Engine.SecurityFree), so a run memoizes one (lo,
+//     hi) per (attacker, destination) pair and serves such chain heads
+//     from it instead of running them (DESIGN.md "Security-free cells").
 //   - Where a shard boundary does split a chain, the worker carries the
 //     chain's tail fixed point across the boundary and resumes with
 //     RunDelta instead of re-running the head. RunShards cuts what it
@@ -36,6 +41,7 @@ package sweep
 import (
 	"context"
 	"sort"
+	"sync/atomic"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
@@ -132,11 +138,17 @@ func (s *schedule) nextFree(p int) int {
 // path. A carry is worker-owned scratch; it must never be shared
 // across goroutines.
 type carry struct {
-	pos int           // scheduled position the carried outcome continues at
-	out *core.Outcome // engine-owned tail fixed point, nil when empty
-	// hits counts takes that found a carried fixed point; misses counts
-	// takes that had to re-run the chain head from scratch. With
-	// chain-ordered strip dispatch every boundary cut mid-chain is
+	// pos is the scheduled position the carried state continues at, 0
+	// when the carry is empty: a continuation is never at position 0.
+	pos int
+	// out is the engine-owned tail fixed point. It is nil with pos set
+	// when the chain's head is still deferred — every step so far was
+	// served from the baseline memo, so no engine holds a fixed point
+	// and the continuation carries on as a head would.
+	out *core.Outcome
+	// hits counts takes that found the state their predecessor offered;
+	// misses counts takes that found none and re-ran the chain head.
+	// With chain-ordered strip dispatch every boundary cut mid-chain is
 	// evaluated offer-before-take, so misses stays zero on fresh runs —
 	// the counters make that claim testable. (Resumed runs can miss at
 	// unit starts whose predecessor shard completed in an earlier run.)
@@ -146,24 +158,72 @@ type carry struct {
 // reset clears the carry for a new dispatch strip.
 func (c *carry) reset() { *c = carry{} }
 
-// take returns the fixed point carried to scheduled position pos, or
-// nil — counting the hit or miss — and empties the carry.
+// take returns the fixed point carried to scheduled position pos — nil
+// for a deferred head as for a miss — counting the hit or miss, and
+// empties the carry.
 func (c *carry) take(pos int) *core.Outcome {
-	if c.out != nil && c.pos == pos {
-		o := c.out
-		c.out = nil
+	o := c.out
+	if c.pos == pos {
 		c.hits++
-		return o
+	} else {
+		c.misses++
+		o = nil
 	}
-	c.out = nil
-	c.misses++
-	return nil
+	c.pos, c.out = 0, nil
+	return o
 }
 
-// offer stores the tail fixed point a continuation at scheduled
-// position pos will resume from.
+// offer stores the state a continuation at scheduled position pos will
+// resume from: the tail fixed point, or nil for a still-deferred head.
 func (c *carry) offer(pos int, o *core.Outcome) {
 	c.pos, c.out = pos, o
+}
+
+// maxMemoPairs bounds a run's baseline memo: eight bytes a pair, so at
+// most 512 KiB however large the |M|×|D| enumeration. Pairs beyond the
+// bound are simply not memoized and their security-free heads run.
+const maxMemoPairs = 1 << 16
+
+// baselineMemo is one run's table of security-free outcomes: slot
+// di·na+ai holds the happy bounds of the (attacker, destination) pair's
+// baseline run, which every security-free cell of the pair shares
+// whatever its deployment and model (core.Engine.SecurityFree). Workers
+// share it without a lock: a slot is one atomic word, zero while empty,
+// and every writer of a slot stores the same value.
+type baselineMemo []atomic.Uint64
+
+// sized returns the memo emptied and resized for a grid of the given
+// pair count, reusing the pooled backing array when it is large enough.
+func (m baselineMemo) sized(pairs int) baselineMemo {
+	pairs = min(pairs, maxMemoPairs)
+	if cap(m) < pairs {
+		return make(baselineMemo, pairs)
+	}
+	m = m[:pairs]
+	for i := range m {
+		m[i].Store(0)
+	}
+	return m
+}
+
+// load returns the pair's memoized bounds, if any.
+//
+//sbgp:hotpath
+func (m baselineMemo) load(pair int) (lo, hi int, ok bool) {
+	if pair >= len(m) {
+		return 0, 0, false
+	}
+	v := m[pair].Load()
+	return int(v >> 31 & (1<<31 - 1)), int(v & (1<<31 - 1)), v != 0
+}
+
+// store memoizes the pair's bounds; AS counts fit 31 bits each.
+//
+//sbgp:hotpath
+func (m baselineMemo) store(pair, lo, hi int) {
+	if pair < len(m) {
+		m[pair].Store(1<<63 | uint64(lo)<<31 | uint64(hi))
+	}
 }
 
 // evaluateRange evaluates the scheduled positions [start, end), adding
@@ -173,11 +233,14 @@ func (c *carry) offer(pos int, o *core.Outcome) {
 // via RunDelta — replaying the step's removed-then-added signed delta in
 // one call, so forest walks that shrink a deployment ride the same path
 // as grow-only chains — and the worker's carry bridges runs cut by the
-// range boundary. It reports false if ctx was cancelled, in which case the
-// accumulated partial must be discarded.
+// range boundary. A security-free chain head is served from memo when
+// another cell of its pair already ran, and stays deferred — no engine
+// run at all — until the chain's first step that is not. It reports
+// false if ctx was cancelled, in which case the accumulated partial must
+// be discarded.
 //
 //sbgp:hotpath
-func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end int) bool {
+func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, memo baselineMemo, start, end int) bool {
 	gr, g, s, ax, c := &pl.gr, pl.g, pl.sched, pl.ax, &ws.chainCarry
 	// Decompose [start, end) into group runs. Groups are contiguous runs
 	// of one chain's positions for a fixed (model, destination,
@@ -195,8 +258,8 @@ func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end i
 		gEnd := bs + (gi+1)*clen
 		p1 := min(gEnd, end)
 		mi := gi / (nd * na)
-		rem := gi % (nd * na)
-		di, ai := rem/na, rem%na
+		pair := gi % (nd * na) // di·na + ai: the pair's memo slot
+		di, ai := pair/na, pair%na
 		d, m := gr.Destinations[di], gr.Attackers[ai]
 		if m == d {
 			p = p1
@@ -217,12 +280,28 @@ func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end i
 			}
 			step := ch[pos]
 			dep := ax.deps[step.si].Dep
+			lo, hi, served := 0, 0, false
 			if prev == nil {
-				prev = e.RunAttack(d, m, dep, gr.Attack)
+				// A head, or a step behind a deferred one.
+				free := e.SecurityFree(d, m, dep, gr.Attack)
+				if free {
+					lo, hi, served = memo.load(pair)
+				}
+				if !served {
+					prev = e.RunAttack(d, m, dep, gr.Attack)
+					lo, hi = e.HappyBounds()
+					if free {
+						memo.store(pair, lo, hi)
+					}
+				}
 			} else {
 				prev = e.RunDelta(prev, step.added, step.removed, dep, gr.Attack)
+				lo, hi = e.HappyBounds()
 			}
-			lo, hi := e.HappyBounds()
+			ws.cells++
+			if !served {
+				ws.runs++
+			}
 			ws.acc.add((step.si*ax.nm+mi)*ax.nd+di, lo, hi)
 		}
 		if p1 < gEnd {

@@ -69,11 +69,12 @@ type ShardStats struct {
 	// cut into (see Plan.Units) — not the number of strips the workers
 	// shared them in, which depends on the worker count.
 	Units int `json:"units"`
-	// HandoffHits counts chain continuations that resumed from an
-	// offered tail fixed point via RunDelta.
+	// HandoffHits counts chain continuations that found the state their
+	// predecessor shard offered: a tail fixed point to resume from via
+	// RunDelta, or the note that the chain's head is still deferred.
 	HandoffHits int `json:"handoff_hits"`
 	// HandoffMisses counts chain continuations that re-ran their head
-	// from scratch because no fixed point had been offered yet.
+	// from scratch because nothing had been offered yet.
 	HandoffMisses int `json:"handoff_misses"`
 
 	// ChainHeads is the number of from-scratch walk heads per (model,

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -19,18 +18,6 @@ import (
 	"sbgp/internal/runner"
 	"sbgp/internal/topogen"
 )
-
-// countingAttack is the default one-hop hijack with an engine-run
-// counter: Seed is called exactly once per engine run, so the counter
-// measures how many grid cells were actually evaluated. It reports the
-// default name so results serialize identically to the plain grid.
-type countingAttack struct{ runs *atomic.Int64 }
-
-func (c countingAttack) Name() string { return core.DefaultAttack.Name() }
-func (c countingAttack) Seed(s *core.Seeder) {
-	c.runs.Add(1)
-	core.OneHopHijack{}.Seed(s)
-}
 
 // fullEnumGrid is the paper's M′ × V enumeration on a ~200-AS graph:
 // every non-stub attacker against every destination, two deployments,
@@ -48,8 +35,9 @@ func fullEnumGrid(g *asgraph.Graph, workers int) *Grid {
 	}
 }
 
-// validCells counts the grid cells with m ≠ d — the number of engine
-// runs a complete evaluation performs.
+// validCells counts the grid cells with m ≠ d — the number of cells a
+// complete evaluation walks (and an upper bound on its engine runs: the
+// baseline memo serves security-free cells without one).
 func validCells(gr *Grid, nm int) int {
 	perDest := 0
 	for _, d := range gr.Destinations {
@@ -164,7 +152,10 @@ func readCheckpoint(t *testing.T, path string) (hdr *checkpointHeader, partials 
 // resumes it, and asserts (a) the merged result is byte-identical to an
 // uninterrupted run and (b) the resumed run re-evaluates exactly the
 // cells the checkpoint does not cover — completed shards are never
-// re-run, counted in actual engine runs. It runs twice: with shards
+// re-run, counted in cells the walk actually visited (walkCount; engine
+// runs are fewer — this grid's baseline deployment and its stub
+// destinations are security-free — so the honest engine-side claim is
+// the inequality runs < cells, asserted alongside). It runs twice: with shards
 // small enough that every strip is a whole shard, and with three big
 // shards that two workers evaluate in slices — where the interruption
 // also strands partly folded shards, which must leave no trace.
@@ -177,7 +168,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	g, _ := topogen.MustGenerate(topogen.Params{N: 250, Seed: 13})
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 10, 20)
-	newGrid := func(runs *atomic.Int64) *Grid {
+	newGrid := func() *Grid {
 		return &Grid{
 			Deployments: []Deployment{
 				{Name: "baseline"},
@@ -186,19 +177,16 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 			Attackers:    M,
 			Destinations: D,
 			PerDest:      true,
-			Attack:       countingAttack{runs},
-			// Pin the legacy schedule: the engine-run accounting below
-			// equates Seed calls with evaluated cells, which the delta
-			// path (one capture-seed per RunDelta, plus a real seed on
-			// fallback) deliberately does not preserve. Incremental
-			// interrupt/resume is covered by the cancel and
+			// The identity order: whole-shard strips at shard size 16 and
+			// the sliced configuration below are stated in its layout.
+			// Incremental interrupt/resume is covered by the cancel and
 			// schedule-compat tests.
 			Incremental: IncrementalOff,
 			Workers:     workers,
 		}
 	}
-	total := validCells(newGrid(nil), policy.NumModels)
-	if pl := mustPrepare(newGrid(nil), g); shardSize > 16 {
+	total := validCells(newGrid(), policy.NumModels)
+	if pl := mustPrepare(newGrid(), g); shardSize > 16 {
 		l := pl.Layout(shardSize)
 		if n := len(pl.strips(nil, pl.Units(l), l, workers)); n <= l.Shards {
 			t.Fatalf("%d strips over %d shards: this configuration is meant to slice", n, l.Shards)
@@ -206,24 +194,25 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	}
 
 	var want bytes.Buffer
-	var uninterrupted atomic.Int64
-	res, err := evaluateSharded(context.Background(), newGrid(&uninterrupted), g, ShardOptions{ShardSize: shardSize})
+	res, uninterrupted, err := evaluateCounted(context.Background(), newGrid(), g, ShardOptions{ShardSize: shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(uninterrupted.Load()); got != total {
-		t.Fatalf("uninterrupted run evaluated %d cells, want %d", got, total)
+	if uninterrupted.cells != total {
+		t.Fatalf("uninterrupted run walked %d cells, want %d", uninterrupted.cells, total)
+	}
+	if uninterrupted.runs >= uninterrupted.cells {
+		t.Fatalf("uninterrupted run made %d engine runs for %d cells: the security-free collapse did not fire", uninterrupted.runs, uninterrupted.cells)
 	}
 
 	// Interrupt: cancel from the sink once a few shards are durable.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var run1 atomic.Int64
 	completed := 0
-	res1, err := evaluateSharded(ctx, newGrid(&run1), g, ShardOptions{
+	res1, err := evaluateSharded(ctx, newGrid(), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Sink: func(*ShardPartial) error {
@@ -259,9 +248,8 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	// Resume: only the missing cells run, the sink observes the whole
 	// grid (checkpointed shards replayed plus fresh ones), and the
 	// merged result matches the uninterrupted bytes exactly.
-	var run2 atomic.Int64
 	sinkShards := map[int]int{}
-	res2, err := evaluateSharded(context.Background(), newGrid(&run2), g, ShardOptions{
+	res2, run2, err := evaluateCounted(context.Background(), newGrid(), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
@@ -273,7 +261,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := len(newGrid(nil).Attackers) * len(D) * policy.NumModels * 2
+	cells := len(M) * len(D) * policy.NumModels * 2
 	if wantShards := numShards(cells, shardSize); len(sinkShards) != wantShards {
 		t.Errorf("resume sink saw %d distinct shards, want the whole grid's %d", len(sinkShards), wantShards)
 	}
@@ -282,9 +270,12 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 			t.Errorf("resume sink saw shard %d %d times, want once", s, n)
 		}
 	}
-	if got := int(run2.Load()); got != total-done {
-		t.Errorf("resumed run evaluated %d cells, want %d (total %d − checkpointed %d)",
-			got, total-done, total, done)
+	if run2.cells != total-done {
+		t.Errorf("resumed run walked %d cells, want %d (total %d − checkpointed %d)",
+			run2.cells, total-done, total, done)
+	}
+	if run2.runs > run2.cells {
+		t.Errorf("resumed run made %d engine runs for %d cells", run2.runs, run2.cells)
 	}
 	var got bytes.Buffer
 	if err := res2.WriteJSON(&got); err != nil {
@@ -295,8 +286,7 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	}
 
 	// Resuming the now-complete checkpoint evaluates nothing at all.
-	var run3 atomic.Int64
-	res3, err := evaluateSharded(context.Background(), newGrid(&run3), g, ShardOptions{
+	res3, run3, err := evaluateCounted(context.Background(), newGrid(), g, ShardOptions{
 		ShardSize:  shardSize,
 		Checkpoint: ckpt,
 		Resume:     true,
@@ -304,8 +294,8 @@ func testShardedInterruptResume(t *testing.T, workers, shardSize, cancelAfter in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run3.Load() != 0 {
-		t.Errorf("resume of a complete checkpoint ran %d cells, want 0", run3.Load())
+	if run3 != (walkCount{}) {
+		t.Errorf("resume of a complete checkpoint walked %d cells in %d engine runs, want none", run3.cells, run3.runs)
 	}
 	got.Reset()
 	if err := res3.WriteJSON(&got); err != nil {

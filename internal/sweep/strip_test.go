@@ -199,8 +199,9 @@ func TestStripsPartitionPendingCells(t *testing.T) {
 }
 
 // cancellingAttack is the one-hop hijack that cancels a context on its
-// after-th engine run: an interruption that lands while shards are only
-// partly evaluated.
+// after-th Seed call — a few cells in, since the walk probes an attack's
+// roots as well as running it: an interruption that lands while shards
+// are only partly evaluated.
 type cancellingAttack struct {
 	runs   *atomic.Int64
 	after  int64
@@ -246,7 +247,7 @@ func TestSlicedShardAbort(t *testing.T) {
 			t.Errorf("shard %d committed although the run was cancelled before any shard was complete", p.Shard)
 			return nil
 		}}
-		// Ten runs in, no strip — let alone a shard — is finished.
+		// Ten seedings in, no strip — let alone a shard — is finished.
 		res, err := mustPrepare(newGrid(cancellingAttack{&runs, 10, cancel}), g).EvaluateSharded(ctx, opts, RunOptions{})
 		if !errors.Is(err, context.Canceled) || res != nil {
 			t.Fatalf("cancelled run returned (%v, %v), want (nil, context.Canceled)", res, err)
@@ -254,14 +255,16 @@ func TestSlicedShardAbort(t *testing.T) {
 		if _, records := checkpointLines(t, ckpt); len(records) != 0 {
 			t.Fatalf("checkpoint holds %d records of partly evaluated shards", len(records))
 		}
-		runs.Store(0)
 		opts.Resume, opts.Sink = true, nil
-		res, err = mustPrepare(newGrid(countingAttack{&runs}), g).EvaluateSharded(context.Background(), opts, RunOptions{})
+		res, walk, err := evaluateCounted(context.Background(), newGrid(nil), g, opts)
 		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
 			t.Error("resume after a mid-shard cancellation diverges")
 		}
-		if got := int(runs.Load()); got != total {
-			t.Errorf("resume evaluated %d cells, want all %d (nothing was committed)", got, total)
+		if walk.cells != total {
+			t.Errorf("resume walked %d cells, want all %d (nothing was committed)", walk.cells, total)
+		}
+		if walk.runs >= walk.cells {
+			t.Errorf("resume made %d engine runs for %d cells: the security-free collapse did not fire", walk.runs, walk.cells)
 		}
 	})
 

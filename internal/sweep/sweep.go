@@ -33,10 +33,10 @@ import (
 // IncrementalAuto, uses chain-major incremental scheduling whenever the
 // planner links any two deployments by a signed delta — nested chains
 // and signed-delta forests over arbitrary, even pairwise-incomparable,
-// axes alike; IncrementalOff forces the from-scratch
-// deployment-outermost order (the identity order: the same walk over
-// single-step chains — the reference the benchmark compares against).
-// Results are byte-identical either way.
+// axes alike; IncrementalOff forces the deployment-outermost order with
+// no RunDelta reuse (the identity order: the same walk over single-step
+// chains — the reference the benchmark compares against). Results are
+// byte-identical either way.
 type IncrementalMode int
 
 const (
@@ -47,8 +47,11 @@ const (
 	// linkable pair (a singleton, or every pairwise delta at least a
 	// from-scratch run) degrade to the identity order.
 	IncrementalAuto IncrementalMode = iota
-	// IncrementalOff is the identity order: every cell runs from
-	// scratch in deployment-outermost order.
+	// IncrementalOff is the identity order: every cell is a chain head,
+	// in deployment-outermost order, and no cell reuses another's fixed
+	// point. A head still need not be an engine run: security-free cells
+	// of one (attacker, destination) pair share one baseline run under
+	// every mode (scheduler.go).
 	IncrementalOff
 )
 
@@ -257,6 +260,11 @@ type workerState struct {
 	// chainCarry hands chain-tail fixed points across the shard
 	// boundaries interior to one dispatch strip.
 	chainCarry carry
+
+	// cells counts the valid cells this state has walked and runs the
+	// engine calls it made for them (fewer: memo-served cells make
+	// none). Nothing in the evaluation reads them; tests do.
+	cells, runs int
 }
 
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {

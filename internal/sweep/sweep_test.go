@@ -46,6 +46,31 @@ func evaluateSharded(ctx context.Context, gr *Grid, g *asgraph.Graph, opts Shard
 	return pl.EvaluateSharded(ctx, opts, RunOptions{})
 }
 
+// walkCount is what one evaluation's walk did, read from the worker
+// states' counters: the valid cells it visited and the engine calls it
+// made for them. The two differ by the cells the baseline memo served.
+type walkCount struct{ cells, runs int }
+
+// evaluateCounted is evaluateSharded through an engine pool of its own,
+// whose worker states it reads afterwards.
+func evaluateCounted(ctx context.Context, gr *Grid, g *asgraph.Graph, opts ShardOptions) (*Result, walkCount, error) {
+	pool := NewEnginePool()
+	res, err := mustPrepare(gr, g).EvaluateSharded(ctx, opts, RunOptions{Pool: pool})
+	return res, walkOf(pool), err
+}
+
+// walkOf sums the walk counters of every worker state a finished
+// evaluation borrowed from pool.
+func walkOf(pool *EnginePool) walkCount {
+	pool.Release()
+	var w walkCount
+	for _, ws := range pool.free {
+		w.cells += ws.cells
+		w.runs += ws.runs
+	}
+	return w
+}
+
 func testGrid(t *testing.T, g *asgraph.Graph, workers int) *Grid {
 	t.Helper()
 	all := make([]asgraph.AS, g.N())

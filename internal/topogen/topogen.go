@@ -135,30 +135,34 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	b := asgraph.NewBuilder(n)
 	custDeg := make([]int, n)
 	peerDeg := make([]int, n)
-	type pair struct{ a, b asgraph.AS }
-	adj := make(map[pair]bool)
-	addC2P := func(prov, cust asgraph.AS) bool {
-		k := pair{prov, cust}
-		if prov > cust {
-			k = pair{cust, prov}
+	// adj dedups links by their unordered endpoint pair packed into one
+	// word (the runtime's fast 64-bit map path), presized to the expected
+	// edge count — up to MeanProviders links per AS plus PeerRatio peer
+	// links per customer link — so it never rehashes while it fills.
+	adj := make(map[uint64]struct{}, int(float64(n)*p.MeanProviders*(1+p.PeerRatio)))
+	linked := func(x, y asgraph.AS) bool {
+		if x > y {
+			x, y = y, x
 		}
-		if adj[k] {
+		k := uint64(uint32(x))<<32 | uint64(uint32(y))
+		if _, ok := adj[k]; ok {
+			return true
+		}
+		adj[k] = struct{}{}
+		return false
+	}
+	addC2P := func(prov, cust asgraph.AS) bool {
+		if linked(prov, cust) {
 			return false
 		}
-		adj[k] = true
 		b.AddProviderCustomer(prov, cust)
 		custDeg[prov]++
 		return true
 	}
 	addPeer := func(x, y asgraph.AS) bool {
-		k := pair{x, y}
-		if x > y {
-			k = pair{y, x}
-		}
-		if x == y || adj[k] {
+		if x == y || linked(x, y) {
 			return false
 		}
-		adj[k] = true
 		b.AddPeer(x, y)
 		peerDeg[x]++
 		peerDeg[y]++
@@ -174,12 +178,10 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 
 	// pickProvider chooses a provider among transit ASes with index < hi
 	// by preferential attachment on current customer degree; this yields
-	// the heavy-tailed transit hierarchy.
-	pickProvider := func(hi int) asgraph.AS {
-		total := 0
-		for j := 0; j < hi; j++ {
-			total += custDeg[j] + 1
-		}
+	// the heavy-tailed transit hierarchy. total is the weight of that
+	// range, Σ (custDeg[j] + 1) over j < hi, which the caller keeps as a
+	// running sum instead of a scan per draw.
+	pickProvider := func(hi, total int) asgraph.AS {
 		r := rng.Intn(total)
 		for j := 0; j < hi; j++ {
 			r -= custDeg[j] + 1
@@ -203,10 +205,13 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	// Transit hierarchy: each non-Tier-1 transit AS buys from 1..4
 	// earlier transit ASes, so the provider relation is a DAG rooted at
 	// the Tier 1 clique.
+	below := 0 // Σ custDeg[j] over j < i: every provider so far has a lower index
 	for i := p.NumTier1; i < numTransit; i++ {
 		k := numProviders()
 		for a := 0; a < k; a++ {
-			addC2P(pickProvider(i), asgraph.AS(i))
+			if addC2P(pickProvider(i, below+i), asgraph.AS(i)) {
+				below++
+			}
 		}
 	}
 	// Every Tier 1 must end up with customers (Table 1 defines the tier
