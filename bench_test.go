@@ -580,6 +580,61 @@ func BenchmarkEvaluateJobWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolAcrossSizes prices what the daemon's keyed pool cache
+// used to save (DESIGN.md "Measured go/no-go for the keyless pool"): one
+// op is a daemon-small-shaped job (model 3, baseline + t1t2, 4×4 pairs —
+// 32 cells) on 400 ASes followed by the same job on 4000, the worst
+// traffic for a pool whose engines follow the job, since every job meets
+// engines sized for the other graph and rebuilds them. "one-pool" is the
+// daemon as it is; "pool-per-size" is the keyed cache it replaced (each
+// job finds engines of its own size); "fresh-pool" builds a pool per
+// job, the spec-driven dist worker before it kept one for life.
+func BenchmarkPoolAcrossSizes(b *testing.B) {
+	var sims [2]*sbgp.Simulation
+	for i, n := range []int{400, 4000} {
+		sims[i] = benchSimulate(
+			sbgp.WithGeneratedTopology(n, 1),
+			sbgp.WithModels(sbgp.Sec3rd),
+			sbgp.WithPairSampling(4, 4),
+			sbgp.WithNamedDeployment("t1t2"),
+		)
+	}
+	shared := sbgp.NewEnginePool()
+	perSize := [2]*sbgp.EnginePool{sbgp.NewEnginePool(), sbgp.NewEnginePool()}
+	for _, arm := range []struct {
+		name string
+		pool func(i int) *sbgp.EnginePool
+	}{
+		{"one-pool", func(int) *sbgp.EnginePool { return shared }},
+		{"pool-per-size", func(i int) *sbgp.EnginePool { return perSize[i] }},
+		{"fresh-pool", func(int) *sbgp.EnginePool { return sbgp.NewEnginePool() }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			pair := func() {
+				for i, sim := range sims {
+					pool := arm.pool(i)
+					res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool})
+					pool.Release()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Cells) != 2 {
+						b.Fatalf("grid has %d cells", len(res.Cells))
+					}
+				}
+			}
+			for start := time.Now(); time.Since(start) < time.Second; {
+				pair()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pair()
+			}
+		})
+	}
+}
+
 // BenchmarkSecurityFreeCollapse zooms into the headline job's walk
 // (ladder rung sweep.walk_us_per_cell) on either side of the
 // security-free collapse, at the default shard size and every core.

@@ -25,7 +25,7 @@
 //
 // With -dist the daemon additionally mounts a distributed-sweep
 // coordinator under /dist/v1/ and evaluates every job through remote
-// sbgpworker processes instead of local engine pools: the coordinator
+// sbgpworker processes instead of the local engine pool: the coordinator
 // cuts the grid into chain-aligned shard leases, re-leases work whose
 // worker misses its heartbeat deadline, and ingests partials into the
 // same fsync'd per-job checkpoint — so worker loss, duplicate

@@ -207,13 +207,16 @@ func (e *Engine) Graph() *asgraph.Graph { return e.g }
 // of holding an engine set per topology. The engine's current outcome
 // describes the old graph: the next call must be a from-scratch run, and
 // no outcome computed before the rebind may be passed to RunDelta.
-// Rebinding to a graph of a different size panics.
+// Rebinding to a graph of a different size panics. Rebind(nil) only lets
+// go of the graph — an engine idling in a pool would otherwise keep its
+// last job's topology alive — and the engine must be rebound before it
+// runs again.
 func (e *Engine) Rebind(g *asgraph.Graph) {
-	if g.N() != e.g.N() {
+	if g != nil && g.N() != len(e.out.Len) {
 		panic("core: Rebind to a graph of a different size")
 	}
 	e.g = g
-	if e.deg != nil {
+	if g != nil && e.deg != nil {
 		e.buildDegrees()
 	}
 }

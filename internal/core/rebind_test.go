@@ -45,6 +45,11 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 			for hop := 0; hop < 12; hop++ {
 				g, model := graphs[hop%2], policy.Models[hop%len(policy.Models)]
 				if hop > 0 {
+					if hop%3 == 0 {
+						// An engine idling in a pool lets go of its graph
+						// first; the hop must not notice.
+						hopping.Rebind(nil)
+					}
 					hopping.Rebind(g)
 					hopping.SetModel(model)
 				}

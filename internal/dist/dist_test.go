@@ -677,6 +677,57 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolOutlivesJobs: a spec-driven worker keeps one engine pool
+// for its whole life. Three jobs back to back — the second on a smaller
+// graph under LP2, the third back on the first's — are each byte-identical
+// to the local EvaluateJob, and with one evaluation goroutine the worker's
+// pool holds one engine after every one of them: it is the pool the jobs
+// drew on, and it follows them instead of growing with them.
+func TestWorkerPoolOutlivesJobs(t *testing.T) {
+	coord := NewCoordinator(Options{LeaseShards: 6, Standby: 5 * time.Millisecond})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	w := &Worker{Base: srv.URL, ID: "pool-w", OneJob: true, Poll: 5 * time.Millisecond, Workers: 1}
+
+	for i, job := range []struct {
+		n  int
+		lp sbgp.LocalPref
+	}{{200, sbgp.StandardLP}, {120, sbgp.LP2}, {200, sbgp.StandardLP}} {
+		sim, err := sbgp.NewScenario(
+			sbgp.WithGeneratedTopology(job.n, 23),
+			sbgp.WithLocalPref(job.lp),
+			sbgp.WithPairSampling(5, 6),
+			sbgp.WithShardSize(16),
+		).Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.EvaluateJob(sbgp.JobEvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := sim.JobSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- w.Run(context.Background()) }()
+		got, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("job %d: worker: %v", i, err)
+		}
+		if !bytes.Equal(resultBytes(t, got), resultBytes(t, want)) {
+			t.Errorf("job %d (n=%d, %v): distributed result diverges from local EvaluateJob", i, job.n, job.lp)
+		}
+		if n := w.pool.Size(); n != 1 {
+			t.Fatalf("job %d: the worker's pool holds %d engines, want 1", i, n)
+		}
+	}
+}
+
 // TestLateSubmitAfterLeaseExpiry is the accounting regression test for
 // the late-submit path: a batch arriving after its lease expired — with
 // or without the range having been re-leased — must ingest
@@ -846,13 +897,20 @@ func TestBodyCapReturns413(t *testing.T) {
 		}
 	}
 
-	// A merely-invalid body keeps its 400.
-	resp, err := http.Post(srv.URL+"/dist/v1/submit", "application/json", strings.NewReader(`{"bogus": 1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid body = %d, want 400", resp.StatusCode)
+	// A merely-invalid body keeps its 400, and so does a well-formed one
+	// with anything after it.
+	for _, tc := range []struct{ name, body, want string }{
+		{"invalid body", `{"bogus": 1}`, "bogus"},
+		{"trailing data", `{"worker":"w","fingerprint":"f"} garbage`, "trailing data"},
+	} {
+		resp, err := http.Post(srv.URL+"/dist/v1/submit", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.want) {
+			t.Errorf("%s = %d %s, want 400 mentioning %q", tc.name, resp.StatusCode, data, tc.want)
+		}
 	}
 }

@@ -110,6 +110,9 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) er
 		}
 		return fmt.Errorf("dist: bad request body: %w", err)
 	}
+	if dec.More() {
+		return errors.New("dist: bad request body: trailing data after the JSON object")
+	}
 	return nil
 }
 

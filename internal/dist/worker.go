@@ -35,9 +35,9 @@ type PlanEvaluator struct {
 	Ctx    context.Context
 	Plan   *sbgp.Plan
 	Layout *sbgp.ShardLayout
-	// Pool, when non-nil, keeps this worker's engines warm across
-	// leases. It must be exclusive to the evaluator: every lease
-	// releases it.
+	// Pool, when non-nil, keeps this worker's engines warm across leases
+	// — and jobs: any pool serves any plan. It must be exclusive to one
+	// evaluator at a time: every lease releases it.
 	Pool *sbgp.EnginePool
 }
 
@@ -95,6 +95,10 @@ type Worker struct {
 
 	mu    sync.Mutex
 	stats WorkerStats
+
+	// pool keeps the default Open's engines for the worker's life (pooled
+	// engines follow each job); only Run's goroutine touches it.
+	pool sbgp.EnginePool
 }
 
 // Stats returns a snapshot of the worker's counters.
@@ -196,7 +200,7 @@ func (w *Worker) openEvaluator(ctx context.Context, spec json.RawMessage) (Evalu
 	if err != nil {
 		return nil, err
 	}
-	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: sbgp.NewEnginePool()}, nil
+	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: &w.pool}, nil
 }
 
 // serve is the lease loop for one job: lease, evaluate, ship, repeat,

@@ -21,7 +21,7 @@ import (
 //	GET  /jobs/{id}/result     → the result grid JSON (409 until done)
 //	GET  /jobs/{id}/events     → SSE stream of Job snapshots until terminal
 //	GET  /jobs/{id}/wait       → long-poll: responds with the terminal Job
-//	GET  /status               → daemon summary (queue, warm engines)
+//	GET  /status               → daemon summary (jobs, warm topologies and engines)
 //	GET  /healthz              → 200 ok
 
 // SubmitRequest is the POST /jobs body.
@@ -77,6 +77,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if dec.More() {
+		writeError(w, http.StatusBadRequest, errors.New("trailing data after the submit body"))
 		return
 	}
 	if len(req.Spec) == 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"sbgp"
@@ -15,7 +16,7 @@ import (
 // runLoop is the single evaluator goroutine: it drains the queue in
 // priority order (FIFO within a priority) until the server closes.
 // Jobs evaluate one at a time — parallelism lives inside the
-// evaluation — so engine pools hand off cleanly between jobs.
+// evaluation — so the engine pool hands off cleanly between jobs.
 func (s *Server) runLoop() {
 	defer close(s.runnerDone)
 	for {
@@ -89,16 +90,14 @@ func (s *Server) pickLocked() *job {
 // result bytes. It is the long call of the run loop; ctx aborts it.
 func (s *Server) evaluate(ctx context.Context, j *job) error {
 	s.mu.Lock()
-	spec := j.Spec
-	id := j.ID
+	spec, id := j.Spec, j.ID
 	s.mu.Unlock()
 
-	entry, key, err := s.acquireTopology(spec)
+	g, meta, err := s.topology(spec.Topology)
 	if err != nil {
 		return err
 	}
-	defer s.releaseTopology(key)
-	sc, err := sbgp.FromJobSpecOnGraph(spec, entry.g, entry.meta, sbgp.WithContext(ctx))
+	sc, err := sbgp.FromJobSpecOnGraph(spec, g, meta, sbgp.WithContext(ctx))
 	if err != nil {
 		return err
 	}
@@ -130,18 +129,15 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 		// local pool stays untouched.
 		res, err = d.RunSim(ctx, sim, spec, s.CheckpointPath(id), true, sink)
 	} else {
-		pk := poolKey{n: sim.Graph().N(), lpk: spec.LPK}
-		pool := s.acquirePool(pk)
 		var stats sbgp.ShardStats
 		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
 			Checkpoint: s.CheckpointPath(id),
 			Resume:     true, // fresh checkpoint = fresh run; restart = resume
-			Pool:       pool,
+			Pool:       &s.pool,
 			Sink:       sink,
 			Stats:      &stats,
 		})
-		pool.Release()
-		s.releasePool(pk)
+		s.pool.Release()
 		if err == nil {
 			// Fold this evaluation into the daemon totals (the planner
 			// fields are per-schedule values, so totals read as "summed
@@ -168,113 +164,38 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 	return nil
 }
 
-// acquireTopology returns the warm (graph, meta) for a spec's topology
-// section, materializing and caching it on first use, and pins it
-// against eviction until releaseTopology.
-func (s *Server) acquireTopology(spec *sbgp.JobSpec) (*topoEntry, topoKey, error) {
-	t := spec.Topology
-	key := topoKey{n: t.N, seed: t.Seed, graphFile: t.GraphFile, ixp: t.IXP}
-	s.mu.Lock()
-	if entry := s.topos[key]; entry != nil {
-		entry.inUse++
-		s.mu.Unlock()
-		return entry, key, nil
-	}
-	s.mu.Unlock()
-	g, meta, err := t.Load()
+// topology returns the warm (graph, meta) for a topology section,
+// materializing it on first use, and drops the least recently used entry
+// past maxTopologies. Nothing is pinned: the run loop is the only
+// evaluator, so the entry in use is the most recent, never the victim,
+// and an evaluation holds its graph by pointer anyway.
+func (s *Server) topology(t sbgp.TopologySpec) (*sbgp.Graph, *sbgp.TopologyMeta, error) {
+	source, err := topologySource(t)
 	if err != nil {
-		return nil, key, err
+		return nil, nil, err
 	}
-	entry := &topoEntry{g: g, meta: meta}
+	same := func(e topoEntry) bool { return e.source == source }
+	entry := topoEntry{source: source}
 	s.mu.Lock()
-	if prior := s.topos[key]; prior != nil {
-		entry = prior // lost a benign race; keep the first
-	} else {
-		s.topos[key] = entry
+	i := slices.IndexFunc(s.topos, same)
+	if i >= 0 {
+		entry = s.topos[i]
 	}
-	entry.inUse++
 	s.mu.Unlock()
-	return entry, key, nil
-}
-
-// releaseTopology unpins a topology entry and evicts the caches down
-// to their caps, least-recently-used and never-in-use first.
-func (s *Server) releaseTopology(key topoKey) {
+	if i < 0 {
+		// Outside the lock: generating a 4000-AS graph takes milliseconds
+		// and the API keeps answering meanwhile.
+		if entry.g, entry.meta, err = t.Load(); err != nil {
+			return nil, nil, err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if entry := s.topos[key]; entry != nil && entry.inUse > 0 {
-		entry.inUse--
-		s.useSeq++
-		entry.lastUse = s.useSeq
+	s.topos = append(slices.DeleteFunc(s.topos, same), entry)
+	if len(s.topos) > maxTopologies {
+		s.topos = slices.Delete(s.topos, 0, 1)
 	}
-	s.evictLocked()
-}
-
-// acquirePool returns the engine pool for one (graph size, local-
-// preference) pair, creating it on first use, pinned until
-// releasePool.
-func (s *Server) acquirePool(key poolKey) *sbgp.EnginePool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.pools[key]
-	if p == nil {
-		p = &poolEntry{pool: sbgp.NewEnginePool()}
-		s.pools[key] = p
-	}
-	p.inUse++
-	return p.pool
-}
-
-// releasePool unpins an engine pool and evicts down to the caps.
-func (s *Server) releasePool(key poolKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.pools[key]; p != nil && p.inUse > 0 {
-		p.inUse--
-		s.useSeq++
-		p.lastUse = s.useSeq
-	}
-	s.evictLocked()
-}
-
-// evictLocked shrinks both warm caches to their caps (caller holds
-// mu). Entries pinned by a running evaluation are never evicted, so a
-// cache may transiently exceed its cap while everything in it is in
-// use; the next release re-checks. An evicted engine pool simply drops
-// its states — abandoning warm engines is always safe, only slower.
-func (s *Server) evictLocked() {
-	for len(s.topos) > s.opts.maxTopologies() {
-		var victim topoKey
-		found := false
-		for k, e := range s.topos {
-			if e.inUse > 0 {
-				continue
-			}
-			if !found || e.lastUse < s.topos[victim].lastUse {
-				victim, found = k, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(s.topos, victim)
-	}
-	for len(s.pools) > s.opts.maxEnginePools() {
-		var victim poolKey
-		found := false
-		for k, p := range s.pools {
-			if p.inUse > 0 {
-				continue
-			}
-			if !found || p.lastUse < s.pools[victim].lastUse {
-				victim, found = k, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(s.pools, victim)
-	}
+	return entry.g, entry.meta, nil
 }
 
 // loadJobRecord reads one persisted job record.

@@ -1,9 +1,10 @@
 // Package service implements the resident sweep daemon behind
 // cmd/sbgpd: a long-lived process that materializes each distinct
-// topology once, keeps per-worker engines warm in sbgp.EnginePools,
-// and evaluates sweep-grid jobs described by the unified, versioned
-// sbgp.JobSpec wire format — the same specs cmd/experiments -job and
-// cmd/bgpsim -job run one-shot.
+// topology once (a small LRU), keeps one engine per worker warm in a
+// single sbgp.EnginePool whose engines follow every job, whatever its
+// graph, size or variant, and evaluates sweep-grid jobs described by the
+// unified, versioned sbgp.JobSpec wire format — the same specs
+// cmd/experiments -job and cmd/bgpsim -job run one-shot.
 //
 // Jobs pass through a small state machine (see DESIGN.md):
 //
@@ -98,44 +99,30 @@ type job struct {
 	subs map[chan struct{}]bool
 }
 
-// topoKey identifies one materialized topology: the canonical
-// TopologySpec, flattened.
-type topoKey struct {
-	n         int
-	seed      int64
-	graphFile string
-	ixp       bool
-}
+// maxTopologies caps the warm topology cache (≈ 400 KiB per 4000-AS graph).
+const maxTopologies = 8
 
-// poolKey identifies one engine pool: the evaluated graph's AS count
-// plus the local-preference variant, EnginePool's (n, LP) validity
-// contract. Pooled engines follow each job's graph and model (they
-// rebind rather than rebuild), so the daemon holds one engine per worker
-// per graph size, not a set per topology.
-type poolKey struct {
-	n   int
-	lpk int
-}
-
-// topoEntry is one warm topology: the graph and metadata exactly as
-// the spec's topology section produces them (before IXP augmentation,
-// which Simulate applies per job), plus the LRU bookkeeping that lets
-// the cache evict under pressure without ever dropping an entry a
-// running evaluation holds.
+// topoEntry is one warm topology: its topologySource, and the graph and
+// metadata as Load produces them (Simulate augments with IXPs per job).
 type topoEntry struct {
-	g    *sbgp.Graph
-	meta *sbgp.TopologyMeta
-
-	lastUse int64 // server use-sequence at last release
-	inUse   int   // running evaluations holding this entry
+	source string
+	g      *sbgp.Graph
+	meta   *sbgp.TopologyMeta
 }
 
-// poolEntry is one warm engine pool with the same LRU bookkeeping.
-type poolEntry struct {
-	pool *sbgp.EnginePool
-
-	lastUse int64
-	inUse   int
+// topologySource names where a topology section's graph comes from, the
+// warm cache's key. The IXP flag is no part of it (a spec and its IXP
+// twin share the pre-augmentation graph), and a graph file is named by
+// path, size and mod-time, so a file rewritten between jobs is re-read.
+func topologySource(t sbgp.TopologySpec) (string, error) {
+	if t.GraphFile == "" {
+		return fmt.Sprintf("generated n=%d seed=%d", t.N, t.Seed), nil
+	}
+	fi, err := os.Stat(t.GraphFile)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("file %q size=%d mtime=%d", t.GraphFile, fi.Size(), fi.ModTime().UnixNano()), nil
 }
 
 // Distributor is the pluggable distributed-evaluation backend: given a
@@ -151,29 +138,8 @@ type Distributor interface {
 // Options tunes a Server beyond its data directory.
 type Options struct {
 	// Distributor, when non-nil, evaluates jobs through distributed
-	// workers instead of the local engine pools.
+	// workers instead of the local engine pool.
 	Distributor Distributor
-	// MaxTopologies caps the warm topology cache (LRU eviction;
-	// entries held by a running evaluation are never evicted).
-	// Default 8.
-	MaxTopologies int
-	// MaxEnginePools caps the warm engine-pool cache the same way.
-	// Default 16.
-	MaxEnginePools int
-}
-
-func (o Options) maxTopologies() int {
-	if o.MaxTopologies <= 0 {
-		return 8
-	}
-	return o.MaxTopologies
-}
-
-func (o Options) maxEnginePools() int {
-	if o.MaxEnginePools <= 0 {
-		return 16
-	}
-	return o.MaxEnginePools
 }
 
 // Server is the resident sweep service. Create one with Open, attach
@@ -189,10 +155,11 @@ type Server struct {
 	order  []string // submission order, for listing
 	nextID int
 	closed bool
-	useSeq int64 // monotonic LRU clock for the warm caches
 
-	topos map[topoKey]*topoEntry
-	pools map[poolKey]*poolEntry
+	topos []topoEntry // warm topologies, least recently used first
+	// pool holds the warm engines, one per evaluation worker; it needs no
+	// key because pooled engines follow each job (sbgp.EnginePool).
+	pool sbgp.EnginePool
 
 	// sweep accumulates every locally evaluated job's planner and
 	// dispatch counters (distributed evaluations keep their stats on
@@ -228,8 +195,6 @@ func OpenOptions(dir string, opts Options) (*Server, error) {
 		dir:        dir,
 		opts:       opts,
 		jobs:       map[string]*job{},
-		topos:      map[topoKey]*topoEntry{},
-		pools:      map[poolKey]*poolEntry{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		runnerDone: make(chan struct{}),
@@ -415,7 +380,6 @@ func (s *Server) CheckpointPath(id string) string {
 type Status struct {
 	Jobs        map[State]int   `json:"jobs"`
 	Topologies  int             `json:"topologies"`
-	EnginePools int             `json:"engine_pools"`
 	WarmEngines int             `json:"warm_engines"`
 	Sweep       sbgp.ShardStats `json:"sweep"`
 }
@@ -424,12 +388,9 @@ type Status struct {
 func (s *Server) Stats() *Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := &Status{Jobs: map[State]int{}, Topologies: len(s.topos), EnginePools: len(s.pools), Sweep: s.sweep}
+	st := &Status{Jobs: map[State]int{}, Topologies: len(s.topos), WarmEngines: s.pool.Size(), Sweep: s.sweep}
 	for _, j := range s.jobs {
 		st.Jobs[j.State]++
-	}
-	for _, p := range s.pools {
-		st.WarmEngines += p.pool.Size()
 	}
 	return st
 }

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sbgp"
+	"sbgp/internal/asgraph"
 	"sbgp/internal/dist"
 )
 
@@ -163,14 +165,16 @@ func TestJobLifecycleByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmEnginesFollowTheTopology alternates jobs over two topologies
-// of one size: the engine pool is keyed by (n, LP), so both feed one
-// pool whose engines rebind to each job's graph instead of a second set
-// being built — the warm-engine count stays at one engine per worker
-// however many topologies pass through — and every result still equals
-// the one-shot evaluation of its spec. The jobs are one default-size
-// shard each, so both workers run inside it (sliced strips), and their
-// baseline ⊂ t1t2 chain walks RunDelta on the rebound engines.
+// TestWarmEnginesFollowTheTopology cycles jobs over two topologies of one
+// size, the IXP-augmented twin of one of them, and a third topology of
+// another size under LP2: all feed the daemon's one engine pool, whose
+// engines rebind to a same-size graph and are rebuilt on a size or LP
+// change instead of a set being kept per topology — the warm-engine
+// count stays at one engine per worker whatever passes through — and
+// every result still equals the one-shot evaluation of its spec. The
+// jobs are one default-size shard each, so both workers run inside it
+// (sliced strips), and their baseline ⊂ t1t2 chain walks RunDelta on the
+// followed engines.
 func TestWarmEnginesFollowTheTopology(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -184,10 +188,21 @@ func TestWarmEnginesFollowTheTopology(t *testing.T) {
 		sp.ShardSize = 0
 		return sp
 	}
-	want := map[int64][]byte{7: oneShotBytes(t, specFor(7)), 8: oneShotBytes(t, specFor(8))}
+	ixp := specFor(7)
+	ixp.Topology.IXP = true
+	other := specFor(9)
+	other.Topology.N, other.LPK = 200, 2
+	specs := []*sbgp.JobSpec{specFor(7), specFor(8), ixp, other}
+	want := make([][]byte, len(specs))
+	for i, sp := range specs {
+		want[i] = oneShotBytes(t, sp)
+	}
+	if bytes.Equal(want[0], want[2]) {
+		t.Fatal("the IXP twin evaluates to the plain spec's bytes: augmentation is not exercised")
+	}
 	for round := 0; round < 3; round++ {
-		for _, seed := range []int64{7, 8} {
-			j, err := s.Submit(specFor(seed), 0)
+		for i, sp := range specs {
+			j, err := s.Submit(sp, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,19 +211,115 @@ func TestWarmEnginesFollowTheTopology(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want[seed]) {
-				t.Fatalf("round %d seed %d: result on rebound engines differs from the one-shot evaluation", round, seed)
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("round %d spec %d: result on followed engines differs from the one-shot evaluation", round, i)
 			}
 		}
 	}
 	st := s.Stats()
-	if st.Topologies != 2 || st.EnginePools != 1 {
-		t.Fatalf("%d topologies share %d engine pools, want 2 sharing 1", st.Topologies, st.EnginePools)
+	// The cached graph is pre-augmentation: a spec and its IXP twin are
+	// one topology.
+	if st.Topologies != 3 {
+		t.Fatalf("%d warm topologies after four specs over three (n, seed) sources, want 3", st.Topologies)
 	}
-	// One engine per worker, whatever the topology and however many
-	// models the jobs sweep.
+	// One engine per worker, whatever the topology, size or LP variant and
+	// however many models the jobs sweep.
 	if workers := smallSpec().Workers; st.WarmEngines == 0 || st.WarmEngines > workers {
-		t.Fatalf("%d warm engines after jobs on two topologies, want 1..%d (engines follow the graph)", st.WarmEngines, workers)
+		t.Fatalf("%d warm engines after jobs on three topologies of two sizes, want 1..%d (engines follow the job)", st.WarmEngines, workers)
+	}
+}
+
+// writeGraphFile generates the (n, seed) topology into path, stamped
+// with mtime so two writes differ in it whatever the filesystem's clock
+// granularity.
+func writeGraphFile(t *testing.T, path string, n int, seed int64, mtime time.Time) {
+	t.Helper()
+	g, _, err := sbgp.TopologySpec{N: n, Seed: seed}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := asgraph.WriteTo(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRewrittenGraphFileIsReread: a file topology is cached under (path,
+// size, mod-time), so a graph file rewritten between two submits is read
+// again and the second job answers on the new graph — byte-identical to
+// a one-shot run of the same spec, as for every job.
+func TestRewrittenGraphFileIsReread(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	path := filepath.Join(t.TempDir(), "topology.graph")
+	spec := &sbgp.JobSpec{
+		Topology:    sbgp.TopologySpec{GraphFile: path},
+		Deployments: []sbgp.JobDeployment{{Named: "t1t2"}},
+		Pairs:       sbgp.PairSpec{MaxM: 4, MaxD: 4},
+		Workers:     1,
+	}
+	run := func() []byte {
+		t.Helper()
+		j, err := s.Submit(spec, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, s, j.ID, func(j *Job) bool { return j.State == StateDone })
+		got, err := os.ReadFile(s.ResultPath(j.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	stamp := time.Now().Add(-time.Hour)
+	writeGraphFile(t, path, 200, 1, stamp)
+	first := oneShotBytes(t, spec)
+	if got := run(); !bytes.Equal(got, first) {
+		t.Fatal("first job differs from the one-shot evaluation of the graph file")
+	}
+	if got := run(); !bytes.Equal(got, first) {
+		t.Fatal("second job on the untouched file differs from the first")
+	}
+	if n := s.Stats().Topologies; n != 1 {
+		t.Fatalf("%d warm topologies after two jobs on one untouched file, want 1", n)
+	}
+
+	writeGraphFile(t, path, 200, 2, stamp.Add(time.Minute))
+	second := oneShotBytes(t, spec)
+	if bytes.Equal(first, second) {
+		t.Fatal("the rewritten graph evaluates to the old bytes: the rewrite is not exercised")
+	}
+	if got := run(); !bytes.Equal(got, second) {
+		t.Fatal("job after the rewrite answered on the stale graph")
+	}
+
+	// The stale entry is an ordinary cache entry — unpinned, oldest — and
+	// ages out once maxTopologies newer ones have passed through.
+	current, err := topologySource(spec.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= maxTopologies-1; seed++ {
+		if _, _, err := s.topology(sbgp.TopologySpec{N: 50, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, kept := s.Stats().Topologies, cached(s, current); n != maxTopologies || !kept {
+		t.Fatalf("cache holds %d topologies (current file kept=%v), want %d with the stale file entry evicted first", n, kept, maxTopologies)
 	}
 }
 
@@ -451,6 +562,15 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp, _ := post("/jobs", `{"spec": {"version": 1, "models": [9]}}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec: %d", resp.StatusCode)
 	}
+	if resp, data := post("/jobs", `{"spec": {"version": 1, "topology": {"n": 300, "seed": 7}, "pairs": {}}} garbage`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "trailing data") {
+		t.Fatalf("trailing data after the submit body: %d %s, want 400 naming it", resp.StatusCode, data)
+	}
+	if resp, data := post("/jobs", `{"spec": {"version": 1, "topology": {"n": 300, "seed": 7}, "pairs": {}, "workers": 100000}}`); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "workers=100000 is outside [0, 1024]") {
+		t.Fatalf("unbounded workers: %d %s, want 400 naming the limit", resp.StatusCode, data)
+	}
+	if got := s.List(); len(got) != 0 {
+		t.Fatalf("rejected submits created %d jobs", len(got))
+	}
 	if resp, _ := get("/jobs/job-999999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", resp.StatusCode)
 	}
@@ -597,102 +717,56 @@ func TestHistorySurvivesRestart(t *testing.T) {
 	waitFor(t, s2, next.ID, terminal)
 }
 
-// TestCacheEviction pins the warm-cache LRU contract: both caches
-// evict least-recently-used entries down to their caps, and an entry
-// pinned by a running evaluation is never evicted even when the cache
-// is over cap.
+// cached reports whether the warm topology cache holds source.
+func cached(s *Server, source string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.ContainsFunc(s.topos, func(e topoEntry) bool { return e.source == source })
+}
+
+// TestCacheEviction pins the topology cache's LRU rule: past
+// maxTopologies the least recently used entry goes, a re-used entry
+// counts as recent, and the entry just handed out is never the victim.
 func TestCacheEviction(t *testing.T) {
-	s, err := OpenOptions(t.TempDir(), Options{MaxTopologies: 2, MaxEnginePools: 2})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	specFor := func(seed int64) *sbgp.JobSpec {
-		sp := smallSpec()
-		sp.Topology.Seed = seed
-		return sp
-	}
-	keyFor := func(seed int64) topoKey {
-		return topoKey{n: smallSpec().Topology.N, seed: seed}
-	}
-
-	// Pin topology 1, then churn 2, 3, 4 through the 2-entry cache.
-	entry1, key1, err := s.acquireTopology(specFor(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(2); seed <= 4; seed++ {
-		if _, _, err := s.acquireTopology(specFor(seed)); err != nil {
+	topo := func(seed int64) sbgp.TopologySpec { return sbgp.TopologySpec{N: 50, Seed: seed} }
+	use := func(seed int64) *sbgp.Graph {
+		t.Helper()
+		g, _, err := s.topology(topo(seed))
+		if err != nil {
 			t.Fatal(err)
 		}
-		s.releaseTopology(keyFor(seed))
+		return g
 	}
-	s.mu.Lock()
-	nTopos := len(s.topos)
-	pinned := s.topos[key1]
-	_, has3 := s.topos[keyFor(3)]
-	_, has4 := s.topos[keyFor(4)]
-	s.mu.Unlock()
-	if nTopos != 2 {
-		t.Fatalf("topology cache holds %d entries, cap 2", nTopos)
-	}
-	if pinned != entry1 {
-		t.Fatal("in-use topology was evicted under pressure")
-	}
-	if has3 || !has4 {
-		t.Fatalf("LRU order wrong: seed3=%v seed4=%v (want only the newest unpinned survivor)", has3, has4)
+	has := func(seed int64) bool {
+		key, err := topologySource(topo(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached(s, key)
 	}
 
-	// Over-cap while everything is pinned: nothing is evictable, the
-	// cache transiently exceeds its cap, and no pinned entry vanishes.
-	if _, _, err := s.acquireTopology(specFor(4)); err != nil {
-		t.Fatal(err)
+	first := use(1)
+	for seed := int64(2); seed <= maxTopologies; seed++ {
+		use(seed)
 	}
-	if _, _, err := s.acquireTopology(specFor(5)); err != nil {
-		t.Fatal(err)
+	if use(1) != first {
+		t.Fatal("a cached topology was rebuilt while the cache was within its cap")
 	}
-	s.mu.Lock()
-	nTopos = len(s.topos)
-	s.mu.Unlock()
-	if nTopos != 3 {
-		t.Fatalf("fully pinned cache: %d entries (want 3: all pinned, none evictable)", nTopos)
+	// The ninth topology evicts the oldest — seed 2, since 1 was just
+	// used again.
+	use(maxTopologies + 1)
+	if n := s.Stats().Topologies; n != maxTopologies {
+		t.Fatalf("topology cache holds %d entries, cap %d", n, maxTopologies)
 	}
-	// Releasing shrinks back to cap.
-	s.releaseTopology(key1)
-	s.releaseTopology(keyFor(4))
-	s.releaseTopology(keyFor(5))
-	s.mu.Lock()
-	nTopos = len(s.topos)
-	_, has1 := s.topos[key1]
-	s.mu.Unlock()
-	if nTopos != 2 || has1 {
-		t.Fatalf("after releases: %d entries, seed1 present=%v (want 2 newest)", nTopos, has1)
-	}
-
-	// Engine pools follow the same discipline.
-	pk := func(lpk int) poolKey { return poolKey{n: smallSpec().Topology.N, lpk: lpk} }
-	pinnedPool := s.acquirePool(pk(0))
-	for i := 2; i <= 4; i++ {
-		s.acquirePool(pk(i))
-		s.releasePool(pk(i))
-	}
-	s.mu.Lock()
-	nPools := len(s.pools)
-	pe := s.pools[pk(0)]
-	s.mu.Unlock()
-	if nPools != 2 {
-		t.Fatalf("pool cache holds %d entries, cap 2", nPools)
-	}
-	if pe == nil || pe.pool != pinnedPool {
-		t.Fatal("in-use engine pool was evicted under pressure")
-	}
-	s.releasePool(pk(0))
-	s.mu.Lock()
-	nPools = len(s.pools)
-	s.mu.Unlock()
-	if nPools != 2 {
-		t.Fatalf("pool cache holds %d entries after release, cap 2", nPools)
+	if has(2) || !has(1) || !has(3) || !has(maxTopologies+1) {
+		t.Fatalf("LRU order wrong: seed1=%v seed2=%v seed3=%v newest=%v (want only seed 2 gone)",
+			has(1), has(2), has(3), has(maxTopologies+1))
 	}
 }
 

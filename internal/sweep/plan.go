@@ -263,9 +263,9 @@ func (r *shardRun) foldSlice(s, cells, size, tasks int, slice *shardAcc) *shardA
 type RunOptions struct {
 	// Pool, when non-nil, draws per-worker engine state from an
 	// EnginePool instead of constructing it fresh — the warm-engine hook
-	// of a resident service or a worker evaluating many leases of one
-	// job. The pool must belong to the plan's (n, LP) pair; see
-	// EnginePool. Results are identical with or without a pool.
+	// of a resident service or a worker evaluating many leases. Any pool
+	// serves any plan (pooled engines follow the job; see EnginePool),
+	// and results are identical with or without one.
 	Pool *EnginePool
 	// Stats, when non-nil, accumulates dispatch and handoff counters.
 	Stats *ShardStats

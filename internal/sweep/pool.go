@@ -3,19 +3,16 @@ package sweep
 import "sync"
 
 // EnginePool recycles the per-worker engine state of grid evaluation
-// across evaluations, so a resident service re-running grids on
-// topologies of one size (cmd/sbgpd) skips engine construction —
-// stage-plan compilation plus the per-AS state slabs — on every job
-// instead of paying it per evaluation. It recycles the sharded loop's
-// dispatch scratch (shardRun) the same way.
+// across evaluations, so a resident service (cmd/sbgpd, a dist worker)
+// skips engine construction — stage-plan compilation plus the per-AS
+// state slabs — on every job instead of paying it per evaluation. It
+// recycles the sharded loop's dispatch scratch (shardRun) the same way.
 //
-// A pool is valid for one (n, local-preference) pair: each worker state
-// holds one engine, built for an LP variant and sized to the graph's AS
-// count, and it follows the evaluation — a pooled engine last used on
-// another graph of the same size, or under another security model, is
-// rebound (core.Engine.Rebind, SetModel) instead of rebuilt. So callers
-// key pools by (n, LP) — the service does exactly that — and an
-// engine handed a graph of a different size panics. Results are
+// A pool is valid for every evaluation: each worker state holds one
+// engine and it follows the job — rebound to another graph of the same
+// size and switched between security models in place, rebuilt when the
+// AS count or the LP variant changes (workerState.engine) — so one pool
+// serves any mix of jobs with one engine per worker. Results are
 // unaffected by pooling: engines fully reset per run, so a pooled
 // evaluation is byte-identical to a fresh one.
 //
@@ -23,9 +20,9 @@ import "sync"
 // returns every outstanding loan to the free list, and must only be
 // called after the evaluation using the pool has returned (worker
 // goroutines hold their state until then). A pool may be shared by
-// concurrent evaluations of one (n, LP) — each worker gets a distinct
-// state — but Release then returns the union of their loans, so
-// serialize Release with evaluation completion.
+// concurrent evaluations — each worker gets a distinct state — but
+// Release then returns the union of their loans, so serialize Release
+// with evaluation completion.
 type EnginePool struct {
 	mu     sync.Mutex
 	free   []*workerState
@@ -33,7 +30,7 @@ type EnginePool struct {
 	runs   []*shardRun // idle RunShards scratch
 }
 
-// NewEnginePool returns an empty pool.
+// NewEnginePool returns an empty pool; so is the zero EnginePool.
 func NewEnginePool() *EnginePool { return &EnginePool{} }
 
 func (p *EnginePool) get() *workerState {
@@ -51,11 +48,17 @@ func (p *EnginePool) get() *workerState {
 }
 
 // Release returns every state handed out since the last Release to the
-// free list. Call it once the evaluation that used the pool has
-// returned.
+// free list, its engine let go of the graph (an idle pool keeps engines
+// warm, not its last job's topology alive). Call it once the evaluation
+// that used the pool has returned.
 func (p *EnginePool) Release() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for _, ws := range p.loaned {
+		if ws.eng != nil {
+			ws.eng.Rebind(nil)
+		}
+	}
 	p.free = append(p.free, p.loaned...)
 	// Keep the loan ledger's capacity: a resident service calls
 	// get/Release once per job, and re-growing the slice every cycle

@@ -248,6 +248,8 @@ func (gr *Grid) attackName() string {
 // engine and scratch alike.
 type workerState struct {
 	eng *core.Engine
+	n   int              // the AS count eng's slabs are sized for
+	lp  policy.LocalPref // the variant eng's stage plans were compiled for
 
 	// acc is the per-shard task accumulator evaluateRange adds into
 	// (epoch-stamped, so a new shard needs no O(tasks) clear).
@@ -267,15 +269,16 @@ type workerState struct {
 	cells, runs int
 }
 
+// engine returns the state's engine pointed at g under (model, lp). Slabs
+// are sized by the AS count and stage plans compiled per LP variant, so a
+// pooled engine built for another size or variant is replaced; for another
+// graph of the same size, or another model, it is rebound (Rebind, SetModel).
 func (ws *workerState) engine(g *asgraph.Graph, model policy.Model, lp policy.LocalPref) *core.Engine {
 	e := ws.eng
-	if e == nil {
+	if e == nil || ws.n != g.N() || ws.lp != lp {
 		e = core.NewEngineLP(g, model, lp)
-		ws.eng = e
-		return e
-	}
-	if e.Graph() != g {
-		// A pooled engine follows the evaluation's graph (EnginePool).
+		ws.eng, ws.n, ws.lp = e, g.N(), lp
+	} else if e.Graph() != g {
 		e.Rebind(g)
 	}
 	// Model switches fall between group runs, which start from scratch:

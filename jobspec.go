@@ -193,7 +193,7 @@ func (s *JobSpec) Validate() error {
 		}
 		seenModel[m] = true
 	}
-	if err := checkLPK(s.LPK); err != nil {
+	if err := checkLimits(s.LPK, s.Workers); err != nil {
 		return err
 	}
 	seen := map[string]bool{"baseline": true}
@@ -238,17 +238,22 @@ func (s *JobSpec) Validate() error {
 	if s.Resume && s.Checkpoint == "" {
 		return fmt.Errorf("sbgp: resume needs a checkpoint file")
 	}
-	if s.Workers < 0 {
-		return fmt.Errorf("sbgp: workers=%d is negative", s.Workers)
-	}
 	return nil
 }
 
-// checkLPK bounds the LPk depth: Validate's rule for specs, Simulate's
-// for scenarios built from options.
-func checkLPK(k int) error {
-	if k < 0 || k > policy.MaxLPK {
-		return fmt.Errorf("sbgp: lpk=%d is outside [0, %d]", k, policy.MaxLPK)
+// maxWorkers bounds the evaluation worker count: every worker holds an
+// engine (263 KB at 4000 ASes) and strips shrink to one cell, so an
+// unbounded count is an engine per cell — which a pooled daemon keeps.
+const maxWorkers = 1024
+
+// checkLimits bounds the LPk depth and the worker count: Validate's rule
+// for specs, Simulate's for scenarios built from options.
+func checkLimits(lpk, workers int) error {
+	if lpk < 0 || lpk > policy.MaxLPK {
+		return fmt.Errorf("sbgp: lpk=%d is outside [0, %d]", lpk, policy.MaxLPK)
+	}
+	if workers < 0 || workers > maxWorkers {
+		return fmt.Errorf("sbgp: workers=%d is outside [0, %d]", workers, maxWorkers)
 	}
 	return nil
 }

@@ -76,6 +76,8 @@ func TestJobSpecStrictDecode(t *testing.T) {
 		{"oversized lpk", `{"version":1,"topology":{"n":100,"seed":1},"lpk":50000000,"pairs":{}}`, "lpk=50000000 is outside [0, 64]"},
 		{"lpk past the bound", `{"version":1,"topology":{"n":100,"seed":1},"lpk":65,"pairs":{}}`, "outside [0, 64]"},
 		{"negative lpk", `{"version":1,"topology":{"n":100,"seed":1},"lpk":-1,"pairs":{}}`, "outside [0, 64]"},
+		{"oversized workers", `{"version":1,"topology":{"n":100,"seed":1},"pairs":{},"workers":1025}`, "workers=1025 is outside [0, 1024]"},
+		{"negative workers", `{"version":1,"topology":{"n":100,"seed":1},"pairs":{},"workers":-1}`, "outside [0, 1024]"},
 		{"both sources", `{"version":1,"topology":{"n":100,"seed":1,"graph_file":"g"},"pairs":{}}`, "both"},
 		{"full with caps", `{"version":1,"topology":{"seed":1},"pairs":{"full":true,"max_m":3}}`, "max_m"},
 		{"bad model", `{"version":1,"topology":{"seed":1},"models":[4],"pairs":{}}`, "model 4"},

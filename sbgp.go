@@ -168,10 +168,10 @@ type ShardStats = sweep.ShardStats
 // partial sink, optional stats, and an EnginePool.
 type ShardRangeOptions = sweep.RangeOptions
 
-// EnginePool recycles per-worker engine state across grid evaluations
-// sharing one (topology size, local-preference) pair — engines follow
-// the evaluation's graph — the warm-engine cache behind the resident
-// daemon. Results are byte-identical with or without pooling.
+// EnginePool recycles per-worker engine state across grid evaluations —
+// any of them: pooled engines follow each job's graph, size, model and
+// local-preference variant — the warm engines behind the daemon and a
+// dist worker. Results are byte-identical with or without pooling.
 type EnginePool = sweep.EnginePool
 
 // NewEnginePool returns an empty engine pool.

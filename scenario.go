@@ -326,7 +326,7 @@ func (sc *Scenario) Simulate() (*Simulation, error) {
 	if err := sc.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := checkLPK(sc.spec.LPK); err != nil {
+	if err := checkLimits(sc.spec.LPK, sc.spec.Workers); err != nil {
 		return nil, err
 	}
 	sim := &Simulation{sc: *sc}

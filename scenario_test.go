@@ -120,6 +120,14 @@ func TestScenarioConfigErrors(t *testing.T) {
 	).Simulate(); err == nil || !strings.Contains(err.Error(), "outside [0, 64]") {
 		t.Errorf("LP200000 scenario: %v, want an error naming the lpk bound", err)
 	}
+	// Likewise an unbounded worker count: one engine per worker, and
+	// strips shrink to a cell each.
+	if _, err := sbgp.NewScenario(
+		sbgp.WithGeneratedTopology(100, 1),
+		sbgp.WithWorkers(100000),
+	).Simulate(); err == nil || !strings.Contains(err.Error(), "workers=100000 is outside [0, 1024]") {
+		t.Errorf("100000-worker scenario: %v, want an error naming the workers bound", err)
+	}
 }
 
 // TestScenarioCancellation: the scenario context gates Simulate, single

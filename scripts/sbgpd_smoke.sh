@@ -56,6 +56,14 @@ curl -sS "http://$addr/jobs/$id/result" >"$workdir/result.json"
 grep -q '"graph_n"' "$workdir/result.json" || {
     echo "result grid looks wrong:"; head -c 400 "$workdir/result.json"; exit 1; }
 
+# The job left one warm topology, and its engines in the daemon's one
+# pool (so /status has no pool count to report).
+curl -sS "http://$addr/status" >"$workdir/status.json"
+grep -q '"topologies": 1,' "$workdir/status.json" &&
+    grep -q '"warm_engines": [1-9]' "$workdir/status.json" &&
+    ! grep -q 'engine_pools' "$workdir/status.json" || {
+    echo "status after one job looks wrong:"; cat "$workdir/status.json"; exit 1; }
+
 # A second job, far too large to finish here, keeps an events stream
 # open: SIGTERM must still end the daemon at once (it interrupts the job
 # and leaves it resumable), not after the HTTP grace period.

@@ -293,8 +293,8 @@ type JobEvalOptions struct {
 	// scheduled — chain heads, delta edges, predicted volume — and how
 	// the shards and cross-shard handoffs played out.
 	Stats *ShardStats
-	// Pool recycles per-worker engine state across evaluations sharing
-	// this simulation's (topology size, local-preference) pair.
+	// Pool recycles per-worker engine state across evaluations; any
+	// pool serves any simulation (see EnginePool).
 	Pool *EnginePool
 }
 
