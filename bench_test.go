@@ -10,6 +10,7 @@
 package sbgp_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -635,37 +636,45 @@ func BenchmarkPoolAcrossSizes(b *testing.B) {
 	}
 }
 
-// BenchmarkSecurityFreeCollapse zooms into the headline job's walk
-// (ladder rung sweep.walk_us_per_cell) on either side of the
-// security-free collapse, at the default shard size and every core.
-// "strided" is the headline grid itself — baseline plus the four named
-// deployments × three models × the job's own 6×6 strided pairs, whose
-// destinations are mostly stubs outside the early rollouts — where a
-// large share of the cells are security-free and one engine run per
-// (attacker, destination) pair serves them all. "bypass" is the case the
-// collapse must leave alone: the four named deployments without the
-// baseline row (a baseline cell is always security-free) and six
-// destinations drawn inside Tier 2, which every one of the four —
-// nonstubs included — secures, so no cell is free, no memo slot is ever
-// written, and the run time should equal the parent commit's.
-func BenchmarkSecurityFreeCollapse(b *testing.B) {
+// headlineGrid is the headline job as a bare grid on a 4000-AS graph:
+// the baseline plus the four named deployments × three models × the
+// job's own 6×6 strided pairs, with the simulation that resolved them.
+func headlineGrid() (*asgraph.Graph, sweep.Grid, *sbgp.Simulation) {
 	g, meta := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
-	names := []string{"t1t2", "t1t2cp", "t2", "nonstubs"}
 	deployments := []sweep.Deployment{{Name: "baseline"}}
-	for _, name := range names {
+	for _, name := range []string{"t1t2", "t1t2cp", "t2", "nonstubs"} {
 		sim := benchSimulate(sbgp.WithGraph(g, meta), sbgp.WithNamedDeployment(name))
 		deployments = append(deployments, sweep.Deployment{Name: name, Dep: sim.Deployment()})
 	}
 	sim := benchSimulate(sbgp.WithGraph(g, meta), sbgp.WithPairSampling(6, 6))
 	M, D := sim.JobPairs()
-	_, tier2 := runner.SamplePairs(M, sim.Tiers().Members[asgraph.TierT2], 0, 6)
+	return g, sweep.Grid{Deployments: deployments, Attackers: M, Destinations: D}, sim
+}
+
+// BenchmarkSecurityFreeCollapse zooms into the headline job's walk
+// (ladder rung sweep.walk_us_per_cell) on either side of the
+// security-free collapse, at the default shard size and every core.
+// "strided" is the headline grid itself, whose destinations are mostly
+// stubs outside the early rollouts, so a large share of the cells are
+// security-free and one engine run per (attacker, destination) pair
+// serves them all. "bypass" is the case the collapse must leave alone:
+// the four named deployments without the baseline row (a baseline cell
+// is always security-free) and six destinations drawn inside Tier 2,
+// which every one of the four — nonstubs included — secures, so no cell
+// is free, no memo slot is ever written, and the run time should equal
+// the parent commit's. Each evaluation is of a freshly prepared plan
+// (untimed), as a job's is: the memo is the plan's, and a re-evaluated
+// plan would serve every free cell from the first evaluation's entries.
+func BenchmarkSecurityFreeCollapse(b *testing.B) {
+	g, strided, sim := headlineGrid()
+	_, tier2 := runner.SamplePairs(strided.Attackers, sim.Tiers().Members[asgraph.TierT2], 0, 6)
 	for _, arm := range []struct {
 		name string
 		grid sweep.Grid
 		free bool
 	}{
-		{"strided", sweep.Grid{Deployments: deployments, Attackers: M, Destinations: D}, true},
-		{"bypass", sweep.Grid{Deployments: deployments[1:], Attackers: M, Destinations: tier2}, false},
+		{"strided", strided, true},
+		{"bypass", sweep.Grid{Deployments: strided.Deployments[1:], Attackers: strided.Attackers, Destinations: tier2}, false},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			free := 0
@@ -680,17 +689,121 @@ func BenchmarkSecurityFreeCollapse(b *testing.B) {
 			if (free > 0) != arm.free {
 				b.Fatalf("%d (deployment, destination) combinations are security-free, want some = %v", free, arm.free)
 			}
-			pl, err := arm.grid.Prepare(g)
-			if err != nil {
-				b.Fatal(err)
-			}
 			evaluate := func() {
+				b.StopTimer()
+				pl, err := arm.grid.Prepare(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				if _, err := pl.Evaluate(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
 			// An idle core delivers nothing for most of its first second
 			// on small VMs (see BenchmarkEvaluateJobWorkers).
+			for start := time.Now(); time.Since(start) < time.Second; {
+				evaluate()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				evaluate()
+			}
+		})
+	}
+}
+
+// BenchmarkLeaseRanges zooms into the dist-2w job's worker side (ladder
+// rung dist.worker_eval): the headline grid at shard size 16 and one
+// worker, evaluated through EvaluateShardRange as one range
+// ("one-range"), as the unit-aligned four-shard leases a dist-2w
+// coordinator grants served from one plan ("leases-one-plan", a lone
+// worker), and as the same leases alternating between two plans
+// ("leases-two-plans", two workers, each with its own plan and pool and
+// together doing one job's work). Every lease releases its pool, as a dist
+// worker's does. The baseline memo is the plan's, so one plan serving
+// every lease should cost what one range does; two plans pay each
+// security-free pair's baseline once more. The plans are prepared fresh
+// for every job, untimed; every job's partials are merged and checked
+// against one range's bytes, timed, at the same small cost in each arm.
+func BenchmarkLeaseRanges(b *testing.B) {
+	g, grid, _ := headlineGrid()
+	grid.Workers = 1
+	prepare := func() *sweep.Plan {
+		pl, err := grid.Prepare(g)
+		if err != nil {
+			panic(err)
+		}
+		return pl
+	}
+	ref := prepare()
+	l := ref.Layout(16)
+	// The coordinator's cut: whole units, up to four shards a lease.
+	units := ref.Units(l)
+	var leases []sweep.ShardRange
+	for i := 0; i < len(units); {
+		r := units[i]
+		for i++; i < len(units) && units[i].End-r.Start <= 4; i++ {
+			r.End = units[i].End
+		}
+		leases = append(leases, r)
+	}
+	pools := []*sweep.EnginePool{sweep.NewEnginePool(), sweep.NewEnginePool()}
+	// job evaluates the ranges in order, range i on plan i mod the plan
+	// count, and returns the job's bytes.
+	job := func(plans []*sweep.Plan, ranges []sweep.ShardRange) ([]byte, error) {
+		var partials []*sweep.ShardPartial
+		for i, r := range ranges {
+			k := i % len(plans)
+			err := plans[k].EvaluateShardRange(context.Background(), l, r, sweep.RangeOptions{
+				Pool: pools[k],
+				Sink: func(p *sweep.ShardPartial) error { partials = append(partials, p); return nil },
+			})
+			pools[k].Release()
+			if err != nil {
+				return nil, err
+			}
+		}
+		res, err := ref.Merge(l, partials)
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = res.WriteJSON(&buf)
+		return buf.Bytes(), err
+	}
+	whole := []sweep.ShardRange{{End: l.Shards}}
+	want, err := job([]*sweep.Plan{prepare()}, whole)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range []struct {
+		name   string
+		plans  int
+		ranges []sweep.ShardRange
+	}{
+		{"one-range", 1, whole},
+		{"leases-one-plan", 1, leases},
+		{"leases-two-plans", 2, leases},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			plans := make([]*sweep.Plan, arm.plans)
+			evaluate := func() {
+				b.StopTimer()
+				for k := range plans {
+					plans[k] = prepare()
+				}
+				b.StartTimer()
+				got, err := job(plans, arm.ranges)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					b.Fatalf("%s merges to other bytes than one range", arm.name)
+				}
+			}
+			// Warm the pools' engines and the core for a second first (see
+			// BenchmarkEvaluateJobWorkers).
 			for start := time.Now(); time.Since(start) < time.Second; {
 				evaluate()
 			}
@@ -768,18 +881,22 @@ func BenchmarkIdentityOrderWalk(b *testing.B) {
 		})
 	}
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 16, 12)
-	pl, err := (&sweep.Grid{
+	grid := &sweep.Grid{
 		Deployments:  deployments,
 		Attackers:    M,
 		Destinations: D,
 		Incremental:  sweep.IncrementalOff,
 		Workers:      1,
-	}).Prepare(g)
-	if err != nil {
-		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// A fresh plan (untimed) is a fresh baseline memo, as in a job.
+		b.StopTimer()
+		pl, err := grid.Prepare(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		res, err := pl.Evaluate(context.Background())
 		if err != nil {
 			b.Fatal(err)

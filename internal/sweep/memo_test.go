@@ -3,20 +3,27 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/deploy"
 	"sbgp/internal/runner"
 	"sbgp/internal/topogen"
 )
 
-// TestBaselineMemo pins the memo's word format and bound: an empty slot
-// is distinguishable from a stored (0, 0), 31-bit counts round-trip, a
-// pair beyond the bound is silently not memoized, and a recycled memo
-// comes back empty.
+// TestBaselineMemo pins the memo's per-plan contract: the word format
+// (an empty slot is distinguishable from a stored (0, 0), 31-bit counts
+// round-trip, a pair beyond the slice is silently not memoized); a plan
+// that is only prepared, laid out, cut into units and used to reduce —
+// everything a coordinator does with it — never allocates one; the
+// first RunShards allocates min(|M|·|D|, maxMemoPairs) slots; and later
+// runs keep the same memo, entries included.
 func TestBaselineMemo(t *testing.T) {
-	m := baselineMemo(nil).sized(4)
+	m := make(baselineMemo, 4)
 	if _, _, ok := m.load(1); ok {
 		t.Fatal("fresh memo reports a stored pair")
 	}
@@ -32,30 +39,71 @@ func TestBaselineMemo(t *testing.T) {
 			t.Errorf("load(%d) = (%d, %d, %v), want (%d, %d, %v)", c.pair, lo, hi, ok, c.lo, c.hi, c.ok)
 		}
 	}
-	r := m.sized(3)
-	if &r[0] != &m[0] || len(r) != 3 {
-		t.Error("sized did not reuse the backing array it was given")
+
+	ctx := context.Background()
+	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	all := runner.AllASes(g.N())
+	grid := func(pairs int) *Grid {
+		return &Grid{Attackers: all[:pairs], Destinations: all[:pairs], Workers: 1}
 	}
-	for i := range r {
-		if _, _, ok := r.load(i); ok {
-			t.Errorf("recycled memo still holds pair %d", i)
-		}
+	// The coordinator's use of a plan: layout, units, and the reduction
+	// of partials some other plan computed.
+	pl, worker := mustPrepare(grid(5), g), mustPrepare(grid(5), g)
+	l := pl.Layout(7)
+	var partials []*ShardPartial
+	err := worker.EvaluateShardRange(ctx, l, ShardRange{End: l.Shards}, RangeOptions{
+		Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(m.sized(maxMemoPairs + 5)); got != maxMemoPairs {
-		t.Errorf("memo for %d pairs has %d slots, want the bound %d", maxMemoPairs+5, got, maxMemoPairs)
+	pl.Units(l)
+	if _, err := pl.Merge(l, partials); err != nil {
+		t.Fatal(err)
+	}
+	if pl.memo != nil {
+		t.Fatalf("a plan that was never evaluated holds a %d-slot memo", len(pl.memo))
+	}
+	if len(worker.memo) != 25 {
+		t.Fatalf("a 5×5 plan's memo has %d slots after an evaluation, want 25", len(worker.memo))
+	}
+
+	// A RunShards over no shards allocates the memo and runs nothing.
+	if err := pl.RunShards(ctx, l, nil, RunOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(pl.memo) != 25 {
+		t.Fatalf("memo has %d slots, want 25", len(pl.memo))
+	}
+	first := &pl.memo[0]
+	pl.memo.store(3, 7, 8)
+	if err := pl.RunShards(ctx, l, []ShardRange{{Start: 0, End: 1}}, RunOptions{}, func(*ShardPartial) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi, ok := pl.memo.load(3); &pl.memo[0] != first || lo != 7 || hi != 8 || !ok {
+		t.Error("a second RunShards replaced or cleared the plan's memo")
+	}
+
+	big := mustPrepare(grid(300), g) // 90 000 pairs
+	if err := big.RunShards(ctx, big.Layout(0), nil, RunOptions{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(big.memo); got != maxMemoPairs {
+		t.Errorf("memo for 90000 pairs has %d slots, want the bound %d", got, maxMemoPairs)
 	}
 }
 
 // TestBaselineMemoSharedByWorkers hammers one memo from eight
-// goroutines — bare loads and stores first, then a whole evaluation
-// whose every (attacker, destination) pair is reached by several workers
-// at once — and is meaningful under -race: the memo is the one piece of
-// evaluation state workers share without the commit mutex. Writers of a
-// slot all store the same value, so the result must equal the
-// one-worker bytes and the collapse must still fire.
+// goroutines — bare loads and stores first, then whole evaluations of one
+// fresh plan started together, so the memo's allocation itself is raced
+// for, and whose every (attacker, destination) pair is reached by
+// several workers at once — and is meaningful under -race: the memo is
+// the one piece of evaluation state workers share without the commit
+// mutex. Writers of a slot all store the same value, so every result
+// must equal the one-worker bytes and the collapse must still fire.
 func TestBaselineMemoSharedByWorkers(t *testing.T) {
 	const workers, pairs = 8, 16
-	m := baselineMemo(nil).sized(pairs)
+	m := make(baselineMemo, pairs)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -83,12 +131,229 @@ func TestBaselineMemoSharedByWorkers(t *testing.T) {
 	}
 	want := resultJSON(t, mustEvaluate(grid(1), g), nil)
 	for rep := 0; rep < 4; rep++ {
-		res, walk, err := evaluateCounted(context.Background(), grid(workers), g, ShardOptions{ShardSize: 5})
+		pl := mustPrepare(grid(workers), g)
+		start := make(chan struct{})
+		results := make([]*Result, 3)
+		errs := make([]error, len(results))
+		walks := make([]walkCount, len(results))
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pool := NewEnginePool()
+				<-start
+				results[i], errs[i] = pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Pool: pool})
+				walks[i] = walkOf(pool)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		runs, cells := 0, 0
+		for i, res := range results {
+			if got := resultJSON(t, res, errs[i]); !bytes.Equal(got, want) {
+				t.Fatalf("rep %d evaluation %d: %d workers sharing one memo diverge from one worker", rep, i, workers)
+			}
+			runs, cells = runs+walks[i].runs, cells+walks[i].cells
+		}
+		if runs >= cells {
+			t.Fatalf("rep %d: %d engine runs for %d cells: the memo never served a cell", rep, runs, cells)
+		}
+	}
+}
+
+// headlineShapedGrid is the benchmark's headline job in miniature: the
+// baseline plus four deployments named after the standard four — the
+// Tier 1+2 rollout, it plus the content providers, Tier 2 alone (a
+// removal from either), every non-stub — over the job's 6×6 strided
+// pairs, at one worker.
+func headlineShapedGrid(g *asgraph.Graph, meta *topogen.Meta) *Grid {
+	tiers := asgraph.Classify(g, meta.CPs, nil)
+	deployments := []Deployment{{Name: "baseline"}}
+	for _, d := range []struct {
+		name string
+		spec deploy.Spec
+	}{
+		{"t1t2", deploy.Spec{NumTier1: 13, NumTier2: 12, IncludeStubs: true}},
+		{"t1t2cp", deploy.Spec{NumTier1: 13, NumTier2: 12, CPs: meta.CPs, IncludeStubs: true}},
+		{"t2", deploy.Spec{NumTier2: 12, IncludeStubs: true}},
+		{"nonstubs", deploy.Spec{AllNonStubs: true}},
+	} {
+		deployments = append(deployments, Deployment{Name: d.name, Dep: deploy.Build(g, tiers, d.spec)})
+	}
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 6, 6)
+	return &Grid{Deployments: deployments, Attackers: M, Destinations: D, Workers: 1}
+}
+
+// leaseRanges groups units into the ranges a coordinator leasing about
+// target shards at a time grants: whole units, cut at the last unit
+// boundary within target shards of the range's start.
+func leaseRanges(units []ShardRange, target int) []ShardRange {
+	var leases []ShardRange
+	for i := 0; i < len(units); {
+		r := units[i]
+		for i++; i < len(units) && units[i].End-r.Start <= target; i++ {
+			r.End = units[i].End
+		}
+		leases = append(leases, r)
+	}
+	return leases
+}
+
+// TestLeaseRangesShareThePlanMemo is a dist worker's job in miniature: a
+// headline-shaped grid at shard size 16, evaluated as one range and as
+// unit-aligned four-shard leases (eleven, as on dist-2w) through
+// EvaluateShardRange. The baseline memo belongs to the plan, so a worker
+// that serves every lease from one plan makes exactly the engine calls
+// one range makes. Two workers with a plan each, alternating leases,
+// miss each pair's memo slot at most once more — on the second plan's
+// first head of the pair, which then also runs the free steps behind it
+// that a served head defers; this schedule leads with the baseline as a
+// chain of its own, and the total stays within one call per free pair.
+// A memo per RunShards call (before PR 25) re-runs the baselines of
+// every lease: 476 engine calls against one range's 365 here. All three
+// arms merge to the same bytes.
+func TestLeaseRangesShareThePlanMemo(t *testing.T) {
+	ctx := context.Background()
+	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	grid := headlineShapedGrid(g, meta)
+	const size = 16
+	one := mustPrepare(grid, g)
+	l := one.Layout(size)
+	removal := false
+	for _, ch := range one.sched.plan.chains {
+		for _, st := range ch {
+			removal = removal || len(st.removed) > 0
+		}
+	}
+	if !removal {
+		t.Fatal("no schedule step removes an adopter: the fixture is not headline-shaped")
+	}
+	leases := leaseRanges(one.Units(l), 4)
+	if len(leases) < 6 {
+		t.Fatalf("%d leases: too few to alternate", len(leases))
+	}
+
+	// evaluate runs the ranges in order, range i on plans[i%len(plans)],
+	// each plan with a pool of its own released after every range as a
+	// dist worker releases its pool after every lease; it returns the
+	// merged bytes and the walk counters of all pools together.
+	evaluate := func(plans []*Plan, ranges []ShardRange) ([]byte, walkCount) {
+		pools := make([]*EnginePool, len(plans))
+		for i := range pools {
+			pools[i] = NewEnginePool()
+		}
+		var partials []*ShardPartial
+		for i, r := range ranges {
+			k := i % len(plans)
+			err := plans[k].EvaluateShardRange(ctx, l, r, RangeOptions{
+				Pool: pools[k],
+				Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
+			})
+			pools[k].Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := one.Merge(l, partials)
+		var w walkCount
+		for _, pool := range pools {
+			pw := walkOf(pool)
+			w.cells, w.runs = w.cells+pw.cells, w.runs+pw.runs
+		}
+		return resultJSON(t, res, err), w
+	}
+	want, ref := evaluate([]*Plan{one}, []ShardRange{{End: l.Shards}})
+	if ref.runs >= ref.cells {
+		t.Fatalf("one range made %d engine runs for %d cells: the collapse did not fire", ref.runs, ref.cells)
+	}
+	valid := 0
+	for _, m := range grid.Attackers {
+		for _, d := range grid.Destinations {
+			if m != d {
+				valid++ // the baseline cell of every valid pair is security-free
+			}
+		}
+	}
+
+	for _, arm := range []struct {
+		name  string
+		plans []*Plan
+	}{
+		{"leases-one-plan", []*Plan{mustPrepare(grid, g)}},
+		{"leases-two-plans", []*Plan{mustPrepare(grid, g), mustPrepare(grid, g)}},
+	} {
+		got, w := evaluate(arm.plans, leases)
+		t.Logf("%s: %d leases, %d engine runs for %d cells (one range: %d runs)", arm.name, len(leases), w.runs, w.cells, ref.runs)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: merged bytes diverge from the one-range evaluation", arm.name)
+		}
+		if w.cells != ref.cells {
+			t.Errorf("%s: walked %d cells, one range walks %d", arm.name, w.cells, ref.cells)
+		}
+		if bound := ref.runs + (len(arm.plans)-1)*valid; w.runs > bound || len(arm.plans) == 1 && w.runs != bound {
+			t.Errorf("%s: %d engine runs; want one range's %d exactly on one plan, plus at most one per free pair (%d) on two",
+				arm.name, w.runs, ref.runs, valid)
+		}
+	}
+}
+
+// TestResumeSharesThePlanMemo: a run cancelled from its sink leaves the
+// plan's memo holding only entries of complete runs, so the remainder,
+// resumed on the same plan from the run's checkpoint, lands on the golden
+// bytes and needs fewer engine runs than the same remainder on a freshly
+// prepared plan.
+func TestResumeSharesThePlanMemo(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_nested.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
+	const size, cancelAfter = 7, 60
+	pl := mustPrepare(nestedGrid(g, 1, IncrementalAuto), g)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "same.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	completed := 0
+	_, err = pl.EvaluateSharded(ctx, ShardOptions{
+		ShardSize:  size,
+		Checkpoint: ckpt,
+		Sink: func(*ShardPartial) error {
+			if completed++; completed == cancelAfter {
+				cancel()
+			}
+			return nil
+		},
+	}, RunOptions{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+	// The fresh plan resumes from an identical copy of the checkpoint.
+	records, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(dir, "fresh.ckpt")
+	if err := os.WriteFile(fresh, records, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := func(pl *Plan, path string) walkCount {
+		pool := NewEnginePool()
+		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size, Checkpoint: path, Resume: true}, RunOptions{Pool: pool})
 		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-			t.Fatalf("rep %d: %d workers sharing one memo diverge from one worker", rep, workers)
+			t.Errorf("remainder resumed from %s diverges from the golden bytes", filepath.Base(path))
 		}
-		if walk.runs >= walk.cells {
-			t.Fatalf("rep %d: %d engine runs for %d cells: the memo never served a cell", rep, walk.runs, walk.cells)
-		}
+		return walkOf(pool)
+	}
+	same := resume(pl, ckpt)
+	other := resume(mustPrepare(nestedGrid(g, 1, IncrementalAuto), g), fresh)
+	t.Logf("remainder: %d cells; %d engine runs on the cancelled run's plan, %d on a fresh one", same.cells, same.runs, other.runs)
+	if same.cells != other.cells || same.cells == 0 {
+		t.Fatalf("the remainders walked %d and %d cells, want the same non-zero count", same.cells, other.cells)
+	}
+	if same.runs >= other.runs {
+		t.Errorf("the remainder on the cancelled run's plan made %d engine runs, a fresh plan %d: the memo did not survive the cancellation",
+			same.runs, other.runs)
 	}
 }

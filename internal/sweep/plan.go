@@ -22,15 +22,24 @@ import (
 
 // Plan is a grid prepared on one graph: the validated axes, the
 // scheduled cell order, and the fingerprint binding both, computed once
-// by Grid.Prepare and immutable from then on. Every entry point only
-// reads the Plan — per-run scratch lives in the EnginePool — so all of
-// them may run concurrently, and each Result is the caller's.
+// by Grid.Prepare and immutable from then on — except for its write-once
+// baseline memo, which every evaluation of the plan reads and fills.
+// Per-run scratch lives in the EnginePool, and a memo slot is a pure
+// function of the plan, so every entry point may run concurrently, and
+// each Result is the caller's.
 type Plan struct {
 	gr    Grid // private copy: the caller's Grid may change after Prepare
 	g     *asgraph.Graph
 	ax    *axes
 	sched *schedule
 	fp    string
+
+	// memo is allocated by the plan's first RunShards, not by Prepare, so
+	// a plan that is only cut into units and reduced (a coordinator's)
+	// never pays for it; from then on each lease, resume and concurrent
+	// evaluation of the plan shares it.
+	memoOnce sync.Once
+	memo     baselineMemo
 }
 
 // Prepare validates the grid and plans it on g. The plan is a
@@ -220,7 +229,6 @@ func (pl *Plan) strips(dst []strip, units []ShardRange, l *Layout, workers int) 
 type shardRun struct {
 	units  []ShardRange
 	strips []strip
-	memo   baselineMemo // shared lock-free by the run's workers
 
 	mu           sync.Mutex // the commit mutex; guards everything below
 	commitErr    error
@@ -312,7 +320,7 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 	defer pool.putRun(run)
 	run.units = pl.units(run.units[:0], shards, l.ShardSize)
 	run.strips = pl.strips(run.strips[:0], run.units, l, runner.Workers(pl.gr.Workers))
-	run.memo = run.memo.sized(pl.ax.nd * pl.ax.na)
+	pl.memoOnce.Do(func() { pl.memo = make(baselineMemo, min(pl.ax.nd*pl.ax.na, maxMemoPairs)) })
 
 	// abort lets a commit failure stop the remaining strips without
 	// waiting for the whole grid.
@@ -359,7 +367,7 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		start, end := max(st.start, shardStart), min(st.end, shardEnd)
 		acc := &ws.acc
 		acc.begin(pl.ax.tasks)
-		if !pl.evaluateRange(ctx, ws, run.memo, start, end) {
+		if !pl.evaluateRange(ctx, ws, start, end) {
 			break
 		}
 		whole := end-start == shardEnd-shardStart

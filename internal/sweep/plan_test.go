@@ -220,11 +220,14 @@ func TestCheckpointWriterResumeInterop(t *testing.T) {
 	}
 }
 
-// TestPlanConcurrentEvaluation: a Plan is immutable after Prepare, so one
-// Plan serves every entry point from several goroutines at once — two
-// plain Evaluates, a finely sharded evaluation on a caller pool, and a
-// range evaluation merged by hand — and all four land on the same bytes.
-// Run under -race this is the proof that no entry point writes the Plan.
+// TestPlanConcurrentEvaluation: a Plan is immutable after Prepare but for
+// its write-once baseline memo, so one Plan serves every entry point from
+// several goroutines at once — two plain Evaluates, a finely sharded
+// evaluation on a caller pool, and a range evaluation merged by hand,
+// released together on a fresh plan so the memo's allocation and first
+// fills are raced for — and all four land on the same bytes. Run under
+// -race this is the proof that the memo is the only thing an entry point
+// writes, and that it writes it safely.
 func TestPlanConcurrentEvaluation(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
@@ -249,10 +252,12 @@ func TestPlanConcurrentEvaluation(t *testing.T) {
 	}
 	got := make([][]byte, len(evals))
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	for i, eval := range evals {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			res, err := eval()
 			if err != nil {
 				t.Error(err)
@@ -265,6 +270,7 @@ func TestPlanConcurrentEvaluation(t *testing.T) {
 			got[i] = buf.Bytes()
 		}()
 	}
+	close(start)
 	wg.Wait()
 	for i := range got {
 		if len(got[i]) == 0 || !bytes.Equal(got[i], got[0]) {

@@ -26,7 +26,7 @@ package sweep
 //     worker count, shard size and schedule.
 //   - A security-free cell — origin-insecure destination, nothing secure
 //     anywhere — has its pair's baseline outcome under every deployment
-//     and model (core.Engine.SecurityFree), so a run memoizes one (lo,
+//     and model (core.Engine.SecurityFree), so a plan memoizes one (lo,
 //     hi) per (attacker, destination) pair and serves such chain heads
 //     from it instead of running them (DESIGN.md "Security-free cells").
 //   - Where a shard boundary does split a chain, the worker carries the
@@ -179,32 +179,20 @@ func (c *carry) offer(pos int, o *core.Outcome) {
 	c.pos, c.out = pos, o
 }
 
-// maxMemoPairs bounds a run's baseline memo: eight bytes a pair, so at
+// maxMemoPairs bounds a plan's baseline memo: eight bytes a pair, so at
 // most 512 KiB however large the |M|×|D| enumeration. Pairs beyond the
 // bound are simply not memoized and their security-free heads run.
 const maxMemoPairs = 1 << 16
 
-// baselineMemo is one run's table of security-free outcomes: slot
+// baselineMemo is one plan's table of security-free outcomes: slot
 // di·na+ai holds the happy bounds of the (attacker, destination) pair's
 // baseline run, which every security-free cell of the pair shares
-// whatever its deployment and model (core.Engine.SecurityFree). Workers
-// share it without a lock: a slot is one atomic word, zero while empty,
-// and every writer of a slot stores the same value.
+// whatever its deployment and model (core.Engine.SecurityFree) — a pure
+// function of the plan, so it outlives any one evaluation. Workers of
+// every evaluation share it without a lock: a slot is one atomic word,
+// zero while empty, written only after a complete run, and every writer
+// of a slot stores the same value.
 type baselineMemo []atomic.Uint64
-
-// sized returns the memo emptied and resized for a grid of the given
-// pair count, reusing the pooled backing array when it is large enough.
-func (m baselineMemo) sized(pairs int) baselineMemo {
-	pairs = min(pairs, maxMemoPairs)
-	if cap(m) < pairs {
-		return make(baselineMemo, pairs)
-	}
-	m = m[:pairs]
-	for i := range m {
-		m[i].Store(0)
-	}
-	return m
-}
 
 // load returns the pair's memoized bounds, if any.
 //
@@ -233,15 +221,15 @@ func (m baselineMemo) store(pair, lo, hi int) {
 // via RunDelta — replaying the step's removed-then-added signed delta in
 // one call, so forest walks that shrink a deployment ride the same path
 // as grow-only chains — and the worker's carry bridges runs cut by the
-// range boundary. A security-free chain head is served from memo when
-// another cell of its pair already ran, and stays deferred — no engine
-// run at all — until the chain's first step that is not. It reports
-// false if ctx was cancelled, in which case the accumulated partial must
-// be discarded.
+// range boundary. A security-free chain head is served from the plan's
+// memo when another cell of its pair already ran — in this evaluation or
+// an earlier one — and stays deferred — no engine run at all — until the
+// chain's first step that is not. It reports false if ctx was cancelled,
+// in which case the accumulated partial must be discarded.
 //
 //sbgp:hotpath
-func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, memo baselineMemo, start, end int) bool {
-	gr, g, s, ax, c := &pl.gr, pl.g, pl.sched, pl.ax, &ws.chainCarry
+func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end int) bool {
+	gr, g, s, ax, c, memo := &pl.gr, pl.g, pl.sched, pl.ax, &ws.chainCarry, pl.memo
 	// Decompose [start, end) into group runs. Groups are contiguous runs
 	// of one chain's positions for a fixed (model, destination,
 	// attacker); only the first group of the range can start mid-chain,
