@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -724,19 +725,22 @@ func BenchmarkSecurityFreeCollapse(b *testing.B) {
 // worker's does. The baseline memo is the plan's, so one plan serving
 // every lease should cost what one range does; two plans pay each
 // security-free pair's baseline once more. The plans are prepared fresh
-// for every job, untimed; every job's partials are merged and checked
-// against one range's bytes, timed, at the same small cost in each arm.
+// for every job, untimed, on a graph generated afresh for the job, as a
+// dist worker generates its own: the pools keep their engines warm, but
+// no job finds an earlier job's memo in them. Every job's partials are
+// merged and checked against one range's bytes, timed, at the same small
+// cost in each arm.
 func BenchmarkLeaseRanges(b *testing.B) {
 	g, grid, _ := headlineGrid()
 	grid.Workers = 1
-	prepare := func() *sweep.Plan {
+	prepare := func(g *asgraph.Graph) *sweep.Plan {
 		pl, err := grid.Prepare(g)
 		if err != nil {
 			panic(err)
 		}
 		return pl
 	}
-	ref := prepare()
+	ref := prepare(g)
 	l := ref.Layout(16)
 	// The coordinator's cut: whole units, up to four shards a lease.
 	units := ref.Units(l)
@@ -773,7 +777,7 @@ func BenchmarkLeaseRanges(b *testing.B) {
 		return buf.Bytes(), err
 	}
 	whole := []sweep.ShardRange{{End: l.Shards}}
-	want, err := job([]*sweep.Plan{prepare()}, whole)
+	want, err := job([]*sweep.Plan{prepare(g)}, whole)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -790,8 +794,9 @@ func BenchmarkLeaseRanges(b *testing.B) {
 			plans := make([]*sweep.Plan, arm.plans)
 			evaluate := func() {
 				b.StopTimer()
+				jobGraph, _ := topogen.MustGenerate(topogen.Params{N: g.N(), Seed: 1})
 				for k := range plans {
-					plans[k] = prepare()
+					plans[k] = prepare(jobGraph)
 				}
 				b.StartTimer()
 				got, err := job(plans, arm.ranges)
@@ -810,6 +815,80 @@ func BenchmarkLeaseRanges(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				evaluate()
+			}
+		})
+	}
+}
+
+// BenchmarkWhatIfSeries zooms into daemon-small's sbgp.evaluate_job rung:
+// a resident service answering a series of what-if jobs on one warm
+// 4000-AS topology — t1t2, t2, t1t2cp, nonstubs, t1t2, t2, each the
+// baseline plus that deployment over the same 6×6 pairs. "one-pool" runs
+// the series through one engine pool, as the daemon does, so only its
+// first job runs the pairs' security-free baselines and the rest are
+// served from the memo the pool keeps; "fresh-pools" gives every job a
+// pool of its own, so every job runs them (and builds its engines). Each
+// series starts on a freshly generated graph object with fresh
+// simulations, untimed, since a pool keys its memos by the graph object
+// and a simulation's plan keeps its own. Both arms' bytes are checked
+// equal, job by job, before anything is timed.
+func BenchmarkWhatIfSeries(b *testing.B) {
+	series := []string{"t1t2", "t2", "t1t2cp", "nonstubs", "t1t2", "t2"}
+	simulate := func() []*sbgp.Simulation {
+		g, meta := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
+		sims := make([]*sbgp.Simulation, len(series))
+		for i, name := range series {
+			sims[i] = benchSimulate(sbgp.WithGraph(g, meta), sbgp.WithPairSampling(6, 6), sbgp.WithNamedDeployment(name))
+		}
+		return sims
+	}
+	shared := sbgp.NewEnginePool()
+	arms := []struct {
+		name string
+		pool func() *sbgp.EnginePool
+	}{
+		{"one-pool", func() *sbgp.EnginePool { return shared }},
+		{"fresh-pools", sbgp.NewEnginePool},
+	}
+	// run evaluates the series with pools drawn from pool, one per job,
+	// and returns each job's bytes.
+	run := func(tb testing.TB, pool func() *sbgp.EnginePool, sims []*sbgp.Simulation) [][]byte {
+		out := make([][]byte, len(sims))
+		for i, sim := range sims {
+			p := pool()
+			res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Pool: p})
+			p.Release()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := res.WriteJSON(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			out[i] = buf.Bytes()
+		}
+		return out
+	}
+	want := run(b, arms[1].pool, simulate())
+	if got := run(b, arms[0].pool, simulate()); !slices.EqualFunc(got, want, bytes.Equal) {
+		b.Fatal("the series through one pool differs from the series through fresh pools")
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			series := func() {
+				b.StopTimer()
+				sims := simulate()
+				b.StartTimer()
+				run(b, arm.pool, sims)
+			}
+			// Warm the shared pool's engines and the core for a second first
+			// (see BenchmarkEvaluateJobWorkers).
+			for start := time.Now(); time.Since(start) < time.Second; {
+				series()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				series()
 			}
 		})
 	}

@@ -276,9 +276,9 @@ func printGrid(spec *sbgp.JobSpec, verbose bool) error {
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"bgpsim: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses\n",
+			"bgpsim: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills\n",
 			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses)
+			stats.Units, stats.HandoffHits, stats.HandoffMisses, stats.MemoHits, stats.MemoFills)
 	}
 	return res.WriteJSON(os.Stdout)
 }

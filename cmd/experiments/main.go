@@ -246,9 +246,9 @@ func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr,
-			"experiments: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses\n",
+			"experiments: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills\n",
 			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses)
+			stats.Units, stats.HandoffHits, stats.HandoffMisses, stats.MemoHits, stats.MemoFills)
 	}
 	f, err := os.Create(path)
 	if err != nil {

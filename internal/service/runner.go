@@ -146,6 +146,8 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 			s.sweep.Units += stats.Units
 			s.sweep.HandoffHits += stats.HandoffHits
 			s.sweep.HandoffMisses += stats.HandoffMisses
+			s.sweep.MemoHits += stats.MemoHits
+			s.sweep.MemoFills += stats.MemoFills
 			s.sweep.ChainHeads += stats.ChainHeads
 			s.sweep.DeltaEdges += stats.DeltaEdges
 			s.sweep.PredictedVolume += stats.PredictedVolume

@@ -375,8 +375,10 @@ func (s *Server) CheckpointPath(id string) string {
 // Status summarizes the daemon for the status endpoint. Sweep totals
 // the planner and dispatch counters of every job evaluated locally
 // since the daemon started: dispatch units, cross-shard handoff
-// hits/misses, and the schedule planner's chain heads, delta edges,
-// and predicted edge-volume summed across evaluations.
+// hits/misses, baseline memo hits/fills (a job on a warm topology and
+// pair sample hits the memo an earlier job filled), and the schedule
+// planner's chain heads, delta edges, and predicted edge-volume summed
+// across evaluations.
 type Status struct {
 	Jobs        map[State]int   `json:"jobs"`
 	Topologies  int             `json:"topologies"`

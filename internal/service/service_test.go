@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -389,6 +390,143 @@ func TestCancelMidGridLeavesResumableCheckpoint(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), bigReference(t)) {
 		t.Fatal("resumed result differs from uninterrupted one-shot run")
+	}
+}
+
+// TestWarmMemoSurvivesFaults: the daemon's engine pool keeps the baseline
+// memo of a job that never finished, and a job that failed, as sound as
+// that of a job that did. Every job here is one model over the baseline
+// and one deployment, with one worker, so the counters are exact; the
+// what-if job's schedule is one nested chain, so cold it makes no memo
+// hit (checked) and each hit it makes is a slot an earlier job filled.
+//   - A job cancelled mid-walk leaves a partly filled memo. A what-if job
+//     with another deployment on the same warm topology and pairs then
+//     hits it — /status memo_hits rises — and its bytes equal a one-shot
+//     run's.
+//   - An evaluation on the daemon's pool that fails in its sink, as a job
+//     whose sink errors would, leaves the pool usable: the next what-if
+//     job fills nothing, hits every pair, and still lands on the one-shot
+//     bytes.
+func TestWarmMemoSurvivesFaults(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	spec := func(deployment string) *sbgp.JobSpec {
+		return &sbgp.JobSpec{
+			Topology:    sbgp.TopologySpec{N: 200, Seed: 11},
+			Models:      []int{3},
+			Deployments: []sbgp.JobDeployment{{Named: deployment}},
+			Pairs:       sbgp.PairSpec{Full: true},
+			ShardSize:   4,
+			Workers:     1,
+		}
+	}
+	// oneShot is a CLI -job run, with its counters.
+	oneShot := func(sp *sbgp.JobSpec) ([]byte, sbgp.ShardStats) {
+		t.Helper()
+		sc, err := sbgp.FromJobSpec(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := sc.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st sbgp.ShardStats
+		res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Stats: &st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), st
+	}
+	// daemonJob runs sp through the daemon and returns its bytes and the
+	// memo hits and fills it added to /status.
+	daemonJob := func(sp *sbgp.JobSpec) (got []byte, hits, fills int) {
+		t.Helper()
+		before := s.Stats().Sweep
+		j, err := s.Submit(sp, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, s, j.ID, func(j *Job) bool { return j.State == StateDone })
+		if got, err = os.ReadFile(s.ResultPath(j.ID)); err != nil {
+			t.Fatal(err)
+		}
+		after := s.Stats().Sweep
+		return got, after.MemoHits - before.MemoHits, after.MemoFills - before.MemoFills
+	}
+
+	whatIf, cold := oneShot(spec("t2"))
+	if cold.MemoHits != 0 || cold.MemoFills == 0 {
+		t.Fatalf("a cold job made %d memo hits and %d fills, want fills only", cold.MemoHits, cold.MemoFills)
+	}
+
+	j, err := s.Submit(spec("t1t2"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, s, j.ID, func(j *Job) bool { return j.State == StateRunning && j.ShardsDone >= 2 })
+	if _, ok := s.Cancel(j.ID); !ok {
+		t.Fatal("Cancel: unknown job")
+	}
+	if fin := waitFor(t, s, j.ID, terminal); fin.State != StateCancelled || fin.ShardsDone >= fin.ShardsTotal {
+		t.Fatalf("cancelled job ended %s at %d/%d shards, want cancelled mid-grid", fin.State, fin.ShardsDone, fin.ShardsTotal)
+	}
+	got, hits, fills := daemonJob(spec("t2"))
+	if !bytes.Equal(got, whatIf) {
+		t.Fatal("the what-if job after a cancelled one differs from the one-shot run")
+	}
+	if hits == 0 || fills >= cold.MemoFills {
+		t.Errorf("what-if job after a cancel: %d memo hits and %d fills, want hits and fewer than a cold job's %d fills",
+			hits, fills, cold.MemoFills)
+	}
+
+	// A failing evaluation on the daemon's pool and warm topology; the run
+	// loop is idle, so nothing else holds the pool.
+	failing := spec("t1t2cp")
+	g, meta, err := s.topology(failing.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sbgp.FromJobSpecOnGraph(failing, g, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sc.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("sink failed")
+	delivered := 0
+	var st sbgp.ShardStats
+	_, err = sim.EvaluateJob(sbgp.JobEvalOptions{Pool: &s.pool, Stats: &st, Sink: func(*sbgp.ShardPartial) error {
+		if delivered++; delivered == 3 {
+			return boom
+		}
+		return nil
+	}})
+	s.pool.Release()
+	if !errors.Is(err, boom) {
+		t.Fatalf("evaluation with a failing sink returned %v, want the sink's error", err)
+	}
+	if st.MemoHits == 0 {
+		t.Error("the failing evaluation made no memo hit: it did not run on the warm memo")
+	}
+
+	after, _ := oneShot(spec("nonstubs"))
+	got, hits, fills = daemonJob(spec("nonstubs"))
+	if !bytes.Equal(got, after) {
+		t.Fatal("the what-if job after a failed evaluation differs from the one-shot run")
+	}
+	if hits == 0 || fills != 0 {
+		t.Errorf("what-if job on a fully warm memo: %d memo hits and %d fills, want hits only", hits, fills)
 	}
 }
 

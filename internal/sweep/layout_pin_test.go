@@ -111,28 +111,29 @@ func TestLayoutPins(t *testing.T) {
 			name: "off", g: g, grid: chainedGrid(g, IncrementalOff), identity: true,
 			layout: Layout{Fingerprint: "3eec88709eee8bf1", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "52x1",
-			stats:  ShardStats{Units: 52, ChainHeads: 4, DeltaEdges: 0, PredictedVolume: 3712},
+			stats:  ShardStats{Units: 52, MemoHits: 283, MemoFills: 29, ChainHeads: 4, DeltaEdges: 0, PredictedVolume: 3712},
 		},
 		{
 			name: "auto-unlinkable", g: g, grid: unlinkableGrid(g, IncrementalAuto), identity: true,
 			layout: Layout{Fingerprint: "ad63c0d8110ceab4", Cells: 270, Tasks: 54, ShardSize: 7, Shards: 39},
 			units:  "39x1",
-			stats:  ShardStats{Units: 39, ChainHeads: 3, DeltaEdges: 0, PredictedVolume: 2784},
+			stats:  ShardStats{Units: 39, MemoHits: 145, MemoFills: 29, ChainHeads: 3, DeltaEdges: 0, PredictedVolume: 2784},
 		},
 		{
 			name: "nested", g: g, grid: chainedGrid(g, IncrementalAuto),
 			layout: Layout{Fingerprint: "71b7eed2079d55c3", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "13x4",
-			stats:  ShardStats{Units: 13, HandoffHits: 39, ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
+			stats:  ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29, ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
 		},
 		{
 			name: "forest", g: gf, grid: forestGrid(gf, 2, IncrementalAuto),
 			layout: Layout{Fingerprint: "6ce55ff4dc3b1c87", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
 			units:  "13x5",
-			stats:  ShardStats{Units: 13, HandoffHits: 50, ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
+			stats:  ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29, ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			tc.grid.Workers = 1 // the memo counters are exact at one worker
 			pl := mustPrepare(tc.grid, tc.g)
 			if got := pl.sched.identity(); got != tc.identity {
 				t.Fatalf("identity order = %v, want %v", got, tc.identity)

@@ -6,11 +6,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"weak"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
 	"sbgp/internal/deploy"
+	"sbgp/internal/policy"
 	"sbgp/internal/runner"
 	"sbgp/internal/topogen"
 )
@@ -30,7 +35,9 @@ func TestBaselineMemo(t *testing.T) {
 	const top = 1<<31 - 1
 	m.store(1, 0, 0)
 	m.store(2, top-1, top)
-	m.store(9, 5, 6) // beyond len: dropped
+	if m.store(9, 5, 6) {
+		t.Error("a store beyond the memo's length reports the pair memoized")
+	}
 	for _, c := range []struct {
 		pair, lo, hi int
 		ok           bool
@@ -355,5 +362,227 @@ func TestResumeSharesThePlanMemo(t *testing.T) {
 	if same.runs >= other.runs {
 		t.Errorf("the remainder on the cancelled run's plan made %d engine runs, a fresh plan %d: the memo did not survive the cancellation",
 			same.runs, other.runs)
+	}
+}
+
+// memoStats evaluates pl at shard size 7 — through pool, if not nil,
+// released afterwards as a service releases it after every job — and
+// returns its result bytes and counters.
+func memoStats(t *testing.T, pl *Plan, pool *EnginePool) ([]byte, ShardStats) {
+	t.Helper()
+	var st ShardStats
+	res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 7}, RunOptions{Pool: pool, Stats: &st})
+	if pool != nil {
+		pool.Release()
+	}
+	return resultJSON(t, res, err), st
+}
+
+// TestPoolSharesWarmMemo: a plan whose first evaluation runs on a pool
+// that already evaluated a plan with its key — the same graph object, LP,
+// attack and pairs, here under other deployments and models — takes over
+// that plan's baseline memo. It fills no slot, every free head it walks is
+// a hit (as many as the same plan walks on a memo of its own once warm),
+// and its bytes are the golden ones.
+func TestPoolSharesWarmMemo(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_nested.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
+	first := goldenGrid(g, 1, nil) // baseline, nonstubs, evens; same pairs as nestedGrid
+	first.Models = []policy.Model{policy.Sec2nd}
+
+	// The free heads a warm memo serves: a plan's second evaluation.
+	own := mustPrepare(nestedGrid(g, 1, IncrementalAuto), g)
+	memoStats(t, own, nil)
+	_, warm := memoStats(t, own, nil)
+
+	pool := NewEnginePool()
+	if _, st := memoStats(t, mustPrepare(first, g), pool); st.MemoFills == 0 {
+		t.Fatal("the first plan filled no memo slot")
+	}
+	got, st := memoStats(t, mustPrepare(nestedGrid(g, 1, IncrementalAuto), g), pool)
+	if !bytes.Equal(got, want) {
+		t.Error("the plan that took over a warm memo diverges from the golden bytes")
+	}
+	if st.MemoFills != 0 || st.MemoHits != warm.MemoHits || warm.MemoHits == 0 {
+		t.Errorf("second plan: %d memo hits and %d fills, want %d hits (its free heads) and no fill",
+			st.MemoHits, st.MemoFills, warm.MemoHits)
+	}
+}
+
+// customOneHop seeds exactly like core.OneHopHijack and takes its name,
+// but is not a built-in strategy, so no pool shares its memo.
+type customOneHop struct{}
+
+func (customOneHop) Name() string { return "one-hop" }
+func (customOneHop) Seed(s *core.Seeder) {
+	s.OriginateDest()
+	s.AnnounceBogus(1)
+}
+
+// TestPoolMemoKey: a pool hands a plan an earlier plan's memo only when
+// every part of the key matches. The probe is one model over the
+// baseline alone — one free cell per pair — so its hits can only come
+// from a memo filled before it: all valid pairs on a match, none
+// otherwise, and its bytes equal a pool-less evaluation either way.
+func TestPoolMemoKey(t *testing.T) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 300, Seed: 5})
+	twin, _ := topogen.MustGenerate(topogen.Params{N: 300, Seed: 5})
+	ixp, _ := asgraph.AugmentIXP(g, meta.IXPs)
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
+	reversed := slices.Clone(M)
+	slices.Reverse(reversed)
+	valid := validCells(&Grid{Attackers: M, Destinations: D}, 1)
+	fill := &Grid{Attackers: M, Destinations: D, Workers: 1} // every model, every pair
+	for _, tc := range []struct {
+		name   string
+		g      *asgraph.Graph
+		fill   core.Attack
+		probe  func(gr *Grid)
+		shares bool
+	}{
+		{"same key", g, nil, func(*Grid) {}, true},
+		{"the default attack named", g, nil, func(gr *Grid) { gr.Attack = core.OneHopHijack{} }, true},
+		{"pad-2 twice", g, core.PathPadding{Hops: 2}, func(gr *Grid) { gr.Attack = core.PathPadding{Hops: 2} }, true},
+		{"equal graph built separately", twin, nil, func(*Grid) {}, false},
+		{"IXP twin", ixp, nil, func(*Grid) {}, false},
+		{"other LP", g, nil, func(gr *Grid) { gr.LP = policy.LP2 }, false},
+		{"pad-2 against one-hop", g, core.PathPadding{Hops: 2}, func(gr *Grid) { gr.Attack = nil }, false},
+		{"pairs in another order", g, nil, func(gr *Grid) { gr.Attackers = reversed }, false},
+		{"custom attack named one-hop", g, nil, func(gr *Grid) { gr.Attack = customOneHop{} }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewEnginePool()
+			f := *fill
+			f.Attack = tc.fill
+			memoStats(t, mustPrepare(&f, g), pool)
+			probe := &Grid{Models: []policy.Model{policy.Sec3rd}, Attackers: M, Destinations: D, Attack: tc.fill, Workers: 1}
+			tc.probe(probe)
+			want, _ := memoStats(t, mustPrepare(probe, tc.g), nil)
+			got, st := memoStats(t, mustPrepare(probe, tc.g), pool)
+			if !bytes.Equal(got, want) {
+				t.Error("the probe on the pool diverges from a pool-less evaluation")
+			}
+			wantHits, wantFills := 0, valid
+			if tc.shares {
+				wantHits, wantFills = valid, 0
+			}
+			if st.MemoHits != wantHits || st.MemoFills != wantFills {
+				t.Errorf("probe: %d memo hits and %d fills, want %d and %d", st.MemoHits, st.MemoFills, wantHits, wantFills)
+			}
+		})
+	}
+
+	// The pool keeps maxWarmMemos memos, least recently used first out:
+	// key 0, registered first but hit again, outlives key 1 when a ninth
+	// key arrives.
+	pool := NewEnginePool()
+	attackers := asgraph.NonStubs(g)
+	probe := func(i int) ShardStats {
+		gr := &Grid{Models: []policy.Model{policy.Sec3rd}, Attackers: attackers[i : i+1], Destinations: D, Workers: 1}
+		_, st := memoStats(t, mustPrepare(gr, g), pool)
+		return st
+	}
+	for i := 0; i < maxWarmMemos; i++ {
+		probe(i)
+	}
+	if st := probe(0); st.MemoHits == 0 {
+		t.Fatal("a memo registered eight keys ago was not kept")
+	}
+	probe(maxWarmMemos)
+	if len(pool.memos) != maxWarmMemos {
+		t.Errorf("pool keeps %d memos, want %d", len(pool.memos), maxWarmMemos)
+	}
+	if st := probe(0); st.MemoHits == 0 {
+		t.Error("the recently hit memo was evicted")
+	}
+	if st := probe(1); st.MemoHits != 0 {
+		t.Errorf("the least recently used memo served %d hits after its eviction", st.MemoHits)
+	}
+}
+
+// TestPoolMemoOutlivesNoGraph: a pool holds its memos' graphs weakly.
+// Once a graph is collected, a same-shape graph built later — perhaps at
+// the very address — finds no memo, and registering its own drops the
+// dead entry.
+func TestPoolMemoOutlivesNoGraph(t *testing.T) {
+	pool := NewEnginePool()
+	params := topogen.Params{N: 200, Seed: 29}
+	grid := func(g *asgraph.Graph) *Grid {
+		M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 4, 5)
+		return &Grid{Models: []policy.Model{policy.Sec3rd}, Attackers: M, Destinations: D, Workers: 1}
+	}
+	// fill evaluates a plan on a graph of its own, which nothing but the
+	// pool's entry (weakly) refers to once it returns.
+	fill := func() weak.Pointer[asgraph.Graph] {
+		g, _ := topogen.MustGenerate(params)
+		if _, st := memoStats(t, mustPrepare(grid(g), g), pool); st.MemoFills == 0 {
+			t.Fatal("the first graph's plan filled no memo slot")
+		}
+		return weak.Make(g)
+	}
+	dead := fill()
+	for i := 0; dead.Value() != nil; i++ {
+		if i == 100 {
+			t.Fatal("the first graph is never collected: something keeps it alive")
+		}
+		runtime.GC()
+	}
+	g, _ := topogen.MustGenerate(params)
+	if _, st := memoStats(t, mustPrepare(grid(g), g), pool); st.MemoHits != 0 {
+		t.Errorf("a graph built after the first was collected found its memo: %d hits", st.MemoHits)
+	}
+	if len(pool.memos) != 1 || pool.memos[0].g.Value() != g {
+		t.Errorf("pool keeps %d memos after a dead graph's entry, want only the live one", len(pool.memos))
+	}
+}
+
+// TestPoolMemoConcurrentPlans evaluates two plans with one key on one
+// pool at the same time, each with two workers, so the memo's
+// registration and its slots are raced for: meaningful under -race, and
+// both results must equal their pool-less bytes.
+func TestPoolMemoConcurrentPlans(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 17})
+	grids := []*Grid{goldenGrid(g, 2, nil), nestedGrid(g, 2, IncrementalAuto)}
+	want := make([][]byte, len(grids))
+	for i, gr := range grids {
+		want[i] = resultJSON(t, mustEvaluate(gr, g), nil)
+	}
+	for rep := 0; rep < 3; rep++ {
+		pool := NewEnginePool()
+		var wg sync.WaitGroup
+		got := make([][]byte, len(grids))
+		errs := make([]error, len(grids))
+		start := make(chan struct{})
+		for i, gr := range grids {
+			pl := mustPrepare(gr, g)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Pool: pool})
+				if errs[i] = err; err == nil {
+					var buf bytes.Buffer
+					errs[i] = res.WriteJSON(&buf)
+					got[i] = buf.Bytes()
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		pool.Release()
+		for i := range grids {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("rep %d plan %d: concurrent evaluation on a shared memo diverges from the pool-less bytes", rep, i)
+			}
+		}
+		if len(pool.memos) != 1 {
+			t.Fatalf("rep %d: two plans with one key registered %d memos", rep, len(pool.memos))
+		}
 	}
 }

@@ -25,8 +25,8 @@ import (
 // by Grid.Prepare and immutable from then on — except for its write-once
 // baseline memo, which every evaluation of the plan reads and fills.
 // Per-run scratch lives in the EnginePool, and a memo slot is a pure
-// function of the plan, so every entry point may run concurrently, and
-// each Result is the caller's.
+// function of (graph, LP, attack, pair), so every entry point may run
+// concurrently, and each Result is the caller's.
 type Plan struct {
 	gr    Grid // private copy: the caller's Grid may change after Prepare
 	g     *asgraph.Graph
@@ -34,10 +34,12 @@ type Plan struct {
 	sched *schedule
 	fp    string
 
-	// memo is allocated by the plan's first RunShards, not by Prepare, so
-	// a plan that is only cut into units and reduced (a coordinator's)
+	// memo is set by the plan's first RunShards, not by Prepare, so a
+	// plan that is only cut into units and reduced (a coordinator's)
 	// never pays for it; from then on each lease, resume and concurrent
-	// evaluation of the plan shares it.
+	// evaluation of the plan shares it. That first run's pool hands over
+	// a warm memo when an earlier plan on it had the same key
+	// (EnginePool.memoFor); without a pool the memo is the plan's alone.
 	memoOnce sync.Once
 	memo     baselineMemo
 }
@@ -230,9 +232,10 @@ type shardRun struct {
 	units  []ShardRange
 	strips []strip
 
-	mu           sync.Mutex // the commit mutex; guards everything below
-	commitErr    error
-	hits, misses int
+	mu                  sync.Mutex // the commit mutex; guards everything below
+	commitErr           error
+	hits, misses        int
+	memoHits, memoFills int
 	// pending holds the shards some but not all of whose slices have
 	// been folded — at most two per strip in flight, so a linear scan
 	// finds one; spare keeps retired accumulators for the next.
@@ -312,6 +315,7 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 		}
 		next = r.End
 	}
+	pl.memoOnce.Do(func() { pl.memo = opts.Pool.memoFor(pl) })
 	pool := opts.Pool
 	if pool == nil {
 		pool = NewEnginePool() // nothing to keep warm: this run's state only
@@ -320,7 +324,6 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 	defer pool.putRun(run)
 	run.units = pl.units(run.units[:0], shards, l.ShardSize)
 	run.strips = pl.strips(run.strips[:0], run.units, l, runner.Workers(pl.gr.Workers))
-	pl.memoOnce.Do(func() { pl.memo = make(baselineMemo, min(pl.ax.nd*pl.ax.na, maxMemoPairs)) })
 
 	// abort lets a commit failure stop the remaining strips without
 	// waiting for the whole grid.
@@ -336,6 +339,8 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 		st.Units += len(run.units)
 		st.HandoffHits += run.hits
 		st.HandoffMisses += run.misses
+		st.MemoHits += run.memoHits
+		st.MemoFills += run.memoFills
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
@@ -360,6 +365,7 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 	// never crosses a goroutine.
 	c := &ws.chainCarry
 	c.reset()
+	ws.memoHits, ws.memoFills = 0, 0
 	var commitErr error
 	for s := st.start / l.ShardSize; s*l.ShardSize < st.end && commitErr == nil; s++ {
 		shardStart := s * l.ShardSize
@@ -390,10 +396,12 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		}
 		run.mu.Unlock()
 	}
-	if c.hits != 0 || c.misses != 0 {
+	if c.hits != 0 || c.misses != 0 || ws.memoHits != 0 || ws.memoFills != 0 {
 		run.mu.Lock()
 		run.hits += c.hits
 		run.misses += c.misses
+		run.memoHits += ws.memoHits
+		run.memoFills += ws.memoFills
 		run.mu.Unlock()
 	}
 	return commitErr

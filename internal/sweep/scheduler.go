@@ -28,7 +28,9 @@ package sweep
 //     anywhere — has its pair's baseline outcome under every deployment
 //     and model (core.Engine.SecurityFree), so a plan memoizes one (lo,
 //     hi) per (attacker, destination) pair and serves such chain heads
-//     from it instead of running them (DESIGN.md "Security-free cells").
+//     from it instead of running them (DESIGN.md "Security-free cells");
+//     an engine pool passes the memo on to later plans on the same graph
+//     and pairs.
 //   - Where a shard boundary does split a chain, the worker carries the
 //     chain's tail fixed point across the boundary and resumes with
 //     RunDelta instead of re-running the head. RunShards cuts what it
@@ -179,16 +181,18 @@ func (c *carry) offer(pos int, o *core.Outcome) {
 	c.pos, c.out = pos, o
 }
 
-// maxMemoPairs bounds a plan's baseline memo: eight bytes a pair, so at
-// most 512 KiB however large the |M|×|D| enumeration. Pairs beyond the
-// bound are simply not memoized and their security-free heads run.
+// maxMemoPairs bounds a baseline memo: eight bytes a pair, so at most
+// 512 KiB however large the |M|×|D| enumeration (and a pool keeps at most
+// maxWarmMemos of them). Pairs beyond the bound are simply not memoized
+// and their security-free heads run.
 const maxMemoPairs = 1 << 16
 
-// baselineMemo is one plan's table of security-free outcomes: slot
-// di·na+ai holds the happy bounds of the (attacker, destination) pair's
-// baseline run, which every security-free cell of the pair shares
-// whatever its deployment and model (core.Engine.SecurityFree) — a pure
-// function of the plan, so it outlives any one evaluation. Workers of
+// baselineMemo is a table of security-free outcomes: slot di·na+ai holds
+// the happy bounds of the (attacker, destination) pair's baseline run,
+// which every security-free cell of the pair shares whatever its
+// deployment and model (core.Engine.SecurityFree) — a pure function of
+// (graph, LP, attack, pair), so it outlives any one evaluation, and an
+// EnginePool hands it on to later plans with the same key. Workers of
 // every evaluation share it without a lock: a slot is one atomic word,
 // zero while empty, written only after a complete run, and every writer
 // of a slot stores the same value.
@@ -205,13 +209,16 @@ func (m baselineMemo) load(pair int) (lo, hi int, ok bool) {
 	return int(v >> 31 & (1<<31 - 1)), int(v & (1<<31 - 1)), v != 0
 }
 
-// store memoizes the pair's bounds; AS counts fit 31 bits each.
+// store memoizes the pair's bounds, reporting false for a pair beyond
+// the bound; AS counts fit 31 bits each.
 //
 //sbgp:hotpath
-func (m baselineMemo) store(pair, lo, hi int) {
-	if pair < len(m) {
-		m[pair].Store(1<<63 | uint64(lo)<<31 | uint64(hi))
+func (m baselineMemo) store(pair, lo, hi int) bool {
+	if pair >= len(m) {
+		return false
 	}
+	m[pair].Store(1<<63 | uint64(lo)<<31 | uint64(hi))
+	return true
 }
 
 // evaluateRange evaluates the scheduled positions [start, end), adding
@@ -222,10 +229,12 @@ func (m baselineMemo) store(pair, lo, hi int) {
 // one call, so forest walks that shrink a deployment ride the same path
 // as grow-only chains — and the worker's carry bridges runs cut by the
 // range boundary. A security-free chain head is served from the plan's
-// memo when another cell of its pair already ran — in this evaluation or
-// an earlier one — and stays deferred — no engine run at all — until the
-// chain's first step that is not. It reports false if ctx was cancelled,
-// in which case the accumulated partial must be discarded.
+// memo when another cell of its pair already ran — in this evaluation, an
+// earlier one, or an earlier plan's that shared the memo through a pool —
+// and stays deferred — no engine run at all — until the chain's first
+// step that is not. The worker counts served heads as memo hits and run
+// ones stored as fills. It reports false if ctx was cancelled, in which
+// case the accumulated partial must be discarded.
 //
 //sbgp:hotpath
 func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end int) bool {
@@ -275,11 +284,13 @@ func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end i
 				if free {
 					lo, hi, served = memo.load(pair)
 				}
-				if !served {
+				if served {
+					ws.memoHits++
+				} else {
 					prev = e.RunAttack(d, m, dep, gr.Attack)
 					lo, hi = e.HappyBounds()
-					if free {
-						memo.store(pair, lo, hi)
+					if free && memo.store(pair, lo, hi) {
+						ws.memoFills++
 					}
 				}
 			} else {

@@ -56,14 +56,15 @@ type ShardOptions struct {
 }
 
 // ShardStats reports how a sharded evaluation was planned and
-// dispatched, and how often cross-shard chain handoff reused a fixed
-// point instead of re-running a chain head. With chain-ordered
+// dispatched, how often cross-shard chain handoff reused a fixed point
+// instead of re-running a chain head, and how often the baseline memo
+// served a security-free head instead of an engine run. With chain-ordered
 // dispatch, a fresh run (no resumed shards) has HandoffMisses == 0 by
 // construction; a resume can miss at unit starts whose predecessor
-// shard completed in an earlier run. Every field is the same at every
-// worker count. The dispatch and handoff counters
-// accumulate across evaluations sharing the struct; the planner fields
-// describe the schedule and are (re)set by each evaluation.
+// shard completed in an earlier run. Every field but the memo counters
+// is the same at every worker count. The dispatch, handoff and memo
+// counters accumulate across evaluations sharing the struct; the planner
+// fields describe the schedule and are (re)set by each evaluation.
 type ShardStats struct {
 	// Units is the number of chain-aligned units the pending shards were
 	// cut into (see Plan.Units) — not the number of strips the workers
@@ -76,6 +77,13 @@ type ShardStats struct {
 	// HandoffMisses counts chain continuations that re-ran their head
 	// from scratch because nothing had been offered yet.
 	HandoffMisses int `json:"handoff_misses"`
+	// MemoHits counts security-free chain heads served from the baseline
+	// memo, MemoFills those run and stored in it. Unlike the fields
+	// above they are exact at one worker only: workers that reach a pair
+	// at once may each run and store it, so at any worker count
+	// MemoHits + MemoFills is at most the free heads walked.
+	MemoHits  int `json:"memo_hits"`
+	MemoFills int `json:"memo_fills"`
 
 	// ChainHeads is the number of from-scratch walk heads per (model,
 	// destination, attacker) group under the planned schedule — the

@@ -267,6 +267,11 @@ type workerState struct {
 	// engine calls it made for them (fewer: memo-served cells make
 	// none). Nothing in the evaluation reads them; tests do.
 	cells, runs int
+
+	// memoHits counts the security-free heads of the current strip served
+	// from the baseline memo, memoFills those run and stored; runStrip
+	// sums them into ShardStats.
+	memoHits, memoFills int
 }
 
 // engine returns the state's engine pointed at g under (model, lp). Slabs

@@ -160,8 +160,8 @@ type ShardLayout = sweep.Layout
 // unit of distributed leasing.
 type ShardRange = sweep.ShardRange
 
-// ShardStats reports dispatch-unit and cross-shard handoff counters
-// for a sharded or ranged evaluation.
+// ShardStats reports dispatch-unit, cross-shard handoff and baseline
+// memo counters for a sharded or ranged evaluation.
 type ShardStats = sweep.ShardStats
 
 // ShardRangeOptions configures Simulation.EvaluateJobShards: a streaming
@@ -171,7 +171,9 @@ type ShardRangeOptions = sweep.RangeOptions
 // EnginePool recycles per-worker engine state across grid evaluations —
 // any of them: pooled engines follow each job's graph, size, model and
 // local-preference variant — the warm engines behind the daemon and a
-// dist worker. Results are byte-identical with or without pooling.
+// dist worker. It also keeps the security-free baselines of recent jobs,
+// so a job on the same graph object and pair sample runs none of them
+// again. Results are byte-identical with or without pooling.
 type EnginePool = sweep.EnginePool
 
 // NewEnginePool returns an empty engine pool.
