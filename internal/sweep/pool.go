@@ -157,6 +157,8 @@ func (p *EnginePool) memoFor(pl *Plan) baselineMemo {
 	if len(p.memos) == maxWarmMemos {
 		p.memos = slices.Delete(p.memos, 0, 1)
 	}
+	// Copies: the key outlives the plan, and a caller may reuse its axis
+	// slices for a later grid.
 	key.m, key.d = slices.Clone(gr.Attackers), slices.Clone(gr.Destinations)
 	key.memo = make(baselineMemo, size)
 	p.memos = append(p.memos, &key)
