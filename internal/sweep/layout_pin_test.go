@@ -80,10 +80,31 @@ func unitRuns(t *testing.T, units []ShardRange, shards int) string {
 	return b.String()
 }
 
+// withoutMemo is st with the memo counters cleared: above one worker,
+// which worker fills a cold memo slot first is scheduling-dependent, so
+// only the other fields are exact.
+func withoutMemo(st ShardStats) ShardStats {
+	st.MemoHits, st.MemoFills = 0, 0
+	return st
+}
+
+// shardStats evaluates pl at shard size 7 into a memory-only store and
+// returns the run's ShardStats.
+func shardStats(t *testing.T, pl *Plan) ShardStats {
+	t.Helper()
+	var stats ShardStats
+	if _, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 7}, RunOptions{Stats: &stats}); err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
 // TestLayoutPins holds the layout-defining values of four fixture grids
 // as literals captured before the identity order became a plan: the
 // fingerprint, the shard-size-7 Layout, the lease units and the
-// ShardStats of a fresh run, planner fields included. A schedule refactor that moves any of them
+// ShardStats of a fresh run, planner fields included — at the grid's own
+// worker count, and again, memo counters included, on a fresh plan at one
+// worker. A schedule refactor that moves any of them
 // silently invalidates every checkpoint and every distributed lease
 // written before it, so they are pinned as numbers, not as "equal to
 // what the other mode computes".
@@ -133,7 +154,6 @@ func TestLayoutPins(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.grid.Workers = 1 // the memo counters are exact at one worker
 			pl := mustPrepare(tc.grid, tc.g)
 			if got := pl.sched.identity(); got != tc.identity {
 				t.Fatalf("identity order = %v, want %v", got, tc.identity)
@@ -145,12 +165,14 @@ func TestLayoutPins(t *testing.T) {
 			if got := unitRuns(t, pl.Units(l), l.Shards); got != tc.units {
 				t.Errorf("units = %q, want %q", got, tc.units)
 			}
-			var stats ShardStats
-			if _, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 7}, RunOptions{Stats: &stats}); err != nil {
-				t.Fatal(err)
+			stats := shardStats(t, pl)
+			if withoutMemo(stats) != withoutMemo(tc.stats) {
+				t.Errorf("workers=%d: stats = %+v, want %+v", tc.grid.Workers, stats, tc.stats)
 			}
-			if stats != tc.stats {
-				t.Errorf("stats = %+v, want %+v", stats, tc.stats)
+			one := *tc.grid
+			one.Workers = 1
+			if stats := shardStats(t, mustPrepare(&one, tc.g)); stats != tc.stats {
+				t.Errorf("workers=1: stats = %+v, want %+v", stats, tc.stats)
 			}
 		})
 	}

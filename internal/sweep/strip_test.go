@@ -44,10 +44,10 @@ func checkpointLines(t *testing.T, path string) (header string, records []string
 // worker count × shard size lands on the golden result bytes, writes a
 // durable checkpoint holding exactly the lines the one-worker run wrote,
 // and reports the one-worker run's ShardStats — units, handoff hits and
-// misses, planner fields, memo counters. The plan's memo is filled before
-// the matrix starts, so every free head is a hit whatever worker walks
-// it (which worker fills a cold slot is scheduling-dependent). Shard
-// sizes span "every cell its own shard"
+// misses, planner fields. The first one-worker run fills the plan's memo
+// from empty; every later run finds it full and must fill nothing. Memo
+// counters are left out of the stats comparison, since the one-worker run
+// of the first shard size ran cold. Shard sizes span "every cell its own shard"
 // (nothing to slice) to "one shard larger than the grid" (everything
 // sliced, one commit).
 func TestSlicedShardsEquivalence(t *testing.T) {
@@ -84,9 +84,6 @@ func TestSlicedShardsEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl := mustPrepare(tc.grid, tc.g)
-			if _, err := pl.Evaluate(context.Background()); err != nil {
-				t.Fatal(err)
-			}
 			dir := t.TempDir()
 			evaluate := func(workers, size int) (header string, records []string, stats ShardStats) {
 				t.Helper()
@@ -101,13 +98,13 @@ func TestSlicedShardsEquivalence(t *testing.T) {
 				return header, records, stats
 			}
 			sliced := false
-			for _, size := range sizes {
+			for i, size := range sizes {
 				header1, records1, stats1 := evaluate(1, size)
 				if len(records1) != numShards(pl.ax.cells, size) {
 					t.Fatalf("shard=%d: one-worker checkpoint holds %d records, want %d", size, len(records1), numShards(pl.ax.cells, size))
 				}
-				if stats1.MemoHits == 0 || stats1.MemoFills != 0 {
-					t.Fatalf("shard=%d: %d memo hits and %d fills on a warm memo, want hits only", size, stats1.MemoHits, stats1.MemoFills)
+				if cold := i == 0; cold != (stats1.MemoFills != 0) {
+					t.Fatalf("shard=%d: one-worker run filled %d memo slots; want fills only on the first, cold run", size, stats1.MemoFills)
 				}
 				for _, w := range workerCounts {
 					l := pl.Layout(size)
@@ -117,8 +114,11 @@ func TestSlicedShardsEquivalence(t *testing.T) {
 					if header != header1 || !slices.Equal(records, records1) {
 						t.Errorf("workers=%d shard=%d: checkpoint lines differ from the one-worker file", w, size)
 					}
-					if stats != stats1 {
+					if withoutMemo(stats) != withoutMemo(stats1) {
 						t.Errorf("workers=%d shard=%d: stats %+v, one worker reported %+v", w, size, stats, stats1)
+					}
+					if stats.MemoFills != 0 {
+						t.Errorf("workers=%d shard=%d: %d memo fills on a memo the first run filled", w, size, stats.MemoFills)
 					}
 				}
 			}
