@@ -20,10 +20,11 @@
 //     uncovered shards are re-leased to whoever asks next. A worker
 //     that dies mid-lease costs only the wall-clock of re-evaluating
 //     its unfinished shards.
-//   - Reconciliation. The lease grant advertises the coordinator's
-//     have-set as compact ranges; a reconnecting worker drops held
-//     shards the coordinator already has and offers the rest, shipping
-//     only what the coordinator still misses.
+//   - Reconciliation. Every lease grant carries the coordinator's
+//     have-set as compact ranges; a worker drops the held shards it
+//     covers and submits the rest. Idempotent ingestion counts anything
+//     that slips through (a lease that expired while its worker was
+//     still evaluating, delivered first by a rival) as a duplicate.
 //
 // Leases are cut on chain-aligned unit boundaries (Plan.Units),
 // so RunDelta chains stay local to one worker and cross-shard delta
@@ -470,26 +471,6 @@ func (c *Coordinator) Heartbeat(leaseID, fingerprint string) error {
 	}
 	l.expires = c.now().Add(c.opts.leaseTTL())
 	return nil
-}
-
-// Offer is the reconciliation round-trip: a worker holding finished
-// shards (typically after losing its connection mid-lease) offers
-// their indices and learns which the coordinator still wants. Shipping
-// only the wanted ones keeps reconnect transfer proportional to what
-// was actually lost.
-func (c *Coordinator) Offer(fingerprint string, shards []int) (want []int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	aj, err := c.activeLocked(fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range shards {
-		if s >= 0 && s < aj.job.Layout.Shards && !aj.cw.Have(s) {
-			want = append(want, s)
-		}
-	}
-	return want, nil
 }
 
 // Submit ingests a batch of shard partials. Accepted partials are

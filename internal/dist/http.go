@@ -16,7 +16,6 @@ import (
 //	GET  /dist/v1/job        → JobInfo (404 while idle)
 //	POST /dist/v1/lease      {"worker","fingerprint"} → LeaseGrant
 //	POST /dist/v1/heartbeat  {"lease_id","fingerprint"} → 204
-//	POST /dist/v1/offer      {"worker","fingerprint","shards":[...]} → {"want":[...]}
 //	POST /dist/v1/submit     {"worker","fingerprint","partials":[...]} → {"accepted","duplicates"}
 //	GET  /dist/v1/stats      → Stats
 //	GET  /dist/v1/events     → SSE stream of Stats snapshots
@@ -32,16 +31,6 @@ type leaseRequest struct {
 type heartbeatRequest struct {
 	LeaseID     string `json:"lease_id"`
 	Fingerprint string `json:"fingerprint"`
-}
-
-type offerRequest struct {
-	Worker      string `json:"worker"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      []int  `json:"shards"`
-}
-
-type offerResponse struct {
-	Want []int `json:"want"`
 }
 
 type submitRequest struct {
@@ -61,7 +50,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /dist/v1/job", c.handleJob)
 	mux.HandleFunc("POST /dist/v1/lease", c.handleLease)
 	mux.HandleFunc("POST /dist/v1/heartbeat", c.handleHeartbeat)
-	mux.HandleFunc("POST /dist/v1/offer", c.handleOffer)
 	mux.HandleFunc("POST /dist/v1/submit", c.handleSubmit)
 	mux.HandleFunc("GET /dist/v1/stats", c.handleStats)
 	mux.HandleFunc("GET /dist/v1/events", c.handleEvents)
@@ -150,20 +138,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Coordinator) handleOffer(w http.ResponseWriter, r *http.Request) {
-	var req offerRequest
-	if err := decodeStrict(w, r, 1<<20, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	want, err := c.Offer(req.Fingerprint, req.Shards)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, offerResponse{Want: want})
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,10 +51,12 @@ func (e *PlanEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardP
 	return e.Plan.EvaluateShardRange(e.Ctx, e.Layout, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.Pool})
 }
 
-// WorkerStats counts one worker's protocol activity. ShardsShipped +
-// ShardsSkipped partition the shards the worker finished: shipped ones
-// the coordinator was missing, skipped ones it already had — the
-// reconciliation transfer accounting.
+// WorkerStats counts one worker's protocol activity — the
+// reconciliation transfer accounting. ShardsShipped counts the finished
+// shards the worker submitted; ShardsSkipped counts the ones it dropped
+// because a lease grant's have-set already covered them. A shipped shard
+// can still be a duplicate at the coordinator: a lease that expired
+// while this worker evaluated it, and that a rival delivered first.
 type WorkerStats struct {
 	Leases          int
 	ShardsEvaluated int
@@ -65,9 +66,9 @@ type WorkerStats struct {
 
 // Worker pulls leases from a coordinator, evaluates them locally, and
 // ships the partials back. It tolerates a flaky coordinator link:
-// finished shards are held across transport failures and reconciled on
-// reconnect (offer → want → submit), so nothing is lost and nothing
-// already ingested is re-sent.
+// finished shards are held across transport failures and reconciled
+// against the next grant's have-set, so nothing is lost and nothing the
+// coordinator advertises is re-sent.
 type Worker struct {
 	// Base is the coordinator's base URL (e.g. "http://127.0.0.1:8379").
 	Base string
@@ -205,60 +206,25 @@ func (w *Worker) openEvaluator(ctx context.Context, spec json.RawMessage) (Evalu
 
 // serve is the lease loop for one job: lease, evaluate, ship, repeat,
 // until the coordinator reports the job complete (or gone). Finished
-// shards are held in memory across transport failures; every pass
-// first reconciles them against the grant's have-set so a reconnect
-// ships only what the coordinator is missing.
+// shards are held in memory across transport failures. Reconciliation
+// is one rule: every grant carries the coordinator's have-set, the
+// worker drops the held shards it covers and ships the rest.
 func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) error {
-	held := map[int]*sbgp.ShardPartial{}
+	var held []*sbgp.ShardPartial
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		grant, err := w.lease(ctx, fingerprint)
+		if err == nil {
+			held = w.dropHave(held, grant.Have)
+			held, err = w.ship(ctx, fingerprint, held)
+		}
 		if err != nil {
-			if errors.Is(err, ErrNoJob) || errors.Is(err, ErrFingerprintMismatch) {
-				// The job finished (and was uninstalled) or was replaced
-				// under us: this job is over for this worker.
-				return nil
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if again, err := w.retry(ctx, err); !again {
 				return err
 			}
-			if serr := sleepCtx(ctx, w.poll()); serr != nil {
-				return serr
-			}
 			continue
-		}
-		// Reconciliation step 1: drop held shards the coordinator
-		// already advertises — somebody else (or an earlier send whose
-		// ack we lost) delivered them.
-		//sbgplint:ordered deletion plus a counter bump per shard; order-free (ship sorts before offering)
-		for s := range held {
-			for _, hr := range grant.Have {
-				if s >= hr.Start && s < hr.End {
-					delete(held, s)
-					w.mu.Lock()
-					w.stats.ShardsSkipped++
-					w.mu.Unlock()
-					break
-				}
-			}
-		}
-		// Reconciliation step 2: offer the rest, ship only what is
-		// still wanted.
-		if len(held) > 0 {
-			if err := w.ship(ctx, fingerprint, held); err != nil {
-				if errors.Is(err, ErrNoJob) || errors.Is(err, ErrFingerprintMismatch) {
-					return nil
-				}
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return err
-				}
-				if serr := sleepCtx(ctx, w.poll()); serr != nil {
-					return serr
-				}
-				continue
-			}
 		}
 		if grant.Complete {
 			return nil
@@ -286,7 +252,7 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			w.heartbeatLoop(hbCtx, fingerprint, grant.LeaseID, time.Duration(grant.TTLMillis)*time.Millisecond)
 		}()
 		evalErr := ev.EvaluateShards(grant.Range, func(p *sbgp.ShardPartial) error {
-			held[p.Shard] = p
+			held = append(held, p)
 			w.mu.Lock()
 			w.stats.ShardsEvaluated++
 			w.mu.Unlock()
@@ -303,76 +269,74 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			// with it — the lease expires and others re-evaluate.
 			return evalErr
 		}
-		if err := w.ship(ctx, fingerprint, held); err != nil {
-			if errors.Is(err, ErrNoJob) || errors.Is(err, ErrFingerprintMismatch) {
-				return nil
-			}
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// A transport failure keeps the unshipped shards held; the next
+		// grant's have-set reconciles them.
+		if held, err = w.ship(ctx, fingerprint, held); err != nil {
+			if again, err := w.retry(ctx, err); !again {
 				return err
-			}
-			// Transport failure: keep holding; the next pass reconciles.
-			if serr := sleepCtx(ctx, w.poll()); serr != nil {
-				return serr
 			}
 		}
 	}
 }
 
-// ship reconciles and delivers the held shards: offer their indices,
-// learn which the coordinator still wants, submit exactly those. On
-// success held is empty; on error it is preserved for the next pass.
-func (w *Worker) ship(ctx context.Context, fingerprint string, held map[int]*sbgp.ShardPartial) error {
-	shards := make([]int, 0, len(held))
-	for s := range held {
-		shards = append(shards, s)
+// retry triages a failed protocol call in serve: whether to try again,
+// and if not, what serve returns. The job being over for this worker
+// (finished and uninstalled, or replaced) ends serve with nil, a done
+// ctx with ctx's error; anything else is a transport failure, retried
+// after one poll.
+func (w *Worker) retry(ctx context.Context, err error) (again bool, _ error) {
+	switch {
+	case errors.Is(err, ErrNoJob), errors.Is(err, ErrFingerprintMismatch):
+		return false, nil
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return false, err
 	}
-	sort.Ints(shards)
-	want, err := w.offer(ctx, fingerprint, shards)
-	if err != nil {
-		return err
+	if err := sleepCtx(ctx, w.poll()); err != nil {
+		return false, err
 	}
-	wantSet := make(map[int]bool, len(want))
-	for _, s := range want {
-		wantSet[s] = true
-	}
-	for _, s := range shards {
-		if !wantSet[s] {
-			delete(held, s)
-			w.mu.Lock()
-			w.stats.ShardsSkipped++
-			w.mu.Unlock()
+	return true, nil
+}
+
+// dropHave removes from held the shards the coordinator's have-set
+// covers — a rival, or an earlier submit whose ack was lost, delivered
+// them — and counts them as skipped.
+func (w *Worker) dropHave(held []*sbgp.ShardPartial, have []sbgp.ShardRange) []*sbgp.ShardPartial {
+	kept := held[:0]
+	for _, p := range held {
+		if !covers(have, p.Shard) {
+			kept = append(kept, p)
 		}
 	}
-	if len(want) == 0 {
-		return nil
-	}
-	partials := make([]*sbgp.ShardPartial, 0, len(want))
-	for _, s := range want {
-		if p := held[s]; p != nil {
-			partials = append(partials, p)
+	w.mu.Lock()
+	w.stats.ShardsSkipped += len(held) - len(kept)
+	w.mu.Unlock()
+	return kept
+}
+
+func covers(have []sbgp.ShardRange, s int) bool {
+	for _, r := range have {
+		if s >= r.Start && s < r.End {
+			return true
 		}
 	}
-	// Chunked submission bounds every request well under the
-	// coordinator's 1 MiB body cap, however many shards a reconnect
-	// accumulated. A mid-loop failure preserves exactly the unshipped
-	// tail in held for the next reconciliation pass.
-	for len(partials) > 0 {
-		batch := partials
-		if len(batch) > submitBatch {
-			batch = batch[:submitBatch]
-		}
+	return false
+}
+
+// ship submits the held shards in batches and returns the ones still
+// unshipped: none on success, the unsent tail on error. Chunking bounds
+// every request well under the coordinator's 1 MiB body cap, however
+// many shards a reconnect accumulated.
+func (w *Worker) ship(ctx context.Context, fingerprint string, held []*sbgp.ShardPartial) ([]*sbgp.ShardPartial, error) {
+	for i := 0; i < len(held); i += submitBatch {
+		batch := held[i:min(i+submitBatch, len(held))]
 		if _, _, err := w.submit(ctx, fingerprint, batch); err != nil {
-			return err
+			return held[i:], err
 		}
 		w.mu.Lock()
 		w.stats.ShardsShipped += len(batch)
 		w.mu.Unlock()
-		for _, p := range batch {
-			delete(held, p.Shard)
-		}
-		partials = partials[len(batch):]
 	}
-	return nil
+	return held[:0], nil
 }
 
 // submitBatch is the maximum shards per submit request. A shard partial
@@ -475,15 +439,6 @@ func (w *Worker) lease(ctx context.Context, fingerprint string) (*LeaseGrant, er
 
 func (w *Worker) heartbeat(ctx context.Context, fingerprint, leaseID string) error {
 	return w.call(ctx, http.MethodPost, "/dist/v1/heartbeat", heartbeatRequest{LeaseID: leaseID, Fingerprint: fingerprint}, nil)
-}
-
-func (w *Worker) offer(ctx context.Context, fingerprint string, shards []int) ([]int, error) {
-	var resp offerResponse
-	err := w.call(ctx, http.MethodPost, "/dist/v1/offer", offerRequest{Worker: w.ID, Fingerprint: fingerprint, Shards: shards}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Want, nil
 }
 
 func (w *Worker) submit(ctx context.Context, fingerprint string, partials []*sbgp.ShardPartial) (accepted, duplicates int, err error) {
