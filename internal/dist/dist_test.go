@@ -914,3 +914,67 @@ func TestBodyCapReturns413(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRefusesUnservedRoute: a 404 that is not the coordinator's
+// JSON error means the server does not serve the route — a worker and a
+// coordinator from different builds. The worker must refuse loudly,
+// naming the path, instead of reading it as "job over" and dropping its
+// shards (with OneJob, returning nil from a job it never finished).
+func TestWorkerRefusesUnservedRoute(t *testing.T) {
+	g := smallGraph()
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
+	const size = 5
+	coord := NewCoordinator(Options{Standby: 5 * time.Millisecond})
+	job, _ := gridJob(t, mkGrid, g, size, "", false, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := startRun(ctx, coord, job)
+	waitActive(t, coord)
+	inner := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/dist/v1/submit" {
+			http.NotFound(w, r)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	wctx, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	err := gridWorker("skewed", srv.URL, mkGrid, g, size).Run(wctx)
+	if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "/dist/v1/submit") {
+		t.Errorf("Run against a coordinator without submit = %v, want a protocol mismatch naming /dist/v1/submit", err)
+	}
+	if st := coord.Stats(); st.ShardsAccepted != 0 {
+		t.Errorf("stats %+v: shards accepted through a route that 404s", st)
+	}
+	cancel()
+	<-done
+
+	// The coordinator's own 404s: an idle job endpoint answers its JSON
+	// error (the job is over), the retired offer route a plain 404.
+	plain := httptest.NewServer(coord.Handler())
+	defer plain.Close()
+	for _, tc := range []struct {
+		method, path string
+		want         error
+	}{
+		{http.MethodGet, "/dist/v1/job", ErrNoJob},
+		{http.MethodPost, "/dist/v1/offer", errProtocol},
+	} {
+		req, err := http.NewRequest(tc.method, plain.URL+tc.path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := statusError(tc.path, resp.StatusCode, body); resp.StatusCode != http.StatusNotFound || !errors.Is(got, tc.want) {
+			t.Errorf("%s %s = %d %q → %v, want 404 → %v", tc.method, tc.path, resp.StatusCode, body, got, tc.want)
+		}
+	}
+}

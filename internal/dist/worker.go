@@ -127,7 +127,8 @@ func (w *Worker) client() *http.Client {
 // job completes). It returns nil on a clean OneJob completion, the
 // context error on cancellation, and a hard error when the job cannot
 // be served at all (evaluator construction failure, foreign
-// fingerprint).
+// fingerprint, a coordinator that does not serve a route this worker
+// calls).
 func (w *Worker) Run(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -136,7 +137,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		info, err := w.jobInfo(ctx)
 		if err != nil {
 			// Idle coordinator or transport failure: poll again.
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errProtocol) {
 				return err
 			}
 			if serr := sleepCtx(ctx, w.poll()); serr != nil {
@@ -282,13 +283,13 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 // retry triages a failed protocol call in serve: whether to try again,
 // and if not, what serve returns. The job being over for this worker
 // (finished and uninstalled, or replaced) ends serve with nil, a done
-// ctx with ctx's error; anything else is a transport failure, retried
-// after one poll.
+// ctx or a protocol mismatch with the error; anything else is a
+// transport failure, retried after one poll.
 func (w *Worker) retry(ctx context.Context, err error) (again bool, _ error) {
 	switch {
 	case errors.Is(err, ErrNoJob), errors.Is(err, ErrFingerprintMismatch):
 		return false, nil
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), errors.Is(err, errProtocol):
 		return false, err
 	}
 	if err := sleepCtx(ctx, w.poll()); err != nil {
@@ -363,18 +364,28 @@ func (w *Worker) heartbeatLoop(ctx context.Context, fingerprint, leaseID string,
 
 // ---- HTTP client plumbing ----
 
+// errProtocol marks a reply that means the worker and the server do
+// not speak the same protocol: a 404 that is not the coordinator's own
+// JSON error, i.e. a route the server does not serve. Coordinator and
+// workers come from one build, so this is refused, never retried.
+var errProtocol = errors.New("dist: protocol mismatch")
+
 // statusError maps a coordinator error response to the protocol
 // sentinels so callers can errors.Is against them across the wire.
-func statusError(code int, body []byte) error {
+func statusError(path string, code int, body []byte) error {
 	var msg struct {
 		Error string `json:"error"`
 	}
 	detail := string(bytes.TrimSpace(body))
-	if json.Unmarshal(body, &msg) == nil && msg.Error != "" {
+	coordinatorError := json.Unmarshal(body, &msg) == nil && msg.Error != ""
+	if coordinatorError {
 		detail = msg.Error
 	}
 	switch code {
 	case http.StatusNotFound:
+		if !coordinatorError {
+			return fmt.Errorf("%w: the server does not serve %s (404: %s)", errProtocol, path, detail)
+		}
 		return fmt.Errorf("%w (%s)", ErrNoJob, detail)
 	case http.StatusConflict:
 		return fmt.Errorf("%w (%s)", ErrFingerprintMismatch, detail)
@@ -412,7 +423,7 @@ func (w *Worker) call(ctx context.Context, method, path string, in, out any) err
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return statusError(resp.StatusCode, data)
+		return statusError(path, resp.StatusCode, data)
 	}
 	if out != nil {
 		return json.Unmarshal(data, out)
