@@ -15,10 +15,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -318,90 +320,226 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 }
 
 // sabotageTransport severs the worker's first submit — after handing
-// half of that submission's partials to the coordinator as a rival
-// worker would have. The worker must then reconcile: drop what the
+// the coordinator, as a rival worker would have, the part of that batch
+// steal picks. It records the shard indices of the severed batch and of
+// every submit it lets through, and the have-set of the first lease
+// grant after the sever. The worker must then reconcile: drop what the
 // coordinator now has, ship only the rest, and re-send nothing.
 type sabotageTransport struct {
 	base        http.RoundTripper
 	coord       *Coordinator
 	fingerprint string
+	steal       func(batch []int) []int
 
-	mu     sync.Mutex
-	fired  bool
-	stolen int
+	mu       sync.Mutex
+	severed  []int             // the severed batch, sorted
+	stolen   []int             // the part of it the rival delivered
+	sawGrant bool              // have is recorded
+	have     []sbgp.ShardRange // the first grant's have-set after the sever
+	shipped  [][]int           // every later submit, sorted
 }
 
 func (s *sabotageTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/dist/v1/submit") {
+	switch {
+	case strings.HasSuffix(req.URL.Path, "/dist/v1/submit"):
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var sub submitRequest
+		if err := json.Unmarshal(body, &sub); err != nil {
+			return nil, err
+		}
+		shards := make([]int, len(sub.Partials))
+		for i, p := range sub.Partials {
+			shards[i] = p.Shard
+		}
+		slices.Sort(shards)
 		s.mu.Lock()
-		if !s.fired {
-			s.fired = true
-			body, _ := io.ReadAll(req.Body)
-			req.Body.Close()
-			var sub submitRequest
-			if err := json.Unmarshal(body, &sub); err == nil && len(sub.Partials) > 1 {
-				n := len(sub.Partials) / 2
-				if _, _, err := s.coord.Submit("rival", s.fingerprint, sub.Partials[:n]); err == nil {
-					s.stolen = n
+		first := s.severed == nil
+		if first {
+			s.severed = shards
+		} else {
+			s.shipped = append(s.shipped, shards)
+		}
+		s.mu.Unlock()
+		if first {
+			stolen := s.steal(shards)
+			var rival []*sbgp.ShardPartial
+			for _, p := range sub.Partials {
+				if slices.Contains(stolen, p.Shard) {
+					rival = append(rival, p)
 				}
 			}
+			if _, _, err := s.coord.Submit("rival", s.fingerprint, rival); err != nil {
+				return nil, err
+			}
+			s.mu.Lock()
+			s.stolen = stolen
 			s.mu.Unlock()
 			return nil, errors.New("injected link failure")
 		}
-		s.mu.Unlock()
+		r := req.Clone(req.Context())
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		return s.base.RoundTrip(r)
+	case strings.HasSuffix(req.URL.Path, "/dist/v1/lease"):
+		resp, err := s.base.RoundTrip(req)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err != nil || s.severed == nil || s.sawGrant || resp.StatusCode != http.StatusOK {
+			return resp, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var grant LeaseGrant
+		if err := json.Unmarshal(data, &grant); err != nil {
+			return nil, err
+		}
+		s.sawGrant, s.have = true, grant.Have
+		resp.Body = io.NopCloser(bytes.NewReader(data))
+		return resp, nil
 	}
 	return s.base.RoundTrip(req)
 }
 
-// TestReconciliationTransfersOnlyMissing: a worker whose submit is
-// severed mid-flight (while a rival delivers half its shards) must ship
-// exactly the complement on reconnect — counted skips for what the
-// coordinator already had, zero duplicate submissions overall.
-func TestReconciliationTransfersOnlyMissing(t *testing.T) {
-	g := smallGraph()
-	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
-	const size = 5
-	coord := NewCoordinator(Options{LeaseShards: 1 << 20, LeaseTTL: 10 * time.Second, Standby: 5 * time.Millisecond})
-	job, layout := gridJob(t, mkGrid, g, size, "", false, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := startRun(ctx, coord, job)
-	waitActive(t, coord)
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
+// rangesOf is the have-set encoding of a sorted shard list: one range
+// per run of consecutive shards.
+func rangesOf(shards []int) []sbgp.ShardRange {
+	var out []sbgp.ShardRange
+	for _, s := range shards {
+		if n := len(out); n > 0 && out[n-1].End == s {
+			out[n-1].End++
+		} else {
+			out = append(out, sbgp.ShardRange{Start: s, End: s + 1})
+		}
+	}
+	return out
+}
 
-	sab := &sabotageTransport{base: http.DefaultTransport, coord: coord, fingerprint: layout.Fingerprint}
-	w := gridWorker("flaky", srv.URL, mkGrid, g, size)
-	w.Client = &http.Client{Transport: sab}
-	if err := w.Run(context.Background()); err != nil {
+// TestReconciliationTransfersOnlyMissing: a worker whose first submit is
+// severed mid-flight, while a rival delivers some subset of that batch,
+// must on reconnect submit exactly the held shards the coordinator's
+// have-set does not cover — counted skips for the rest, zero duplicate
+// submissions overall, golden bytes. The rival's subsets run from none
+// to all of the batch, with one and several gaps (so the have-set
+// arrives as several ranges) and seeded random ones.
+func TestReconciliationTransfersOnlyMissing(t *testing.T) {
+	g := goldenGraph()
+	want, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "golden_onehop.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := <-done
-	if r.err != nil {
-		t.Fatal(r.err)
+	mkGrid := func() *sweep.Grid { return goldenGrid(g, nil) }
+	// 62 single-shard units at size 7: the first lease, and so the
+	// severed batch, is shards [0, 16) and the job outlives any subset
+	// of it.
+	const size, leaseShards = 7, 16
+	subset := func(keep func(i, n int) bool) func([]int) []int {
+		return func(batch []int) []int {
+			var out []int
+			for i, s := range batch {
+				if keep(i, len(batch)) {
+					out = append(out, s)
+				}
+			}
+			return out
+		}
 	}
-	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
-		t.Error("reconciled distributed result diverges from flat evaluation")
+	random := func(seed int64) func([]int) []int {
+		rng := rand.New(rand.NewSource(seed))
+		return subset(func(int, int) bool { return rng.Intn(2) == 0 })
 	}
+	for _, tc := range []struct {
+		name  string
+		steal func([]int) []int
+	}{
+		{"empty", subset(func(int, int) bool { return false })},
+		{"everything", subset(func(int, int) bool { return true })},
+		{"one-gap", subset(func(i, n int) bool { return i != n/2 })},
+		{"several-gaps", subset(func(i, _ int) bool { return i%3 != 1 })},
+		{"random-1", random(1)},
+		{"random-2", random(2)},
+		{"random-3", random(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := NewCoordinator(Options{LeaseShards: leaseShards, LeaseTTL: 10 * time.Second, Standby: 5 * time.Millisecond})
+			job, layout := gridJob(t, mkGrid, g, size, "", false, nil)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := startRun(ctx, coord, job)
+			waitActive(t, coord)
+			srv := httptest.NewServer(coord.Handler())
+			defer srv.Close()
 
-	sab.mu.Lock()
-	stolen := sab.stolen
-	sab.mu.Unlock()
-	if stolen == 0 {
-		t.Fatal("sabotage never fired; the test exercised nothing")
-	}
-	ws := w.Stats()
-	if ws.ShardsEvaluated != layout.Shards {
-		t.Errorf("worker evaluated %d shards, want all %d", ws.ShardsEvaluated, layout.Shards)
-	}
-	if ws.ShardsSkipped != stolen {
-		t.Errorf("worker skipped %d shards, want exactly the %d the rival delivered", ws.ShardsSkipped, stolen)
-	}
-	if ws.ShardsShipped != layout.Shards-stolen {
-		t.Errorf("worker shipped %d shards, want exactly the missing %d", ws.ShardsShipped, layout.Shards-stolen)
-	}
-	if st := coord.Stats(); st.Duplicates != 0 {
-		t.Errorf("coordinator counted %d duplicate submissions; reconnect must transfer only missing shards", st.Duplicates)
+			sab := &sabotageTransport{base: http.DefaultTransport, coord: coord, fingerprint: layout.Fingerprint, steal: tc.steal}
+			w := gridWorker("flaky", srv.URL, mkGrid, g, size)
+			w.Client = &http.Client{Transport: sab}
+			if err := w.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if !bytes.Equal(resultBytes(t, r.res), want) {
+				t.Error("reconciled distributed result diverges from golden_onehop.json")
+			}
+
+			sab.mu.Lock()
+			defer sab.mu.Unlock()
+			if sab.severed == nil || !sab.sawGrant {
+				t.Fatal("sabotage never fired; the test exercised nothing")
+			}
+			if len(sab.severed) != leaseShards {
+				t.Fatalf("severed batch %v, want the first lease's %d shards", sab.severed, leaseShards)
+			}
+			if got, want := sab.have, rangesOf(sab.stolen); !slices.Equal(got, want) {
+				t.Errorf("first grant after the sever advertised %v, want the rival's %v", got, want)
+			}
+			// held \ have goes out in the first submit after the sever.
+			var missing []int
+			for _, s := range sab.severed {
+				if !slices.Contains(sab.stolen, s) {
+					missing = append(missing, s)
+				}
+			}
+			if len(missing) > 0 && (len(sab.shipped) == 0 || !slices.Equal(sab.shipped[0], missing)) {
+				t.Errorf("first submit after the sever = %v, want exactly held \\ have = %v", sab.shipped, missing)
+			}
+			// Every later submit together: each shard the rival did not
+			// deliver, once.
+			var all []int
+			for _, b := range sab.shipped {
+				all = append(all, b...)
+			}
+			slices.Sort(all)
+			var rest []int
+			for s := range layout.Shards {
+				if !slices.Contains(sab.stolen, s) {
+					rest = append(rest, s)
+				}
+			}
+			if !slices.Equal(all, rest) {
+				t.Errorf("submitted shards %v, want each of %v once", all, rest)
+			}
+			ws := w.Stats()
+			if ws.ShardsEvaluated != layout.Shards {
+				t.Errorf("worker evaluated %d shards, want all %d", ws.ShardsEvaluated, layout.Shards)
+			}
+			if ws.ShardsSkipped != len(sab.stolen) {
+				t.Errorf("worker skipped %d shards, want exactly the %d the rival delivered", ws.ShardsSkipped, len(sab.stolen))
+			}
+			if ws.ShardsShipped != layout.Shards-len(sab.stolen) {
+				t.Errorf("worker shipped %d shards, want exactly the missing %d", ws.ShardsShipped, layout.Shards-len(sab.stolen))
+			}
+			if st := coord.Stats(); st.Duplicates != 0 {
+				t.Errorf("coordinator counted %d duplicate submissions; reconnect must transfer only missing shards", st.Duplicates)
+			}
+		})
 	}
 }
 
