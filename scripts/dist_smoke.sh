@@ -4,7 +4,8 @@
 # worker mid-grid (its leases expire and re-issue to the survivor),
 # and byte-diff the finished grid against a one-shot bgpsim -job run
 # of the same spec. Any divergence — lost shard, double count, merge
-# order — fails the cmp.
+# order — fails the cmp; the coordinator's stats must then show every
+# shard accepted once and no duplicate transfer.
 set -eu
 
 workdir=$(mktemp -d)
@@ -103,8 +104,18 @@ expired=$(printf '%s' "$stats" | sed -n 's/.*"leases_expired":\([0-9]*\).*/\1/p'
 [ -n "$expired" ] && [ "$expired" -ge 1 ] || {
     echo "no lease expired: the kill never stranded a lease"; exit 1; }
 
+# The kill costs re-evaluation, never a duplicate transfer: the
+# coordinator accepted each of the job's shards once and nothing twice.
+shards=$(sed -n 's/.*"shards_total": \([0-9]*\).*/\1/p' "$workdir/final.json")
+accepted=$(printf '%s' "$stats" | sed -n 's/.*"shards_accepted":\([0-9]*\).*/\1/p')
+duplicates=$(printf '%s' "$stats" | sed -n 's/.*"duplicates":\([0-9]*\).*/\1/p')
+[ -n "$shards" ] && [ "$accepted" = "$shards" ] || {
+    echo "coordinator accepted '$accepted' shards, the job has '$shards'"; exit 1; }
+[ "$duplicates" = 0 ] || {
+    echo "coordinator counted '$duplicates' duplicate shards"; exit 1; }
+
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
 grep -q "stopped" "$workdir/log" || { echo "no clean shutdown:"; cat "$workdir/log"; exit 1; }
-echo "dist smoke OK ($addr, job $id, killed worker re-leased, bytes identical)"
+echo "dist smoke OK ($addr, job $id, killed worker re-leased, $shards shards each accepted once, bytes identical)"
