@@ -698,6 +698,19 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 	workerErrs := make([]error, 2)
 	for i := range workerErrs {
 		w := gridWorker(fmt.Sprintf("w%d", i), srv.URL, mkGrid, g, size)
+		// The survivors evaluate only once the doomed worker is stalled
+		// in a lease: on a loaded machine one of them could otherwise
+		// finish the whole grid before the doomed worker leases anything,
+		// and killReady would never close.
+		open := w.Open
+		w.Open = func(ctx context.Context, spec json.RawMessage) (Evaluator, error) {
+			select {
+			case <-killReady:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return open(ctx, spec)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
