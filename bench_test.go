@@ -729,7 +729,8 @@ func BenchmarkSecurityFreeCollapse(b *testing.B) {
 // dist worker generates its own: the pools keep their engines warm, but
 // no job finds an earlier job's memo in them. Every job's partials are
 // merged and checked against one range's bytes, timed, at the same small
-// cost in each arm.
+// cost in each arm. Each arm reports the engines' from-scratch runs,
+// delta steps and fallbacks a job, read from the ranges' ShardStats.
 func BenchmarkLeaseRanges(b *testing.B) {
 	g, grid, _ := headlineGrid()
 	grid.Workers = 1
@@ -754,14 +755,15 @@ func BenchmarkLeaseRanges(b *testing.B) {
 	}
 	pools := []*sweep.EnginePool{sweep.NewEnginePool(), sweep.NewEnginePool()}
 	// job evaluates the ranges in order, range i on plan i mod the plan
-	// count, and returns the job's bytes.
-	job := func(plans []*sweep.Plan, ranges []sweep.ShardRange) ([]byte, error) {
+	// count, adds their counters to st and returns the job's bytes.
+	job := func(plans []*sweep.Plan, ranges []sweep.ShardRange, st *sweep.ShardStats) ([]byte, error) {
 		var partials []*sweep.ShardPartial
 		for i, r := range ranges {
 			k := i % len(plans)
 			err := plans[k].EvaluateShardRange(context.Background(), l, r, sweep.RangeOptions{
-				Pool: pools[k],
-				Sink: func(p *sweep.ShardPartial) error { partials = append(partials, p); return nil },
+				Pool:  pools[k],
+				Stats: st,
+				Sink:  func(p *sweep.ShardPartial) error { partials = append(partials, p); return nil },
 			})
 			pools[k].Release()
 			if err != nil {
@@ -777,7 +779,7 @@ func BenchmarkLeaseRanges(b *testing.B) {
 		return buf.Bytes(), err
 	}
 	whole := []sweep.ShardRange{{End: l.Shards}}
-	want, err := job([]*sweep.Plan{prepare(g)}, whole)
+	want, err := job([]*sweep.Plan{prepare(g)}, whole, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -792,6 +794,7 @@ func BenchmarkLeaseRanges(b *testing.B) {
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			plans := make([]*sweep.Plan, arm.plans)
+			var st sweep.ShardStats
 			evaluate := func() {
 				b.StopTimer()
 				jobGraph, _ := topogen.MustGenerate(topogen.Params{N: g.N(), Seed: 1})
@@ -799,7 +802,7 @@ func BenchmarkLeaseRanges(b *testing.B) {
 					plans[k] = prepare(jobGraph)
 				}
 				b.StartTimer()
-				got, err := job(plans, arm.ranges)
+				got, err := job(plans, arm.ranges, &st)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -812,10 +815,14 @@ func BenchmarkLeaseRanges(b *testing.B) {
 			for start := time.Now(); time.Since(start) < time.Second; {
 				evaluate()
 			}
+			st = sweep.ShardStats{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				evaluate()
 			}
+			b.ReportMetric(float64(st.Runs)/float64(b.N), "runs/job")
+			b.ReportMetric(float64(st.DeltaSteps)/float64(b.N), "delta-steps/job")
+			b.ReportMetric(float64(st.Fallbacks)/float64(b.N), "fallbacks/job")
 		})
 	}
 }

@@ -91,7 +91,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.jobPath, "job", "",
 		"evaluate the sweep-grid job described by this JobSpec JSON file and print the grid (replaces the deprecated -sweep grid flags)")
 	fs.BoolVar(&o.verbose, "v", false,
-		"with -sweep or -job: print scheduler planner and handoff stats to stderr")
+		"with -sweep or -job: print the planner prediction beside the measured engine work, and the dispatch counters, to stderr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -257,9 +257,9 @@ func main() {
 
 // printGrid evaluates a job through the one shared path (the same
 // FromJobSpec → Simulate → EvaluateJob pipeline the daemon uses) and
-// prints the result grid as JSON. With verbose set, the scheduler's
-// planner and handoff stats go to stderr — stdout stays byte-identical
-// grid JSON either way.
+// prints the result grid as JSON. With verbose set, the evaluation's
+// ShardStats line — the planner's prediction beside the engines' measured
+// work — goes to stderr; stdout stays byte-identical grid JSON either way.
 func printGrid(spec *sbgp.JobSpec, verbose bool) error {
 	sc, err := sbgp.FromJobSpec(spec)
 	if err != nil {
@@ -275,10 +275,7 @@ func printGrid(spec *sbgp.JobSpec, verbose bool) error {
 		return err
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr,
-			"bgpsim: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills\n",
-			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses, stats.MemoHits, stats.MemoFills)
+		fmt.Fprintf(os.Stderr, "bgpsim: %v\n", stats)
 	}
 	return res.WriteJSON(os.Stdout)
 }

@@ -45,8 +45,9 @@
 // a minimum-cost forest instead of each re-running from scratch. Only
 // axes with no linkable pair fall back to the from-scratch schedule.
 // Output is byte-identical in both modes; -incremental=off forces the
-// from-scratch order. -v prints the planner and handoff stats of grid
-// evaluations to stderr.
+// from-scratch order. -v prints the planner's prediction beside the
+// engines' measured work, and the dispatch counters, of grid evaluations
+// to stderr.
 package main
 
 import (
@@ -104,7 +105,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.jobPath, "job", "",
 		"run the sweep-grid job described by this JobSpec JSON file and write the grid to -json (replaces the deprecated grid flags)")
 	fs.BoolVar(&o.verbose, "v", false,
-		"print scheduler planner and handoff stats of grid evaluations to stderr")
+		"print the planner prediction beside the measured engine work, and the dispatch counters, of grid evaluations to stderr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -236,8 +237,9 @@ func simulate(ctx context.Context, spec *sbgp.JobSpec) (*sbgp.Simulation, error)
 
 // writeGrid evaluates a simulated job through the one shared path (the
 // same EvaluateJob the daemon uses) and writes the result grid to path.
-// With verbose set, the scheduler's planner and handoff stats go to
-// stderr — the grid file stays byte-identical either way.
+// With verbose set, the evaluation's ShardStats line — the planner's
+// prediction beside the engines' measured work — goes to stderr; the grid
+// file stays byte-identical either way.
 func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 	var stats sbgp.ShardStats
 	res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
@@ -245,10 +247,7 @@ func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 		return err
 	}
 	if verbose {
-		fmt.Fprintf(os.Stderr,
-			"experiments: schedule: %d chain heads, %d delta edges, predicted volume %d; dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills\n",
-			stats.ChainHeads, stats.DeltaEdges, stats.PredictedVolume,
-			stats.Units, stats.HandoffHits, stats.HandoffMisses, stats.MemoHits, stats.MemoFills)
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", stats)
 	}
 	f, err := os.Create(path)
 	if err != nil {

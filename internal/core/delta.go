@@ -135,10 +135,9 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []asgraph.AS) {
 // over the previous outcome's secure routes, and an external —
 // non-chained — prev costs one array copy to install); when the dirty
 // region's adjacency volume exceeds the engine's delta threshold
-// (WithDeltaThreshold; DefaultDeltaThreshold — three quarters of the
-// graph's edge volume — by default), RunDelta falls back to the
-// from-scratch run. Like Run, the returned Outcome is owned by the
-// engine and valid until the next run.
+// (DefaultDeltaThreshold: three quarters of the graph's edge volume),
+// RunDelta falls back to the from-scratch run. Like Run, the returned
+// Outcome is owned by the engine and valid until the next run.
 //
 //sbgp:hotpath
 func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deployment, atk Attack) *Outcome {
@@ -163,6 +162,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		// pair's baseline outcome: the fixed point the engine holds is
 		// already the answer, cached happy bounds included. No stage
 		// work of either kind runs, so this is not a fallback.
+		e.counters.NoOps++
 		return prev
 	}
 	seededDst := false
@@ -249,7 +249,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		// after a pass, installDelta has left fixedList consistent with
 		// the outcome, so RunAttack's reset remains sound.
 		if e.overDeltaThreshold() {
-			e.deltaFallbacks++
+			e.counters.Fallbacks++
 			return e.RunAttack(d, m, dep, atk)
 		}
 		if !installed {
@@ -298,6 +298,8 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 				e.happyHi += nhi - phi
 			}
 			e.secFree = free
+			e.counters.DeltaSteps++
+			e.counters.DirtyVolume += e.dirtyVol
 			return &e.out
 		}
 	}

@@ -94,7 +94,7 @@ func TestRunDeltaMatchesFromScratch(t *testing.T) {
 						prev, dep = got, next
 					}
 				}
-				if delta.deltaFallbacks == 8*len(attacks) {
+				if delta.counters.Fallbacks == 8*len(attacks) {
 					t.Fatalf("%s %v %v: every RunDelta fell back to the from-scratch path; the incremental path was never exercised", name, model, lp)
 				}
 			}
@@ -487,7 +487,7 @@ func TestRunDeltaRemovalMatchesFromScratch(t *testing.T) {
 					prev, dep = got, next
 				}
 			}
-			if delta.deltaFallbacks == 8*len(attacks) {
+			if delta.counters.Fallbacks == 8*len(attacks) {
 				t.Fatalf("%v %v: every removal RunDelta fell back; the incremental path was never exercised", model, lp)
 			}
 		}
@@ -536,7 +536,7 @@ func TestRunDeltaGrowThenShrink(t *testing.T) {
 		if !outcomesEqual(prev, first) {
 			t.Fatalf("%v: walking the chain back down did not restore the initial outcome", model)
 		}
-		if delta.deltaFallbacks == len(series)-1 {
+		if delta.counters.Fallbacks == len(series)-1 {
 			t.Fatalf("%v: every grow-then-shrink step fell back to from-scratch", model)
 		}
 	}
@@ -585,29 +585,29 @@ func TestWithDeltaThreshold(t *testing.T) {
 	next := &Deployment{Full: big}
 	want := scratch.Run(4, 9, next).Clone()
 
-	off := NewEngine(g, policy.Sec2nd, WithDeltaThreshold(0))
+	off := NewEngine(g, policy.Sec2nd, withDeltaThreshold(0))
 	prev := off.Run(4, 9, nil)
 	if got := off.RunDelta(prev, []asgraph.AS{2}, nil, &Deployment{Full: asgraph.SetOf(n, 2)}, nil); got != prev {
 		t.Fatal("threshold 0: a security-free step did not return prev itself")
 	}
-	if off.deltaFallbacks != 0 {
-		t.Fatalf("threshold 0: %d fallbacks on a security-free step, want 0 (no stage work at all)", off.deltaFallbacks)
+	if c := off.counters; c.Fallbacks != 0 || c.NoOps != 1 {
+		t.Fatalf("threshold 0: %+v on a security-free step, want one no-op and no fallback (no stage work at all)", c)
 	}
 	joined := &Deployment{Full: asgraph.SetOf(n, 2, 4)}
 	if got := off.RunDelta(prev, []asgraph.AS{4}, nil, joined, nil); !outcomesEqual(got, scratch.Run(4, 9, joined)) {
 		t.Fatal("threshold 0: the destination joining S diverges from the from-scratch run")
 	}
-	if off.deltaFallbacks != 1 {
-		t.Fatalf("threshold 0: %d fallbacks, want 1 (incremental path disabled)", off.deltaFallbacks)
+	if off.counters.Fallbacks != 1 {
+		t.Fatalf("threshold 0: %d fallbacks, want 1 (incremental path disabled)", off.counters.Fallbacks)
 	}
 
-	wide := NewEngine(g, policy.Sec2nd, WithDeltaThreshold(1))
+	wide := NewEngine(g, policy.Sec2nd, withDeltaThreshold(1))
 	prev = wide.Run(4, 9, nil)
 	got := wide.RunDelta(prev, added, nil, next, nil)
 	if !outcomesEqual(got, want) {
 		t.Fatal("threshold 1: oversized delta diverges from from-scratch run")
 	}
-	if wide.deltaFallbacks != 0 {
-		t.Fatalf("threshold 1: %d fallbacks, want 0", wide.deltaFallbacks)
+	if wide.counters.Fallbacks != 0 {
+		t.Fatalf("threshold 1: %d fallbacks, want 0", wide.counters.Fallbacks)
 	}
 }

@@ -81,10 +81,8 @@ type Engine struct {
 	secFree    bool
 	deltaPrev  *Outcome
 	deltaDirty []asgraph.AS
-	// deltaFallbacks counts RunDelta calls that crossed the adaptive
-	// threshold and re-ran from scratch (tests assert the incremental
-	// path actually runs).
-	deltaFallbacks int
+	// counters is the work done since TakeCounters last emptied it.
+	counters Counters
 
 	// Delta-fallback threshold state. The bound is edge-volume based:
 	// dirtyVol accumulates the adjacency degree of every dirty AS, and
@@ -158,18 +156,33 @@ func WithResolvedTiebreak() Option {
 // (see BenchmarkRolloutSeries / BenchmarkDeltaThreshold).
 const DefaultDeltaThreshold = 0.75
 
-// WithDeltaThreshold sets the delta-fallback bound: RunDelta re-runs
-// from scratch once the dirty region's adjacency volume (the sum of the
-// dirty ASes' degrees) reaches frac of the graph's total adjacency
-// volume. The default is DefaultDeltaThreshold. Values above 1 are
-// clamped to 1 (never fall back on volume grounds); frac <= 0 disables
-// the incremental path entirely — every RunDelta call becomes a
-// from-scratch run, still returning exact results.
-func WithDeltaThreshold(frac float64) Option {
-	if frac > 1 {
-		frac = 1
-	}
-	return func(e *Engine) { e.deltaFrac = frac }
+// Counters count an engine's work by kind. Runs are from-scratch runs,
+// fallbacks included; DeltaSteps are RunDelta calls that reached their
+// fixpoint, over DirtyVolume summed dirty edge-volume; NoOps are
+// security-free RunDelta steps that did no stage work; Fallbacks are
+// RunDelta calls that crossed the delta threshold. No result reads them.
+type Counters struct {
+	Runs        int   `json:"runs"`
+	DeltaSteps  int   `json:"delta_steps"`
+	DirtyVolume int64 `json:"dirty_volume"`
+	NoOps       int   `json:"no_ops"`
+	Fallbacks   int   `json:"fallbacks"`
+}
+
+// Add sums o into c.
+func (c *Counters) Add(o Counters) {
+	c.Runs += o.Runs
+	c.DeltaSteps += o.DeltaSteps
+	c.DirtyVolume += o.DirtyVolume
+	c.NoOps += o.NoOps
+	c.Fallbacks += o.Fallbacks
+}
+
+// TakeCounters returns the engine's counters and zeroes them.
+func (e *Engine) TakeCounters() Counters {
+	c := e.counters
+	e.counters = Counters{}
+	return c
 }
 
 // NewEngine returns an engine for the given graph and security model
@@ -289,6 +302,7 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	if atk == nil {
 		atk = DefaultAttack
 	}
+	e.counters.Runs++
 	o := &e.out
 	o.Dst, o.Attacker = d, m
 	e.happyValid = false

@@ -137,8 +137,8 @@ func BenchmarkDeltaThreshold(b *testing.B) {
 			}
 			prev = e.RunDelta(prev, added[k], nil, deps[k], nil)
 		}
-		if e.deltaFallbacks > 0 {
-			b.Logf("%d of %d delta steps fell back", e.deltaFallbacks, b.N)
+		if e.counters.Fallbacks > 0 {
+			b.Logf("%d of %d delta steps fell back", e.counters.Fallbacks, b.N)
 		}
 	})
 }

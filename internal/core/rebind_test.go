@@ -57,7 +57,7 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 					t.Fatalf("%s: engine reports the wrong graph or model after hop %d", p.name, hop)
 				}
 				fresh := NewEngineLP(g, model, lp)
-				fallbacksBefore := hopping.deltaFallbacks
+				fallbacksBefore := hopping.counters.Fallbacks
 				d := asgraph.AS(rng.Intn(n))
 				m := asgraph.AS(rng.Intn(n))
 				if m == d {
@@ -84,8 +84,8 @@ func TestRebindMatchesFreshEngine(t *testing.T) {
 				if hopping.totalVol != fresh.totalVol {
 					t.Fatalf("%s hop %d: rebound engine prices the graph at volume %d, a fresh one at %d", p.name, hop, hopping.totalVol, fresh.totalVol)
 				}
-				if got := hopping.deltaFallbacks - fallbacksBefore; got != fresh.deltaFallbacks {
-					t.Fatalf("%s hop %d: %d delta fallbacks on the rebound engine, %d fresh", p.name, hop, got, fresh.deltaFallbacks)
+				if got := hopping.counters.Fallbacks - fallbacksBefore; got != fresh.counters.Fallbacks {
+					t.Fatalf("%s hop %d: %d delta fallbacks on the rebound engine, %d fresh", p.name, hop, got, fresh.counters.Fallbacks)
 				}
 			}
 		}

@@ -195,7 +195,7 @@ func TestSecurityFreeDeltaWalk(t *testing.T) {
 					wantFree := []bool{true, true, false, false, true, true, true, true}
 
 					chained := NewEngineLP(g, model, lp)
-					off := NewEngineLP(g, model, lp, WithDeltaThreshold(0))
+					off := NewEngineLP(g, model, lp, withDeltaThreshold(0))
 					external := NewEngineLP(g, model, lp)
 					fresh := NewEngineLP(g, model, lp)
 					co := chained.RunAttack(d, m, walk[0], nil)
@@ -210,7 +210,7 @@ func TestSecurityFreeDeltaWalk(t *testing.T) {
 						added, removed := DeploymentDelta(walk[step-1], dep)
 						want := fresh.RunAttack(d, m, dep, nil)
 						wlo, whi := want.HappyBounds()
-						fallbacks := off.deltaFallbacks
+						fallbacks := off.counters.Fallbacks
 						co = chained.RunDelta(co, added, removed, dep, nil)
 						oo = off.RunDelta(oo, added, removed, dep, nil)
 						eo := external.RunDelta(prev, added, removed, dep, nil)
@@ -227,7 +227,7 @@ func TestSecurityFreeDeltaWalk(t *testing.T) {
 							}
 						}
 						noop := wantFree[step-1] && wantFree[step]
-						if fell := off.deltaFallbacks > fallbacks; fell == noop {
+						if fell := off.counters.Fallbacks > fallbacks; fell == noop {
 							t.Fatalf("%s: threshold-0 engine fell back = %v on a step with both ends free = %v", label, fell, noop)
 						}
 						prev = eo.Clone()

@@ -8,6 +8,15 @@ import (
 	"sbgp/internal/policy"
 )
 
+// withDeltaThreshold sets the delta-fallback bound: RunDelta re-runs
+// from scratch once the dirty region's adjacency volume reaches frac of
+// the graph's total (DefaultDeltaThreshold otherwise). Values above 1
+// are clamped to 1; frac <= 0 disables the incremental path, every
+// RunDelta with stage work to do becoming an exact from-scratch run.
+func withDeltaThreshold(frac float64) Option {
+	return func(e *Engine) { e.deltaFrac = min(frac, 1) }
+}
+
 // peerRing builds an n-AS ring of peer links: every AS has degree
 // exactly 2, so the graph's total adjacency volume is 2n and a dirty
 // region of one AS plus its two neighbors has volume exactly 6 — the
@@ -30,10 +39,10 @@ func ringOutcomes(t *testing.T, n int, frac float64) (*Outcome, bool) {
 	base := &Deployment{Full: asgraph.SetOf(n, d)}
 	joined := asgraph.AS(2)
 	next := &Deployment{Full: asgraph.SetOf(n, d, joined)}
-	e := NewEngine(g, policy.Sec2nd, WithDeltaThreshold(frac))
+	e := NewEngine(g, policy.Sec2nd, withDeltaThreshold(frac))
 	prev := e.Run(d, m, base)
 	out := e.RunDelta(prev, []asgraph.AS{joined}, nil, next, nil)
-	return out.Clone(), e.deltaFallbacks > 0
+	return out.Clone(), e.counters.Fallbacks > 0
 }
 
 // ringReference is the from-scratch outcome the delta step must equal.

@@ -138,21 +138,11 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 			Stats:      &stats,
 		})
 		s.pool.Release()
-		if err == nil {
-			// Fold this evaluation into the daemon totals (the planner
-			// fields are per-schedule values, so totals read as "summed
-			// over evaluations").
-			s.mu.Lock()
-			s.sweep.Units += stats.Units
-			s.sweep.HandoffHits += stats.HandoffHits
-			s.sweep.HandoffMisses += stats.HandoffMisses
-			s.sweep.MemoHits += stats.MemoHits
-			s.sweep.MemoFills += stats.MemoFills
-			s.sweep.ChainHeads += stats.ChainHeads
-			s.sweep.DeltaEdges += stats.DeltaEdges
-			s.sweep.PredictedVolume += stats.PredictedVolume
-			s.mu.Unlock()
-		}
+		// Fold this evaluation into the daemon totals whether it finished
+		// or not: a cancelled or failed job's work was done all the same.
+		s.mu.Lock()
+		s.sweep.Add(stats)
+		s.mu.Unlock()
 	}
 	if err != nil {
 		return err

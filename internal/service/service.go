@@ -161,9 +161,9 @@ type Server struct {
 	// key because pooled engines follow each job (sbgp.EnginePool).
 	pool sbgp.EnginePool
 
-	// sweep accumulates every locally evaluated job's planner and
-	// dispatch counters (distributed evaluations keep their stats on
-	// the workers). Guarded by mu; surfaced through Status.
+	// sweep accumulates every locally evaluated job's counters
+	// (distributed evaluations keep their stats on the workers).
+	// Guarded by mu; surfaced through Status.
 	sweep sbgp.ShardStats
 
 	baseCtx    context.Context
@@ -373,12 +373,13 @@ func (s *Server) CheckpointPath(id string) string {
 }
 
 // Status summarizes the daemon for the status endpoint. Sweep totals
-// the planner and dispatch counters of every job evaluated locally
-// since the daemon started: dispatch units, cross-shard handoff
-// hits/misses, baseline memo hits/fills (a job on a warm topology and
-// pair sample hits the memo an earlier job filled), and the schedule
-// planner's chain heads, delta edges, and predicted edge-volume summed
-// across evaluations.
+// the counters of every job evaluated locally since the daemon started,
+// finished, cancelled or failed alike: dispatch units, cross-shard
+// handoff hits/misses, baseline memo hits/fills (a job on a warm
+// topology and pair sample hits the memo an earlier job filled), the
+// engines' runs, fallbacks, delta steps, dirty volume and no-ops, and
+// the schedule planner's chain heads, delta edges, and predicted
+// edge-volume summed across evaluations.
 type Status struct {
 	Jobs        map[State]int   `json:"jobs"`
 	Topologies  int             `json:"topologies"`

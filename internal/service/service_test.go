@@ -399,10 +399,10 @@ func TestCancelMidGridLeavesResumableCheckpoint(t *testing.T) {
 // and one deployment, with one worker, so the counters are exact; the
 // what-if job's schedule is one nested chain, so cold it makes no memo
 // hit (checked) and each hit it makes is a slot an earlier job filled.
-//   - A job cancelled mid-walk leaves a partly filled memo. A what-if job
-//     with another deployment on the same warm topology and pairs then
-//     hits it — /status memo_hits rises — and its bytes equal a one-shot
-//     run's.
+//   - A job cancelled mid-walk leaves a partly filled memo, and /status
+//     counts its units and fills. A what-if job with another deployment on
+//     the same warm topology and pairs then hits the memo — /status
+//     memo_hits rises — and its bytes equal a one-shot run's.
 //   - An evaluation on the daemon's pool that fails in its sink, as a job
 //     whose sink errors would, leaves the pool usable: the next what-if
 //     job fills nothing, hits every pair, and still lands on the one-shot
@@ -468,6 +468,7 @@ func TestWarmMemoSurvivesFaults(t *testing.T) {
 		t.Fatalf("a cold job made %d memo hits and %d fills, want fills only", cold.MemoHits, cold.MemoFills)
 	}
 
+	before := s.Stats().Sweep
 	j, err := s.Submit(spec("t1t2"), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -478,6 +479,11 @@ func TestWarmMemoSurvivesFaults(t *testing.T) {
 	}
 	if fin := waitFor(t, s, j.ID, terminal); fin.State != StateCancelled || fin.ShardsDone >= fin.ShardsTotal {
 		t.Fatalf("cancelled job ended %s at %d/%d shards, want cancelled mid-grid", fin.State, fin.ShardsDone, fin.ShardsTotal)
+	}
+	// /status counts the cancelled job's work like a finished one's.
+	if after := s.Stats().Sweep; after.Units <= before.Units || after.MemoFills <= before.MemoFills {
+		t.Errorf("/status sweep went from %d units and %d memo fills to %d and %d over a cancelled job, want both to grow",
+			before.Units, before.MemoFills, after.Units, after.MemoFills)
 	}
 	got, hits, fills := daemonJob(spec("t2"))
 	if !bytes.Equal(got, whatIf) {

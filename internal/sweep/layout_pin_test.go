@@ -80,11 +80,12 @@ func unitRuns(t *testing.T, units []ShardRange, shards int) string {
 	return b.String()
 }
 
-// withoutMemo is st with the memo counters cleared: above one worker,
-// which worker fills a cold memo slot first is scheduling-dependent, so
-// only the other fields are exact.
+// withoutMemo is st with the memo and engine counters cleared: above one
+// worker, which worker fills a cold memo slot first is
+// scheduling-dependent, and so is which cells the engines run, so only
+// the other fields are exact.
 func withoutMemo(st ShardStats) ShardStats {
-	st.MemoHits, st.MemoFills = 0, 0
+	st.MemoHits, st.MemoFills, st.Counters = 0, 0, core.Counters{}
 	return st
 }
 
@@ -103,8 +104,8 @@ func shardStats(t *testing.T, pl *Plan) ShardStats {
 // as literals captured before the identity order became a plan: the
 // fingerprint, the shard-size-7 Layout, the lease units and the
 // ShardStats of a fresh run, planner fields included — at the grid's own
-// worker count, and again, memo counters included, on a fresh plan at one
-// worker. A schedule refactor that moves any of them
+// worker count, and again, memo and engine counters included, on a fresh
+// plan at one worker. A schedule refactor that moves any of them
 // silently invalidates every checkpoint and every distributed lease
 // written before it, so they are pinned as numbers, not as "equal to
 // what the other mode computes".
@@ -132,25 +133,29 @@ func TestLayoutPins(t *testing.T) {
 			name: "off", g: g, grid: chainedGrid(g, IncrementalOff), identity: true,
 			layout: Layout{Fingerprint: "3eec88709eee8bf1", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "52x1",
-			stats:  ShardStats{Units: 52, MemoHits: 283, MemoFills: 29, ChainHeads: 4, DeltaEdges: 0, PredictedVolume: 3712},
+			stats:  ShardStats{Units: 52, MemoHits: 283, MemoFills: 29, Counters: core.Counters{Runs: 65}, ChainHeads: 4, DeltaEdges: 0, PredictedVolume: 3712},
 		},
 		{
 			name: "auto-unlinkable", g: g, grid: unlinkableGrid(g, IncrementalAuto), identity: true,
 			layout: Layout{Fingerprint: "ad63c0d8110ceab4", Cells: 270, Tasks: 54, ShardSize: 7, Shards: 39},
 			units:  "39x1",
-			stats:  ShardStats{Units: 39, MemoHits: 145, MemoFills: 29, ChainHeads: 3, DeltaEdges: 0, PredictedVolume: 2784},
+			stats:  ShardStats{Units: 39, MemoHits: 145, MemoFills: 29, Counters: core.Counters{Runs: 116}, ChainHeads: 3, DeltaEdges: 0, PredictedVolume: 2784},
 		},
 		{
 			name: "nested", g: g, grid: chainedGrid(g, IncrementalAuto),
 			layout: Layout{Fingerprint: "71b7eed2079d55c3", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "13x4",
-			stats:  ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29, ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
+			stats: ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29,
+				Counters:   core.Counters{Runs: 50, DeltaSteps: 15, DirtyVolume: 10452, NoOps: 75, Fallbacks: 13},
+				ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
 		},
 		{
 			name: "forest", g: gf, grid: forestGrid(gf, 2, IncrementalAuto),
 			layout: Layout{Fingerprint: "6ce55ff4dc3b1c87", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
 			units:  "13x5",
-			stats:  ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29, ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
+			stats: ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29,
+				Counters:   core.Counters{Runs: 50, DeltaSteps: 3, DirtyVolume: 5423, NoOps: 124, Fallbacks: 13},
+				ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

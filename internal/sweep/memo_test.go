@@ -147,10 +147,10 @@ func TestBaselineMemoSharedByWorkers(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pool := NewEnginePool()
+				var st ShardStats
 				<-start
-				results[i], errs[i] = pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Pool: pool})
-				walks[i] = walkOf(pool)
+				results[i], errs[i] = pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Stats: &st})
+				walks[i] = walkOf(st)
 			}()
 		}
 		close(start)
@@ -243,18 +243,20 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 	// evaluate runs the ranges in order, range i on plans[i%len(plans)],
 	// each plan with a pool of its own released after every range as a
 	// dist worker releases its pool after every lease; it returns the
-	// merged bytes and the walk counters of all pools together.
+	// merged bytes and the walk of all ranges together.
 	evaluate := func(plans []*Plan, ranges []ShardRange) ([]byte, walkCount) {
 		pools := make([]*EnginePool, len(plans))
 		for i := range pools {
 			pools[i] = NewEnginePool()
 		}
 		var partials []*ShardPartial
+		var st ShardStats
 		for i, r := range ranges {
 			k := i % len(plans)
 			err := plans[k].EvaluateShardRange(ctx, l, r, RangeOptions{
-				Pool: pools[k],
-				Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
+				Pool:  pools[k],
+				Stats: &st,
+				Sink:  func(p *ShardPartial) error { partials = append(partials, p); return nil },
 			})
 			pools[k].Release()
 			if err != nil {
@@ -262,12 +264,7 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 			}
 		}
 		res, err := one.Merge(l, partials)
-		var w walkCount
-		for _, pool := range pools {
-			pw := walkOf(pool)
-			w.cells, w.runs = w.cells+pw.cells, w.runs+pw.runs
-		}
-		return resultJSON(t, res, err), w
+		return resultJSON(t, res, err), walkOf(st)
 	}
 	want, ref := evaluate([]*Plan{one}, []ShardRange{{End: l.Shards}})
 	if ref.runs >= ref.cells {
@@ -346,12 +343,12 @@ func TestResumeSharesThePlanMemo(t *testing.T) {
 	}
 
 	resume := func(pl *Plan, path string) walkCount {
-		pool := NewEnginePool()
-		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size, Checkpoint: path, Resume: true}, RunOptions{Pool: pool})
+		var st ShardStats
+		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size, Checkpoint: path, Resume: true}, RunOptions{Stats: &st})
 		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
 			t.Errorf("remainder resumed from %s diverges from the golden bytes", filepath.Base(path))
 		}
-		return walkOf(pool)
+		return walkOf(st)
 	}
 	same := resume(pl, ckpt)
 	other := resume(mustPrepare(nestedGrid(g, 1, IncrementalAuto), g), fresh)

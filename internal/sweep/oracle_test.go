@@ -180,13 +180,13 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 						shapes["nested"]++
 					}
 					for _, size := range sizes {
-						pool, stats := NewEnginePool(), ShardStats{}
-						res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size}, RunOptions{Pool: pool, Stats: &stats})
+						var stats ShardStats
+						res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: size}, RunOptions{Stats: &stats})
 						if err != nil {
 							t.Fatal(err)
 						}
 						where := fmt.Sprintf("%s/%s workers=%d shard=%d perdest=%v", in.name, axis.name, workers, size, perDest)
-						walk := walkOf(pool)
+						walk := walkOf(stats)
 						if valid := validCells(&pl.gr, policy.NumModels); walk.cells != valid || walk.runs >= walk.cells {
 							t.Errorf("%s: walked %d cells in %d engine runs, want all %d valid cells in fewer runs (every axis has security-free cells)",
 								where, walk.cells, walk.runs, valid)

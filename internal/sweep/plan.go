@@ -232,10 +232,9 @@ type shardRun struct {
 	units  []ShardRange
 	strips []strip
 
-	mu                  sync.Mutex // the commit mutex; guards everything below
-	commitErr           error
-	hits, misses        int
-	memoHits, memoFills int
+	mu        sync.Mutex // the commit mutex; guards everything below
+	commitErr error
+	stats     ShardStats // the strips' counters, summed
 	// pending holds the shards some but not all of whose slices have
 	// been folded — at most two per strip in flight, so a linear scan
 	// finds one; spare keeps retired accumulators for the next.
@@ -278,7 +277,7 @@ type RunOptions struct {
 	// serves any plan (pooled engines follow the job; see EnginePool),
 	// and results are identical with or without one.
 	Pool *EnginePool
-	// Stats, when non-nil, accumulates dispatch and handoff counters.
+	// Stats, when non-nil, accumulates the run's counters (ShardStats).
 	Stats *ShardStats
 }
 
@@ -323,6 +322,7 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 	run := pool.getRun()
 	defer pool.putRun(run)
 	run.units = pl.units(run.units[:0], shards, l.ShardSize)
+	run.stats.Units = len(run.units)
 	run.strips = pl.strips(run.strips[:0], run.units, l, runner.Workers(pl.gr.Workers))
 
 	// abort lets a commit failure stop the remaining strips without
@@ -336,11 +336,7 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 			}
 		})
 	if st := opts.Stats; st != nil {
-		st.Units += len(run.units)
-		st.HandoffHits += run.hits
-		st.HandoffMisses += run.misses
-		st.MemoHits += run.memoHits
-		st.MemoFills += run.memoFills
+		st.Add(run.stats)
 		// Planner fields describe the schedule itself, not this dispatch:
 		// assignment, not accumulation, so re-evaluating the same layout
 		// (resume, range leases) reports the same plan.
@@ -363,9 +359,8 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 	// Chain tail carry across the strip's interior shard boundaries. The
 	// carry is worker-owned and reset per strip, so the tail fixed point
 	// never crosses a goroutine.
-	c := &ws.chainCarry
-	c.reset()
-	ws.memoHits, ws.memoFills = 0, 0
+	ws.chainCarry.reset()
+	ws.stats = ShardStats{}
 	var commitErr error
 	for s := st.start / l.ShardSize; s*l.ShardSize < st.end && commitErr == nil; s++ {
 		shardStart := s * l.ShardSize
@@ -396,12 +391,13 @@ func (pl *Plan) runStrip(ctx context.Context, ws *workerState, l *Layout, run *s
 		}
 		run.mu.Unlock()
 	}
-	if c.hits != 0 || c.misses != 0 || ws.memoHits != 0 || ws.memoFills != 0 {
+	// A pooled engine outlives the strip, so its counters are taken here.
+	if ws.eng != nil {
+		ws.stats.Counters = ws.eng.TakeCounters()
+	}
+	if ws.stats != (ShardStats{}) {
 		run.mu.Lock()
-		run.hits += c.hits
-		run.misses += c.misses
-		run.memoHits += ws.memoHits
-		run.memoFills += ws.memoFills
+		run.stats.Add(ws.stats)
 		run.mu.Unlock()
 	}
 	return commitErr
@@ -415,7 +411,7 @@ type RangeOptions struct {
 	// scheduling-dependent.
 	Sink func(*ShardPartial) error
 
-	// Stats, when non-nil, accumulates dispatch and handoff counters.
+	// Stats, when non-nil, accumulates the run's counters (ShardStats).
 	Stats *ShardStats
 
 	// Pool keeps the engines warm across ranges (see RunOptions.Pool).

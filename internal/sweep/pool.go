@@ -103,7 +103,7 @@ func (p *EnginePool) getRun() *shardRun {
 func (p *EnginePool) putRun(r *shardRun) {
 	r.spare = append(r.spare, r.pending...)
 	r.pending = r.pending[:0]
-	r.commitErr, r.hits, r.misses, r.memoHits, r.memoFills = nil, 0, 0, 0, 0
+	r.commitErr, r.stats = nil, ShardStats{}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.runs = append(p.runs, r)

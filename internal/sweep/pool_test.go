@@ -48,8 +48,8 @@ func TestPoolFollowsSizeAndLP(t *testing.T) {
 		if n := pool.Size(); n == 0 || n > workers {
 			t.Errorf("workers %d: pool holds %d states after eight mixed jobs, want 1..%d", workers, n, workers)
 		}
-		for _, ws := range pool.free {
-			if ws.eng != nil && ws.eng.Graph() != nil {
+		for range pool.Size() {
+			if ws := pool.get(); ws.eng != nil && ws.eng.Graph() != nil {
 				t.Errorf("workers %d: an idle pooled engine still holds its last job's graph", workers)
 			}
 		}

@@ -148,27 +148,23 @@ type carry struct {
 	// served from the baseline memo, so no engine holds a fixed point
 	// and the continuation carries on as a head would.
 	out *core.Outcome
-	// hits counts takes that found the state their predecessor offered;
-	// misses counts takes that found none and re-ran the chain head.
-	// With chain-ordered strip dispatch every boundary cut mid-chain is
-	// evaluated offer-before-take, so misses stays zero on fresh runs —
-	// the counters make that claim testable. (Resumed runs can miss at
-	// unit starts whose predecessor shard completed in an earlier run.)
-	hits, misses int
 }
 
 // reset clears the carry for a new dispatch strip.
 func (c *carry) reset() { *c = carry{} }
 
 // take returns the fixed point carried to scheduled position pos — nil
-// for a deferred head as for a miss — counting the hit or miss, and
-// empties the carry.
-func (c *carry) take(pos int) *core.Outcome {
+// for a deferred head as for a miss — counting the hit or miss into st,
+// and empties the carry. With chain-ordered strip dispatch every boundary
+// cut mid-chain is evaluated offer-before-take, so a fresh run never
+// misses; a resume can, at unit starts whose predecessor shard completed
+// in an earlier run.
+func (c *carry) take(pos int, st *ShardStats) *core.Outcome {
 	o := c.out
 	if c.pos == pos {
-		c.hits++
+		st.HandoffHits++
 	} else {
-		c.misses++
+		st.HandoffMisses++
 		o = nil
 	}
 	c.pos, c.out = 0, nil
@@ -265,7 +261,7 @@ func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end i
 		e := ws.engine(g, ax.models[mi], gr.LP)
 		var prev *core.Outcome
 		if pos0 > 0 {
-			prev = c.take(p)
+			prev = c.take(p, &ws.stats)
 		}
 		posEnd := pos0 + (p1 - p)
 		for pos := pos0; pos < posEnd; pos++ {
@@ -285,21 +281,17 @@ func (pl *Plan) evaluateRange(ctx context.Context, ws *workerState, start, end i
 					lo, hi, served = memo.load(pair)
 				}
 				if served {
-					ws.memoHits++
+					ws.stats.MemoHits++
 				} else {
 					prev = e.RunAttack(d, m, dep, gr.Attack)
 					lo, hi = e.HappyBounds()
 					if free && memo.store(pair, lo, hi) {
-						ws.memoFills++
+						ws.stats.MemoFills++
 					}
 				}
 			} else {
 				prev = e.RunDelta(prev, step.added, step.removed, dep, gr.Attack)
 				lo, hi = e.HappyBounds()
-			}
-			ws.cells++
-			if !served {
-				ws.runs++
 			}
 			ws.acc.add((step.si*ax.nm+mi)*ax.nd+di, lo, hi)
 		}

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"sbgp/internal/asgraph"
+	"sbgp/internal/core"
 )
 
 // DefaultShardSize is the cell count per shard when ShardOptions leaves
@@ -57,14 +58,17 @@ type ShardOptions struct {
 
 // ShardStats reports how a sharded evaluation was planned and
 // dispatched, how often cross-shard chain handoff reused a fixed point
-// instead of re-running a chain head, and how often the baseline memo
-// served a security-free head instead of an engine run. With chain-ordered
+// instead of re-running a chain head, how often the baseline memo
+// served a security-free head instead of an engine run, and what the
+// engines did for the rest: every valid cell walked is exactly one of
+// MemoHits + Runs + DeltaSteps + NoOps. With chain-ordered
 // dispatch, a fresh run (no resumed shards) has HandoffMisses == 0 by
 // construction; a resume can miss at unit starts whose predecessor
-// shard completed in an earlier run. Every field but the memo counters
-// is the same at every worker count. The dispatch, handoff and memo
-// counters accumulate across evaluations sharing the struct; the planner
-// fields describe the schedule and are (re)set by each evaluation.
+// shard completed in an earlier run. Every field but the memo and engine
+// counters is the same at every worker count. The dispatch, handoff, memo
+// and engine counters accumulate across evaluations sharing the struct;
+// the planner fields describe the schedule and are (re)set by each
+// evaluation. No evaluation reads any of them.
 type ShardStats struct {
 	// Units is the number of chain-aligned units the pending shards were
 	// cut into (see Plan.Units) — not the number of strips the workers
@@ -84,6 +88,9 @@ type ShardStats struct {
 	// MemoHits + MemoFills is at most the free heads walked.
 	MemoHits  int `json:"memo_hits"`
 	MemoFills int `json:"memo_fills"`
+	// Counters is the engines' work for the cells the memo did not serve;
+	// like the memo counters, it is exact at one worker only.
+	core.Counters
 
 	// ChainHeads is the number of from-scratch walk heads per (model,
 	// destination, attacker) group under the planned schedule — the
@@ -102,6 +109,30 @@ type ShardStats struct {
 	// identity prediction (axis length × from-scratch price) is the
 	// observable form of the planner's payoff.
 	PredictedVolume int64 `json:"predicted_volume"`
+}
+
+// Add sums o into s, planner fields included.
+func (s *ShardStats) Add(o ShardStats) {
+	s.Units += o.Units
+	s.HandoffHits += o.HandoffHits
+	s.HandoffMisses += o.HandoffMisses
+	s.MemoHits += o.MemoHits
+	s.MemoFills += o.MemoFills
+	s.Counters.Add(o.Counters)
+	s.ChainHeads += o.ChainHeads
+	s.DeltaEdges += o.DeltaEdges
+	s.PredictedVolume += o.PredictedVolume
+}
+
+// String is the one-line summary the CLIs print under -v: the planner's
+// prediction, then what the engines measurably did, then the dispatch.
+func (s ShardStats) String() string {
+	return fmt.Sprintf("schedule: %d chain heads, %d delta edges, predicted volume %d per walk; "+
+		"engine: %d runs (%d fallbacks), %d delta steps over dirty volume %d, %d no-ops; "+
+		"dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills",
+		s.ChainHeads, s.DeltaEdges, s.PredictedVolume,
+		s.Runs, s.Fallbacks, s.DeltaSteps, s.DirtyVolume, s.NoOps,
+		s.Units, s.HandoffHits, s.HandoffMisses, s.MemoHits, s.MemoFills)
 }
 
 // ShardPartial is one completed shard's exact partial aggregate: for

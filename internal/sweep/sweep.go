@@ -263,15 +263,9 @@ type workerState struct {
 	// boundaries interior to one dispatch strip.
 	chainCarry carry
 
-	// cells counts the valid cells this state has walked and runs the
-	// engine calls it made for them (fewer: memo-served cells make
-	// none). Nothing in the evaluation reads them; tests do.
-	cells, runs int
-
-	// memoHits counts the security-free heads of the current strip served
-	// from the baseline memo, memoFills those run and stored; runStrip
-	// sums them into ShardStats.
-	memoHits, memoFills int
+	// stats counts the current strip's handoffs, memo hits and fills, and
+	// at its end the engine's counters; runStrip sums it into the run's.
+	stats ShardStats
 }
 
 // engine returns the state's engine pointed at g under (model, lp). Slabs

@@ -46,29 +46,24 @@ func evaluateSharded(ctx context.Context, gr *Grid, g *asgraph.Graph, opts Shard
 	return pl.EvaluateSharded(ctx, opts, RunOptions{})
 }
 
-// walkCount is what one evaluation's walk did, read from the worker
-// states' counters: the valid cells it visited and the engine calls it
-// made for them. The two differ by the cells the baseline memo served.
+// walkCount is what one evaluation's walk did: the valid cells it
+// visited and the engine calls it made for them. The two differ by the
+// cells the baseline memo served.
 type walkCount struct{ cells, runs int }
 
-// evaluateCounted is evaluateSharded through an engine pool of its own,
-// whose worker states it reads afterwards.
+// evaluateCounted is evaluateSharded, counting its walk.
 func evaluateCounted(ctx context.Context, gr *Grid, g *asgraph.Graph, opts ShardOptions) (*Result, walkCount, error) {
-	pool := NewEnginePool()
-	res, err := mustPrepare(gr, g).EvaluateSharded(ctx, opts, RunOptions{Pool: pool})
-	return res, walkOf(pool), err
+	var st ShardStats
+	res, err := mustPrepare(gr, g).EvaluateSharded(ctx, opts, RunOptions{Stats: &st})
+	return res, walkOf(st), err
 }
 
-// walkOf sums the walk counters of every worker state a finished
-// evaluation borrowed from pool.
-func walkOf(pool *EnginePool) walkCount {
-	pool.Release()
-	var w walkCount
-	for _, ws := range pool.free {
-		w.cells += ws.cells
-		w.runs += ws.runs
-	}
-	return w
+// walkOf reads the walk from an evaluation's stats: every valid cell is
+// a memo hit, a from-scratch run, a delta step or a no-op, and a fallback
+// is a from-scratch run made for a RunDelta call.
+func walkOf(st ShardStats) walkCount {
+	runs := st.Runs + st.DeltaSteps + st.NoOps
+	return walkCount{cells: st.MemoHits + runs, runs: runs}
 }
 
 func testGrid(t *testing.T, g *asgraph.Graph, workers int) *Grid {

@@ -160,8 +160,9 @@ type ShardLayout = sweep.Layout
 // unit of distributed leasing.
 type ShardRange = sweep.ShardRange
 
-// ShardStats reports dispatch-unit, cross-shard handoff and baseline
-// memo counters for a sharded or ranged evaluation.
+// ShardStats reports the planner's prediction, the engines' measured work
+// and the dispatch, handoff and baseline memo counters of a sharded or
+// ranged evaluation.
 type ShardStats = sweep.ShardStats
 
 // ShardRangeOptions configures Simulation.EvaluateJobShards: a streaming

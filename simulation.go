@@ -288,10 +288,11 @@ type JobEvalOptions struct {
 	// replayed first, fresh ones as they finish, each after its checkpoint
 	// record is durable; a non-nil error aborts the evaluation.
 	Sink func(*ShardPartial) error
-	// Stats, when non-nil, receives the evaluation's planner and
-	// dispatch counters (see ShardStats): how the deployment axis was
-	// scheduled — chain heads, delta edges, predicted volume — and how
-	// the shards and cross-shard handoffs played out.
+	// Stats, when non-nil, receives the evaluation's counters (see
+	// ShardStats): how the deployment axis was scheduled — chain heads,
+	// delta edges, predicted volume — what the engines did, and how the
+	// shards, handoffs and baseline memo played out — a cancelled or
+	// failed evaluation's work included.
 	Stats *ShardStats
 	// Pool recycles per-worker engine state across evaluations; any
 	// pool serves any simulation (see EnginePool).
