@@ -17,10 +17,11 @@ import (
 // The checkpoint file is JSON lines: a header record binding the file
 // to one exact grid, then one shard record per completed shard, each
 // fsync'd before the shard counts as done. Records may appear in any
-// completion order; shard partials merge positionally. A torn final
-// line (a crash mid-append) is tolerated on resume — the fsync
-// discipline guarantees every *earlier* line is complete — while
-// corruption anywhere else fails the resume.
+// completion order; shard partials merge positionally. Only a
+// '\n'-terminated line is a record. A torn final line (a crash
+// mid-append) is tolerated on resume — the fsync discipline guarantees
+// every *earlier* line is complete — while corruption anywhere else
+// fails the resume.
 
 // checkpointVersion is the format version written and accepted.
 const checkpointVersion = 1

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,61 @@ func TestOpenCheckpointTruncateReopen(t *testing.T) {
 	}
 }
 
+// TestOpenCheckpointTornTailIsNotResumed: whatever follows the last
+// whole record — a record that lacks only its newline, a terminated line
+// that does not decode, blank lines — is torn. Resume must neither count
+// it (the store would hold a shard that is not on disk) nor keep it in
+// the file (records appended after it would become interior corruption).
+func TestOpenCheckpointTornTailIsNotResumed(t *testing.T) {
+	const fp = "0123456789abcdef"
+	hdr, _ := json.Marshal(checkpointHeader{
+		V: checkpointVersion, Kind: recordHeader, Fingerprint: fp,
+		Cells: 40, ShardSize: 8, Shards: 5,
+	})
+	rec := func(shard int) []byte {
+		b, _ := json.Marshal(shardRecord{Kind: recordShard, ShardPartial: &ShardPartial{
+			Shard: shard, Tasks: []int{shard}, Lo: []int{1}, Hi: []int{1}, Pairs: []int{1},
+		}})
+		return b
+	}
+	whole := append(append(append(hdr, '\n'), rec(0)...), '\n')
+	layout := Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: 8, Shards: 5}
+	for name, tail := range map[string]string{
+		"record lacking only its newline": string(rec(2)),
+		"terminated undecodable line":     `{"kind":"shard","sh` + "\n",
+		"trailing blank lines":            "\n \n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "torn.ckpt")
+			if err := os.WriteFile(path, append(slices.Clone(whole), tail...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := OpenCheckpointWriter(path, &layout, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.HaveCount() != 1 || w.Have(2) || len(w.Resumed()) != 1 {
+				t.Errorf("resume holds %d shards (Have(2) = %v), want only the whole record's shard 0", w.HaveCount(), w.Have(2))
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(whole)) {
+				t.Errorf("file size after reopen = %v (err %v), want %d (torn tail truncated)", fi.Size(), err, len(whole))
+			}
+			if added, err := w.Add(&ShardPartial{Shard: 2, Tasks: []int{2}, Lo: []int{1}, Hi: []int{1}, Pairs: []int{1}}); err != nil || !added {
+				t.Fatalf("Add(shard 2) = (%v, %v)", added, err)
+			}
+			w.Close()
+			w, err = OpenCheckpointWriter(path, &layout, true)
+			if err != nil {
+				t.Fatalf("file unparseable after reopen and append: %v", err)
+			}
+			defer w.Close()
+			if w.HaveCount() != 2 || !w.Have(0) || !w.Have(2) {
+				t.Errorf("second resume holds %v, want shards 0 and 2", w.HaveRanges())
+			}
+		})
+	}
+}
+
 // TestParseCheckpointOutOfOrderDuplicates pins the format-level
 // ingestion contract the distributed reconcile path leans on: shard
 // records may land in any order and may repeat (a worker re-sending
@@ -114,8 +170,8 @@ func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 		file.WriteByte('\n')
 	}
 	w := &CheckpointWriter{layout: Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: DefaultShardSize, Shards: 1}}
-	if err := w.parse(file.Bytes(), true); err != nil {
-		t.Fatal(err)
+	if valid, err := w.parse(file.Bytes(), true); err != nil || valid != file.Len() {
+		t.Fatalf("parse = (%d, %v), want every one of %d bytes whole", valid, err, file.Len())
 	}
 	if w.layout.ShardSize != 8 || w.layout.Shards != 5 {
 		t.Errorf("adopted layout %+v, want shard size 8 (5 shards)", w.layout)
@@ -137,7 +193,7 @@ func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 	}
 	// An explicit conflicting size is refused rather than adopted.
 	w = &CheckpointWriter{layout: Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: 10, Shards: 4}}
-	if err := w.parse(file.Bytes(), false); err == nil || !strings.Contains(err.Error(), "shard size 8, not 10") {
+	if _, err := w.parse(file.Bytes(), false); err == nil || !strings.Contains(err.Error(), "shard size 8, not 10") {
 		t.Errorf("conflicting shard size: err = %v, want the adopt-the-file's hint", err)
 	}
 }

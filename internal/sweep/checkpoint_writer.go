@@ -22,8 +22,12 @@ import (
 type CheckpointWriter struct {
 	mu     sync.Mutex
 	layout Layout
-	f      *os.File // nil: memory-only
+	f      storeFile // nil: memory-only
 	closed bool
+	// failed is the first failed record write or fsync. It is sticky:
+	// after either, what reached the disk is unknown, so every later
+	// add, sync and Add returns it.
+	failed error
 	have   []bool // dense, indexed by shard
 	count  int
 	// acc is the task accumulator every accepted partial folds into.
@@ -33,6 +37,25 @@ type CheckpointWriter struct {
 	acc []destAcc
 	// resumed are the shards loaded from a resumed file, ascending.
 	resumed []*ShardPartial
+}
+
+// storeFile is what a durable store needs of its file. Production opens
+// an *os.File; the seam exists so tests can wrap it to tear a write or
+// fail an fsync.
+type storeFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+// openStoreFile opens a durable store's file. Only tests replace it.
+var openStoreFile = func(path string, flag int) (storeFile, error) {
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // OpenCheckpointWriter opens a store for the layout. With a non-empty
@@ -76,25 +99,28 @@ func openStore(path string, l *Layout, adopt, resume bool) (*CheckpointWriter, e
 func (w *CheckpointWriter) openFile(path string, adopt, resume bool) error {
 	if resume {
 		data, err := os.ReadFile(path)
-		switch {
-		// A file without a single complete ('\n'-terminated) line holds
-		// no durable record — at most a header torn by a crash during a
-		// previous open — and is restarted from scratch below.
-		case err == nil && bytes.IndexByte(data, '\n') >= 0:
-			if perr := w.parse(data, adopt); perr != nil {
-				return fmt.Errorf("sweep: resume %s: %w", path, perr)
+		if err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		valid, err := w.parse(data, adopt)
+		if err != nil {
+			return fmt.Errorf("sweep: resume %s: %w", path, err)
+		}
+		// A file without a single whole record — none at all, or at most
+		// a header torn by a crash during a previous open — holds nothing
+		// durable and is restarted from scratch below.
+		if valid > 0 {
+			f, err := openStoreFile(path, os.O_WRONLY|os.O_APPEND)
+			if err != nil {
+				return err
 			}
-			f, ferr := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if ferr != nil {
-				return ferr
-			}
-			// Drop a torn final line before appending: without this, the
-			// first new record would fuse with the torn bytes into an
-			// invalid interior line and poison every later resume. The
-			// truncation is fsync'd (file and directory) before any new
-			// record lands, so a crash right here cannot resurrect the
-			// torn bytes under freshly appended ones.
-			if valid := bytes.LastIndexByte(data, '\n') + 1; valid < len(data) {
+			// Drop the torn tail parse skipped before appending: without
+			// this, the first new record would fuse with the torn bytes
+			// into an invalid interior line and poison every later
+			// resume. The truncation is fsync'd (file and directory)
+			// before any new record lands, so a crash right here cannot
+			// resurrect the torn bytes under freshly appended ones.
+			if valid < len(data) {
 				terr := f.Truncate(int64(valid))
 				if terr == nil {
 					terr = f.Sync()
@@ -109,13 +135,9 @@ func (w *CheckpointWriter) openFile(path string, adopt, resume bool) error {
 			}
 			w.f = f
 			return nil
-		case err != nil && !os.IsNotExist(err):
-			return err
 		}
-		// No file (or an empty one, from a crash before the header
-		// landed): fall through to a fresh run.
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := openStoreFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
 	}
@@ -128,6 +150,9 @@ func (w *CheckpointWriter) openFile(path string, adopt, resume bool) error {
 		ShardSize:   w.layout.ShardSize,
 		Shards:      w.layout.Shards,
 	})
+	if err == nil {
+		err = f.Sync()
+	}
 	if err == nil {
 		// Make the file's directory entry durable: without this, a crash
 		// after sweep start could lose the whole file, per-record fsyncs
@@ -143,53 +168,66 @@ func (w *CheckpointWriter) openFile(path string, adopt, resume bool) error {
 // parse validates a checkpoint file's contents against the store's
 // layout and loads its completed shard partials into w.resumed (first
 // record wins on duplicates, which can only carry identical contents).
-// With adopt set the header's shard size replaces the layout's.
-func (w *CheckpointWriter) parse(data []byte, adopt bool) error {
+// With adopt set the header's shard size replaces the layout's. It
+// returns the length of the prefix of data that holds those records;
+// what follows is a torn tail, which openFile truncates.
+//
+// Only a '\n'-terminated line is a record. A crash mid-append leaves an
+// unterminated final line, and that line is torn whatever it decodes to:
+// loading it would count a shard the truncation then removes from disk.
+// A terminated final line that does not decode is torn too (a crash can
+// leave garbage before the newline); every earlier line must decode.
+func (w *CheckpointWriter) parse(data []byte, adopt bool) (int, error) {
 	l := &w.layout
-	lines := bytes.Split(data, []byte("\n"))
-	// Drop trailing blank lines so "last line" means the last record.
-	for len(lines) > 0 && len(bytes.TrimSpace(lines[len(lines)-1])) == 0 {
-		lines = lines[:len(lines)-1]
-	}
 	seen := make(map[int]bool)
-	for i, line := range lines {
+	valid := 0
+	for i, rest := 0, data; ; i++ {
+		end := bytes.IndexByte(rest, '\n')
+		if end < 0 {
+			return valid, nil
+		}
+		line := rest[:end]
+		rest = rest[end+1:]
+		last := len(bytes.TrimSpace(rest)) == 0
 		if len(bytes.TrimSpace(line)) == 0 {
-			return fmt.Errorf("line %d: blank line inside checkpoint", i+1)
+			if last {
+				return valid, nil // trailing blank lines
+			}
+			return 0, fmt.Errorf("line %d: blank line inside checkpoint", i+1)
 		}
 		hdr, p, err := decodeCheckpointLine(line)
 		if err != nil {
-			if i == len(lines)-1 && i > 0 {
-				// Torn final append from a crash mid-write: every
-				// earlier record was fsync'd whole, so ignore it.
-				break
+			if last && i > 0 {
+				return valid, nil
 			}
-			return fmt.Errorf("line %d: %w", i+1, err)
+			return 0, fmt.Errorf("line %d: %w", i+1, err)
 		}
+		valid = len(data) - len(rest)
 		if i == 0 {
 			if hdr == nil {
-				return fmt.Errorf("line 1: first record is not a header")
+				return 0, fmt.Errorf("line 1: first record is not a header")
 			}
 			if hdr.Fingerprint != l.Fingerprint || hdr.Cells != l.Cells {
-				return fmt.Errorf("checkpoint belongs to a different sweep "+
+				return 0, fmt.Errorf("checkpoint belongs to a different sweep "+
 					"(fingerprint %s cells=%d; want %s cells=%d)",
 					hdr.Fingerprint, hdr.Cells, l.Fingerprint, l.Cells)
 			}
 			if !adopt && l.ShardSize != hdr.ShardSize {
-				return fmt.Errorf("checkpoint uses shard size %d, not %d "+
+				return 0, fmt.Errorf("checkpoint uses shard size %d, not %d "+
 					"(omit the shard size to adopt the file's)", hdr.ShardSize, l.ShardSize)
 			}
 			l.ShardSize, l.Shards = hdr.ShardSize, hdr.Shards
 			continue
 		}
 		if hdr != nil {
-			return fmt.Errorf("line %d: duplicate header", i+1)
+			return 0, fmt.Errorf("line %d: duplicate header", i+1)
 		}
 		if p.Shard >= l.Shards {
-			return fmt.Errorf("line %d: shard %d out of range [0,%d)", i+1, p.Shard, l.Shards)
+			return 0, fmt.Errorf("line %d: shard %d out of range [0,%d)", i+1, p.Shard, l.Shards)
 		}
 		for _, ti := range p.Tasks {
 			if ti >= l.Tasks {
-				return fmt.Errorf("line %d: task %d out of range [0,%d)", i+1, ti, l.Tasks)
+				return 0, fmt.Errorf("line %d: task %d out of range [0,%d)", i+1, ti, l.Tasks)
 			}
 		}
 		if !seen[p.Shard] {
@@ -197,21 +235,18 @@ func (w *CheckpointWriter) parse(data []byte, adopt bool) error {
 			w.resumed = append(w.resumed, p)
 		}
 	}
-	return nil
 }
 
-// writeRecord appends one JSON line and syncs it to stable storage, so
-// a record that exists is complete and a crash can tear at most the
-// line currently being written.
+// writeRecord appends one JSON line. The line is durable only after the
+// next fsync; a crash before it can tear at most the lines written since
+// the last one.
 func (w *CheckpointWriter) writeRecord(rec any) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	if _, err := w.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return w.f.Sync()
+	_, err = w.f.Write(append(data, '\n'))
+	return err
 }
 
 // fold adds one validated, not-yet-held partial to the accumulator and
@@ -238,19 +273,39 @@ func (w *CheckpointWriter) Resumed() []*ShardPartial {
 // shard was already present — the idempotent duplicate case — and
 // (false, err) if the partial fails validation against the layout or
 // the durable append fails. Validation failure leaves the store
-// unchanged and usable; an append failure means durability is gone and
-// the store should be abandoned. The record is marshalled and the counts
-// folded before Add returns, so p may be the caller's reusable scratch.
+// unchanged and usable; a failed write or fsync means durability is
+// gone, every later Add returns that error, and the store should be
+// abandoned (its file still resumes to the whole records on disk). The
+// record is marshalled and the counts folded before Add returns, so p
+// may be the caller's reusable scratch.
 // Add fsyncs on the durable path, so it is declared //sbgp:blocking: the
 // lockblock analyzer flags any caller in service or dist that invokes it
 // while holding a mutex.
 //
 //sbgp:blocking
 func (w *CheckpointWriter) Add(p *ShardPartial) (bool, error) {
+	if added, err := w.add(p); !added {
+		return false, err
+	}
+	if err := w.sync(); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// add is Add without the fsync: it validates p, drops a shard already
+// held, writes the record and folds the counts. On a durable store the
+// record is then written but not yet durable; sync makes it so. A failed
+// write may leave part of the line on disk, so it is sticky like a
+// failed fsync.
+func (w *CheckpointWriter) add(p *ShardPartial) (bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return false, fmt.Errorf("sweep: checkpoint writer is closed")
+	}
+	if w.failed != nil {
+		return false, w.failed
 	}
 	if err := w.layout.ValidatePartial(p); err != nil {
 		return false, err
@@ -260,11 +315,29 @@ func (w *CheckpointWriter) Add(p *ShardPartial) (bool, error) {
 	}
 	if w.f != nil {
 		if err := w.writeRecord(shardRecord{Kind: recordShard, ShardPartial: p}); err != nil {
+			w.failed = err
 			return false, err
 		}
 	}
 	w.fold(p)
 	return true, nil
+}
+
+// sync fsyncs every record add has written. A failed fsync is sticky:
+// the kernel may drop the dirty pages it could not write, after which a
+// later fsync succeeds without the data ever reaching the disk.
+//
+//sbgp:blocking
+func (w *CheckpointWriter) sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.f == nil || w.failed != nil {
+		return w.failed
+	}
+	if err := w.f.Sync(); err != nil {
+		w.failed = err
+	}
+	return w.failed
 }
 
 // Have reports whether shard s has been ingested.

@@ -31,9 +31,10 @@ type ShardOptions struct {
 	ShardSize int
 
 	// Checkpoint, when non-empty, names a JSON-lines file that durably
-	// records every completed shard (one fsync'd record each). A fresh
-	// run truncates the file and writes a header binding it to this
-	// exact grid.
+	// records every completed shard (one fsync'd record each; a record's
+	// fsync overlaps the next shard's evaluation, so at most one record
+	// is written but not yet durable). A fresh run truncates the file
+	// and writes a header binding it to this exact grid.
 	Checkpoint string
 
 	// Resume makes an existing Checkpoint file's completed shards count
@@ -47,12 +48,15 @@ type ShardOptions struct {
 	// Sink, when non-nil, observes every completed shard's partial
 	// aggregate: shards resumed from the checkpoint are replayed to it
 	// (in shard order) before evaluation starts, and each freshly
-	// evaluated shard is delivered as it finishes, after its checkpoint
-	// record (if any) is durable — so one call sees every shard of the
-	// grid exactly once, and each partial is the sink's to keep. Called
-	// serially; a non-nil error aborts the evaluation. Fresh-shard
-	// delivery order is scheduling-dependent — only the merged Result is
-	// deterministic.
+	// evaluated shard is delivered once its checkpoint record (if any)
+	// is durable — with a Checkpoint, when the next shard commits or the
+	// evaluation ends — so one call sees every shard of the grid exactly
+	// once, and each partial is the sink's to keep. Called serially; a
+	// non-nil error aborts the evaluation. Once ctx is cancelled the
+	// sink sees at most the one shard whose record was already written,
+	// so the checkpoint holds exactly the shards the sink saw.
+	// Fresh-shard delivery order is scheduling-dependent — only the
+	// merged Result is deterministic.
 	Sink func(*ShardPartial) error
 }
 
@@ -156,13 +160,18 @@ func deliver(sink func(*ShardPartial) error, p *ShardPartial) error {
 	if sink == nil {
 		return nil
 	}
-	return sink(&ShardPartial{
+	return sink(p.clone())
+}
+
+// clone returns a copy of p that shares no array with it.
+func (p *ShardPartial) clone() *ShardPartial {
+	return &ShardPartial{
 		Shard: p.Shard,
 		Tasks: slices.Clone(p.Tasks),
 		Lo:    slices.Clone(p.Lo),
 		Hi:    slices.Clone(p.Hi),
 		Pairs: slices.Clone(p.Pairs),
-	})
+	}
 }
 
 // numShards is the shard-count rule: how many shards a cell space of
@@ -363,11 +372,17 @@ type pendingShard struct {
 // at every worker count and shard size.
 //
 // With a Checkpoint configured, every completed shard is durably
-// recorded (fsync per record). Cancelling ctx aborts promptly with
-// (nil, ctx.Err()) — the checkpoint keeps the shards that finished —
-// and a later call with Resume set skips exactly those shards and
-// reproduces the uninterrupted result.
+// recorded (one fsync per record). The fsync of shard k overlaps the
+// evaluation of the next shard, with one record in flight at most:
+// committing shard k+1 first waits for shard k's fsync and delivers
+// shard k to the sink. Cancelling ctx aborts promptly with
+// (nil, ctx.Err()) — the checkpoint keeps the shards that finished, and
+// the sink has seen exactly those — and a later call with Resume set
+// skips exactly those shards and reproduces the uninterrupted result.
 func (pl *Plan) EvaluateSharded(ctx context.Context, opts ShardOptions, run RunOptions) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	// A resumed checkpoint dictates the shard size (shard indices are
 	// meaningless under any other partition): with none requested the
 	// store adopts the file's, an explicit conflict is rejected, and a
@@ -376,7 +391,7 @@ func (pl *Plan) EvaluateSharded(ctx context.Context, opts ShardOptions, run RunO
 	if err != nil {
 		return nil, err
 	}
-	defer store.Close() // every record is already fsync'd; nothing left to lose
+	defer store.Close() // every record is settled below; nothing left to lose
 	if opts.Sink != nil {
 		// Replay checkpointed shards in shard order so the sink observes
 		// the whole grid, not just the fresh remainder.
@@ -386,14 +401,113 @@ func (pl *Plan) EvaluateSharded(ctx context.Context, opts ShardOptions, run RunO
 			}
 		}
 	}
-	err = pl.RunShards(ctx, &store.layout, store.Missing(), run, func(p *ShardPartial) error {
-		if _, err := store.Add(p); err != nil {
-			return err
-		}
-		return deliver(opts.Sink, p)
-	})
+	c := newCommitPipe(ctx, store, opts.Sink, store.Shards()-store.HaveCount())
+	defer c.stop()
+	err = pl.RunShards(ctx, &store.layout, store.Missing(), run, c.commit)
+	// The last shard added is still in flight whatever ended the walk:
+	// settle it, so the sink sees every shard the checkpoint holds.
+	if serr := c.settle(); err == nil {
+		err = serr
+	}
+	if err == nil {
+		err = ctx.Err() // a sink may cancel on the last shard
+	}
 	if err != nil {
 		return nil, err
 	}
 	return pl.Result(store)
+}
+
+// commitPipe is EvaluateSharded's commit. On a durable store it keeps
+// one record in flight: the fsync of the shard added last runs on the
+// evaluation's one syncer goroutine while the walk goes on, and the next
+// commit waits for it before delivering that shard to the sink. So the
+// sink still sees a shard only once its record is durable, and a sink
+// that cancels ctx still stops the next record from being written.
+type commitPipe struct {
+	ctx   context.Context
+	store *CheckpointWriter
+	sink  func(*ShardPartial) error
+	// pending says a shard was added and is not settled yet; held is the
+	// sink's copy of it (nil without a sink).
+	pending bool
+	held    *ShardPartial
+	// syncs starts the syncer's fsync of the shard added last and synced
+	// returns its error. Both are nil when there is no fsync to overlap
+	// with a next shard — a memory-only store, or a single shard left —
+	// and each shard is then settled as it is added.
+	syncs  chan struct{}
+	synced chan error
+}
+
+// newCommitPipe readies the commit of the given number of shards into
+// store, starting the syncer when the store has a file and there is more
+// than one shard. stop ends it.
+func newCommitPipe(ctx context.Context, store *CheckpointWriter, sink func(*ShardPartial) error, shards int) *commitPipe {
+	c := &commitPipe{ctx: ctx, store: store, sink: sink}
+	if store.f != nil && shards > 1 {
+		c.syncs, c.synced = make(chan struct{}), make(chan error, 1)
+		go func() {
+			defer close(c.synced)
+			for range c.syncs {
+				c.synced <- store.sync()
+			}
+		}()
+	}
+	return c
+}
+
+// commit is RunShards' commit, called serially: settle the shard added
+// before p, re-check ctx (that shard's sink may have cancelled it), add
+// p and hand its fsync to the syncer (without one, settle p at once).
+func (c *commitPipe) commit(p *ShardPartial) error {
+	if err := c.settle(); err != nil {
+		return err
+	}
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	if _, err := c.store.add(p); err != nil {
+		return err
+	}
+	if c.sink != nil {
+		c.held = p.clone() // p is the worker's scratch
+	}
+	c.pending = true
+	if c.syncs == nil {
+		return c.settle()
+	}
+	c.syncs <- struct{}{}
+	return nil
+}
+
+// settle finishes the commit of the shard added last, if any: it waits
+// for the record's fsync, then hands the sink its copy. A shard whose
+// fsync failed never reaches the sink.
+func (c *commitPipe) settle() error {
+	if !c.pending {
+		return nil
+	}
+	c.pending = false
+	var err error
+	if c.synced != nil {
+		err = <-c.synced
+	} else {
+		err = c.store.sync()
+	}
+	p := c.held
+	c.held = nil
+	if err != nil || p == nil {
+		return err
+	}
+	return c.sink(p)
+}
+
+// stop ends the syncer and returns once it has exited, so the store can
+// be closed. Every shard is settled by then, so there is nothing to drain.
+func (c *commitPipe) stop() {
+	if c.syncs != nil {
+		close(c.syncs)
+		<-c.synced
+	}
 }

@@ -430,6 +430,48 @@ func TestShardedSinkError(t *testing.T) {
 	}
 }
 
+// TestShardedSinkStopsOnLastShard: a sink that fails, or cancels the
+// context, on the grid's last shard still fails the evaluation. On a
+// durable store of several shards that shard is settled after the walk
+// has returned, once its fsync is done; a memory-only store, or a single
+// shard, settles it inside the walk.
+func TestShardedSinkStopsOnLastShard(t *testing.T) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 120, Seed: 3})
+	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
+	pl := mustPrepare(&Grid{Attackers: M, Destinations: D, Workers: 2}, g)
+	boom := errors.New("sink full")
+	for _, size := range []int{8, DefaultShardSize} {
+		shards := pl.Layout(size).Shards
+		for _, durable := range []bool{true, false} {
+			for _, want := range []error{boom, context.Canceled} {
+				ctx, cancel := context.WithCancel(context.Background())
+				calls := 0
+				opts := ShardOptions{ShardSize: size, Sink: func(*ShardPartial) error {
+					if calls++; calls < shards {
+						return nil
+					}
+					if want == boom {
+						return boom
+					}
+					cancel()
+					return nil
+				}}
+				if durable {
+					opts.Checkpoint = filepath.Join(t.TempDir(), "last.ckpt")
+				}
+				res, err := pl.EvaluateSharded(ctx, opts, RunOptions{})
+				cancel()
+				if res != nil || !errors.Is(err, want) {
+					t.Errorf("%d shards, durable=%v: sink stopping on the last shard gave (%v, %v), want (nil, %v)", shards, durable, res, err, want)
+				}
+				if calls != shards {
+					t.Errorf("%d shards, durable=%v: sink called %d times, want once per shard", shards, durable, calls)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedSinkStreams: every cell reaches the sink exactly once, and
 // the streamed partials merge to the same totals the Result reports.
 func TestShardedSinkStreams(t *testing.T) {

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -159,5 +160,54 @@ func TestShardLoopZeroAllocs(t *testing.T) {
 					allocs, tc.budget, items)
 			}
 		})
+	}
+}
+
+// durableRecordAllocs is what one durable shard commit allocates: the
+// record's json.Marshal (its output buffer and the record boxed into an
+// interface). Nothing else in the durable commit may cost an allocation
+// per shard.
+const durableRecordAllocs = 2
+
+// TestDurableCommitAllocs pins the per-shard cost of the durable commit.
+// One grid is evaluated into a checkpoint at N and at 2N shards, and the
+// allocation difference per extra shard must stay at or below the
+// record's json.Marshal. The pipelined fsync keeps one syncer goroutine
+// and its channels per evaluation; one per shard, or a closure per
+// commit, would show here.
+func TestDurableCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; covered by the non-race CI job")
+	}
+	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 9})
+	all := runner.AllASes(g.N())
+	pl := mustPrepare(&Grid{
+		Models:       []policy.Model{policy.Sec2nd},
+		Attackers:    all[:40],
+		Destinations: all[:40],
+		Incremental:  IncrementalOff,
+		Workers:      1,
+	}, g)
+	pool := NewEnginePool()
+	dir := t.TempDir()
+	measure := func(size int) (allocs float64, shards int) {
+		opts := ShardOptions{ShardSize: size, Checkpoint: filepath.Join(dir, fmt.Sprintf("s%d.ckpt", size))}
+		run := func() {
+			if _, err := pl.EvaluateSharded(context.Background(), opts, RunOptions{Pool: pool}); err != nil {
+				t.Fatal(err)
+			}
+			pool.Release()
+		}
+		for i := 0; i < 4; i++ {
+			run()
+		}
+		return testing.AllocsPerRun(3, run), pl.Layout(size).Shards
+	}
+	a1, n1 := measure(16)
+	a2, n2 := measure(8)
+	perShard := (a2 - a1) / float64(n2-n1)
+	t.Logf("%.0f allocs at %d shards, %.0f at %d: %.2f per shard", a1, n1, a2, n2, perShard)
+	if perShard > durableRecordAllocs {
+		t.Errorf("durable commit costs %.2f allocs per shard, want ≤ %d (the record's json.Marshal)", perShard, durableRecordAllocs)
 	}
 }
