@@ -1,7 +1,11 @@
 package topogen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"strings"
 	"testing"
 
@@ -157,6 +161,70 @@ func TestGenerateSeedZero(t *testing.T) {
 	if graphFingerprint(legacy) != graphFingerprint(one) {
 		t.Error("zero-value Params no longer defaults to seed 1")
 	}
+}
+
+// TestGenerateDigest pins the generated topologies themselves: per size,
+// one SHA-256 over seeds 0–5 of every AS's three adjacency lists (read
+// through the accessors only), the edge counts and Meta, for the plain
+// graph and its asgraph.AugmentIXP variant. A change to the generator's
+// draws, to Builder.Build or to AugmentIXP moves it. The literals were
+// computed once from the reference implementation; never regenerate them
+// to make a refactor pass.
+func TestGenerateDigest(t *testing.T) {
+	want := map[int]string{
+		60:    "579ed7ed9883db50776031568cd0f7fc80cfea765425bc922d9efa969dc802df",
+		400:   "c335b2e0997467ff35a2fa57ac5f37b09a09857ff10213d521a0f98edd1cd9b7",
+		4000:  "2d09bf53c9964dcac1bdb005309aa404732c57911678169677f97717ad2897e8",
+		12000: "3bc131058f0dce4cfce500f24fe6c16988a2290a91f5ca09d45c5604b43a726c",
+	}
+	for _, n := range []int{60, 400, 4000, 12000} {
+		h := sha256.New()
+		for seed := int64(0); seed <= 5; seed++ {
+			g, meta, err := Generate(Params{N: n, Seed: seed, SeedSet: true})
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+			aug, added := asgraph.AugmentIXP(g, meta.IXPs)
+			digestGraph(h, g)
+			digestGraph(h, aug)
+			var buf []byte
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(added))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(meta.NumTransit))
+			buf = appendList(buf, meta.CPs)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta.IXPs)))
+			for _, members := range meta.IXPs {
+				buf = appendList(buf, members)
+			}
+			h.Write(buf)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[n] {
+			t.Errorf("n=%d: topology digest %s, want %s", n, got, want[n])
+		}
+	}
+}
+
+// digestGraph feeds g's size, edge counts and every adjacency list into h.
+func digestGraph(h hash.Hash, g *asgraph.Graph) {
+	var buf []byte
+	for _, x := range []int{g.N(), g.NumCustomerProviderLinks(), g.NumPeerLinks()} {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+	}
+	for v := asgraph.AS(0); int(v) < g.N(); v++ {
+		buf = appendList(buf, g.Customers(v))
+		buf = appendList(buf, g.Peers(v))
+		buf = appendList(buf, g.Providers(v))
+	}
+	h.Write(buf)
+}
+
+// appendList appends a length-prefixed AS list, so adjacent lists cannot
+// trade members without changing the bytes.
+func appendList(buf []byte, l []asgraph.AS) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l)))
+	for _, v := range l {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
+	}
+	return buf
 }
 
 func TestGenerateRejectsTinyN(t *testing.T) {
