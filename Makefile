@@ -73,6 +73,7 @@ dist-smoke:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME) ./internal/asgraph
+	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) ./internal/asgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecord$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/sweep
 

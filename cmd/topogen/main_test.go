@@ -121,3 +121,17 @@ func TestRunTextStats(t *testing.T) {
 		t.Errorf("text census missing AS count: %q", statsBuf.String())
 	}
 }
+
+// TestRunRejectsUnreadableSize: -n past asgraph.MaxReadASes fails before
+// writing anything, instead of emitting a graph that asgraph.ReadFrom —
+// and so bgpsim -graph and a job's graph_file — would refuse.
+func TestRunRejectsUnreadableSize(t *testing.T) {
+	var graph, stats bytes.Buffer
+	err := run(options{N: asgraph.MaxReadASes + 1, Seed: 1, Out: "-"}, &graph, &stats)
+	if err == nil || !strings.Contains(err.Error(), "-AS limit") {
+		t.Fatalf("run(-n %d) = %v, want the AS-limit error", asgraph.MaxReadASes+1, err)
+	}
+	if graph.Len() != 0 || stats.Len() != 0 {
+		t.Errorf("wrote %d graph and %d stats bytes for a refused size", graph.Len(), stats.Len())
+	}
+}

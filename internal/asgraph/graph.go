@@ -16,8 +16,8 @@ package asgraph
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // AS identifies an autonomous system by its dense index within a Graph.
@@ -61,11 +61,15 @@ func (r Rel) String() string {
 // business relationship and sorted by AS index, which makes neighbor
 // iteration deterministic and membership tests logarithmic.
 //
+// The lists are stored in compressed sparse row form: adj holds all 3n of
+// them back to back, and list k (k = 3v, 3v+1, 3v+2 for v's customers,
+// peers and providers) is adj[off[k]:off[k+1]]. Two allocations hold the
+// whole topology, whatever its size.
+//
 // Construct a Graph with a Builder; the zero Graph is an empty topology.
 type Graph struct {
-	customers [][]AS // customers[v]: neighbors that are customers of v
-	peers     [][]AS // peers[v]: neighbors that are peers of v
-	providers [][]AS // providers[v]: neighbors that are providers of v
+	adj []AS    // every adjacency list, in list order
+	off []int32 // 3n+1 list boundaries into adj; nil for the zero Graph
 
 	asns []int32 // optional external ASN per index; nil means identity
 
@@ -73,8 +77,21 @@ type Graph struct {
 	numP2P int // number of peer-peer edges
 }
 
+// list returns adjacency list k, cap-limited so an append by the caller
+// reallocates instead of overwriting the next list, and nil when empty.
+func (g *Graph) list(k int) []AS {
+	lo, hi := g.off[k], g.off[k+1]
+	if lo == hi {
+		return nil
+	}
+	return g.adj[lo:hi:hi]
+}
+
+// span returns the length of adjacency lists k through j-1.
+func (g *Graph) span(k, j int) int { return int(g.off[j] - g.off[k]) }
+
 // N returns the number of ASes in the graph.
-func (g *Graph) N() int { return len(g.customers) }
+func (g *Graph) N() int { return len(g.off) / 3 }
 
 // NumCustomerProviderLinks returns the number of customer-to-provider edges.
 func (g *Graph) NumCustomerProviderLinks() int { return g.numC2P }
@@ -83,54 +100,50 @@ func (g *Graph) NumCustomerProviderLinks() int { return g.numC2P }
 func (g *Graph) NumPeerLinks() int { return g.numP2P }
 
 // Customers returns v's customers. The caller must not modify the slice.
-func (g *Graph) Customers(v AS) []AS { return g.customers[v] }
+func (g *Graph) Customers(v AS) []AS { return g.list(3 * int(v)) }
 
 // Peers returns v's peers. The caller must not modify the slice.
-func (g *Graph) Peers(v AS) []AS { return g.peers[v] }
+func (g *Graph) Peers(v AS) []AS { return g.list(3*int(v) + 1) }
 
 // Providers returns v's providers. The caller must not modify the slice.
-func (g *Graph) Providers(v AS) []AS { return g.providers[v] }
+func (g *Graph) Providers(v AS) []AS { return g.list(3*int(v) + 2) }
 
 // CustomerDegree returns the number of customers of v.
-func (g *Graph) CustomerDegree(v AS) int { return len(g.customers[v]) }
+func (g *Graph) CustomerDegree(v AS) int { return g.span(3*int(v), 3*int(v)+1) }
 
 // PeerDegree returns the number of peers of v.
-func (g *Graph) PeerDegree(v AS) int { return len(g.peers[v]) }
+func (g *Graph) PeerDegree(v AS) int { return g.span(3*int(v)+1, 3*int(v)+2) }
 
 // ProviderDegree returns the number of providers of v.
-func (g *Graph) ProviderDegree(v AS) int { return len(g.providers[v]) }
+func (g *Graph) ProviderDegree(v AS) int { return g.span(3*int(v)+2, 3*int(v)+3) }
 
 // Degree returns the total number of neighbors of v.
-func (g *Graph) Degree(v AS) int {
-	return len(g.customers[v]) + len(g.peers[v]) + len(g.providers[v])
-}
+func (g *Graph) Degree(v AS) int { return g.span(3*int(v), 3*int(v)+3) }
 
 // IsStub reports whether v has no customers and no peers ("Stubs" in
 // Table 1 of the paper).
-func (g *Graph) IsStub(v AS) bool {
-	return len(g.customers[v]) == 0 && len(g.peers[v]) == 0
-}
+func (g *Graph) IsStub(v AS) bool { return g.span(3*int(v), 3*int(v)+2) == 0 }
 
 // IsStubX reports whether v has peers but no customers ("Stubs-x").
 func (g *Graph) IsStubX(v AS) bool {
-	return len(g.customers[v]) == 0 && len(g.peers[v]) > 0
+	return g.CustomerDegree(v) == 0 && g.PeerDegree(v) > 0
 }
 
 // IsAnyStub reports whether v has no customers (Stub or Stub-x). These are
 // the ASes that never transit traffic under the export policy Ex, and the
 // candidates for simplex S*BGP (Section 5.3.2).
-func (g *Graph) IsAnyStub(v AS) bool { return len(g.customers[v]) == 0 }
+func (g *Graph) IsAnyStub(v AS) bool { return g.CustomerDegree(v) == 0 }
 
 // Rel returns the relationship of u from v's point of view: RelCustomer if
 // u is v's customer, and so on; RelNone if not adjacent (or v == u).
 func (g *Graph) Rel(v, u AS) Rel {
-	if contains(g.customers[v], u) {
+	if _, ok := slices.BinarySearch(g.Customers(v), u); ok {
 		return RelCustomer
 	}
-	if contains(g.peers[v], u) {
+	if _, ok := slices.BinarySearch(g.Peers(v), u); ok {
 		return RelPeer
 	}
-	if contains(g.providers[v], u) {
+	if _, ok := slices.BinarySearch(g.Providers(v), u); ok {
 		return RelProvider
 	}
 	return RelNone
@@ -160,11 +173,6 @@ func (g *Graph) Lookup(asn int32) (AS, bool) {
 		}
 	}
 	return None, false
-}
-
-func contains(s []AS, x AS) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	return i < len(s) && s[i] == x
 }
 
 // Builder incrementally assembles a Graph. Methods record edges; Build
@@ -243,74 +251,113 @@ func (b *Builder) fail(format string, args ...interface{}) {
 }
 
 // Build validates the recorded edges (no duplicates, no conflicting
-// relationship annotations) and returns the immutable Graph. Degrees are
-// counted first so all 3n adjacency lists are carved from one backing
-// array: each list is a cap-limited subslice (an append by a later
-// holder reallocates instead of overwriting a neighbour's list) and an
-// AS without neighbours of a kind keeps a nil list.
+// relationship annotations) and returns the immutable Graph, in time
+// linear in ASes plus edges, with no map and no sort. A counting pass
+// sizes every adjacency list and fixes off; a second pass buckets each
+// edge end by its neighbour; walking the buckets in neighbour order then
+// scatters every neighbour into its list, so each list comes out sorted.
+// A duplicate or conflicting edge shows up as a neighbour repeated across
+// one AS's three lists, and only then does firstDuplicate scan for the
+// edge to name.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	type ukey struct{ x, y AS }
-	seen := make(map[ukey]bool, len(b.edges))
-	g := &Graph{
-		customers: make([][]AS, b.n),
-		peers:     make([][]AS, b.n),
-		providers: make([][]AS, b.n),
-		asns:      b.asns,
+	if b.n > (math.MaxInt32-1)/3 || len(b.edges) > math.MaxInt32/2 {
+		return nil, fmt.Errorf("%d ASes and %d edges overflow the int32 adjacency offsets", b.n, len(b.edges))
 	}
-	type degrees struct{ customers, peers, providers int32 }
-	deg := make([]degrees, b.n)
+	g := &Graph{off: make([]int32, 3*b.n+1), asns: b.asns}
+	off := g.off
 	for _, e := range b.edges {
-		x, y := e.a, e.b
-		if x > y {
-			x, y = y, x
-		}
-		k := ukey{x, y}
-		if seen[k] {
-			return nil, fmt.Errorf("duplicate or conflicting edge between AS %d and AS %d", e.a, e.b)
-		}
-		seen[k] = true
+		la, lb := e.lists()
+		off[la+1]++
+		off[lb+1]++
 		if e.peer {
-			deg[e.a].peers++
-			deg[e.b].peers++
 			g.numP2P++
 		} else {
-			deg[e.a].customers++
-			deg[e.b].providers++
 			g.numC2P++
 		}
 	}
-	backing := make([]AS, 2*len(b.edges))
-	carve := func(d int32) []AS {
-		if d == 0 {
-			return nil
-		}
-		s := backing[:0:d]
-		backing = backing[d:]
-		return s
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
 	}
-	for v, d := range deg {
-		g.customers[v] = carve(d.customers)
-		g.peers[v] = carve(d.peers)
-		g.providers[v] = carve(d.providers)
-	}
+	// ends[i] is the list an edge end belongs to. Ends are bucketed by
+	// their neighbour u: u's bucket has Degree(u) entries, so it starts
+	// where u's own lists start, and fill[u] counts it up to that size.
+	ends := make([]int32, 2*len(b.edges))
+	fill := make([]int32, b.n)
 	for _, e := range b.edges {
-		if e.peer {
-			g.peers[e.a] = append(g.peers[e.a], e.b)
-			g.peers[e.b] = append(g.peers[e.b], e.a)
-		} else {
-			g.customers[e.a] = append(g.customers[e.a], e.b)
-			g.providers[e.b] = append(g.providers[e.b], e.a)
-		}
+		la, lb := e.lists()
+		ends[off[3*int(e.b)]+fill[e.b]] = la
+		fill[e.b]++
+		ends[off[3*int(e.a)]+fill[e.a]] = lb
+		fill[e.a]++
 	}
-	for v := 0; v < b.n; v++ {
-		sortASes(g.customers[v])
-		sortASes(g.peers[v])
-		sortASes(g.providers[v])
+	// Scatter in neighbour order with off[k] as list k's cursor, which
+	// leaves off[k] at list k's end; shifting by one restores the starts.
+	g.adj = make([]AS, len(ends))
+	i := int32(0)
+	for u, d := range fill {
+		for _, k := range ends[i : i+d] {
+			g.adj[off[k]] = AS(u)
+			off[k]++
+		}
+		i += d
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	for v := AS(0); int(v) < b.n; v++ {
+		if hasRepeat(g.Customers(v), g.Peers(v), g.Providers(v)) {
+			return nil, b.firstDuplicate()
+		}
 	}
 	return g, nil
+}
+
+// lists returns the adjacency lists that hold e's two ends: la, where
+// e.a lists e.b, and lb, where e.b lists e.a.
+func (e edge) lists() (la, lb int32) {
+	if e.peer {
+		return 3*int32(e.a) + 1, 3*int32(e.b) + 1
+	}
+	return 3 * int32(e.a), 3*int32(e.b) + 2
+}
+
+// hasRepeat reports whether some AS appears twice across the sorted
+// lists a, b and c, merging them smallest head first.
+func hasRepeat(a, b, c []AS) bool {
+	prev := None
+	for len(a)+len(b)+len(c) > 0 {
+		var x AS
+		switch {
+		case len(a) > 0 && (len(b) == 0 || a[0] <= b[0]) && (len(c) == 0 || a[0] <= c[0]):
+			x, a = a[0], a[1:]
+		case len(b) > 0 && (len(c) == 0 || b[0] <= c[0]):
+			x, b = b[0], b[1:]
+		default:
+			x, c = c[0], c[1:]
+		}
+		if x == prev {
+			return true
+		}
+		prev = x
+	}
+	return false
+}
+
+// firstDuplicate names the first recorded edge whose two ASes an earlier
+// edge already joins. Build calls it only once it has found such a pair.
+func (b *Builder) firstDuplicate() error {
+	type ukey struct{ x, y AS }
+	seen := make(map[ukey]bool, len(b.edges))
+	for _, e := range b.edges {
+		k := ukey{min(e.a, e.b), max(e.a, e.b)}
+		if seen[k] {
+			return fmt.Errorf("duplicate or conflicting edge between AS %d and AS %d", e.a, e.b)
+		}
+		seen[k] = true
+	}
+	panic("asgraph: Build found a repeated neighbour but no duplicate edge")
 }
 
 // MustBuild is Build, panicking on error. It is intended for tests and
@@ -322,5 +369,3 @@ func (b *Builder) MustBuild() *Graph {
 	}
 	return g
 }
-
-func sortASes(s []AS) { slices.Sort(s) }

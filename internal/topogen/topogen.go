@@ -22,6 +22,7 @@ package topogen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"sbgp/internal/asgraph"
@@ -117,6 +118,9 @@ type Meta struct {
 // errors; invalid Params produce an error.
 func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	p.applyDefaults()
+	if p.N > asgraph.MaxReadASes {
+		return nil, nil, fmt.Errorf("topogen: topology size n=%d exceeds the %d-AS limit", p.N, asgraph.MaxReadASes)
+	}
 	if p.N < p.NumTier1+p.NumCPs+10 {
 		return nil, nil, fmt.Errorf("topogen: N=%d too small for %d Tier-1s and %d CPs", p.N, p.NumTier1, p.NumCPs)
 	}
@@ -135,24 +139,12 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	b := asgraph.NewBuilder(n)
 	custDeg := make([]int, n)
 	peerDeg := make([]int, n)
-	// adj dedups links by their unordered endpoint pair packed into one
-	// word (the runtime's fast 64-bit map path), presized to the expected
-	// edge count — up to MeanProviders links per AS plus PeerRatio peer
-	// links per customer link — so it never rehashes while it fills.
-	adj := make(map[uint64]struct{}, int(float64(n)*p.MeanProviders*(1+p.PeerRatio)))
-	linked := func(x, y asgraph.AS) bool {
-		if x > y {
-			x, y = y, x
-		}
-		k := uint64(uint32(x))<<32 | uint64(uint32(y))
-		if _, ok := adj[k]; ok {
-			return true
-		}
-		adj[k] = struct{}{}
-		return false
-	}
+	// adj dedups links by their unordered endpoint pair, presized to the
+	// expected edge count — up to MeanProviders links per AS plus
+	// PeerRatio peer links per customer link — so it rarely grows.
+	adj := newPairSet(int(float64(n) * p.MeanProviders * (1 + p.PeerRatio)))
 	addC2P := func(prov, cust asgraph.AS) bool {
-		if linked(prov, cust) {
+		if !adj.add(prov, cust) {
 			return false
 		}
 		b.AddProviderCustomer(prov, cust)
@@ -160,7 +152,7 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 		return true
 	}
 	addPeer := func(x, y asgraph.AS) bool {
-		if x == y || linked(x, y) {
+		if x == y || !adj.add(x, y) {
 			return false
 		}
 		b.AddPeer(x, y)
@@ -231,26 +223,42 @@ func Generate(p Params) (*asgraph.Graph, *Meta, error) {
 	// the paper's Section 4.6–4.7 findings: long provider chains to
 	// Tier 1 destinations, and Tier 1 attackers whose bogus routes
 	// spread only downward through their customer cones.)
+	//
+	// A draw r in [cumw[from], total) picks the one j with cumw[j] ≤ r <
+	// cumw[j+1]. guide is an inverse-CDF index over cumw: bucket b holds
+	// the draws r with r>>shift = b, and guide[b] is the AS holding b's
+	// lowest draw, so a draw scans forward from its bucket's entry. shift
+	// makes a bucket at least as wide as the mean weight and under twice
+	// it, so there are at most numTransit buckets — a rebuild stays
+	// O(numTransit) — and a draw crosses under two weight boundaries on
+	// average. guide is rebuilt with cumw; between rebuilds both are the
+	// same stale snapshot.
 	cumw := make([]int, numTransit+1)
+	guide := make([]int, 0, numTransit)
+	var shift uint
 	rebuildCum := func() {
 		for j := 0; j < numTransit; j++ {
 			cumw[j+1] = cumw[j] + custDeg[j] + 1
+		}
+		total, j := cumw[numTransit], 0
+		shift = uint(bits.Len(uint((total - 1) / numTransit)))
+		guide = guide[:(total-1)>>shift+1]
+		for b := range guide {
+			for cumw[j+1] <= b<<shift {
+				j++
+			}
+			guide[b] = j
 		}
 	}
 	rebuildCum()
 	pickFrom := func(from int) asgraph.AS {
 		base := cumw[from]
 		r := base + rng.Intn(cumw[numTransit]-base)
-		lo, hi := from, numTransit
-		for lo+1 < hi {
-			mid := (lo + hi) / 2
-			if cumw[mid] <= r {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		j := guide[r>>shift]
+		for cumw[j+1] <= r {
+			j++
 		}
-		return asgraph.AS(lo)
+		return asgraph.AS(j)
 	}
 	pickTransitWeighted := func() asgraph.AS { return pickFrom(0) }
 	pickMidTierWeighted := func() asgraph.AS { return pickFrom(p.NumTier1) }
@@ -374,6 +382,64 @@ func pickProviderForEdge(rng *rand.Rand, anyTransit, midTier func() asgraph.AS) 
 		return anyTransit()
 	}
 	return midTier()
+}
+
+// pairSet is an open-addressing set of unordered pairs of distinct ASes,
+// each packed into one word, lower index in the high half. The higher
+// index is at least 1, so a packed pair is never 0 and 0 marks an empty
+// slot. Linear probing from a Fibonacci hash keeps a lookup to a slot or
+// two at the load factor ≤ 1/2 that add maintains.
+type pairSet struct {
+	slots []uint64 // len is a power of two
+	shift uint     // 64 − log2(len(slots))
+	n     int
+}
+
+func newPairSet(expect int) *pairSet {
+	s := &pairSet{}
+	s.resize(max(2*expect, 16))
+	return s
+}
+
+// resize rehashes into the smallest power-of-two table of at least size slots.
+func (s *pairSet) resize(size int) {
+	old := s.slots
+	lg := uint(bits.Len(uint(size - 1)))
+	s.slots, s.shift = make([]uint64, 1<<lg), 64-lg
+	for _, k := range old {
+		if k != 0 {
+			s.insert(k)
+		}
+	}
+}
+
+// add records the pair {x, y} and reports whether it was new.
+func (s *pairSet) add(x, y asgraph.AS) bool {
+	if x > y {
+		x, y = y, x
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		s.resize(2 * len(s.slots))
+	}
+	if !s.insert(uint64(uint32(x))<<32 | uint64(uint32(y))) {
+		return false
+	}
+	s.n++
+	return true
+}
+
+// insert places k unless it is already present, reporting which.
+func (s *pairSet) insert(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			return true
+		}
+	}
 }
 
 // MustGenerate is Generate, panicking on error; for tests and examples.

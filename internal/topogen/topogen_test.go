@@ -168,8 +168,9 @@ func TestGenerateSeedZero(t *testing.T) {
 // through the accessors only), the edge counts and Meta, for the plain
 // graph and its asgraph.AugmentIXP variant. A change to the generator's
 // draws, to Builder.Build or to AugmentIXP moves it. The literals were
-// computed once from the reference implementation; never regenerate them
-// to make a refactor pass.
+// computed with the map-and-sort Build and the binary-search draws that
+// the linear-time ones replaced; never regenerate them to make a
+// refactor pass.
 func TestGenerateDigest(t *testing.T) {
 	want := map[int]string{
 		60:    "579ed7ed9883db50776031568cd0f7fc80cfea765425bc922d9efa969dc802df",
@@ -230,6 +231,18 @@ func appendList(buf []byte, l []asgraph.AS) []byte {
 func TestGenerateRejectsTinyN(t *testing.T) {
 	if _, _, err := Generate(Params{N: 20}); err == nil {
 		t.Error("Generate accepted N too small for the Tier-1 clique and CPs")
+	}
+}
+
+// TestGenerateRejectsUnreadableN: a topology past asgraph.MaxReadASes
+// could be written out but never read back (cmd/topogen's output as a
+// graph file), so Generate refuses it before generating anything and
+// names the limit.
+func TestGenerateRejectsUnreadableN(t *testing.T) {
+	_, _, err := Generate(Params{N: asgraph.MaxReadASes + 1})
+	want := fmt.Sprintf("topology size n=%d exceeds the %d-AS limit", asgraph.MaxReadASes+1, asgraph.MaxReadASes)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Generate(N=MaxReadASes+1) = %v, want an error containing %q", err, want)
 	}
 }
 
