@@ -211,8 +211,8 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	// (ASes *unrouted* in prev need no seeding here: they hold no
 	// pre-fixed value, and if a pass revives one — a neighbor's
 	// route-class flip re-enabling an export that never reached it —
-	// the fix sites mark it dirty just before the first write, so the
-	// fixpoint check sees the revival and propagates it.)
+	// the fix sites mark it dirty just before the first write, and the
+	// pass counts as grown, so the next pass seeds it.)
 	for v := range prev.Class {
 		if prev.Class[v] != policy.ClassOrigin {
 			continue
@@ -264,6 +264,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		e.HappyBounds()
 		e.installDelta()
 		e.deltaDirty = e.dirtyList
+		passStart := len(e.dirtyList)
 		for _, st := range e.plan.Stages {
 			switch st.Class {
 			case policy.ClassCustomer:
@@ -277,8 +278,11 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		e.deltaDirty = nil
 		// Fixpoint check: every AS whose outcome changed must have all
 		// of its neighbors dirty, or the change could have influenced a
-		// pre-fixed AS. Grow and re-run until nothing new is marked.
-		grown := false
+		// pre-fixed AS. Grow and re-run until nothing new is marked. A
+		// pass that revived an AS counts as grown: the revival came from
+		// a trigger inside one stage, so the AS never gathered the offers
+		// of neighbors fixed in earlier stages; the next pass seeds it.
+		grown := len(e.dirtyList) > passStart
 		limit := len(e.dirtyList)
 		for i := 0; i < limit; i++ {
 			v := e.dirtyList[i]

@@ -611,3 +611,51 @@ func TestWithDeltaThreshold(t *testing.T) {
 		t.Fatalf("threshold 1: %d fallbacks, want 0", wide.counters.Fallbacks)
 	}
 }
+
+// revivalFixture is the smallest known graph on which a delta pass
+// revives an AS whose best offer comes from a neighbor fixed in an
+// earlier stage. Under security 1st with d = 6 and m = 9, prev's secure
+// provider route at AS5 withholds the bogus customer route from AS2, so
+// AS0, AS1, AS2, AS4 and AS10 are unrouted. Dropping 3, 5 and 6 from
+// Full hands AS5 the bogus customer route: AS2 fixes in the customer
+// stage, and AS10 must then take its provider route via AS2 (length 6),
+// not the longer one via AS4 (length 9).
+func revivalFixture() (g *asgraph.Graph, prevDep, nextDep *Deployment) {
+	const n = 11
+	b := asgraph.NewBuilder(n)
+	for _, l := range [][2]asgraph.AS{{0, 1}, {1, 2}, {0, 4}, {2, 5}, {3, 5}, {3, 6}, {5, 7}, {7, 8}, {8, 9}, {2, 10}, {4, 10}} {
+		b.AddProviderCustomer(l[0], l[1])
+	}
+	prevDep = &Deployment{Full: asgraph.SetOf(n, 2, 3, 4, 5, 6, 10)}
+	nextDep = &Deployment{Full: asgraph.SetOf(n, 2, 4, 10), Simplex: asgraph.SetOf(n, 0)}
+	return b.MustBuild(), prevDep, nextDep
+}
+
+// TestRunDeltaRevivalSeedsNextPass: an AS unrouted in prev is revived
+// by a trigger inside one stage, so the pass that revives it never
+// gathered the offers its neighbors fixed in earlier stages. The pass
+// must count as grown so the next pass seeds the revived AS from all
+// of them, even when every neighbor of it is already dirty.
+func TestRunDeltaRevivalSeedsNextPass(t *testing.T) {
+	g, prevDep, nextDep := revivalFixture()
+	added, removed := DeploymentDelta(prevDep, nextDep)
+	const d, m = 6, 9
+	for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
+		for _, opts := range [][]Option{nil, {WithResolvedTiebreak()}} {
+			delta := NewEngineLP(g, policy.Sec1st, lp, append(opts, withDeltaThreshold(1))...)
+			prev := delta.Run(d, m, prevDep)
+			if prev.Class[10] != policy.ClassNone {
+				t.Fatalf("fixture broken: AS10 routed in prev (%v)", prev.Class[10])
+			}
+			got := delta.RunDelta(prev, added, removed, nextDep, nil)
+			want := NewEngineLP(g, policy.Sec1st, lp, opts...).Run(d, m, nextDep)
+			if want.Class[10] != policy.ClassProvider || want.Next[10] != 2 {
+				t.Fatalf("fixture broken: AS10 = (%v via %d) from scratch, want a provider route via AS2", want.Class[10], want.Next[10])
+			}
+			if delta.counters.Fallbacks != 0 {
+				t.Fatalf("%v resolve=%v: fell back, the delta path was not exercised", lp, len(opts) > 0)
+			}
+			assertOutcomeEqual(t, "revival", got, want)
+		}
+	}
+}
