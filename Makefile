@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBuild$$' -fuzztime $(FUZZTIME) ./internal/asgraph
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRecord$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzChainPlan$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzRunDelta$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # bench-check vets and tests the repo benchmark's own module (bench/,
 # see BENCHMARK.json): a smoke over all five workload paths plus the

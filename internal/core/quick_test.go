@@ -14,7 +14,13 @@ import (
 // indices, so the hierarchy is acyclic by construction. Unlike topogen
 // it makes no attempt to look like the Internet — that is the point.
 func randomGraph(seed int64, n int) *asgraph.Graph {
-	rng := rand.New(rand.NewSource(seed))
+	return randomGraphFrom(n, rand.New(rand.NewSource(seed)).Intn)
+}
+
+// randomGraphFrom is randomGraph over an arbitrary draw source: pick(k)
+// returns a choice in [0, k). FuzzRunDelta draws from fuzzer bytes, so
+// a short byte string spells out a hand-built hierarchy.
+func randomGraphFrom(n int, pick func(int) int) *asgraph.Graph {
 	b := asgraph.NewBuilder(n)
 	type pair struct{ a, b asgraph.AS }
 	used := map[pair]bool{}
@@ -34,12 +40,12 @@ func randomGraph(seed int64, n int) *asgraph.Graph {
 		}
 	}
 	for v := 1; v < n; v++ {
-		for k := rng.Intn(3); k > 0; k-- {
-			add(asgraph.AS(rng.Intn(v)), asgraph.AS(v), false)
+		for k := pick(3); k > 0; k-- {
+			add(asgraph.AS(pick(v)), asgraph.AS(v), false)
 		}
 	}
-	for e := rng.Intn(2 * n); e > 0; e-- {
-		add(asgraph.AS(rng.Intn(n)), asgraph.AS(rng.Intn(n)), true)
+	for e := pick(2 * n); e > 0; e-- {
+		add(asgraph.AS(pick(n)), asgraph.AS(pick(n)), true)
 	}
 	return b.MustBuild()
 }
