@@ -16,19 +16,22 @@ import (
 // The correctness argument rests on a locality property of the staged
 // Fix-Routes algorithms: an AS's final outcome (class, length, security,
 // label, next hop) is a deterministic function of its own deployment
-// flags and its neighbors' final outcomes. Offers flow along single
+// flags and the offers its neighbors make it. Offers flow along single
 // edges, a candidate's admissibility in a stage depends only on the
 // offering neighbor's final class/length/security, and within a stage
 // the bucket queue orders work by route length, never by discovery
-// time. So if every neighbor of v is unchanged between two deployments
-// and v's own flags are unchanged, v's outcome is unchanged.
+// time. The deployment is read only by the AS making the choice
+// (FullSecure(u)) and by root seeding. So if every neighbor that offers
+// to u, or did, is unchanged and u's own flags are unchanged, u's
+// outcome is unchanged.
 //
 // RunDelta exploits the contrapositive: it maintains a dirty set — an
 // overapproximation of the ASes whose outcome may differ from prev —
 // pre-fixes everything outside it with the previous outcome, re-runs
 // the stage schedule over the dirty region only, and then verifies the
 // overapproximation: any dirty AS whose outcome actually changed must
-// have all its neighbors dirty too. If not, the set grows and the pass
+// have its receivers dirty too (markReceiversDirty). If not, or if the
+// pass revived an AS unrouted in prev, the set grows and the pass
 // repeats; at the fixpoint the result equals a from-scratch run
 // exactly. A from-scratch run is itself the degenerate fixpoint, so the
 // path can fall back to it whenever the dirty region grows past an
@@ -128,12 +131,12 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []asgraph.AS) {
 // run — the common case in rollout chains, and the fastest one.
 //
 // The result is exactly the outcome RunAttack(prev.Dst, prev.Attacker,
-// dep, atk) would compute. The stage work is proportional to the dirty
-// region rather than the whole graph (a small O(n) bookkeeping floor
-// remains: the fixedList rebuild and the vanished-root scan are single
-// passes over one byte array each, a removal adds one memoized walk
-// over the previous outcome's secure routes, and an external —
-// non-chained — prev costs one array copy to install); when the dirty
+// dep, atk) would compute. On a chained prev that only grows, stage
+// work and bookkeeping are both proportional to the dirty region. O(n)
+// costs remain elsewhere: a removal, or a dropped secure root, adds one
+// memoized walk over prev's secure routes; an external prev costs one
+// copy to install and one scan for vanished roots; and the next
+// from-scratch run wipes every entry. When the dirty
 // region's adjacency volume exceeds the engine's delta threshold
 // (DefaultDeltaThreshold: three quarters of the graph's edge volume),
 // RunDelta falls back to the from-scratch run. Like Run, the returned
@@ -175,21 +178,21 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		panic("core: attack did not seed the destination")
 	}
 
-	// Initial dirty set: the ASes whose deployment flags changed and
-	// their adjacencies (their FullSecure flag feeds every offer they
-	// receive or make), plus any root whose origination changed (e.g.
-	// the destination turning origin-secure) and its adjacencies.
+	// Initial dirty set: the ASes whose deployment flags changed (only
+	// their own choice reads them) and their route's receivers, plus
+	// any root whose origination changed (e.g. the destination turning
+	// origin-secure) and its receivers, which are all its neighbors.
 	// markDirty snapshots prev's entry for each AS as it is marked, so
 	// prev must be installed as the comparison source first.
 	e.deltaPrev = prev
 	defer func() { e.deltaPrev = nil }()
 	for _, a := range added {
 		e.markDirty(a)
-		e.markNeighborsDirty(a)
+		e.markReceiversDirty(a, prev.Class[a], prev.Class[a])
 	}
 	for _, a := range removed {
 		e.markDirty(a)
-		e.markNeighborsDirty(a)
+		e.markReceiversDirty(a, prev.Class[a], prev.Class[a])
 	}
 	e.secDrops = e.secDrops[:0]
 	for _, r := range e.deltaSeeds {
@@ -197,7 +200,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 			prev.Secure[r.v] != r.secure || prev.Label[r.v] != r.label ||
 			prev.Next[r.v] != asgraph.None {
 			e.markDirty(r.v)
-			e.markNeighborsDirty(r.v)
+			e.markReceiversDirty(r.v, policy.ClassOrigin, policy.ClassOrigin)
 		}
 		if prev.Secure[r.v] && !r.secure {
 			e.secDrops = append(e.secDrops, r.v)
@@ -208,27 +211,22 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	// conditionally). It must be recomputed as an ordinary AS, and its
 	// disappearance can influence its neighbors.
 	//
+	// A chained prev's roots are the ones the engine last planted
+	// (outSeeds); an external prev's are found by a scan.
+	//
 	// (ASes *unrouted* in prev need no seeding here: they hold no
 	// pre-fixed value, and if a pass revives one — a neighbor's
 	// route-class flip re-enabling an export that never reached it —
 	// the fix sites mark it dirty just before the first write, and the
 	// pass counts as grown, so the next pass seeds it.)
-	for v := range prev.Class {
-		if prev.Class[v] != policy.ClassOrigin {
-			continue
+	if prev == &e.out {
+		for _, r := range e.outSeeds {
+			e.markVanished(prev, r.v)
 		}
-		seeded := false
-		for _, r := range e.deltaSeeds {
-			if r.v == asgraph.AS(v) {
-				seeded = true
-				break
-			}
-		}
-		if !seeded {
-			e.markDirty(asgraph.AS(v))
-			e.markNeighborsDirty(asgraph.AS(v))
-			if prev.Secure[v] {
-				e.secDrops = append(e.secDrops, asgraph.AS(v))
+	} else {
+		for v := range prev.Class {
+			if prev.Class[v] == policy.ClassOrigin {
+				e.markVanished(prev, asgraph.AS(v))
 			}
 		}
 	}
@@ -242,19 +240,20 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		e.seedSecureReverse(prev, removed)
 	}
 
-	installed := prev == &e.out
-	for {
+	for pass := 0; ; pass++ {
 		// Adaptive fallback. Checked before any engine state is touched
 		// on the first pass, so an oversized delta costs nothing extra;
-		// after a pass, installDelta has left fixedList consistent with
-		// the outcome, so RunAttack's reset remains sound.
+		// after a pass, fixedPartial sends RunAttack's reset down the
+		// full wipe, so it remains sound.
 		if e.overDeltaThreshold() {
 			e.counters.Fallbacks++
+			if pass > 0 {
+				e.counters.LateFallbacks++
+			}
 			return e.RunAttack(d, m, dep, atk)
 		}
-		if !installed {
+		if pass == 0 && prev != &e.out {
 			e.installPrev(prev)
-			installed = true
 		}
 		e.out.Dst, e.out.Attacker = d, m
 		// Capture the happy-source counts of prev (the installed base)
@@ -263,6 +262,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		// n labels.
 		e.HappyBounds()
 		e.installDelta()
+		e.counters.Passes++
 		e.deltaDirty = e.dirtyList
 		passStart := len(e.dirtyList)
 		for _, st := range e.plan.Stages {
@@ -276,17 +276,16 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 			}
 		}
 		e.deltaDirty = nil
-		// Fixpoint check: every AS whose outcome changed must have all
-		// of its neighbors dirty, or the change could have influenced a
+		// Fixpoint check: every AS whose outcome changed must have its
+		// receivers dirty, or the change could have influenced a
 		// pre-fixed AS. Grow and re-run until nothing new is marked. A
-		// pass that revived an AS counts as grown: the revival came from
-		// a trigger inside one stage, so the AS never gathered the offers
-		// of neighbors fixed in earlier stages; the next pass seeds it.
+		// revival counts as growth: a trigger inside one stage revived
+		// the AS, so only the next pass gathers its earlier offers.
 		grown := len(e.dirtyList) > passStart
 		limit := len(e.dirtyList)
 		for i := 0; i < limit; i++ {
 			v := e.dirtyList[i]
-			if e.changedFromPrev(v) && e.markNeighborsDirty(v) {
+			if e.changedFromPrev(v) && e.markReceiversDirty(v, e.prevOut.Class[v], e.out.Class[v]) {
 				grown = true
 			}
 		}
@@ -325,7 +324,7 @@ func GraphVolume(g *asgraph.Graph) int64 {
 // DeltaVolume returns the adjacency edge-volume of a signed deployment
 // delta: the summed degree of the ASes in added and removed — the same
 // quantity overDeltaThreshold measures for RunDelta's initial dirty
-// set, before neighbor closure. It is a cheap, engine-free probe of
+// set, before receiver closure. It is a cheap, engine-free probe of
 // how much stage work a RunDelta between two deployments would seed;
 // the sweep planner uses it as the edge-cost model of its signed-delta
 // forest. No engine semantics depend on it.
@@ -445,7 +444,7 @@ func (e *Engine) seedSecureReverse(prev *Outcome, removed []asgraph.AS) {
 	for v := 0; v < n; v++ {
 		if st[v] == reachAffected && prev.Secure[v] {
 			e.markDirty(asgraph.AS(v))
-			e.markNeighborsDirty(asgraph.AS(v))
+			e.markReceiversDirty(asgraph.AS(v), prev.Class[v], prev.Class[v])
 		}
 	}
 }
@@ -507,25 +506,24 @@ func (e *Engine) markDirty(v asgraph.AS) bool {
 	return true
 }
 
-// markNeighborsDirty marks every AS adjacent to v — across all three
-// edge kinds, since offers flow along each of them in some stage —
-// reporting whether any was newly marked.
-func (e *Engine) markNeighborsDirty(v asgraph.AS) bool {
+// markReceiversDirty marks every AS that v's route can reach in one
+// offer, when v's class moves from was to is, reporting whether any was
+// newly marked. v offers to its customers whatever its class, and to
+// its providers and peers only while it holds a customer route or is an
+// origin (exportsWide); no other neighbor reads v's outcome.
+func (e *Engine) markReceiversDirty(v asgraph.AS, was, is policy.Class) bool {
 	grown := false
-	for _, u := range e.g.Providers(v) {
-		if e.markDirty(u) {
-			grown = true
-		}
-	}
 	for _, u := range e.g.Customers(v) {
-		if e.markDirty(u) {
-			grown = true
-		}
+		grown = e.markDirty(u) || grown
+	}
+	if !exportsWide(was) && !exportsWide(is) {
+		return grown
+	}
+	for _, u := range e.g.Providers(v) {
+		grown = e.markDirty(u) || grown
 	}
 	for _, u := range e.g.Peers(v) {
-		if e.markDirty(u) {
-			grown = true
-		}
+		grown = e.markDirty(u) || grown
 	}
 	return grown
 }
@@ -548,10 +546,11 @@ func (e *Engine) installPrev(prev *Outcome) {
 }
 
 // installDelta prepares one delta pass: every dirty AS is cleared back
-// to the no-route state (pre-fixed ASes keep the previous outcome), the
-// captured roots are re-planted, and fixedList is rebuilt to cover
-// exactly the fixed entries — so the stage machinery, and a later run's
-// epoch reset, see a consistent state.
+// to the no-route state (pre-fixed ASes keep the previous outcome) and
+// the captured roots are re-planted. fixedList restarts empty and will
+// list only the pass's own fixes: the pass seeds its stages from the
+// dirty list, not from fixedList, and fixedPartial makes the next
+// rollback wipe every entry instead of restoring fixedList's.
 func (e *Engine) installDelta() {
 	o := &e.out
 	for _, v := range e.dirtyList {
@@ -568,11 +567,24 @@ func (e *Engine) installDelta() {
 		o.Label[r.v] = r.label
 		o.Next[r.v] = asgraph.None
 	}
+	e.outSeeds = e.outSeeds[:0]
+	e.outSeeds = append(e.outSeeds, e.deltaSeeds...)
 	e.fixedList = e.fixedList[:0]
-	for v := range o.Class {
-		if o.Class[v] != policy.ClassNone {
-			e.fixedList = append(e.fixedList, asgraph.AS(v))
+	e.fixedPartial = true
+}
+
+// markVanished marks v, a root of prev, dirty with its receivers if
+// this call's seeding no longer plants it.
+func (e *Engine) markVanished(prev *Outcome, v asgraph.AS) {
+	for _, r := range e.deltaSeeds {
+		if r.v == v {
+			return
 		}
+	}
+	e.markDirty(v)
+	e.markReceiversDirty(v, policy.ClassOrigin, policy.ClassOrigin)
+	if prev.Secure[v] {
+		e.secDrops = append(e.secDrops, v)
 	}
 }
 

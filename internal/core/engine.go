@@ -50,6 +50,9 @@ type Engine struct {
 	buckets   [][]asgraph.AS
 	touched   []asgraph.AS // peer-stage work list
 	inTouch   []bool       // carved from the scratch arena (attachScratch)
+	// fixedPartial records that a delta pass left its pre-fixed entries
+	// out of fixedList (installDelta), so rollback must wipe them all.
+	fixedPartial bool
 
 	// off[u] accumulates the candidate routes offered to u during the
 	// current stage; stageEpoch validates entries so starting a stage
@@ -79,6 +82,7 @@ type Engine struct {
 	// outcome came from a security-free run (see SecurityFree).
 	baseSeeds  []seedRec
 	secFree    bool
+	outSeeds   []seedRec // roots planted in out (RunDelta's vanished-root candidates)
 	deltaPrev  *Outcome
 	deltaDirty []asgraph.AS
 	// counters is the work done since TakeCounters last emptied it.
@@ -160,13 +164,17 @@ const DefaultDeltaThreshold = 0.75
 // fallbacks included; DeltaSteps are RunDelta calls that reached their
 // fixpoint, over DirtyVolume summed dirty edge-volume; NoOps are
 // security-free RunDelta steps that did no stage work; Fallbacks are
-// RunDelta calls that crossed the delta threshold. No result reads them.
+// RunDelta calls that crossed the delta threshold, LateFallbacks the
+// ones among them that had already run a pass; Passes are the delta
+// passes run, in steps and late fallbacks alike. No result reads them.
 type Counters struct {
-	Runs        int   `json:"runs"`
-	DeltaSteps  int   `json:"delta_steps"`
-	DirtyVolume int64 `json:"dirty_volume"`
-	NoOps       int   `json:"no_ops"`
-	Fallbacks   int   `json:"fallbacks"`
+	Runs          int   `json:"runs"`
+	DeltaSteps    int   `json:"delta_steps"`
+	DirtyVolume   int64 `json:"dirty_volume"`
+	NoOps         int   `json:"no_ops"`
+	Fallbacks     int   `json:"fallbacks"`
+	LateFallbacks int   `json:"late_fallbacks"`
+	Passes        int   `json:"passes"`
 }
 
 // Add sums o into c.
@@ -176,6 +184,8 @@ func (c *Counters) Add(o Counters) {
 	c.DirtyVolume += o.DirtyVolume
 	c.NoOps += o.NoOps
 	c.Fallbacks += o.Fallbacks
+	c.LateFallbacks += o.LateFallbacks
+	c.Passes += o.Passes
 }
 
 // TakeCounters returns the engine's counters and zeroes them.
@@ -202,6 +212,10 @@ func NewEngineLP(g *asgraph.Graph, m policy.Model, lp policy.LocalPref, opts ...
 	}
 	e.out.attachSlab(n)
 	e.attachScratch(n)
+	// The three root captures share one array (four roots each before
+	// an append moves one out), so they cost one allocation, not three.
+	seeds := make([]seedRec, 12)
+	e.deltaSeeds, e.baseSeeds, e.outSeeds = seeds[:0:4], seeds[4:4:8], seeds[8:8:12]
 	for _, o := range opts {
 		o(e)
 	}
@@ -313,6 +327,8 @@ func (e *Engine) RunAttack(d, m asgraph.AS, dep *Deployment, atk Attack) *Outcom
 	for _, r := range e.deltaSeeds {
 		e.fixRoot(r.v, r.len, r.secure, r.label)
 	}
+	e.outSeeds = e.outSeeds[:0]
+	e.outSeeds = append(e.outSeeds, e.deltaSeeds...)
 	if !e.fixed(d) {
 		panic("core: attack did not seed the destination")
 	}
@@ -358,7 +374,8 @@ func (e *Engine) resetAll() {
 // the per-entry branch serves disconnected graphs, where a run stays
 // inside one component.
 func (e *Engine) rollback() {
-	if 4*len(e.fixedList) >= len(e.out.Class) {
+	if e.fixedPartial || 4*len(e.fixedList) >= len(e.out.Class) {
+		e.fixedPartial = false
 		e.resetAll()
 		return
 	}
@@ -398,11 +415,10 @@ func (e *Engine) fixRoot(v asgraph.AS, length int32, secure bool, label Label) {
 
 func (e *Engine) fixed(v asgraph.AS) bool { return e.out.Class[v] != policy.ClassNone }
 
-// exportsWide reports whether v's fixed route may be announced to v's
-// providers and peers. Under Ex, only customer routes are exported beyond
-// customers; origins announce to everyone.
-func (e *Engine) exportsWide(v asgraph.AS) bool {
-	c := e.out.Class[v]
+// exportsWide reports whether a route of class c may be announced to
+// providers and peers. Under Ex, only customer routes are exported
+// beyond customers; origins announce to everyone.
+func exportsWide(c policy.Class) bool {
 	return c == policy.ClassCustomer || c == policy.ClassOrigin
 }
 
@@ -594,7 +610,7 @@ func (e *Engine) treeTrigger(w asgraph.AS, st policy.Stage, dep *Deployment, up 
 	}
 	var outNbrs []asgraph.AS
 	if up {
-		if !e.exportsWide(w) {
+		if !exportsWide(e.out.Class[w]) {
 			return
 		}
 		outNbrs = e.g.Providers(w)
@@ -622,7 +638,7 @@ func (e *Engine) treeSeedIn(u asgraph.AS, st policy.Stage, dep *Deployment, up b
 		inNbrs = e.g.Providers(u)
 	}
 	for _, w := range inNbrs {
-		if !e.fixed(w) || (up && !e.exportsWide(w)) {
+		if !e.fixed(w) || (up && !exportsWide(e.out.Class[w])) {
 			continue
 		}
 		if st.SecureOnly && !o.Secure[w] {
@@ -744,7 +760,7 @@ func (e *Engine) runPeerStage(st policy.Stage, dep *Deployment) {
 		}
 	case 2*len(e.fixedList) <= e.g.N():
 		for _, w := range e.fixedList {
-			if !e.exportsWide(w) || (st.SecureOnly && !e.out.Secure[w]) {
+			if !exportsWide(e.out.Class[w]) || (st.SecureOnly && !e.out.Secure[w]) {
 				continue
 			}
 			for _, u := range e.g.Peers(w) {
@@ -777,7 +793,7 @@ func (e *Engine) peerSeedIn(u asgraph.AS, st policy.Stage, dep *Deployment) {
 	}
 	offered := false
 	for _, w := range e.g.Peers(u) {
-		if e.fixed(w) && e.exportsWide(w) && e.admissible(st, u, w, dep) {
+		if e.fixed(w) && exportsWide(e.out.Class[w]) && e.admissible(st, u, w, dep) {
 			e.tryOffer(u, w, st, dep)
 			offered = true
 		}

@@ -32,6 +32,9 @@ func BenchmarkEngineRun(b *testing.B) {
 // BenchmarkEngineRunDelta measures one step of an incremental rollout
 // chain on a 4000-AS topology — a single AS turning secure between
 // consecutive runs — against the from-scratch run the delta replaces.
+// It is the zoom lens for the ladder's sweep.walk_s rung on rollout,
+// whose walk is mostly such steps; the delta side also reports the
+// passes and the dirty edge-volume a step costs.
 func BenchmarkEngineRunDelta(b *testing.B) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
 	n := g.N()
@@ -78,6 +81,7 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 		// timed loop still walks it from the start.
 		_ = e.RunDelta(prev, added[1], nil, deps[1], nil)
 		prev = e.Run(d, m, deps[0])
+		e.TakeCounters()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -89,6 +93,9 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 			}
 			prev = e.RunDelta(prev, added[k], nil, deps[k], nil)
 		}
+		c := e.TakeCounters()
+		b.ReportMetric(float64(c.Passes)/float64(b.N), "passes/op")
+		b.ReportMetric(float64(c.DirtyVolume)/float64(b.N), "dirty-volume/op")
 	})
 }
 

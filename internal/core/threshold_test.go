@@ -19,8 +19,9 @@ func withDeltaThreshold(frac float64) Option {
 
 // peerRing builds an n-AS ring of peer links: every AS has degree
 // exactly 2, so the graph's total adjacency volume is 2n and a dirty
-// region of one AS plus its two neighbors has volume exactly 6 — the
-// shapes that let the threshold tests hit their bounds with equality.
+// region of one origin plus its two neighbors (an origin offers to
+// every neighbor) has volume exactly 6 — the shapes that let the
+// threshold tests hit their bounds with equality.
 func peerRing(n int) *asgraph.Graph {
 	b := asgraph.NewBuilder(n)
 	for v := 0; v < n; v++ {
@@ -31,17 +32,18 @@ func peerRing(n int) *asgraph.Graph {
 
 // ringOutcomes runs the one-AS rollout step on an n-ring under the given
 // threshold configuration and reports the delta result plus whether the
-// incremental path fell back to the from-scratch run.
+// incremental path fell back to the from-scratch run. The AS that joins
+// is the attacker's: it originates the bogus route, so its receivers
+// are both its neighbors.
 func ringOutcomes(t *testing.T, n int, frac float64) (*Outcome, bool) {
 	t.Helper()
 	g := peerRing(n)
 	d, m := asgraph.AS(0), asgraph.AS(n/2)
 	base := &Deployment{Full: asgraph.SetOf(n, d)}
-	joined := asgraph.AS(2)
-	next := &Deployment{Full: asgraph.SetOf(n, d, joined)}
+	next := &Deployment{Full: asgraph.SetOf(n, d, m)}
 	e := NewEngine(g, policy.Sec2nd, withDeltaThreshold(frac))
 	prev := e.Run(d, m, base)
-	out := e.RunDelta(prev, []asgraph.AS{joined}, nil, next, nil)
+	out := e.RunDelta(prev, []asgraph.AS{m}, nil, next, nil)
 	return out.Clone(), e.counters.Fallbacks > 0
 }
 
@@ -49,7 +51,7 @@ func ringOutcomes(t *testing.T, n int, frac float64) (*Outcome, bool) {
 func ringReference(n int) *Outcome {
 	g := peerRing(n)
 	d, m := asgraph.AS(0), asgraph.AS(n/2)
-	next := &Deployment{Full: asgraph.SetOf(n, d, asgraph.AS(2))}
+	next := &Deployment{Full: asgraph.SetOf(n, d, m)}
 	return NewEngine(g, policy.Sec2nd).Run(d, m, next).Clone()
 }
 
@@ -72,11 +74,11 @@ func assertOutcomeEqual(t *testing.T, label string, got, want *Outcome) {
 }
 
 // TestDeltaThresholdEdgeVolumeBoundary pins overDeltaThreshold exactly
-// at the edge-volume boundary. On a 6-ring (total volume 12) a one-AS
-// rollout dirties the AS and its two neighbors — volume 6, exactly half
-// — so frac = 0.5 must fall back (the bound is >=, dirty volume equal
-// to the budget is over it) while the next representable fraction above
-// must stay incremental. Both paths must produce the identical outcome,
+// at the edge-volume boundary. On a 6-ring (total volume 12) the
+// attacker's AS joining dirties it and its two neighbors — volume 6,
+// exactly half — so frac = 0.5 must fall back (the bound is >=, dirty
+// volume equal to the budget is over it) while the next representable
+// fraction above must stay incremental. Both paths must produce the identical outcome,
 // byte for byte, so drift in the comparison direction could only ever
 // change speed, never results.
 func TestDeltaThresholdEdgeVolumeBoundary(t *testing.T) {

@@ -146,7 +146,7 @@ func TestLayoutPins(t *testing.T) {
 			layout: Layout{Fingerprint: "71b7eed2079d55c3", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "13x4",
 			stats: ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29,
-				Counters:   core.Counters{Runs: 50, DeltaSteps: 15, DirtyVolume: 10452, NoOps: 75, Fallbacks: 13},
+				Counters:   core.Counters{Runs: 38, DeltaSteps: 27, DirtyVolume: 18025, NoOps: 75, Fallbacks: 1, LateFallbacks: 1, Passes: 30},
 				ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
 		},
 		{
@@ -154,7 +154,7 @@ func TestLayoutPins(t *testing.T) {
 			layout: Layout{Fingerprint: "6ce55ff4dc3b1c87", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
 			units:  "13x5",
 			stats: ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29,
-				Counters:   core.Counters{Runs: 50, DeltaSteps: 3, DirtyVolume: 5423, NoOps: 124, Fallbacks: 13},
+				Counters:   core.Counters{Runs: 49, DeltaSteps: 4, DirtyVolume: 6393, NoOps: 124, Fallbacks: 12, Passes: 7},
 				ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
 		},
 	} {

@@ -132,10 +132,10 @@ func (s *ShardStats) Add(o ShardStats) {
 // prediction, then what the engines measurably did, then the dispatch.
 func (s ShardStats) String() string {
 	return fmt.Sprintf("schedule: %d chain heads, %d delta edges, predicted volume %d per walk; "+
-		"engine: %d runs (%d fallbacks), %d delta steps over dirty volume %d, %d no-ops; "+
+		"engine: %d runs (%d fallbacks, %d late), %d delta steps in %d passes over dirty volume %d, %d no-ops; "+
 		"dispatch: %d units, handoff %d hits / %d misses, baseline memo %d hits / %d fills",
 		s.ChainHeads, s.DeltaEdges, s.PredictedVolume,
-		s.Runs, s.Fallbacks, s.DeltaSteps, s.DirtyVolume, s.NoOps,
+		s.Runs, s.Fallbacks, s.LateFallbacks, s.DeltaSteps, s.Passes, s.DirtyVolume, s.NoOps,
 		s.Units, s.HandoffHits, s.HandoffMisses, s.MemoHits, s.MemoFills)
 }
 

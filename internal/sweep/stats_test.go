@@ -45,10 +45,10 @@ func TestShardStatsAddCoversEveryField(t *testing.T) {
 // TestShardStatsString pins the -v line both CLIs print.
 func TestShardStatsString(t *testing.T) {
 	st := ShardStats{Units: 13, HandoffHits: 39, HandoffMisses: 2, MemoHits: 208, MemoFills: 29,
-		Counters:   core.Counters{Runs: 50, DeltaSteps: 15, DirtyVolume: 10452, NoOps: 75, Fallbacks: 13},
+		Counters:   core.Counters{Runs: 50, DeltaSteps: 15, DirtyVolume: 10452, NoOps: 75, Fallbacks: 13, LateFallbacks: 4, Passes: 27},
 		ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718}
 	const want = "schedule: 1 chain heads, 3 delta edges, predicted volume 1718 per walk; " +
-		"engine: 50 runs (13 fallbacks), 15 delta steps over dirty volume 10452, 75 no-ops; " +
+		"engine: 50 runs (13 fallbacks, 4 late), 15 delta steps in 27 passes over dirty volume 10452, 75 no-ops; " +
 		"dispatch: 13 units, handoff 39 hits / 2 misses, baseline memo 208 hits / 29 fills"
 	if got := st.String(); got != want {
 		t.Fatalf("String() =\n%s\nwant\n%s", got, want)
