@@ -136,8 +136,8 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []asgraph.AS) {
 // costs remain elsewhere: a removal, or a dropped secure root, adds one
 // memoized walk over prev's secure routes; an external prev costs one
 // copy to install and one scan for vanished roots; and the next
-// from-scratch run wipes every entry. When the dirty
-// region's adjacency volume exceeds the engine's delta threshold
+// from-scratch run wipes every entry. When the dirty region's
+// adjacency volume exceeds the engine's delta threshold
 // (DefaultDeltaThreshold: three quarters of the graph's edge volume),
 // RunDelta falls back to the from-scratch run. Like Run, the returned
 // Outcome is owned by the engine and valid until the next run.
