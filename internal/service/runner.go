@@ -32,6 +32,7 @@ func (s *Server) runLoop() {
 			}
 			s.cond.Wait()
 		}
+		crashPoint("picked")
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j.State = StateRunning
 		j.Started = time.Now().UTC()
@@ -41,6 +42,7 @@ func (s *Server) runLoop() {
 
 		err := s.evaluate(ctx, j)
 		cancel()
+		crashPoint("terminal")
 
 		s.mu.Lock()
 		j.cancel = nil
@@ -113,6 +115,7 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 	j.Cells, j.ShardsTotal, j.ShardsDone = cells, shards, 0
 	s.persistAndNotify(j)
 	s.mu.Unlock()
+	crashPoint("geometry")
 
 	sink := func(*sbgp.ShardPartial) error {
 		s.mu.Lock()
@@ -121,6 +124,7 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 		// checkpoint, not this counter, is the durable record.
 		s.notifyLocked(j)
 		s.mu.Unlock()
+		crashPoint("shard")
 		return nil
 	}
 	var res *sbgp.Result
@@ -150,6 +154,7 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 	if err := writeResultAtomic(s.ResultPath(id), res); err != nil {
 		return err
 	}
+	crashPoint("result")
 	// The grid is merged and durable; the checkpoint has served its
 	// purpose.
 	os.Remove(s.CheckpointPath(id))

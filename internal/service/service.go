@@ -445,8 +445,15 @@ func (s *Server) notifyLocked(j *job) {
 	}
 }
 
+// crashPoint marks a point of a job's life where a killed daemon leaves
+// a distinct data directory: "picked", "geometry", "shard", "result" and
+// "terminal" on the run loop, and "record" before every job-record
+// write. Only tests replace it, to copy the directory there.
+var crashPoint = func(point string) {}
+
 // persist writes j's record atomically to <data>/jobs/<id>.json.
 func (s *Server) persist(j *job) error {
+	crashPoint("record")
 	path := filepath.Join(s.dir, "jobs", j.ID+".json")
 	return writeFileAtomic(path, &j.Job)
 }
