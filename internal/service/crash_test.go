@@ -2,13 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"io/fs"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"sbgp"
+	"sbgp/internal/dist"
 )
 
 // crashRunPoints are the run loop's crash points in the order a job
@@ -142,6 +148,105 @@ func TestCrashImagesFinishGolden(t *testing.T) {
 				}
 				if names := dirNames(t, filepath.Join(image, "checkpoints")); len(names) != 0 {
 					t.Fatalf("after a crash at %q checkpoints/ still holds %q", point, names)
+				}
+			})
+		}
+	}
+}
+
+// TestJobWritesRecordTwice counts a job's disk writes through the crash
+// seam, local and distributed: the job record is written exactly twice,
+// at submit and in the terminal state; a one-shard job never has a file
+// under checkpoints/, and a multi-shard job has its checkpoint by its
+// first durable shard.
+func TestJobWritesRecordTwice(t *testing.T) {
+	oneShard := smallSpec()
+	oneShard.ShardSize = 4096
+	for _, distributed := range []bool{false, true} {
+		for _, tc := range []struct {
+			name     string
+			spec     *sbgp.JobSpec
+			oneShard bool
+		}{
+			{"one-shard", oneShard, true},
+			{"multi-shard", smallSpec(), false},
+		} {
+			name := tc.name + "/local"
+			if distributed {
+				name = tc.name + "/distributed"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				var (
+					mu       sync.Mutex // the distributed sink runs on the coordinator's goroutines
+					records  int
+					ckptSeen []string // run-loop points that found a checkpoint
+					atShard  = -1     // checkpoint files at the first durable shard
+				)
+				withCrashHook(t, func(p string) {
+					mu.Lock()
+					defer mu.Unlock()
+					if p == "record" {
+						records++
+						return
+					}
+					entries, err := os.ReadDir(filepath.Join(dir, "checkpoints"))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(entries) > 0 {
+						ckptSeen = append(ckptSeen, p)
+					}
+					if p == "shard" && atShard < 0 {
+						atShard = len(entries)
+					}
+				})
+				var opts Options
+				if distributed {
+					coord := dist.NewCoordinator(dist.Options{LeaseShards: 4, LeaseTTL: 5 * time.Second})
+					opts.Distributor = coord
+					ts := httptest.NewServer(coord.Handler())
+					defer ts.Close()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					for i := 0; i < 2; i++ {
+						w := &dist.Worker{Base: ts.URL, ID: fmt.Sprintf("count-w%d", i), Poll: 10 * time.Millisecond}
+						go w.Run(ctx)
+					}
+				}
+				s, err := OpenOptions(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j, err := s.Submit(tc.spec, 0)
+				if err != nil {
+					s.Close()
+					t.Fatal(err)
+				}
+				fin := waitFor(t, s, j.ID, terminal)
+				s.Close() // the run loop has exited: the hook's counts are final
+				if fin.State != StateDone {
+					t.Fatalf("state %s (error %q)", fin.State, fin.Error)
+				}
+				if tc.oneShard != (fin.ShardsTotal == 1) {
+					t.Fatalf("the %s spec has %d shards", tc.name, fin.ShardsTotal)
+				}
+				got, err := os.ReadFile(s.ResultPath(j.ID))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, oneShotBytes(t, tc.spec)) {
+					t.Fatal("result differs from the one-shot run")
+				}
+				if records != 2 {
+					t.Errorf("the job record was written %d times, want 2 (submit and terminal)", records)
+				}
+				if tc.oneShard && len(ckptSeen) > 0 {
+					t.Errorf("a one-shard job had a checkpoint at %q", ckptSeen)
+				}
+				if !tc.oneShard && atShard != 1 {
+					t.Errorf("checkpoints/ held %d files at the first durable shard, want the job's checkpoint", atShard)
 				}
 			})
 		}

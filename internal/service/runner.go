@@ -37,7 +37,7 @@ func (s *Server) runLoop() {
 		j.State = StateRunning
 		j.Started = time.Now().UTC()
 		j.cancel = cancel
-		s.persistAndNotify(j)
+		s.notifyLocked(j) // not persisted: Open requeues running and queued alike
 		s.mu.Unlock()
 
 		err := s.evaluate(ctx, j)
@@ -113,9 +113,15 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 	}
 	s.mu.Lock()
 	j.Cells, j.ShardsTotal, j.ShardsDone = cells, shards, 0
-	s.persistAndNotify(j)
+	s.notifyLocked(j)
 	s.mu.Unlock()
 	crashPoint("geometry")
+	// A one-shard job's only record would land just before its result,
+	// and a crash before the result re-runs the shard either way.
+	ckpt := s.CheckpointPath(id)
+	if shards == 1 {
+		ckpt = ""
+	}
 
 	sink := func(*sbgp.ShardPartial) error {
 		s.mu.Lock()
@@ -131,11 +137,11 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 	if d := s.opts.Distributor; d != nil {
 		// Distributed evaluation: workers own their engines, so the
 		// local pool stays untouched.
-		res, err = d.RunSim(ctx, sim, spec, s.CheckpointPath(id), true, sink)
+		res, err = d.RunSim(ctx, sim, spec, ckpt, true, sink)
 	} else {
 		var stats sbgp.ShardStats
 		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
-			Checkpoint: s.CheckpointPath(id),
+			Checkpoint: ckpt,
 			Resume:     true, // fresh checkpoint = fresh run; restart = resume
 			Pool:       &s.pool,
 			Sink:       sink,
