@@ -201,9 +201,7 @@ func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-r.Context().Done():
-			return
 		case <-s.closing:
-			return
 		case <-wake:
 			j, ok := s.Get(id)
 			if !ok {
@@ -214,7 +212,12 @@ func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
 				writeJSON(w, http.StatusOK, j)
 				return
 			}
+			continue
 		}
+		// Shutdown, or a client that left and reads nothing: the job is
+		// not terminal, and an empty 200 would read as if it were.
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("job %s is not finished: the server is shutting down", id))
+		return
 	}
 }
 

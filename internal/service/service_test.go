@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -974,6 +975,76 @@ func TestEventStreamPrunesDisconnectedSubscribers(t *testing.T) {
 			t.Fatalf("%d subscriber slots leaked after disconnects", s.subscribers(j.ID))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWaitAnswers503OnShutdown pins the regression where a /wait
+// long-poll on a running job answered an empty 200 OK when the daemon
+// shut down: closing the server, or cancelling the base context the
+// HTTP server derives request contexts from (as sbgpd does on a
+// signal), must answer 503 with the usual JSON error.
+func TestWaitAnswers503OnShutdown(t *testing.T) {
+	for _, how := range []string{"close", "base context"} {
+		t.Run(how, func(t *testing.T) {
+			s, err := OpenOptions(t.TempDir(), Options{Distributor: blockingDistributor{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			j, err := s.Submit(smallSpec(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, s, j.ID, running)
+			base, cancelBase := context.WithCancel(context.Background())
+			defer cancelBase()
+			ts := httptest.NewUnstartedServer(s.Handler())
+			ts.Config.BaseContext = func(net.Listener) context.Context { return base }
+			ts.Start()
+			defer ts.Close()
+
+			type reply struct {
+				code int
+				body []byte
+				err  error
+			}
+			replies := make(chan reply, 1)
+			go func() {
+				resp, err := http.Get(ts.URL + "/jobs/" + j.ID + "/wait")
+				if err != nil {
+					replies <- reply{err: err}
+					return
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				replies <- reply{resp.StatusCode, body, err}
+			}()
+			deadline := time.Now().Add(10 * time.Second)
+			for s.subscribers(j.ID) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the wait request never subscribed")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if how == "close" {
+				s.Close()
+			} else {
+				cancelBase()
+			}
+			var r reply
+			select {
+			case r = <-replies:
+			case <-time.After(15 * time.Second):
+				t.Fatal("the wait request did not return")
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			var body struct{ Error string }
+			if err := json.Unmarshal(r.body, &body); err != nil || r.code != http.StatusServiceUnavailable || body.Error == "" {
+				t.Fatalf("wait answered %d %q (decode error %v), want 503 with a JSON error", r.code, r.body, err)
+			}
+		})
 	}
 }
 
