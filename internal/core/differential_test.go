@@ -73,9 +73,14 @@ var revivalScript = []byte{
 // mode, delta threshold, attack), and a signed walk of up to eight
 // RunDelta steps. Each step's prev is either the engine's own outcome
 // or a clone another engine computed under the walk's previous
-// deployment, after an unrelated run on the delta engine. Every step
-// must equal a fresh engine's RunAttack field for field, and
-// Engine.HappyBounds must equal the fresh outcome's label scan.
+// deployment, after an unrelated run on the delta engine. Between steps
+// the delta engine may hop: Rebind to a second graph of the same size,
+// run there and Rebind back; Rebind(nil) then Rebind back; or SetModel
+// to another model. A hop invalidates the engine's outcome as a
+// predecessor, so the walk restarts from a RunAttack head. Every step,
+// head and run on the second graph must equal a fresh engine's
+// RunAttack field for field, and Engine.HappyBounds must equal the
+// fresh outcome's label scan.
 func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 	s := &deltaScript{data: data, rng: rand.New(rand.NewSource(seed))}
 	n := 2 + s.pick(39)
@@ -86,7 +91,8 @@ func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 	if m == d || int(m) == n {
 		m = asgraph.None
 	}
-	model := policy.Models[s.pick(policy.NumModels)]
+	mi := s.pick(policy.NumModels)
+	model := policy.Models[mi]
 	lp := []policy.LocalPref{policy.Standard, policy.LP2}[s.pick(2)]
 	var opts []Option
 	if s.pick(2) == 1 {
@@ -106,9 +112,43 @@ func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 
 	delta := NewEngineLP(g, model, lp, deltaOpts...)
 	producer := NewEngineLP(g, model, lp, opts...)
+	// check holds got, the delta engine's latest outcome, to a fresh
+	// engine's run on on under dep.
+	check := func(label string, on *asgraph.Graph, got *Outcome, dep *Deployment) {
+		t.Helper()
+		label = fmt.Sprintf("seed %d %s (%v %v resolve=%v %s)", seed, label, model, lp, len(opts) > 0, atk.Name())
+		want := NewEngineLP(on, model, lp, opts...).RunAttack(d, m, dep, atk)
+		assertOutcomeEqual(t, label, got, want)
+		lo, hi := delta.HappyBounds()
+		if wlo, whi := want.HappyBounds(); lo != wlo || hi != whi {
+			t.Fatalf("%s: HappyBounds (%d,%d), fresh scan (%d,%d)", label, lo, hi, wlo, whi)
+		}
+	}
 	dep := s.step(n)
 	prev := delta.RunAttack(d, m, dep, atk)
 	for i := 1; i <= steps; i++ {
+		if i > 1 {
+			hop := s.pick(8)
+			switch hop {
+			case 0:
+				g2 := randomGraphFrom(n, s.pick)
+				delta.Rebind(g2)
+				check(fmt.Sprintf("step %d rebound", i), g2, delta.RunAttack(d, m, dep, atk), dep)
+				delta.Rebind(g)
+			case 1:
+				delta.Rebind(nil)
+				delta.Rebind(g)
+			case 2:
+				mi = (mi + 1 + s.pick(policy.NumModels-1)) % policy.NumModels
+				model = policy.Models[mi]
+				delta.SetModel(model)
+				producer.SetModel(model)
+			}
+			if hop <= 2 {
+				prev = delta.RunAttack(d, m, dep, atk)
+				check(fmt.Sprintf("step %d head after hop %d", i, hop), g, prev, dep)
+			}
+		}
 		next := s.step(n)
 		added, removed := DeploymentDelta(dep, next)
 		if s.pick(2) == 1 {
@@ -116,14 +156,7 @@ func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 			delta.Run(asgraph.AS(s.pick(n)), asgraph.None, nil)
 		}
 		got := delta.RunDelta(prev, added, removed, next, atk)
-		want := NewEngineLP(g, model, lp, opts...).RunAttack(d, m, next, atk)
-		label := fmt.Sprintf("seed %d step %d (%v %v resolve=%v %s, +%d/-%d)",
-			seed, i, model, lp, len(opts) > 0, atk.Name(), len(added), len(removed))
-		assertOutcomeEqual(t, label, got, want)
-		lo, hi := delta.HappyBounds()
-		if wlo, whi := want.HappyBounds(); lo != wlo || hi != whi {
-			t.Fatalf("%s: HappyBounds (%d,%d), fresh scan (%d,%d)", label, lo, hi, wlo, whi)
-		}
+		check(fmt.Sprintf("step %d, +%d/-%d", i, len(added), len(removed)), g, got, next)
 		prev, dep = got, next
 	}
 }
