@@ -54,9 +54,12 @@ examples-smoke:
 	@echo "examples OK"
 
 # sbgpd-smoke starts the resident daemon on an ephemeral port, drives
-# a small headline grid through the HTTP API, and shuts down cleanly —
-# within 2 s of SIGTERM even with an events client attached to a job
-# that is still running.
+# a small headline grid through the HTTP API, SIGKILLs it mid-job on a
+# multi-shard spec and right after submitting a one-shard one — each
+# time restarting it on the same data directory and byte-diffing the
+# finished grid against a one-shot bgpsim -job run — and shuts down
+# cleanly, within 2 s of SIGTERM even with an events client attached to
+# a job that is still running.
 sbgpd-smoke:
 	./scripts/sbgpd_smoke.sh
 
