@@ -86,10 +86,11 @@ func (s *Server) pickLocked() *job {
 
 // evaluate runs one job through the shared FromJobSpec → Simulate →
 // EvaluateJob path against the warm topology cache and engine pool,
-// with the daemon's per-job checkpoint, and writes the result grid
-// atomically. With a Distributor configured, the evaluation itself is
-// farmed out to workers instead — same checkpoint, same sink, same
-// result bytes. It is the long call of the run loop; ctx aborts it.
+// with the daemon's per-job checkpoint (none for a one-shard job), and
+// writes the result grid atomically. With a Distributor configured, the
+// evaluation itself is farmed out to workers instead — same checkpoint,
+// same sink, same result bytes. It is the long call of the run loop;
+// ctx aborts it.
 func (s *Server) evaluate(ctx context.Context, j *job) error {
 	s.mu.Lock()
 	spec, id := j.Spec, j.ID

@@ -21,11 +21,15 @@
 // Every job is evaluated through the one shared path
 // (sbgp.FromJobSpec → Simulate → EvaluateJob) with a per-job
 // fingerprinted checkpoint under the daemon's data directory, and each
-// completed shard is streamed to subscribers. Because the checkpoint
-// is fsync'd per shard and fingerprint-bound to the grid, a daemon
-// killed mid-grid resumes the job on restart and produces result bytes
-// identical to an uninterrupted one-shot run of the same spec — the
-// service's core guarantee, pinned by the lifecycle tests.
+// completed shard is streamed to subscribers. A job's record is written
+// at submit and in its terminal state only: Open requeues any record
+// that is not terminal. Because the checkpoint is fsync'd per shard and
+// fingerprint-bound to the grid, a daemon killed mid-grid resumes the
+// job on restart and produces result bytes identical to an
+// uninterrupted one-shot run of the same spec — the service's core
+// guarantee, pinned by the lifecycle and crash-point tests. A one-shard
+// job has no checkpoint: its one record would land just before the
+// result, so a crash re-runs the shard either way.
 package service
 
 import (
