@@ -233,8 +233,10 @@ func (s *Server) reload() error {
 		}
 		j := &job{Job: *rec, seq: len(s.order), subs: map[chan struct{}]bool{}}
 		if !j.State.Terminal() {
-			// Queued again — running means the previous daemon died
-			// mid-grid; the checkpoint has the completed shards and the
+			// Queued again, whatever state the record names: the run
+			// loop does not write the running state, so a job the
+			// previous daemon died running reads queued too. Its
+			// checkpoint, if any, has the completed shards and the
 			// runner resumes from it.
 			j.State = StateQueued
 			j.ShardsDone = 0
