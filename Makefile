@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-check cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
+.PHONY: all build test race bench bench-check costmodel cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
 
 all: build
 
@@ -92,6 +92,15 @@ fuzz-smoke:
 bench-check:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+# costmodel prints the planner's cost-model fit (TestDeltaCostModel):
+# per planned walk step of the benchmark's deployment axes and the
+# Fig 7(a) rollout-with-simplex axis, the planner's price against what
+# the engine did — pass-0 and final dirty volume, passes, first-pass and
+# late fallbacks, time over a from-scratch run. DESIGN.md's fit table is
+# its output.
+costmodel:
+	$(GO) test -count=1 -run '^TestDeltaCostModel$$' -v ./internal/sweep
 
 # bench runs the Go micro-benchmarks at measurement scale. The repo
 # benchmark itself — five end-to-end workloads, params-checked records,

@@ -142,14 +142,79 @@ func (g *Graph) DiffVolume(s, t, x1, x2 *Set) int64 {
 		if x2 != nil && wi < len(x2.words) {
 			w &^= x2.words[wi]
 		}
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			vol += int64(g.Degree(AS(wi*64 + b)))
-			w &= w - 1
+		for ; w != 0; w &= w - 1 {
+			k := 3 * (wi*64 + bits.TrailingZeros64(w)) // v's first list
+			ends := g.off[k : k+4 : k+4]
+			vol += int64(ends[3] - ends[0])
 		}
 	}
 	return vol
 }
+
+// DiffSeedVolume adds the members of s \ t that belong to neither x1
+// nor x2, with their customers, to seen, and returns the summed Degree
+// of the ASes it newly added; any set but seen may be nil, and seen
+// must be sized for g. It is the allocation-free building block of
+// core's deployment seed-volume probe.
+func (g *Graph) DiffSeedVolume(s, t, x1, x2, seen *Set) int64 {
+	if s == nil {
+		return 0
+	}
+	var vol int64
+	mark := func(v AS) {
+		if w, b := int(v)/64, uint64(1)<<(uint(v)%64); seen.words[w]&b == 0 {
+			seen.words[w] |= b
+			vol += int64(g.Degree(v))
+		}
+	}
+	for wi, w := range s.words {
+		if t != nil && wi < len(t.words) {
+			w &^= t.words[wi]
+		}
+		if x1 != nil && wi < len(x1.words) {
+			w &^= x1.words[wi]
+		}
+		if x2 != nil && wi < len(x2.words) {
+			w &^= x2.words[wi]
+		}
+		for w != 0 {
+			v := AS(wi*64 + bits.TrailingZeros64(w))
+			w &= w - 1
+			mark(v)
+			for _, c := range g.Customers(v) {
+				mark(c)
+			}
+		}
+	}
+	return vol
+}
+
+// UnionDiffLen returns the number of ASes in exactly one of a1 ∪ a2 and
+// b1 ∪ b2; any of the sets may be nil.
+func UnionDiffLen(a1, a2, b1, b2 *Set) int {
+	var w [4][]uint64
+	n := 0
+	for i, s := range [4]*Set{a1, a2, b1, b2} {
+		if s != nil {
+			w[i] = s.words
+			n = max(n, len(s.words))
+		}
+	}
+	count := 0
+	for i := 0; i < n; i++ {
+		var x [4]uint64
+		for j := range w {
+			if i < len(w[j]) {
+				x[j] = w[j][i]
+			}
+		}
+		count += bits.OnesCount64((x[0] | x[1]) ^ (x[2] | x[3]))
+	}
+	return count
+}
+
+// Clear removes every member, keeping the storage.
+func (s *Set) Clear() { clear(s.words) }
 
 // ContainsAll reports whether every member of t is also in s.
 func (s *Set) ContainsAll(t *Set) bool {

@@ -137,10 +137,11 @@ func DeploymentDelta(prev, next *Deployment) (added, removed []asgraph.AS) {
 // memoized walk over prev's secure routes; an external prev costs one
 // copy to install and one scan for vanished roots; and the next
 // from-scratch run wipes every entry. When the dirty region's
-// adjacency volume exceeds the engine's delta threshold
-// (DefaultDeltaThreshold: three quarters of the graph's edge volume),
-// RunDelta falls back to the from-scratch run. Like Run, the returned
-// Outcome is owned by the engine and valid until the next run.
+// adjacency volume reaches the engine's delta threshold
+// (DefaultDeltaThreshold: half the graph's edge volume), RunDelta falls
+// back to the from-scratch run — while still seeding the region, if it
+// gets there that early. Like Run, the returned Outcome is owned by the
+// engine and valid until the next run.
 //
 //sbgp:hotpath
 func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deployment, atk Attack) *Outcome {
@@ -184,15 +185,19 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	// origin-secure) and its receivers, which are all its neighbors.
 	// markDirty snapshots prev's entry for each AS as it is marked, so
 	// prev must be installed as the comparison source first.
+	// The seeding itself stops at the fallback bound: a step that
+	// dirties past it falls back anyway, and marking the rest of its
+	// region would only add to the from-scratch run it ends in.
 	e.deltaPrev = prev
 	defer func() { e.deltaPrev = nil }()
-	for _, a := range added {
-		e.markDirty(a)
-		e.markReceiversDirty(a, prev.Class[a], prev.Class[a])
-	}
-	for _, a := range removed {
-		e.markDirty(a)
-		e.markReceiversDirty(a, prev.Class[a], prev.Class[a])
+	for _, list := range [2][]asgraph.AS{added, removed} {
+		for _, a := range list {
+			e.markDirty(a)
+			e.markReceiversDirty(a, prev.Class[a], prev.Class[a])
+			if e.overDeltaThreshold() {
+				return e.fallBack(d, m, dep, atk, false)
+			}
+		}
 	}
 	e.secDrops = e.secDrops[:0]
 	for _, r := range e.deltaSeeds {
@@ -236,7 +241,7 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	// lose it. Seed the whole affected region up front so the first
 	// pass converges, instead of the fixpoint check crawling the
 	// invalidation one hop per pass.
-	if len(removed) > 0 || len(e.secDrops) > 0 {
+	if (len(removed) > 0 || len(e.secDrops) > 0) && !e.overDeltaThreshold() {
 		e.seedSecureReverse(prev, removed)
 	}
 
@@ -246,11 +251,10 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 		// after a pass, fixedPartial sends RunAttack's reset down the
 		// full wipe, so it remains sound.
 		if e.overDeltaThreshold() {
-			e.counters.Fallbacks++
-			if pass > 0 {
-				e.counters.LateFallbacks++
-			}
-			return e.RunAttack(d, m, dep, atk)
+			return e.fallBack(d, m, dep, atk, pass > 0)
+		}
+		if pass == 0 {
+			e.counters.FirstPassVolume += e.dirtyVol
 		}
 		if pass == 0 && prev != &e.out {
 			e.installPrev(prev)
@@ -308,11 +312,24 @@ func (e *Engine) RunDelta(prev *Outcome, added, removed []asgraph.AS, dep *Deplo
 	}
 }
 
+// fallBack abandons a RunDelta call for the from-scratch run, counting
+// the fallback as late when a delta pass already ran, and the volume
+// the first pass had seeded when it never ran.
+func (e *Engine) fallBack(d, m asgraph.AS, dep *Deployment, atk Attack, late bool) *Outcome {
+	e.counters.Fallbacks++
+	if late {
+		e.counters.LateFallbacks++
+	} else {
+		e.counters.FirstPassVolume += e.dirtyVol
+	}
+	return e.RunAttack(d, m, dep, atk)
+}
+
 // GraphVolume returns the total adjacency edge-volume of g: the summed
 // degree of every AS across all three edge kinds (each link counted
 // from both ends). It is the denominator of the delta-threshold
 // fallback (overDeltaThreshold) and the unit in which the sweep
-// planner calibrates a from-scratch run.
+// planner prices a from-scratch run.
 func GraphVolume(g *asgraph.Graph) int64 {
 	var vol int64
 	for v := 0; v < g.N(); v++ {
@@ -321,30 +338,14 @@ func GraphVolume(g *asgraph.Graph) int64 {
 	return vol
 }
 
-// DeltaVolume returns the adjacency edge-volume of a signed deployment
-// delta: the summed degree of the ASes in added and removed — the same
-// quantity overDeltaThreshold measures for RunDelta's initial dirty
-// set, before receiver closure. It is a cheap, engine-free probe of
-// how much stage work a RunDelta between two deployments would seed;
-// the sweep planner uses it as the edge-cost model of its signed-delta
-// forest. No engine semantics depend on it.
-func DeltaVolume(g *asgraph.Graph, added, removed []asgraph.AS) int64 {
-	var vol int64
-	for _, v := range added {
-		vol += int64(g.Degree(v))
-	}
-	for _, v := range removed {
-		vol += int64(g.Degree(v))
-	}
-	return vol
-}
-
-// DeploymentDeltaVolume is DeltaVolume over the delta DeploymentDelta
-// would return, computed without materializing the member lists: the
-// four terms mirror DeploymentDelta's four cases (Full joins, Full
-// leaves, and the origin-secure-union joins and leaves outside both
-// Full sets). The sweep planner probes every candidate deployment pair
-// with it — O(k²) per grid — so it must stay allocation-free.
+// DeploymentDeltaVolume returns the adjacency edge-volume of the delta
+// DeploymentDelta would return — the summed degree of the ASes in its
+// two lists — computed without materializing them: the four terms
+// mirror DeploymentDelta's four cases (Full joins, Full leaves, and the
+// origin-secure-union joins and leaves outside both Full sets). It is a
+// distance between deployments, the sweep planner's forest probes every
+// candidate pair with it — O(k²) per grid — and it must stay
+// allocation-free.
 func DeploymentDeltaVolume(g *asgraph.Graph, prev, next *Deployment) int64 {
 	var pf, ps, nf, ns *asgraph.Set
 	if prev != nil {
@@ -357,6 +358,45 @@ func DeploymentDeltaVolume(g *asgraph.Graph, prev, next *Deployment) int64 {
 		g.DiffVolume(pf, nf, nil, nil) +
 		g.DiffVolume(ns, ps, pf, nf) +
 		g.DiffVolume(ps, ns, pf, nf)
+}
+
+// DeploymentSeedVolume is the adjacency edge-volume RunDelta's first
+// pass seeds for the step prev → next whatever the scenario: the ASes
+// DeploymentDelta would list and, as the receivers every AS offers to,
+// their customers, each counted once. Providers and peers (marked only
+// behind a customer route), changed roots and the secure routes a
+// removal invalidates come on top, and depend on the scenario. seen is
+// caller scratch sized for g; it is left empty. The sweep planner prices
+// walk steps with this probe, so it must stay allocation-free.
+func DeploymentSeedVolume(g *asgraph.Graph, prev, next *Deployment, seen *asgraph.Set) int64 {
+	var pf, ps, nf, ns *asgraph.Set
+	if prev != nil {
+		pf, ps = prev.Full, prev.Simplex
+	}
+	if next != nil {
+		nf, ns = next.Full, next.Simplex
+	}
+	vol := g.DiffSeedVolume(nf, pf, nil, nil, seen) +
+		g.DiffSeedVolume(pf, nf, nil, nil, seen) +
+		g.DiffSeedVolume(ns, ps, pf, nf, seen) +
+		g.DiffSeedVolume(ps, ns, pf, nf, seen)
+	seen.Clear()
+	return vol
+}
+
+// OriginSecureFlips returns the number of ASes that are origin-secure
+// (in Full ∪ Simplex) under exactly one of prev and next: the
+// destinations for which the step changes a root's security, and with
+// it every secure route the engine holds.
+func OriginSecureFlips(prev, next *Deployment) int {
+	var pf, ps, nf, ns *asgraph.Set
+	if prev != nil {
+		pf, ps = prev.Full, prev.Simplex
+	}
+	if next != nil {
+		nf, ns = next.Full, next.Simplex
+	}
+	return asgraph.UnionDiffLen(pf, ps, nf, ns)
 }
 
 // overDeltaThreshold reports whether the dirty region has grown past

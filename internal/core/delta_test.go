@@ -397,6 +397,69 @@ func TestDeploymentDelta(t *testing.T) {
 	check("redundant-leave", redundant, small, nil, nil)
 }
 
+// TestDeploymentProbes holds the planner's allocation-free probes to
+// their definitions on random deployment pairs: DeploymentDeltaVolume
+// and DeploymentSeedVolume sum the degrees of DeploymentDelta's lists,
+// the second with the listed ASes' customers once each, and
+// OriginSecureFlips counts the ASes in exactly one Full ∪ Simplex.
+func TestDeploymentProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(150)
+		g := randomGraph(int64(trial), n)
+		draw := func() *Deployment {
+			if rng.Intn(5) == 0 {
+				return nil
+			}
+			dep := &Deployment{Full: asgraph.NewSet(n), Simplex: asgraph.NewSet(n)}
+			for v := 0; v < n; v++ {
+				switch rng.Intn(4) {
+				case 0:
+					dep.Full.Add(asgraph.AS(v))
+				case 1:
+					dep.Simplex.Add(asgraph.AS(v))
+				}
+			}
+			return dep
+		}
+		prev, next := draw(), draw()
+		added, removed := DeploymentDelta(prev, next)
+		var own, seed int64
+		seen := map[asgraph.AS]bool{}
+		for _, v := range append(added, removed...) {
+			own += int64(g.Degree(v))
+			for _, u := range append([]asgraph.AS{v}, g.Customers(v)...) {
+				if !seen[u] {
+					seen[u] = true
+					seed += int64(g.Degree(u))
+				}
+			}
+		}
+		origin := func(dep *Deployment, v asgraph.AS) bool {
+			return dep != nil && (dep.Full.Has(v) || dep.Simplex.Has(v))
+		}
+		flips := 0
+		for v := asgraph.AS(0); int(v) < n; v++ {
+			if origin(prev, v) != origin(next, v) {
+				flips++
+			}
+		}
+		scratch := asgraph.NewSet(n)
+		if got := DeploymentDeltaVolume(g, prev, next); got != own {
+			t.Fatalf("trial %d: DeploymentDeltaVolume = %d, want %d", trial, got, own)
+		}
+		if got := DeploymentSeedVolume(g, prev, next, scratch); got != seed {
+			t.Fatalf("trial %d: DeploymentSeedVolume = %d, want %d", trial, got, seed)
+		}
+		if scratch.Len() != 0 {
+			t.Fatalf("trial %d: DeploymentSeedVolume left %d ASes in its scratch", trial, scratch.Len())
+		}
+		if got := OriginSecureFlips(prev, next); got != flips {
+			t.Fatalf("trial %d: OriginSecureFlips = %d, want %d", trial, got, flips)
+		}
+	}
+}
+
 // shrinkDeployment removes roughly k members (Full or Simplex) from
 // dep, returning the shrunk deployment and the removed capability list
 // RunDelta must be told about.

@@ -80,7 +80,10 @@ var revivalScript = []byte{
 // predecessor, so the walk restarts from a RunAttack head. Every step,
 // head and run on the second graph must equal a fresh engine's
 // RunAttack field for field, and Engine.HappyBounds must equal the
-// fresh outcome's label scan.
+// fresh outcome's label scan. Wherever SecurityFree holds, that outcome
+// and its happy bounds must also be the pair's baseline (dep == nil)
+// run's under every model: the collapse the sweep's memo, no-op steps
+// and deferred heads rest on.
 func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 	s := &deltaScript{data: data, rng: rand.New(rand.NewSource(seed))}
 	n := 2 + s.pick(39)
@@ -112,16 +115,46 @@ func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 
 	delta := NewEngineLP(g, model, lp, deltaOpts...)
 	producer := NewEngineLP(g, model, lp, opts...)
+	// baseline returns the pair's baseline run on on under the current
+	// model, after holding it to the runs under every other model once
+	// per graph: a security-free cell equals all of them or none.
+	var baselines *[policy.NumModels]*Outcome // on g, run on the first security-free check
+	baseline := func(label string, on *asgraph.Graph) *Outcome {
+		t.Helper()
+		runs := baselines
+		if on != g || runs == nil {
+			runs = new([policy.NumModels]*Outcome)
+			e := NewEngineLP(on, policy.Models[0], lp, opts...)
+			for i, mod := range policy.Models {
+				e.SetModel(mod)
+				runs[i] = e.RunAttack(d, m, nil, atk).Clone()
+				assertOutcomeEqual(t, fmt.Sprintf("%s: baseline under %v against %v", label, mod, policy.Models[0]), runs[i], runs[0])
+			}
+			if on == g {
+				baselines = runs
+			}
+		}
+		return runs[mi]
+	}
 	// check holds got, the delta engine's latest outcome, to a fresh
 	// engine's run on on under dep.
 	check := func(label string, on *asgraph.Graph, got *Outcome, dep *Deployment) {
 		t.Helper()
 		label = fmt.Sprintf("seed %d %s (%v %v resolve=%v %s)", seed, label, model, lp, len(opts) > 0, atk.Name())
-		want := NewEngineLP(on, model, lp, opts...).RunAttack(d, m, dep, atk)
+		fresh := NewEngineLP(on, model, lp, opts...)
+		want := fresh.RunAttack(d, m, dep, atk)
 		assertOutcomeEqual(t, label, got, want)
 		lo, hi := delta.HappyBounds()
 		if wlo, whi := want.HappyBounds(); lo != wlo || hi != whi {
 			t.Fatalf("%s: HappyBounds (%d,%d), fresh scan (%d,%d)", label, lo, hi, wlo, whi)
+		}
+		if !fresh.SecurityFree(d, m, dep, atk) {
+			return
+		}
+		base := baseline(label, on)
+		assertOutcomeEqual(t, label+": security-free, against the baseline", want, base)
+		if blo, bhi := base.HappyBounds(); lo != blo || hi != bhi {
+			t.Fatalf("%s: security-free HappyBounds (%d,%d), baseline (%d,%d)", label, lo, hi, blo, bhi)
 		}
 	}
 	dep := s.step(n)

@@ -152,13 +152,14 @@ func WithResolvedTiebreak() Option {
 // dirty region is charged the sum of its members' degrees, so a
 // handful of dirty Tier 1s (which touch a large share of all edges) is
 // judged by the edges it actually costs while thousands of dirty stubs
-// stay incremental. The fraction is high because a delta run's
-// advantage is not only the skipped edge work: pre-fixed entries also
-// skip the per-stage seeding scans and queue traffic, so measured
-// break-even sits near full volume — on the committed rollout series a
-// delta at 57% of total volume still beats the from-scratch run
-// (see BenchmarkRolloutSeries / BenchmarkDeltaThreshold).
-const DefaultDeltaThreshold = 0.75
+// stay incremental. The value is fitted (DESIGN.md "Measured go/no-go
+// for the fitted cost model"): a delta step that completes costs 2.4 to
+// 5 from-scratch runs per unit of dirty-volume fraction, so one that
+// has dirtied half the graph already costs more than the run; and at
+// half, the rollout- and durable-shaped walks keep their fallbacks
+// after a pass — the ones that have paid for passes they throw away —
+// under 5% of delta attempts, which three quarters did not.
+const DefaultDeltaThreshold = 0.5
 
 // Counters count an engine's work by kind. Runs are from-scratch runs,
 // fallbacks included; DeltaSteps are RunDelta calls that reached their
@@ -166,15 +167,18 @@ const DefaultDeltaThreshold = 0.75
 // security-free RunDelta steps that did no stage work; Fallbacks are
 // RunDelta calls that crossed the delta threshold, LateFallbacks the
 // ones among them that had already run a pass; Passes are the delta
-// passes run, in steps and late fallbacks alike. No result reads them.
+// passes run, in steps and late fallbacks alike; FirstPassVolume is the
+// dirty volume every RunDelta call that was not a no-op had seeded when
+// it first checked the threshold. No result reads them.
 type Counters struct {
-	Runs          int   `json:"runs"`
-	DeltaSteps    int   `json:"delta_steps"`
-	DirtyVolume   int64 `json:"dirty_volume"`
-	NoOps         int   `json:"no_ops"`
-	Fallbacks     int   `json:"fallbacks"`
-	LateFallbacks int   `json:"late_fallbacks"`
-	Passes        int   `json:"passes"`
+	Runs            int   `json:"runs"`
+	DeltaSteps      int   `json:"delta_steps"`
+	DirtyVolume     int64 `json:"dirty_volume"`
+	NoOps           int   `json:"no_ops"`
+	Fallbacks       int   `json:"fallbacks"`
+	LateFallbacks   int   `json:"late_fallbacks"`
+	Passes          int   `json:"passes"`
+	FirstPassVolume int64 `json:"first_pass_volume"`
 }
 
 // Add sums o into c.
@@ -186,6 +190,7 @@ func (c *Counters) Add(o Counters) {
 	c.Fallbacks += o.Fallbacks
 	c.LateFallbacks += o.LateFallbacks
 	c.Passes += o.Passes
+	c.FirstPassVolume += o.FirstPassVolume
 }
 
 // TakeCounters returns the engine's counters and zeroes them.

@@ -145,6 +145,22 @@ func TestSecurityFreeZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestDeltaProbesZeroAllocs pins the sweep planner's per-pair probes —
+// own volume, seed volume and secure flips — at no allocation: the
+// planner calls them O(k²) times per grid.
+func TestDeltaProbesZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; covered by the non-race CI job")
+	}
+	g, dep := zeroAllocFixture(t)
+	next := &Deployment{Full: dep.Full.Clone(), Simplex: asgraph.SetOf(g.N(), 1, 2, 4)}
+	next.Full.Remove(3)
+	seen := asgraph.NewSet(g.N())
+	assertZeroAllocs(t, "DeploymentDeltaVolume", func() { DeploymentDeltaVolume(g, dep, next) })
+	assertZeroAllocs(t, "DeploymentSeedVolume", func() { DeploymentSeedVolume(g, dep, next, seen) })
+	assertZeroAllocs(t, "OriginSecureFlips", func() { OriginSecureFlips(nil, next) })
+}
+
 func TestPartitionerRunZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; covered by the non-race CI job")

@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"sbgp/internal/asgraph"
@@ -22,23 +24,26 @@ import (
 //     every step is a capability superset of the one before, so the walk
 //     needs only grow deltas. Its layout — and therefore its checkpoint
 //     fingerprint — is pinned by every pre-forest release.
-//   - The signed-delta forest (buildForestPlan): a minimum-cost spanning
-//     structure over the whole axis, where the cost of an edge u→v is
-//     the adjacency edge-volume of DeploymentDelta(u, v) — the same
-//     quantity core.overDeltaThreshold measures — and a virtual root
-//     edge costs a calibrated from-scratch run. Incomparable
-//     deployments (Fig 8's content-provider variants, the EarlyAdopters
-//     scenarios) are linked by remove-then-add deltas proportional to
-//     their symmetric difference instead of each re-running from
-//     scratch.
+//   - The signed-delta forest (buildForestPlan): a minimum spanning
+//     structure over the whole axis under the adjacency edge-volume of
+//     DeploymentDelta(u, v), the distance between two deployments.
+//     Incomparable deployments (Fig 8's content-provider variants, the
+//     EarlyAdopters scenarios) are linked by remove-then-add deltas
+//     instead of each re-running from scratch.
 //
-// buildChainPlan prices both walks under one cost model and keeps the
-// nested plan unless the forest walk is strictly cheaper. That rule is
-// the compatibility story: every axis the nested planner already
-// covered optimally (all rollout-shaped grids) keeps its exact layout,
-// chain order, and "schedule:chain-major" fingerprint, so pre-existing
-// checkpoints resume unchanged; only axes where signed deltas genuinely
-// win get the new forest layout, under its own fingerprint tag.
+// One cost model (costModel) prices every walk step by what the engine
+// will dirty — the expected first-pass seed of RunDelta — against a
+// from-scratch head, and the planner links no step it does not price
+// strictly below that head: both planners' walks are cut where a step
+// would cost a run or more, which is also where RunDelta is predicted to
+// fall back. buildChainPlan keeps the nested plan unless the forest walk
+// is strictly cheaper. That rule is the compatibility story: every axis
+// the nested planner already covered optimally (all rollout-shaped
+// grids) keeps its exact layout, chain order, and "schedule:chain-major"
+// fingerprint, so pre-existing checkpoints resume unchanged; only axes
+// where signed deltas genuinely win get the forest layout, under its own
+// fingerprint tag. Cuts are dispatch-neutral: a cut walk is two blocks,
+// each a valid layout of its own, and the fingerprint binds the result.
 //
 // Either way the plan only regroups work: RunDelta is exact and the
 // aggregation stays positional, so results remain byte-identical to the
@@ -53,6 +58,7 @@ type chainStep struct {
 	si      int // index into the grid's deployment axis
 	added   []asgraph.AS
 	removed []asgraph.AS
+	cost    int64 // the cost model's price of the step (costModel.walkStep)
 }
 
 // chainPlan maps the deployment axis onto delta walks ("chains" — the
@@ -76,8 +82,8 @@ type chainPlan struct {
 
 	// Cost-model totals for one (model, destination, attacker) group
 	// walk, exposed through ShardStats: heads from-scratch runs,
-	// deltaEdges RunDelta steps, and the predicted adjacency edge-volume
-	// of the whole walk.
+	// deltaEdges RunDelta steps, and the whole walk's price in adjacency
+	// edge-volume units (costModel).
 	heads        int
 	deltaEdges   int
 	predictedVol int64
@@ -92,64 +98,157 @@ func depSize(dp *core.Deployment) int {
 	return dp.Full.Len() + dp.Simplex.Len()
 }
 
-// fromScratchCost calibrates a from-scratch engine run in adjacency
-// edge-volume units: the delta-threshold fraction of the graph's total
-// volume, exactly the bound past which RunDelta itself abandons a delta
-// and falls back to RunAttack (core.DefaultDeltaThreshold). A delta
-// edge is only worth planning when it is strictly cheaper than this.
+// fromScratchCost is the planner's price of a from-scratch head, in
+// adjacency edge-volume units: plannerScratchFrac of the graph's total
+// volume (DESIGN.md "Measured go/no-go for the fitted cost model").
 func fromScratchCost(g *asgraph.Graph) int64 {
-	c := int64(core.DefaultDeltaThreshold * float64(core.GraphVolume(g)))
+	c := int64(plannerScratchFrac * float64(core.GraphVolume(g)))
 	if c < 1 {
 		c = 1 // degenerate graphs: keep zero-cost duplicate edges plannable
 	}
 	return c
 }
 
-// deltaCostFactor is the propagation overhead the cost model charges on
-// a delta step: an incremental recomputation dirties the changed
-// members' adjacency (what DeltaVolume measures) and then spreads
-// downstream through every AS whose route crossed a changed member, so
-// the adjacency volume systematically underprices the work. Removing a
-// transit hub is the worst case — its volume is a few dozen edges while
-// the re-exploration touches much of the graph — and without the margin
-// the planner happily bridges two nested chains through such a removal,
-// priced just under a scratch run but measurably slower than one
-// (Fig 7a's step↔simplex axis regressed ~28% exactly this way). A
-// factor of two keeps only deltas that stay cheap even when propagation
-// doubles the seeded region.
-const deltaCostFactor = 2
+// plannerScratchFrac prices a from-scratch head at the expected seed
+// volume of a step that costs as much. Read off the engine alone, that
+// break-even is near 0.4 of the graph's volume; the planner prices the
+// head at 0.75 because the layouts existing checkpoints were written
+// under link steps priced up to 0.68, and the axes they left unlinked
+// price their cheapest step at 0.86.
+const plannerScratchFrac = 0.75
 
-// deltaStepCost prices one walk step of volume v against the scratch
-// calibration. At v ≥ scratch, RunDelta's own adaptive fallback turns
-// the step into a fresh run, so it costs exactly scratch; below the
-// threshold the step runs incrementally at the overhead-weighted volume,
-// which can legitimately price above scratch — a near-threshold delta
-// is slower than starting over, and the model must say so rather than
-// cap it.
-func deltaStepCost(v, scratch int64) int64 {
-	if v >= scratch {
-		return scratch
+// costModel prices walk steps by what the engine will dirty, against a
+// from-scratch head. A step's price is its expected seed volume over the
+// grid's destinations, taken as uniform over the ASes: the volume
+// core.DeploymentSeedVolume probes — the changed ASes and their
+// customers, RunDelta's first dirty set — except for the destinations
+// the step makes or unmakes origin-secure, where every secure route
+// changes and the engine re-routes the whole graph.
+type costModel struct {
+	g       *asgraph.Graph
+	deps    []Deployment
+	total   int64 // the graph's volume
+	scratch int64
+	seen    *asgraph.Set // DeploymentSeedVolume's scratch
+	prices  []int64      // step prices by from·len(deps)+to, -1 until probed
+}
+
+func newCostModel(deps []Deployment, g *asgraph.Graph) *costModel {
+	cm := &costModel{
+		g: g, deps: deps, total: core.GraphVolume(g), scratch: fromScratchCost(g),
+		seen: asgraph.NewSet(g.N()), prices: make([]int64, len(deps)*len(deps)),
 	}
-	return deltaCostFactor * v
+	for i := range cm.prices {
+		cm.prices[i] = -1
+	}
+	return cm
+}
+
+// step prices the delta from deployment i to deployment j.
+func (cm *costModel) step(i, j int) int64 {
+	c := &cm.prices[i*len(cm.deps)+j]
+	if *c < 0 {
+		prev, next := cm.deps[i].Dep, cm.deps[j].Dep
+		*c = cm.expected(core.DeploymentSeedVolume(cm.g, prev, next, cm.seen), prev, next)
+	}
+	return *c
+}
+
+// expected is the price of the delta prev → next when it seeds seed.
+// The seed volume is at least the delta's own volume, so expected on
+// DeploymentDeltaVolume is a lower bound of step: the forest planner's
+// cheap filter.
+func (cm *costModel) expected(seed int64, prev, next *core.Deployment) int64 {
+	flips := int64(core.OriginSecureFlips(prev, next))
+	return seed + flips*(cm.total-seed)/int64(cm.g.N())
+}
+
+// walkStep prices step pos of the walk ch, one of walks walks. A step
+// out of the baseline (nothing secure) costs the engine nothing over the
+// head it replaces: the walk serves the baseline from the memo in every
+// group but a pair's first, which leaves the step the head its
+// deployment would be anyway, and in that first group the step is a
+// no-op or a delta the engine abandons at its fallback bound. It is
+// priced at nothing when its walk goes on past it, or is the plan's only
+// walk; otherwise it is priced like any other step, so an unpriced one
+// is cut and the baseline stands alone, filling the memo the other walks
+// read: a lease or resume that misses a pair's slot then re-runs the
+// baseline only, not the step behind it.
+func (cm *costModel) walkStep(ch []chainStep, pos, walks int) int64 {
+	if pos == 1 && (len(ch) > 2 || walks == 1) && depSize(cm.deps[ch[0].si].Dep) == 0 {
+		return 0
+	}
+	return cm.step(ch[pos-1].si, ch[pos].si)
 }
 
 // price fills the plan's cost-model totals: each chain costs one
-// from-scratch head plus its walk steps under deltaStepCost. The walk
-// steps, not the tree edges, are what the scheduler replays — a DFS
-// backtrack jumps from a leaf to a sibling subtree, and that jump's
-// full remove-up-then-add-down volume is priced here even though the
-// tree edges on either side of it were individually cheap.
-func (p *chainPlan) price(g *asgraph.Graph, scratch int64) {
+// from-scratch head plus its walk steps. The walk steps, not the tree
+// edges, are what the scheduler replays — a DFS backtrack jumps from a
+// leaf to a sibling subtree, and that jump's full remove-up-then-add-down
+// delta is priced here even though the tree edges on either side of it
+// were individually cheap.
+func (p *chainPlan) price(cm *costModel) {
 	p.heads = len(p.chains)
 	p.deltaEdges = 0
-	p.predictedVol = int64(p.heads) * scratch
+	p.predictedVol = int64(p.heads) * cm.scratch
 	for _, ch := range p.chains {
 		p.deltaEdges += len(ch) - 1
 		for _, step := range ch[1:] {
-			v := core.DeltaVolume(g, step.added, step.removed)
-			p.predictedVol += deltaStepCost(v, scratch)
+			p.predictedVol += step.cost
 		}
 	}
+}
+
+// splitUnpriced prices the plan's walk steps and cuts every one the
+// cost model does not price strictly below a from-scratch head: the
+// deployment there heads a walk of its own. The planner plans no step it
+// predicts to cost a run or more. Steps out of a leading baseline are
+// priced last, on the walks the other cuts leave, since their price
+// depends on whether the walk goes on.
+func (p *chainPlan) splitUnpriced(cm *costModel) {
+	for _, lead := range [2]bool{false, true} {
+		cut := false
+		for _, ch := range p.chains {
+			for pos := 1; pos < len(ch); pos++ {
+				if (pos == 1 && depSize(cm.deps[ch[0].si].Dep) == 0) == lead {
+					ch[pos].cost = cm.walkStep(ch, pos, len(p.chains))
+					cut = cut || ch[pos].cost >= cm.scratch
+				}
+			}
+		}
+		if cut {
+			p.cutAt(cm.scratch)
+		}
+	}
+}
+
+// cutAt splits the walks before every step priced at scratch or more.
+// A forest walk cut after a DFS backtrack can leave steps whose tree
+// parent walks in the piece before the cut; they hang from their walk
+// predecessor instead, the step they are reached by.
+func (p *chainPlan) cutAt(scratch int64) {
+	var chains [][]chainStep
+	for _, ch := range p.chains {
+		start := 0
+		for pos := 1; pos < len(ch); pos++ {
+			if ch[pos].cost < scratch {
+				continue
+			}
+			chains = append(chains, ch[start:pos:pos])
+			ch[pos].added, ch[pos].removed, ch[pos].cost = nil, nil, 0
+			p.parentOf[ch[pos].si] = -1
+			start = pos
+		}
+		chains = append(chains, ch[start:])
+	}
+	for _, ch := range chains {
+		for pos := 1; pos < len(ch); pos++ {
+			if par := p.parentOf[ch[pos].si]; !slices.ContainsFunc(ch[:pos], func(s chainStep) bool { return s.si == par }) {
+				p.parentOf[ch[pos].si] = ch[pos-1].si
+			}
+		}
+	}
+	p.chains = chains
 }
 
 // singletonChainPlan is the plan with nothing to reuse: one single-step
@@ -173,17 +272,27 @@ func singletonChainPlan(k int, scratch int64) *chainPlan {
 }
 
 // buildChainPlan plans the deployment axis on g: it builds the legacy
-// nested-chain cover and the signed-delta forest, prices both walks
-// under the same cost model, and returns the nested plan unless the
-// forest is strictly cheaper. Ties go to the nested plan so every axis
-// it already covers optimally — all purely nested rollouts — keeps its
-// historical layout and checkpoint fingerprint bit for bit.
+// nested-chain cover and the signed-delta forest, cuts both walks where
+// the cost model prices a step at a from-scratch run or more, and
+// returns the nested plan unless the forest is strictly cheaper. Ties go
+// to the nested plan so every axis it already covers optimally — all
+// purely nested rollouts — keeps its historical layout and checkpoint
+// fingerprint bit for bit. An axis the nested cover walks in one chain
+// is a chain of supersets, along which the edge volume adds up, so the
+// forest could only walk the same path or start it elsewhere: it is not
+// built.
 func buildChainPlan(deps []Deployment, g *asgraph.Graph) *chainPlan {
+	cm := newCostModel(deps, g)
 	nested := buildNestedChainPlan(deps)
-	scratch := fromScratchCost(g)
-	nested.price(g, scratch)
-	forest := buildForestPlan(deps, g, scratch)
-	forest.price(g, scratch)
+	oneWalk := len(nested.chains) == 1
+	nested.splitUnpriced(cm)
+	nested.price(cm)
+	if oneWalk {
+		return nested
+	}
+	forest := buildForestPlan(cm)
+	forest.splitUnpriced(cm)
+	forest.price(cm)
 	if forest.predictedVol < nested.predictedVol {
 		return forest
 	}
@@ -232,23 +341,23 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 	return p
 }
 
-// buildForestPlan builds the minimum-cost signed-delta forest over the
-// deployment axis and linearizes it into scheduler walks.
+// buildForestPlan builds the signed-delta forest over the deployment
+// axis and linearizes it into scheduler walks.
 //
-// Every deployment is a node; the edge u→v costs the adjacency
-// edge-volume of DeploymentDelta(u, v), and a virtual root edge costs a
-// from-scratch run (scratch). The delta-volume cost is symmetric —
-// added(u→v) is removed(v→u) — so the minimum spanning arborescence
-// under the virtual root is a plain MST of the augmented graph, which
-// Prim's algorithm finds exactly. The axis is small, so the O(k²)
-// set-difference sweep is fine: each candidate edge's delta is computed
-// once, when its tail joins the tree. A delta edge is adopted only when
-// its overhead-weighted deltaStepCost is strictly cheaper than scratch
-// (the forest-invariant property tests pin this), and all tie-breaks
-// are deterministic — cheapest cost, then
-// lowest deployment index, with the incumbent parent kept on equal
-// relaxations — because the distributed path recomputes this plan
-// independently on every worker and the layouts must agree bit for bit.
+// Every deployment is a node, and the edge u→v is keyed by the adjacency
+// edge-volume of DeploymentDelta(u, v). The key is symmetric — added(u→v)
+// is removed(v→u) — so the minimum spanning forest is found exactly by
+// Prim's algorithm over the candidate edges. The axis is small, so the
+// O(k²) set-difference sweep is fine: each candidate edge's key is
+// computed once, when its tail joins the tree. An edge is a candidate
+// only when the cost model's cheap lower bound (costModel.expected on the
+// key) prices it below a from-scratch head, and a node's parent edge is
+// adopted only when the full price (costModel.step) is too; otherwise
+// the node roots a tree of its own. All tie-breaks are deterministic —
+// smallest key, then lowest deployment index, with the incumbent parent
+// kept on equal relaxations — because the distributed path recomputes
+// this plan independently on every worker and the layouts must agree bit
+// for bit.
 //
 // Each tree is linearized by a DFS preorder (children in attachment
 // order), and every step records the signed delta from its walk
@@ -257,7 +366,8 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 // remove-up-then-add-down delta between the two walk-consecutive
 // deployments. The tree structure only decides which deployments end up
 // adjacent; correctness of every step is DeploymentDelta's contract.
-func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainPlan {
+func buildForestPlan(cm *costModel) *chainPlan {
+	deps := cm.deps
 	k := len(deps)
 	p := &chainPlan{forest: true, parentOf: make([]int, k)}
 	if k == 0 {
@@ -265,12 +375,12 @@ func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainP
 	}
 
 	inTree := make([]bool, k)
-	best := make([]int64, k) // cheapest known attachment cost
+	best := make([]int64, k) // smallest known attachment key
 	parent := make([]int, k) // -1: attach to the virtual root (from scratch)
 	children := make([][]int, k)
 	var roots []int
 	for i := range best {
-		best[i] = scratch
+		best[i] = math.MaxInt64
 		parent[i] = -1
 	}
 	for picked := 0; picked < k; picked++ {
@@ -281,6 +391,9 @@ func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainP
 			}
 		}
 		inTree[v] = true
+		if parent[v] >= 0 && cm.step(parent[v], v) >= cm.scratch {
+			parent[v] = -1
+		}
 		p.parentOf[v] = parent[v]
 		if parent[v] < 0 {
 			roots = append(roots, v)
@@ -293,11 +406,8 @@ func buildForestPlan(deps []Deployment, g *asgraph.Graph, scratch int64) *chainP
 			}
 			// Volume-only probe: the signed member lists are materialized
 			// later, and only for the walk edges the DFS actually takes.
-			// Candidates compete at their deltaStepCost pricing, so an
-			// edge joins the tree only when its overhead-weighted cost
-			// still beats the virtual root's from-scratch run.
-			c := deltaStepCost(core.DeploymentDeltaVolume(g, deps[v].Dep, deps[w].Dep), scratch)
-			if c < scratch && c < best[w] {
+			if c := core.DeploymentDeltaVolume(cm.g, deps[v].Dep, deps[w].Dep); c < best[w] &&
+				cm.expected(c, deps[v].Dep, deps[w].Dep) < cm.scratch {
 				best[w] = c
 				parent[w] = v
 			}

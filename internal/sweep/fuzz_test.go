@@ -129,10 +129,11 @@ func FuzzChainPlan(f *testing.F) {
 		}
 		picked := buildChainPlan(deps, g)
 		checkChainPlanInvariants(t, deps, picked, g)
+		cm := newCostModel(deps, g)
 		nested := buildNestedChainPlan(deps)
+		nested.splitUnpriced(cm)
 		checkChainPlanInvariants(t, deps, nested, g)
-		scratch := fromScratchCost(g)
-		nested.price(g, scratch)
+		nested.price(cm)
 		if picked.predictedVol > nested.predictedVol {
 			t.Fatalf("selected plan prices at %d, above the nested cover's %d",
 				picked.predictedVol, nested.predictedVol)
@@ -151,7 +152,7 @@ func FuzzChainPlan(f *testing.F) {
 		}
 		checkScheduleLayout(t, scheduleOf(ax, picked))
 		checkScheduleLayout(t, scheduleOf(ax, nested))
-		singleton := scheduleOf(ax, singletonChainPlan(ndeps, scratch))
+		singleton := scheduleOf(ax, singletonChainPlan(ndeps, cm.scratch))
 		checkScheduleLayout(t, singleton)
 		if !singleton.identity() {
 			t.Fatal("the singleton plan does not schedule the identity order")

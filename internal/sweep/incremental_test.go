@@ -195,13 +195,15 @@ func sameAS(a, b []asgraph.AS) bool {
 // every step's recorded (added, removed) pair is the exact signed delta
 // from its walk predecessor — the property RunDelta's correctness rides
 // on.
-// Nested plans must additionally never remove, and every forest tree
-// edge must price strictly below a from-scratch run under the planner's
-// cost model (otherwise attaching to the virtual root was cheaper and
-// the forest is not minimal).
+// Nested plans must additionally never remove. Every walk step, nested
+// or forest, must price strictly below a from-scratch head under the
+// planner's cost model (costModel.walkStep: the planner plans no step it
+// predicts to cost a run or more), and so must every forest tree edge
+// the walk does not take directly (otherwise attaching to the virtual
+// root was cheaper and the forest is not minimal).
 func checkChainPlanInvariants(t *testing.T, deps []Deployment, p *chainPlan, g *asgraph.Graph) {
 	t.Helper()
-	scratch := fromScratchCost(g)
+	cm := newCostModel(deps, g)
 	seen := make([]bool, len(deps))
 	for ci, ch := range p.chains {
 		if len(ch) == 0 {
@@ -241,12 +243,13 @@ func checkChainPlanInvariants(t *testing.T, deps []Deployment, p *chainPlan, g *
 			if !slices.ContainsFunc(ch[:pos], func(s chainStep) bool { return s.si == par }) {
 				t.Errorf("tree parent of %q is not an earlier step of its own walk", deps[step.si].Name)
 			}
-			if p.forest {
-				v := core.DeploymentDeltaVolume(g, deps[par].Dep, deps[step.si].Dep)
-				if c := deltaStepCost(v, scratch); c >= scratch {
-					t.Errorf("forest tree edge %q → %q prices at %d, not strictly below the from-scratch calibration %d",
-						deps[par].Name, deps[step.si].Name, c, scratch)
-				}
+			if c := cm.walkStep(ch, pos, len(p.chains)); c >= cm.scratch {
+				t.Errorf("chain %d step %q → %q prices at %d, not strictly below the from-scratch price %d",
+					ci, deps[ch[pos-1].si].Name, deps[step.si].Name, c, cm.scratch)
+			}
+			if c := cm.step(par, step.si); p.forest && par != ch[pos-1].si && c >= cm.scratch {
+				t.Errorf("forest tree edge %q → %q prices at %d, not strictly below the from-scratch price %d",
+					deps[par].Name, deps[step.si].Name, c, cm.scratch)
 			}
 		}
 	}
@@ -377,10 +380,11 @@ func TestChainPlanForestProperty(t *testing.T) {
 		}
 		picked := buildChainPlan(deps, g)
 		checkChainPlanInvariants(t, deps, picked, g)
+		cm := newCostModel(deps, g)
 		nested := buildNestedChainPlan(deps)
+		nested.splitUnpriced(cm)
 		checkChainPlanInvariants(t, deps, nested, g)
-		scratch := fromScratchCost(g)
-		nested.price(g, scratch)
+		nested.price(cm)
 		if picked.predictedVol > nested.predictedVol {
 			t.Errorf("trial %d: selected plan prices at %d, above the nested cover's %d",
 				trial, picked.predictedVol, nested.predictedVol)

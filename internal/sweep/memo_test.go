@@ -214,8 +214,8 @@ func leaseRanges(units []ShardRange, target int) []ShardRange {
 // one range makes. Two workers with a plan each, alternating leases,
 // miss each pair's memo slot at most once more — on the second plan's
 // first head of the pair, which then also runs the free steps behind it
-// that a served head defers; this schedule leads with the baseline as a
-// chain of its own, and the total stays within one call per free pair.
+// that a served head defers; this schedule leads with the baseline's
+// chain, and the total stays within one call per free pair.
 // A memo per RunShards call (before PR 25) re-runs the baselines of
 // every lease: 476 engine calls against one range's 365 here. All three
 // arms merge to the same bytes.
@@ -226,14 +226,12 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 	const size = 16
 	one := mustPrepare(grid, g)
 	l := one.Layout(size)
-	removal := false
-	for _, ch := range one.sched.plan.chains {
-		for _, st := range ch {
-			removal = removal || len(st.removed) > 0
-		}
-	}
-	if !removal {
-		t.Fatal("no schedule step removes an adopter: the fixture is not headline-shaped")
+	// What the leases share is the baseline memo: the schedule must lead
+	// with the baseline's chain and walk at least one chain after it,
+	// whose security-free heads read the slots that chain filled.
+	if chains := one.sched.plan.chains; len(chains) < 2 || grid.Deployments[chains[0][0].si].Dep != nil {
+		t.Fatalf("schedule %v does not lead with the baseline's chain and walk another after it: the leases share no memo",
+			chainNames(grid.Deployments, one.sched.plan))
 	}
 	leases := leaseRanges(one.Units(l), 4)
 	if len(leases) < 6 {

@@ -42,6 +42,11 @@ type Plan struct {
 	// (EnginePool.memoFor); without a pool the memo is the plan's alone.
 	memoOnce sync.Once
 	memo     baselineMemo
+
+	// calls is the schedule's predicted engine calls (callsBefore),
+	// computed by the first RunShards that slices units into strips.
+	callsOnce sync.Once
+	calls     []int32
 }
 
 // Prepare validates the grid and plans it on g. The plan is a
@@ -189,31 +194,40 @@ func (pl *Plan) Units(l *Layout) []ShardRange {
 type strip struct{ start, end int }
 
 // strips cuts the units' cells into dispatch strips, appended to dst.
-// With one worker a strip is a unit. With more, any unit longer than the
-// runner's chunk of the pending cells — the share that gives every
-// worker chunkTarget strips — is sliced at the handoff-free positions
-// nearest that spacing, so a grid of one default-size shard still feeds
-// every core; where units already outnumber that, nothing is cut.
+// With one worker a strip is a unit. With more, any unit predicted to
+// make more engine calls than the runner's chunk of the pending calls —
+// the share that gives every worker chunkTarget strips — is sliced at
+// the handoff-free positions nearest that spacing, so a grid of one
+// default-size shard still feeds every core; where units already
+// outnumber that, nothing is cut. Spacing strips by predicted calls
+// rather than cells keeps a run of memo-served cells (a baseline block's
+// later models) in the strip whose calls fill its memo slots, instead of
+// starting a concurrent strip on the same pairs that runs them again.
 // Strips depend on the worker count; shards, units and the bytes
 // committed do not.
 func (pl *Plan) strips(dst []strip, units []ShardRange, l *Layout, workers int) []strip {
 	cells := func(u ShardRange) (start, end int) {
 		return u.Start * l.ShardSize, min(u.End*l.ShardSize, l.Cells)
 	}
-	target := 0
+	var calls []int32
+	target := int32(0)
 	if workers > 1 {
+		pl.callsOnce.Do(func() { pl.calls = pl.sched.callsBefore(&pl.gr) })
+		calls = pl.calls
 		pending := 0
 		for _, u := range units {
 			start, end := cells(u)
-			pending += end - start
+			pending += int(calls[end] - calls[start])
 		}
-		target = runner.ChunkSize(pending, workers)
-		dst = slices.Grow(dst, len(units)+pending/target)
+		target = int32(runner.ChunkSize(pending, workers))
+		dst = slices.Grow(dst, len(units)+pending/int(target))
 	}
 	for _, u := range units {
 		start, end := cells(u)
-		for target > 0 && end-start > target {
-			cut := pl.sched.nextFree(start + target)
+		for target > 0 && calls[end]-calls[start] > target {
+			// The first position by which the strip has its share of calls.
+			at, _ := slices.BinarySearch(calls[start:end+1], calls[start]+target)
+			cut := pl.sched.nextFree(start + at)
 			if cut >= end {
 				break
 			}

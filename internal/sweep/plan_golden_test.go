@@ -223,3 +223,50 @@ func testParentCheckpointCompat(t *testing.T, workers int) {
 		t.Error("checkpoint written with two workers does not hold the parent file's lines")
 	}
 }
+
+// TestForestHeadlineCheckpointRefused is the cross-layout contract of
+// the fitted cost model. testdata/headline_forest_s16.ckpt was written,
+// at shard size 16, for the headline-shaped grid by the release before
+// the model, which walked it as the signed-delta forest [baseline]
+// [t1t2 t1t2cp t2] [nonstubs] (fingerprint 09ecb788b5e28e0a). The model
+// plans that grid without the Tier 1 removal, so the layout — and the
+// fingerprint — differ: resuming the file, whole or cut to its first
+// half, must fail with the fingerprint mismatch, evaluate nothing and
+// leave the file as it was.
+func TestForestHeadlineCheckpointRefused(t *testing.T) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	pl := mustPrepare(headlineShapedGrid(g, meta), g)
+	if pl.sched.plan.forest || pl.fp == "09ecb788b5e28e0a" {
+		t.Fatalf("the headline-shaped grid still plans the forest layout (fingerprint %s)", pl.fp)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "headline_forest_s16.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 34
+	for _, keep := range []int{shards, shards / 2} {
+		ckpt := filepath.Join(t.TempDir(), "forest.ckpt")
+		if err := os.WriteFile(ckpt, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cutCheckpoint(t, ckpt, keep)
+		before, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats ShardStats
+		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{Checkpoint: ckpt, Resume: true}, RunOptions{Stats: &stats})
+		if err == nil || res != nil {
+			t.Fatalf("forest checkpoint with %d of %d records resumed under the fitted layout (err %v)", keep, shards, err)
+		}
+		if !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("cross-layout resume failed with %v, want a fingerprint mismatch", err)
+		}
+		if stats.Units != 0 {
+			t.Errorf("refused resume evaluated %d units", stats.Units)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("refused resume changed the checkpoint file (err %v)", err)
+		}
+	}
+}

@@ -128,6 +128,51 @@ func (s *schedule) nextFree(p int) int {
 	return p
 }
 
+// callsBefore returns, for every scheduled position p, the number of
+// engine calls the walk is predicted to make before p (len cells+1): a
+// valid cell is a call unless it is predicted to be served from the
+// baseline memo — a security-free head, or a step behind one, of a pair
+// whose baseline an earlier position already ran — or to be a no-op
+// step between two security-free cells. A cell is predicted
+// security-free when its deployment does not secure its destination,
+// which is exact for the built-in attacks; the prediction only weighs
+// dispatch, never results.
+func (s *schedule) callsBefore(gr *Grid) []int32 {
+	ax := s.ax
+	calls := make([]int32, ax.cells+1)
+	filled := make([]bool, ax.nd*ax.na) // pairs whose baseline is predicted memoized
+	secures := func(si int, d asgraph.AS) bool {
+		dp := ax.deps[si].Dep
+		return dp != nil && (dp.Full.Has(d) || dp.Simplex.Has(d))
+	}
+	p := 0
+	for _, ch := range s.plan.chains {
+		for g := 0; g < ax.nm*ax.nd*ax.na; g++ {
+			pair := g % (ax.nd * ax.na)
+			d, m := gr.Destinations[pair/ax.na], gr.Attackers[pair%ax.na]
+			ran := false // the engine holds the group's last fixed point
+			for pos, step := range ch {
+				call := false
+				free := !secures(step.si, d)
+				switch {
+				case m == d:
+				case !ran && free && filled[pair]:
+				case !ran:
+					call, ran, filled[pair] = true, true, filled[pair] || free
+				default:
+					call = !free || secures(ch[pos-1].si, d)
+				}
+				calls[p+1] = calls[p]
+				if call {
+					calls[p+1]++
+				}
+				p++
+			}
+		}
+	}
+	return calls
+}
+
 // carry hands a chain's tail fixed point from one shard to the next
 // within a dispatch strip. Strips are cut at handoff-free positions
 // (Plan.strips), so the shard that is cut off mid-chain and the shard that
