@@ -146,16 +146,16 @@ func TestLayoutPins(t *testing.T) {
 			layout: Layout{Fingerprint: "71b7eed2079d55c3", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "13x4",
 			stats: ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29,
-				Counters:   core.Counters{Runs: 38, DeltaSteps: 27, DirtyVolume: 18025, NoOps: 75, Fallbacks: 1, LateFallbacks: 1, Passes: 30},
-				ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 1718},
+				Counters:   core.Counters{Runs: 58, DeltaSteps: 7, DirtyVolume: 3942, NoOps: 75, Fallbacks: 21, Passes: 9, FirstPassVolume: 17925},
+				ChainHeads: 1, DeltaEdges: 3, PredictedVolume: 2194},
 		},
 		{
 			name: "forest", g: gf, grid: forestGrid(gf, 2, IncrementalAuto),
 			layout: Layout{Fingerprint: "6ce55ff4dc3b1c87", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
 			units:  "13x5",
 			stats: ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29,
-				Counters:   core.Counters{Runs: 49, DeltaSteps: 4, DirtyVolume: 6393, NoOps: 124, Fallbacks: 12, Passes: 7},
-				ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 4201},
+				Counters:   core.Counters{Runs: 53, NoOps: 124, Fallbacks: 16, FirstPassVolume: 25550},
+				ChainHeads: 1, DeltaEdges: 4, PredictedVolume: 5869},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
