@@ -142,10 +142,10 @@ func (g *Graph) DiffVolume(s, t, x1, x2 *Set) int64 {
 		if x2 != nil && wi < len(x2.words) {
 			w &^= x2.words[wi]
 		}
-		for ; w != 0; w &= w - 1 {
-			k := 3 * (wi*64 + bits.TrailingZeros64(w)) // v's first list
-			ends := g.off[k : k+4 : k+4]
-			vol += int64(ends[3] - ends[0])
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			vol += int64(g.Degree(AS(wi*64 + b)))
+			w &= w - 1
 		}
 	}
 	return vol

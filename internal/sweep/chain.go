@@ -67,11 +67,12 @@ type chainStep struct {
 type chainPlan struct {
 	chains [][]chainStep
 
-	// forest marks a layout produced by the signed-delta forest builder.
-	// It selects the "schedule:forest" fingerprint tag (which also hashes
-	// the walk structure), so forest layouts can never be confused with
-	// the nested-chain or identity layouts on resume.
-	forest bool
+	// forest marks a layout produced by the signed-delta forest builder,
+	// and cut one whose walks the cost model cut (splitUnpriced). Either
+	// selects a fingerprint tag that also hashes the walk structure
+	// (walkTag), so such layouts can never be confused with an uncut
+	// nested-chain layout, an identity layout, or each other on resume.
+	forest, cut bool
 
 	// parentOf[si] is the deployment index of si's tree parent (the
 	// nested predecessor for chain plans), or -1 for walk heads; the
@@ -222,6 +223,18 @@ func (p *chainPlan) splitUnpriced(cm *costModel) {
 	}
 }
 
+// walkTag is the fingerprint tag of a layout whose walks the
+// memberships alone do not determine, or "" for an uncut nested cover.
+func (p *chainPlan) walkTag() string {
+	switch {
+	case p.forest:
+		return "schedule:forest"
+	case p.cut:
+		return "schedule:chain-major:cut"
+	}
+	return ""
+}
+
 // cutAt splits the walks before every step priced at scratch or more.
 // A forest walk cut after a DFS backtrack can leave steps whose tree
 // parent walks in the piece before the cut; they hang from their walk
@@ -241,6 +254,7 @@ func (p *chainPlan) cutAt(scratch int64) {
 		}
 		chains = append(chains, ch[start:])
 	}
+	p.cut = p.cut || len(chains) > len(p.chains)
 	for _, ch := range chains {
 		for pos := 1; pos < len(ch); pos++ {
 			if par := p.parentOf[ch[pos].si]; !slices.ContainsFunc(ch[:pos], func(s chainStep) bool { return s.si == par }) {

@@ -270,3 +270,24 @@ func TestForestHeadlineCheckpointRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestCutWalksBindTheFingerprint: an uncut nested cover's fingerprint is
+// a tag, since the memberships alone determine it; once the cost model
+// cuts a walk the layout depends on the graph too, so the fingerprint
+// must hash the walks. Otherwise a checkpoint written under the uncut
+// cover, by a release that linked the step, would resume under the cut
+// one and merge partials of another cell order.
+func TestCutWalksBindTheFingerprint(t *testing.T) {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	pl := mustPrepare(headlineShapedGrid(g, meta), g)
+	if p := pl.sched.plan; !p.cut || p.forest {
+		t.Fatalf("the headline-shaped grid plans %v (forest %v): not a cut nested cover", chainNames(pl.ax.deps, p), p.forest)
+	}
+	uncut := scheduleOf(pl.ax, buildNestedChainPlan(pl.ax.deps))
+	if uncut.identity() {
+		t.Fatal("the uncut nested cover is the identity order")
+	}
+	if fp := pl.gr.fingerprint(g, pl.ax, uncut); fp == pl.fp {
+		t.Fatalf("the cut and the uncut nested layouts share fingerprint %s", fp)
+	}
+}

@@ -247,15 +247,16 @@ func (gr *Grid) fingerprint(g *asgraph.Graph, ax *axes, sched *schedule) string 
 		wint(int(d))
 	}
 	if !sched.identity() {
-		if sched.plan.forest {
-			// Forest layouts hash their walk structure, not just a tag:
-			// the forest shape depends on the graph's adjacency degrees
-			// (the planner's edge-volume cost model), which the
-			// membership-only fields above do not capture — and any
-			// future cost-model change moves the layout. Binding the
-			// exact linearization makes every cross-layout resume a loud
-			// fingerprint mismatch instead of a silent wrong-bytes merge.
-			wstr("schedule:forest")
+		if tag := sched.plan.walkTag(); tag != "" {
+			// Forest layouts, and nested ones the cost model cut, hash
+			// their walk structure, not just a tag: the walks depend on
+			// the graph's adjacency degrees (the planner's cost model),
+			// which the membership-only fields above do not capture —
+			// and any future cost-model change moves the layout. Binding
+			// the exact linearization makes every cross-layout resume a
+			// loud fingerprint mismatch instead of a silent wrong-bytes
+			// merge.
+			wstr(tag)
 			wint(len(sched.plan.chains))
 			for _, ch := range sched.plan.chains {
 				wint(len(ch))
@@ -264,7 +265,7 @@ func (gr *Grid) fingerprint(g *asgraph.Graph, ax *axes, sched *schedule) string 
 				}
 			}
 		} else {
-			// Nested-chain layouts keep the historical tag: the plan is a
+			// An uncut nested cover keeps the historical tag: it is a
 			// pure function of the memberships hashed above, so
 			// pre-forest chain-major checkpoints resume unchanged.
 			wstr("schedule:chain-major")
