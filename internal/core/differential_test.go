@@ -123,13 +123,17 @@ func checkRunDeltaDifferential(t *testing.T, seed int64, data []byte) {
 		t.Helper()
 		runs := baselines
 		if on != g || runs == nil {
+			// The producer engine re-runs from scratch whenever it is
+			// used, so it can run the baselines and switch back.
 			runs = new([policy.NumModels]*Outcome)
-			e := NewEngineLP(on, policy.Models[0], lp, opts...)
+			producer.Rebind(on)
 			for i, mod := range policy.Models {
-				e.SetModel(mod)
-				runs[i] = e.RunAttack(d, m, nil, atk).Clone()
+				producer.SetModel(mod)
+				runs[i] = producer.RunAttack(d, m, nil, atk).Clone()
 				assertOutcomeEqual(t, fmt.Sprintf("%s: baseline under %v against %v", label, mod, policy.Models[0]), runs[i], runs[0])
 			}
+			producer.SetModel(policy.Models[mi])
+			producer.Rebind(g)
 			if on == g {
 				baselines = runs
 			}

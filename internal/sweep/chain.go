@@ -35,15 +35,14 @@ import (
 // will dirty — the expected first-pass seed of RunDelta — against a
 // from-scratch head, and the planner links no step it does not price
 // strictly below that head: both planners' walks are cut where a step
-// would cost a run or more, which is also where RunDelta is predicted to
-// fall back. buildChainPlan keeps the nested plan unless the forest walk
-// is strictly cheaper. That rule is the compatibility story: every axis
+// would cost a run or more. buildChainPlan keeps the nested plan unless
+// the forest walk is strictly cheaper. That rule is the compatibility story: every axis
 // the nested planner already covered optimally (all rollout-shaped
 // grids) keeps its exact layout, chain order, and "schedule:chain-major"
 // fingerprint, so pre-existing checkpoints resume unchanged; only axes
-// where signed deltas genuinely win get the forest layout, under its own
-// fingerprint tag. Cuts are dispatch-neutral: a cut walk is two blocks,
-// each a valid layout of its own, and the fingerprint binds the result.
+// where signed deltas genuinely win get the forest layout, and covers the
+// model cut get a layout of their own, each under its own fingerprint
+// tag (walkTag).
 //
 // Either way the plan only regroups work: RunDelta is exact and the
 // aggregation stays positional, so results remain byte-identical to the

@@ -13,7 +13,6 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -123,15 +122,17 @@ func fig7aCostAxis() costAxis {
 	return ax
 }
 
-// stepFit is what the engine did on the planned walk steps of one kind.
+// stepFit is what the engine did on one planned walk step, or summed
+// over several.
 type stepFit struct {
-	steps    int // planned walk steps
-	attempts int // RunDelta calls that were not no-ops
-	noOps    int
-	seed     int64 // the planner's price, summed over steps
-	c        core.Counters
-	delta    time.Duration // RunDelta time over the attempts
-	scratch  time.Duration // from-scratch runs of the same cells
+	name, kind string // "from → to", and stepKind
+	steps      int    // planned walk steps
+	attempts   int    // RunDelta calls that were not no-ops
+	noOps      int
+	seed       int64 // the planner's price, summed over steps
+	c          core.Counters
+	delta      time.Duration // RunDelta time over the attempts
+	scratch    time.Duration // from-scratch runs of the same cells
 
 	repDelta, repScratch time.Duration // the same, in one replay
 }
@@ -182,20 +183,23 @@ func stepKind(prev *core.Deployment, added, removed []asgraph.AS) string {
 // walkCostAxis replays the planned walks of ax on a bare engine — every
 // cell as the pair's first group of evaluateRange would, with no memo —
 // and returns the plan and the fit of each planned step, in walk order.
-func walkCostAxis(ax costAxis) (*chainPlan, []string, []*stepFit) {
+func walkCostAxis(ax costAxis) (*chainPlan, []*stepFit) {
 	p := buildChainPlan(ax.deps, ax.g)
 	cm := newCostModel(ax.deps, ax.g)
-	var names []string
 	var fits []*stepFit
 	byChain := make([][]*stepFit, len(p.chains))
 	for ci, ch := range p.chains {
 		byChain[ci] = make([]*stepFit, len(ch))
 		for pos := 1; pos < len(ch); pos++ {
 			prev, next := ax.deps[ch[pos-1].si], ax.deps[ch[pos].si]
-			f := &stepFit{steps: 1, seed: cm.walkStep(ch, pos, len(p.chains))}
+			f := &stepFit{
+				name:  prev.Name + " → " + next.Name,
+				kind:  stepKind(prev.Dep, ch[pos].added, ch[pos].removed),
+				steps: 1,
+				seed:  cm.walkStep(ch, pos, len(p.chains)),
+			}
 			byChain[ci][pos] = f
 			fits = append(fits, f)
-			names = append(names, fmt.Sprintf("%s → %s (%s)", prev.Name, next.Name, stepKind(prev.Dep, ch[pos].added, ch[pos].removed)))
 		}
 	}
 	// Counters come from the first replay; times are each step's least
@@ -215,7 +219,7 @@ func walkCostAxis(ax costAxis) (*chainPlan, []string, []*stepFit) {
 			}
 		}
 	}
-	return p, names, fits
+	return p, fits
 }
 
 // replayCostAxis walks every planned step of p once, adding counters to
@@ -248,7 +252,9 @@ func replayCostAxis(ax costAxis, p *chainPlan, byChain [][]*stepFit, count bool)
 						took := time.Since(start)
 						c := e.TakeCounters()
 						if c.NoOps > 0 {
-							f.noOps += b2i(count)
+							if count {
+								f.noOps++
+							}
 							continue
 						}
 						if count {
@@ -266,13 +272,6 @@ func replayCostAxis(ax costAxis, p *chainPlan, byChain [][]*stepFit, count bool)
 	}
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // TestDeltaCostModel is the cost model's fit harness (make costmodel):
 // it plans the deployment axes of the benchmark's workloads and the
 // Fig 7(a) rollout-with-simplex axis, replays every planned walk step on
@@ -288,14 +287,14 @@ func TestDeltaCostModel(t *testing.T) {
 	kinds := map[string]*stepFit{}
 	var kindOrder []string
 	for _, ax := range append(benchCostAxes(), fig7aCostAxis()) {
-		p, names, fits := walkCostAxis(ax)
+		p, fits := walkCostAxis(ax)
 		total := core.GraphVolume(ax.g)
 		t.Logf("%s (%d ASes): %d heads, %d delta edges", ax.name, ax.g.N(), p.heads, p.deltaEdges)
 		var sum stepFit
-		for i, f := range fits {
-			t.Logf("  %s: %s", names[i], f.line(total))
+		for _, f := range fits {
+			t.Logf("  %s (%s): %s", f.name, f.kind, f.line(total))
 			sum.add(*f)
-			kind := names[i][strings.LastIndexByte(names[i], '(')+1 : len(names[i])-1]
+			kind := f.kind
 			if kinds[kind] == nil {
 				kinds[kind] = &stepFit{}
 				kindOrder = append(kindOrder, kind)
