@@ -83,9 +83,10 @@ func FuzzCheckpointRecord(f *testing.F) {
 // buildChainPlan selects must satisfy the full walk invariants
 // (checkChainPlanInvariants: every deployment in exactly one chain
 // position, exact signed walk-predecessor deltas, headless tree roots,
-// forest tree edges priced strictly below a from-scratch run), the
-// nested planner alone must still emit only grow-only chains, and the
-// selection must never price above the nested cover it competes with.
+// every walk step and forest tree edge priced strictly below a
+// from-scratch head), the nested cover cut by the cost model must still
+// emit only grow-only chains under the same invariants, and the
+// selection must never price above that cover.
 // And every one of those plans — plus the singleton plan of the same
 // axis — must lay out as a schedule the loop can cut anywhere
 // (checkScheduleLayout).

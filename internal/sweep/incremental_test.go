@@ -329,11 +329,11 @@ func TestChainPlanEdgeCases(t *testing.T) {
 // TestChainPlanForestProperty is the planner's property test: on
 // randomized axes — mixing nested prefixes, simplex variants,
 // duplicates, and incomparable sets — whichever plan buildChainPlan
-// selects satisfies the forest invariants (every deployment covered
-// exactly once, exact walk-predecessor deltas, tree edges strictly
-// below the from-scratch calibration), the nested planner alone still
-// emits only nested chains, and the forest never prices above the
-// nested cover it competes with.
+// selects satisfies the plan invariants (every deployment covered
+// exactly once, exact walk-predecessor deltas, every walk step and tree
+// edge priced strictly below a from-scratch head), the nested cover cut
+// by the cost model still emits only nested chains under the same
+// invariants, and the selection never prices above that cover.
 func TestChainPlanForestProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	const n = 128
