@@ -105,12 +105,11 @@ type ShardStats struct {
 	// DeltaEdges is the number of RunDelta steps per group walk
 	// (deployments minus ChainHeads; zero on the identity schedule).
 	DeltaEdges int `json:"delta_edges"`
-	// PredictedVolume is the planner's predicted adjacency edge-volume
-	// of one group walk under its cost model: ChainHeads from-scratch
-	// runs (each priced at the delta-threshold fraction of the graph's
-	// total edge-volume) plus every walk step's signed delta volume,
-	// capped at the from-scratch price. Comparing it against the
-	// identity prediction (axis length × from-scratch price) is the
+	// PredictedVolume is the planner's price of one group walk, in
+	// adjacency edge-volume units (the cost model in chain.go):
+	// ChainHeads from-scratch runs plus every walk step's expected seed
+	// volume, each step below the price of a run. Comparing it against
+	// the identity prediction (axis length × from-scratch price) is the
 	// observable form of the planner's payoff.
 	PredictedVolume int64 `json:"predicted_volume"`
 }
