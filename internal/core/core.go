@@ -64,8 +64,9 @@ func (dp *Deployment) SecureCount() int {
 type Label uint8
 
 const (
-	// LabelNone: the AS has no route at all (possible only on
-	// disconnected inputs).
+	// LabelNone: the AS has no route at all — on disconnected inputs,
+	// or when its neighbours' choices withhold every route (under LP2,
+	// or a secure route preferred under security 1st). Never happy.
 	LabelNone Label = iota
 	// LabelDest: every route the AS may end up with reaches the
 	// legitimate destination — the AS is "happy" (Table 2).

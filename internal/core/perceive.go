@@ -192,11 +192,12 @@ func (p *Partitioner) Run(d, m asgraph.AS) *Partition {
 		}
 
 		// Security 1st (Appendix E.3): structural perceivability only.
+		// An AS that perceives neither root has no route at all: doomed.
 		switch {
-		case !p.mReach[v]:
-			p.part.Cat[policy.Sec1st][v] = CatImmune
 		case !p.dReach[v]:
 			p.part.Cat[policy.Sec1st][v] = CatDoomed
+		case !p.mReach[v]:
+			p.part.Cat[policy.Sec1st][v] = CatImmune
 		default:
 			p.part.Cat[policy.Sec1st][v] = CatProtectable
 		}
@@ -229,8 +230,8 @@ func labelCategory(l Label) Category {
 		return CatDoomed
 	case LabelAmbig:
 		return CatProtectable
-	default: // unrouted: never routes to the attacker
-		return CatImmune
+	default: // unrouted at S = ∅, and so under every S: never happy
+		return CatDoomed
 	}
 }
 
@@ -241,9 +242,9 @@ const (
 
 func maskCategory(m uint8) Category {
 	switch m {
-	case maskD, 0: // unrouted ASes never reach the attacker
+	case maskD:
 		return CatImmune
-	case maskM:
+	case maskM, 0: // unrouted ASes are never happy
 		return CatDoomed
 	default:
 		return CatProtectable

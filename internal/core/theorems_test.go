@@ -147,13 +147,25 @@ func TestBoundsBracketResolvedOutcome(t *testing.T) {
 }
 
 // TestPartitionsConsistentWithOutcomes: an immune AS must be happy and a
-// doomed AS unhappy under every deployment — checked against random
+// doomed AS never happy under every deployment — checked against random
 // deployments for both LP variants. This cross-checks the perceivable-
-// route partitioner against the routing-outcome engine.
+// route partitioner against the routing-outcome engine. On the 800-AS
+// seed-5 graph, LP2 leaves sources unrouted at S = ∅ (and so under every
+// S) toward the listed destinations: they are doomed, not immune.
 func TestPartitionsConsistentWithOutcomes(t *testing.T) {
 	g := testGraph(9)
+	g800, _ := topogen.MustGenerate(topogen.Params{N: 800, Seed: 5})
 	rng := rand.New(rand.NewSource(99))
-	for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
+	for _, in := range []struct {
+		g     *asgraph.Graph
+		lp    policy.LocalPref
+		dests []asgraph.AS // nil: random destinations
+	}{
+		{g, policy.Standard, nil},
+		{g, policy.LP2, nil},
+		{g800, policy.LP2, []asgraph.AS{98, 119, 175, 413, 791}},
+	} {
+		g, lp := in.g, in.lp
 		part := NewPartitioner(g, lp)
 		engines := make([]*Engine, policy.NumModels)
 		for _, model := range policy.Models {
@@ -161,6 +173,11 @@ func TestPartitionsConsistentWithOutcomes(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			d, m, dep := randomScenario(g, rng, 0.4)
+			if in.dests != nil {
+				if d = in.dests[trial%len(in.dests)]; d == m {
+					continue
+				}
+			}
 			p := part.Run(d, m)
 			for _, model := range policy.Models {
 				o := engines[model].Run(d, m, dep)
@@ -171,13 +188,13 @@ func TestPartitionsConsistentWithOutcomes(t *testing.T) {
 					switch p.Cat[model][v] {
 					case CatImmune:
 						if o.Label[v] != LabelDest {
-							t.Fatalf("%v/%v d=%d m=%d: immune AS %d has label %v",
-								model, lp, d, m, v, o.Label[v])
+							t.Fatalf("%v/%v n=%d d=%d m=%d: immune AS %d has label %v",
+								model, lp, g.N(), d, m, v, o.Label[v])
 						}
 					case CatDoomed:
-						if o.Label[v] != LabelAttacker {
-							t.Fatalf("%v/%v d=%d m=%d: doomed AS %d has label %v",
-								model, lp, d, m, v, o.Label[v])
+						if o.Label[v] == LabelDest || o.Label[v] == LabelAmbig {
+							t.Fatalf("%v/%v n=%d d=%d m=%d: doomed AS %d has label %v",
+								model, lp, g.N(), d, m, v, o.Label[v])
 						}
 					}
 				}
