@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-check costmodel cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
+.PHONY: all build test race bench bench-check costmodel claims cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
 
 all: build
 
@@ -101,6 +101,13 @@ bench-check:
 # its output.
 costmodel:
 	$(GO) test -count=1 -run '^TestDeltaCostModel$$' -v ./internal/sweep
+
+# claims prints the paper's claims table (TestPaperClaims): every row of
+# exp.Claims on topogen seeds 1–5, plain | IXP-augmented, at -quick
+# scale, with its verdicts (H holds, M misses) and smallest margin.
+# DESIGN.md's "Paper claims" table is its output.
+claims:
+	$(GO) test -count=1 -run '^TestPaperClaims$$' -v ./internal/exp
 
 # bench runs the Go micro-benchmarks at measurement scale. The repo
 # benchmark itself — five end-to-end workloads, params-checked records,

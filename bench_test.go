@@ -246,7 +246,7 @@ func BenchmarkFig16RootCause(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.RootCause(policy.Standard)
+		_, _ = w.RootCause(policy.Standard)
 	}
 }
 
@@ -255,7 +255,7 @@ func BenchmarkTable3Phenomena(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rc := w.RootCause(policy.Standard)
+		rc, _ := w.RootCause(policy.Standard)
 		_ = rc[policy.Sec3rd].Downgraded > 0
 	}
 }

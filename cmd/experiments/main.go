@@ -1,9 +1,11 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (the experiment index E1–E27 of DESIGN.md) on a synthetic
-// workload and prints the measured values next to the numbers the paper
-// reports for the UCLA graph. It simulates one sbgp.Scenario — the
-// headline job the grid flags spell — and hands that Simulation to both
-// the grid writer and the experiment suite (internal/exp).
+// workload and prints the measured values under the paper's claims about
+// them (exp.Claims), each with its measured value and whether it holds,
+// by what margin; a miss does not change the exit status. It simulates
+// one sbgp.Scenario — the headline job the grid flags spell — and hands
+// that Simulation to both the grid writer and the experiment suite
+// (internal/exp).
 //
 // Usage:
 //
@@ -57,14 +59,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"sbgp"
 	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
-	"sbgp/internal/deploy"
 	"sbgp/internal/exp"
-	"sbgp/internal/maxk"
 	"sbgp/internal/runner"
 )
 
@@ -207,7 +208,8 @@ func main() {
 // writeReport prints the paper report of w, simulated from spec, and —
 // unless -skip-ixp — Appendix J's rerun of spec on the IXP-augmented graph.
 func writeReport(ctx context.Context, out io.Writer, o *options, spec *sbgp.JobSpec, w *exp.Workload) error {
-	report(out, w, sbgp.StandardLP)
+	r := exp.NewReport(w)
+	report(out, r)
 	if o.skipIXP || w.Err() != nil {
 		return w.Err()
 	}
@@ -221,7 +223,9 @@ func writeReport(ctx context.Context, out io.Writer, o *options, spec *sbgp.JobS
 	if err != nil {
 		return err
 	}
-	reportIXP(out, w, wi, sbgp.StandardLP)
+	ri := exp.NewReport(wi)
+	ri.Plain = r
+	reportIXP(out, ri)
 	return wi.Err()
 }
 
@@ -264,37 +268,32 @@ func writeGrid(sim *sbgp.Simulation, path string, verbose bool) error {
 	return nil
 }
 
-func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
+// report prints the paper report r, each section headed by its claims.
+func report(out io.Writer, r *exp.Report) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
+	w, section := r.W, sectionPrinter(p, r)
 
-	p("\n== E27 / Table 1: tier taxonomy ==\n")
-	sizes := w.TierSizes()
+	section("E27 / Table 1: tier taxonomy")
 	for t := 0; t < asgraph.NumTiers; t++ {
-		p("  %-7s %5d\n", asgraph.Tier(t), sizes[t])
+		p("  %-7s %5d\n", asgraph.Tier(t), len(w.Tiers.Members[t]))
 	}
 
-	p("\n== E1 / Section 4.2: baseline H_V,V(∅), origin authentication only ==\n")
-	base := w.Baseline(sbgp.Sec3rd, lp)
-	p("  paper: ≥60%% (62%% IXP-augmented)   measured: lower=%.1f%% upper=%.1f%%\n",
-		100*base.Lo, 100*base.Hi)
+	section("E1 / Section 4.2: baseline H_V,V(∅), origin authentication only")
+	p("  measured: lower=%.1f%% upper=%.1f%%\n", 100*r.Base().Lo, 100*r.Base().Hi)
 
-	p("\n== E2 / Figure 3: doomed / protectable / immune, all pairs ==\n")
-	p("  paper upper bounds on H(S) ∀S: ~100%% (1st), 89%% (2nd), 75%% (3rd)\n")
-	pf, bySrc := w.Partitions(lp)
+	section("E2 / Figure 3: doomed / protectable / immune, all pairs")
+	pf := r.Part()
 	for _, m := range sbgp.Models {
 		p("  %-13s immune=%5.1f%%  protectable=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
 			m, 100*pf.LowerBound(m), 100*pf.Frac[m][core.CatProtectable],
 			100*pf.Frac[m][core.CatDoomed], 100*pf.UpperBound(m))
 	}
 
-	p("\n== E3/E4 / Figures 4–5: partitions by destination tier ==\n")
-	p("  paper: Tier 1 destinations ~80%% doomed under sec 2nd/3rd; 8–15%% headroom elsewhere\n")
-	byDest := w.PartitionsByDestTier(lp)
-	printTierTable(p, byDest, "dest")
+	section("E3/E4 / Figures 4–5: partitions by destination tier")
+	printTierTable(p, r.ByDest(), "dest")
 
-	p("\n== E5 / Figure 6: partitions by attacker tier (sec 3rd) ==\n")
-	p("  paper: attacker strength grows stub→Tier 2, then collapses for Tier 1 attackers\n")
-	byAtt := w.PartitionsByAttackerTier(lp)
+	section("E5 / Figure 6: partitions by attacker tier (sec 3rd)")
+	byAtt := r.ByAttacker()
 	for t := 0; t < asgraph.NumTiers; t++ {
 		if byAtt[t].Pairs == 0 {
 			continue
@@ -304,8 +303,8 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 			asgraph.Tier(t), 100*f[core.CatImmune], 100*f[core.CatDoomed], byAtt[t].Pairs)
 	}
 
-	p("\n== E6 / Section 4.7: partitions by source tier (sec 3rd) ==\n")
-	p("  paper: every source tier looks alike (~60%% immune, 25%% doomed, 15%% protectable)\n")
+	section("E6 / Section 4.7: partitions by source tier (sec 3rd)")
+	bySrc := r.BySource()
 	for t := 0; t < asgraph.NumTiers; t++ {
 		f := bySrc[t].Frac[sbgp.Sec3rd]
 		if f[0]+f[1]+f[2] == 0 {
@@ -316,104 +315,105 @@ func report(out io.Writer, w *exp.Workload, lp sbgp.LocalPref) {
 			100*f[core.CatProtectable])
 	}
 
-	p("\n== E7 / Figure 7(a): Tier 1+2 rollout, ΔH_M',V(S) with simplex error bars ==\n")
-	p("  paper: last step ≈ +24%% (1st), small (2nd≈3rd); simplex stubs barely move the needle\n")
-	printRollout(p, w.Rollout(w.Tier12, w.D, lp))
+	section("E7 / Figure 7(a): Tier 1+2 rollout, ΔH_M',V(S) with simplex error bars")
+	printRollout(p, r.Tier12())
 
-	p("\n== E8 / Figure 7(b): same rollout, secure destinations only ==\n")
-	p("  paper: sec 2nd reaches +13–20%% for secure destinations by the last step\n")
-	last := w.Tier12[len(w.Tier12)-1]
-	deltas := w.SecureDestDeltas(last.Deployment, lp)
+	section("E8 / Figure 7(b): same rollout, secure destinations only")
 	for _, m := range sbgp.Models {
-		p("  %-13s mean ΔH over d∈S = %+.1f%%\n", m, 100*exp.MeanDelta(deltas[m]))
+		p("  %-13s mean ΔH over d∈S = %+.1f%%\n", m, 100*exp.MeanDelta(r.Tier12Deltas()[m]))
 	}
 
-	p("\n== E9 / Figure 8: Tier 1+2+CP rollout, CP destinations ==\n")
-	p("  paper: ≥26%% (1st), 9.4%% (2nd), 4%% (3rd) at the last step\n")
-	cpSteps := deploy.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, false)
-	printRollout(p, w.Rollout(cpSteps, w.Meta.CPs, lp))
+	section("E9 / Figure 8: Tier 1+2+CP rollout, CP destinations")
+	printRollout(p, r.CPRollout())
 
-	p("\n== E10 / Figure 9: per-destination ΔH sequence, T1+T2+stubs ==\n")
-	printDeltaSeq(p, deltas)
+	section("E10 / Figure 9: per-destination ΔH sequence, T1+T2+stubs")
+	printDeltaSeq(p, r.Tier12Deltas())
 
-	p("\n== E11/E12 / Figures 10–11: Tier 2-only rollout ==\n")
-	p("  paper: slower growth; the sec 1st vs 2nd gap narrows without Tier 1s\n")
-	t2Steps := deploy.Tier2Rollout(w.G, w.Tiers, false)
-	printRollout(p, w.Rollout(t2Steps, w.D, lp))
-	t2Last := t2Steps[len(t2Steps)-1]
-	printDeltaSeq(p, w.SecureDestDeltas(t2Last.Deployment, lp))
+	section("E11/E12 / Figures 10–11: Tier 2-only rollout")
+	printRollout(p, r.Tier2())
+	printDeltaSeq(p, r.Tier2Deltas())
 
-	p("\n== E13 / Figure 12: all non-stubs secure, per-destination ΔH ==\n")
-	p("  paper: worst-case ΔH 6.2%% / 4.7%% / 2.2%%; sec 2nd nearly reaches sec 1st\n")
-	nsDep := deploy.Build(w.G, w.Tiers, deploy.Spec{AllNonStubs: true})
-	printDeltaSeq(p, w.SecureDestDeltas(nsDep, lp))
+	section("E13 / Figure 12: all non-stubs secure, per-destination ΔH")
+	printDeltaSeq(p, r.NonStubDeltas())
 
-	p("\n== E14 / Section 5.3.1: choice of early adopters ==\n")
-	p("  paper: T1s+stubs <0.2%% (sec 2nd/3rd); 13 T2s+stubs ≈1%% — pick Tier 2s\n")
-	for _, r := range w.EarlyAdopters(lp) {
+	section("E14 / Section 5.3.1: choice of early adopters")
+	for _, e := range r.Early() {
 		p("  %-22s (|S|=%4d): 1st %+6.2f%%  2nd %+6.2f%%  3rd %+6.2f%%\n",
-			r.Name, r.Secured, 100*r.MeanDelta[0], 100*r.MeanDelta[1], 100*r.MeanDelta[2])
+			e.Name, e.Secured, 100*e.MeanDelta[0], 100*e.MeanDelta[1], 100*e.MeanDelta[2])
 	}
 
-	p("\n== E15 / Figure 13: fate of secure routes to CP destinations (sec 3rd) ==\n")
-	p("  paper: most secure routes are lost to downgrades; the rest sit on immune sources\n")
-	cps, accs := w.CPFate(sbgp.Sec3rd, lp)
-	for i, a := range accs {
+	section("E15 / Figure 13: fate of secure routes to CP destinations (sec 3rd)")
+	for i, a := range r.CPFate() {
 		p("  CP AS%-5d secure-normal=%5.1f%%  downgraded=%5.1f%%  retained=%5.1f%%\n",
-			cps[i], 100*a.SecureNormal, 100*a.Downgraded, 100*(a.WastedOnHappy+a.Protected))
+			w.Meta.CPs[i], 100*a.SecureNormal, 100*a.Downgraded, 100*(a.WastedOnHappy+a.Protected))
 	}
 
-	p("\n== E16 / Figure 16: root-cause decomposition, last T1+T2 step ==\n")
-	rc := w.RootCause(lp)
+	section("E16 / Figure 16: root-cause decomposition, last T1+T2 step")
 	for _, m := range []sbgp.Model{sbgp.Sec3rd, sbgp.Sec1st} {
-		a := rc[m]
+		a := r.RootCause()[m]
 		p("  %-13s secure-normal=%.1f%%: downgraded=%.1f%% wasted-on-happy=%.1f%% protected=%.1f%%\n",
 			m, 100*a.SecureNormal, 100*a.Downgraded, 100*a.WastedOnHappy, 100*a.Protected)
 		p("  %13s collateral: benefit=%+.2f%% damage=%-+.2f%%  ⇒ metric change %+.1f%%\n",
 			"", 100*a.CollateralBenefit, -100*a.CollateralDamage, 100*a.MetricChange)
 	}
 
-	p("\n== E17 / Table 3: phenomena matrix ==\n")
-	p("  paper: downgrades 2nd,3rd; collateral benefits all; collateral damages 1st,2nd\n")
+	section("E17 / Table 3: phenomena matrix")
 	p("  %-22s", "observed:")
 	for _, m := range sbgp.Models {
-		p("  [%v: dg=%v cb=%v cd=%v]", m, rc[m].Downgraded > 0, rc[m].CollateralBenefit > 0, rc[m].CollateralDamage > 0)
+		rc := r.RootCause()[m]
+		p("  [%v: dg=%v cb=%v cd=%v]", m, rc.Downgraded > 0, rc.CollateralBenefit > 0, rc.CollateralDamage > 0)
 	}
 	p("\n")
 
-	p("\n== E24 / Theorem 5.1: Max-k-Security on the Appendix I gadget ==\n")
-	gd := maxk.BuildGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 2)
-	p("  set cover {0,1},{1,2},{0,2} with γ=2: satisfiable=%v (want true)\n", gd.Satisfiable(sbgp.Sec3rd))
-	gd1 := maxk.BuildGadget(3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 1)
-	p("  same family with γ=1:               satisfiable=%v (want false)\n", gd1.Satisfiable(sbgp.Sec3rd))
+	section("E24 / Theorem 5.1: Max-k-Security on the Appendix I gadget")
+	p("  set cover {0,1},{1,2},{0,2} with γ=2: satisfiable=%v\n", exp.Gadget(2))
+	p("  same family with γ=1:               satisfiable=%v\n", exp.Gadget(1))
 
-	p("\n== E26 / Figures 24–25 (Appendix K): LP2 policy variant ==\n")
-	p("  paper: sec3rd headroom shrinks to ~11–13%%; high tiers mostly immune\n")
-	lpf, _ := w.Partitions(sbgp.LP2)
-	base2 := w.Baseline(sbgp.Sec3rd, sbgp.LP2)
-	p("  LP2 baseline lower=%.1f%%\n", 100*base2.Lo)
-	for _, m := range sbgp.Models {
-		p("  LP2 %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
-			m, 100*lpf.LowerBound(m), 100*lpf.Frac[m][core.CatDoomed], 100*lpf.UpperBound(m))
-	}
+	section("E26 / Figures 24–25 (Appendix K): LP2 policy variant")
+	p("  LP2 baseline lower=%.1f%%\n", 100*r.BaseLP2().Lo)
+	printBounds(p, "LP2 ", r.PartLP2())
 	p("  Figure 25 (LP2 partitions by destination tier):\n")
-	p("  paper: high-degree tiers gain immunity; Tier 1 destinations mostly immune under LP2\n")
-	printTierTable(p, w.PartitionsByDestTier(sbgp.LP2), "dest")
+	printTierTable(p, r.ByDestLP2(), "dest")
 }
 
-// reportIXP prints E25: the baseline and partitions of w's scenario on
-// the IXP-augmented graph, wi.
-func reportIXP(out io.Writer, w, wi *exp.Workload, lp sbgp.LocalPref) {
+// reportIXP prints E25: the baseline and partitions of the scenario's
+// rerun on the IXP-augmented graph, ri.
+func reportIXP(out io.Writer, ri *exp.Report) {
 	p := func(format string, args ...interface{}) { fmt.Fprintf(out, format, args...) }
+	sectionPrinter(p, ri)("E25 / Appendix J: IXP-augmented graph")
+	p("  augmented: %d p2p links (was %d)\n", ri.W.G.NumPeerLinks(), ri.Plain.W.G.NumPeerLinks())
+	p("  baseline lower=%.1f%%\n", 100*ri.Base().Lo)
+	printBounds(p, "", ri.Part())
+}
 
-	p("\n== E25 / Appendix J: IXP-augmented graph ==\n")
-	p("  augmented: %d p2p links (was %d)\n", wi.G.NumPeerLinks(), w.G.NumPeerLinks())
-	basei := wi.Baseline(sbgp.Sec3rd, lp)
-	p("  baseline lower=%.1f%% (paper: 62%%)\n", 100*basei.Lo)
-	pfi, _ := wi.Partitions(lp)
+// sectionPrinter returns a printer of section headings, each followed by
+// the rows of exp.Claims for the experiment the title starts with: the
+// statement, the value measured on r, and whether it holds, by what
+// margin.
+func sectionPrinter(p func(string, ...interface{}), r *exp.Report) func(title string) {
+	return func(title string) {
+		p("\n== %s ==\n", title)
+		id := title[:strings.IndexAny(title, " /")] + "."
+		for _, c := range exp.Claims {
+			if !strings.HasPrefix(c.ID, id) {
+				continue
+			}
+			v := c.Value(r)
+			verdict := "holds, margin " + c.Format(c.Bound.Margin(v))
+			if !c.Bound.Holds(v) {
+				verdict = "MISS by " + c.Format(-c.Bound.Margin(v))
+			}
+			p("  claim %-11s %-8s %s — %s, %s\n", c.ID, c.Ref, c.Statement, c.Format(v), verdict)
+		}
+	}
+}
+
+// printBounds prints each model's immune and doomed fractions and upper
+// bound.
+func printBounds(p func(string, ...interface{}), prefix string, pf runner.PartitionFractions) {
 	for _, m := range sbgp.Models {
-		p("  %-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
-			m, 100*pfi.LowerBound(m), 100*pfi.Frac[m][core.CatDoomed], 100*pfi.UpperBound(m))
+		p("  %s%-13s immune=%5.1f%%  doomed=%5.1f%%  ⇒ upper bound %5.1f%%\n",
+			prefix, m, 100*pf.LowerBound(m), 100*pf.Frac[m][core.CatDoomed], 100*pf.UpperBound(m))
 	}
 }
 

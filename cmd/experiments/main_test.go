@@ -115,9 +115,9 @@ var update = flag.Bool("update", false, "rewrite testdata/report_quick.golden")
 
 // TestQuickReportGolden pins every number the paper report prints: the
 // -quick report (report and reportIXP) is byte-compared with
-// testdata/report_quick.golden, serially and at GOMAXPROCS. The
-// partition and root-cause figures are pinned nowhere else — the exp
-// tests check orderings only. Regenerate with -update.
+// testdata/report_quick.golden, serially and at GOMAXPROCS. Only seed 1's
+// numbers are pinned, here; exp's TestPaperClaims pins the claims' verdicts
+// on seeds 1–5, not their numbers. Regenerate with -update.
 func TestQuickReportGolden(t *testing.T) {
 	const golden = "testdata/report_quick.golden"
 	for _, workers := range []string{"1", "0"} {

@@ -1,8 +1,8 @@
 // Package exp defines one runnable experiment per table and figure of
-// the paper's evaluation. Each experiment returns plain data; cmd/
-// experiments formats it next to the paper's reported numbers, and the
-// repository-level benchmarks wrap these functions so `go test -bench`
-// regenerates every artifact.
+// the paper's evaluation. Each experiment returns plain data; a Report
+// runs each once for cmd/experiments to print, Claims checks the paper's
+// claims against it, and the repository-level benchmarks wrap these
+// functions so `go test -bench` regenerates every artifact.
 //
 // The package is a consumer of the scenario layer, like the daemon and
 // the distributed tier: a Workload is built from a *sbgp.Simulation —
@@ -345,12 +345,28 @@ func (w *Workload) CPFate(model policy.Model, lp policy.LocalPref) ([]asgraph.AS
 
 // RootCause computes E16 (Figure 16) and E17 (Table 3, the phenomena
 // observed: fields > 0): the metric-change decomposition of every model
-// at the last step of the Tier 1+2 rollout.
-func (w *Workload) RootCause(lp policy.LocalPref) [policy.NumModels]rootcause.Accounting {
-	last := w.Tier12[len(w.Tier12)-1]
-	return run(w, func(ctx context.Context) ([policy.NumModels]rootcause.Accounting, error) {
-		return rootcause.Evaluate(ctx, w.G, lp, last.Deployment, w.M, w.D, w.Workers)
+// at the last step of the Tier 1+2 rollout, over all of M and over the
+// attackers outside the deployment, the only ones Theorem 3.1's
+// "no downgrades under security 1st" covers. One attacker-major walk
+// yields both.
+func (w *Workload) RootCause(lp policy.LocalPref) (all, outside [policy.NumModels]rootcause.Accounting) {
+	dep := w.Tier12[len(w.Tier12)-1].Deployment
+	width := rootcause.Width(policy.NumModels)
+	newKernel := rootcause.Kernel(w.G, policy.Models[:], lp, dep)
+	rows := w.walk(w.M, w.D, width, func() runner.PairKernel {
+		kernel := newKernel()
+		return func(row []int64, m, d asgraph.AS) { kernel(row, d, m) }
 	})
+	sums := make([]int64, 2*width)
+	for i, c := range rows {
+		sums[i%width] += c
+		if !dep.Full.Has(w.M[i/width]) {
+			sums[width+i%width] += c
+		}
+	}
+	copy(all[:], rootcause.Accounts(w.G.N(), sums[:width]))
+	copy(outside[:], rootcause.Accounts(w.G.N(), sums[width:]))
+	return all, outside
 }
 
 // EarlyAdopters computes E14 (Section 5.3.1): the average per-secure-
@@ -390,13 +406,4 @@ type EarlyAdopterResult struct {
 	Name      string
 	Secured   int
 	MeanDelta [policy.NumModels]float64
-}
-
-// TierSizes computes E27 (Table 1): the tier census of the workload.
-func (w *Workload) TierSizes() [asgraph.NumTiers]int {
-	var out [asgraph.NumTiers]int
-	for t := 0; t < asgraph.NumTiers; t++ {
-		out[t] = len(w.Tiers.Members[t])
-	}
-	return out
 }

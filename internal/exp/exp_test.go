@@ -3,6 +3,9 @@ package exp
 import (
 	"context"
 	"errors"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"sbgp"
@@ -26,103 +29,96 @@ func scenarioWorkload(maxPerDest int, opts ...sbgp.Option) *Workload {
 	return w
 }
 
-// testW is shared across tests; building it dominates test time.
-var testW = scenarioWorkload(30, sbgp.WithGeneratedTopology(800, 1), sbgp.WithPairSampling(10, 12))
-
-func TestBaselineMatchesPaperShape(t *testing.T) {
-	b := testW.Baseline(policy.Sec3rd, policy.Standard)
-	// The paper reports ≥60% on the UCLA graph; the synthetic graph
-	// should land in the same regime.
-	if b.Lo < 0.45 || b.Lo > 0.85 {
-		t.Errorf("baseline lower bound %.2f outside the plausible 0.45..0.85 band", b.Lo)
-	}
-	if b.Hi < b.Lo {
-		t.Errorf("upper bound %.2f below lower bound %.2f", b.Hi, b.Lo)
-	}
-}
-
-func TestFig3Orderings(t *testing.T) {
-	pf, _ := testW.Partitions(policy.Standard)
-	// Doomed fractions grow as security moves down the decision
-	// process; upper bounds shrink accordingly.
-	d1 := pf.Frac[policy.Sec1st][1]
-	d2 := pf.Frac[policy.Sec2nd][1]
-	d3 := pf.Frac[policy.Sec3rd][1]
-	if !(d1 <= d2+1e-9 && d2 <= d3+1e-9) {
-		t.Errorf("doomed fractions not ordered: %v %v %v", d1, d2, d3)
-	}
-	// Security 1st: essentially everyone protectable (Section 4.3.2).
-	if pf.Frac[policy.Sec1st][2] < 0.9 {
-		t.Errorf("sec 1st protectable = %.2f, want ≈1", pf.Frac[policy.Sec1st][2])
-	}
-	// Security 3rd immune fraction equals the baseline lower bound
-	// (Theorem 6.1 monotonicity makes every baseline-happy AS immune).
-	base := testW.Baseline(policy.Sec3rd, policy.Standard)
-	if diff := pf.LowerBound(policy.Sec3rd) - base.Lo; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("sec3rd immune %.4f != baseline lower %.4f", pf.LowerBound(policy.Sec3rd), base.Lo)
-	}
-}
-
-func TestFig4Tier1DestinationsMostDoomed(t *testing.T) {
-	byDest := testW.PartitionsByDestTier(policy.Standard)
-	t1 := byDest[asgraph.TierT1].Frac[policy.Sec3rd][1]
-	for tier := 0; tier < asgraph.NumTiers; tier++ {
-		if asgraph.Tier(tier) == asgraph.TierT1 || byDest[tier].Pairs == 0 {
-			continue
+// cells are the -quick report's workloads (800 ASes, 10×12 pairs, 40 per
+// destination) on topogen seeds 1–5, plain then IXP-augmented, shared by
+// every test that reads them.
+var cells = sync.OnceValue(func() (cs [10]*Report) {
+	for i := range cs {
+		opts := []sbgp.Option{sbgp.WithGeneratedTopology(800, int64(i%5+1)), sbgp.WithPairSampling(10, 12)}
+		if i >= 5 {
+			opts = append(opts, sbgp.WithIXPAugmentation())
 		}
-		if byDest[tier].Frac[policy.Sec3rd][1] > t1 {
-			t.Errorf("tier %v destinations more doomed (%.2f) than Tier 1 (%.2f)",
-				asgraph.Tier(tier), byDest[tier].Frac[policy.Sec3rd][1], t1)
+		cs[i] = NewReport(scenarioWorkload(40, opts...))
+		if i >= 5 {
+			cs[i].Plain = cs[i-5]
 		}
 	}
-}
+	return cs
+})
 
-func TestFig6Tier1AttackersWeakest(t *testing.T) {
-	byAtt := testW.PartitionsByAttackerTier(policy.Standard)
-	t1 := byAtt[asgraph.TierT1]
-	if t1.Pairs == 0 {
-		t.Fatal("no Tier 1 attacker pairs")
+// TestPaperClaims evaluates every claim on topogen seeds 1–5, plain and
+// IXP-augmented, at -quick scale. A theorem row must hold on every cell;
+// every row's verdicts (H holds, M misses, - not applicable; plain|IXP)
+// must match testdata/claims.txt, so a flip either way fails. -v prints
+// each row's verdicts and smallest margin (make claims).
+func TestPaperClaims(t *testing.T) {
+	pins, err := os.ReadFile("testdata/claims.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t2 := byAtt[asgraph.TierT2]
-	// The striking exception of Section 4.7: Tier 1 attackers are far
-	// weaker than Tier 2 attackers.
-	if t1.Frac[policy.Sec3rd][1] >= t2.Frac[policy.Sec3rd][1] {
-		t.Errorf("Tier 1 attackers doom %.2f, not below Tier 2's %.2f",
-			t1.Frac[policy.Sec3rd][1], t2.Frac[policy.Sec3rd][1])
+	want := map[string]string{}
+	for _, line := range strings.Split(string(pins), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && !strings.HasPrefix(f[0], "#") {
+			want[f[0]] = f[1]
+		}
 	}
-	if t1.Frac[policy.Sec3rd][0] < 0.6 {
-		t.Errorf("Tier 1 attackers leave only %.2f immune, want most", t1.Frac[policy.Sec3rd][0])
+	cs := cells()
+	values := make([][10]float64, len(Claims))
+	var wg sync.WaitGroup
+	for half := 0; half < 10; half += 5 { // plain and IXP cells side by side
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range Claims {
+				for cell := half; cell < half+5; cell++ {
+					if c.Kind&IXP == 0 || half > 0 {
+						values[i][cell] = c.Value(cs[cell])
+					}
+				}
+			}
+		}()
 	}
-}
-
-func TestRolloutModelOrdering(t *testing.T) {
-	steps := testW.Tier12
-	pts := testW.Rollout(steps[len(steps)-1:], testW.D, policy.Standard)
-	last := pts[0]
-	// Security 1st buys the most, 3rd the least (Figure 7(a)).
-	if !(last.Delta[policy.Sec1st].Lo >= last.Delta[policy.Sec2nd].Lo-1e-9 &&
-		last.Delta[policy.Sec2nd].Lo >= last.Delta[policy.Sec3rd].Lo-1e-9) {
-		t.Errorf("rollout deltas not ordered: %+v", last.Delta)
+	wg.Wait()
+	for i, c := range Claims {
+		var got []byte
+		low := inf
+		for cell, v := range values[i] {
+			if cell == 5 {
+				got = append(got, '|')
+			}
+			if c.Kind&IXP != 0 && cell < 5 {
+				got = append(got, '-')
+				continue
+			}
+			low = min(low, c.Bound.Margin(v))
+			if c.Bound.Holds(v) {
+				got = append(got, 'H')
+				continue
+			}
+			got = append(got, 'M')
+			if c.Kind&Theorem != 0 {
+				t.Errorf("%s (%s) fails on seed %d, IXP %v: %s", c.ID, c.Statement, cell%5+1, cell >= 5, c.Format(v))
+			}
+		}
+		if string(got) != want[c.ID] {
+			t.Errorf("%s: verdicts %s, pinned %q", c.ID, got, want[c.ID])
+		}
+		delete(want, c.ID)
+		t.Logf("%-11s %-8s %s %8s  %s", c.ID, c.Ref, got, c.Format(low), c.Statement)
 	}
-	// Monotone model: securing ASes can never hurt under security 3rd.
-	if last.Delta[policy.Sec3rd].Lo < -1e-9 {
-		t.Errorf("sec 3rd metric decreased: %v", last.Delta[policy.Sec3rd].Lo)
+	for id := range want {
+		t.Errorf("testdata/claims.txt pins %s, which is not a claim", id)
 	}
-	// Simplex stubs must land near the full-deployment values
-	// (Section 5.3.2: "there is little change in the metric").
-	for _, m := range policy.Models {
-		gap := last.Delta[m].Lo - last.SimplexDelta[m].Lo
-		if gap < -0.05 || gap > 0.15 {
-			t.Errorf("%v: simplex gap %.3f too large", m, gap)
+	for i, r := range cs {
+		if err := r.W.Err(); err != nil {
+			t.Errorf("seed %d, IXP %v: %v", i%5+1, i >= 5, err)
 		}
 	}
 }
 
 func TestSecureDestDeltasSorted(t *testing.T) {
-	steps := testW.Tier12
-	deltas := testW.SecureDestDeltas(steps[0].Deployment, policy.Standard)
 	for _, m := range policy.Models {
-		seq := deltas[m]
+		seq := cells()[0].Tier12Deltas()[m]
 		if len(seq) == 0 {
 			t.Fatalf("%v: empty sequence", m)
 		}
@@ -134,28 +130,6 @@ func TestSecureDestDeltasSorted(t *testing.T) {
 	}
 }
 
-func TestEarlyAdoptersTier2BeatsTier1ForSec23(t *testing.T) {
-	rs := testW.EarlyAdopters(policy.Standard)
-	var t1, t2 EarlyAdopterResult
-	for _, r := range rs {
-		switch r.Name {
-		case "Tier 1s + stubs":
-			t1 = r
-		case "13 Tier 2s + stubs":
-			t2 = r
-		}
-	}
-	// Section 5.3.1's guideline: for the models operators actually
-	// favor (2nd/3rd), early Tier 2 deployment is at least competitive
-	// with Tier 1 deployment. (On the UCLA graph T2 wins outright; we
-	// only require it not to lose badly.)
-	for _, m := range []policy.Model{policy.Sec2nd, policy.Sec3rd} {
-		if t2.MeanDelta[m] < t1.MeanDelta[m]-0.05 {
-			t.Errorf("%v: T2 early adopters (%.3f) far below T1 (%.3f)", m, t2.MeanDelta[m], t1.MeanDelta[m])
-		}
-	}
-}
-
 // TestEarlyAdoptersMatchesPerScenario pins E14's output to an
 // independent per-scenario recomputation through SecureDestDeltas.
 // Today EarlyAdopters *is* spelled per-scenario (a fused union-grid
@@ -163,10 +137,10 @@ func TestEarlyAdoptersTier2BeatsTier1ForSec23(t *testing.T) {
 // this is a shape/value pin; if a future PR re-attempts fusion, this
 // test is the bar it must clear bit-identically.
 func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
-	got := testW.EarlyAdopters(policy.Standard)
+	w, got := cells()[0].W, cells()[0].Early()
 	specs := map[string]deploy.Spec{
 		"Tier 1s + stubs":       {NumTier1: 13, IncludeStubs: true},
-		"Tier 1s + CPs + stubs": {NumTier1: 13, CPs: testW.Meta.CPs, IncludeStubs: true},
+		"Tier 1s + CPs + stubs": {NumTier1: 13, CPs: w.Meta.CPs, IncludeStubs: true},
 		"13 Tier 2s + stubs":    {NumTier2: 13, IncludeStubs: true},
 	}
 	if len(got) != len(specs) {
@@ -177,11 +151,11 @@ func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected scenario %q", r.Name)
 		}
-		dep := deploy.Build(testW.G, testW.Tiers, spec)
+		dep := deploy.Build(w.G, w.Tiers, spec)
 		if r.Secured != dep.SecureCount() {
 			t.Errorf("%s: secured %d, want %d", r.Name, r.Secured, dep.SecureCount())
 		}
-		deltas := testW.SecureDestDeltas(dep, policy.Standard)
+		deltas := w.SecureDestDeltas(dep, policy.Standard)
 		for _, m := range policy.Models {
 			if want := MeanDelta(deltas[m]); r.MeanDelta[m] != want {
 				t.Errorf("%s %v: fused mean delta %v, per-scenario %v", r.Name, m, r.MeanDelta[m], want)
@@ -191,7 +165,7 @@ func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
 }
 
 func TestCPFateShape(t *testing.T) {
-	cps, accs := testW.CPFate(policy.Sec3rd, policy.Standard)
+	cps, accs := cells()[0].W.Meta.CPs, cells()[0].CPFate()
 	if len(cps) != len(accs) || len(cps) == 0 {
 		t.Fatalf("CP fate sizes: %d vs %d", len(cps), len(accs))
 	}
@@ -200,16 +174,6 @@ func TestCPFateShape(t *testing.T) {
 		if sum > a.SecureNormal+1e-9 {
 			t.Errorf("CP %d: fate decomposition %v exceeds secure-normal %v", cps[i], sum, a.SecureNormal)
 		}
-	}
-}
-
-func TestPhenomenaTheoremSides(t *testing.T) {
-	rc := testW.RootCause(policy.Standard)
-	if rc[policy.Sec3rd].CollateralDamage > 0 {
-		t.Error("collateral damage under security 3rd contradicts Theorem 6.1")
-	}
-	if rc[policy.Sec3rd].Downgraded <= 0 || rc[policy.Sec2nd].Downgraded <= 0 {
-		t.Error("downgrades should be observed under security 2nd and 3rd on this workload")
 	}
 }
 
@@ -267,49 +231,13 @@ func TestIncrementalWorkloadEquality(t *testing.T) {
 	}
 }
 
-func TestTierSizesMatchTable1(t *testing.T) {
-	sizes := testW.TierSizes()
-	if sizes[asgraph.TierT1] != 13 {
-		t.Errorf("Tier 1 count = %d, want 13", sizes[asgraph.TierT1])
-	}
-	if sizes[asgraph.TierT2] != 100 {
-		t.Errorf("Tier 2 count = %d, want 100", sizes[asgraph.TierT2])
-	}
-	if sizes[asgraph.TierCP] != 17 {
-		t.Errorf("CP count = %d, want 17", sizes[asgraph.TierCP])
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	if total != testW.G.N() {
-		t.Errorf("tier sizes sum to %d, want %d", total, testW.G.N())
-	}
-}
-
-func TestIXPWorkloadTrendsHold(t *testing.T) {
-	wi := scenarioWorkload(30, sbgp.WithGeneratedTopology(800, 1), sbgp.WithPairSampling(10, 12), sbgp.WithIXPAugmentation())
-	if wi.G.NumPeerLinks() <= testW.G.NumPeerLinks() {
-		t.Fatal("IXP augmentation did not add peer links")
-	}
-	pf, _ := wi.Partitions(policy.Standard)
-	d1 := pf.Frac[policy.Sec1st][1]
-	d3 := pf.Frac[policy.Sec3rd][1]
-	if d1 > d3+1e-9 {
-		t.Errorf("IXP graph: doomed ordering violated (%v > %v)", d1, d3)
-	}
-	base := wi.Baseline(policy.Sec3rd, policy.Standard)
-	if base.Lo < 0.45 {
-		t.Errorf("IXP baseline %.2f too low", base.Lo)
-	}
-}
-
 // TestSourceTierPartitionsSumToOverall: E2 and E6 are one walk — within
 // every source tier with members the three categories partition the
 // tier's sources, and the overall fractions are their source-weighted
 // mean, so they lie between the tiers' extremes.
 func TestSourceTierPartitionsSumToOverall(t *testing.T) {
-	all, bySrc := testW.Partitions(policy.Standard)
+	r := cells()[0]
+	all, bySrc := r.Part(), r.BySource()
 	if len(bySrc) != asgraph.NumTiers {
 		t.Fatalf("%d source tiers, want %d", len(bySrc), asgraph.NumTiers)
 	}
@@ -317,7 +245,7 @@ func TestSourceTierPartitionsSumToOverall(t *testing.T) {
 		lo, hi := 1.0, 0.0
 		for tier, pf := range bySrc {
 			f := pf.Frac[m]
-			if len(testW.Tiers.Members[tier]) == 0 {
+			if len(r.W.Tiers.Members[tier]) == 0 {
 				continue
 			}
 			if sum := f[0] + f[1] + f[2]; sum < 1-1e-9 || sum > 1+1e-9 {
@@ -361,7 +289,7 @@ func TestWorkloadRunsUnderTheScenarioContext(t *testing.T) {
 	if cps, accs := w.CPFate(policy.Sec3rd, policy.Standard); len(accs) != len(cps) || accs[0].Pairs != 0 {
 		t.Errorf("CPFate after cancellation: %d accountings for %d CPs", len(accs), len(cps))
 	}
-	if rc := w.RootCause(policy.Standard); rc != [policy.NumModels]rootcause.Accounting{} {
+	if rc, _ := w.RootCause(policy.Standard); rc != [policy.NumModels]rootcause.Accounting{} {
 		t.Errorf("RootCause after cancellation = %+v, want zero", rc)
 	}
 	if !errors.Is(w.Err(), context.Canceled) {
