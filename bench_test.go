@@ -153,10 +153,11 @@ func BenchmarkSourceTierPartitions(b *testing.B) {
 // simplex error bars.
 func BenchmarkFig7aRollout(b *testing.B) {
 	w := benchWorkload(b)
-	steps := deploy.Tier12Rollout(w.G, w.Tiers, false)
+	steps, simplex := deploy.Tier12Rollout(w.G, w.Tiers, false), deploy.Tier12Rollout(w.G, w.Tiers, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = w.Rollout(steps, w.D, policy.Standard)
+		_ = w.Rollout(simplex, w.D, policy.Standard)
 	}
 }
 

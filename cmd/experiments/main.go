@@ -316,7 +316,7 @@ func report(out io.Writer, r *exp.Report) {
 	}
 
 	section("E7 / Figure 7(a): Tier 1+2 rollout, ΔH_M',V(S) with simplex error bars")
-	printRollout(p, r.Tier12())
+	printRollout(p, r.Tier12(), r.Tier12Simplex())
 
 	section("E8 / Figure 7(b): same rollout, secure destinations only")
 	for _, m := range sbgp.Models {
@@ -324,20 +324,21 @@ func report(out io.Writer, r *exp.Report) {
 	}
 
 	section("E9 / Figure 8: Tier 1+2+CP rollout, CP destinations")
-	printRollout(p, r.CPRollout())
+	printRollout(p, r.CPRollout(), r.CPRolloutSimplex())
 
 	section("E10 / Figure 9: per-destination ΔH sequence, T1+T2+stubs")
 	printDeltaSeq(p, r.Tier12Deltas())
 
 	section("E11/E12 / Figures 10–11: Tier 2-only rollout")
-	printRollout(p, r.Tier2())
+	printRollout(p, r.Tier2(), r.Tier2Simplex())
 	printDeltaSeq(p, r.Tier2Deltas())
 
 	section("E13 / Figure 12: all non-stubs secure, per-destination ΔH")
 	printDeltaSeq(p, r.NonStubDeltas())
 
 	section("E14 / Section 5.3.1: choice of early adopters")
-	for _, e := range r.Early() {
+	for _, early := range r.Early {
+		e := early()
 		p("  %-22s (|S|=%4d): 1st %+6.2f%%  2nd %+6.2f%%  3rd %+6.2f%%\n",
 			e.Name, e.Secured, 100*e.MeanDelta[0], 100*e.MeanDelta[1], 100*e.MeanDelta[2])
 	}
@@ -432,12 +433,18 @@ func printTierTable(p func(string, ...interface{}), buckets []runner.PartitionFr
 	}
 }
 
-func printRollout(p func(string, ...interface{}), pts []exp.RolloutPoint) {
-	for _, pt := range pts {
+// printRollout prints each step's ΔH bounds per model, with the simplex
+// variant's lower bound in parentheses (Figure 7's error bars).
+func printRollout(p func(string, ...interface{}), pts, simplex []exp.RolloutPoint) {
+	for i, pt := range pts {
+		var sx exp.RolloutPoint // zero if the simplex rollout failed
+		if i < len(simplex) {
+			sx = simplex[i]
+		}
 		p("  %-22s (%3d non-stubs, %5d ASes):", pt.Name, pt.NonStubs, pt.SecuredASes)
 		for _, m := range sbgp.Models {
 			p("  %d:%+5.1f..%+5.1f%%(x%+5.1f%%)", int(m)+1,
-				100*pt.Delta[m].Lo, 100*pt.Delta[m].Hi, 100*pt.SimplexDelta[m].Lo)
+				100*pt.Delta[m].Lo, 100*pt.Delta[m].Hi, 100*sx.Delta[m].Lo)
 		}
 		p("\n")
 	}

@@ -28,8 +28,10 @@ type Report struct {
 	Part, PartLP2                            func() runner.PartitionFractions              // E2; E26
 	BySource, ByDest, ByDestLP2, ByAttacker  func() []runner.PartitionFractions            // E6, E3/E4, Figure 25, E5
 	Tier12, CPRollout, Tier2                 func() []RolloutPoint                         // E7, E9, E12
+	Tier12Simplex, CPRolloutSimplex          func() []RolloutPoint                         // the same, simplex stubs
+	Tier2Simplex                             func() []RolloutPoint                         // (Figure 7's error bars)
 	Tier12Deltas, Tier2Deltas, NonStubDeltas func() [policy.NumModels][]float64            // E8/E10, E11, E13
-	Early                                    func() []EarlyAdopterResult                   // E14
+	Early                                    [NumEarlyAdopters]func() EarlyAdopterResult   // E14
 	CPFate                                   func() []rootcause.Accounting                 // E15, per CP of W.Meta.CPs
 	RootCause, RootCauseOutsideS             func() [policy.NumModels]rootcause.Accounting // E16/E17: all attackers; those outside S
 }
@@ -37,33 +39,40 @@ type Report struct {
 // NewReport returns the report of w, no experiment run yet.
 func NewReport(w *Workload) *Report {
 	last := func(steps []deploy.Step) *core.Deployment { return steps[len(steps)-1].Deployment }
+	rollout := func(steps []deploy.Step, D []asgraph.AS) func() []RolloutPoint {
+		return sync.OnceValue(func() []RolloutPoint { return w.Rollout(steps, D, std) })
+	}
 	t2 := deploy.Tier2Rollout(w.G, w.Tiers, false)
 	part := sync.OnceValues(func() (runner.PartitionFractions, []runner.PartitionFractions) { return w.Partitions(std) })
 	rc := sync.OnceValues(func() (all, outside [policy.NumModels]rootcause.Accounting) { return w.RootCause(std) })
-	return &Report{W: w,
-		Base:       sync.OnceValue(func() runner.Metric { return w.Baseline(policy.Sec3rd, std) }),
-		BaseLP2:    sync.OnceValue(func() runner.Metric { return w.Baseline(policy.Sec3rd, lp2) }),
-		Part:       func() runner.PartitionFractions { p, _ := part(); return p },
-		PartLP2:    sync.OnceValue(func() runner.PartitionFractions { p, _ := w.Partitions(lp2); return p }),
-		BySource:   func() []runner.PartitionFractions { _, by := part(); return by },
-		ByDest:     sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByDestTier(std) }),
-		ByDestLP2:  sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByDestTier(lp2) }),
-		ByAttacker: sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByAttackerTier(std) }),
-		Tier12:     sync.OnceValue(func() []RolloutPoint { return w.Rollout(w.Tier12, w.D, std) }),
-		CPRollout: sync.OnceValue(func() []RolloutPoint {
-			return w.Rollout(deploy.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, false), w.Meta.CPs, std)
-		}),
-		Tier2:        sync.OnceValue(func() []RolloutPoint { return w.Rollout(t2, w.D, std) }),
-		Tier12Deltas: sync.OnceValue(func() [policy.NumModels][]float64 { return w.SecureDestDeltas(last(w.Tier12), std) }),
-		Tier2Deltas:  sync.OnceValue(func() [policy.NumModels][]float64 { return w.SecureDestDeltas(last(t2), std) }),
+	r := &Report{W: w,
+		Base:             sync.OnceValue(func() runner.Metric { return w.Baseline(policy.Sec3rd, std) }),
+		BaseLP2:          sync.OnceValue(func() runner.Metric { return w.Baseline(policy.Sec3rd, lp2) }),
+		Part:             func() runner.PartitionFractions { p, _ := part(); return p },
+		PartLP2:          sync.OnceValue(func() runner.PartitionFractions { p, _ := w.Partitions(lp2); return p }),
+		BySource:         func() []runner.PartitionFractions { _, by := part(); return by },
+		ByDest:           sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByDestTier(std) }),
+		ByDestLP2:        sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByDestTier(lp2) }),
+		ByAttacker:       sync.OnceValue(func() []runner.PartitionFractions { return w.PartitionsByAttackerTier(std) }),
+		Tier12:           rollout(w.Tier12, w.D),
+		CPRollout:        rollout(deploy.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, false), w.Meta.CPs),
+		Tier2:            rollout(t2, w.D),
+		Tier12Simplex:    rollout(deploy.Tier12Rollout(w.G, w.Tiers, true), w.D),
+		CPRolloutSimplex: rollout(deploy.Tier12CPRollout(w.G, w.Tiers, w.Meta.CPs, true), w.Meta.CPs),
+		Tier2Simplex:     rollout(deploy.Tier2Rollout(w.G, w.Tiers, true), w.D),
+		Tier12Deltas:     sync.OnceValue(func() [policy.NumModels][]float64 { return w.SecureDestDeltas(last(w.Tier12), std) }),
+		Tier2Deltas:      sync.OnceValue(func() [policy.NumModels][]float64 { return w.SecureDestDeltas(last(t2), std) }),
 		NonStubDeltas: sync.OnceValue(func() [policy.NumModels][]float64 {
 			return w.SecureDestDeltas(deploy.Build(w.G, w.Tiers, deploy.Spec{AllNonStubs: true}), std)
 		}),
-		Early:             sync.OnceValue(func() []EarlyAdopterResult { return w.EarlyAdopters(std) }),
 		CPFate:            sync.OnceValue(func() []rootcause.Accounting { _, accs := w.CPFate(policy.Sec3rd, std); return accs }),
 		RootCause:         func() [policy.NumModels]rootcause.Accounting { all, _ := rc(); return all },
 		RootCauseOutsideS: func() [policy.NumModels]rootcause.Accounting { _, out := rc(); return out },
 	}
+	for i := range r.Early {
+		r.Early[i] = sync.OnceValue(func() EarlyAdopterResult { return w.EarlyAdopter(i, std) })
+	}
+	return r
 }
 
 var std, lp2 = policy.Standard, policy.LP2
@@ -219,8 +228,8 @@ var Claims = []Claim{
 		return MeanDelta(d[sec2]) / MeanDelta(d[sec1])
 	}},
 
-	{"E14.t1", "§5.3.1", "T1s+stubs <0.2% (sec 2nd/3rd, larger)", below(0.002), 0, func(r *Report) float64 { d := r.Early()[0].MeanDelta; return max(d[sec2], d[sec3]) }},
-	{"E14.t2", "§5.3.1", "13 T2s+stubs ≈1% (sec 2nd/3rd, farthest)", approx(0.01), 0, func(r *Report) float64 { return farthest(r.Early()[2].MeanDelta[sec2:], 0.01) }},
+	{"E14.t1", "§5.3.1", "T1s+stubs <0.2% (sec 2nd/3rd, larger)", below(0.002), 0, func(r *Report) float64 { d := r.Early[0]().MeanDelta; return max(d[sec2], d[sec3]) }},
+	{"E14.t2", "§5.3.1", "13 T2s+stubs ≈1% (sec 2nd/3rd, farthest)", approx(0.01), 0, func(r *Report) float64 { d := r.Early[2]().MeanDelta; return farthest(d[sec2:], 0.01) }},
 	{"E14.pick", "§5.3.1", "pick Tier 2s: 13 T2s − T1s > 0 (sec 2nd/3rd, smaller)", above(0), 0, tier2OverTier1},
 	{"E14.compete", "§5.3.1", "Tier 2s at least competitive: 13 T2s − T1s ≥ −5 pp (sec 2nd/3rd, smaller)", atLeast(-0.05), 0, tier2OverTier1},
 
@@ -298,10 +307,9 @@ func last(pts []RolloutPoint) RolloutPoint {
 // simplexGap is E7's last-step ΔH less its simplex-stub ΔH, the model's
 // farthest from the middle of E7.simplex's bound.
 func simplexGap(r *Report) float64 {
-	pt := last(r.Tier12())
 	var gaps []float64
 	for _, m := range policy.Models {
-		gaps = append(gaps, pt.Delta[m].Lo-pt.SimplexDelta[m].Lo)
+		gaps = append(gaps, delta(r.Tier12(), m)-delta(r.Tier12Simplex(), m))
 	}
 	return farthest(gaps, 0.05)
 }
@@ -351,7 +359,7 @@ func maxOf(xs []float64) float64 {
 // tier2OverTier1 is E14's 13 Tier 2s' mean ΔH less the Tier 1s', the
 // smaller of sec 2nd's and 3rd's.
 func tier2OverTier1(r *Report) float64 {
-	t1, t2 := r.Early()[0].MeanDelta, r.Early()[2].MeanDelta
+	t1, t2 := r.Early[0]().MeanDelta, r.Early[2]().MeanDelta
 	return min(t2[sec2]-t1[sec2], t2[sec3]-t1[sec3])
 }
 

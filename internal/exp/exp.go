@@ -235,34 +235,25 @@ func (w *Workload) partitionsByTier(outer []asgraph.AS, rows []int64) []runner.P
 }
 
 // RolloutPoint is one step of a rollout experiment: the metric delta
-// over the baseline, per model, with and without simplex stubs.
+// over the baseline, per model.
 type RolloutPoint struct {
 	Name        string
 	NonStubs    int
 	SecuredASes int
-	// Delta[model] is H(S) − H(∅) with full S*BGP at stubs;
-	// SimplexDelta[model] with simplex S*BGP at stubs (the error bars
-	// of Figure 7).
-	Delta        [policy.NumModels]runner.Metric
-	SimplexDelta [policy.NumModels]runner.Metric
+	// Delta[model] is H(S) − H(∅).
+	Delta [policy.NumModels]runner.Metric
 }
 
 // Rollout computes E7/E9/E12 (Figures 7(a), 8, 11): the metric
 // improvement at each step of the given rollout, over destinations D
-// (pass w.D for H_{M',V}; the CPs for Figure 8). The whole schedule —
-// baseline plus every step with and without simplex stubs, for every
-// model — is declared as one sweep grid and evaluated in a single
-// parallel pass.
+// (pass w.D for H_{M',V}; the CPs for Figure 8). The baseline and every
+// step, for every model, are declared as one sweep grid and evaluated in
+// a single parallel pass. Figure 7's error bars are the same rollout
+// built with simplex stubs (deploy's simplexStubs).
 func (w *Workload) Rollout(steps []deploy.Step, D []asgraph.AS, lp policy.LocalPref) []RolloutPoint {
-	deployments := make([]sweep.Deployment, 0, 2*len(steps)+1)
-	deployments = append(deployments, sweep.Deployment{Name: "baseline"})
+	deployments := []sweep.Deployment{{Name: "baseline"}}
 	for i, step := range steps {
-		simplexSpec := step.Spec
-		simplexSpec.SimplexStubs = true
-		deployments = append(deployments,
-			sweep.Deployment{Name: fmt.Sprintf("step%d", i), Dep: step.Deployment},
-			sweep.Deployment{Name: fmt.Sprintf("step%d+simplex", i), Dep: deploy.Build(w.G, w.Tiers, simplexSpec)},
-		)
+		deployments = append(deployments, sweep.Deployment{Name: fmt.Sprintf("step%d", i), Dep: step.Deployment})
 	}
 	res := w.evaluate(w.grid(lp, deployments, D))
 	if res == nil {
@@ -278,7 +269,6 @@ func (w *Workload) Rollout(steps []deploy.Step, D []asgraph.AS, lp policy.LocalP
 		for _, model := range policy.Models {
 			base := res.Cell("baseline", model).Metric
 			pt.Delta[model] = res.Cell(fmt.Sprintf("step%d", i), model).Metric.Delta(base)
-			pt.SimplexDelta[model] = res.Cell(fmt.Sprintf("step%d+simplex", i), model).Metric.Delta(base)
 		}
 		out = append(out, pt)
 	}
@@ -370,35 +360,44 @@ func (w *Workload) RootCause(lp policy.LocalPref) (all, outside [policy.NumModel
 }
 
 // EarlyAdopters computes E14 (Section 5.3.1): the average per-secure-
-// destination improvement for the competing early-adopter choices.
-// Each scenario runs as its own {without, with} grid on its own
+// destination improvement for each competing early-adopter choice, in
+// the order Tier 1s + stubs, Tier 1s + CPs + stubs, 13 Tier 2s + stubs.
+// Each choice runs as its own {without, with} grid on its own
 // secure-destination sample, routed through the incremental scheduler
-// like every metric grid. Fusing the three scenarios into one grid
-// over the union of their samples was tried and rejected: the samples
-// barely overlap, so the fused grid evaluates every scenario against
-// every other scenario's destinations — roughly twice the cells — and
-// the signed-delta links between the scenario deployments cannot buy
-// that back (measured ~1.5× slower end to end).
+// like every metric grid. Fusing the three choices into one grid over
+// the union of their samples was tried and rejected: the samples barely
+// overlap, so the fused grid evaluates every choice against every other
+// choice's destinations — roughly twice the cells — and the signed-delta
+// links between the choices' deployments cannot buy that back (measured
+// ~1.5× slower end to end).
 func (w *Workload) EarlyAdopters(lp policy.LocalPref) []EarlyAdopterResult {
-	scenarios := []struct {
+	out := make([]EarlyAdopterResult, NumEarlyAdopters)
+	for i := range out {
+		out[i] = w.EarlyAdopter(i, lp)
+	}
+	return out
+}
+
+// NumEarlyAdopters is the number of E14's early-adopter choices.
+const NumEarlyAdopters = 3
+
+// EarlyAdopter computes E14 for the i-th early-adopter choice alone.
+func (w *Workload) EarlyAdopter(i int, lp policy.LocalPref) EarlyAdopterResult {
+	choice := [NumEarlyAdopters]struct {
 		name string
 		spec deploy.Spec
 	}{
 		{"Tier 1s + stubs", deploy.Spec{NumTier1: 13, IncludeStubs: true}},
 		{"Tier 1s + CPs + stubs", deploy.Spec{NumTier1: 13, CPs: w.Meta.CPs, IncludeStubs: true}},
 		{"13 Tier 2s + stubs", deploy.Spec{NumTier2: 13, IncludeStubs: true}},
+	}[i]
+	dep := deploy.Build(w.G, w.Tiers, choice.spec)
+	deltas := w.SecureDestDeltas(dep, lp)
+	r := EarlyAdopterResult{Name: choice.name, Secured: dep.SecureCount()}
+	for _, model := range policy.Models {
+		r.MeanDelta[model] = MeanDelta(deltas[model])
 	}
-	var out []EarlyAdopterResult
-	for _, sc := range scenarios {
-		dep := deploy.Build(w.G, w.Tiers, sc.spec)
-		deltas := w.SecureDestDeltas(dep, lp)
-		r := EarlyAdopterResult{Name: sc.name, Secured: dep.SecureCount()}
-		for _, model := range policy.Models {
-			r.MeanDelta[model] = MeanDelta(deltas[model])
-		}
-		out = append(out, r)
-	}
-	return out
+	return r
 }
 
 // EarlyAdopterResult is one row of the Section 5.3.1 comparison.

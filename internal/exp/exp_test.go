@@ -137,7 +137,10 @@ func TestSecureDestDeltasSorted(t *testing.T) {
 // this is a shape/value pin; if a future PR re-attempts fusion, this
 // test is the bar it must clear bit-identically.
 func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
-	w, got := cells()[0].W, cells()[0].Early()
+	w, got := cells()[0].W, []EarlyAdopterResult{}
+	for _, early := range cells()[0].Early {
+		got = append(got, early())
+	}
 	specs := map[string]deploy.Spec{
 		"Tier 1s + stubs":       {NumTier1: 13, IncludeStubs: true},
 		"Tier 1s + CPs + stubs": {NumTier1: 13, CPs: w.Meta.CPs, IncludeStubs: true},
@@ -207,14 +210,16 @@ func TestIncrementalWorkloadEquality(t *testing.T) {
 	}
 
 	steps := plain.Tier12
-	want := plain.Rollout(steps, plain.D, policy.Standard)
-	got := inc.Rollout(steps, inc.D, policy.Standard)
-	if len(want) != len(got) {
-		t.Fatalf("rollout lengths differ: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Errorf("rollout step %d diverges:\n  plain %+v\n  incr  %+v", i, want[i], got[i])
+	for _, steps := range [][]deploy.Step{steps, deploy.Tier12Rollout(plain.G, plain.Tiers, true)} {
+		want := plain.Rollout(steps, plain.D, policy.Standard)
+		got := inc.Rollout(steps, inc.D, policy.Standard)
+		if len(want) != len(got) {
+			t.Fatalf("rollout lengths differ: %d vs %d", len(want), len(got))
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Errorf("rollout step %d diverges:\n  plain %+v\n  incr  %+v", i, want[i], got[i])
+			}
 		}
 	}
 
