@@ -229,7 +229,9 @@ func BenchmarkEarlyAdopters(b *testing.B) {
 	w := benchWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = w.EarlyAdopters(policy.Standard)
+		for c := range exp.NumEarlyAdopters {
+			_ = w.EarlyAdopter(c, policy.Standard)
+		}
 	}
 }
 

@@ -359,10 +359,13 @@ func (w *Workload) RootCause(lp policy.LocalPref) (all, outside [policy.NumModel
 	return all, outside
 }
 
-// EarlyAdopters computes E14 (Section 5.3.1): the average per-secure-
-// destination improvement for each competing early-adopter choice, in
-// the order Tier 1s + stubs, Tier 1s + CPs + stubs, 13 Tier 2s + stubs.
-// Each choice runs as its own {without, with} grid on its own
+// NumEarlyAdopters is the number of E14's early-adopter choices.
+const NumEarlyAdopters = 3
+
+// EarlyAdopter computes E14 (Section 5.3.1) for the i-th competing
+// early-adopter choice — Tier 1s + stubs, Tier 1s + CPs + stubs, 13 Tier
+// 2s + stubs — the average per-secure-destination improvement. Each
+// choice runs as its own {without, with} grid on its own
 // secure-destination sample, routed through the incremental scheduler
 // like every metric grid. Fusing the three choices into one grid over
 // the union of their samples was tried and rejected: the samples barely
@@ -370,18 +373,6 @@ func (w *Workload) RootCause(lp policy.LocalPref) (all, outside [policy.NumModel
 // choice's destinations — roughly twice the cells — and the signed-delta
 // links between the choices' deployments cannot buy that back (measured
 // ~1.5× slower end to end).
-func (w *Workload) EarlyAdopters(lp policy.LocalPref) []EarlyAdopterResult {
-	out := make([]EarlyAdopterResult, NumEarlyAdopters)
-	for i := range out {
-		out[i] = w.EarlyAdopter(i, lp)
-	}
-	return out
-}
-
-// NumEarlyAdopters is the number of E14's early-adopter choices.
-const NumEarlyAdopters = 3
-
-// EarlyAdopter computes E14 for the i-th early-adopter choice alone.
 func (w *Workload) EarlyAdopter(i int, lp policy.LocalPref) EarlyAdopterResult {
 	choice := [NumEarlyAdopters]struct {
 		name string

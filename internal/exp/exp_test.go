@@ -132,8 +132,8 @@ func TestSecureDestDeltasSorted(t *testing.T) {
 
 // TestEarlyAdoptersMatchesPerScenario pins E14's output to an
 // independent per-scenario recomputation through SecureDestDeltas.
-// Today EarlyAdopters *is* spelled per-scenario (a fused union-grid
-// variant was tried and rejected — see the function's doc comment), so
+// Today E14 *is* spelled per-scenario (a fused union-grid
+// variant was tried and rejected — see EarlyAdopter's doc comment), so
 // this is a shape/value pin; if a future PR re-attempts fusion, this
 // test is the bar it must clear bit-identically.
 func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
@@ -147,7 +147,7 @@ func TestEarlyAdoptersMatchesPerScenario(t *testing.T) {
 		"13 Tier 2s + stubs":    {NumTier2: 13, IncludeStubs: true},
 	}
 	if len(got) != len(specs) {
-		t.Fatalf("EarlyAdopters returned %d rows, want %d", len(got), len(specs))
+		t.Fatalf("E14 has %d choices, want %d", len(got), len(specs))
 	}
 	for _, r := range got {
 		spec, ok := specs[r.Name]
