@@ -24,16 +24,15 @@ type Report struct {
 	// J rerun on the IXP-augmented graph, else nil.
 	Plain *Report
 
-	Base, BaseLP2                            func() runner.Metric                          // E1; E26
-	Part, PartLP2                            func() runner.PartitionFractions              // E2; E26
-	BySource, ByDest, ByDestLP2, ByAttacker  func() []runner.PartitionFractions            // E6, E3/E4, Figure 25, E5
-	Tier12, CPRollout, Tier2                 func() []RolloutPoint                         // E7, E9, E12
-	Tier12Simplex, CPRolloutSimplex          func() []RolloutPoint                         // the same, simplex stubs
-	Tier2Simplex                             func() []RolloutPoint                         // (Figure 7's error bars)
-	Tier12Deltas, Tier2Deltas, NonStubDeltas func() [policy.NumModels][]float64            // E8/E10, E11, E13
-	Early                                    [NumEarlyAdopters]func() EarlyAdopterResult   // E14
-	CPFate                                   func() []rootcause.Accounting                 // E15, per CP of W.Meta.CPs
-	RootCause, RootCauseOutsideS             func() [policy.NumModels]rootcause.Accounting // E16/E17: all attackers; those outside S
+	Base, BaseLP2                                 func() runner.Metric                          // E1; E26
+	Part, PartLP2                                 func() runner.PartitionFractions              // E2; E26
+	BySource, ByDest, ByDestLP2, ByAttacker       func() []runner.PartitionFractions            // E6, E3/E4, Figure 25, E5
+	Tier12, CPRollout, Tier2                      func() []RolloutPoint                         // E7, E9, E12
+	Tier12Simplex, CPRolloutSimplex, Tier2Simplex func() []RolloutPoint                         // the same with simplex stubs: Figure 7's error bars
+	Tier12Deltas, Tier2Deltas, NonStubDeltas      func() [policy.NumModels][]float64            // E8/E10, E11, E13
+	Early                                         [NumEarlyAdopters]func() EarlyAdopterResult   // E14
+	CPFate                                        func() []rootcause.Accounting                 // E15, per CP of W.Meta.CPs
+	RootCause, RootCauseOutsideS                  func() [policy.NumModels]rootcause.Accounting // E16/E17: all attackers; those outside S
 }
 
 // NewReport returns the report of w, no experiment run yet.
