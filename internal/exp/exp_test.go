@@ -3,7 +3,9 @@ package exp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,22 +48,17 @@ var cells = sync.OnceValue(func() (cs [10]*Report) {
 	return cs
 })
 
-// TestPaperClaims evaluates every claim on topogen seeds 1–5, plain and
-// IXP-augmented, at -quick scale. A theorem row must hold on every cell;
-// every row's verdicts (H holds, M misses, - not applicable; plain|IXP)
-// must match testdata/claims.txt, so a flip either way fails. -v prints
-// each row's verdicts and smallest margin (make claims).
-func TestPaperClaims(t *testing.T) {
-	pins, err := os.ReadFile("testdata/claims.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{}
-	for _, line := range strings.Split(string(pins), "\n") {
-		if f := strings.Fields(line); len(f) > 1 && !strings.HasPrefix(f[0], "#") {
-			want[f[0]] = f[1]
-		}
-	}
+// claimRun is one row of Claims evaluated on every cell: its verdicts
+// (H holds, M misses, - not applicable; plain|IXP), its smallest margin,
+// and the theorem failures it found.
+type claimRun struct {
+	got, low string
+	errs     []string
+}
+
+// claimRuns evaluates every claim on every cell once, for every test that
+// checks a row.
+var claimRuns = sync.OnceValue(func() []claimRun {
 	cs := cells()
 	values := make([][10]float64, len(Claims))
 	var wg sync.WaitGroup
@@ -79,6 +76,7 @@ func TestPaperClaims(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	runs := make([]claimRun, len(Claims))
 	for i, c := range Claims {
 		var got []byte
 		low := inf
@@ -97,24 +95,89 @@ func TestPaperClaims(t *testing.T) {
 			}
 			got = append(got, 'M')
 			if c.Kind&Theorem != 0 {
-				t.Errorf("%s (%s) fails on seed %d, IXP %v: %s", c.ID, c.Statement, cell%5+1, cell >= 5, c.Format(v))
+				runs[i].errs = append(runs[i].errs, fmt.Sprintf("%s (%s) fails on seed %d, IXP %v: %s", c.ID, c.Statement, cell%5+1, cell >= 5, c.Format(v)))
 			}
 		}
-		if string(got) != want[c.ID] {
-			t.Errorf("%s: verdicts %s, pinned %q", c.ID, got, want[c.ID])
+		runs[i].got, runs[i].low = string(got), c.Format(low)
+	}
+	return runs
+})
+
+// claimPins are the verdicts pinned in testdata/claims.txt, by row ID.
+var claimPins = sync.OnceValues(func() (map[string]string, error) {
+	pins, err := os.ReadFile("testdata/claims.txt")
+	want := map[string]string{}
+	for _, line := range strings.Split(string(pins), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && !strings.HasPrefix(f[0], "#") {
+			want[f[0]] = f[1]
 		}
-		delete(want, c.ID)
-		t.Logf("%-11s %-8s %s %8s  %s", c.ID, c.Ref, got, c.Format(low), c.Statement)
 	}
+	return want, err
+})
+
+// checkClaims checks the rows named by ids, every row if none: a theorem
+// row must hold on every cell, and every row's verdicts must match its pin.
+func checkClaims(t *testing.T, ids ...string) {
+	t.Helper()
+	want, err := claimPins()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := claimRuns()
+	seen := map[string]bool{}
+	for i, c := range Claims {
+		if len(ids) > 0 && !slices.Contains(ids, c.ID) {
+			continue
+		}
+		seen[c.ID] = true
+		r := runs[i]
+		for _, e := range r.errs {
+			t.Error(e)
+		}
+		if r.got != want[c.ID] {
+			t.Errorf("%s: verdicts %s, pinned %q", c.ID, r.got, want[c.ID])
+		}
+		t.Logf("%-11s %-8s %s %8s  %s", c.ID, c.Ref, r.got, r.low, c.Statement)
+	}
+	for _, id := range ids {
+		if !seen[id] {
+			t.Errorf("%s is not a claim", id)
+		}
+	}
+}
+
+// TestPaperClaims evaluates every claim on topogen seeds 1–5, plain and
+// IXP-augmented, at -quick scale. A theorem row must hold on every cell;
+// every row's verdicts must match testdata/claims.txt, so a flip either
+// way fails. -v prints each row's verdicts and smallest margin (make
+// claims).
+func TestPaperClaims(t *testing.T) {
+	checkClaims(t)
+	want, _ := claimPins()
 	for id := range want {
-		t.Errorf("testdata/claims.txt pins %s, which is not a claim", id)
+		if !slices.ContainsFunc(Claims, func(c Claim) bool { return c.ID == id }) {
+			t.Errorf("testdata/claims.txt pins %s, which is not a claim", id)
+		}
 	}
-	for i, r := range cs {
+	for i, r := range cells() {
 		if err := r.W.Err(); err != nil {
 			t.Errorf("seed %d, IXP %v: %v", i%5+1, i >= 5, err)
 		}
 	}
 }
+
+// The tests below check, on the same cells, the rows of Claims that
+// state what each of them once asserted on seed 1 alone.
+
+func TestTierSizesMatchTable1(t *testing.T)                 { checkClaims(t, "E27.sizes", "E27.all") }
+func TestBaselineMatchesPaperShape(t *testing.T)            { checkClaims(t, "E1.band", "E1.hilo") }
+func TestFig3Orderings(t *testing.T)                        { checkClaims(t, "E2.doomed", "E2.prot1", "E2.imm3") }
+func TestFig4Tier1DestinationsMostDoomed(t *testing.T)      { checkClaims(t, "E3.t1most") }
+func TestFig6Tier1AttackersWeakest(t *testing.T)            { checkClaims(t, "E5.collapse", "E5.t1imm") }
+func TestRolloutModelOrdering(t *testing.T)                 { checkClaims(t, "E7.order", "E7.simplex", "E7.mono") }
+func TestEarlyAdoptersTier2BeatsTier1ForSec23(t *testing.T) { checkClaims(t, "E14.compete") }
+func TestPhenomenaTheoremSides(t *testing.T)                { checkClaims(t, "E17.cd3", "E17.dg23") }
+func TestIXPWorkloadTrendsHold(t *testing.T)                { checkClaims(t, "E25.peers", "E2.doomed", "E1.band") }
 
 func TestSecureDestDeltasSorted(t *testing.T) {
 	for _, m := range policy.Models {
