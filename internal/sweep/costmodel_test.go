@@ -105,12 +105,13 @@ func benchCostAxes() []costAxis {
 	return []costAxis{headline, rollout, durable, daemon}
 }
 
-// fig7aCostAxis is TestRolloutWithSimplexVariantsStaysNested's axis:
-// the Tier 1+2 rollout with a simplex variant of every step.
-func fig7aCostAxis() costAxis {
-	g, meta := topogen.MustGenerate(topogen.Params{N: 800, Seed: 1})
+// fig7aCostAxis is the Tier 1+2 rollout with a simplex variant of every
+// step on the 800-AS topology of the given seed; seed 1 is
+// TestRolloutWithSimplexVariantsStaysNested's axis.
+func fig7aCostAxis(seed int64) costAxis {
+	g, meta := topogen.MustGenerate(topogen.Params{N: 800, Seed: seed})
 	tiers := asgraph.Classify(g, meta.CPs, nil)
-	ax := costAxis{name: "fig7a-simplex", held: true, g: g, deps: []Deployment{{Name: "baseline"}}, models: policy.Models[:]}
+	ax := costAxis{name: fmt.Sprintf("fig7a-simplex/800-%d", seed), held: true, g: g, deps: []Deployment{{Name: "baseline"}}, models: policy.Models[:]}
 	for i, step := range deploy.Tier12Rollout(g, tiers, false) {
 		sp := step.Spec
 		sp.SimplexStubs = true
@@ -286,7 +287,7 @@ func replayCostAxis(ax costAxis, p *chainPlan, byChain [][]*stepFit, count bool)
 func TestDeltaCostModel(t *testing.T) {
 	kinds := map[string]*stepFit{}
 	var kindOrder []string
-	for _, ax := range append(benchCostAxes(), fig7aCostAxis()) {
+	for _, ax := range append(benchCostAxes(), fig7aCostAxis(1)) {
 		p, fits := walkCostAxis(ax)
 		total := core.GraphVolume(ax.g)
 		t.Logf("%s (%d ASes): %d heads, %d delta edges", ax.name, ax.g.N(), p.heads, p.deltaEdges)

@@ -182,3 +182,52 @@ func TestLayoutPins(t *testing.T) {
 		})
 	}
 }
+
+// planPin renders what a plan decides — its walks by deployment name and
+// its cost-model totals — as one comparable line.
+func planPin(deps []Deployment, p *chainPlan) string {
+	return fmt.Sprintf("%v heads=%d edges=%d vol=%d", chainNames(deps, p), p.heads, p.deltaEdges, p.predictedVol)
+}
+
+// TestPlannerWalkPins holds the planner's output as literals on every
+// deployment axis the benchmark and the fixture grids plan: the walks,
+// the heads, the delta edges and the predicted volume. A planner change
+// that moves any of them moves a checkpoint layout or a benchmark walk,
+// so each move must be a deliberate re-pin.
+func TestPlannerWalkPins(t *testing.T) {
+	pins := map[string]string{
+		"headline/dist-2w": "[[baseline] [nonstubs] [t2 t1t2 t1t2cp]] heads=3 edges=2 vol=70140",
+		"rollout": "[[baseline t2-01 t2-02 t2-03 t2-04 t2-05 t2-06 t2-07 t2-08 t2-09 t2-10 t2-11 t2-12 " +
+			"t2-13 t2-14 t2-15 t2-16 t2-17 t2-18 t2-19 t2-20 t2-21 t2-22 t2-23 t2-24]] heads=1 edges=24 vol=47304",
+		"durable":      "[[baseline] [nonstubs] [t2 t1t2 t1t2cp]] heads=3 edges=2 vol=7778",
+		"daemon-small": "[[baseline t1t2]] heads=1 edges=1 vol=19906",
+		"fig7a-simplex/800-1": "[[baseline step0 step1 step2] [step0+simplex step1+simplex step2+simplex]] " +
+			"heads=2 edges=5 vol=19162",
+		"fig7a-simplex/800-23": "[[baseline step0 step1 step2] [step0+simplex step1+simplex step2+simplex]] " +
+			"heads=2 edges=5 vol=20454",
+		"nestedGrid/500-17": "[[baseline step3 step3+simplex step9+simplex step9 step18 step30 step18+simplex step30+simplex]] " +
+			"heads=1 edges=8 vol=11127",
+		"forestGrid/400-31":        "[[baseline winA winB winB+simplex winC]] heads=1 edges=4 vol=5869",
+		"chainedGrid/200-23":       "[[baseline step4 step10 step20]] heads=1 edges=3 vol=2194",
+		"headlineShapedGrid/400-3": "[[baseline] [nonstubs] [t2 t1t2 t1t2cp]] heads=3 edges=2 vol=7591",
+		"unlinkableGrid/200-23":    "[[top-odds] [rest-odds] [evens]] heads=3 edges=0 vol=2784",
+	}
+	check := func(name string, deps []Deployment, g *asgraph.Graph) {
+		t.Helper()
+		if got := planPin(deps, buildChainPlan(deps, g)); got != pins[name] {
+			t.Errorf("%s: plan = %s\n\twant %s", name, got, pins[name])
+		}
+	}
+	for _, ax := range append(benchCostAxes(), fig7aCostAxis(1), fig7aCostAxis(23)) {
+		check(ax.name, ax.deps, ax.g)
+	}
+	g23, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
+	g17, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
+	g31, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
+	g3, meta3 := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	check("nestedGrid/500-17", nestedGrid(g17, 1, IncrementalAuto).Deployments, g17)
+	check("forestGrid/400-31", forestGrid(g31, 1, IncrementalAuto).Deployments, g31)
+	check("chainedGrid/200-23", chainedGrid(g23, IncrementalAuto).Deployments, g23)
+	check("headlineShapedGrid/400-3", headlineShapedGrid(g3, meta3).Deployments, g3)
+	check("unlinkableGrid/200-23", unlinkableGrid(g23, IncrementalAuto).Deployments, g23)
+}
