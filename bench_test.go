@@ -1052,9 +1052,10 @@ func BenchmarkCrossShardChain(b *testing.B) {
 // headline case: a deployment axis of pairwise-incomparable scenarios
 // (sliding windows over the non-stubs, each sharing half its members
 // with the next — the EarlyAdopters/Fig-8 shape) at the paper's default
-// 4000-AS scale. The nested planner sees no chains here and re-runs
-// every scenario from scratch; the forest links neighboring windows
-// with remove-then-add deltas whose volume is far below a full run.
+// 4000-AS scale. No grow-only chain links two of them, so without the
+// forest every scenario re-runs from scratch; the forest links
+// neighboring windows with remove-then-add deltas whose volume is far
+// below a full run.
 // Results are byte-identical across the two modes.
 func BenchmarkIncomparableAxis(b *testing.B) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})

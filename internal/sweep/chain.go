@@ -17,35 +17,24 @@ import (
 //
 // Every grid is scheduled by such a plan. Grids with nothing to reuse —
 // IncrementalOff, or an axis no delta links — get singletonChainPlan's
-// one-step walks in axis order, which is the raw cell order. For the
-// rest, two planners produce walks:
-//
-//   - The legacy nested-chain cover (buildNestedChainPlan): chains whose
-//     every step is a capability superset of the one before, so the walk
-//     needs only grow deltas. Its layout — and therefore its checkpoint
-//     fingerprint — is pinned by every pre-forest release.
-//   - The signed-delta forest (buildForestPlan): a minimum spanning
-//     structure over the whole axis under the adjacency edge-volume of
-//     DeploymentDelta(u, v), the distance between two deployments.
-//     Incomparable deployments (Fig 8's content-provider variants, the
-//     EarlyAdopters scenarios) are linked by remove-then-add deltas
-//     instead of each re-running from scratch.
+// one-step walks in axis order, which is the raw cell order. The rest
+// get buildChainPlan's walks: a minimum spanning forest over the axis
+// under DeploymentDelta's edge volume, the distance between two
+// deployments, each tree rooted at its smallest deployment. A superset
+// chain — a rollout — is its own spanning tree and walks in size order;
+// incomparable deployments (Fig 8's content-provider variants, the
+// early-adopter scenarios) are linked by remove-then-add deltas instead
+// of each re-running from scratch.
 //
 // One cost model (costModel) prices every walk step by what the engine
 // will dirty — the expected first-pass seed of RunDelta — against a
 // from-scratch head, and the planner links no step it does not price
-// strictly below that head: both planners' walks are cut where a step
-// would cost a run or more. buildChainPlan keeps the nested plan unless
-// the forest walk is strictly cheaper. That rule is the compatibility story: every axis
-// the nested planner already covered optimally (all rollout-shaped
-// grids) keeps its exact layout, chain order, and "schedule:chain-major"
-// fingerprint, so pre-existing checkpoints resume unchanged; only axes
-// where signed deltas genuinely win get the forest layout, and covers the
-// model cut get a layout of their own, each under its own fingerprint
-// tag (walkTag).
+// strictly below that head: walks are cut where a step would cost a run
+// or more. The walks depend on the graph through that model, so the
+// checkpoint fingerprint hashes them (Grid.fingerprint).
 //
-// Either way the plan only regroups work: RunDelta is exact and the
-// aggregation stays positional, so results remain byte-identical to the
+// The plan only regroups work: RunDelta is exact and the aggregation
+// stays positional, so results remain byte-identical to the
 // non-incremental evaluation at any worker count, shard size, and walk
 // shape — the goldens pin this.
 
@@ -60,24 +49,15 @@ type chainStep struct {
 	cost    int64 // the cost model's price of the step (costModel.walkStep)
 }
 
-// chainPlan maps the deployment axis onto delta walks ("chains" — the
-// scheduler's block structure predates the forest and treats each
-// linearized tree exactly like a nested chain).
+// chainPlan maps the deployment axis onto delta walks ("chains": the
+// scheduler treats each linearized tree as one chain of steps).
 type chainPlan struct {
 	chains [][]chainStep
 
-	// forest marks a layout produced by the signed-delta forest builder,
-	// and cut one whose walks the cost model cut (splitUnpriced). Either
-	// selects a fingerprint tag that also hashes the walk structure
-	// (walkTag), so such layouts can never be confused with an uncut
-	// nested-chain layout, an identity layout, or each other on resume.
-	forest, cut bool
-
-	// parentOf[si] is the deployment index of si's tree parent (the
-	// nested predecessor for chain plans), or -1 for walk heads; the
-	// singleton plan, all heads, leaves it nil. Tests and the fuzzer
-	// check the tree edges against the cost model here; the scheduler
-	// itself only walks chains.
+	// parentOf[si] is the deployment index of si's tree parent, or -1
+	// for walk heads; the singleton plan, all heads, leaves it nil. Tests
+	// and the fuzzer check the tree edges against the cost model here;
+	// the scheduler itself only walks chains.
 	parentOf []int
 
 	// Cost-model totals for one (model, destination, attacker) group
@@ -89,8 +69,8 @@ type chainPlan struct {
 	predictedVol int64
 }
 
-// depSize is the capability size used for the nested planner's
-// smallest-first ordering.
+// depSize is a deployment's capability size: the planner roots each
+// tree at its smallest deployment, and the baseline has size 0.
 func depSize(dp *core.Deployment) int {
 	if dp == nil {
 		return 0
@@ -111,10 +91,10 @@ func fromScratchCost(g *asgraph.Graph) int64 {
 
 // plannerScratchFrac prices a from-scratch head at the expected seed
 // volume of a step that costs as much. Read off the engine alone, that
-// break-even is near 0.4 of the graph's volume; the planner prices the
-// head at 0.75 because the layouts existing checkpoints were written
-// under link steps priced up to 0.68, and the axes they left unlinked
-// price their cheapest step at 0.86.
+// break-even is near 0.4 of the graph's volume (DESIGN.md "Measured
+// go/no-go for the fitted cost model"); the planner prices the head at
+// 0.75, where the benchmark's axes link steps priced up to 0.68 and
+// leave unlinked steps priced at 0.86 or more.
 const plannerScratchFrac = 0.75
 
 // costModel prices walk steps by what the engine will dirty, against a
@@ -156,8 +136,8 @@ func (cm *costModel) step(i, j int) int64 {
 
 // expected is the price of the delta prev → next when it seeds seed.
 // The seed volume is at least the delta's own volume, so expected on
-// DeploymentDeltaVolume is a lower bound of step: the forest planner's
-// cheap filter.
+// DeploymentDeltaVolume is a lower bound of step: the planner's cheap
+// filter.
 func (cm *costModel) expected(seed int64, prev, next *core.Deployment) int64 {
 	flips := int64(core.OriginSecureFlips(prev, next))
 	return seed + flips*(cm.total-seed)/int64(cm.g.N())
@@ -222,21 +202,9 @@ func (p *chainPlan) splitUnpriced(cm *costModel) {
 	}
 }
 
-// walkTag is the fingerprint tag of a layout whose walks the
-// memberships alone do not determine, or "" for an uncut nested cover.
-func (p *chainPlan) walkTag() string {
-	switch {
-	case p.forest:
-		return "schedule:forest"
-	case p.cut:
-		return "schedule:chain-major:cut"
-	}
-	return ""
-}
-
 // cutAt splits the walks before every step priced at scratch or more.
-// A forest walk cut after a DFS backtrack can leave steps whose tree
-// parent walks in the piece before the cut; they hang from their walk
+// A walk cut after a DFS backtrack can leave steps whose tree parent
+// walks in the piece before the cut; they hang from their walk
 // predecessor instead, the step they are reached by.
 func (p *chainPlan) cutAt(scratch int64) {
 	var chains [][]chainStep
@@ -253,7 +221,6 @@ func (p *chainPlan) cutAt(scratch int64) {
 		}
 		chains = append(chains, ch[start:])
 	}
-	p.cut = p.cut || len(chains) > len(p.chains)
 	for _, ch := range chains {
 		for pos := 1; pos < len(ch); pos++ {
 			if par := p.parentOf[ch[pos].si]; !slices.ContainsFunc(ch[:pos], func(s chainStep) bool { return s.si == par }) {
@@ -284,74 +251,78 @@ func singletonChainPlan(k int, scratch int64) *chainPlan {
 	return p
 }
 
-// buildChainPlan plans the deployment axis on g: it builds the legacy
-// nested-chain cover and the signed-delta forest, cuts both walks where
-// the cost model prices a step at a from-scratch run or more, and
-// returns the nested plan unless the forest is strictly cheaper. Ties go
-// to the nested plan so every axis it already covers optimally — all
-// purely nested rollouts — keeps its historical layout and checkpoint
-// fingerprint bit for bit. An axis the nested cover walks in one chain
-// is a chain of supersets, along which the edge volume adds up, so the
-// forest could only walk the same path or start it elsewhere: it is not
-// built.
+// buildChainPlan plans the deployment axis on g. An axis that is a chain
+// of supersets in size order walks in that order: the edge volume adds
+// up along such a chain, so it is its own minimum spanning tree and the
+// forest's probes are skipped. Any other axis gets the signed-delta
+// forest (buildForestPlan). A baseline the forest leaves alone heads the
+// walk with the smallest head, where walkStep's rule prices its step.
+// The walks are then cut where the cost model prices a step at a
+// from-scratch run or more, and priced.
 func buildChainPlan(deps []Deployment, g *asgraph.Graph) *chainPlan {
 	cm := newCostModel(deps, g)
-	nested := buildNestedChainPlan(deps)
-	oneWalk := len(nested.chains) == 1
-	nested.splitUnpriced(cm)
-	nested.price(cm)
-	if oneWalk {
-		return nested
+	p := supersetChainPlan(deps)
+	if p == nil {
+		p = buildForestPlan(cm)
+		p.leadBaseline(deps)
 	}
-	forest := buildForestPlan(cm)
-	forest.splitUnpriced(cm)
-	forest.price(cm)
-	if forest.predictedVol < nested.predictedVol {
-		return forest
-	}
-	return nested
+	p.splitUnpriced(cm)
+	p.price(cm)
+	return p
 }
 
-// buildNestedChainPlan greedily covers the deployment axis with nested
-// chains: deployments are considered smallest first, and each attaches
-// to the chain whose tail is its largest nested predecessor (ties to
-// the earliest chain), or starts a new chain. Greedy suffices — an
-// imperfect cover only costs extra from-scratch chain heads, never
-// correctness — and the layout it emits is the pre-forest layout every
-// existing chain-major checkpoint was written under.
-func buildNestedChainPlan(deps []Deployment) *chainPlan {
+// supersetChainPlan walks the deployments smallest first (ties in axis
+// order) if each is a superset of the one before — nothing is removed
+// along the walk — or returns nil.
+func supersetChainPlan(deps []Deployment) *chainPlan {
 	order := make([]int, len(deps))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return depSize(deps[order[a]].Dep) < depSize(deps[order[b]].Dep)
-	})
+	sort.SliceStable(order, func(a, b int) bool { return depSize(deps[order[a]].Dep) < depSize(deps[order[b]].Dep) })
 	p := &chainPlan{parentOf: make([]int, len(deps))}
-	for _, si := range order {
-		best, bestSize := -1, -1
-		var bestAdded []asgraph.AS
-		for ci := range p.chains {
-			tail := p.chains[ci][len(p.chains[ci])-1].si
-			if sz := depSize(deps[tail].Dep); sz > bestSize {
-				// Nested exactly when nothing is removed: this planner
-				// emits only chains whose every step is a superset of
-				// the one before, so its walks never need removal
-				// deltas.
-				if added, removed := core.DeploymentDelta(deps[tail].Dep, deps[si].Dep); len(removed) == 0 {
-					best, bestSize, bestAdded = ci, sz, added
-				}
+	ch := make([]chainStep, len(order))
+	prev := -1
+	for pos, si := range order {
+		ch[pos].si = si
+		p.parentOf[si] = prev
+		if prev >= 0 {
+			var removed []asgraph.AS
+			if ch[pos].added, removed = core.DeploymentDelta(deps[prev].Dep, deps[si].Dep); len(removed) > 0 {
+				return nil
 			}
 		}
-		if best >= 0 {
-			p.parentOf[si] = p.chains[best][len(p.chains[best])-1].si
-			p.chains[best] = append(p.chains[best], chainStep{si: si, added: bestAdded})
-		} else {
-			p.parentOf[si] = -1
-			p.chains = append(p.chains, []chainStep{{si: si}})
-		}
+		prev = si
+	}
+	if len(ch) > 0 {
+		p.chains = [][]chainStep{ch}
 	}
 	return p
+}
+
+// leadBaseline moves a baseline the forest left as a walk of its own to
+// the head of the walk with the smallest head. The step out of it costs
+// the engine nothing when that walk goes on (costModel.walkStep); when
+// it does not, splitUnpriced prices the step like any other and cuts it
+// back off.
+func (p *chainPlan) leadBaseline(deps []Deployment) {
+	bi := slices.IndexFunc(p.chains, func(ch []chainStep) bool { return len(ch) == 1 && depSize(deps[ch[0].si].Dep) == 0 })
+	if bi < 0 || len(p.chains) == 1 {
+		return
+	}
+	base := p.chains[bi][0]
+	chains := slices.Delete(p.chains, bi, bi+1)
+	ci := 0
+	for i, ch := range chains {
+		if depSize(deps[ch[0].si].Dep) < depSize(deps[chains[ci][0].si].Dep) {
+			ci = i
+		}
+	}
+	head := &chains[ci][0]
+	head.added, head.removed = core.DeploymentDelta(deps[base.si].Dep, deps[head.si].Dep)
+	p.parentOf[head.si] = base.si
+	chains[ci] = append([]chainStep{base}, chains[ci]...)
+	p.chains = chains
 }
 
 // buildForestPlan builds the signed-delta forest over the deployment
@@ -366,11 +337,13 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 // only when the cost model's cheap lower bound (costModel.expected on the
 // key) prices it below a from-scratch head, and a node's parent edge is
 // adopted only when the full price (costModel.step) is too; otherwise
-// the node roots a tree of its own. All tie-breaks are deterministic —
-// smallest key, then lowest deployment index, with the incumbent parent
-// kept on equal relaxations — because the distributed path recomputes
-// this plan independently on every worker and the layouts must agree bit
-// for bit.
+// the node roots a tree of its own. When no unattached node is
+// reachable, the smallest one roots the next tree, so a tree grows from
+// its smallest deployment, the way a rollout does. All tie-breaks are
+// deterministic — smallest key, then lowest deployment index, with the
+// incumbent parent kept on equal relaxations — because the distributed
+// path recomputes this plan independently on every worker and the
+// layouts must agree bit for bit.
 //
 // Each tree is linearized by a DFS preorder (children in attachment
 // order), and every step records the signed delta from its walk
@@ -382,11 +355,7 @@ func buildNestedChainPlan(deps []Deployment) *chainPlan {
 func buildForestPlan(cm *costModel) *chainPlan {
 	deps := cm.deps
 	k := len(deps)
-	p := &chainPlan{forest: true, parentOf: make([]int, k)}
-	if k == 0 {
-		return p
-	}
-
+	p := &chainPlan{parentOf: make([]int, k)}
 	inTree := make([]bool, k)
 	best := make([]int64, k) // smallest known attachment key
 	parent := make([]int, k) // -1: attach to the virtual root (from scratch)
@@ -399,7 +368,11 @@ func buildForestPlan(cm *costModel) *chainPlan {
 	for picked := 0; picked < k; picked++ {
 		v := -1
 		for i := 0; i < k; i++ {
-			if !inTree[i] && (v < 0 || best[i] < best[v]) {
+			if inTree[i] {
+				continue
+			}
+			if v < 0 || best[i] < best[v] ||
+				best[i] == math.MaxInt64 && best[v] == math.MaxInt64 && depSize(deps[i].Dep) < depSize(deps[v].Dep) {
 				v = i
 			}
 		}

@@ -24,9 +24,8 @@ import (
 
 // forestGrid is an EarlyAdopters-shaped axis: a baseline plus
 // overlapping, pairwise-incomparable deployment scenarios (distinct
-// non-stub windows, one with a simplex variant). The nested planner
-// covers it with one singleton chain per scenario; the forest links
-// them with remove-then-add deltas.
+// non-stub windows, one with a simplex variant), which the planner's
+// forest links with remove-then-add deltas.
 func forestGrid(g *asgraph.Graph, workers int, mode IncrementalMode) *Grid {
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	nonStubs := asgraph.NonStubs(g)
@@ -47,14 +46,14 @@ func forestGrid(g *asgraph.Graph, workers int, mode IncrementalMode) *Grid {
 	}
 }
 
-// requireForestSchedule fails unless the grid actually plans a forest —
-// guarding every test below against silently degrading into a
-// nested-chain or identity run that would no longer exercise the new
-// layout.
+// requireForestSchedule fails unless the grid actually plans a forest
+// walk with a removal step — guarding every test below against silently
+// degrading into a grow-only or identity run that would no longer
+// exercise signed deltas.
 func requireForestSchedule(t *testing.T, gr *Grid, g *asgraph.Graph) *schedule {
 	t.Helper()
 	sched := mustPrepare(gr, g).sched
-	if sched.identity() || !sched.plan.forest {
+	if sched.identity() || !removesAny(sched.plan) {
 		t.Fatalf("test grid did not plan a forest schedule (identity=%v)", sched.identity())
 	}
 	return sched

@@ -62,11 +62,23 @@ func wantChainNames(t *testing.T, deps []Deployment, p *chainPlan, want [][]stri
 	}
 }
 
-// TestNestedChainPlan covers the legacy greedy nested-chain cover on
-// the axis shapes it was built for. buildChainPlan still returns this
-// exact layout whenever the signed-delta forest is not strictly cheaper,
-// so these expectations double as the layout-compat contract for every
-// pre-forest chain-major checkpoint.
+// removesAny reports whether some walk step of p removes an AS: a
+// signed-delta step, which no superset chain takes.
+func removesAny(p *chainPlan) bool {
+	for _, ch := range p.chains {
+		for _, step := range ch {
+			if len(step.removed) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestNestedChainPlan covers the planner's superset-chain rule: an axis
+// whose deployments, sorted by size, each contain the one before walks
+// in that order, whatever order it is declared in, with grow-only
+// deltas; an axis that is not such a chain is left to the forest.
 func TestNestedChainPlan(t *testing.T) {
 	dep := func(full ...asgraph.AS) *core.Deployment {
 		return &core.Deployment{Full: asgraph.SetOf(64, full...)}
@@ -75,43 +87,45 @@ func TestNestedChainPlan(t *testing.T) {
 		return &core.Deployment{Full: asgraph.SetOf(64, full...), Simplex: asgraph.SetOf(64, sx...)}
 	}
 
-	// Rollout shape: baseline, nested full steps interleaved with
-	// nested simplex variants — two chains, baseline heading the first.
+	// Rollout shape, declared out of order: baseline, a simplex step,
+	// then nested full steps that promote its simplex members.
 	deps := []Deployment{
-		{Name: "baseline"},
-		{Name: "s0", Dep: dep(1, 2, 10, 11)},
-		{Name: "s0x", Dep: simplex([]asgraph.AS{1, 2}, 10, 11)},
 		{Name: "s1", Dep: dep(1, 2, 3, 10, 11, 12)},
-		{Name: "s1x", Dep: simplex([]asgraph.AS{1, 2, 3}, 10, 11, 12)},
+		{Name: "baseline"},
+		{Name: "s0x", Dep: simplex([]asgraph.AS{1, 2}, 10)},
+		{Name: "s0", Dep: dep(1, 2, 10, 11)},
 	}
-	p := buildNestedChainPlan(deps)
-	wantChainNames(t, deps, p, [][]string{{"baseline", "s0", "s1"}, {"s0x", "s1x"}})
+	p := supersetChainPlan(deps)
+	if p == nil {
+		t.Fatal("superset-chain axis not walked as a chain")
+	}
+	wantChainNames(t, deps, p, [][]string{{"baseline", "s0x", "s0", "s1"}})
 	// The delta of s1 over s0 is exactly the gained members.
-	s1 := p.chains[0][2]
-	if len(s1.added) != 2 || s1.added[0] != 3 || s1.added[1] != 12 {
-		t.Errorf("s1 chain step added = %v, want [3 12]", s1.added)
+	if s1 := p.chains[0][3]; !sameAS(s1.added, []asgraph.AS{3, 12}) || len(s1.removed) != 0 {
+		t.Errorf("s1 chain step = +%v -%v, want +[3 12]", s1.added, s1.removed)
 	}
 
 	// A subset-first axis (the SecureDestDeltas shape, declared superset
 	// first) still chains: declaration order does not matter.
-	p2 := buildNestedChainPlan([]Deployment{{Name: "with", Dep: dep(1, 2, 3)}, {Name: "without"}})
-	if len(p2.chains) != 1 || p2.chains[0][0].si != 1 || p2.chains[0][1].si != 0 {
-		t.Errorf("superset-first axis did not chain smallest-first: %+v", p2.chains)
+	p2 := supersetChainPlan([]Deployment{{Name: "with", Dep: dep(1, 2, 3)}, {Name: "without"}})
+	if p2 == nil || len(p2.chains) != 1 || p2.chains[0][0].si != 1 || p2.chains[0][1].si != 0 {
+		t.Errorf("superset-first axis did not chain smallest-first: %+v", p2)
 	}
 
-	// Incomparable deployments stay singleton chains under the nested
-	// planner — linking them is exactly what the forest is for.
-	p3 := buildNestedChainPlan([]Deployment{{Name: "a", Dep: dep(1)}, {Name: "b", Dep: dep(2)}})
-	if len(p3.chains) != 2 {
-		t.Errorf("incomparable axis built %d chains, want 2", len(p3.chains))
+	// Incomparable deployments, and a simplex variant beside its full
+	// step, are not superset chains.
+	if p3 := supersetChainPlan([]Deployment{{Name: "a", Dep: dep(1)}, {Name: "b", Dep: dep(2)}}); p3 != nil {
+		t.Errorf("incomparable axis walked as a chain: %+v", p3.chains)
+	}
+	if p4 := supersetChainPlan([]Deployment{{Name: "s0", Dep: dep(1, 2, 10, 11)}, {Name: "s0x", Dep: simplex([]asgraph.AS{1, 2}, 10, 11)}}); p4 != nil {
+		t.Errorf("full step and its simplex variant walked as a chain: %+v", p4.chains)
 	}
 }
 
-// TestForestChainPlan pins the signed-delta forest on the axis shapes
-// the nested planner covered poorly, and the tie rule that keeps nested
-// axes on their historical layout. The exact walk orders asserted here
-// are load-bearing: distributed workers recompute the plan independently
-// and must agree bit for bit.
+// TestForestChainPlan pins the signed-delta forest on axes that are not
+// superset chains, and the superset chain's own walk. The exact walk
+// orders asserted here are load-bearing: distributed workers recompute
+// the plan independently and must agree bit for bit.
 func TestForestChainPlan(t *testing.T) {
 	g := planTestGraph(64)
 	dep := func(full ...asgraph.AS) *core.Deployment {
@@ -121,10 +135,10 @@ func TestForestChainPlan(t *testing.T) {
 		return &core.Deployment{Full: asgraph.SetOf(64, full...), Simplex: asgraph.SetOf(64, sx...)}
 	}
 
-	// The rollout shape that cost the nested planner a second
-	// from-scratch head: the forest links the simplex variants to their
-	// full-step siblings by remove-then-add deltas, so the whole axis is
-	// one walk with a single head.
+	// A rollout with simplex variants, which grow-only chains walk with
+	// two from-scratch heads: the forest links the simplex variants to
+	// their full-step siblings by remove-then-add deltas, so the whole
+	// axis is one walk with a single head.
 	deps := []Deployment{
 		{Name: "baseline"},
 		{Name: "s0", Dep: dep(1, 2, 10, 11)},
@@ -133,8 +147,8 @@ func TestForestChainPlan(t *testing.T) {
 		{Name: "s1x", Dep: simplex([]asgraph.AS{1, 2, 3}, 10, 11, 12)},
 	}
 	p := buildChainPlan(deps, g)
-	if !p.forest {
-		t.Fatalf("rollout-with-variants axis kept the nested plan: %v", chainNames(deps, p))
+	if !removesAny(p) {
+		t.Fatalf("rollout-with-variants axis walks no removal: %v", chainNames(deps, p))
 	}
 	wantChainNames(t, deps, p, [][]string{{"baseline", "s0", "s0x", "s1x", "s1"}})
 	if p.heads != 1 || p.deltaEdges != 4 {
@@ -150,8 +164,8 @@ func TestForestChainPlan(t *testing.T) {
 		{Name: "c", Dep: dep(3)},
 	}
 	p2 := buildChainPlan(deps2, g)
-	if !p2.forest || len(p2.chains) != 1 {
-		t.Fatalf("incomparable axis: forest=%v chains=%v, want one forest walk", p2.forest, chainNames(deps2, p2))
+	if len(p2.chains) != 1 {
+		t.Fatalf("incomparable axis: chains=%v, want one forest walk", chainNames(deps2, p2))
 	}
 	step := p2.chains[0][1]
 	if len(step.added) != 1 || len(step.removed) != 1 {
@@ -159,18 +173,13 @@ func TestForestChainPlan(t *testing.T) {
 	}
 	checkChainPlanInvariants(t, deps2, p2, g)
 
-	// A purely nested axis prices identically under both planners, and
-	// the tie goes to the nested plan: its layout and fingerprint are
-	// what existing chain-major checkpoints were written under.
+	// A purely nested axis walks grow-only, smallest first.
 	deps3 := []Deployment{
+		{Name: "t", Dep: dep(1, 2, 3)},
 		{Name: "baseline"},
 		{Name: "s", Dep: dep(1, 2)},
-		{Name: "t", Dep: dep(1, 2, 3)},
 	}
 	p3 := buildChainPlan(deps3, g)
-	if p3.forest {
-		t.Errorf("purely nested axis switched to the forest layout")
-	}
 	wantChainNames(t, deps3, p3, [][]string{{"baseline", "s", "t"}})
 	checkChainPlanInvariants(t, deps3, p3, g)
 }
@@ -189,18 +198,16 @@ func sameAS(a, b []asgraph.AS) bool {
 }
 
 // checkChainPlanInvariants asserts the planner's structural contract on
-// an arbitrary axis, nested and forest plans alike: every deployment
-// appears in exactly one chain position, heads carry no delta and no
-// tree parent, every other step's tree parent walks before it, and
-// every step's recorded (added, removed) pair is the exact signed delta
-// from its walk predecessor — the property RunDelta's correctness rides
-// on.
-// Nested plans must additionally never remove. Every walk step, nested
-// or forest, must price strictly below a from-scratch head under the
-// planner's cost model (costModel.walkStep: the planner plans no step it
-// predicts to cost a run or more), and so must every forest tree edge
-// the walk does not take directly (otherwise attaching to the virtual
-// root was cheaper and the forest is not minimal).
+// an arbitrary axis: every deployment appears in exactly one chain
+// position, heads carry no delta and no tree parent, every other step's
+// tree parent walks before it, and every step's recorded (added,
+// removed) pair is the exact signed delta from its walk predecessor —
+// the property RunDelta's correctness rides on. Every walk step must
+// price strictly below a from-scratch head under the planner's cost
+// model (costModel.walkStep: the planner plans no step it predicts to
+// cost a run or more), and so must every tree edge the walk does not
+// take directly (otherwise attaching to the virtual root was cheaper and
+// the forest is not minimal).
 func checkChainPlanInvariants(t *testing.T, deps []Deployment, p *chainPlan, g *asgraph.Graph) {
 	t.Helper()
 	cm := newCostModel(deps, g)
@@ -231,10 +238,6 @@ func checkChainPlanInvariants(t *testing.T, deps []Deployment, p *chainPlan, g *
 				t.Errorf("chain %d step %q: recorded delta +%v -%v, want +%v -%v",
 					ci, deps[step.si].Name, step.added, step.removed, added, removed)
 			}
-			if !p.forest && len(removed) != 0 {
-				t.Errorf("chain %d is not nested at %q → %q: removed %v",
-					ci, deps[ch[pos-1].si].Name, deps[step.si].Name, removed)
-			}
 			par := p.parentOf[step.si]
 			if par < 0 || par >= len(deps) {
 				t.Errorf("non-head %q has tree parent %d", deps[step.si].Name, par)
@@ -247,8 +250,8 @@ func checkChainPlanInvariants(t *testing.T, deps []Deployment, p *chainPlan, g *
 				t.Errorf("chain %d step %q → %q prices at %d, not strictly below the from-scratch price %d",
 					ci, deps[ch[pos-1].si].Name, deps[step.si].Name, c, cm.scratch)
 			}
-			if c := cm.step(par, step.si); p.forest && par != ch[pos-1].si && c >= cm.scratch {
-				t.Errorf("forest tree edge %q → %q prices at %d, not strictly below the from-scratch price %d",
+			if c := cm.step(par, step.si); par != ch[pos-1].si && c >= cm.scratch {
+				t.Errorf("tree edge %q → %q prices at %d, not strictly below the from-scratch price %d",
 					deps[par].Name, deps[step.si].Name, c, cm.scratch)
 			}
 		}
@@ -326,68 +329,107 @@ func TestChainPlanEdgeCases(t *testing.T) {
 	})
 }
 
-// TestChainPlanForestProperty is the planner's property test: on
-// randomized axes — mixing nested prefixes, simplex variants,
-// duplicates, and incomparable sets — whichever plan buildChainPlan
-// selects satisfies the plan invariants (every deployment covered
-// exactly once, exact walk-predecessor deltas, every walk step and tree
-// edge priced strictly below a from-scratch head), the nested cover cut
-// by the cost model still emits only nested chains under the same
-// invariants, and the selection never prices above that cover.
-func TestChainPlanForestProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	const n = 128
-	g := planTestGraph(n)
-	for trial := 0; trial < 200; trial++ {
-		nDeps := 1 + rng.Intn(9)
-		deps := make([]Deployment, nDeps)
-		// Grow a few independent membership lineages; each deployment
-		// either extends a random previous one (nesting), duplicates
-		// it, or starts fresh (incomparable).
-		for i := range deps {
-			full, simplex := asgraph.NewSet(n), asgraph.NewSet(n)
-			switch {
-			case i > 0 && rng.Intn(3) == 0: // duplicate
-				src := deps[rng.Intn(i)].Dep
-				if src != nil {
-					full, simplex = src.Full.Clone(), src.Simplex.Clone()
-				}
-			case i > 0 && rng.Intn(2) == 0: // extend
-				src := deps[rng.Intn(i)].Dep
-				if src != nil {
-					full, simplex = src.Full.Clone(), src.Simplex.Clone()
-				}
-				for k := 0; k < 1+rng.Intn(5); k++ {
-					v := asgraph.AS(rng.Intn(n))
+// checkPlanProperties plans deps on g and asserts the planner's
+// properties: the walk invariants (checkChainPlanInvariants), a price no
+// higher than the singleton plan's, and — on an axis that is a superset
+// chain in size order — the shortcut's plan equal to the one the forest
+// builds for it, so skipping the forest's probes changes no walk. It
+// reports whether the shortcut applied.
+func checkPlanProperties(t *testing.T, deps []Deployment, g *asgraph.Graph) (p *chainPlan, chain bool) {
+	t.Helper()
+	p = buildChainPlan(deps, g)
+	checkChainPlanInvariants(t, deps, p, g)
+	cm := newCostModel(deps, g)
+	if single := singletonChainPlan(len(deps), cm.scratch); p.predictedVol > single.predictedVol {
+		t.Errorf("plan %v prices at %d, above the singleton plan's %d", chainNames(deps, p), p.predictedVol, single.predictedVol)
+	}
+	if supersetChainPlan(deps) == nil {
+		return p, false
+	}
+	forest := buildForestPlan(cm)
+	forest.leadBaseline(deps)
+	forest.splitUnpriced(cm)
+	forest.price(cm)
+	if got, want := planPin(deps, p), planPin(deps, forest); got != want {
+		t.Errorf("superset chain: the shortcut plans %s, the forest %s", got, want)
+	}
+	return p, true
+}
+
+// randomAxis draws a deployment axis of up to nine deployments over n
+// ASes. A mixed axis grows a few independent membership lineages — each
+// deployment extends a random previous one (nesting), duplicates it, or
+// starts fresh (incomparable); a chain axis is a superset chain, each
+// deployment the previous one, duplicated or grown by new members, Full
+// or Simplex, declared in a shuffled order. Either has the occasional
+// baseline.
+func randomAxis(rng *rand.Rand, n int, chain bool) []Deployment {
+	deps := make([]Deployment, 1+rng.Intn(9))
+	full, simplex := asgraph.NewSet(n), asgraph.NewSet(n)
+	for i := range deps {
+		switch {
+		case chain:
+			full, simplex = full.Clone(), simplex.Clone()
+			for k := 0; k < rng.Intn(6); k++ {
+				if v := asgraph.AS(rng.Intn(n)); !full.Has(v) && !simplex.Has(v) {
 					if rng.Intn(4) == 0 {
 						simplex.Add(v)
 					} else {
 						full.Add(v)
 					}
 				}
-			default: // fresh
-				for k := 0; k < rng.Intn(8); k++ {
-					full.Add(asgraph.AS(rng.Intn(n)))
+			}
+		case i > 0 && rng.Intn(3) == 0: // duplicate
+			full, simplex = asgraph.NewSet(n), asgraph.NewSet(n)
+			if src := deps[rng.Intn(i)].Dep; src != nil {
+				full, simplex = src.Full.Clone(), src.Simplex.Clone()
+			}
+		case i > 0 && rng.Intn(2) == 0: // extend
+			full, simplex = asgraph.NewSet(n), asgraph.NewSet(n)
+			if src := deps[rng.Intn(i)].Dep; src != nil {
+				full, simplex = src.Full.Clone(), src.Simplex.Clone()
+			}
+			for k := 0; k < 1+rng.Intn(5); k++ {
+				v := asgraph.AS(rng.Intn(n))
+				if rng.Intn(4) == 0 {
+					simplex.Add(v)
+				} else {
+					full.Add(v)
 				}
 			}
-			deps[i] = Deployment{
-				Name: fmt.Sprintf("d%d", i),
-				Dep:  &core.Deployment{Full: full, Simplex: simplex},
-			}
-			if rng.Intn(8) == 0 {
-				deps[i].Dep = nil // the occasional baseline
+		default: // fresh
+			full, simplex = asgraph.NewSet(n), asgraph.NewSet(n)
+			for k := 0; k < rng.Intn(8); k++ {
+				full.Add(asgraph.AS(rng.Intn(n)))
 			}
 		}
-		picked := buildChainPlan(deps, g)
-		checkChainPlanInvariants(t, deps, picked, g)
-		cm := newCostModel(deps, g)
-		nested := buildNestedChainPlan(deps)
-		nested.splitUnpriced(cm)
-		checkChainPlanInvariants(t, deps, nested, g)
-		nested.price(cm)
-		if picked.predictedVol > nested.predictedVol {
-			t.Errorf("trial %d: selected plan prices at %d, above the nested cover's %d",
-				trial, picked.predictedVol, nested.predictedVol)
+		deps[i] = Deployment{Dep: &core.Deployment{Full: full, Simplex: simplex}}
+		if rng.Intn(8) == 0 && (!chain || i == 0) {
+			deps[i].Dep = nil // the occasional baseline
+		}
+	}
+	if chain {
+		rng.Shuffle(len(deps), func(a, b int) { deps[a], deps[b] = deps[b], deps[a] })
+	}
+	for i := range deps {
+		deps[i].Name = fmt.Sprintf("d%d", i)
+	}
+	return deps
+}
+
+// TestChainPlanForestProperty is the planner's property test
+// (checkPlanProperties) on randomized axes — mixing nested prefixes,
+// simplex variants, duplicates, and incomparable sets — and on random
+// superset chains, every one of which must take the shortcut.
+func TestChainPlanForestProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	const n = 128
+	g := planTestGraph(n)
+	for trial := 0; trial < 400; trial++ {
+		chain := trial >= 200
+		deps := randomAxis(rng, n, chain)
+		if _, took := checkPlanProperties(t, deps, g); chain && !took {
+			t.Errorf("trial %d: a superset chain did not take the shortcut", trial)
 		}
 		if t.Failed() {
 			t.Fatalf("trial %d failed with axis %+v", trial, deps)

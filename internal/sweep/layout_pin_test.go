@@ -19,7 +19,7 @@ import (
 // pair nests and every pairwise signed delta carries well over the
 // from-scratch volume. IncrementalAuto must degrade it to the identity
 // order, which is the axis order [evens, top-odds, rest-odds] — not the
-// nested planner's smallest-first [top-odds, rest-odds, evens].
+// planner's smallest-first [top-odds, rest-odds, evens].
 func unlinkableGrid(g *asgraph.Graph, mode IncrementalMode) *Grid {
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 5, 6)
 	var evens, odds []asgraph.AS
@@ -114,10 +114,12 @@ func TestLayoutPins(t *testing.T) {
 	gf, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
 
 	// The unlinkable fixture must be the trap it claims to be: the
-	// nested planner, left to order it, would permute the axis.
+	// planner links none of it, and its walks, left in the planner's
+	// order, would permute the axis; only the identity fallback keeps
+	// the axis order.
 	unlinkable := unlinkableGrid(g, IncrementalAuto).Deployments
-	if got := fmt.Sprint(chainNames(unlinkable, buildNestedChainPlan(unlinkable))); got != "[[top-odds] [rest-odds] [evens]]" {
-		t.Fatalf("unlinkable fixture: nested planner orders it %s, want a permutation of the axis order", got)
+	if p := buildChainPlan(unlinkable, g); p.deltaEdges != 0 || fmt.Sprint(chainNames(unlinkable, p)) != "[[top-odds] [rest-odds] [evens]]" {
+		t.Fatalf("unlinkable fixture: the planner walks it %v, want the unlinked permutation of the axis order", chainNames(unlinkable, p))
 	}
 
 	for _, tc := range []struct {

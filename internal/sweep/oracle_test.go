@@ -174,7 +174,7 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 					switch {
 					case pl.sched.identity():
 						shapes["identity/"+axis.name]++
-					case pl.sched.plan.forest:
+					case removesAny(pl.sched.plan):
 						shapes["forest"]++
 					default:
 						shapes["nested"]++

@@ -154,98 +154,49 @@ func TestOnePlanServesEveryDriver(t *testing.T) {
 	}
 }
 
-// TestParentCheckpointCompat is the cross-version contract of the store
-// rewrite. testdata/parent_pr11_nested_s64.ckpt was written by the
-// commit before CheckpointWriter absorbed checkpointFile (the nested
-// golden grid, chain-major, workers=1, shard size 64): it must resume
-// here — whole, or cut to its first half, adopting the file's shard size
-// — to the golden bytes, and the same run under this code must write the
-// same bytes, header and records alike. With two workers, whose strips
-// slice the 64-cell shards, the resumes land on the same bytes and the
-// fresh file holds the same lines (record order is scheduling's).
+// TestParentCheckpointCompat is the cross-version contract of the
+// checkpoint store. A checkpoint written under a layout this code no
+// longer plans must be refused loudly, whole or cut to its first half: a
+// fingerprint mismatch, no unit evaluated, the file byte-unchanged. Two
+// such files are kept:
+//   - testdata/parent_pr11_nested_s64.ckpt, the nested golden grid
+//     (chain-major, workers=1, shard size 64) under the fingerprint that
+//     tagged a grow-only cover without hashing its walks;
+//   - testdata/headline_forest_s16.ckpt, the headline-shaped grid at
+//     shard size 16 under the forest walks [baseline] [t1t2 t1t2cp t2]
+//     [nonstubs] (fingerprint 09ecb788b5e28e0a), whose Tier 1 removal
+//     the cost model no longer plans.
+//
+// A file this code writes for the nested golden grid must resume, whole
+// or halved and adopting the file's shard size, to the golden bytes: at
+// one worker, and at two, whose strips slice the 64-cell shards and
+// write the same lines in another order.
 func TestParentCheckpointCompat(t *testing.T) {
+	g17, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
+	g3, meta3 := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	for _, tc := range []struct {
+		file string
+		pl   *Plan
+		size int // the file's shard size
+	}{
+		{"parent_pr11_nested_s64.ckpt", mustPrepare(nestedGrid(g17, 1, IncrementalAuto), g17), 64},
+		{"headline_forest_s16.ckpt", mustPrepare(headlineShapedGrid(g3, meta3), g3), 16},
+	} {
+		t.Run(tc.file, func(t *testing.T) { testCheckpointRefused(t, tc.pl, tc.file, tc.pl.Layout(tc.size).Shards) })
+	}
 	t.Run("workers=1", func(t *testing.T) { testParentCheckpointCompat(t, 1) })
 	t.Run("workers=2", func(t *testing.T) { testParentCheckpointCompat(t, 2) })
 }
 
-func testParentCheckpointCompat(t *testing.T, workers int) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
-	ctx := context.Background()
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_nested.json"))
+// testCheckpointRefused resumes pl from the fixture file of shards
+// records, whole and cut to half, and wants the loud refusal.
+func testCheckpointRefused(t *testing.T, pl *Plan, file string, shards int) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_pr11_nested_s64.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := mustPrepare(nestedGrid(g, workers, IncrementalAuto), g)
-	l := pl.Layout(64)
-	shards := l.Shards
-	if units := pl.Units(l); workers > 1 && len(pl.strips(nil, units, l, workers)) == len(units) {
-		t.Fatal("two workers slice no unit of this layout: the case would test nothing new")
-	}
-
 	for _, keep := range []int{shards, shards / 2} {
-		ckpt := filepath.Join(t.TempDir(), "parent.ckpt")
-		if err := os.WriteFile(ckpt, fixture, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cutCheckpoint(t, ckpt, keep)
-		var stats ShardStats
-		// No ShardSize: the resume must adopt the file's 64, not cut the
-		// grid at DefaultShardSize.
-		res, err := pl.EvaluateSharded(ctx, ShardOptions{Checkpoint: ckpt, Resume: true}, RunOptions{Stats: &stats})
-		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-			t.Errorf("parent checkpoint with %d of %d records resumes to different bytes", keep, shards)
-		}
-		if keep == shards && stats.Units != 0 {
-			t.Errorf("complete parent checkpoint re-evaluated %d units, want 0", stats.Units)
-		}
-	}
-
-	ckpt := filepath.Join(t.TempDir(), "fresh.ckpt")
-	if _, err := pl.EvaluateSharded(ctx, ShardOptions{ShardSize: 64, Checkpoint: ckpt}, RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if workers == 1 {
-		if got, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(got, fixture) {
-			t.Errorf("checkpoint written by this code differs from the parent's for the same grid (err %v)", err)
-		}
-		return
-	}
-	parent := filepath.Join(t.TempDir(), "parent.ckpt")
-	if err := os.WriteFile(parent, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantHeader, wantRecords := checkpointLines(t, parent)
-	if header, records := checkpointLines(t, ckpt); header != wantHeader || !slices.Equal(records, wantRecords) {
-		t.Error("checkpoint written with two workers does not hold the parent file's lines")
-	}
-}
-
-// TestForestHeadlineCheckpointRefused is the cross-layout contract of
-// the fitted cost model. testdata/headline_forest_s16.ckpt was written,
-// at shard size 16, for the headline-shaped grid by the release before
-// the model, which walked it as the signed-delta forest [baseline]
-// [t1t2 t1t2cp t2] [nonstubs] (fingerprint 09ecb788b5e28e0a). The model
-// plans that grid without the Tier 1 removal, so the layout — and the
-// fingerprint — differ: resuming the file, whole or cut to its first
-// half, must fail with the fingerprint mismatch, evaluate nothing and
-// leave the file as it was.
-func TestForestHeadlineCheckpointRefused(t *testing.T) {
-	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
-	pl := mustPrepare(headlineShapedGrid(g, meta), g)
-	if pl.sched.plan.forest || pl.fp == "09ecb788b5e28e0a" {
-		t.Fatalf("the headline-shaped grid still plans the forest layout (fingerprint %s)", pl.fp)
-	}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "headline_forest_s16.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 34
-	for _, keep := range []int{shards, shards / 2} {
-		ckpt := filepath.Join(t.TempDir(), "forest.ckpt")
+		ckpt := filepath.Join(t.TempDir(), file)
 		if err := os.WriteFile(ckpt, fixture, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +208,7 @@ func TestForestHeadlineCheckpointRefused(t *testing.T) {
 		var stats ShardStats
 		res, err := pl.EvaluateSharded(context.Background(), ShardOptions{Checkpoint: ckpt, Resume: true}, RunOptions{Stats: &stats})
 		if err == nil || res != nil {
-			t.Fatalf("forest checkpoint with %d of %d records resumed under the fitted layout (err %v)", keep, shards, err)
+			t.Fatalf("checkpoint with %d of %d records resumed under this layout (err %v)", keep, shards, err)
 		}
 		if !strings.Contains(err.Error(), "fingerprint") {
 			t.Fatalf("cross-layout resume failed with %v, want a fingerprint mismatch", err)
@@ -271,23 +222,85 @@ func TestForestHeadlineCheckpointRefused(t *testing.T) {
 	}
 }
 
-// TestCutWalksBindTheFingerprint: an uncut nested cover's fingerprint is
-// a tag, since the memberships alone determine it; once the cost model
-// cuts a walk the layout depends on the graph too, so the fingerprint
-// must hash the walks. Otherwise a checkpoint written under the uncut
-// cover, by a release that linked the step, would resume under the cut
-// one and merge partials of another cell order.
+func testParentCheckpointCompat(t *testing.T, workers int) {
+	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
+	ctx := context.Background()
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_nested.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := mustPrepare(nestedGrid(g, workers, IncrementalAuto), g)
+	l := pl.Layout(64)
+	shards := l.Shards
+	if units := pl.Units(l); workers > 1 && len(pl.strips(nil, units, l, workers)) == len(units) {
+		t.Fatal("two workers slice no unit of this layout: the case would test nothing new")
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh.ckpt")
+	res, err := pl.EvaluateSharded(ctx, ShardOptions{ShardSize: 64, Checkpoint: fresh}, RunOptions{})
+	if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
+		t.Fatal("fresh checkpointed run differs from the golden bytes")
+	}
+	written, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, keep := range []int{shards, shards / 2} {
+		ckpt := filepath.Join(t.TempDir(), "resume.ckpt")
+		if err := os.WriteFile(ckpt, written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cutCheckpoint(t, ckpt, keep)
+		var stats ShardStats
+		// No ShardSize: the resume must adopt the file's 64, not cut the
+		// grid at DefaultShardSize.
+		res, err := pl.EvaluateSharded(ctx, ShardOptions{Checkpoint: ckpt, Resume: true}, RunOptions{Stats: &stats})
+		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
+			t.Errorf("checkpoint with %d of %d records resumes to different bytes", keep, shards)
+		}
+		if keep == shards && stats.Units != 0 {
+			t.Errorf("complete checkpoint re-evaluated %d units, want 0", stats.Units)
+		}
+	}
+
+	if workers == 1 {
+		return
+	}
+	one := filepath.Join(t.TempDir(), "one.ckpt")
+	if _, err := mustPrepare(nestedGrid(g, 1, IncrementalAuto), g).EvaluateSharded(ctx, ShardOptions{ShardSize: 64, Checkpoint: one}, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	wantHeader, wantRecords := checkpointLines(t, one)
+	if header, records := checkpointLines(t, fresh); header != wantHeader || !slices.Equal(records, wantRecords) {
+		t.Error("checkpoint written with two workers does not hold the one-worker file's lines")
+	}
+}
+
+// TestCutWalksBindTheFingerprint: the fingerprint hashes a chained
+// layout's walks, since the memberships alone do not determine them —
+// the planner's cost model reads the graph. Two layouts of the same
+// memberships whose walks differ — in order, or cut at another step —
+// must get different fingerprints; otherwise a checkpoint written under
+// one would resume under the other and merge partials of another cell
+// order.
 func TestCutWalksBindTheFingerprint(t *testing.T) {
 	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
 	pl := mustPrepare(headlineShapedGrid(g, meta), g)
-	if p := pl.sched.plan; !p.cut || p.forest {
-		t.Fatalf("the headline-shaped grid plans %v (forest %v): not a cut nested cover", chainNames(pl.ax.deps, p), p.forest)
+	chains := pl.sched.plan.chains
+	if pl.sched.identity() || len(chains) < 2 || len(chains[len(chains)-1]) < 2 {
+		t.Fatalf("the headline-shaped grid plans %v: want at least two walks, the last with a step", chainNames(pl.ax.deps, pl.sched.plan))
 	}
-	uncut := scheduleOf(pl.ax, buildNestedChainPlan(pl.ax.deps))
-	if uncut.identity() {
-		t.Fatal("the uncut nested cover is the identity order")
-	}
-	if fp := pl.gr.fingerprint(g, pl.ax, uncut); fp == pl.fp {
-		t.Fatalf("the cut and the uncut nested layouts share fingerprint %s", fp)
+	last := chains[len(chains)-1]
+	for name, walks := range map[string][][]chainStep{
+		"reordered": append([][]chainStep{last}, chains[:len(chains)-1]...),
+		"cut":       append(slices.Clone(chains[:len(chains)-1]), last[:1], last[1:]),
+	} {
+		other := scheduleOf(pl.ax, &chainPlan{chains: walks})
+		if other.identity() {
+			t.Fatalf("%s: the other layout is the identity order", name)
+		}
+		if fp := pl.gr.fingerprint(g, pl.ax, other); fp == pl.fp {
+			t.Errorf("%s walks share fingerprint %s with the planned ones", name, fp)
+		}
 	}
 }

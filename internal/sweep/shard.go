@@ -98,9 +98,8 @@ type ShardStats struct {
 
 	// ChainHeads is the number of from-scratch walk heads per (model,
 	// destination, attacker) group under the planned schedule — the
-	// number of trees in the signed-delta forest, the number of nested
-	// chains, or the full deployment-axis length on the identity
-	// schedule.
+	// number of planned walks, or the full deployment-axis length on the
+	// identity schedule.
 	ChainHeads int `json:"chain_heads"`
 	// DeltaEdges is the number of RunDelta steps per group walk
 	// (deployments minus ChainHeads; zero on the identity schedule).
@@ -185,8 +184,8 @@ func numShards(cells, shardSize int) int {
 // Fingerprint is a stable 64-bit digest of everything that shapes the
 // grid's cell space, its scheduled order, and per-cell outcomes:
 // topology size, policy variant, attack, axes (including deployment
-// memberships), and — when the scheduler orders cells chain-major — a
-// schedule tag. Checkpoint files embed it so a resume against a
+// memberships), and — when the scheduler orders cells chain-major — the
+// planner's walks. Checkpoint files embed it so a resume against a
 // different grid, or against the same grid under a different shard
 // layout (shard indices are meaningless across layouts), fails loudly
 // instead of silently merging incompatible partials. Identity-ordered
@@ -246,28 +245,19 @@ func (gr *Grid) fingerprint(g *asgraph.Graph, ax *axes, sched *schedule) string 
 		wint(int(d))
 	}
 	if !sched.identity() {
-		if tag := sched.plan.walkTag(); tag != "" {
-			// Forest layouts, and nested ones the cost model cut, hash
-			// their walk structure, not just a tag: the walks depend on
-			// the graph's adjacency degrees (the planner's cost model),
-			// which the membership-only fields above do not capture —
-			// and any future cost-model change moves the layout. Binding
-			// the exact linearization makes every cross-layout resume a
-			// loud fingerprint mismatch instead of a silent wrong-bytes
-			// merge.
-			wstr(tag)
-			wint(len(sched.plan.chains))
-			for _, ch := range sched.plan.chains {
-				wint(len(ch))
-				for _, step := range ch {
-					wint(step.si)
-				}
+		// A chained layout hashes its walks, not just a tag: the walks
+		// depend on the graph's adjacency degrees (the planner's cost
+		// model), which the membership-only fields above do not capture,
+		// and any planner or cost-model change moves them. Binding the
+		// exact linearization makes every cross-layout resume a loud
+		// fingerprint mismatch instead of a silent wrong-bytes merge.
+		wstr("schedule:walks")
+		wint(len(sched.plan.chains))
+		for _, ch := range sched.plan.chains {
+			wint(len(ch))
+			for _, step := range ch {
+				wint(step.si)
 			}
-		} else {
-			// An uncut nested cover keeps the historical tag: it is a
-			// pure function of the memberships hashed above, so
-			// pre-forest chain-major checkpoints resume unchanged.
-			wstr("schedule:chain-major")
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
