@@ -145,7 +145,7 @@ func TestLayoutPins(t *testing.T) {
 		},
 		{
 			name: "nested", g: g, grid: chainedGrid(g, IncrementalAuto),
-			layout: Layout{Fingerprint: "71b7eed2079d55c3", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
+			layout: Layout{Fingerprint: "50d296e0a4dea9ef", Cells: 360, Tasks: 72, ShardSize: 7, Shards: 52},
 			units:  "13x4",
 			stats: ShardStats{Units: 13, HandoffHits: 39, MemoHits: 208, MemoFills: 29,
 				Counters:   core.Counters{Runs: 58, DeltaSteps: 7, DirtyVolume: 3942, NoOps: 75, Fallbacks: 21, Passes: 9, FirstPassVolume: 17925},
@@ -153,7 +153,7 @@ func TestLayoutPins(t *testing.T) {
 		},
 		{
 			name: "forest", g: gf, grid: forestGrid(gf, 2, IncrementalAuto),
-			layout: Layout{Fingerprint: "6ce55ff4dc3b1c87", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
+			layout: Layout{Fingerprint: "3c3a54777a5e17b9", Cells: 450, Tasks: 90, ShardSize: 7, Shards: 65},
 			units:  "13x5",
 			stats: ShardStats{Units: 13, HandoffHits: 50, MemoHits: 258, MemoFills: 29,
 				Counters:   core.Counters{Runs: 53, NoOps: 124, Fallbacks: 16, FirstPassVolume: 25550},
