@@ -205,8 +205,8 @@ func TestPlannerWalkPins(t *testing.T) {
 		"daemon-small": "[[baseline t1t2]] heads=1 edges=1 vol=19906",
 		"fig7a-simplex/800-1": "[[baseline step0 step1 step2] [step0+simplex step1+simplex step2+simplex]] " +
 			"heads=2 edges=5 vol=19162",
-		"fig7a-simplex/800-23": "[[baseline step0 step1 step2] [step0+simplex step1+simplex step2+simplex]] " +
-			"heads=2 edges=5 vol=20454",
+		"fig7a-simplex/800-23": "[[baseline step0 step0+simplex step1+simplex step2+simplex step1 step2]] " +
+			"heads=1 edges=6 vol=18226",
 		"nestedGrid/500-17": "[[baseline step3 step3+simplex step9+simplex step9 step18 step30 step18+simplex step30+simplex]] " +
 			"heads=1 edges=8 vol=11127",
 		"forestGrid/400-31":        "[[baseline winA winB winB+simplex winC]] heads=1 edges=4 vol=5869",
