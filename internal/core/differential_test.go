@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -221,4 +223,22 @@ func FuzzRunDelta(f *testing.F) {
 		f.Add(seed, []byte(nil))
 	}
 	f.Fuzz(checkRunDeltaDifferential)
+}
+
+// TestHierarchyDigest pins the seeded hierarchies the property tests
+// draw: every AS's provider, customer and peer lists, for seeds 0–49 at
+// four sizes, hash to one digest.
+func TestHierarchyDigest(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < 50; seed++ {
+		for _, n := range []int{2, 17, 40, 120} {
+			g := randomGraph(seed, n)
+			for v := asgraph.AS(0); int(v) < n; v++ {
+				fmt.Fprintln(h, g.Providers(v), g.Customers(v), g.Peers(v))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != "3a90f9da106a3912c861682509a2794156e3322a030066c8a74d0bf0e6e10629" {
+		t.Fatalf("seeded hierarchies hash to %s", got)
+	}
 }

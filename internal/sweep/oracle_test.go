@@ -8,6 +8,8 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -50,6 +52,24 @@ func randomHierarchy(seed int64, n int) *asgraph.Graph {
 		link(asgraph.AS(rng.Intn(n)), asgraph.AS(rng.Intn(n)), true)
 	}
 	return b.MustBuild()
+}
+
+// TestHierarchyDigest pins randomHierarchy's graphs: every AS's
+// provider, customer and peer lists, for seeds 0–49 at four sizes, hash
+// to one digest, so the oracle's and the pool's inputs stay fixed.
+func TestHierarchyDigest(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < 50; seed++ {
+		for _, n := range []int{2, 17, 40, 120} {
+			g := randomHierarchy(seed, n)
+			for v := asgraph.AS(0); int(v) < n; v++ {
+				fmt.Fprintln(h, g.Providers(v), g.Customers(v), g.Peers(v))
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != "3a90f9da106a3912c861682509a2794156e3322a030066c8a74d0bf0e6e10629" {
+		t.Fatalf("seeded hierarchies hash to %s", got)
+	}
 }
 
 // happyCounts recovers the integer (happy-lo, happy-hi) source counts a
