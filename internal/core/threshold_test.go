@@ -55,24 +55,6 @@ func ringReference(n int) *Outcome {
 	return NewEngine(g, policy.Sec2nd).Run(d, m, next).Clone()
 }
 
-func assertOutcomeEqual(t *testing.T, label string, got, want *Outcome) {
-	t.Helper()
-	if got.Dst != want.Dst || got.Attacker != want.Attacker {
-		t.Fatalf("%s: scenario mismatch (dst %d/%d attacker %d/%d)",
-			label, got.Dst, want.Dst, got.Attacker, want.Attacker)
-	}
-	for v := range want.Class {
-		if got.Class[v] != want.Class[v] || got.Len[v] != want.Len[v] ||
-			got.Secure[v] != want.Secure[v] || got.Label[v] != want.Label[v] ||
-			got.Next[v] != want.Next[v] {
-			t.Fatalf("%s: AS%d differs: got (%v,%d,%v,%v,%d) want (%v,%d,%v,%v,%d)",
-				label, v,
-				got.Class[v], got.Len[v], got.Secure[v], got.Label[v], got.Next[v],
-				want.Class[v], want.Len[v], want.Secure[v], want.Label[v], want.Next[v])
-		}
-	}
-}
-
 // TestDeltaThresholdEdgeVolumeBoundary pins overDeltaThreshold exactly
 // at the edge-volume boundary. On a 6-ring (total volume 12) the
 // attacker's AS joining dirties it and its two neighbors — volume 6,

@@ -22,46 +22,14 @@ import (
 	"sbgp/internal/topogen"
 )
 
-// randomHierarchy builds a small random AS graph: every AS after the
-// first buys transit from up to two lower-numbered ASes (so the provider
-// relation is acyclic), plus random peerings. It need not be connected.
-func randomHierarchy(seed int64, n int) *asgraph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	b := asgraph.NewBuilder(n)
-	linked := map[[2]asgraph.AS]bool{}
-	link := func(x, y asgraph.AS, peer bool) {
-		if x > y {
-			x, y = y, x
-		}
-		if x == y || linked[[2]asgraph.AS{x, y}] {
-			return
-		}
-		linked[[2]asgraph.AS{x, y}] = true
-		if peer {
-			b.AddPeer(x, y)
-		} else {
-			b.AddProviderCustomer(x, y)
-		}
-	}
-	for v := 1; v < n; v++ {
-		for k := rng.Intn(3); k > 0; k-- {
-			link(asgraph.AS(rng.Intn(v)), asgraph.AS(v), false)
-		}
-	}
-	for e := rng.Intn(2 * n); e > 0; e-- {
-		link(asgraph.AS(rng.Intn(n)), asgraph.AS(rng.Intn(n)), true)
-	}
-	return b.MustBuild()
-}
-
-// TestHierarchyDigest pins randomHierarchy's graphs: every AS's
+// TestHierarchyDigest pins topogen.Hierarchy's seeded graphs: every AS's
 // provider, customer and peer lists, for seeds 0–49 at four sizes, hash
 // to one digest, so the oracle's and the pool's inputs stay fixed.
 func TestHierarchyDigest(t *testing.T) {
 	h := sha256.New()
 	for seed := int64(0); seed < 50; seed++ {
 		for _, n := range []int{2, 17, 40, 120} {
-			g := randomHierarchy(seed, n)
+			g := topogen.Hierarchy(n, rand.New(rand.NewSource(seed)).Intn)
 			for v := asgraph.AS(0); int(v) < n; v++ {
 				fmt.Fprintln(h, g.Providers(v), g.Customers(v), g.Peers(v))
 			}
@@ -132,7 +100,7 @@ func TestSweepMatchesOracleOnGeneratedInputs(t *testing.T) {
 		if seed == 2 {
 			lp = policy.LP2
 		}
-		inputs = append(inputs, input{fmt.Sprintf("random-%d", seed), randomHierarchy(seed, 40+10*int(seed)), lp})
+		inputs = append(inputs, input{fmt.Sprintf("random-%d", seed), topogen.Hierarchy(40+10*int(seed), rand.New(rand.NewSource(seed)).Intn), lp})
 	}
 	workerCounts, sizes := []int{1, 2, 3}, []int{1, 7, 1 << 20}
 	if raceEnabled {

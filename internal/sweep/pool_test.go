@@ -3,10 +3,12 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/policy"
+	"sbgp/internal/topogen"
 )
 
 // TestPoolFollowsSizeAndLP drives one EnginePool twice round a cycle of
@@ -17,7 +19,8 @@ import (
 // one state per worker — engines are replaced, not accumulated per size —
 // none of which keeps the last job's graph alive.
 func TestPoolFollowsSizeAndLP(t *testing.T) {
-	small, large := randomHierarchy(3, 60), randomHierarchy(4, 150)
+	small := topogen.Hierarchy(60, rand.New(rand.NewSource(3)).Intn)
+	large := topogen.Hierarchy(150, rand.New(rand.NewSource(4)).Intn)
 	jobs := []struct {
 		name string
 		g    *asgraph.Graph

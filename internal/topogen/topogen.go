@@ -450,3 +450,38 @@ func MustGenerate(p Params) (*asgraph.Graph, *Meta) {
 	}
 	return g, m
 }
+
+// Hierarchy builds an arbitrary valid AS graph of n ASes from a draw
+// source, pick(k) returning a choice in [0, k): each AS v ≥ 1 draws up to
+// two providers among the lower-numbered ASes, so the customer–provider
+// relation is acyclic by construction, then fewer than 2n peer links are
+// drawn among all ASes. A repeated or self link is skipped. The graph
+// may be disconnected, peer-free or stub-free, and makes no attempt to
+// look like the Internet: property tests and fuzz targets draw it, from
+// a seeded PRNG or from fuzzer bytes, so a short byte string spells out
+// a hand-built hierarchy.
+func Hierarchy(n int, pick func(int) int) *asgraph.Graph {
+	b := asgraph.NewBuilder(n)
+	linked := make(map[[2]asgraph.AS]bool)
+	link := func(x, y asgraph.AS, peer bool) {
+		k := [2]asgraph.AS{min(x, y), max(x, y)}
+		if x == y || linked[k] {
+			return
+		}
+		linked[k] = true
+		if peer {
+			b.AddPeer(x, y)
+		} else {
+			b.AddProviderCustomer(x, y)
+		}
+	}
+	for v := 1; v < n; v++ {
+		for k := pick(3); k > 0; k-- {
+			link(asgraph.AS(pick(v)), asgraph.AS(v), false)
+		}
+	}
+	for e := pick(2 * n); e > 0; e-- {
+		link(asgraph.AS(pick(n)), asgraph.AS(pick(n)), true)
+	}
+	return b.MustBuild()
+}
