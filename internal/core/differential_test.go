@@ -170,17 +170,6 @@ func routesVia(o *Outcome, v, m asgraph.AS) bool {
 	return false
 }
 
-// cutVolume sums the degrees of the ASes whose secure route in o runs
-// through a removed AS: RunDelta seeds all of them before its first pass.
-func cutVolume(g *asgraph.Graph, o *Outcome, removed []asgraph.AS) (vol int64) {
-	for v := range o.Secure {
-		if o.Secure[v] && slices.ContainsFunc(removed, func(r asgraph.AS) bool { return routesVia(o, asgraph.AS(v), r) }) {
-			vol += int64(g.Degree(asgraph.AS(v)))
-		}
-	}
-	return vol
-}
-
 // checkPaper holds one scenario's outcomes in both tiebreak modes, bounds
 // and res from engines bE and rE, to the paper and the engine's per-AS
 // invariants; aux is the step's PRNG, and sim enables the bgpsim check.
@@ -351,15 +340,18 @@ func (w *walk) checkSecFree(label string, e *Engine, d, m asgraph.AS, dep *Deplo
 // definition (checkSecFree); a long-lived engine must agree after another
 // scenario; RunDelta must be a no-op exactly on chained free → free steps,
 // a threshold-0 engine fall back on every other one, and a rebound engine
-// price its graph and fall back like one built for it. Choices beyond the
+// price its graph and fall back like one built for it. A last step takes
+// one AS out of full deployment (see there). Choices beyond the
 // script come from PRNGs keyed by (seed, step), so a script replays its
 // case whatever checks are added.
 func checkRunDeltaDifferential(w *walk, data []byte) {
 	seed := w.seed
 	s := &deltaScript{data: data, rng: rand.New(rand.NewSource(seed))}
 	internet := seed%10 == 7
-	var n int
-	var g *asgraph.Graph
+	n := 60 + 10*int(seed/10%55)
+	if !internet {
+		n = 2 + s.pick(39)
+	}
 	// graph draws the case's graph, or the second graph of a hop.
 	graph := func(variant int64) *asgraph.Graph {
 		if internet {
@@ -368,13 +360,8 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 		}
 		return topogen.Hierarchy(n, s.pick)
 	}
-	if internet {
-		n = 60 + 10*int(seed/10%55)
-	} else {
-		n = 2 + s.pick(39)
-	}
 	s.full, s.simplex = asgraph.NewSet(n), asgraph.NewSet(n)
-	g = graph(0)
+	g := graph(0)
 	d := asgraph.AS(s.pick(n))
 	m := asgraph.AS(s.pick(n + 1))
 	if m == d || int(m) == n {
@@ -388,8 +375,7 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 	if !resolve {
 		opts, altOpts = altOpts, opts
 	}
-	deltaOpts := opts
-	threshold0 := false
+	deltaOpts, threshold0 := opts, false
 	if s.pick(2) == 1 {
 		deltaOpts = append(slices.Clip(opts), withDeltaThreshold(1))
 	} else if threshold0 = seed%3 == 2; threshold0 {
@@ -409,14 +395,13 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 	if m != asgraph.None {
 		part = NewPartitioner(g, lp).Run(d, m)
 	}
+	all := &Deployment{Full: asgraph.NewSet(n)}
+	for v := range n {
+		all.Full.Add(asgraph.AS(v))
+	}
 	if m != asgraph.None && lp == policy.Standard {
-		// With everyone secure under security 1st and standard LP, a
-		// source is happy exactly when it is not doomed, or else has no
-		// route at all.
-		all := &Deployment{Full: asgraph.NewSet(n)}
-		for v := range n {
-			all.Full.Add(asgraph.AS(v))
-		}
+		// With everyone secure under security 1st and standard LP, a source
+		// is happy exactly when it is not doomed (or has no route at all).
 		o, bad := NewEngineLP(g, policy.Sec1st, lp).Run(d, m, all), asgraph.None
 		for v, l := range o.Label {
 			doomed := part.Cat[policy.Sec1st][v] == CatDoomed
@@ -557,7 +542,7 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 			diff := outcomeDiff(delta.Run(x, asgraph.None, nil), NewEngineLP(g, model, lp, opts...).Run(x, asgraph.None, nil))
 			w.check("noleak", 1, diff == "", "step %d: unrelated run after RunDelta: %s", i, diff)
 		}
-		chained, cut, before := prev == &delta.out, cutVolume(g, prev, removed), delta.counters
+		chained, before := prev == &delta.out, delta.counters
 		got := delta.RunDelta(prev, added, removed, next, atk)
 		after := delta.counters
 		label := fmt.Sprintf("step %d, +%d/-%d", i, len(added), len(removed))
@@ -579,10 +564,25 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 		if threshold0 {
 			w.check("threshold-0", 1, (after.Fallbacks > before.Fallbacks) != noop, "%s: threshold-0 engine fell back = %v on a no-op = %v", label, after.Fallbacks > before.Fallbacks, noop)
 		}
-		if after.Passes > before.Passes {
-			w.check("secure-reverse", 1, after.FirstPassVolume-before.FirstPassVolume >= cut, "%s: first pass seeded volume %d, the cut secure routes alone %d", label, after.FirstPassVolume-before.FirstPassVolume, cut)
-		}
 		prev, dep, free, grew = got, next, freeNext, len(added) > 0 && len(removed) == 0
+	}
+	// Under full deployment every route is secure, so taking one AS r out
+	// of Full cuts its whole routing subtree, and RunDelta must seed all
+	// of it (seedSecureReverse) before its first pass.
+	probe := NewEngineLP(g, model, lp, append(slices.Clip(opts), withDeltaThreshold(1))...)
+	o, r := probe.RunAttack(d, m, all, atk), asgraph.AS(stepRand(seed, 0).Intn(n))
+	less := &Deployment{Full: all.Full.Clone()}
+	less.Full.Remove(r)
+	cut, before := int64(0), probe.counters
+	for v := range o.Secure {
+		if o.Secure[v] && routesVia(o, asgraph.AS(v), r) {
+			cut += int64(g.Degree(asgraph.AS(v)))
+		}
+	}
+	diff := outcomeDiff(probe.RunDelta(o, nil, []asgraph.AS{r}, less, atk), NewEngineLP(g, model, lp, opts...).RunAttack(d, m, less, atk))
+	w.check("removal", 1, diff == "", "AS%d leaving full deployment: %s", r, diff)
+	if after := probe.counters; after.Passes > before.Passes {
+		w.check("secure-reverse", 1, after.FirstPassVolume-before.FirstPassVolume >= cut, "AS%d leaving full deployment: first pass seeded volume %d, the cut secure routes alone %d", r, after.FirstPassVolume-before.FirstPassVolume, cut)
 	}
 }
 
@@ -705,8 +705,8 @@ func TestRunDeltaExternalPrev(t *testing.T) { requireWalk(t, 400, "external-prev
 // TestRunDeltaNoStateLeak: so does an ordinary run after RunDelta.
 func TestRunDeltaNoStateLeak(t *testing.T) { requireWalk(t, 400, "noleak") }
 
-// TestRunDeltaRemovalMatchesFromScratch: so do removal steps, each delta
-// pass seeding every AS a removed AS cuts off its secure route up front.
+// TestRunDeltaRemovalMatchesFromScratch: so do removal steps, and an AS
+// leaving full deployment has its whole secure subtree seeded up front.
 func TestRunDeltaRemovalMatchesFromScratch(t *testing.T) {
 	requireWalk(t, 250, "removal", "secure-reverse")
 }
