@@ -471,6 +471,8 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 		if !resolve {
 			bE, rE, bounds, res = rE, bE, res, bounds
 		}
+		// bgpsim rescans its queue on every delivery: topogen graphs run it
+		// at their head only, up to 260 ASes.
 		w.checkPaper(label, on, p, model, lp, dep, atk, bE, rE, bounds, res, aux, n <= 40 || calls == 1 && n <= 260)
 		if on == g {
 			// The producer is long-lived: run it on another pair under
@@ -505,10 +507,7 @@ func checkRunDeltaDifferential(w *walk, data []byte) {
 				delta.Rebind(g2)
 				check(fmt.Sprintf("step %d rebound", i), g2, delta.RunAttack(d, m, dep, atk), dep, "rebound")
 				// One delta step on g2, against an engine built for it.
-				walk2 := &deltaScript{rng: stepRand(seed, -int64(i)), full: asgraph.NewSet(n), simplex: asgraph.NewSet(n)}
-				if dep != nil {
-					walk2.full, walk2.simplex = dep.Full.Clone(), dep.Simplex.Clone()
-				}
+				walk2 := &deltaScript{rng: stepRand(seed, -int64(i)), full: s.full.Clone(), simplex: s.simplex.Clone()}
 				dep2 := walk2.step(n)
 				added, removed := DeploymentDelta(dep, dep2)
 				mirror := NewEngineLP(g2, model, lp, deltaOpts...)
