@@ -44,13 +44,18 @@ lint:
 	$(GO) run ./cmd/sbgplint ./...
 
 # examples-smoke executes every example program (small N where sized)
-# so the walk-throughs run, not just compile.
+# so the walk-throughs run, not just compile, then walks the resumable
+# one-shot workflow the README teaches: a 400-AS JobSpec with 16-cell
+# shards and a checkpoint runs under bgpsim -job, its checkpoint is cut
+# to the header plus 4 records, the rerun with "resume": true skips
+# those, and both grids must cmp equal to a checkpoint-free run.
 examples-smoke:
 	$(GO) run ./examples/quickstart -n 400 >/dev/null
 	$(GO) run ./examples/rollout -n 400 >/dev/null
 	$(GO) run ./examples/downgrade >/dev/null
 	$(GO) run ./examples/collateral >/dev/null
 	$(GO) run ./examples/wedgie >/dev/null
+	./scripts/resume_smoke.sh
 	@echo "examples OK"
 
 # sbgpd-smoke starts the resident daemon on an ephemeral port, drives

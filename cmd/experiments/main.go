@@ -3,53 +3,31 @@
 // workload and prints the measured values under the paper's claims about
 // them (exp.Claims), each with its measured value and whether it holds,
 // by what margin; a miss does not change the exit status. It simulates
-// one sbgp.Scenario — the headline job the grid flags spell — and hands
-// that Simulation to both the grid writer and the experiment suite
+// one sbgp.Scenario — the headline job the report flags spell — and
+// hands that Simulation to both the grid writer and the experiment suite
 // (internal/exp).
 //
 // Usage:
 //
 //	experiments [-n 4000] [-seed 1] [-maxm 24] [-maxd 32] [-perdest 200]
 //	            [-workers 0] [-quick] [-skip-ixp] [-json grid.json]
-//	            [-attack one-hop] [-full] [-shards N]
-//	            [-checkpoint sweep.ckpt] [-resume] [-incremental auto|off]
-//	experiments -job spec.json -json grid.json
+//	            [-attack one-hop] [-full] [-v]
 //
-// -quick shrinks everything for a fast smoke run. -json additionally
+// -quick shrinks everything for a fast smoke run and so conflicts with
+// the size flags (-n, -maxm, -maxd, -perdest). -json additionally
 // writes the headline (model × deployment) sweep grid as a JSON
 // artifact; the grid is evaluated by the sweep layer, so the file is
 // byte-identical at any worker count. -attack swaps the threat model of
 // the metric experiments (the partition, root-cause, and phenomena
 // experiments are defined for the one-hop attack and ignore it).
 //
-// -job runs one sweep-grid job described by a versioned sbgp.JobSpec
-// JSON file — the same spec format the sbgpd daemon accepts — and
-// writes the result grid to -json, skipping the paper report. The
-// scattered grid flags (-n/-seed/-maxm/-maxd/-attack/-full/-shards/
-// -checkpoint/-resume/-incremental/-workers) are the deprecated
-// spelling of the same job: they fill in a JobSpec and take the same
-// path, so both spellings produce byte-identical grid files. New
-// automation should write a spec file.
-//
 // -full replaces the MaxM/MaxD pair sampling with the paper's full
 // enumeration: every non-stub attacker × every destination (Appendix
-// H's BlueGene methodology). -shards, -checkpoint, and -resume run the
-// -json grid through the sharded evaluator — fixed-size shards, one
-// fsync'd checkpoint record per completed shard — so a full enumeration
-// survives interruption: rerun with -resume and the completed shards
-// are skipped, with byte-identical output.
-//
-// Delta evaluation is on by default (-incremental=auto): the planner
-// covers the deployment axis with signed-delta walks — nested
-// deployments (the rollout sequences) reuse the previous step's fixed
-// point via Engine.RunDelta, and incomparable deployments (the
-// early-adopter scenarios) are linked by remove-then-add deltas through
-// a minimum-cost forest instead of each re-running from scratch. Only
-// axes with no linkable pair fall back to the from-scratch schedule.
-// Output is byte-identical in both modes; -incremental=off forces the
-// from-scratch order. -v prints the planner's prediction beside the
-// engines' measured work, and the dispatch counters, of grid evaluations
-// to stderr.
+// H's BlueGene methodology). A grid job that must survive interruption
+// — sharded, checkpointed and resumed — is a sbgp.JobSpec file run by
+// bgpsim -job or the sbgpd daemon. -v prints the planner's prediction
+// beside the engines' measured work, and the dispatch counters, of grid
+// evaluations to stderr.
 package main
 
 import (
@@ -69,15 +47,14 @@ import (
 	"sbgp/internal/runner"
 )
 
-// options is the parsed command line. The grid flags bind straight into
-// the JobSpec fields they spell, so there is no flag-to-spec conversion
-// to keep in step with the wire format.
+// options is the parsed command line. The report flags bind straight
+// into the fields of the headline JobSpec they spell.
 type options struct {
 	spec    sbgp.JobSpec
 	perDest int
 
 	quick, skipIXP, verbose bool
-	jsonPath, jobPath       string
+	jsonPath                string
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
@@ -88,35 +65,38 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.spec.Pairs.MaxD, "maxd", sbgp.DefaultMaxD, "destination sample size")
 	fs.IntVar(&o.perDest, "perdest", 200, "per-destination series sample")
 	fs.IntVar(&o.spec.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.quick, "quick", false, "tiny smoke-run configuration")
+	fs.BoolVar(&o.quick, "quick", false, "tiny smoke-run configuration (sets -n, -maxm, -maxd and -perdest)")
 	fs.BoolVar(&o.skipIXP, "skip-ixp", false, "skip the Appendix J IXP-augmented rerun")
 	fs.StringVar(&o.jsonPath, "json", "", "also write the headline sweep grid to this file")
 	fs.StringVar(&o.spec.Attack, "attack", "one-hop",
 		"threat model for the metric experiments: one-hop|none|origin-spoof|pad-K")
 	fs.BoolVar(&o.spec.Pairs.Full, "full", false,
 		"enumerate every (non-stub attacker, destination) pair instead of sampling")
-	fs.IntVar(&o.spec.ShardSize, "shards", 0,
-		"cells per shard for the -json grid (0 = default; enables sharded evaluation)")
-	fs.StringVar(&o.spec.Checkpoint, "checkpoint", "",
-		"JSON-lines checkpoint file for the -json grid (one fsync'd record per shard)")
-	fs.BoolVar(&o.spec.Resume, "resume", false,
-		"skip shards already recorded in -checkpoint")
-	fs.StringVar(&o.spec.Incremental, "incremental", "auto",
-		"delta scheduling mode, auto|off (auto reuses each deployment's fixed point across nested deployments; identical results)")
-	fs.StringVar(&o.jobPath, "job", "",
-		"run the sweep-grid job described by this JobSpec JSON file and write the grid to -json (replaces the deprecated grid flags)")
 	fs.BoolVar(&o.verbose, "v", false,
 		"print the planner prediction beside the measured engine work, and the dispatch counters, of grid evaluations to stderr")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if o.perDest < 0 {
+		return nil, fmt.Errorf("-perdest %d is negative", o.perDest)
+	}
 	if o.quick {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "n", "maxm", "maxd", "perdest":
+				err = fmt.Errorf("-%s conflicts with -quick, which sets the sizes itself", f.Name)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
 		o.spec.Topology.N, o.spec.Pairs.MaxM, o.spec.Pairs.MaxD, o.perDest = 800, 10, 12, 40
 	}
 	return o, nil
 }
 
-// headlineSpec is the job the grid flags spell: the headline (model ×
+// headlineSpec is the job the report flags spell: the headline (model ×
 // deployment) grid — baseline plus the named rollout endpoints — over
 // the flag-bound spec, with the sampling caps (flag defaults that do
 // not apply) dropped under -full.
@@ -142,41 +122,6 @@ func main() {
 	// experiment — and the command exits non-zero with the context error.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if o.jobPath != "" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "job", "json", "workers", "v":
-			default:
-				fail(fmt.Errorf("-%s is part of the deprecated flag spelling and conflicts with -job (put it in the spec file)", f.Name))
-			}
-		})
-		if o.jsonPath == "" {
-			fail(fmt.Errorf("-job writes the result grid and needs -json"))
-		}
-		spec, err := sbgp.LoadJobSpec(o.jobPath)
-		if err != nil {
-			fail(err)
-		}
-		if o.spec.Workers != 0 {
-			spec.Workers = o.spec.Workers
-		}
-		sim, err := simulate(ctx, spec)
-		if err != nil {
-			fail(err)
-		}
-		if err := writeGrid(sim, o.jsonPath, o.verbose); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	sharded := o.spec.ShardSize > 0 || o.spec.Checkpoint != "" || o.spec.Resume
-	if sharded && o.jsonPath == "" {
-		fail(fmt.Errorf("-shards/-checkpoint/-resume evaluate the headline grid and need -json"))
-	}
-	if o.spec.Resume && o.spec.Checkpoint == "" {
-		fail(fmt.Errorf("-resume needs -checkpoint"))
-	}
 
 	// One simulation of the headline spec serves the workload line, the
 	// -json grid and the report.
@@ -194,8 +139,8 @@ func main() {
 		w.Attack.Name())
 
 	if o.jsonPath != "" {
-		// Evaluated exactly as -job (and the sbgpd daemon) would, so both
-		// spellings write byte-identical grid files.
+		// Evaluated exactly as bgpsim -job (and the sbgpd daemon) would,
+		// so the grid file is the one a spec file of this job yields.
 		if err := writeGrid(sim, o.jsonPath, o.verbose); err != nil {
 			fail(err)
 		}

@@ -25,19 +25,19 @@ func parse(t *testing.T, args ...string) *options {
 	return o
 }
 
-// TestHeadlineSpecMatchesJobFile pins the two spellings at the spec
-// level: the deprecated grid flags fill in exactly the spec a -job file
-// would carry. Both sides spell the mode "on" — accepted input from its
-// three-state days, canonically "auto".
+// TestHeadlineSpecMatchesJobFile pins the report flags at the spec
+// level: they fill in exactly the spec a bgpsim -job file would carry.
+// The file spells the mode "on" — accepted input from its three-state
+// days, canonically "auto", the flags' default.
 func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 	legacy := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2",
-		"-attack", "pad-2", "-incremental", "on", "-shards", "64", "-checkpoint", "grid.ckpt").headlineSpec()
+		"-attack", "pad-2").headlineSpec()
 	if err := legacy.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	legacy = legacy.Canonical()
 	if legacy.Incremental != "auto" {
-		t.Errorf(`-incremental on canonicalises to %q, want "auto"`, legacy.Incremental)
+		t.Errorf(`the flags' default mode canonicalises to %q, want "auto"`, legacy.Incremental)
 	}
 	fromFile, err := sbgp.ReadJobSpec(strings.NewReader(`{
 		"version": 1,
@@ -46,8 +46,6 @@ func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 		"attack": "pad-2",
 		"incremental": "on",
 		"pairs": {"max_m": 6, "max_d": 8},
-		"shard_size": 64,
-		"checkpoint": "grid.ckpt",
 		"workers": 2
 	}`))
 	if err != nil {
@@ -70,9 +68,9 @@ func TestHeadlineSpecMatchesJobFile(t *testing.T) {
 	}
 }
 
-// TestWriteGridJobFileMatchesFlags pins the two spellings at the byte
-// level: the headline spec the flags spell, written to a spec file and
-// loaded back the way -job does, writes the same grid file.
+// TestWriteGridJobFileMatchesFlags pins the report flags at the byte
+// level: the headline spec they spell, written to a spec file and loaded
+// back the way bgpsim -job does, writes the same grid file.
 func TestWriteGridJobFileMatchesFlags(t *testing.T) {
 	spec := parse(t, "-n", "300", "-seed", "7", "-maxm", "6", "-maxd", "8", "-workers", "2").headlineSpec()
 	grid := func(spec *sbgp.JobSpec, name string) []byte {
@@ -108,6 +106,41 @@ func TestWriteGridJobFileMatchesFlags(t *testing.T) {
 	}
 	if fromFile := grid(loaded, "grid2.json"); !bytes.Equal(fromFile, fromFlags) {
 		t.Error("-job spelling wrote different grid bytes than the flags")
+	}
+}
+
+// TestParseFlagsSizes pins the size flags' checks: a negative -perdest
+// is refused (the sampler would read it as "every secure destination"),
+// and -quick, which sets the sizes itself, refuses an explicit one.
+func TestParseFlagsSizes(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr string // "" means the line parses
+	}{
+		{[]string{"-perdest", "0"}, ""},
+		{[]string{"-perdest", "50", "-n", "2000"}, ""},
+		{[]string{"-quick", "-seed", "3", "-workers", "1", "-skip-ixp"}, ""},
+		{[]string{"-perdest", "-1"}, "-perdest"},
+		{[]string{"-quick", "-n", "2000"}, "-n "},
+		{[]string{"-quick", "-maxm", "6"}, "-maxm "},
+		{[]string{"-maxd", "6", "-quick"}, "-maxd "},
+		{[]string{"-quick", "-perdest", "10"}, "-perdest "},
+		{[]string{"-job", "spec.json", "-json", "g.json"}, "not defined: -job"},
+		{[]string{"-json", "g.json", "-shards", "16"}, "not defined: -shards"},
+		{[]string{"-incremental=off"}, "not defined: -incremental"},
+		{[]string{"-resume"}, "not defined: -resume"},
+	} {
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		fs.SetOutput(new(strings.Builder))
+		_, err := parseFlags(fs, tc.args)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%q: %v", tc.args, err)
+		case tc.wantErr != "" && err == nil:
+			t.Errorf("%q parsed, want an error naming %q", tc.args, tc.wantErr)
+		case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%q: error %q does not name %q", tc.args, err, tc.wantErr)
+		}
 	}
 }
 

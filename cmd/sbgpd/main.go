@@ -2,8 +2,8 @@
 // service that materializes each distinct topology once, keeps
 // per-worker engines warm between jobs, and evaluates sweep-grid jobs
 // described by the unified, versioned sbgp.JobSpec wire format — the
-// same spec files cmd/experiments -job and cmd/bgpsim -job run
-// one-shot, with byte-identical results.
+// same spec files cmd/bgpsim -job runs one-shot, with byte-identical
+// results.
 //
 // Usage:
 //

@@ -39,8 +39,8 @@
 //	).Simulate()
 //	res, err := sim.EvaluateJob(sbgp.JobEvalOptions{})
 //
-// (also WithShardSize; the CLIs expose the same via
-// -full/-shards/-checkpoint/-resume.)
+// (also WithShardSize; on the command line the same job is a JobSpec
+// file run by bgpsim -job.)
 //
 // # Job specs
 //
@@ -53,10 +53,11 @@
 // back (pinned option by option by tests), and
 // Simulation.EvaluateJob runs the spec's grid through the sharded
 // evaluator with optional per-shard progress sinks and a warm
-// EnginePool. One spec file drives cmd/experiments -job, cmd/bgpsim
-// -job, and the resident daemon cmd/sbgpd identically — with
-// byte-identical output — and the CLIs' grid flags bind straight into a
-// JobSpec's fields. The daemon (internal/service) adds a
+// EnginePool. One spec file drives cmd/bgpsim -job and the resident
+// daemon cmd/sbgpd identically — with byte-identical output — and is
+// the only command-line spelling of a grid job; cmd/experiments binds
+// its report flags straight into the fields of its headline JobSpec.
+// The daemon (internal/service) adds a
 // priority job queue, SSE/long-poll progress, and per-job durable
 // checkpoints: killed mid-grid, it resumes on restart and reproduces
 // the uninterrupted bytes.
@@ -67,7 +68,7 @@
 // step's fixed point (byte-identical results, severalfold faster;
 // incomparable axes degrade to the from-scratch order on their own).
 // WithIncremental(IncrementalOff) restores the from-scratch schedule —
-// the CLIs expose the two modes as -incremental=auto|off — and
+// a spec file spells the two modes "incremental": "auto"|"off" — and
 // Simulation.RunDeltaSeries runs one (destination, attacker) pair down
 // an explicit deployment series with signed deltas, so the series may
 // also shrink or jump between incomparable deployments.

@@ -33,9 +33,8 @@ var reexportedValues = map[string]string{
 	"OriginSpoof":  "Attack value",
 	"ParseAttack":  "Attack from its JobSpec.Attack name",
 
-	"IncrementalAuto":      "IncrementalMode value",
-	"IncrementalOff":       "IncrementalMode value",
-	"ParseIncrementalMode": "IncrementalMode from its JobSpec.Incremental name",
+	"IncrementalAuto": "IncrementalMode value",
+	"IncrementalOff":  "IncrementalMode value",
 
 	"NewEnginePool": "constructs JobEvalOptions.Pool",
 

@@ -4,7 +4,7 @@
 // single sbgp.EnginePool whose engines follow every job, whatever its
 // graph, size or variant, and evaluates sweep-grid jobs described by the
 // unified, versioned sbgp.JobSpec wire format — the same specs
-// cmd/experiments -job and cmd/bgpsim -job run one-shot.
+// cmd/bgpsim -job runs one-shot.
 //
 // Jobs pass through a small state machine (see DESIGN.md):
 //

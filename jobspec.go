@@ -1,17 +1,17 @@
 package sbgp
 
 // JobSpec is the unified, versioned description of one sweep-grid job —
-// the single source of truth consumed by the resident daemon
-// (cmd/sbgpd, internal/service), cmd/experiments, and cmd/bgpsim alike.
-// Everything that shapes a job's result lives here: the topology
-// source, the security models and local-preference variant, the
-// deployment axis, the threat model, the attacker/destination pair
-// policy, and the shard/incremental/checkpoint execution options. The
-// same spec therefore produces byte-identical result JSON whether it is
-// submitted to the daemon, run one-shot by a CLI, or filled in from the
-// CLIs' grid flags. It is also the Scenario's own configuration: every
-// wire-carried With* option writes its JobSpec field, so there is no
-// second copy to convert to or from.
+// the one spelling of a job, consumed by the resident daemon (cmd/sbgpd,
+// internal/service) and run one-shot by bgpsim -job. Everything that
+// shapes a job's result lives here: the topology source, the security
+// models and local-preference variant, the deployment axis, the threat
+// model, the attacker/destination pair policy, and the
+// shard/incremental/checkpoint execution options. The same spec
+// therefore produces byte-identical result JSON whether it is submitted
+// to the daemon or run one-shot; cmd/experiments fills in its headline
+// job from the report flags. It is also the Scenario's own
+// configuration: every wire-carried With* option writes its JobSpec
+// field, so there is no second copy to convert to or from.
 //
 // The wire format is strict JSON (unknown fields rejected) with an
 // explicit version so a daemon and its clients can evolve
@@ -29,6 +29,7 @@ import (
 
 	"sbgp/internal/asgraph"
 	"sbgp/internal/policy"
+	"sbgp/internal/sweep"
 	"sbgp/internal/topogen"
 )
 
@@ -73,8 +74,9 @@ type JobSpec struct {
 	// Pairs selects the attacker/destination pair policy.
 	Pairs PairSpec `json:"pairs"`
 
-	// Incremental is the delta-scheduling mode, as accepted by
-	// ParseIncrementalMode; empty means "auto".
+	// Incremental is the delta-scheduling mode, "auto" or "off"; empty
+	// means "auto", and older specs' "on" and boolean spellings are
+	// accepted.
 	Incremental string `json:"incremental,omitempty"`
 
 	// ShardSize is the cells-per-shard of the sharded evaluation;
@@ -148,7 +150,7 @@ func modelFromNumber(n int) (Model, error) {
 
 // validNamedDeployment reports whether name is a Named value a spec may
 // carry: the WithNamedDeployment scenarios minus "none" (which adds
-// nothing; the CLIs drop it when filling a spec from -deploy).
+// nothing).
 func validNamedDeployment(name string) bool {
 	for _, n := range DeploymentNames() {
 		if n != "none" && n == name {
@@ -223,7 +225,7 @@ func (s *JobSpec) Validate() error {
 	if _, err := ParseAttack(s.Attack); err != nil {
 		return err
 	}
-	if _, err := ParseIncrementalMode(s.Incremental); err != nil {
+	if _, err := sweep.ParseIncrementalMode(s.Incremental); err != nil {
 		return err
 	}
 	if s.Pairs.MaxM < 0 || s.Pairs.MaxD < 0 {
@@ -306,7 +308,7 @@ func (s *JobSpec) Canonical() *JobSpec {
 	if a, err := ParseAttack(c.Attack); err == nil {
 		c.Attack = a.Name()
 	}
-	if m, err := ParseIncrementalMode(c.Incremental); err == nil {
+	if m, err := sweep.ParseIncrementalMode(c.Incremental); err == nil {
 		c.Incremental = m.String()
 	}
 	if !c.Pairs.Full {

@@ -129,13 +129,6 @@ const (
 	IncrementalOff  = sweep.IncrementalOff
 )
 
-// ParseIncrementalMode resolves an -incremental flag or job-spec value
-// ("auto" or "off"; "on" and the boolean spellings older spec files may
-// hold are accepted and mean auto/off) to a mode.
-func ParseIncrementalMode(s string) (IncrementalMode, error) {
-	return sweep.ParseIncrementalMode(s)
-}
-
 // Result is a fully evaluated grid.
 type Result = sweep.Result
 

@@ -171,7 +171,7 @@ func (s *Simulation) grid(attackers, destinations []AS) *sweep.Grid {
 	}
 	// The mode string was written by WithIncremental or validated by
 	// FromJobSpec, so it parses.
-	mode, _ := ParseIncrementalMode(spec.Incremental)
+	mode, _ := sweep.ParseIncrementalMode(spec.Incremental)
 	return &sweep.Grid{
 		Models:       models,
 		LP:           s.lp(),
