@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -124,6 +126,9 @@ func TestShardedFullEnumeration400(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("sharded |V|² result diverges from unsharded evaluation")
+	}
+	if sum := sha256.Sum256(got.Bytes()); hex.EncodeToString(sum[:]) != "37aaa96cf01938b53d3e6ede8d1b028c325846217c9acb75b0d4f5b24904d19e" {
+		t.Errorf("sharded |V|² result hashes to %x", sum)
 	}
 }
 
