@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-check costmodel claims cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke ci
+.PHONY: all build test race bench bench-check costmodel claims cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke mutants ci
 
 all: build
 
@@ -113,6 +113,14 @@ costmodel:
 # DESIGN.md's "Paper claims" table is its output.
 claims:
 	$(GO) test -count=1 -run '^TestPaperClaims$$' -v ./internal/exp
+
+# mutants prints the mutation table (scripts/mutants.sh): each
+# hand-seeded mutation applied to a copy of the tree, the whole test
+# suite run on it, and the tests that kill it. One suite run per
+# mutation takes minutes, so ci leaves it out; DESIGN.md's "One sweep
+# matrix" table is its output.
+mutants:
+	./scripts/mutants.sh
 
 # bench runs the Go micro-benchmarks at measurement scale. The repo
 # benchmark itself — five end-to-end workloads, params-checked records,

@@ -158,23 +158,6 @@ func (g *Graph) ASN(v AS) int32 {
 	return g.asns[v]
 }
 
-// Lookup returns the dense index for an external ASN, or (None, false) if
-// the ASN is unknown. It is O(N) and intended for tooling, not hot paths.
-func (g *Graph) Lookup(asn int32) (AS, bool) {
-	if g.asns == nil {
-		if asn >= 0 && int(asn) < g.N() {
-			return AS(asn), true
-		}
-		return None, false
-	}
-	for i, a := range g.asns {
-		if a == asn {
-			return AS(i), true
-		}
-	}
-	return None, false
-}
-
 // Builder incrementally assembles a Graph. Methods record edges; Build
 // validates and freezes the topology. A Builder must not be reused after
 // Build.

@@ -206,17 +206,6 @@ func NonStubs(g *Graph) []AS {
 	return out
 }
 
-// Stubs returns all ASes with no customers (Stubs plus Stubs-x).
-func Stubs(g *Graph) []AS {
-	var out []AS
-	for v := AS(0); v < AS(g.N()); v++ {
-		if g.IsAnyStub(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // StubCustomersOf returns the stub ASes (no customers) that have at least
 // one provider in the given set; these are the "stubs of" a rollout step
 // in the deployment scenarios of Section 5.2.1.

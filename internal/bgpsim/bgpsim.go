@@ -262,9 +262,6 @@ func (s *Net) run(maxSteps int, rng *rand.Rand) int {
 	return s.steps - start
 }
 
-// Steps returns the number of messages delivered so far.
-func (s *Net) Steps() int { return s.steps }
-
 // RouteOf returns v's currently selected route (nil if none).
 func (s *Net) RouteOf(v asgraph.AS) *Route { return s.chosen[v] }
 

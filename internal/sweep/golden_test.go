@@ -2,12 +2,10 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"sbgp/internal/asgraph"
@@ -44,9 +42,10 @@ func goldenGrid(g *asgraph.Graph, workers int, attack core.Attack) *Grid {
 // TestGoldenSweepJSON pins the serialized sweep output of every shipped
 // attack seeder to a golden file — the one-hop golden was captured from
 // the pre-Attack-interface engine, so the default strategy is pinned
-// bit-for-bit to the original hard-coded seeding. Any refactor of an
-// attack's seeding or the grid's aggregation that perturbs results — at
-// any worker count, and through the sharded path — fails this test.
+// bit-for-bit to the original hard-coded seeding. A one-worker Evaluate
+// in either scheduling mode must land on it (-update rewrites it from
+// the first), and so must the sweep matrix's every driver, worker count
+// and shard size.
 func TestGoldenSweepJSON(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
 	cases := []struct {
@@ -64,86 +63,24 @@ func TestGoldenSweepJSON(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
-			var serial bytes.Buffer
-			if err := mustEvaluate(goldenGrid(g, 1, tc.attack), g).WriteJSON(&serial); err != nil {
-				t.Fatal(err)
-			}
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, serial.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
-			}
-			if !bytes.Equal(serial.Bytes(), want) {
-				t.Errorf("workers=1 sweep JSON diverges from golden %s:\n--- got ---\n%s", path, serial.String())
-			}
-
-			workers := runtime.NumCPU()
-			if workers < 2 {
-				workers = 4
-			}
-			var parallel bytes.Buffer
-			if err := mustEvaluate(goldenGrid(g, workers, tc.attack), g).WriteJSON(&parallel); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(parallel.Bytes(), want) {
-				t.Errorf("workers=%d sweep JSON diverges from golden %s", workers, path)
-			}
-
-			// The sharded evaluator must land on the same bytes.
-			res, err := evaluateSharded(context.Background(), goldenGrid(g, workers, tc.attack), g, ShardOptions{ShardSize: 37})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sharded bytes.Buffer
-			if err := res.WriteJSON(&sharded); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sharded.Bytes(), want) {
-				t.Errorf("sharded sweep JSON diverges from golden %s", path)
-			}
-
-			// Both scheduling modes must land on the same bytes — chain-
-			// major (the default; this axis nests baseline under the
-			// others) and the from-scratch order, flat and sharded, across
-			// worker counts and shard sizes.
-			workerCounts := []int{1, 4, workers}
-			sizes := []int{1, 7, 64}
-			if raceEnabled {
-				workerCounts, sizes = []int{4}, []int{7}
-			}
 			for _, mode := range []IncrementalMode{IncrementalAuto, IncrementalOff} {
-				for _, w := range workerCounts {
-					igr := goldenGrid(g, w, tc.attack)
-					igr.Incremental = mode
-					var flat bytes.Buffer
-					if err := mustEvaluate(igr, g).WriteJSON(&flat); err != nil {
+				gr := goldenGrid(g, 1, tc.attack)
+				gr.Incremental = mode
+				got := resultJSON(t, mustEvaluate(gr, g), nil)
+				if *update && mode == IncrementalAuto {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(flat.Bytes(), want) {
-						t.Errorf("incremental=%v sweep JSON (workers=%d) diverges from golden %s", mode, w, path)
-					}
-					for _, size := range sizes {
-						ires, err := evaluateSharded(context.Background(), igr, g, ShardOptions{ShardSize: size})
-						if err != nil {
-							t.Fatal(err)
-						}
-						var ish bytes.Buffer
-						if err := ires.WriteJSON(&ish); err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(ish.Bytes(), want) {
-							t.Errorf("incremental=%v sharded sweep JSON (workers=%d, shard=%d) diverges from golden %s", mode, w, size, path)
-						}
-					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("incremental=%v sweep JSON diverges from golden %s:\n--- got ---\n%s", mode, path, got)
 				}
 			}
+			requireMatrix(t, 5, "counts/golden-"+tc.name+"/*")
 		})
 	}
 }
@@ -182,19 +119,16 @@ func nestedGrid(g *asgraph.Graph, workers int, mode IncrementalMode) *Grid {
 }
 
 // TestGoldenNestedDeployments pins the nested-deployment (rollout-
-// shaped) grid: the non-incremental evaluation is the golden authority,
-// and the incremental scheduler — flat and sharded, across worker
-// counts and shard sizes — must reproduce it byte for byte.
+// shaped) grid: the non-incremental evaluation is the golden authority
+// (-update rewrites it), and the sweep matrix's incremental scheduler —
+// on every driver, worker count and shard size, where shard size 1 cuts
+// every chain at every step — must reproduce it byte for byte.
 func TestGoldenNestedDeployments(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
 	path := filepath.Join("testdata", "golden_nested.json")
-
-	var serial bytes.Buffer
-	if err := mustEvaluate(nestedGrid(g, 1, IncrementalOff), g).WriteJSON(&serial); err != nil {
-		t.Fatal(err)
-	}
+	got := resultJSON(t, mustEvaluate(nestedGrid(g, 1, IncrementalOff), g), nil)
 	if *update {
-		if err := os.WriteFile(path, serial.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,44 +136,10 @@ func TestGoldenNestedDeployments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to regenerate): %v", err)
 	}
-	if !bytes.Equal(serial.Bytes(), want) {
-		t.Errorf("non-incremental nested grid diverges from golden:\n--- got ---\n%s", serial.String())
+	if !bytes.Equal(got, want) {
+		t.Errorf("non-incremental nested grid diverges from golden:\n--- got ---\n%s", got)
 	}
-
-	gomax := runtime.GOMAXPROCS(0)
-	workerCounts := []int{1, 4, gomax}
-	sizes := []int{1, 7, 64, 100000}
-	if raceEnabled {
-		workerCounts, sizes = []int{4}, []int{7, 64}
-	}
-	for _, w := range workerCounts {
-		// The default mode is incremental: the chain-major scheduler
-		// must reproduce the (non-incremental) golden authority byte
-		// for byte — flat, and sharded at every size, where shard
-		// size 1 cuts every chain at every step and exercises the
-		// cross-shard tail handoff maximally.
-		igr := nestedGrid(g, w, IncrementalAuto)
-		var flat bytes.Buffer
-		if err := mustEvaluate(igr, g).WriteJSON(&flat); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(flat.Bytes(), want) {
-			t.Errorf("incremental nested grid (workers=%d) diverges from golden", w)
-		}
-		for _, size := range sizes {
-			res, err := evaluateSharded(context.Background(), nestedGrid(g, w, IncrementalAuto), g, ShardOptions{ShardSize: size})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sharded bytes.Buffer
-			if err := res.WriteJSON(&sharded); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(sharded.Bytes(), want) {
-				t.Errorf("incremental sharded nested grid (workers=%d, shard=%d) diverges from golden", w, size)
-			}
-		}
-	}
+	requireMatrix(t, 5, "counts/golden-nested/*")
 }
 
 // TestGoldenOriginSpoofReduction pins the Section 4.2 reduction at the

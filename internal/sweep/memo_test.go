@@ -107,7 +107,7 @@ func TestBaselineMemo(t *testing.T) {
 // several workers at once — and is meaningful under -race: the memo is
 // the one piece of evaluation state workers share without the commit
 // mutex. Writers of a slot all store the same value, so every result
-// must equal the one-worker bytes and the collapse must still fire.
+// must match the oracle and the collapse must still fire.
 func TestBaselineMemoSharedByWorkers(t *testing.T) {
 	const workers, pairs = 8, 16
 	m := make(baselineMemo, pairs)
@@ -136,7 +136,7 @@ func TestBaselineMemoSharedByWorkers(t *testing.T) {
 		// workers on different strips ask for the same pairs all the time.
 		return &Grid{Deployments: rolloutDeployments(g, 5), Attackers: M, Destinations: D, Incremental: IncrementalOff, Workers: w}
 	}
-	want := resultJSON(t, mustEvaluate(grid(1), g), nil)
+	o := newOracle(grid(1), g)
 	for rep := 0; rep < 4; rep++ {
 		pl := mustPrepare(grid(workers), g)
 		start := make(chan struct{})
@@ -157,9 +157,7 @@ func TestBaselineMemoSharedByWorkers(t *testing.T) {
 		wg.Wait()
 		runs, cells := 0, 0
 		for i, res := range results {
-			if got := resultJSON(t, res, errs[i]); !bytes.Equal(got, want) {
-				t.Fatalf("rep %d evaluation %d: %d workers sharing one memo diverge from one worker", rep, i, workers)
-			}
+			o.check(t, res, errs[i])
 			runs, cells = runs+walks[i].runs, cells+walks[i].cells
 		}
 		if runs >= cells {
@@ -218,7 +216,7 @@ func leaseRanges(units []ShardRange, target int) []ShardRange {
 // chain, and the total stays within one call per free pair.
 // A memo per RunShards call (before PR 25) re-runs the baselines of
 // every lease: 476 engine calls against one range's 365 here. All three
-// arms merge to the same bytes.
+// arms merge to the oracle's counts.
 func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 	ctx := context.Background()
 	g, meta := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
@@ -240,9 +238,11 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 
 	// evaluate runs the ranges in order, range i on plans[i%len(plans)],
 	// each plan with a pool of its own released after every range as a
-	// dist worker releases its pool after every lease; it returns the
-	// merged bytes and the walk of all ranges together.
-	evaluate := func(plans []*Plan, ranges []ShardRange) ([]byte, walkCount) {
+	// dist worker releases its pool after every lease; it checks the
+	// merged result against the oracle and returns the walk of all
+	// ranges together.
+	o := newOracle(grid, g)
+	evaluate := func(plans []*Plan, ranges []ShardRange) walkCount {
 		pools := make([]*EnginePool, len(plans))
 		for i := range pools {
 			pools[i] = NewEnginePool()
@@ -262,9 +262,10 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 			}
 		}
 		res, err := one.Merge(l, partials)
-		return resultJSON(t, res, err), walkOf(st)
+		o.check(t, res, err)
+		return walkOf(st)
 	}
-	want, ref := evaluate([]*Plan{one}, []ShardRange{{End: l.Shards}})
+	ref := evaluate([]*Plan{one}, []ShardRange{{End: l.Shards}})
 	if ref.runs >= ref.cells {
 		t.Fatalf("one range made %d engine runs for %d cells: the collapse did not fire", ref.runs, ref.cells)
 	}
@@ -284,11 +285,8 @@ func TestLeaseRangesShareThePlanMemo(t *testing.T) {
 		{"leases-one-plan", []*Plan{mustPrepare(grid, g)}},
 		{"leases-two-plans", []*Plan{mustPrepare(grid, g), mustPrepare(grid, g)}},
 	} {
-		got, w := evaluate(arm.plans, leases)
+		w := evaluate(arm.plans, leases)
 		t.Logf("%s: %d leases, %d engine runs for %d cells (one range: %d runs)", arm.name, len(leases), w.runs, w.cells, ref.runs)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: merged bytes diverge from the one-range evaluation", arm.name)
-		}
 		if w.cells != ref.cells {
 			t.Errorf("%s: walked %d cells, one range walks %d", arm.name, w.cells, ref.cells)
 		}
@@ -362,15 +360,18 @@ func TestResumeSharesThePlanMemo(t *testing.T) {
 
 // memoStats evaluates pl at shard size 7 — through pool, if not nil,
 // released afterwards as a service releases it after every job — and
-// returns its result bytes and counters.
-func memoStats(t *testing.T, pl *Plan, pool *EnginePool) ([]byte, ShardStats) {
+// returns its result and counters.
+func memoStats(t *testing.T, pl *Plan, pool *EnginePool) (*Result, ShardStats) {
 	t.Helper()
 	var st ShardStats
 	res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 7}, RunOptions{Pool: pool, Stats: &st})
 	if pool != nil {
 		pool.Release()
 	}
-	return resultJSON(t, res, err), st
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, st
 }
 
 // TestPoolSharesWarmMemo: a plan whose first evaluation runs on a pool
@@ -397,8 +398,8 @@ func TestPoolSharesWarmMemo(t *testing.T) {
 	if _, st := memoStats(t, mustPrepare(first, g), pool); st.MemoFills == 0 {
 		t.Fatal("the first plan filled no memo slot")
 	}
-	got, st := memoStats(t, mustPrepare(nestedGrid(g, 1, IncrementalAuto), g), pool)
-	if !bytes.Equal(got, want) {
+	res, st := memoStats(t, mustPrepare(nestedGrid(g, 1, IncrementalAuto), g), pool)
+	if got := resultJSON(t, res, nil); !bytes.Equal(got, want) {
 		t.Error("the plan that took over a warm memo diverges from the golden bytes")
 	}
 	if st.MemoFills != 0 || st.MemoHits != warm.MemoHits || warm.MemoHits == 0 {
@@ -421,7 +422,8 @@ func (customOneHop) Seed(s *core.Seeder) {
 // every part of the key matches. The probe is one model over the
 // baseline alone — one free cell per pair — so its hits can only come
 // from a memo filled before it: all valid pairs on a match, none
-// otherwise, and its bytes equal a pool-less evaluation either way.
+// otherwise, and its counts match the oracle either way (pad-2, which
+// the oracle does not run, is held to its hits and fills alone).
 func TestPoolMemoKey(t *testing.T) {
 	g, meta := topogen.MustGenerate(topogen.Params{N: 300, Seed: 5})
 	twin, _ := topogen.MustGenerate(topogen.Params{N: 300, Seed: 5})
@@ -455,10 +457,9 @@ func TestPoolMemoKey(t *testing.T) {
 			memoStats(t, mustPrepare(&f, g), pool)
 			probe := &Grid{Models: []policy.Model{policy.Sec3rd}, Attackers: M, Destinations: D, Attack: tc.fill, Workers: 1}
 			tc.probe(probe)
-			want, _ := memoStats(t, mustPrepare(probe, tc.g), nil)
-			got, st := memoStats(t, mustPrepare(probe, tc.g), pool)
-			if !bytes.Equal(got, want) {
-				t.Error("the probe on the pool diverges from a pool-less evaluation")
+			res, st := memoStats(t, mustPrepare(probe, tc.g), pool)
+			if probe.Attack == nil || probe.Attack.Name() == "one-hop" {
+				newOracle(probe, tc.g).check(t, res, nil)
 			}
 			wantHits, wantFills := 0, valid
 			if tc.shares {
@@ -537,18 +538,15 @@ func TestPoolMemoOutlivesNoGraph(t *testing.T) {
 // TestPoolMemoConcurrentPlans evaluates two plans with one key on one
 // pool at the same time, each with two workers, so the memo's
 // registration and its slots are raced for: meaningful under -race, and
-// both results must equal their pool-less bytes.
+// both results must match the oracle.
 func TestPoolMemoConcurrentPlans(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 17})
 	grids := []*Grid{goldenGrid(g, 2, nil), nestedGrid(g, 2, IncrementalAuto)}
-	want := make([][]byte, len(grids))
-	for i, gr := range grids {
-		want[i] = resultJSON(t, mustEvaluate(gr, g), nil)
-	}
+	oracles := []*oracle{newOracle(grids[0], g), newOracle(grids[1], g)}
 	for rep := 0; rep < 3; rep++ {
 		pool := NewEnginePool()
 		var wg sync.WaitGroup
-		got := make([][]byte, len(grids))
+		got := make([]*Result, len(grids))
 		errs := make([]error, len(grids))
 		start := make(chan struct{})
 		for i, gr := range grids {
@@ -557,24 +555,14 @@ func TestPoolMemoConcurrentPlans(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				res, err := pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Pool: pool})
-				if errs[i] = err; err == nil {
-					var buf bytes.Buffer
-					errs[i] = res.WriteJSON(&buf)
-					got[i] = buf.Bytes()
-				}
+				got[i], errs[i] = pl.EvaluateSharded(context.Background(), ShardOptions{ShardSize: 5}, RunOptions{Pool: pool})
 			}()
 		}
 		close(start)
 		wg.Wait()
 		pool.Release()
-		for i := range grids {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
-			}
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("rep %d plan %d: concurrent evaluation on a shared memo diverges from the pool-less bytes", rep, i)
-			}
+		for i, o := range oracles {
+			o.check(t, got[i], errs[i])
 		}
 		if len(pool.memos) != 1 {
 			t.Fatalf("rep %d: two plans with one key registered %d memos", rep, len(pool.memos))

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"sbgp/internal/core"
+	"sbgp/internal/asgraph"
 	"sbgp/internal/topogen"
 )
 
@@ -43,117 +43,6 @@ func cutCheckpoint(t *testing.T, path string, keep int) {
 	}
 }
 
-// TestOnePlanServesEveryDriver is the collapse's contract in one table:
-// for each golden grid a single prepared Plan serves, in turn, Evaluate
-// (twice — the plan keeps nothing between runs), RunShards by hand into
-// a memory-only store at a small shard size, two disjoint worker
-// ranges merged, and a durable store cut back to its first half and
-// resumed — every one byte-identical to the golden file — and refuses a
-// layout minted for a different grid.
-func TestOnePlanServesEveryDriver(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name, file string
-		grid       func() *Grid
-	}{
-		{"one-hop", "golden_onehop.json", func() *Grid { return goldenGrid(g, 4, nil) }},
-		{"none", "golden_none.json", func() *Grid { return goldenGrid(g, 4, core.NoAttack{}) }},
-		{"pad-3", "golden_pad3.json", func() *Grid { return goldenGrid(g, 4, core.PathPadding{Hops: 3}) }},
-		{"origin-spoof", "golden_originspoof.json", func() *Grid { return goldenGrid(g, 4, core.OriginSpoof{}) }},
-		{"nested", "golden_nested.json", func() *Grid { return nestedGrid(g, 4, IncrementalAuto) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pl := mustPrepare(tc.grid(), g)
-
-			for run := 0; run < 2; run++ {
-				res, err := pl.Evaluate(ctx)
-				if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-					t.Errorf("Evaluate run %d diverges from %s", run, tc.file)
-				}
-			}
-
-			l := pl.Layout(7)
-			store, err := OpenCheckpointWriter("", l, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = pl.RunShards(ctx, l, store.Missing(), RunOptions{}, func(p *ShardPartial) error {
-				_, err := store.Add(p)
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := pl.Result(store)
-			if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-				t.Errorf("RunShards into a memory store diverges from %s", tc.file)
-			}
-
-			units := pl.Units(l)
-			mid := units[len(units)/2].Start
-			var partials []*ShardPartial
-			for _, r := range []ShardRange{{Start: mid, End: l.Shards}, {Start: 0, End: mid}} {
-				err := pl.EvaluateShardRange(ctx, l, r, RangeOptions{
-					Sink: func(p *ShardPartial) error { partials = append(partials, p); return nil },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err = pl.Merge(l, partials)
-			if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-				t.Errorf("two ranges + Merge diverge from %s", tc.file)
-			}
-
-			ckpt := filepath.Join(t.TempDir(), "half.ckpt")
-			opts := ShardOptions{ShardSize: 7, Checkpoint: ckpt}
-			res, err = pl.EvaluateSharded(ctx, opts, RunOptions{})
-			if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-				t.Errorf("durable EvaluateSharded diverges from %s", tc.file)
-			}
-			cutCheckpoint(t, ckpt, l.Shards/2)
-			fresh := 0
-			opts.Resume = true
-			opts.Sink = func(p *ShardPartial) error {
-				if p.Shard < 0 || p.Shard >= l.Shards {
-					t.Errorf("sink saw shard %d outside [0,%d)", p.Shard, l.Shards)
-				}
-				fresh++
-				return nil
-			}
-			res, err = pl.EvaluateSharded(ctx, opts, RunOptions{})
-			if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-				t.Errorf("resume from the first half diverges from %s", tc.file)
-			}
-			if fresh != l.Shards {
-				t.Errorf("resuming sink observed %d shards, want every one of %d exactly once", fresh, l.Shards)
-			}
-
-			// A layout minted for another grid — same axes, one destination
-			// fewer — is refused by every entry point that takes one.
-			fgr := tc.grid()
-			fgr.Destinations = fgr.Destinations[1:]
-			foreign := mustPrepare(fgr, g).Layout(7)
-			for what, err := range map[string]error{
-				"RunShards":          pl.RunShards(ctx, foreign, []ShardRange{{End: 1}}, RunOptions{}, func(*ShardPartial) error { return nil }),
-				"EvaluateShardRange": pl.EvaluateShardRange(ctx, foreign, ShardRange{End: 1}, RangeOptions{}),
-			} {
-				if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-					t.Errorf("%s under a foreign layout: err = %v, want a fingerprint mismatch", what, err)
-				}
-			}
-			if _, err := pl.Merge(foreign, nil); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-				t.Errorf("Merge under a foreign layout: err = %v, want a fingerprint mismatch", err)
-			}
-		})
-	}
-}
-
 // TestParentCheckpointCompat is the cross-version contract of the
 // checkpoint store. A checkpoint written under a layout this code no
 // longer plans must be refused loudly, whole or cut to its first half: a
@@ -167,6 +56,11 @@ func TestOnePlanServesEveryDriver(t *testing.T) {
 //     [nonstubs] (fingerprint 09ecb788b5e28e0a), whose Tier 1 removal
 //     the cost model no longer plans.
 //
+// A file this code writes under one schedule is refused the same way
+// under another schedule of the same grid — the identity order against
+// a chain-major walk and against a forest — since partials merged across
+// layouts would double-count some cells and drop others.
+//
 // A file this code writes for the nested golden grid must resume, whole
 // or halved and adopting the file's shard size, to the golden bytes: at
 // one worker, and at two, whose strips slice the 64-cell shards and
@@ -174,29 +68,55 @@ func TestOnePlanServesEveryDriver(t *testing.T) {
 func TestParentCheckpointCompat(t *testing.T) {
 	g17, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
 	g3, meta3 := topogen.MustGenerate(topogen.Params{N: 400, Seed: 3})
+	g23, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 23})
+	g31, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
+	fixture := func(file string) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			data, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+	}
+	// written is the checkpoint a fresh run of gr writes at shard size 7.
+	written := func(gr *Grid, g *asgraph.Graph) func(*testing.T) []byte {
+		return func(t *testing.T) []byte {
+			ckpt := filepath.Join(t.TempDir(), "written.ckpt")
+			if _, err := evaluateSharded(context.Background(), gr, g, ShardOptions{ShardSize: 7, Checkpoint: ckpt}); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+	}
 	for _, tc := range []struct {
-		file string
-		pl   *Plan
-		size int // the file's shard size
+		name string
+		data func(*testing.T) []byte
+		pl   *Plan // the plan that must refuse the file
+		size int   // the file's shard size
 	}{
-		{"parent_pr11_nested_s64.ckpt", mustPrepare(nestedGrid(g17, 1, IncrementalAuto), g17), 64},
-		{"headline_forest_s16.ckpt", mustPrepare(headlineShapedGrid(g3, meta3), g3), 16},
+		{"parent_pr11_nested_s64.ckpt", fixture("parent_pr11_nested_s64.ckpt"), mustPrepare(nestedGrid(g17, 1, IncrementalAuto), g17), 64},
+		{"headline_forest_s16.ckpt", fixture("headline_forest_s16.ckpt"), mustPrepare(headlineShapedGrid(g3, meta3), g3), 16},
+		{"identity under chain-major", written(chainedGrid(g23, IncrementalOff), g23), mustPrepare(chainedGrid(g23, IncrementalAuto), g23), 7},
+		{"chain-major under identity", written(chainedGrid(g23, IncrementalAuto), g23), mustPrepare(chainedGrid(g23, IncrementalOff), g23), 7},
+		{"identity under forest", written(forestGrid(g31, 4, IncrementalOff), g31), mustPrepare(forestGrid(g31, 4, IncrementalAuto), g31), 7},
+		{"forest under identity", written(forestGrid(g31, 4, IncrementalAuto), g31), mustPrepare(forestGrid(g31, 4, IncrementalOff), g31), 7},
 	} {
-		t.Run(tc.file, func(t *testing.T) { testCheckpointRefused(t, tc.pl, tc.file, tc.pl.Layout(tc.size).Shards) })
+		t.Run(tc.name, func(t *testing.T) { testCheckpointRefused(t, tc.pl, tc.data(t), tc.pl.Layout(tc.size).Shards) })
 	}
 	t.Run("workers=1", func(t *testing.T) { testParentCheckpointCompat(t, 1) })
 	t.Run("workers=2", func(t *testing.T) { testParentCheckpointCompat(t, 2) })
 }
 
-// testCheckpointRefused resumes pl from the fixture file of shards
-// records, whole and cut to half, and wants the loud refusal.
-func testCheckpointRefused(t *testing.T, pl *Plan, file string, shards int) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", file))
-	if err != nil {
-		t.Fatal(err)
-	}
+// testCheckpointRefused resumes pl from a checkpoint of shards records,
+// whole and cut to half, and wants the loud refusal.
+func testCheckpointRefused(t *testing.T, pl *Plan, fixture []byte, shards int) {
 	for _, keep := range []int{shards, shards / 2} {
-		ckpt := filepath.Join(t.TempDir(), file)
+		ckpt := filepath.Join(t.TempDir(), "refused.ckpt")
 		if err := os.WriteFile(ckpt, fixture, 0o644); err != nil {
 			t.Fatal(err)
 		}

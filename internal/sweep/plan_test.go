@@ -1,9 +1,7 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,68 +43,13 @@ func TestPlanShardsUnits(t *testing.T) {
 	}
 }
 
-// TestShardRangeMergeEquivalence is the distributed split in
-// miniature: three disjoint worker ranges evaluated independently
-// (each with its own engine state) and merged must reproduce the
-// single-box evaluation byte for byte, with zero handoff misses inside
-// each range.
-func TestShardRangeMergeEquivalence(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
-	var want bytes.Buffer
-	if err := mustEvaluate(chainedGrid(g, IncrementalOff), g).WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{2, 5} {
-		pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
-		l := pl.Layout(size)
-		units := pl.Units(l)
-		if len(units) < 3 {
-			t.Fatalf("size %d: only %d units, test wants ≥3 worker ranges", size, len(units))
-		}
-		// Cut the unit list into three contiguous worker ranges on unit
-		// boundaries, like a coordinator leasing thirds of the grid.
-		cuts := []int{0, len(units) / 3, 2 * len(units) / 3, len(units)}
-		var partials []*ShardPartial
-		for w := 0; w < 3; w++ {
-			r := ShardRange{Start: units[cuts[w]].Start, End: units[cuts[w+1]-1].End}
-			// Each "worker" prepares its own plan: no shared state, as
-			// across machines.
-			wpl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
-			var stats ShardStats
-			err := wpl.EvaluateShardRange(context.Background(), l, r, RangeOptions{
-				Sink: func(p *ShardPartial) error {
-					partials = append(partials, p)
-					return nil
-				},
-				Stats: &stats,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.HandoffMisses != 0 {
-				t.Errorf("size %d worker %d: %d handoff misses inside a leased range", size, w, stats.HandoffMisses)
-			}
-		}
-		res, err := pl.Merge(l, partials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := res.WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("size %d: 3-worker range evaluation diverges from flat evaluation", size)
-		}
-	}
-}
-
 // TestEvaluateShardRangeForeignLayout: a layout minted by a different
 // grid (here a different-sized topology — the fingerprint binds N plus
 // every axis membership; the topology's edge set itself is bound by the
 // job spec that names it, not the fingerprint) must be refused with a
-// fingerprint mismatch, not evaluated into meaningless shard indices;
-// and malformed ranges are rejected.
+// fingerprint mismatch, not evaluated into meaningless shard indices,
+// by every entry point that takes one; and malformed ranges are
+// rejected.
 func TestEvaluateShardRangeForeignLayout(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
 	other, _ := topogen.MustGenerate(topogen.Params{N: 210, Seed: 29})
@@ -121,6 +64,10 @@ func TestEvaluateShardRangeForeignLayout(t *testing.T) {
 	}
 	if _, err := pl.Merge(foreign, nil); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("Merge accepted a foreign layout (err %v)", err)
+	}
+	err = pl.RunShards(context.Background(), foreign, []ShardRange{{End: 1}}, RunOptions{}, func(*ShardPartial) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("RunShards accepted a foreign layout (err %v)", err)
 	}
 
 	l := pl.Layout(5)
@@ -153,79 +100,12 @@ func TestMergePartialsErrors(t *testing.T) {
 	}
 }
 
-// TestCheckpointWriterResumeInterop proves the coordinator's writer and
-// the single-box evaluator speak the same on-disk dialect: shard
-// partials evaluated via EvaluateShardRange and ingested through a
-// CheckpointWriter form a checkpoint that EvaluateSharded resumes,
-// finishing only the missing shards and landing on the flat bytes.
-func TestCheckpointWriterResumeInterop(t *testing.T) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 200, Seed: 29})
-	var want bytes.Buffer
-	if err := mustEvaluate(chainedGrid(g, IncrementalOff), g).WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	pl := mustPrepare(chainedGrid(g, IncrementalAuto), g)
-	const size = 5
-	l := pl.Layout(size)
-	units := pl.Units(l)
-	path := filepath.Join(t.TempDir(), "interop.ckpt")
-	w, err := OpenCheckpointWriter(path, l, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Remote" evaluation of the first half of the units, ingested
-	// through the writer.
-	half := ShardRange{Start: 0, End: units[len(units)/2].End}
-	err = pl.EvaluateShardRange(context.Background(), l, half, RangeOptions{
-		Sink: func(p *ShardPartial) error {
-			if added, err := w.Add(p); err != nil || !added {
-				t.Errorf("ingest shard %d = (%v, %v)", p.Shard, added, err)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The single-box evaluator resumes the writer's file: only the
-	// missing shards run.
-	fresh := 0
-	res, err := pl.EvaluateSharded(context.Background(), ShardOptions{
-		ShardSize:  size,
-		Checkpoint: path,
-		Resume:     true,
-		Sink: func(p *ShardPartial) error {
-			if p.Shard >= half.End {
-				fresh++
-			}
-			return nil
-		},
-	}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantFresh := l.Shards - half.Len(); fresh != wantFresh {
-		t.Errorf("resume evaluated %d fresh shards, want %d", fresh, wantFresh)
-	}
-	var got bytes.Buffer
-	if err := res.WriteJSON(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("writer-fed resume diverges from flat evaluation")
-	}
-}
-
 // TestPlanConcurrentEvaluation: a Plan is immutable after Prepare but for
 // its write-once baseline memo, so one Plan serves every entry point from
 // several goroutines at once — two plain Evaluates, a finely sharded
 // evaluation on a caller pool, and a range evaluation merged by hand,
 // released together on a fresh plan so the memo's allocation and first
-// fills are raced for — and all four land on the same bytes. Run under
+// fills are raced for — and all four match the oracle. Run under
 // -race this is the proof that the memo is the only thing an entry point
 // writes, and that it writes it safely.
 func TestPlanConcurrentEvaluation(t *testing.T) {
@@ -250,7 +130,8 @@ func TestPlanConcurrentEvaluation(t *testing.T) {
 			return pl.Merge(l, partials)
 		},
 	}
-	got := make([][]byte, len(evals))
+	o := newOracle(&pl.gr, g)
+	got := make([]*Result, len(evals))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, eval := range evals {
@@ -261,20 +142,17 @@ func TestPlanConcurrentEvaluation(t *testing.T) {
 			res, err := eval()
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			var buf bytes.Buffer
-			if err := res.WriteJSON(&buf); err != nil {
-				t.Error(err)
-			}
-			got[i] = buf.Bytes()
+			got[i] = res
 		}()
 	}
 	close(start)
 	wg.Wait()
-	for i := range got {
-		if len(got[i]) == 0 || !bytes.Equal(got[i], got[0]) {
-			t.Errorf("concurrent evaluation %d diverges from evaluation 0", i)
+	for i, res := range got {
+		if res != nil {
+			if d := o.diff(res); d != "" {
+				t.Errorf("concurrent evaluation %d: %s", i, d)
+			}
 		}
 	}
 }

@@ -12,12 +12,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 
-	"sbgp/internal/asgraph"
 	"sbgp/internal/core"
 	"sbgp/internal/topogen"
 )
@@ -37,96 +35,6 @@ func checkpointLines(t *testing.T, path string) (header string, records []string
 	}
 	slices.Sort(records)
 	return string(lines[0]), records
-}
-
-// TestSlicedShardsEquivalence is the per-driver matrix of strip
-// dispatch: over the identity, nested-chain and forest grids, every
-// worker count × shard size lands on the golden result bytes, writes a
-// durable checkpoint holding exactly the lines the one-worker run wrote,
-// and reports the one-worker run's ShardStats — units, handoff hits and
-// misses, planner fields. The first one-worker run fills the plan's memo
-// from empty; every later run finds it full and must fill nothing. Memo
-// counters are left out of the stats comparison, since the one-worker run
-// of the first shard size ran cold. Shard sizes span "every cell its own shard"
-// (nothing to slice) to "one shard larger than the grid" (everything
-// sliced, one commit).
-func TestSlicedShardsEquivalence(t *testing.T) {
-	g500, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
-	g400, _ := topogen.MustGenerate(topogen.Params{N: 400, Seed: 31})
-	golden := func(file string) []byte {
-		want, err := os.ReadFile(filepath.Join("testdata", file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return want
-	}
-	identity := goldenGrid(g500, 1, nil)
-	identity.Incremental = IncrementalOff
-	forestWant := resultJSON(t, mustEvaluate(forestGrid(g400, 1, IncrementalOff), g400), nil)
-	requireForestSchedule(t, forestGrid(g400, 1, IncrementalAuto), g400)
-
-	workerCounts := []int{2, 3, runtime.GOMAXPROCS(0)}
-	sizes := []int{1, 7, 64, 1 << 20}
-	if raceEnabled {
-		// One whole-shard and one all-sliced combination are enough for
-		// the race detector; the full matrix runs in the plain test job.
-		workerCounts, sizes = []int{3}, []int{7, 1 << 20}
-	}
-	for _, tc := range []struct {
-		name string
-		g    *asgraph.Graph
-		grid *Grid
-		want []byte
-	}{
-		{"identity", g500, identity, golden("golden_onehop.json")},
-		{"nested", g500, nestedGrid(g500, 1, IncrementalAuto), golden("golden_nested.json")},
-		{"forest", g400, forestGrid(g400, 1, IncrementalAuto), forestWant},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pl := mustPrepare(tc.grid, tc.g)
-			dir := t.TempDir()
-			evaluate := func(workers, size int) (header string, records []string, stats ShardStats) {
-				t.Helper()
-				pl.gr.Workers = workers
-				ckpt := filepath.Join(dir, "run.ckpt")
-				res, err := pl.EvaluateSharded(context.Background(),
-					ShardOptions{ShardSize: size, Checkpoint: ckpt}, RunOptions{Stats: &stats})
-				if got := resultJSON(t, res, err); !bytes.Equal(got, tc.want) {
-					t.Errorf("workers=%d shard=%d: result diverges from the golden bytes", workers, size)
-				}
-				header, records = checkpointLines(t, ckpt)
-				return header, records, stats
-			}
-			sliced := false
-			for i, size := range sizes {
-				header1, records1, stats1 := evaluate(1, size)
-				if len(records1) != numShards(pl.ax.cells, size) {
-					t.Fatalf("shard=%d: one-worker checkpoint holds %d records, want %d", size, len(records1), numShards(pl.ax.cells, size))
-				}
-				if cold := i == 0; cold != (stats1.MemoFills != 0) {
-					t.Fatalf("shard=%d: one-worker run filled %d memo slots; want fills only on the first, cold run", size, stats1.MemoFills)
-				}
-				for _, w := range workerCounts {
-					l := pl.Layout(size)
-					units := pl.Units(l)
-					sliced = sliced || len(pl.strips(nil, units, l, w)) > len(units)
-					header, records, stats := evaluate(w, size)
-					if header != header1 || !slices.Equal(records, records1) {
-						t.Errorf("workers=%d shard=%d: checkpoint lines differ from the one-worker file", w, size)
-					}
-					if withoutMemo(stats) != withoutMemo(stats1) {
-						t.Errorf("workers=%d shard=%d: stats %+v, one worker reported %+v", w, size, stats, stats1)
-					}
-					if stats.MemoFills != 0 {
-						t.Errorf("workers=%d shard=%d: %d memo fills on a memo the first run filled", w, size, stats.MemoFills)
-					}
-				}
-			}
-			if !sliced {
-				t.Error("no (workers, shard size) combination sliced a unit: the matrix does not exercise strips")
-			}
-		})
-	}
 }
 
 // TestStripsPartitionPendingCells is the dispatch property: for random
@@ -245,7 +153,7 @@ func TestSlicedShardAbort(t *testing.T) {
 	if n := len(pl.strips(nil, pl.Units(l), l, 2)); n <= l.Shards {
 		t.Fatalf("%d strips over %d shards: the grid is not sliced", n, l.Shards)
 	}
-	want := resultJSON(t, mustEvaluate(newGrid(nil), g), nil)
+	o := newOracle(newGrid(nil), g)
 
 	t.Run("cancel mid-shard", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -266,9 +174,7 @@ func TestSlicedShardAbort(t *testing.T) {
 		}
 		opts.Resume, opts.Sink = true, nil
 		res, walk, err := evaluateCounted(context.Background(), newGrid(nil), g, opts)
-		if got := resultJSON(t, res, err); !bytes.Equal(got, want) {
-			t.Error("resume after a mid-shard cancellation diverges")
-		}
+		o.check(t, res, err)
 		if walk.cells != total {
 			t.Errorf("resume walked %d cells, want all %d (nothing was committed)", walk.cells, total)
 		}
