@@ -104,8 +104,7 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 // finest-grained chain the paper's figures imply. Securing one stub
 // dirties only the stub and its providers, so the delta should stay
 // incremental at every step: the edge-volume bound charges the dirty
-// region by its adjacency size. (The sub-benchmark keeps its name so the
-// committed BENCH baselines stay comparable.)
+// region by its adjacency size.
 func BenchmarkDeltaThreshold(b *testing.B) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
 	n := g.N()

@@ -530,6 +530,9 @@ func (m *matrix) drive(shape, driver, at string, pl *Plan, l *Layout, valid int,
 	if sliced {
 		m.check("resume-sliced/"+key, resumed, "%s: the resume walked %d cells, want %d", at, w.cells, valid-done)
 	}
+	if rst.HandoffMisses > 0 {
+		m.checks["midwalk/"+shape]++ // the cut left a walk half done: its rest restarts from a head
+	}
 	return []*Result{fresh, res}, st, lines, nil
 }
 
@@ -566,10 +569,11 @@ func TestShardedInterruptResume(t *testing.T) {
 	t.Run("sliced shards", func(t *testing.T) { requireMatrix(t, 10, "resume-sliced/*/durable") })
 }
 
-// TestChainMajorInterruptResume: resumes cut mid-walk on chain-major
-// layouts, where the gap decides which walks restart from a head.
+// TestChainMajorInterruptResume: resumes of chain-major layouts cut
+// mid-walk, where the gap decides which walks restart from a head.
 func TestChainMajorInterruptResume(t *testing.T) {
-	requireMatrix(t, 1, "resume/nested/durable", "counts/nested/durable", "resume/golden-nested/durable")
+	requireMatrix(t, 1, "midwalk/nested", "midwalk/forest",
+		"resume/nested/durable", "resume/forest/durable", "resume/golden-nested/durable")
 }
 
 // TestCrossShardHandoffEquivalence: on a fresh run every shard boundary

@@ -32,17 +32,20 @@ mutant() {
         substr($_, index($_, $old), length $old) = $new;
         print;' "$file" || { echo "mutants: $name: $2: pattern no longer matches" >&2; exit 1; }
     echo "mutants: $name" >&2
-    out=$(cd "$work" && go test -count=1 -timeout 5m ./... 2>&1 || true)
+    out=$(cd "$work" && go test -count=1 -timeout 2m ./... 2>&1 || true)
     mv "$work/.orig" "$file"
-    # A package's failing top-level tests precede its FAIL line; a package
-    # that fails without naming a test crashed, timed out or did not build.
+    # A package's failing top-level tests precede its FAIL line, and so do
+    # the tests a timeout caught running; a package that fails without
+    # naming a test crashed or did not build.
     killers=$(printf '%s\n' "$out" | awk '
         /^[ \t]*--- FAIL: / && $3 !~ /\// { tests[++n] = $3 }
+        /^panic: test timed out/ { timeout = 1 }
+        timeout && /^\t\tTest/ && $1 !~ /\// { tests[++n] = $1 "(timeout)" }
         /^FAIL[ \t]+sbgp/ {
             pkg = $2; sub(/.*\//, "", pkg)
             if (n == 0) print pkg ".(" ($3 == "[build" ? "build failed" : "crashed") ")"
             for (i = 1; i <= n; i++) print pkg "." tests[i]
-            n = 0
+            n = timeout = 0
         }
         /^ok[ \t]/ { n = 0 }' | sort -u | paste -sd, - | sed 's/,/, /g')
     local count=0
