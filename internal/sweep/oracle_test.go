@@ -155,7 +155,9 @@ var drivers = []string{"Evaluate", "EvaluateSharded", "RunShards", "durable", "M
 
 // matrix is the tally of one run of the sweep matrix: per property key
 // ("check/shape/driver"), the checks made and failed and the first
-// failure; per schedule shape, the generated inputs that walked it.
+// failure; per schedule shape, the generated inputs that walked it. A
+// few keys ("sliced/shape", "midwalk/shape") only count an event the
+// tests require to have happened.
 type matrix struct {
 	checks, fails map[string]int
 	first         map[string]string
@@ -565,20 +567,22 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 // out, while the sink sees every shard once — at whole shards, and at
 // shards that workers evaluate in slices.
 func TestShardedInterruptResume(t *testing.T) {
-	t.Run("whole shards", func(t *testing.T) { requireMatrix(t, 50, "resume/*/durable", "sink/*/durable") })
+	t.Run("whole shards", func(t *testing.T) { requireMatrix(t, 50, "resume/*/durable", "sink/*/durable", "counts/*/durable") })
 	t.Run("sliced shards", func(t *testing.T) { requireMatrix(t, 10, "resume-sliced/*/durable") })
 }
 
 // TestChainMajorInterruptResume: resumes of chain-major layouts cut
 // mid-walk, where the gap decides which walks restart from a head.
 func TestChainMajorInterruptResume(t *testing.T) {
-	requireMatrix(t, 1, "midwalk/nested", "midwalk/forest",
+	requireMatrix(t, 1, "midwalk/nested", "midwalk/forest", "counts/nested/durable", "counts/forest/durable",
 		"resume/nested/durable", "resume/forest/durable", "resume/golden-nested/durable")
 }
 
 // TestCrossShardHandoffEquivalence: on a fresh run every shard boundary
 // that cuts a walk is a handoff hit and none misses, on every driver.
-func TestCrossShardHandoffEquivalence(t *testing.T) { requireMatrix(t, 100, "handoff/*/*") }
+func TestCrossShardHandoffEquivalence(t *testing.T) {
+	requireMatrix(t, 100, "handoff/*/*", "counts/nested/*", "counts/forest/*")
+}
 
 // TestForestEquivalence: the signed-delta forest matches the reference
 // on every driver.
@@ -594,7 +598,7 @@ func TestForestDistributedEquivalence(t *testing.T) {
 // and its planner counters describe a linked forest that beats running
 // every deployment from scratch.
 func TestForestHandoffAndStats(t *testing.T) {
-	requireMatrix(t, 10, "handoff/forest/*", "planner/forest/*", "stats/forest/*")
+	requireMatrix(t, 10, "handoff/forest/*", "planner/forest/*", "stats/forest/*", "counts/forest/*")
 }
 
 // TestIncrementalEquivalenceMixedChains: mixed axes — nested steps,
@@ -637,7 +641,8 @@ func TestSlicedShardsEquivalence(t *testing.T) {
 		{"identity", "off", "golden-identity"}, {"nested", "nested", "golden-nested"}, {"forest", "forest", "forest"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			requireMatrix(t, 1, "sliced/"+tc.shape, "sliced/"+tc.golden, "stats/"+tc.shape+"/*", "lines/"+tc.shape+"/durable")
+			requireMatrix(t, 1, "sliced/"+tc.shape, "sliced/"+tc.golden, "stats/"+tc.shape+"/*", "lines/"+tc.shape+"/durable",
+				"counts/"+tc.shape+"/*", "counts/"+tc.golden+"/*")
 		})
 	}
 }
