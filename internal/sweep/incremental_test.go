@@ -446,32 +446,28 @@ func TestShardedCancelSinkNeverObservesLatePartial(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 250, Seed: 13})
 	M, D := runner.SamplePairs(asgraph.NonStubs(g), runner.AllASes(g.N()), 10, 20)
 	nested := asgraph.SetOf(g.N(), asgraph.NonStubs(g)...)
-	var o *oracle
+	grid := func(incremental IncrementalMode) *Grid {
+		return &Grid{
+			Deployments: []Deployment{
+				{Name: "baseline"},
+				{Name: "nonstubs", Dep: &core.Deployment{Full: nested}},
+			},
+			Attackers:    M,
+			Destinations: D,
+			PerDest:      true,
+			Incremental:  incremental,
+			Workers:      4, // >1 even on single-core machines: the race needs concurrent deliveries
+		}
+	}
+	o := newOracle(grid(IncrementalAuto), g)
 	for _, incremental := range []IncrementalMode{IncrementalOff, IncrementalAuto} {
-		grid := func() *Grid {
-			return &Grid{
-				Deployments: []Deployment{
-					{Name: "baseline"},
-					{Name: "nonstubs", Dep: &core.Deployment{Full: nested}},
-				},
-				Attackers:    M,
-				Destinations: D,
-				PerDest:      true,
-				Incremental:  incremental,
-				Workers:      4, // >1 even on single-core machines: the race needs concurrent deliveries
-			}
-		}
-		if o == nil {
-			o = newOracle(grid(), g)
-		}
-
 		// Single-cell shards maximize the cancel window: a worker that
 		// passed its one ctx check before the cancel still finishes its
 		// cell and tries to deliver.
 		ckpt := filepath.Join(t.TempDir(), "cancel.ckpt")
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls, late atomic.Int32
-		res, err := evaluateSharded(ctx, grid(), g, ShardOptions{
+		res, err := evaluateSharded(ctx, grid(incremental), g, ShardOptions{
 			ShardSize:  1,
 			Checkpoint: ckpt,
 			Sink: func(*ShardPartial) error {
@@ -504,7 +500,7 @@ func TestShardedCancelSinkNeverObservesLatePartial(t *testing.T) {
 			t.Errorf("incremental=%v: checkpoint has %d records, sink ran %d times", incremental, len(partials), calls.Load())
 		}
 
-		res, err = evaluateSharded(context.Background(), grid(), g, ShardOptions{
+		res, err = evaluateSharded(context.Background(), grid(incremental), g, ShardOptions{
 			ShardSize:  1,
 			Checkpoint: ckpt,
 			Resume:     true,
