@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-check costmodel claims cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke mutants ci
+.PHONY: all build test race race-dist bench bench-check costmodel claims cover fmt-check vet staticcheck lint examples-smoke sbgpd-smoke dist-smoke fuzz-smoke mutants ci
 
 all: build
 
@@ -19,6 +19,12 @@ cover:
 
 race:
 	$(GO) test -race ./...
+
+# race-dist runs internal/dist ten times under the race detector (~35 s):
+# its tests race real workers over real time, so an interleaving that
+# fails one run in eight fails here instead of passing by luck.
+race-dist:
+	$(GO) test -race -count=10 ./internal/dist/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -129,4 +135,4 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # ci mirrors the blocking jobs of .github/workflows/ci.yml.
-ci: fmt-check vet staticcheck lint build test race bench-check examples-smoke sbgpd-smoke dist-smoke fuzz-smoke
+ci: fmt-check vet staticcheck lint build test race race-dist bench-check examples-smoke sbgpd-smoke dist-smoke fuzz-smoke

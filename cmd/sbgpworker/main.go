@@ -8,6 +8,11 @@
 //	sbgpworker -coordinator http://127.0.0.1:8379 [-id worker-a]
 //	           [-workers N] [-poll 500ms] [-oneshot]
 //
+// An idle worker holds one job request open until the coordinator
+// installs a job; a worker serving one takes each next lease from the
+// reply to the submit that ships the last, one round trip per lease.
+// -poll is only the retry interval after a failed call.
+//
 // The worker rebuilds the job's simulation from the canonical JobSpec
 // the coordinator serves, and refuses to evaluate when its locally
 // computed grid fingerprint differs from the coordinator's — a version
@@ -50,7 +55,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8379", "coordinator base URL")
 	id := flag.String("id", "", "worker name in lease requests (default: hostname-pid)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "evaluation parallelism per lease")
-	poll := flag.Duration("poll", 500*time.Millisecond, "poll interval while idle or disconnected")
+	poll := flag.Duration("poll", 500*time.Millisecond, "retry interval after a failed call")
 	oneshot := flag.Bool("oneshot", false, "serve one job to completion, then exit")
 	throttle := flag.Duration("throttle", 0, "artificial delay per evaluated shard (chaos/smoke testing)")
 	flag.Parse()

@@ -47,7 +47,7 @@ import (
 // embedded callers match them with errors.Is.
 var (
 	// ErrNoJob: no job is active (the previous one finished or none
-	// started). Workers poll until one appears.
+	// started). Workers wait on the job route until one appears.
 	ErrNoJob = errors.New("dist: no active job")
 	// ErrFingerprintMismatch: the caller's fingerprint is not the active
 	// job's — a worker built for a different grid. Refused loudly;
@@ -271,7 +271,7 @@ func (c *Coordinator) Run(ctx context.Context, job Job) (*sbgp.Result, error) {
 	return job.Plan.Result(cw)
 }
 
-// uninstall detaches the job and wakes subscribers and standby pollers.
+// uninstall detaches the job and wakes subscribers (waiting job requests among them).
 func (c *Coordinator) uninstall(aj *activeJob) {
 	c.mu.Lock()
 	if c.job == aj {
@@ -326,11 +326,13 @@ type JobInfo struct {
 	Spec        json.RawMessage `json:"spec,omitempty"`
 }
 
-// JobInfo returns the active job's description, or ErrNoJob.
+// JobInfo returns the active job's description, or ErrNoJob. A job
+// that has every shard but is not yet uninstalled is not advertised: a
+// worker that joined it would rebuild the simulation for nothing.
 func (c *Coordinator) JobInfo() (*JobInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.job == nil {
+	if c.job == nil || c.job.finished {
 		return nil, ErrNoJob
 	}
 	l := c.job.job.Layout
@@ -342,6 +344,29 @@ func (c *Coordinator) JobInfo() (*JobInfo, error) {
 		Shards:      l.Shards,
 		Spec:        c.job.job.SpecJSON,
 	}, nil
+}
+
+// waitJob is JobInfo that waits, on the coordinator's own wakeups, up
+// to d for a job to advertise, or until ctx ends. Only then does it
+// answer ErrNoJob, so an idle worker that asks again at once makes one
+// call per d instead of polling.
+func (c *Coordinator) waitJob(ctx context.Context, d time.Duration) (*JobInfo, error) {
+	wake, unsubscribe := c.Subscribe()
+	defer unsubscribe()
+	timeout := time.NewTimer(d)
+	defer timeout.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-timeout.C:
+			return c.JobInfo()
+		case <-wake:
+			if info, err := c.JobInfo(); err == nil {
+				return info, nil
+			}
+		}
+	}
 }
 
 // LeaseGrant is the coordinator's answer to a lease request. Exactly
@@ -474,11 +499,12 @@ func (c *Coordinator) Heartbeat(leaseID, fingerprint string) error {
 }
 
 // Submit ingests a batch of shard partials. Accepted partials are
-// fsync'd (durable checkpoints) and streamed to the job sink;
-// duplicates are counted no-ops — re-sends after lost acks, expired
-// leases, or coordinator restarts are all safe. A malformed partial
-// rejects the batch without harming the job; a checkpoint append
-// failure (durability gone) fails the job.
+// fsync'd (durable checkpoints), once for the whole batch, and then
+// streamed to the job sink; duplicates are counted no-ops — re-sends
+// after lost acks, expired leases, or coordinator restarts are all
+// safe. A malformed partial rejects the batch from it on without
+// harming the job (the partials before it are accepted); a checkpoint
+// append failure (durability gone) fails the job.
 //
 // Ingestion runs under the job's dedicated ingest mutex, not the
 // protocol mutex: the checkpoint append fsyncs, and with c.mu held
@@ -524,25 +550,27 @@ func (c *Coordinator) Submit(worker, fingerprint string, partials []*sbgp.ShardP
 		aj.ingestMu.Unlock()
 		return 0, len(partials), nil
 	}
-	var failure error // checkpoint or sink failure: fails the job
+	// The valid prefix of the batch is appended and fsync'd once, and
+	// only then sunk: a sink never sees a shard whose record is not
+	// durable, and an accepted shard is an fsync'd one.
+	valid := len(partials)
 	var badBatch error
-	for _, p := range partials {
+	for i, p := range partials {
 		if verr := aj.job.Layout.ValidatePartial(p); verr != nil {
-			badBatch = verr
+			valid, badBatch = i, verr
 			break
 		}
-		//sbgplint:allow lockblock ingestMu is the dedicated append serializer, not the protocol mutex; holding it here is the design
-		added, aerr := aj.cw.Add(p)
-		if aerr != nil {
-			failure = fmt.Errorf("dist: checkpoint append: %w", aerr)
-			break
-		}
-		if !added {
-			duplicates++
-			continue
-		}
-		accepted++
-		if aj.job.Sink != nil {
+	}
+	var failure error // checkpoint or sink failure: fails the job
+	//sbgplint:allow lockblock ingestMu is the dedicated append serializer, not the protocol mutex; holding it here is the design
+	added, aerr := aj.cw.AddBatch(partials[:valid])
+	if aerr != nil {
+		failure = fmt.Errorf("dist: checkpoint append: %w", aerr)
+	} else {
+		accepted, duplicates = len(added), valid-len(added)
+	}
+	if aj.job.Sink != nil {
+		for _, p := range added {
 			if serr := aj.job.Sink(p); serr != nil {
 				failure = serr
 				break

@@ -784,7 +784,7 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	// A worker that only asks for the job after the other one finished it
-	// would poll forever; cancelling once RunSim returns lets it go.
+	// would wait forever; cancelling once RunSim returns lets it go.
 	wctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	var wg sync.WaitGroup
@@ -894,9 +894,14 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 	coord := NewCoordinator(Options{LeaseShards: 7, LeaseTTL: time.Minute, Standby: 5 * time.Millisecond})
 	var clockMu sync.Mutex
 	clock := time.Unix(1_700_000_000, 0)
+	var onRead chan struct{} // non-nil: closed by the next clock read
 	coord.now = func() time.Time {
 		clockMu.Lock()
 		defer clockMu.Unlock()
+		if onRead != nil {
+			close(onRead)
+			onRead = nil
+		}
 		return clock
 	}
 	advance := func(d time.Duration) {
@@ -905,7 +910,24 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 		clockMu.Unlock()
 	}
 
-	job, layout := gridJob(t, mkGrid, g, size, path, false, nil)
+	// The sink parks one batch on demand (Phase 3): its first partial
+	// closes parked and waits for the gate to close.
+	var parkMu sync.Mutex
+	var gate chan struct{}
+	parked := make(chan struct{})
+	sink := func(*sbgp.ShardPartial) error {
+		parkMu.Lock()
+		wait := gate
+		gate = nil
+		parkMu.Unlock()
+		if wait != nil {
+			close(parked)
+			<-wait
+		}
+		return nil
+	}
+
+	job, layout := gridJob(t, mkGrid, g, size, path, false, sink)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := startRun(ctx, coord, job)
@@ -989,29 +1011,75 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 		t.Errorf("LeasesExpired = %d, want 2", st.LeasesExpired)
 	}
 
-	// Finish the job from a single live worker.
+	// Finish the job from a single live worker. Its last batch, the one
+	// that completes the job, stays parked in the sink until Phase 3's
+	// batch is past its protocol check.
+	release := make(chan struct{})
+	completed := make(chan error, 1)
 	for {
 		grant, err := coord.Lease("w", layout.Fingerprint)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if grant.Complete {
-			break
-		}
 		if grant.LeaseID == "" {
-			t.Fatalf("unexpected standby with no live leases: %+v", grant)
+			t.Fatalf("no lease before the job's last batch: %+v", grant)
 		}
-		if acc, _, err := coord.Submit("w", layout.Fingerprint, evaluate(grant.Range)); err != nil || acc != grant.Range.Len() {
-			t.Fatalf("submit w = (%d, %v), want %d accepted", acc, err, grant.Range.Len())
+		parts := evaluate(grant.Range)
+		if coord.Stats().Have+len(parts) < layout.Shards {
+			if acc, _, err := coord.Submit("w", layout.Fingerprint, parts); err != nil || acc != len(parts) {
+				t.Fatalf("submit w = (%d, %v), want %d accepted", acc, err, len(parts))
+			}
+			continue
 		}
+		parkMu.Lock()
+		gate = release
+		parkMu.Unlock()
+		go func() {
+			acc, dup, err := coord.Submit("w", layout.Fingerprint, parts)
+			if err == nil && (acc != len(parts) || dup != 0) {
+				err = fmt.Errorf("completing submit = (%d, %d), want (%d, 0)", acc, dup, len(parts))
+			}
+			completed <- err
+		}()
+		break
+	}
+	select {
+	case <-parked:
+	case err := <-completed:
+		t.Fatalf("the completing batch returned (%v) before it reached the sink", err)
 	}
 
-	// Phase 3 — batch after completion: the job is finished, so the
+	// Phase 3 — a batch that lands after completion: it passes the
+	// protocol check while the completing batch is parked (the check's
+	// lease prune is the next clock read), and is ingested after it. The
 	// whole batch is duplicates, and the stats counter must agree with
-	// the answer b gets.
+	// the answer b gets. Without the park, Run could uninstall the job
+	// first, and b would get ErrNoJob, as late batches then do.
 	before := coord.Stats().Duplicates
-	if acc, dup, err := coord.Submit("b", layout.Fingerprint, partsB); err != nil || acc != 0 || dup != len(partsB) {
-		t.Fatalf("post-completion submit = (%d, %d, %v), want (0, %d, nil)", acc, dup, err, len(partsB))
+	checked := make(chan struct{})
+	clockMu.Lock()
+	onRead = checked
+	clockMu.Unlock()
+	type answer struct {
+		acc, dup int
+		err      error
+	}
+	late := make(chan answer, 1)
+	go func() {
+		acc, dup, err := coord.Submit("b", layout.Fingerprint, partsB)
+		late <- answer{acc, dup, err}
+	}()
+	select {
+	case <-checked:
+	case a := <-late:
+		t.Fatalf("post-completion submit = (%d, %d, %v) without reaching its lease prune", a.acc, a.dup, a.err)
+	}
+	close(release)
+	if err := <-completed; err != nil {
+		t.Fatal(err)
+	}
+	if a := <-late; a.err != nil || a.acc != 0 || a.dup != len(partsB) {
+		t.Fatalf("post-completion submit = (%d, %d, %v), want (0, %d, nil)", a.acc, a.dup, a.err, len(partsB))
 	}
 	if got := coord.Stats().Duplicates; got != before+len(partsB) {
 		t.Errorf("post-completion Duplicates = %d, want %d", got, before+len(partsB))
@@ -1104,8 +1172,10 @@ func TestWorkerRefusesUnservedRoute(t *testing.T) {
 	<-done
 
 	// The coordinator's own 404s: an idle job endpoint answers its JSON
-	// error (the job is over), the retired offer route a plain 404.
-	plain := httptest.NewServer(coord.Handler())
+	// error (the job is over) once it has waited a third of the lease
+	// TTL for a job, the retired offer route a plain 404.
+	idle := NewCoordinator(Options{LeaseTTL: 30 * time.Millisecond})
+	plain := httptest.NewServer(idle.Handler())
 	defer plain.Close()
 	for _, tc := range []struct {
 		method, path string
@@ -1127,5 +1197,135 @@ func TestWorkerRefusesUnservedRoute(t *testing.T) {
 		if got := statusError(tc.path, resp.StatusCode, body); resp.StatusCode != http.StatusNotFound || !errors.Is(got, tc.want) {
 			t.Errorf("%s %s = %d %q → %v, want 404 → %v", tc.method, tc.path, resp.StatusCode, body, got, tc.want)
 		}
+	}
+}
+
+// callCounter is a worker transport that counts the calls per route, the
+// job route's 404s, and the standby answers among the lease grants that
+// come back, from /dist/v1/lease or on a submit's reply.
+type callCounter struct {
+	base http.RoundTripper
+
+	mu        sync.Mutex
+	calls     map[string]int
+	jobMisses int
+	standbys  int
+}
+
+func (cc *callCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := cc.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(data))
+	var grant *LeaseGrant
+	if resp.StatusCode == http.StatusOK {
+		switch req.URL.Path {
+		case "/dist/v1/lease":
+			grant = new(LeaseGrant)
+			if err := json.Unmarshal(data, grant); err != nil {
+				return nil, err
+			}
+		case "/dist/v1/submit":
+			var sr submitResponse
+			if err := json.Unmarshal(data, &sr); err != nil {
+				return nil, err
+			}
+			grant = sr.Grant
+		}
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	cc.calls[req.URL.Path]++
+	if req.URL.Path == "/dist/v1/job" && resp.StatusCode == http.StatusNotFound {
+		cc.jobMisses++
+	}
+	if grant != nil && !grant.Complete && grant.LeaseID == "" {
+		cc.standbys++
+	}
+	return resp, nil
+}
+
+// TestCallBudget pins the protocol's round trips on one job and two HTTP
+// workers. The workers ask for the job before it is installed, and the
+// job route holds both requests until it is, so no 404 reaches them. A
+// worker leases through /dist/v1/lease once, and again only after a
+// standby answer; every other grant arrives on the reply to the submit
+// that ships the previous lease, so submits equal leases granted.
+func TestCallBudget(t *testing.T) {
+	g := smallGraph()
+	mkGrid := func() *sweep.Grid { return chainedGrid(g) }
+	const size, workers = 4, 2
+	coord := NewCoordinator(Options{LeaseShards: 3, Standby: 5 * time.Millisecond})
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	cc := &callCounter{base: http.DefaultTransport, calls: map[string]int{}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	for i := range errs {
+		w := gridWorker(fmt.Sprintf("w%d", i), srv.URL, mkGrid, g, size)
+		w.Client = &http.Client{Transport: cc}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = w.Run(ctx)
+		}()
+	}
+	// Both job requests wait on the coordinator's wakeups before a job
+	// is installed.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		coord.mu.Lock()
+		waiting := len(coord.subs)
+		coord.mu.Unlock()
+		if waiting == workers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers wait in the job route; it must hold them until a job is installed", waiting, workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	job, _ := gridJob(t, mkGrid, g, size, "", false, nil)
+	done := startRun(ctx, coord, job)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", i, err)
+		}
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
+		t.Error("distributed result diverges from flat evaluation")
+	}
+
+	st := coord.Stats()
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	t.Logf("calls %v, %d standby answers, stats %+v", cc.calls, cc.standbys, st)
+	if st.LeasesGranted < 2*workers {
+		t.Fatalf("%d leases granted; the job is too small to exercise the budget", st.LeasesGranted)
+	}
+	if n := cc.calls["/dist/v1/submit"]; n != st.LeasesGranted {
+		t.Errorf("%d submits for %d leases granted, want one submit per lease", n, st.LeasesGranted)
+	}
+	if n, most := cc.calls["/dist/v1/lease"], workers+cc.standbys; n > most {
+		t.Errorf("%d lease calls, want at most %d: one per worker and one per standby answer", n, most)
+	}
+	if cc.jobMisses != 0 {
+		t.Errorf("%d job-route 404s while a job was installed, want none", cc.jobMisses)
+	}
+	if len(cc.calls) != 3 {
+		t.Errorf("workers called routes %v, want only job, lease and submit", cc.calls)
 	}
 }

@@ -151,7 +151,7 @@ func runFaultyWorkers(t *testing.T, tc goldenCase, g *sbgp.Graph, seed int64) (f
 
 	// Neither worker evaluates until both have joined: a faulty job
 	// request must delay a worker's start, not let the other finish the
-	// job before it arrives (OneJob would then poll for a job forever).
+	// job before it arrives (OneJob would then wait for a job forever).
 	joined := make(chan struct{})
 	var joinMu sync.Mutex
 	arrived := 0

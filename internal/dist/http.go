@@ -13,15 +13,18 @@ import (
 // are strict JSON (unknown fields rejected), like every other wire
 // surface in this repository:
 //
-//	GET  /dist/v1/job        → JobInfo (404 while idle)
+//	GET  /dist/v1/job        → JobInfo; waits up to LeaseTTL/3 for a job, then 404
 //	POST /dist/v1/lease      {"worker","fingerprint"} → LeaseGrant
 //	POST /dist/v1/heartbeat  {"lease_id","fingerprint"} → 204
-//	POST /dist/v1/submit     {"worker","fingerprint","partials":[...]} → {"accepted","duplicates"}
+//	POST /dist/v1/submit     {"worker","fingerprint","partials":[...],"lease"} → {"accepted","duplicates","grant"}
 //	GET  /dist/v1/stats      → Stats
 //	GET  /dist/v1/events     → SSE stream of Stats snapshots
 //
-// Error mapping: ErrNoJob → 404, ErrFingerprintMismatch → 409,
-// ErrUnknownLease → 410, validation failures → 400.
+// A worker leases once per job: a submit with "lease": true ingests its
+// batch and then answers with the next LeaseGrant, so every later lease
+// boundary is one round trip. Error mapping: ErrNoJob → 404,
+// ErrFingerprintMismatch → 409, ErrUnknownLease → 410, validation
+// failures → 400.
 
 type leaseRequest struct {
 	Worker      string `json:"worker"`
@@ -37,11 +40,14 @@ type submitRequest struct {
 	Worker      string               `json:"worker"`
 	Fingerprint string               `json:"fingerprint"`
 	Partials    []*sbgp.ShardPartial `json:"partials"`
+	// Lease asks for the next lease on the reply, after the ingest.
+	Lease bool `json:"lease,omitempty"`
 }
 
 type submitResponse struct {
-	Accepted   int `json:"accepted"`
-	Duplicates int `json:"duplicates"`
+	Accepted   int         `json:"accepted"`
+	Duplicates int         `json:"duplicates"`
+	Grant      *LeaseGrant `json:"grant,omitempty"`
 }
 
 // Handler returns the coordinator's HTTP API, rooted at /dist/v1/.
@@ -105,7 +111,7 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, v any) er
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	info, err := c.JobInfo()
+	info, err := c.waitJob(r.Context(), c.opts.leaseTTL()/3)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -154,7 +160,22 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, submitResponse{Accepted: accepted, Duplicates: duplicates})
+	resp := submitResponse{Accepted: accepted, Duplicates: duplicates}
+	if req.Lease {
+		// The grant follows the ingest, so its have-set covers this
+		// batch. A job the batch completed may be uninstalled already:
+		// for this worker, that is complete.
+		grant, err := c.Lease(req.Worker, req.Fingerprint)
+		if errors.Is(err, ErrNoJob) {
+			grant, err = &LeaseGrant{Complete: true}, nil
+		}
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		resp.Grant = grant
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -80,11 +80,12 @@ type Worker struct {
 	// Workers is the evaluation parallelism the default Open configures
 	// (0: the library default).
 	Workers int
-	// Poll is the retry/poll interval for an idle or unreachable
-	// coordinator. Default 500ms.
+	// Poll is the retry interval after a failed call (an unreachable
+	// coordinator). An idle one is not polled: its job route waits for
+	// a job. Default 500ms.
 	Poll time.Duration
 	// OneJob makes Run return after serving one job to completion
-	// instead of polling for the next.
+	// instead of waiting for the next.
 	OneJob bool
 	// Throttle adds an artificial delay after each evaluated shard.
 	// The engines are fast enough that a whole grid can finish in
@@ -136,12 +137,16 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		info, err := w.jobInfo(ctx)
 		if err != nil {
-			// Idle coordinator or transport failure: poll again.
+			// The job route waits for a job before it answers 404, so
+			// an idle coordinator is asked again at once; a transport
+			// failure is retried after one poll interval.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, errProtocol) {
 				return err
 			}
-			if serr := sleepCtx(ctx, w.poll()); serr != nil {
-				return serr
+			if !errors.Is(err, ErrNoJob) {
+				if serr := sleepCtx(ctx, w.poll()); serr != nil {
+					return serr
+				}
 			}
 			continue
 		}
@@ -205,27 +210,34 @@ func (w *Worker) openEvaluator(ctx context.Context, spec json.RawMessage) (Evalu
 	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: &w.pool}, nil
 }
 
-// serve is the lease loop for one job: lease, evaluate, ship, repeat,
-// until the coordinator reports the job complete (or gone). Finished
-// shards are held in memory across transport failures. Reconciliation
-// is one rule: every grant carries the coordinator's have-set, the
-// worker drops the held shards it covers and ships the rest.
+// serve is the lease loop for one job: evaluate a lease, ship it and
+// take the next lease from the submit's reply, until the coordinator
+// reports the job complete (or gone). A worker leases through
+// /dist/v1/lease only to join, after a standby, and after a failed
+// call. Finished shards are held in memory across transport failures.
+// Reconciliation is one rule: every /dist/v1/lease grant carries the
+// coordinator's have-set, the worker drops the held shards it covers
+// and ships the rest.
 func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) error {
 	var held []*sbgp.ShardPartial
+	var grant *LeaseGrant // the next grant, when a submit's reply carried one
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		grant, err := w.lease(ctx, fingerprint)
-		if err == nil {
-			held = w.dropHave(held, grant.Have)
-			held, err = w.ship(ctx, fingerprint, held)
-		}
-		if err != nil {
-			if again, err := w.retry(ctx, err); !again {
-				return err
+		if grant == nil {
+			g, err := w.lease(ctx, fingerprint)
+			if err == nil {
+				held = w.dropHave(held, g.Have)
+				held, _, err = w.ship(ctx, fingerprint, held, false)
 			}
-			continue
+			if err != nil {
+				if again, err := w.retry(ctx, err); !again {
+					return err
+				}
+				continue
+			}
+			grant = g
 		}
 		if grant.Complete {
 			return nil
@@ -238,6 +250,7 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			if serr := sleepCtx(ctx, standby); serr != nil {
 				return serr
 			}
+			grant = nil
 			continue
 		}
 		w.mu.Lock()
@@ -270,9 +283,11 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			// with it — the lease expires and others re-evaluate.
 			return evalErr
 		}
-		// A transport failure keeps the unshipped shards held; the next
+		// Ship and take the next grant from the reply. A transport
+		// failure keeps the unshipped shards held; the next /lease
 		// grant's have-set reconciles them.
-		if held, err = w.ship(ctx, fingerprint, held); err != nil {
+		var err error
+		if held, grant, err = w.ship(ctx, fingerprint, held, true); err != nil {
 			if again, err := w.retry(ctx, err); !again {
 				return err
 			}
@@ -324,20 +339,26 @@ func covers(have []sbgp.ShardRange, s int) bool {
 }
 
 // ship submits the held shards in batches and returns the ones still
-// unshipped: none on success, the unsent tail on error. Chunking bounds
-// every request well under the coordinator's 1 MiB body cap, however
-// many shards a reconnect accumulated.
-func (w *Worker) ship(ctx context.Context, fingerprint string, held []*sbgp.ShardPartial) ([]*sbgp.ShardPartial, error) {
+// unshipped: none on success, the unsent tail on error. With next set
+// the last batch asks for the next lease, and ship returns the grant
+// its reply carries (nil when nothing was held: serve then asks
+// /dist/v1/lease). Chunking bounds every request well under the
+// coordinator's 1 MiB body cap, however many shards a reconnect
+// accumulated.
+func (w *Worker) ship(ctx context.Context, fingerprint string, held []*sbgp.ShardPartial, next bool) ([]*sbgp.ShardPartial, *LeaseGrant, error) {
+	var grant *LeaseGrant
 	for i := 0; i < len(held); i += submitBatch {
-		batch := held[i:min(i+submitBatch, len(held))]
-		if _, _, err := w.submit(ctx, fingerprint, batch); err != nil {
-			return held[i:], err
+		end := min(i+submitBatch, len(held))
+		g, err := w.submit(ctx, fingerprint, held[i:end], next && end == len(held))
+		if err != nil {
+			return held[i:], nil, err
 		}
+		grant = g
 		w.mu.Lock()
-		w.stats.ShardsShipped += len(batch)
+		w.stats.ShardsShipped += end - i
 		w.mu.Unlock()
 	}
-	return held[:0], nil
+	return held[:0], grant, nil
 }
 
 // submitBatch is the maximum shards per submit request. A shard partial
@@ -452,13 +473,11 @@ func (w *Worker) heartbeat(ctx context.Context, fingerprint, leaseID string) err
 	return w.call(ctx, http.MethodPost, "/dist/v1/heartbeat", heartbeatRequest{LeaseID: leaseID, Fingerprint: fingerprint}, nil)
 }
 
-func (w *Worker) submit(ctx context.Context, fingerprint string, partials []*sbgp.ShardPartial) (accepted, duplicates int, err error) {
+// submit ships one batch and, with next set, returns the next grant.
+func (w *Worker) submit(ctx context.Context, fingerprint string, partials []*sbgp.ShardPartial, next bool) (*LeaseGrant, error) {
 	var resp submitResponse
-	err = w.call(ctx, http.MethodPost, "/dist/v1/submit", submitRequest{Worker: w.ID, Fingerprint: fingerprint, Partials: partials}, &resp)
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Accepted, resp.Duplicates, nil
+	err := w.call(ctx, http.MethodPost, "/dist/v1/submit", submitRequest{Worker: w.ID, Fingerprint: fingerprint, Partials: partials, Lease: next}, &resp)
+	return resp.Grant, err
 }
 
 // sleepCtx sleeps d or returns early with ctx's error.

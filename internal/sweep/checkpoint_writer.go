@@ -293,6 +293,36 @@ func (w *CheckpointWriter) Add(p *ShardPartial) (bool, error) {
 	return true, nil
 }
 
+// AddBatch is Add for a batch, with one fsync for all of it. It adds
+// the partials in order, stopping at the first that fails validation,
+// fsyncs the records it wrote, and returns the accepted partials (the
+// shards not held before). A validation failure leaves the earlier
+// partials accepted and is returned beside them. A failed write or
+// fsync returns no partial at all, and is sticky as in Add: a caller
+// that sinks and acks only what AddBatch returns never hands on a
+// shard whose record is not durable.
+//
+//sbgp:blocking
+func (w *CheckpointWriter) AddBatch(ps []*ShardPartial) ([]*ShardPartial, error) {
+	var added []*ShardPartial
+	var err error
+	for _, p := range ps {
+		var ok bool
+		if ok, err = w.add(p); err != nil {
+			break
+		}
+		if ok {
+			added = append(added, p)
+		}
+	}
+	if len(added) > 0 {
+		if serr := w.sync(); serr != nil {
+			return nil, serr
+		}
+	}
+	return added, err
+}
+
 // add is Add without the fsync: it validates p, drops a shard already
 // held, writes the record and folds the counts. On a durable store the
 // record is then written but not yet durable; sync makes it so. A failed

@@ -15,9 +15,9 @@ import (
 
 // fault breaks the durable store's record of one shard: its write stops
 // after tear bytes and returns writeErr, or (writeErr nil) the write
-// lands and its fsync runs onSync, then returns syncErr. The store calls
-// Write and Sync under its mutex, so the fields need no lock of their
-// own.
+// lands and the next fsync runs onSync, then returns syncErr. The store
+// calls Write and Sync under its mutex, so the fields need no lock of
+// their own.
 type fault struct {
 	shard    int
 	tear     int
@@ -29,6 +29,7 @@ type fault struct {
 	armed  bool   // the faulted record's fsync is the next one
 	fired  bool   // the fault was injected
 	after  int    // writes attempted after it was
+	syncs  int    // fsyncs issued on the file
 }
 
 // faultFile is a store file with a fault on it.
@@ -57,6 +58,7 @@ func (ff *faultFile) Write(b []byte) (int, error) {
 
 func (ff *faultFile) Sync() error {
 	f := ff.f
+	f.syncs++
 	if !f.armed {
 		return ff.storeFile.Sync()
 	}
@@ -103,7 +105,9 @@ func wholeRecords(t *testing.T, path string) int {
 // the broken shard and with no record written after it; a resume then
 // counts exactly the records wholly on disk and lands on the golden
 // bytes. A cancel that lands while a record's fsync is in flight leaves
-// the checkpoint holding exactly the shards the sink saw.
+// the checkpoint holding exactly the shards the sink saw. A batch whose
+// appends land but whose one fsync fails is refused whole, and the
+// refusal is sticky.
 func TestStoreFaultsResumeToGolden(t *testing.T) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 500, Seed: 17})
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_onehop.json"))
@@ -208,6 +212,59 @@ func TestStoreFaultsResumeToGolden(t *testing.T) {
 		f := &fault{shard: shard, tear: 40, writeErr: &os.PathError{Op: "write", Path: "fault.ckpt", Err: syscall.ENOSPC}}
 		seen, path, err := faulted(t, context.Background(), f)
 		refused(t, f, err, syscall.ENOSPC, seen)
+		resume(t, path)
+	})
+
+	t.Run("batch whose one fsync fails", func(t *testing.T) {
+		var parts []*ShardPartial
+		err := pl.EvaluateShardRange(context.Background(), l, ShardRange{Start: 0, End: l.Shards}, RangeOptions{Sink: func(p *ShardPartial) error {
+			parts = append(parts, p)
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(parts, func(a, b *ShardPartial) int { return a.Shard - b.Shard })
+		injected := errors.New("injected batch fsync failure")
+		f := &fault{shard: shard, tear: -1, syncErr: injected}
+		path := filepath.Join(t.TempDir(), "batch.ckpt")
+		var w *CheckpointWriter
+		withFault(f, func() {
+			w, err = OpenCheckpointWriter(path, l, false)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		first, torn, rest := parts[:shard-2], parts[shard-2:shard+3], parts[shard+3:]
+		if added, err := w.AddBatch(first); err != nil || len(added) != len(first) {
+			t.Fatalf("AddBatch(first) = (%d partials, %v), want all %d", len(added), err, len(first))
+		}
+		syncs := f.syncs
+		// A caller sinks and acks only what AddBatch returns, so a
+		// refused batch reaches neither.
+		added, err := w.AddBatch(torn)
+		if !f.fired {
+			t.Fatalf("shard %d's record was never faulted", shard)
+		}
+		if len(added) != 0 || !errors.Is(err, injected) {
+			t.Errorf("AddBatch over the failed fsync = (%d partials, %v), want none and the injected error", len(added), err)
+		}
+		if n := f.syncs - syncs; n != 1 {
+			t.Errorf("the batch took %d fsyncs, want one", n)
+		}
+		if added, err := w.AddBatch(rest); len(added) != 0 || !errors.Is(err, injected) {
+			t.Errorf("AddBatch after the failure = (%d partials, %v), want none and the injected error", len(added), err)
+		}
+		if ok, err := w.Add(rest[0]); ok || !errors.Is(err, injected) {
+			t.Errorf("Add after the failure = (%v, %v), want the injected error", ok, err)
+		}
+		if f.after != 0 {
+			t.Errorf("%d records written after the failure, want none", f.after)
+		}
+		if whole := wholeRecords(t, path); whole != len(first)+len(torn) {
+			t.Errorf("checkpoint holds %d whole records, want the %d the two batches appended", whole, len(first)+len(torn))
+		}
 		resume(t, path)
 	})
 
