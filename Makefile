@@ -120,11 +120,12 @@ costmodel:
 claims:
 	$(GO) test -count=1 -run '^TestPaperClaims$$' -v ./internal/exp
 
-# mutants prints the mutation table (scripts/mutants.sh): each
-# hand-seeded mutation applied to a copy of the tree, the whole test
-# suite run on it, and the tests that kill it. One suite run per
-# mutation takes minutes, so ci leaves it out; DESIGN.md's "One sweep
-# matrix" table is its output.
+# mutants prints the kill table (scripts/mutants.sh): each hand-seeded
+# mutation, for every layer from the engine to the daemon, applied to a
+# copy of the tree, the whole test suite run on it, and the tests that
+# kill it. Every pattern is checked before the first suite runs. One
+# suite run per mutation, so ci leaves it out; DESIGN.md's "The kill
+# table" is its output.
 mutants:
 	./scripts/mutants.sh
 

@@ -11,6 +11,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -150,18 +151,16 @@ func planEvaluator(t *testing.T, ctx context.Context, gr *sweep.Grid, g *sbgp.Gr
 	return ev
 }
 
-// flatBytes is the flat one-shot evaluation of gr on g, serialized.
-func flatBytes(t *testing.T, gr *sweep.Grid, g *sbgp.Graph) []byte {
+// chainedDigest is the SHA-256 of chainedGrid's result bytes on
+// smallGraph, pinned from the flat one-shot evaluator.
+const chainedDigest = "3c66dcdae114703dc355ffa0bfd18f4a8e56aaf57d1e33966ff82afd5e62a96f"
+
+// checkChained fails t unless res serializes to chainedDigest.
+func checkChained(t *testing.T, res *sbgp.Result, what string) {
 	t.Helper()
-	pl, err := gr.Prepare(g)
-	if err != nil {
-		t.Fatal(err)
+	if got := fmt.Sprintf("%x", sha256.Sum256(resultBytes(t, res))); got != chainedDigest {
+		t.Errorf("%s: result sha256 %s, want %s", what, got, chainedDigest)
 	}
-	res, err := pl.Evaluate(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resultBytes(t, res)
 }
 
 type runResult struct {
@@ -242,7 +241,8 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 			}
 			const size = 7
 			coord := NewCoordinator(Options{LeaseShards: 5, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
-			job, layout := gridJob(t, tc.mkGrid, g, size, "", false, nil)
+			sunk := 0 // the sink runs under the job's ingest mutex
+			job, layout := gridJob(t, tc.mkGrid, g, size, "", false, func(*sbgp.ShardPartial) error { sunk++; return nil })
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			done := startRun(ctx, coord, job)
@@ -312,8 +312,9 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 			if st.Duplicates < 1 {
 				t.Errorf("stats %+v: expected at least one counted duplicate submission", st)
 			}
-			if st.ShardsAccepted != layout.Shards {
-				t.Errorf("stats %+v: accepted %d shards, want every one of %d exactly once", st, st.ShardsAccepted, layout.Shards)
+			if st.ShardsAccepted != layout.Shards || sunk != layout.Shards {
+				t.Errorf("stats %+v: accepted %d shards and sank %d, want every one of %d exactly once",
+					st, st.ShardsAccepted, sunk, layout.Shards)
 			}
 		})
 	}
@@ -634,9 +635,7 @@ func TestCoordinatorCheckpointResume(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
-		t.Error("resumed distributed result diverges from flat evaluation")
-	}
+	checkChained(t, r.res, "resumed distributed result")
 	mu.Lock()
 	defer mu.Unlock()
 	if len(seen) != layout.Shards {
@@ -732,9 +731,7 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
-		t.Error("distributed result with a killed worker diverges from flat evaluation")
-	}
+	checkChained(t, r.res, "distributed result with a killed worker")
 	if st := coord.Stats(); st.LeasesExpired < 1 {
 		t.Errorf("stats %+v: the killed worker's lease never expired", st)
 	}
@@ -829,21 +826,26 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 }
 
 // TestWorkerPoolOutlivesJobs: a spec-driven worker keeps one engine pool
-// for its whole life. Three jobs back to back — the second on a smaller
-// graph under LP2, the third back on the first's — are each byte-identical
-// to the local EvaluateJob, and with one evaluation goroutine the worker's
-// pool holds one engine after every one of them: it is the pool the jobs
-// drew on, and it follows them instead of growing with them.
+// for its whole life. Four jobs back to back — the second on a smaller
+// graph under LP2, the third back on the first's, the fourth on the
+// second's after an aborted run — are each byte-identical to the local
+// EvaluateJob, and with one evaluation goroutine the worker's pool holds
+// one engine after every one of them: it is the pool the jobs drew on,
+// and it follows them instead of growing with them. The aborted run is
+// the same worker's Run cancelled mid-lease while Throttle holds the
+// lease, so its strip aborts on the pool; the next Run finishes the job
+// on it once the stranded lease expires.
 func TestWorkerPoolOutlivesJobs(t *testing.T) {
-	coord := NewCoordinator(Options{LeaseShards: 6, Standby: 5 * time.Millisecond})
+	coord := NewCoordinator(Options{LeaseShards: 6, LeaseTTL: 100 * time.Millisecond, Standby: 5 * time.Millisecond})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	w := &Worker{Base: srv.URL, ID: "pool-w", OneJob: true, Poll: 5 * time.Millisecond, Workers: 1}
 
 	for i, job := range []struct {
-		n  int
-		lp sbgp.LocalPref
-	}{{200, sbgp.StandardLP}, {120, sbgp.LP2}, {200, sbgp.StandardLP}} {
+		n     int
+		lp    sbgp.LocalPref
+		abort bool
+	}{{200, sbgp.StandardLP, false}, {120, sbgp.LP2, false}, {200, sbgp.StandardLP, false}, {120, sbgp.LP2, true}} {
 		sim, err := sbgp.NewScenario(
 			sbgp.WithGeneratedTopology(job.n, 23),
 			sbgp.WithLocalPref(job.lp),
@@ -861,20 +863,45 @@ func TestWorkerPoolOutlivesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		served := make(chan error, 1)
-		go func() { served <- w.Run(context.Background()) }()
-		got, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
-		if err != nil {
-			t.Fatal(err)
+		ran := make(chan runResult, 1)
+		go func() {
+			res, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
+			ran <- runResult{res, err}
+		}()
+		if job.abort {
+			ctx, cancel := context.WithCancel(context.Background())
+			aborted := make(chan error, 1)
+			before := w.Stats().ShardsEvaluated
+			w.Throttle = time.Hour
+			go func() { aborted <- w.Run(ctx) }()
+			deadline := time.Now().Add(10 * time.Second)
+			for w.Stats().ShardsEvaluated == before {
+				if time.Now().After(deadline) {
+					t.Fatalf("job %d: the worker evaluated no shard", i)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			if err := <-aborted; !errors.Is(err, context.Canceled) {
+				t.Fatalf("job %d: the cancelled Run returned %v, want context.Canceled", i, err)
+			}
+			w.Throttle = 0
 		}
-		if err := <-served; err != nil {
+		if err := w.Run(context.Background()); err != nil {
 			t.Fatalf("job %d: worker: %v", i, err)
 		}
-		if !bytes.Equal(resultBytes(t, got), resultBytes(t, want)) {
+		r := <-ran
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if !bytes.Equal(resultBytes(t, r.res), resultBytes(t, want)) {
 			t.Errorf("job %d (n=%d, %v): distributed result diverges from local EvaluateJob", i, job.n, job.lp)
 		}
 		if n := w.pool.Size(); n != 1 {
 			t.Fatalf("job %d: the worker's pool holds %d engines, want 1", i, n)
+		}
+		if job.abort && coord.Stats().LeasesExpired == 0 {
+			t.Errorf("job %d: the aborted run's lease never expired", i)
 		}
 	}
 }
@@ -1089,9 +1116,7 @@ func TestLateSubmitAfterLeaseExpiry(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
-		t.Error("result after late submits diverges from flat evaluation")
-	}
+	checkChained(t, r.res, "result after late submits")
 }
 
 // TestBodyCapReturns413 pins the body-cap contract of the coordinator
@@ -1305,9 +1330,7 @@ func TestCallBudget(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if !bytes.Equal(resultBytes(t, r.res), flatBytes(t, mkGrid(), g)) {
-		t.Error("distributed result diverges from flat evaluation")
-	}
+	checkChained(t, r.res, "distributed result")
 
 	st := coord.Stats()
 	cc.mu.Lock()

@@ -826,7 +826,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestHistorySurvivesRestart pins that terminal jobs reload as history
+// TestHistorySurvivesRestart pins that terminal jobs reload as history,
+// a record an older daemon wrote as running reloads queued and runs,
 // and IDs keep counting from where the previous daemon stopped.
 func TestHistorySurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -838,8 +839,12 @@ func TestHistorySurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, s1, j.ID, terminal)
+	stale := &job{Job: *waitFor(t, s1, j.ID, terminal)}
 	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale.ID, stale.State = "job-000002", StateRunning
+	if err := s1.persist(stale); err != nil {
 		t.Fatal(err)
 	}
 
@@ -848,6 +853,12 @@ func TestHistorySurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
+	if rec, err := s2.loadJobRecord(stale.ID); err != nil || rec.State == StateRunning {
+		t.Fatalf("a running record after reload: %+v, %v", rec, err)
+	}
+	if fin := waitFor(t, s2, stale.ID, terminal); fin.State != StateDone {
+		t.Fatalf("requeued job: state %s error %q", fin.State, fin.Error)
+	}
 	old, ok := s2.Get(j.ID)
 	if !ok || old.State != StateDone {
 		t.Fatalf("history after restart: ok=%v job=%+v", ok, old)

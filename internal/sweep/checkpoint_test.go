@@ -196,6 +196,17 @@ func TestParseCheckpointOutOfOrderDuplicates(t *testing.T) {
 	if _, err := w.parse(file.Bytes(), false); err == nil || !strings.Contains(err.Error(), "shard size 8, not 10") {
 		t.Errorf("conflicting shard size: err = %v, want the adopt-the-file's hint", err)
 	}
+	// A second header and a shard one past the last are corruption, not
+	// records to skip or keep.
+	for _, bad := range []struct {
+		line []byte
+		want string
+	}{{hdr, "line 2: duplicate header"}, {rec(5, 1), "line 2: shard 5 out of range"}} {
+		w = &CheckpointWriter{layout: Layout{Fingerprint: fp, Cells: 40, Tasks: 10, ShardSize: 8, Shards: 5}}
+		if _, err := w.parse(append(append(slices.Clone(hdr), '\n'), append(bad.line, '\n')...), false); err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("parse: err = %v, want %q", err, bad.want)
+		}
+	}
 }
 
 // TestCheckpointWriterIngestion exercises the coordinator-facing

@@ -330,71 +330,3 @@ func TestOptionsWriteTheSpec(t *testing.T) {
 		})
 	}
 }
-
-// TestEvaluateJobMatchesSweep pins the unified evaluation path: a job
-// evaluated via EvaluateJob (with and without a warm EnginePool, with
-// and without a checkpoint) serializes byte-identically to the plain
-// Sweep over the same pairs.
-func TestEvaluateJobMatchesSweep(t *testing.T) {
-	spec := sampleSpec()
-	sc, err := sbgp.FromJobSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := sc.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, ds := sim.JobPairs()
-	want, err := sim.Sweep(ms, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pool := sbgp.NewEnginePool()
-	for round := 0; round < 2; round++ {
-		got, err := sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool})
-		pool.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, err := json.Marshal(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Fatalf("round %d: EvaluateJob result differs from Sweep:\n got %s\nwant %s", round, gotJSON, wantJSON)
-		}
-	}
-	if pool.Size() == 0 {
-		t.Error("engine pool retained no worker states")
-	}
-
-	cp := filepath.Join(t.TempDir(), "job.ckpt")
-	shards := 0
-	got, err := sim.EvaluateJob(sbgp.JobEvalOptions{
-		Checkpoint: cp,
-		Sink:       func(*sbgp.ShardPartial) error { shards++; return nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("checkpointed EvaluateJob differs from Sweep:\n got %s\nwant %s", gotJSON, wantJSON)
-	}
-	cells, wantShards, err := sim.JobGeometry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells <= 0 || shards != wantShards {
-		t.Errorf("geometry: saw %d shards over %d cells, JobGeometry says %d", shards, cells, wantShards)
-	}
-}

@@ -3,7 +3,9 @@ package sbgp_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,11 +171,9 @@ func TestScenarioCancellation(t *testing.T) {
 }
 
 // TestIncrementalFacade drives the incremental surface end to end:
-// incremental sweeps (the default) and the explicit off override match
-// each other byte for byte, RunDeltaSeries equals per-step
-// from-scratch runs (shrinking steps ride the signed removal delta),
-// and a series interrupted by context cancellation leaves the
-// simulation's engine clean for the next call.
+// RunDeltaSeries equals per-step from-scratch runs (shrinking steps
+// ride the signed removal delta), and a series interrupted by context
+// cancellation leaves the simulation's engine clean for the next call.
 func TestIncrementalFacade(t *testing.T) {
 	newSim := func(opts ...sbgp.Option) *sbgp.Simulation {
 		sim, err := sbgp.NewScenario(append([]sbgp.Option{
@@ -190,25 +190,6 @@ func TestIncrementalFacade(t *testing.T) {
 	plain := newSim(sbgp.WithIncremental(sbgp.IncrementalOff))
 	inc := newSim()
 	M, D := runner.SamplePairs(asgraph.NonStubs(plain.Graph()), runner.AllASes(plain.Graph().N()), 6, 8)
-
-	want, err := plain.Sweep(M, D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := inc.Sweep(M, D)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wb, gb bytes.Buffer
-	if err := want.WriteJSON(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.WriteJSON(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-		t.Error("the default incremental sweep diverges from the IncrementalOff evaluation")
-	}
 
 	// RunDeltaSeries over a nested series with one deliberate shrinking
 	// step: the t2 deployment after nonstubs walks the set back down,
@@ -281,114 +262,104 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 }
 
-// TestEvaluateJobShardOptions drives the sharded evaluation through the
-// scenario surface: WithShardSize and WithCheckpoint configure the run,
-// EvaluateJob matches Sweep byte for byte, and a second simulation
-// WithResume reproduces the result from the checkpoint instead of
-// re-evaluating.
-func TestEvaluateJobShardOptions(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	opts := func(extra ...sbgp.Option) []sbgp.Option {
-		return append([]sbgp.Option{
+// TestEvaluationFacade pins the facade's evaluation wiring: Sweep under
+// either incremental mode, repeated Evaluates of the job plan,
+// EvaluateJob with a sink, a checkpoint override and a warm pool, and a
+// resume all serialize to bytes fixed by a SHA-256, and WithShardSize,
+// WithCheckpoint, WithResume and the JobEvalOptions fields each take
+// effect. The digest, not one driver, is the "want": Sweep and JobPlan
+// share Simulation.grid, so a wiring bug there would move both sides of
+// a driver-against-driver comparison together.
+func TestEvaluationFacade(t *testing.T) {
+	const want = "99b62ff4875b05421d622a16532718e9b7ec661a9a156aeb0e44ec2cac041a5a"
+	dir := t.TempDir()
+	ckpt, override := filepath.Join(dir, "sweep.ckpt"), filepath.Join(dir, "override.ckpt")
+	simulate := func(extra ...sbgp.Option) *sbgp.Simulation {
+		sim, err := sbgp.NewScenario(append([]sbgp.Option{
 			sbgp.WithGeneratedTopology(300, 5),
+			sbgp.WithModels(sbgp.Sec2nd, sbgp.Sec3rd),
+			sbgp.WithLocalPref(sbgp.LP2),
+			sbgp.WithAttack(sbgp.PathPadding{Hops: 2}),
 			sbgp.WithNamedDeployment("t2"),
+			sbgp.WithDeployment("handpicked", sbgp.DeploymentSpec{NumTier2: 5, IncludeStubs: true}),
 			sbgp.WithPairSampling(6, 10),
+			sbgp.WithWorkers(2),
 			sbgp.WithShardSize(11),
 			sbgp.WithCheckpoint(ckpt),
-		}, extra...)
-	}
-	jsonOf := func(res *sbgp.Result) []byte {
-		t.Helper()
-		var b bytes.Buffer
-		if err := res.WriteJSON(&b); err != nil {
+		}, extra...)...).Simulate()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.Bytes()
+		return sim
 	}
-	sim, err := sbgp.NewScenario(opts()...).Simulate()
-	if err != nil {
-		t.Fatal(err)
+	check := func(what string, res *sbgp.Result, err error) {
+		t.Helper()
+		var b bytes.Buffer
+		if err == nil {
+			err = res.WriteJSON(&b)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); err != nil || got != want {
+			t.Errorf("%s: result sha256 %s (err %v), want %s", what, got, err, want)
+		}
 	}
-	plain, err := sim.Sweep(sim.JobPairs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := jsonOf(plain)
 
+	sim, off := simulate(), simulate(sbgp.WithIncremental(sbgp.IncrementalOff))
+	res, err := sim.Sweep(sim.JobPairs())
+	check("Sweep", res, err)
+	res, err = off.Sweep(off.JobPairs())
+	check("Sweep, IncrementalOff", res, err)
+	pl, err := sim.JobPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err = pl.Evaluate(context.Background())
+		check(fmt.Sprintf("Plan.Evaluate %d", i), res, err)
+	}
+
+	// 6 attackers × 10 destinations × 3 deployments × 2 models, 11 a shard.
 	shards := 0
-	sharded, err := sim.EvaluateJob(sbgp.JobEvalOptions{
+	res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
 		Sink: func(*sbgp.ShardPartial) error { shards++; return nil },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jsonOf(sharded), want) {
-		t.Error("EvaluateJob diverges from Sweep")
-	}
-	// 6 attackers × 10 destinations × 2 deployments × 3 models, 11 a shard.
-	if wantShards := (6*10*2*3 + 10) / 11; shards != wantShards {
-		t.Errorf("WithShardSize(11) cut the job into %d shards, want %d", shards, wantShards)
+	check("EvaluateJob", res, err)
+	if cells, n, err := sim.JobGeometry(); err != nil || cells != 360 || n != 33 || shards != 33 {
+		t.Errorf("WithShardSize(11): sink saw %d shards, JobGeometry (%d cells, %d shards, %v), want 33 of 360 cells",
+			shards, cells, n, err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("WithCheckpoint wrote no checkpoint: %v", err)
 	}
 
-	// A fresh simulation resuming the same scenario reproduces the
-	// result from the checkpoint alone: no shard is left to dispatch.
-	sim2, err := sbgp.NewScenario(opts(sbgp.WithResume())...).Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A fresh simulation resuming the same scenario reproduces the result
+	// from the checkpoint alone: no shard is left to dispatch.
 	var stats sbgp.ShardStats
-	resumed, err := sim2.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(jsonOf(resumed), want) {
-		t.Error("resumed EvaluateJob diverges from the original Sweep")
-	}
+	resumed := simulate(sbgp.WithResume())
+	res, err = resumed.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
+	check("resumed EvaluateJob", res, err)
 	if stats.Units != 0 {
 		t.Errorf("resumed EvaluateJob dispatched %d units, want 0 (every shard is in the checkpoint)", stats.Units)
 	}
-}
 
-// TestEvaluationFacade exercises the Plan the layer hands out: repeated
-// Evaluates of a simulation's job plan match Sweep over the job pairs
-// exactly, run after run.
-func TestEvaluationFacade(t *testing.T) {
-	sim, err := sbgp.NewScenario(
-		sbgp.WithGeneratedTopology(200, 4),
-		sbgp.WithModels(sbgp.Sec2nd),
-		sbgp.WithPairSampling(8, 8),
-		sbgp.WithWorkers(2),
-	).Simulate()
-	if err != nil {
+	// The Checkpoint override replaces the scenario's path, and a pool
+	// keeps its worker states across evaluations.
+	if err := os.Remove(ckpt); err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Sweep(sim.JobPairs())
-	if err != nil {
-		t.Fatal(err)
+	pool := sbgp.NewEnginePool()
+	for round := 0; round < 2; round++ {
+		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool, Checkpoint: override})
+		pool.Release()
+		check(fmt.Sprintf("EvaluateJob on a pool, round %d", round), res, err)
 	}
-	var a bytes.Buffer
-	if err := want.WriteJSON(&a); err != nil {
-		t.Fatal(err)
+	if pool.Size() == 0 {
+		t.Error("engine pool retained no worker states")
 	}
-	pl, err := sim.JobPlan()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(override); err != nil {
+		t.Errorf("the Checkpoint override wrote no checkpoint: %v", err)
 	}
-	for i := 0; i < 3; i++ {
-		res, err := pl.Evaluate(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := res.WriteJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("Plan.Evaluate %d diverges from Sweep", i)
-		}
+	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the scenario's checkpoint was written despite the override (stat: %v)", err)
 	}
 }
 
