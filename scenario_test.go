@@ -262,95 +262,62 @@ func TestIncrementalFacade(t *testing.T) {
 	}
 }
 
-// TestEvaluationFacade pins the facade's evaluation wiring: Sweep under
-// either incremental mode, repeated Evaluates of the job plan,
-// EvaluateJob with a sink, a checkpoint override and a warm pool, and a
-// resume all serialize to bytes fixed by a SHA-256, and WithShardSize,
-// WithCheckpoint, WithResume and the JobEvalOptions fields each take
-// effect. The digest, not one driver, is the "want": Sweep and JobPlan
-// share Simulation.grid, so a wiring bug there would move both sides of
-// a driver-against-driver comparison together.
-func TestEvaluationFacade(t *testing.T) {
-	const want = "99b62ff4875b05421d622a16532718e9b7ec661a9a156aeb0e44ec2cac041a5a"
-	dir := t.TempDir()
-	ckpt, override := filepath.Join(dir, "sweep.ckpt"), filepath.Join(dir, "override.ckpt")
-	simulate := func(extra ...sbgp.Option) *sbgp.Simulation {
-		sim, err := sbgp.NewScenario(append([]sbgp.Option{
-			sbgp.WithGeneratedTopology(300, 5),
-			sbgp.WithModels(sbgp.Sec2nd, sbgp.Sec3rd),
-			sbgp.WithLocalPref(sbgp.LP2),
-			sbgp.WithAttack(sbgp.PathPadding{Hops: 2}),
-			sbgp.WithNamedDeployment("t2"),
-			sbgp.WithDeployment("handpicked", sbgp.DeploymentSpec{NumTier2: 5, IncludeStubs: true}),
-			sbgp.WithPairSampling(6, 10),
-			sbgp.WithWorkers(2),
-			sbgp.WithShardSize(11),
-			sbgp.WithCheckpoint(ckpt),
-		}, extra...)...).Simulate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sim
-	}
-	check := func(what string, res *sbgp.Result, err error) {
-		t.Helper()
-		var b bytes.Buffer
-		if err == nil {
-			err = res.WriteJSON(&b)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); err != nil || got != want {
-			t.Errorf("%s: result sha256 %s (err %v), want %s", what, got, err, want)
-		}
-	}
+// facadeDigest pins the serialized result of facadeSim's job. The
+// digest, not one driver, is the evaluation facade tests' "want": Sweep
+// and JobPlan share Simulation.grid, so a wiring bug there would move
+// both sides of a driver-against-driver comparison together.
+const facadeDigest = "99b62ff4875b05421d622a16532718e9b7ec661a9a156aeb0e44ec2cac041a5a"
 
-	sim, off := simulate(), simulate(sbgp.WithIncremental(sbgp.IncrementalOff))
-	res, err := sim.Sweep(sim.JobPairs())
-	check("Sweep", res, err)
-	res, err = off.Sweep(off.JobPairs())
-	check("Sweep, IncrementalOff", res, err)
-	pl, err := sim.JobPlan()
+// facadeSim builds a scenario of 6 attackers × 10 destinations × 3
+// deployments × 2 models, 11 cells a shard, checkpointed to ckpt.
+func facadeSim(t *testing.T, ckpt string, extra ...sbgp.Option) *sbgp.Simulation {
+	sim, err := sbgp.NewScenario(append([]sbgp.Option{
+		sbgp.WithGeneratedTopology(300, 5),
+		sbgp.WithModels(sbgp.Sec2nd, sbgp.Sec3rd),
+		sbgp.WithLocalPref(sbgp.LP2),
+		sbgp.WithAttack(sbgp.PathPadding{Hops: 2}),
+		sbgp.WithNamedDeployment("t2"),
+		sbgp.WithDeployment("handpicked", sbgp.DeploymentSpec{NumTier2: 5, IncludeStubs: true}),
+		sbgp.WithPairSampling(6, 10),
+		sbgp.WithWorkers(2),
+		sbgp.WithShardSize(11),
+		sbgp.WithCheckpoint(ckpt),
+	}, extra...)...).Simulate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		res, err = pl.Evaluate(context.Background())
-		check(fmt.Sprintf("Plan.Evaluate %d", i), res, err)
-	}
+	return sim
+}
 
-	// 6 attackers × 10 destinations × 3 deployments × 2 models, 11 a shard.
-	shards := 0
-	res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
-		Sink: func(*sbgp.ShardPartial) error { shards++; return nil },
-	})
-	check("EvaluateJob", res, err)
-	if cells, n, err := sim.JobGeometry(); err != nil || cells != 360 || n != 33 || shards != 33 {
-		t.Errorf("WithShardSize(11): sink saw %d shards, JobGeometry (%d cells, %d shards, %v), want 33 of 360 cells",
-			shards, cells, n, err)
+func checkFacadeDigest(t *testing.T, what string, res *sbgp.Result, err error) {
+	t.Helper()
+	var b bytes.Buffer
+	if err == nil {
+		err = res.WriteJSON(&b)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("WithCheckpoint wrote no checkpoint: %v", err)
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes())); err != nil || got != facadeDigest {
+		t.Errorf("%s: result sha256 %s (err %v), want %s", what, got, err, facadeDigest)
 	}
+}
 
-	// A fresh simulation resuming the same scenario reproduces the result
-	// from the checkpoint alone: no shard is left to dispatch.
-	var stats sbgp.ShardStats
-	resumed := simulate(sbgp.WithResume())
-	res, err = resumed.EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
-	check("resumed EvaluateJob", res, err)
-	if stats.Units != 0 {
-		t.Errorf("resumed EvaluateJob dispatched %d units, want 0 (every shard is in the checkpoint)", stats.Units)
-	}
-
-	// The Checkpoint override replaces the scenario's path, and a pool
-	// keeps its worker states across evaluations.
-	if err := os.Remove(ckpt); err != nil {
-		t.Fatal(err)
+// TestEvaluateJobMatchesSweep holds Sweep under either incremental mode
+// and EvaluateJob on a warm EnginePool to the pinned bytes, and checks
+// that the pool keeps its worker states and the Checkpoint override
+// replaces the scenario's path.
+func TestEvaluateJobMatchesSweep(t *testing.T) {
+	dir := t.TempDir()
+	ckpt, override := filepath.Join(dir, "sweep.ckpt"), filepath.Join(dir, "override.ckpt")
+	var sim *sbgp.Simulation
+	for _, mode := range []sbgp.IncrementalMode{sbgp.IncrementalOff, sbgp.IncrementalAuto} {
+		sim = facadeSim(t, ckpt, sbgp.WithIncremental(mode))
+		res, err := sim.Sweep(sim.JobPairs())
+		checkFacadeDigest(t, fmt.Sprintf("Sweep, %v", mode), res, err)
 	}
 	pool := sbgp.NewEnginePool()
 	for round := 0; round < 2; round++ {
-		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool, Checkpoint: override})
+		res, err := sim.EvaluateJob(sbgp.JobEvalOptions{Pool: pool, Checkpoint: override})
 		pool.Release()
-		check(fmt.Sprintf("EvaluateJob on a pool, round %d", round), res, err)
+		checkFacadeDigest(t, fmt.Sprintf("EvaluateJob on a pool, round %d", round), res, err)
 	}
 	if pool.Size() == 0 {
 		t.Error("engine pool retained no worker states")
@@ -360,6 +327,45 @@ func TestEvaluationFacade(t *testing.T) {
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("the scenario's checkpoint was written despite the override (stat: %v)", err)
+	}
+}
+
+// TestEvaluateJobShardOptions checks that WithShardSize sets the shard
+// count the sink sees, WithCheckpoint writes the checkpoint, and a
+// second simulation WithResume reproduces the pinned bytes from the
+// checkpoint alone, dispatching no unit.
+func TestEvaluateJobShardOptions(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	sim, shards := facadeSim(t, ckpt), 0
+	res, err := sim.EvaluateJob(sbgp.JobEvalOptions{
+		Sink: func(*sbgp.ShardPartial) error { shards++; return nil },
+	})
+	checkFacadeDigest(t, "EvaluateJob", res, err)
+	if cells, n, err := sim.JobGeometry(); err != nil || cells != 360 || n != 33 || shards != 33 {
+		t.Errorf("WithShardSize(11): sink saw %d shards, JobGeometry (%d cells, %d shards, %v), want 33 of 360 cells",
+			shards, cells, n, err)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Fatalf("WithCheckpoint wrote no checkpoint: %v", err)
+	}
+	var stats sbgp.ShardStats
+	res, err = facadeSim(t, ckpt, sbgp.WithResume()).EvaluateJob(sbgp.JobEvalOptions{Stats: &stats})
+	checkFacadeDigest(t, "resumed EvaluateJob", res, err)
+	if stats.Units != 0 {
+		t.Errorf("resumed EvaluateJob dispatched %d units, want 0 (every shard is in the checkpoint)", stats.Units)
+	}
+}
+
+// TestEvaluationFacade holds repeated Evaluates of a simulation's job
+// plan to the pinned bytes.
+func TestEvaluationFacade(t *testing.T) {
+	pl, err := facadeSim(t, filepath.Join(t.TempDir(), "sweep.ckpt")).JobPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := pl.Evaluate(context.Background())
+		checkFacadeDigest(t, fmt.Sprintf("Plan.Evaluate %d", i), res, err)
 	}
 }
 
