@@ -10,7 +10,9 @@ import (
 
 // BenchmarkEngineRun measures one routing-outcome computation on a
 // 4000-AS topology — the unit cost every grid experiment pays per
-// (attacker, destination) pair.
+// (attacker, destination) pair — as the lens for the ladder's core.run_us:
+// one engine, one model and one deployment in a loop of its own, to
+// profile or to rerun on a larger graph, with its allocations.
 func BenchmarkEngineRun(b *testing.B) {
 	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
 	full := asgraph.NewSet(g.N())
@@ -99,60 +101,11 @@ func BenchmarkEngineRunDelta(b *testing.B) {
 	})
 }
 
-// BenchmarkDeltaThreshold measures the delta-fallback bound on the
-// workload it exists for: a one-stub-at-a-time rollout, the
-// finest-grained chain the paper's figures imply. Securing one stub
-// dirties only the stub and its providers, so the delta should stay
-// incremental at every step: the edge-volume bound charges the dirty
-// region by its adjacency size.
-func BenchmarkDeltaThreshold(b *testing.B) {
-	g, _ := topogen.MustGenerate(topogen.Params{N: 4000, Seed: 1})
-	n := g.N()
-	var stubs []asgraph.AS
-	for v := 0; v < n; v++ {
-		if g.IsAnyStub(asgraph.AS(v)) {
-			stubs = append(stubs, asgraph.AS(v))
-		}
-	}
-	const chainLen = 256
-	if len(stubs) < chainLen {
-		b.Fatalf("fixture has only %d stubs", len(stubs))
-	}
-	deps := make([]*Deployment, chainLen)
-	added := make([][]asgraph.AS, chainLen)
-	d, m := asgraph.AS(17), asgraph.NonStubs(g)[0]
-	// The destination deploys throughout: outside S every step would be
-	// a security-free no-op, not a delta.
-	full := asgraph.SetOf(n, d)
-	for i := 0; i < chainLen; i++ {
-		full.Add(stubs[i])
-		added[i] = []asgraph.AS{stubs[i]}
-		deps[i] = &Deployment{Full: full.Clone()}
-	}
-	b.Run("edge-volume", func(b *testing.B) {
-		e := NewEngine(g, policy.Sec2nd)
-		prev := e.Run(d, m, deps[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := i%(chainLen-1) + 1
-			if k == 1 {
-				b.StopTimer()
-				prev = e.Run(d, m, deps[0])
-				b.StartTimer()
-			}
-			prev = e.RunDelta(prev, added[k], nil, deps[k], nil)
-		}
-		if e.counters.Fallbacks > 0 {
-			b.Logf("%d of %d delta steps fell back", e.counters.Fallbacks, b.N)
-		}
-	})
-}
-
 // BenchmarkEngineRunSparse measures runs that touch only a small part of
 // the graph: 100 disconnected 40-AS provider trees, attacks staying
 // within one tree. The between-run reset pays O(touched) here, not
-// O(n): this is the regime rollback's per-entry branch exists for.
+// O(n): this is the regime rollback's per-entry branch exists for, and
+// no workload reaches it, since every generated topology is connected.
 func BenchmarkEngineRunSparse(b *testing.B) {
 	const clusters, size = 100, 40
 	g := forestGraph(clusters, size)

@@ -190,6 +190,19 @@ func waitActive(t *testing.T, c *Coordinator) {
 	}
 }
 
+// runContext is the context a test's coordinator run and workers run
+// under. It ends after 30 s, or a twentieth of the time the test binary
+// has left if that is less, so a run that never finishes (a lease that
+// never expires strands its range) fails its own test by name and leaves
+// the package time to run and report the rest.
+func runContext(t *testing.T) (context.Context, context.CancelFunc) {
+	d := 30 * time.Second
+	if end, ok := t.Deadline(); ok {
+		d = min(d, time.Until(end)/20)
+	}
+	return context.WithTimeout(context.Background(), d)
+}
+
 // gridWorker returns an HTTP worker evaluating with its own fresh grid
 // value — no shared engine state with any other worker, as across
 // machines.
@@ -243,7 +256,7 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 			coord := NewCoordinator(Options{LeaseShards: 5, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
 			sunk := 0 // the sink runs under the job's ingest mutex
 			job, layout := gridJob(t, tc.mkGrid, g, size, "", false, func(*sbgp.ShardPartial) error { sunk++; return nil })
-			ctx, cancel := context.WithCancel(context.Background())
+			ctx, cancel := runContext(t)
 			defer cancel()
 			done := startRun(ctx, coord, job)
 			waitActive(t, coord)
@@ -289,7 +302,7 @@ func TestDistributedGoldenByteIdentity(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					workerErrs[i] = w.Run(context.Background())
+					workerErrs[i] = w.Run(ctx)
 				}()
 			}
 			wg.Wait()
@@ -663,7 +676,7 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 	const size = 4
 	coord := NewCoordinator(Options{LeaseShards: 6, LeaseTTL: 60 * time.Millisecond, Standby: 5 * time.Millisecond})
 	job, _ := gridJob(t, mkGrid, g, size, "", false, nil)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := runContext(t)
 	defer cancel()
 	done := startRun(ctx, coord, job)
 	waitActive(t, coord)
@@ -713,7 +726,7 @@ func TestConcurrentWorkersWithKill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			workerErrs[i] = w.Run(context.Background())
+			workerErrs[i] = w.Run(ctx)
 		}()
 	}
 	<-killReady
@@ -863,9 +876,11 @@ func TestWorkerPoolOutlivesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		runCtx, stop := runContext(t)
+		defer stop()
 		ran := make(chan runResult, 1)
 		go func() {
-			res, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
+			res, err := coord.RunSim(runCtx, sim, spec, "", false, nil)
 			ran <- runResult{res, err}
 		}()
 		if job.abort {
@@ -887,7 +902,7 @@ func TestWorkerPoolOutlivesJobs(t *testing.T) {
 			}
 			w.Throttle = 0
 		}
-		if err := w.Run(context.Background()); err != nil {
+		if err := w.Run(runCtx); err != nil {
 			t.Fatalf("job %d: worker: %v", i, err)
 		}
 		r := <-ran
@@ -1290,7 +1305,7 @@ func TestCallBudget(t *testing.T) {
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()
 	cc := &callCounter{base: http.DefaultTransport, calls: map[string]int{}}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := runContext(t)
 	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)

@@ -143,7 +143,7 @@ func runFaultyWorkers(t *testing.T, tc goldenCase, g *sbgp.Graph, seed int64) (f
 	const size = 7
 	coord := NewCoordinator(Options{LeaseShards: 5, LeaseTTL: 40 * time.Millisecond, Standby: 2 * time.Millisecond})
 	job, layout := gridJob(t, tc.mkGrid, g, size, "", false, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := runContext(t)
 	defer cancel()
 	done := startRun(ctx, coord, job)
 	srv := httptest.NewServer(coord.Handler())

@@ -88,9 +88,21 @@ func bigReference(t *testing.T) []byte {
 	return bigRefBytes
 }
 
+// waitBudget bounds one wait in a test: two minutes, or a twentieth of
+// the time the test binary has left if that is less, so a job that never
+// finishes fails its own test by name and leaves the package time to run
+// and report the rest.
+func waitBudget(t *testing.T) time.Duration {
+	d := 2 * time.Minute
+	if end, ok := t.Deadline(); ok {
+		d = min(d, time.Until(end)/20)
+	}
+	return d
+}
+
 // waitFor subscribes to a job and blocks until pred holds, failing the
 // test if the job goes terminal first (unless pred accepts that) or
-// the deadline passes.
+// the wait's budget runs out.
 func waitFor(t *testing.T, s *Server, id string, pred func(*Job) bool) *Job {
 	t.Helper()
 	wake, unsubscribe, ok := s.Subscribe(id)
@@ -98,7 +110,7 @@ func waitFor(t *testing.T, s *Server, id string, pred func(*Job) bool) *Job {
 		t.Fatalf("Subscribe(%s): unknown job", id)
 	}
 	defer unsubscribe()
-	deadline := time.After(120 * time.Second)
+	deadline := time.After(waitBudget(t))
 	for {
 		select {
 		case <-deadline:

@@ -9,9 +9,10 @@ import (
 // BenchmarkGenerate is the zoom lens for the ladder rung
 // topogen.generate_ms: one default-parameter Generate, cycling over 40
 // seeds, at 4000 ASes (the benchmark workloads' size) and at 40 000 (the
-// paper's scale). Beside time and allocations it reports
-// retained-B/graph, the heap one generated graph keeps live after a GC —
-// the figure a cache of warm topologies is sized from.
+// paper's scale, which no workload generates). Beside time and
+// allocations it reports retained-B/graph, the heap one generated graph
+// keeps live after a GC — the figure a cache of warm topologies is sized
+// from, and one the ladder does not read.
 func BenchmarkGenerate(b *testing.B) {
 	for _, n := range []int{4000, 40000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
