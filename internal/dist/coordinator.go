@@ -117,6 +117,13 @@ type Job struct {
 	// (resumed shards replayed first). Called serially; an error fails
 	// the job.
 	Sink func(*sbgp.ShardPartial) error
+	// Stats, when non-nil, receives the counters workers send on their
+	// submits (none from a custom Worker.Open's evaluator), folded as
+	// one evaluation folds its ranges (ShardStats.Fold). A lease
+	// re-evaluated after it expired counts twice, as its work was done
+	// twice, and a submit whose ack was lost can deliver its counters
+	// again. Read it once Run has returned.
+	Stats *sbgp.ShardStats
 }
 
 // lease is one outstanding grant: a worker's exclusive claim on a
@@ -614,6 +621,26 @@ func (c *Coordinator) Submit(worker, fingerprint string, partials []*sbgp.ShardP
 	return accepted, duplicates, nil
 }
 
+// report folds the counters a worker sent on a submit into the active
+// job's Stats and, when the worker's evaluation failed, fails the job
+// with the worker's cause. It runs before the submit's ingest, so a
+// job's last counters land before the submit that completes it.
+func (c *Coordinator) report(worker, fingerprint string, stats *sbgp.ShardStats, cause string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	aj, err := c.activeLocked(fingerprint)
+	if err != nil {
+		return
+	}
+	if stats != nil && aj.job.Stats != nil {
+		aj.job.Stats.Fold(*stats)
+	}
+	if cause != "" {
+		aj.failLocked(fmt.Errorf("dist: worker %s: %s", worker, cause))
+		c.notifyLocked()
+	}
+}
+
 // Stats returns a snapshot of the protocol counters and active job.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
@@ -663,10 +690,12 @@ func (c *Coordinator) notifyLocked() {
 
 // RunSim runs one simulation's job through the coordinator: take its
 // prepared plan and layout, serve it to workers, reduce the store they
-// fill. This is the service.Distributor shape — the resident daemon's
-// evaluate path calls it in place of sim.EvaluateJob, with the same
-// checkpoint, resume, and sink semantics and byte-identical results.
-func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sbgp.JobSpec, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (*sbgp.Result, error) {
+// fill. This is the service.Distributor shape — the resident daemon
+// hands it the options it would hand sim.EvaluateJob, and gets the
+// same checkpoint, resume, sink and stats semantics and byte-identical
+// results. opts.Pool is not used: workers own their engines.
+// sim.Context() bounds the run.
+func (c *Coordinator) RunSim(sim *sbgp.Simulation, spec *sbgp.JobSpec, opts sbgp.JobEvalOptions) (*sbgp.Result, error) {
 	pl, err := sim.JobPlan()
 	if err != nil {
 		return nil, err
@@ -688,12 +717,13 @@ func (c *Coordinator) RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sb
 			return nil, err
 		}
 	}
-	return c.Run(ctx, Job{
+	return c.Run(sim.Context(), Job{
 		SpecJSON:   specJSON,
 		Plan:       pl,
 		Layout:     layout,
-		Checkpoint: checkpoint,
-		Resume:     resume,
-		Sink:       sink,
+		Checkpoint: opts.Checkpoint,
+		Resume:     opts.Resume,
+		Sink:       opts.Sink,
+		Stats:      opts.Stats,
 	})
 }

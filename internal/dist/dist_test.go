@@ -822,7 +822,7 @@ func TestDistributedJobSpecFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.RunSim(context.Background(), sim, spec, "", false, nil)
+	got, err := coord.RunSim(sim, spec, sbgp.JobEvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -859,7 +859,10 @@ func TestWorkerPoolOutlivesJobs(t *testing.T) {
 		lp    sbgp.LocalPref
 		abort bool
 	}{{200, sbgp.StandardLP, false}, {120, sbgp.LP2, false}, {200, sbgp.StandardLP, false}, {120, sbgp.LP2, true}} {
+		runCtx, stop := runContext(t)
+		defer stop()
 		sim, err := sbgp.NewScenario(
+			sbgp.WithContext(runCtx),
 			sbgp.WithGeneratedTopology(job.n, 23),
 			sbgp.WithLocalPref(job.lp),
 			sbgp.WithPairSampling(5, 6),
@@ -876,11 +879,9 @@ func TestWorkerPoolOutlivesJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runCtx, stop := runContext(t)
-		defer stop()
 		ran := make(chan runResult, 1)
 		go func() {
-			res, err := coord.RunSim(runCtx, sim, spec, "", false, nil)
+			res, err := coord.RunSim(sim, spec, sbgp.JobEvalOptions{})
 			ran <- runResult{res, err}
 		}()
 		if job.abort {

@@ -16,13 +16,15 @@ import (
 //	GET  /dist/v1/job        → JobInfo; waits up to LeaseTTL/3 for a job, then 404
 //	POST /dist/v1/lease      {"worker","fingerprint"} → LeaseGrant
 //	POST /dist/v1/heartbeat  {"lease_id","fingerprint"} → 204
-//	POST /dist/v1/submit     {"worker","fingerprint","partials":[...],"lease"} → {"accepted","duplicates","grant"}
+//	POST /dist/v1/submit     {"worker","fingerprint","partials":[...],"lease","stats","error"} → {"accepted","duplicates","grant"}
 //	GET  /dist/v1/stats      → Stats
 //	GET  /dist/v1/events     → SSE stream of Stats snapshots
 //
 // A worker leases once per job: a submit with "lease": true ingests its
 // batch and then answers with the next LeaseGrant, so every later lease
-// boundary is one round trip. Error mapping: ErrNoJob → 404,
+// boundary is one round trip. A submit also carries the worker's
+// counters since its last acknowledged submit, and the cause when its
+// evaluation failed, which fails the job. Error mapping: ErrNoJob → 404,
 // ErrFingerprintMismatch → 409, ErrUnknownLease → 410, validation
 // failures → 400.
 
@@ -42,6 +44,10 @@ type submitRequest struct {
 	Partials    []*sbgp.ShardPartial `json:"partials"`
 	// Lease asks for the next lease on the reply, after the ingest.
 	Lease bool `json:"lease,omitempty"`
+	// Stats are the worker's counters since its last acknowledged submit.
+	Stats *sbgp.ShardStats `json:"stats,omitempty"`
+	// Error is the cause of the worker's failed evaluation.
+	Error string `json:"error,omitempty"`
 }
 
 type submitResponse struct {
@@ -155,6 +161,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	c.report(req.Worker, req.Fingerprint, req.Stats, req.Error)
 	accepted, duplicates, err := c.Submit(req.Worker, req.Fingerprint, req.Partials)
 	if err != nil {
 		writeError(w, err)

@@ -38,6 +38,8 @@ type PlanEvaluator struct {
 	// — and jobs: any pool serves any plan. It must be exclusive to one
 	// evaluator at a time: every lease releases it.
 	Pool *sbgp.EnginePool
+	// Stats, when non-nil, receives every range's counters (ShardStats.Fold).
+	Stats *sbgp.ShardStats
 }
 
 // ShardPlan returns the layout the evaluator shards the plan under.
@@ -48,7 +50,7 @@ func (e *PlanEvaluator) EvaluateShards(r sbgp.ShardRange, sink func(*sbgp.ShardP
 	if e.Pool != nil {
 		defer e.Pool.Release()
 	}
-	return e.Plan.EvaluateShardRange(e.Ctx, e.Layout, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.Pool})
+	return e.Plan.EvaluateShardRange(e.Ctx, e.Layout, r, sbgp.ShardRangeOptions{Sink: sink, Pool: e.Pool, Stats: e.Stats})
 }
 
 // WorkerStats counts one worker's protocol activity — the
@@ -76,6 +78,7 @@ type Worker struct {
 	ID string
 	// Open builds the evaluator for a job. Nil uses the spec-driven
 	// default: rebuild the simulation from the job's canonical spec.
+	// Only the default's evaluator sends the coordinator its counters.
 	Open func(ctx context.Context, spec json.RawMessage) (Evaluator, error)
 	// Workers is the evaluation parallelism the default Open configures
 	// (0: the library default).
@@ -101,6 +104,9 @@ type Worker struct {
 	// pool keeps the default Open's engines for the worker's life (pooled
 	// engines follow each job); only Run's goroutine touches it.
 	pool sbgp.EnginePool
+	// unsent are the default Open's counters since the last acknowledged
+	// submit; only Run's goroutine touches them.
+	unsent sbgp.ShardStats
 }
 
 // Stats returns a snapshot of the worker's counters.
@@ -207,7 +213,8 @@ func (w *Worker) openEvaluator(ctx context.Context, spec json.RawMessage) (Evalu
 	if err != nil {
 		return nil, err
 	}
-	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: &w.pool}, nil
+	w.unsent = sbgp.ShardStats{} // a previous job's, whose last submit failed
+	return &PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout, Pool: &w.pool, Stats: &w.unsent}, nil
 }
 
 // serve is the lease loop for one job: evaluate a lease, ship it and
@@ -265,6 +272,7 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 			defer close(hbDone)
 			w.heartbeatLoop(hbCtx, fingerprint, grant.LeaseID, time.Duration(grant.TTLMillis)*time.Millisecond)
 		}()
+		before := len(held)
 		evalErr := ev.EvaluateShards(grant.Range, func(p *sbgp.ShardPartial) error {
 			held = append(held, p)
 			w.mu.Lock()
@@ -277,10 +285,21 @@ func (w *Worker) serve(ctx context.Context, ev Evaluator, fingerprint string) er
 		})
 		stopHB()
 		<-hbDone
+		// A range that ends short of a shard would be re-leased and
+		// fall short again forever: that is an evaluation failure too.
+		if got, want := len(held)-before, grant.Range.End-grant.Range.Start; evalErr == nil && got != want {
+			evalErr = fmt.Errorf("dist: shards [%d,%d) evaluated to %d partials, want %d", grant.Range.Start, grant.Range.End, got, want)
+		}
 		if evalErr != nil {
-			// Cancellation (a killed worker) or a genuine evaluation
-			// failure; either way this worker stops. Held shards die
-			// with it — the lease expires and others re-evaluate.
+			// Either way this worker stops. Cancellation (a killed
+			// worker) strands the lease: it expires, others re-evaluate
+			// it and held shards die with this worker. A genuine
+			// evaluation failure would fail every worker alike, so it
+			// fails the job, reported on a submit; a report that does
+			// not arrive leaves the job to the lease's expiry.
+			if ctx.Err() == nil {
+				_, _ = w.submit(ctx, submitRequest{Fingerprint: fingerprint, Error: evalErr.Error()})
+			}
 			return evalErr
 		}
 		// Ship and take the next grant from the reply. A transport
@@ -349,7 +368,7 @@ func (w *Worker) ship(ctx context.Context, fingerprint string, held []*sbgp.Shar
 	var grant *LeaseGrant
 	for i := 0; i < len(held); i += submitBatch {
 		end := min(i+submitBatch, len(held))
-		g, err := w.submit(ctx, fingerprint, held[i:end], next && end == len(held))
+		g, err := w.submit(ctx, submitRequest{Fingerprint: fingerprint, Partials: held[i:end], Lease: next && end == len(held)})
 		if err != nil {
 			return held[i:], nil, err
 		}
@@ -473,10 +492,18 @@ func (w *Worker) heartbeat(ctx context.Context, fingerprint, leaseID string) err
 	return w.call(ctx, http.MethodPost, "/dist/v1/heartbeat", heartbeatRequest{LeaseID: leaseID, Fingerprint: fingerprint}, nil)
 }
 
-// submit ships one batch and, with next set, returns the next grant.
-func (w *Worker) submit(ctx context.Context, fingerprint string, partials []*sbgp.ShardPartial, next bool) (*LeaseGrant, error) {
+// submit sends one submit, with the counters gathered since the last
+// acknowledged one, and returns the grant its reply carries.
+func (w *Worker) submit(ctx context.Context, req submitRequest) (*LeaseGrant, error) {
+	req.Worker = w.ID
+	if w.unsent != (sbgp.ShardStats{}) {
+		req.Stats = &w.unsent
+	}
 	var resp submitResponse
-	err := w.call(ctx, http.MethodPost, "/dist/v1/submit", submitRequest{Worker: w.ID, Fingerprint: fingerprint, Partials: partials, Lease: next}, &resp)
+	err := w.call(ctx, http.MethodPost, "/dist/v1/submit", req, &resp)
+	if err == nil {
+		w.unsent = sbgp.ShardStats{}
+	}
 	return resp.Grant, err
 }
 

@@ -87,10 +87,9 @@ func (s *Server) pickLocked() *job {
 // evaluate runs one job through the shared FromJobSpec → Simulate →
 // EvaluateJob path against the warm topology cache and engine pool,
 // with the daemon's per-job checkpoint (none for a one-shard job), and
-// writes the result grid atomically. With a Distributor configured, the
-// evaluation itself is farmed out to workers instead — same checkpoint,
-// same sink, same result bytes. It is the long call of the run loop;
-// ctx aborts it.
+// writes the result grid atomically. With a Distributor configured, it
+// takes the same options and farms the evaluation out to workers. It is
+// the long call of the run loop; ctx aborts it.
 func (s *Server) evaluate(ctx context.Context, j *job) error {
 	s.mu.Lock()
 	spec, id := j.Spec, j.ID
@@ -134,27 +133,26 @@ func (s *Server) evaluate(ctx context.Context, j *job) error {
 		crashPoint("shard")
 		return nil
 	}
+	var stats sbgp.ShardStats
+	opts := sbgp.JobEvalOptions{
+		Checkpoint: ckpt,
+		Resume:     true, // fresh checkpoint = fresh run; restart = resume
+		Pool:       &s.pool,
+		Sink:       sink,
+		Stats:      &stats,
+	}
 	var res *sbgp.Result
 	if d := s.opts.Distributor; d != nil {
-		// Distributed evaluation: workers own their engines, so the
-		// local pool stays untouched.
-		res, err = d.RunSim(ctx, sim, spec, ckpt, true, sink)
+		res, err = d.RunSim(sim, spec, opts)
 	} else {
-		var stats sbgp.ShardStats
-		res, err = sim.EvaluateJob(sbgp.JobEvalOptions{
-			Checkpoint: ckpt,
-			Resume:     true, // fresh checkpoint = fresh run; restart = resume
-			Pool:       &s.pool,
-			Sink:       sink,
-			Stats:      &stats,
-		})
-		s.pool.Release()
-		// Fold this evaluation into the daemon totals whether it finished
-		// or not: a cancelled or failed job's work was done all the same.
-		s.mu.Lock()
-		s.sweep.Add(stats)
-		s.mu.Unlock()
+		res, err = sim.EvaluateJob(opts)
 	}
+	s.pool.Release()
+	// Fold this evaluation into the daemon totals whether it finished
+	// or not: a cancelled or failed job's work was done all the same.
+	s.mu.Lock()
+	s.sweep.Add(stats)
+	s.mu.Unlock()
 	if err != nil {
 		return err
 	}

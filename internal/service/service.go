@@ -130,13 +130,13 @@ func topologySource(t sbgp.TopologySpec) (string, error) {
 }
 
 // Distributor is the pluggable distributed-evaluation backend: given a
-// materialized simulation and its spec, produce the job's Result by
-// farming shard ranges out to workers (internal/dist's Coordinator is
-// the in-tree implementation, wired through cmd/sbgpd -dist). The
-// checkpoint/resume/sink contract matches Simulation.EvaluateJob, and
-// so must the result bytes.
+// materialized simulation, its spec and the options Simulation.EvaluateJob
+// would take, produce the job's Result by farming shard ranges out to
+// workers (internal/dist's Coordinator, wired through cmd/sbgpd -dist).
+// The options mean what they mean to EvaluateJob, sim.Context() bounds
+// the run, and the result bytes must match.
 type Distributor interface {
-	RunSim(ctx context.Context, sim *sbgp.Simulation, spec *sbgp.JobSpec, checkpoint string, resume bool, sink func(*sbgp.ShardPartial) error) (*sbgp.Result, error)
+	RunSim(sim *sbgp.Simulation, spec *sbgp.JobSpec, opts sbgp.JobEvalOptions) (*sbgp.Result, error)
 }
 
 // Options tunes a Server beyond its data directory.
@@ -165,9 +165,8 @@ type Server struct {
 	// key because pooled engines follow each job (sbgp.EnginePool).
 	pool sbgp.EnginePool
 
-	// sweep accumulates every locally evaluated job's counters
-	// (distributed evaluations keep their stats on the workers).
-	// Guarded by mu; surfaced through Status.
+	// sweep accumulates every evaluated job's counters. Guarded by mu;
+	// surfaced through Status.
 	sweep sbgp.ShardStats
 
 	baseCtx    context.Context
@@ -379,13 +378,13 @@ func (s *Server) CheckpointPath(id string) string {
 }
 
 // Status summarizes the daemon for the status endpoint. Sweep totals
-// the counters of every job evaluated locally since the daemon started,
-// finished, cancelled or failed alike: dispatch units, cross-shard
-// handoff hits/misses, baseline memo hits/fills (a job on a warm
-// topology and pair sample hits the memo an earlier job filled), the
-// engines' runs, fallbacks, delta steps, dirty volume and no-ops, and
-// the schedule planner's chain heads, delta edges, and predicted
-// edge-volume summed across evaluations.
+// the counters of every job evaluated since the daemon started, by the
+// local pool or a Distributor's workers, finished, cancelled or failed
+// alike: dispatch units, cross-shard handoff hits/misses, baseline memo
+// hits/fills (a job on a warm topology and pair sample hits the memo an
+// earlier job filled), the engines' runs, fallbacks, delta steps, dirty
+// volume and no-ops, and the schedule planner's chain heads, delta
+// edges, and predicted edge-volume summed across jobs.
 type Status struct {
 	Jobs        map[State]int   `json:"jobs"`
 	Topologies  int             `json:"topologies"`

@@ -944,7 +944,8 @@ func TestCacheEviction(t *testing.T) {
 // terminates on its own).
 type blockingDistributor struct{}
 
-func (blockingDistributor) RunSim(ctx context.Context, _ *sbgp.Simulation, _ *sbgp.JobSpec, _ string, _ bool, _ func(*sbgp.ShardPartial) error) (*sbgp.Result, error) {
+func (blockingDistributor) RunSim(sim *sbgp.Simulation, _ *sbgp.JobSpec, _ sbgp.JobEvalOptions) (*sbgp.Result, error) {
+	ctx := sim.Context()
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -1128,11 +1129,146 @@ func TestCloseUnblocksEventStreams(t *testing.T) {
 }
 
 // TestDaemonDistributedByteIdentity runs the daemon with a real
-// internal/dist Coordinator as its Distributor and two spec-driven
-// workers over HTTP — the cmd/sbgpd -dist wiring in miniature — and
-// pins that the distributed result bytes match a one-shot local run.
+// internal/dist Coordinator as its Distributor and spec-driven workers
+// over HTTP — the cmd/sbgpd -dist wiring in miniature — and pins that
+// the distributed result bytes match a one-shot local run, and that the
+// job's counters reach /status as a local daemon's do. With one worker
+// evaluating on one goroutine every field is equal. With two, the
+// fields ShardStats calls the same at every worker count are equal, and
+// so are the valid cells, each exactly one memo hit, run, delta step or
+// no-op.
 func TestDaemonDistributedByteIdentity(t *testing.T) {
-	coord := dist.NewCoordinator(dist.Options{LeaseShards: 4, LeaseTTL: 5 * time.Second})
+	oneWorker := smallSpec()
+	oneWorker.Workers = 1
+	for _, tc := range []struct {
+		name    string
+		spec    *sbgp.JobSpec
+		workers int
+	}{{"1-worker", oneWorker, 1}, {"2-workers", smallSpec(), 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := dist.NewCoordinator(dist.Options{LeaseShards: 4, LeaseTTL: 5 * time.Second})
+			s, err := OpenOptions(t.TempDir(), Options{Distributor: coord})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(coord.Handler())
+			defer ts.Close()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			for i := 0; i < tc.workers; i++ {
+				w := &dist.Worker{
+					Base:    ts.URL,
+					ID:      fmt.Sprintf("daemon-w%d", i),
+					Poll:    10 * time.Millisecond,
+					Workers: tc.spec.Workers,
+				}
+				go w.Run(ctx)
+			}
+
+			j, err := s.Submit(tc.spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fin := waitFor(t, s, j.ID, terminal)
+			if fin.State != StateDone {
+				t.Fatalf("distributed job: state %s error %q", fin.State, fin.Error)
+			}
+			if fin.ShardsDone != fin.ShardsTotal || fin.ShardsTotal == 0 {
+				t.Fatalf("distributed progress: %d/%d shards", fin.ShardsDone, fin.ShardsTotal)
+			}
+			got, err := os.ReadFile(s.ResultPath(j.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oneShotBytes(t, tc.spec); !bytes.Equal(got, want) {
+				t.Fatal("daemon distributed result differs from one-shot evaluation")
+			}
+			if _, err := os.Stat(s.CheckpointPath(j.ID)); !os.IsNotExist(err) {
+				t.Fatalf("checkpoint not removed after distributed completion: %v", err)
+			}
+
+			local, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer local.Close()
+			lj, err := local.Submit(tc.spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin := waitFor(t, local, lj.ID, terminal); fin.State != StateDone {
+				t.Fatalf("local job: state %s error %q", fin.State, fin.Error)
+			}
+			gotStats, wantStats := s.Stats().Sweep, local.Stats().Sweep
+			if wantStats.Units == 0 {
+				t.Fatalf("the local daemon counted no work: %+v", wantStats)
+			}
+			if tc.workers == 1 {
+				if gotStats != wantStats {
+					t.Fatalf("-dist /status sweep\n%+v\nlocal\n%+v", gotStats, wantStats)
+				}
+				return
+			}
+			independent := func(st sbgp.ShardStats) sbgp.ShardStats {
+				return sbgp.ShardStats{
+					Units: st.Units, HandoffHits: st.HandoffHits, HandoffMisses: st.HandoffMisses,
+					MemoHits:   st.MemoHits + st.Runs + st.DeltaSteps + st.NoOps, // the valid cells
+					ChainHeads: st.ChainHeads, DeltaEdges: st.DeltaEdges, PredictedVolume: st.PredictedVolume,
+				}
+			}
+			if g, w := independent(gotStats), independent(wantStats); g != w {
+				t.Fatalf("-dist /status sweep, worker-count-independent fields (memo_hits: the valid cells)\n%+v\nlocal\n%+v", g, w)
+			}
+		})
+	}
+}
+
+// errInjected is the evaluation fault failingEvaluator injects.
+var errInjected = errors.New("injected evaluation fault")
+
+// failingEvaluator is the spec-driven evaluator whose sink fails on the
+// first shard of every range.
+type failingEvaluator struct{ *dist.PlanEvaluator }
+
+func (e failingEvaluator) EvaluateShards(r sbgp.ShardRange, _ func(*sbgp.ShardPartial) error) error {
+	return e.PlanEvaluator.EvaluateShards(r, func(*sbgp.ShardPartial) error { return errInjected })
+}
+
+// openFailing is a Worker.Open that rebuilds the job from its spec as
+// the default does and wraps the evaluator in failingEvaluator.
+func openFailing(ctx context.Context, raw json.RawMessage) (dist.Evaluator, error) {
+	spec, err := sbgp.ReadJobSpec(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
+	sc, err := sbgp.FromJobSpec(spec, sbgp.WithContext(ctx))
+	if err != nil {
+		return nil, err
+	}
+	sim, err := sc.Simulate()
+	if err != nil {
+		return nil, err
+	}
+	pl, err := sim.JobPlan()
+	if err != nil {
+		return nil, err
+	}
+	layout, _, err := sim.JobShardPlan()
+	if err != nil {
+		return nil, err
+	}
+	return failingEvaluator{&dist.PlanEvaluator{Ctx: ctx, Plan: pl, Layout: layout}}, nil
+}
+
+// TestDaemonDistributedWorkerFailure: a worker whose evaluation fails
+// reports the cause on a submit, and the daemon records the job failed,
+// naming the worker and the cause, long before the worker's stranded
+// lease could expire.
+func TestDaemonDistributedWorkerFailure(t *testing.T) {
+	const ttl = time.Minute
+	coord := dist.NewCoordinator(dist.Options{LeaseShards: 4, LeaseTTL: ttl})
 	s, err := OpenOptions(t.TempDir(), Options{Distributor: coord})
 	if err != nil {
 		t.Fatal(err)
@@ -1140,38 +1276,31 @@ func TestDaemonDistributedByteIdentity(t *testing.T) {
 	defer s.Close()
 	ts := httptest.NewServer(coord.Handler())
 	defer ts.Close()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	for i := 0; i < 2; i++ {
-		w := &dist.Worker{
-			Base: ts.URL,
-			ID:   fmt.Sprintf("daemon-w%d", i),
-			Poll: 10 * time.Millisecond,
-		}
-		go w.Run(ctx)
-	}
+	w := &dist.Worker{Base: ts.URL, ID: "faulty-w", Poll: 10 * time.Millisecond, Open: openFailing}
+	ran := make(chan error, 1)
+	go func() { ran <- w.Run(ctx) }()
 
+	start := time.Now()
 	j, err := s.Submit(smallSpec(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fin := waitFor(t, s, j.ID, terminal)
-	if fin.State != StateDone {
-		t.Fatalf("distributed job: state %s error %q", fin.State, fin.Error)
+	if elapsed := time.Since(start); elapsed > ttl/4 {
+		t.Errorf("the job took %v to fail, want well inside the %v lease TTL", elapsed, ttl)
 	}
-	if fin.ShardsDone != fin.ShardsTotal || fin.ShardsTotal == 0 {
-		t.Fatalf("distributed progress: %d/%d shards", fin.ShardsDone, fin.ShardsTotal)
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "worker faulty-w") || !strings.Contains(fin.Error, errInjected.Error()) {
+		t.Fatalf("job: state %s error %q, want failed naming the worker and the cause", fin.State, fin.Error)
 	}
-	got, err := os.ReadFile(s.ResultPath(j.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oneShotBytes(t, smallSpec()); !bytes.Equal(got, want) {
-		t.Fatal("daemon distributed result differs from one-shot evaluation")
-	}
-	if _, err := os.Stat(s.CheckpointPath(j.ID)); !os.IsNotExist(err) {
-		t.Fatalf("checkpoint not removed after distributed completion: %v", err)
+	select {
+	case err := <-ran:
+		if !errors.Is(err, errInjected) {
+			t.Errorf("the worker returned %v, want its evaluation error", err)
+		}
+	case <-time.After(waitBudget(t)):
+		t.Error("the worker did not return after its evaluation failed")
 	}
 }
 

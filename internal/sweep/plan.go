@@ -350,13 +350,10 @@ func (pl *Plan) RunShards(ctx context.Context, l *Layout, shards []ShardRange, o
 			}
 		})
 	if st := opts.Stats; st != nil {
-		st.Add(run.stats)
-		// Planner fields describe the schedule itself, not this dispatch:
-		// assignment, not accumulation, so re-evaluating the same layout
-		// (resume, range leases) reports the same plan.
-		st.ChainHeads = pl.sched.plan.heads
-		st.DeltaEdges = pl.sched.plan.deltaEdges
-		st.PredictedVolume = pl.sched.plan.predictedVol
+		run.stats.ChainHeads = pl.sched.plan.heads
+		run.stats.DeltaEdges = pl.sched.plan.deltaEdges
+		run.stats.PredictedVolume = pl.sched.plan.predictedVol
+		st.Fold(run.stats)
 	}
 	if run.commitErr != nil {
 		return run.commitErr

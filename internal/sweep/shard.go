@@ -113,6 +113,15 @@ type ShardStats struct {
 	PredictedVolume int64 `json:"predicted_volume"`
 }
 
+// Fold adds one evaluation of a job's shards into the job's total s:
+// the dispatch, memo and engine counters sum, and the planner fields,
+// which describe the schedule itself, are assigned, so evaluating the
+// same layout again (resume, range leases) reports the same plan.
+func (s *ShardStats) Fold(o ShardStats) {
+	s.ChainHeads, s.DeltaEdges, s.PredictedVolume = 0, 0, 0
+	s.Add(o)
+}
+
 // Add sums o into s, planner fields included.
 func (s *ShardStats) Add(o ShardStats) {
 	s.Units += o.Units

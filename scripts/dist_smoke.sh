@@ -5,7 +5,8 @@
 # and byte-diff the finished grid against a one-shot bgpsim -job run
 # of the same spec. Any divergence — lost shard, double count, merge
 # order — fails the cmp; the coordinator's stats must then show every
-# shard accepted once and no duplicate transfer.
+# shard accepted once and no duplicate transfer, and the daemon's
+# /status "sweep" the engine work the workers sent on their submits.
 set -eu
 
 workdir=$(mktemp -d)
@@ -114,8 +115,15 @@ duplicates=$(printf '%s' "$stats" | sed -n 's/.*"duplicates":\([0-9]*\).*/\1/p')
 [ "$duplicates" = 0 ] || {
     echo "coordinator counted '$duplicates' duplicate shards"; exit 1; }
 
+# The workers' counters reach /status as a local job's would.
+status=$(curl -sS "http://$addr/status")
+runs=$(printf '%s' "$status" | sed -n 's/.*"runs": \([0-9]*\).*/\1/p')
+units=$(printf '%s' "$status" | sed -n 's/.*"units": \([0-9]*\).*/\1/p')
+[ -n "$runs" ] && [ "$runs" -ge 1 ] && [ -n "$units" ] && [ "$units" -ge 1 ] || {
+    echo "/status sweep counts runs '$runs' and units '$units', want at least 1 each:"; echo "$status"; exit 1; }
+
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=
 grep -q "stopped" "$workdir/log" || { echo "no clean shutdown:"; cat "$workdir/log"; exit 1; }
-echo "dist smoke OK ($addr, job $id, killed worker re-leased, $shards shards each accepted once, bytes identical)"
+echo "dist smoke OK ($addr, job $id, killed worker re-leased, $shards shards each accepted once, bytes identical, $runs runs in $units units)"

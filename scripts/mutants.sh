@@ -154,6 +154,14 @@ mutant "a shard one past the range accepted" internal/sweep/checkpoint_writer.go
     'if p.Shard >= l.Shards {' \
     'if p.Shard > l.Shards {'
 
+layer=dist # the coordinator and the worker, beside the daemon
+mutant "the coordinator drops a submit's stats" internal/dist/coordinator.go \
+    'aj.job.Stats.Fold(*stats)' \
+    '_ = stats'
+mutant "the worker skips the failure report" internal/dist/worker.go \
+    '_, _ = w.submit(ctx, submitRequest{Fingerprint: fingerprint, Error: evalErr.Error()})' \
+    '_ = evalErr'
+
 # Pre-flight: every pattern matches exactly once.
 for i in "${!names[@]}"; do
     n=$(OLD=${olds[i]} perl -0777 -ne 'print scalar(() = /\Q$ENV{OLD}\E/g)' "$work/${files[i]}")
